@@ -172,7 +172,7 @@ func main() {
 	}
 	t := srv.Tuner()
 	fmt.Printf("aimd: drained in %.3fs (cycles=%d adoptions=%d reverted=%d degraded=%d)\n",
-		time.Since(start).Seconds(), t.Cycles, t.Adoptions, t.Reverted, t.DegradedValidations)
+		time.Since(start).Seconds(), t.Cycles, t.Cycle.Adoptions, t.Cycle.Reverted, t.Cycle.DegradedValidations)
 }
 
 // loadScript executes a plain SQL script: statements separated by

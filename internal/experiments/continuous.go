@@ -11,6 +11,7 @@ import (
 	"aim/internal/regression"
 	"aim/internal/shadow"
 	"aim/internal/telemetry"
+	"aim/internal/tuning"
 	"aim/internal/workload"
 )
 
@@ -121,6 +122,18 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 	cfg.Selection.MinExecutions = 1
 	adv := core.NewAdvisor(db, cfg)
 	detector := regression.NewDetector(0.5)
+	// The study scripts its own windows and detector observations; its two
+	// adoptions go through the shared cycle's gate-then-apply step. A failed
+	// apply aborts the study rather than degrading: its phases assume the
+	// accepted indexes exist.
+	cycle := &tuning.Cycle{DB: db, Adv: adv, Detector: detector, Gate: shadow.DefaultGate()}
+	adopt := func(mon *workload.Monitor, rec *core.Recommendation) (*shadow.Report, error) {
+		res, err := cycle.Adopt(mon, rec.Create)
+		if err == nil {
+			err = res.ApplyErr
+		}
+		return res.Report, err
+	}
 	out := &ContinuousResult{}
 
 	// Optional live telemetry: the loop's registry, index set, detector
@@ -139,6 +152,7 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 		}
 		out.TelemetryAddr = addr
 		defer tel.Close()
+		cycle.OnReport = tel.SetShadowReport
 		if opts.OnTelemetryStart != nil {
 			opts.OnTelemetryStart(addr)
 		}
@@ -149,18 +163,9 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 	// the steady-state indexes carry a full candidate→rank→shadow→adopt
 	// lineage in the audit journal.
 	mon1, _ := window(oldQueries)
-	if rec, err := adv.Recommend(mon1); err == nil && len(rec.Create) > 0 {
-		rep1, verr := shadow.Validate(db, rec.Create, mon1, shadow.DefaultGate())
-		if verr != nil {
-			rep1 = &shadow.Report{Degraded: true, Code: shadow.CodeCloneUnavailable, Reason: verr.Error()}
-		}
-		if tel != nil {
-			tel.SetShadowReport(rep1)
-		}
-		if rep1.Accepted {
-			if _, err := adv.Apply(rec); err != nil {
-				return nil, err
-			}
+	if rec, err := adv.Recommend(mon1); err == nil {
+		if _, err := adopt(mon1, rec); err != nil {
+			return nil, err
 		}
 	}
 	mon1b, cpu1 := window(oldQueries)
@@ -187,19 +192,11 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 		return nil, err
 	}
 	out.NewIndexes = len(rec.Create)
-	report, err := shadow.Validate(db, rec.Create, mon2, shadow.DefaultGate())
+	report, err := adopt(mon2, rec)
 	if err != nil {
-		report = &shadow.Report{Degraded: true, Code: shadow.CodeCloneUnavailable, Reason: err.Error()}
+		return nil, err
 	}
-	if tel != nil {
-		tel.SetShadowReport(report)
-	}
-	out.ShadowAccepted = report.Accepted
-	if report.Accepted {
-		if _, err := adv.Apply(rec); err != nil {
-			return nil, err
-		}
-	}
+	out.ShadowAccepted = report != nil && report.Accepted
 
 	// Phase 3: same mixed workload after re-tuning.
 	mon3, cpu3 := window(mixed)

@@ -12,6 +12,7 @@ import (
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/shadow"
+	"aim/internal/tuning"
 )
 
 // FaultSuiteOptions parameterizes the fault-injection study of the
@@ -108,17 +109,19 @@ func newTuningLoop(opts FaultSuiteOptions) *Loop {
 	cfg := core.DefaultConfig()
 	cfg.Selection.MinExecutions = 1
 	return &Loop{
-		DB:       db,
-		Adv:      core.NewAdvisor(db, cfg),
-		Detector: regression.NewDetector(0.5),
+		Cycle: tuning.Cycle{
+			DB:       db,
+			Adv:      core.NewAdvisor(db, cfg),
+			Detector: regression.NewDetector(0.5),
+			Gate:     shadow.DefaultGate(),
+		},
 		Sample: func(_ int, r *rand.Rand) string {
 			if r.Intn(4) == 0 {
 				return fmt.Sprintf("SELECT id FROM events WHERE kind = %d AND score > %d", r.Intn(8), r.Intn(900))
 			}
 			return fmt.Sprintf("SELECT score FROM events WHERE user_id = %d", r.Intn(150))
 		},
-		R:    r,
-		Gate: shadow.DefaultGate(),
+		R: r,
 	}
 }
 
@@ -191,7 +194,7 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 	// Reference: the recommendation set a fault-free loop converges to.
 	ref := newTuningLoop(opts)
 	for i := 0; i < opts.DrainCycles; i++ {
-		if _, err := ref.RunCycle(opts.WindowStatements); err != nil {
+		if err := ref.RunCycle(opts.WindowStatements); err != nil {
 			return nil, fmt.Errorf("reference cycle %d: %v", i, err)
 		}
 	}
@@ -208,7 +211,7 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 		loop := newTuningLoop(opts)
 		failpoint.Activate(fp)
 		for i := 0; i < opts.Cycles; i++ {
-			if _, err := loop.RunCycle(opts.WindowStatements); err != nil {
+			if err := loop.RunCycle(opts.WindowStatements); err != nil {
 				failpoint.Activate(nil)
 				return nil, fmt.Errorf("rate %g cycle %d: %v", rate, i, err)
 			}
@@ -220,7 +223,7 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 		failpoint.Activate(nil)
 		// Faults stop; the loop must converge to the reference set.
 		for i := 0; i < opts.DrainCycles; i++ {
-			if _, err := loop.RunCycle(opts.WindowStatements); err != nil {
+			if err := loop.RunCycle(opts.WindowStatements); err != nil {
 				return nil, fmt.Errorf("rate %g drain cycle %d: %v", rate, i, err)
 			}
 			if err := checkLoopInvariants(loop.DB); err != nil {

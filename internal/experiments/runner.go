@@ -3,28 +3,19 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
-	"aim/internal/catalog"
-	"aim/internal/core"
 	"aim/internal/engine"
-	"aim/internal/regression"
-	"aim/internal/shadow"
+	"aim/internal/tuning"
 	"aim/internal/workload"
 )
 
-// Loop is the shared cycle driver behind the fault suite and the scenario
-// suite: one database plus the continuous-tuning machinery (advisor, shadow
-// gate, regression detector) driven cycle by cycle, with the per-cycle
-// safety ordering both suites assert on — a window is executed and recorded,
-// the advisor recommends, every creation passes the shadow gate or nothing
-// changes, and the detector gets the last word. The zero values of the
-// policy fields reproduce the original fault-suite behavior exactly.
+// Loop is the offline driver behind the fault suite and the scenario suite:
+// it generates and executes each cycle's workload window itself, then hands
+// the observed window to the shared tuning cycle (tuning.Cycle.Run), whose
+// safety ordering both suites assert on. The zero values of the embedded
+// cycle's policy fields reproduce the original fault-suite behavior exactly.
 type Loop struct {
-	DB       *engine.DB
-	Adv      *core.Advisor
-	Detector *regression.Detector
-	Gate     shadow.Gate
+	tuning.Cycle
 	// Sample draws the next workload statement for the given cycle.
 	Sample func(cycle int, r *rand.Rand) string
 	// Advance, when set, runs scenario-side effects (schema migrations, load
@@ -32,43 +23,18 @@ type Loop struct {
 	Advance func(db *engine.DB, cycle int, r *rand.Rand) error
 	R       *rand.Rand
 
-	// MaintenanceGuard additionally runs the detector's write-amplification
-	// economics check each cycle (ObserveMaintenance).
-	MaintenanceGuard bool
-	// ApplyDrops retires automation indexes the advisor reports unused for
-	// DropAfterUnused consecutive windows, journaled as "unused_index"
-	// reverts. Off, unused indexes are only ever removed by regressions.
-	ApplyDrops      bool
-	DropAfterUnused int
-
-	// Stab, when set, records every adopt/revert transition for the
-	// stability assertions (flip counts, revert latency).
-	Stab *regression.Stability
-
-	// Cycle counts RunCycle calls; the counters below aggregate outcomes.
-	Cycle               int
-	Adoptions           int
-	ApplyFailures       int
-	DegradedValidations int
-	Reverted            int
-
-	unusedStreak map[string]int
+	cycles int // RunCycle calls so far
 }
 
-// RunCycle drives one tuning cycle: replay a workload window, recommend,
-// gate creations through shadow validation, apply only on acceptance, then
-// run the regression detector and revert what it flags. Every failure path
-// degrades to "no change this cycle"; an accepted-but-degraded verdict is
-// the one fatal error, because it would be an ungated adoption.
-func (l *Loop) RunCycle(windowStatements int) (adopted []*catalog.Index, err error) {
-	cycle := l.Cycle
-	l.Cycle++
-	if l.Stab != nil {
-		l.Stab.BeginWindow()
-	}
+// RunCycle advances the scenario, executes and records a window of
+// windowStatements sampled statements (failed ones contribute no load and
+// are not observed), and runs one tuning cycle over it.
+func (l *Loop) RunCycle(windowStatements int) error {
+	cycle := l.cycles
+	l.cycles++
 	if l.Advance != nil {
 		if err := l.Advance(l.DB, cycle, l.R); err != nil {
-			return nil, fmt.Errorf("advance cycle %d: %v", cycle, err)
+			return fmt.Errorf("advance cycle %d: %v", cycle, err)
 		}
 	}
 	mon := workload.NewMonitor()
@@ -80,127 +46,6 @@ func (l *Loop) RunCycle(windowStatements int) (adopted []*catalog.Index, err err
 		}
 		mon.Record(sql, res.Stats)
 	}
-
-	rec, err := l.Adv.Recommend(mon)
-	if err != nil {
-		return nil, fmt.Errorf("recommend: %v", err)
-	}
-	// Candidates inside their revert cooldown are not re-proposed this
-	// cycle: an index the loop just reverted must wait the cooldown out, or
-	// a borderline workload flips it adopt/revert forever.
-	create := rec.Create
-	if l.Detector != nil {
-		kept := make([]*catalog.Index, 0, len(create))
-		for _, ix := range create {
-			if l.Detector.InCooldown(ix.Key()) {
-				continue
-			}
-			kept = append(kept, ix)
-		}
-		create = kept
-	}
-	if len(create) > 0 {
-		report, err := shadow.Validate(l.DB, create, mon, l.Gate)
-		if err != nil {
-			return nil, fmt.Errorf("validate: %v", err)
-		}
-		if report.Accepted && report.Degraded {
-			return nil, fmt.Errorf("degraded verdict accepted: %s", report.Reason)
-		}
-		if report.Degraded {
-			l.DegradedValidations++
-		}
-		if report.Accepted {
-			// Only the validated creations are applied; unused-index drops go
-			// through the explicit retirement path below so that nothing
-			// changes the physical design without either a gate verdict or a
-			// journaled revert reason.
-			if _, err := l.Adv.Apply(&core.Recommendation{Create: create}); err != nil {
-				// CreateIndexes rolled the batch back; the cycle ends with
-				// the catalog unchanged and a later cycle re-validates.
-				l.ApplyFailures++
-			} else {
-				l.Adoptions++
-				adopted = create
-				if l.Stab != nil {
-					l.Stab.NoteAdopted(indexKeys(create)...)
-				}
-			}
-		}
-	}
-
-	if l.ApplyDrops && l.Detector != nil {
-		l.retireUnused(rec.Drop)
-	}
-
-	if l.Detector != nil {
-		regs := l.Detector.Observe(l.DB, mon)
-		if l.MaintenanceGuard {
-			regs = append(regs, l.Detector.ObserveMaintenance(l.DB, mon)...)
-		}
-		if len(regs) > 0 {
-			keys := l.Detector.Revert(l.DB, regs)
-			l.Reverted += len(keys)
-			if l.Stab != nil {
-				l.Stab.NoteReverted(keys...)
-			}
-		}
-	}
-	return adopted, nil
-}
-
-// retireUnused ages automation indexes through the advisor's unused-drop
-// proposals: an index reported unused for DropAfterUnused consecutive
-// windows is dropped through the detector's revert path (idempotent drop,
-// "unused_index" journal record, cooldown registration). One busy window
-// resets the streak.
-func (l *Loop) retireUnused(drop []*catalog.Index) {
-	if l.unusedStreak == nil {
-		l.unusedStreak = map[string]int{}
-	}
-	after := l.DropAfterUnused
-	if after <= 0 {
-		after = 3
-	}
-	unused := map[string]*catalog.Index{}
-	for _, ix := range drop {
-		if ix.Hypothetical || ix.CreatedBy == "" || ix.CreatedBy == "dba" {
-			continue
-		}
-		unused[ix.Key()] = ix
-	}
-	for k := range l.unusedStreak {
-		if _, ok := unused[k]; !ok {
-			delete(l.unusedStreak, k)
-		}
-	}
-	keys := make([]string, 0, len(unused))
-	for k := range unused {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l.unusedStreak[k]++
-		if l.unusedStreak[k] < after {
-			continue
-		}
-		delete(l.unusedStreak, k)
-		reg := &regression.Regression{
-			ReasonCode:     "unused_index",
-			SuspectIndexes: []*catalog.Index{unused[k]},
-		}
-		dropped := l.Detector.Revert(l.DB, []*regression.Regression{reg})
-		l.Reverted += len(dropped)
-		if l.Stab != nil {
-			l.Stab.NoteReverted(dropped...)
-		}
-	}
-}
-
-func indexKeys(ixs []*catalog.Index) []string {
-	out := make([]string, len(ixs))
-	for i, ix := range ixs {
-		out[i] = ix.Key()
-	}
-	return out
+	_, err := l.Run(mon)
+	return err
 }

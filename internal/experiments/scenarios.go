@@ -7,10 +7,12 @@ import (
 
 	"aim/internal/audit"
 	"aim/internal/core"
+	"aim/internal/engine"
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
 	"aim/internal/shadow"
+	"aim/internal/tuning"
 )
 
 // ScenarioOptions parameterizes one adversarial-scenario run.
@@ -149,6 +151,39 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 	cfg.Selection.MinExecutions = 1
 	cfg.Parallelism = opts.Parallelism
 
+	stab := regression.NewStability()
+	if opts.Obs != nil {
+		stab.SetObs(opts.Obs)
+	}
+	loop := &Loop{
+		Cycle: tuning.Cycle{
+			DB:               db,
+			Adv:              core.NewAdvisor(db, cfg),
+			Detector:         scenarioDetector(p),
+			Gate:             shadow.DefaultGate(),
+			MaintenanceGuard: p.MaintenanceGuard,
+			ApplyDrops:       p.ApplyDrops,
+			DropAfterUnused:  p.DropAfterUnused,
+			Stab:             stab,
+		},
+		Sample:  sc.Statement,
+		Advance: sc.Advance,
+		R:       r,
+	}
+	for i := 0; i < cycles; i++ {
+		if err := loop.RunCycle(p.WindowStatements); err != nil {
+			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
+		}
+		if err := checkLoopInvariants(db); err != nil {
+			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
+		}
+	}
+	return scenarioResult(sc, cycles, &loop.Cycle, db), nil
+}
+
+// scenarioDetector builds the regression detector the profile's loop policy
+// asks for.
+func scenarioDetector(p scenarios.Profile) *regression.Detector {
 	threshold := p.DetectorThreshold
 	if threshold <= 0 {
 		threshold = 0.5
@@ -157,50 +192,30 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 	det.ConfirmWindows = p.ConfirmWindows
 	det.AnchorWindows = p.AnchorWindows
 	det.RevertCooldown = p.RevertCooldown
+	return det
+}
 
-	stab := regression.NewStability()
-	if opts.Obs != nil {
-		stab.SetObs(opts.Obs)
-	}
-	loop := &Loop{
-		DB:               db,
-		Adv:              core.NewAdvisor(db, cfg),
-		Detector:         det,
-		Gate:             shadow.DefaultGate(),
-		Sample:           sc.Statement,
-		Advance:          sc.Advance,
-		R:                r,
-		MaintenanceGuard: p.MaintenanceGuard,
-		ApplyDrops:       p.ApplyDrops,
-		DropAfterUnused:  p.DropAfterUnused,
-		Stab:             stab,
-	}
-	for i := 0; i < cycles; i++ {
-		if _, err := loop.RunCycle(p.WindowStatements); err != nil {
-			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
-		}
-		if err := checkLoopInvariants(db); err != nil {
-			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
-		}
-	}
-
+// scenarioResult summarizes a finished run from the cycle's counters, its
+// stability tracker and the database's final index set.
+func scenarioResult(sc scenarios.Scenario, cycles int, c *tuning.Cycle, db *engine.DB) *ScenarioResult {
+	stab := c.Stab
 	res := &ScenarioResult{
 		Name:                sc.Name(),
 		Cycles:              cycles,
-		Adoptions:           loop.Adoptions,
-		ApplyFailures:       loop.ApplyFailures,
-		DegradedValidations: loop.DegradedValidations,
-		Reverted:            loop.Reverted,
+		Adoptions:           c.Adoptions,
+		ApplyFailures:       c.ApplyFailures,
+		DegradedValidations: c.DegradedValidations,
+		Reverted:            c.Reverted,
 		AdoptedThenReverted: stab.AdoptedThenReverted(),
 		MaxRevertLatency:    stab.MaxRevertLatency(),
 		FinalIndexKeys:      automationIndexKeys(db),
 	}
 	res.MaxFlipsKey, res.MaxFlips = stab.MaxFlips()
-	if _, w, ok := stab.FirstRevertAt(p.TrapCycle + 1); ok {
+	if _, w, ok := stab.FirstRevertAt(sc.Profile().TrapCycle + 1); ok {
 		res.FirstRevertAfterTrap = w
 	}
 	var tr strings.Builder
 	stab.Render(&tr)
 	res.Transitions = tr.String()
-	return res, nil
+	return res
 }

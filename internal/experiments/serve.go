@@ -83,12 +83,12 @@ type ServeRunResult struct {
 	TracedAdoptions int
 }
 
-// ServeSuiteResult aggregates the sweep plus the two offline references.
+// ServeSuiteResult aggregates the sweep plus the offline reference.
 type ServeSuiteResult struct {
-	// ReferenceKeys is the index set the offline experiments.Loop replay of
-	// the same statement stream converges to; every live run must match it.
+	// ReferenceKeys is the index set the offline tuner replay of the same
+	// statement stream converges to; every live run must match it.
 	ReferenceKeys []string
-	// ReferenceVerdicts are the verdict lines an offline single-threaded
+	// ReferenceVerdicts are the verdict lines the offline single-threaded
 	// tuner replay of the same windows renders; live runs must match them
 	// byte for byte.
 	ReferenceVerdicts []string
@@ -138,13 +138,13 @@ func serveAdvisorCfg(workers int) core.Config {
 
 // RunServeSuite executes the acceptance suite:
 //
-//  1. An offline experiments.Loop replay of the precomputed fleet stream
-//     establishes the reference index set.
-//  2. An offline single-threaded server.Tuner replay of the same windows
-//     establishes the reference verdict lines.
-//  3. For each worker count, a real server is booted on loopback and the
+//  1. An offline single-threaded server.Tuner replay of the precomputed
+//     fleet stream — the same tuning.Cycle the fault and scenario suites
+//     drive through experiments.Loop — establishes the reference index set,
+//     verdict lines and journal.
+//  2. For each worker count, a real server is booted on loopback and the
 //     seeded fleet drives it over TCP with a tuning cycle at every round
-//     barrier; the run must drain cleanly and match both references.
+//     barrier; the run must drain cleanly and match the references.
 //
 // It returns an error on the first violated invariant: a statement error, a
 // dirty drain, a leftover buffered statement, an ungated adoption, an
@@ -170,20 +170,12 @@ func RunServeSuite(opts ServeSuiteOptions) (*ServeSuiteResult, error) {
 
 	out := &ServeSuiteResult{}
 	var err error
-	if out.ReferenceKeys, err = serveLoopReplay(opts, stream); err != nil {
+	out.ReferenceKeys, out.ReferenceVerdicts, out.ReferenceJournal, err = serveTunerReplay(opts, stream)
+	if err != nil {
 		return nil, err
 	}
 	if len(out.ReferenceKeys) == 0 {
 		return nil, fmt.Errorf("serve: offline replay adopted no indexes; fixture is not exercising the loop")
-	}
-	refKeys2, refVerdicts, refJournal, err := serveTunerReplay(opts, stream)
-	if err != nil {
-		return nil, err
-	}
-	out.ReferenceVerdicts = refVerdicts
-	out.ReferenceJournal = refJournal
-	if !equalStrings(out.ReferenceKeys, refKeys2) {
-		return nil, fmt.Errorf("serve: offline loop and offline tuner disagree: %v vs %v", out.ReferenceKeys, refKeys2)
 	}
 
 	for _, workers := range opts.Parallelism {
@@ -222,38 +214,6 @@ func RunServeSuite(opts ServeSuiteOptions) (*ServeSuiteResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// serveLoopReplay replays the fleet stream through the batch
-// experiments.Loop — the machinery the fault and scenario suites certify —
-// and returns the index set it adopts. One loop cycle consumes one round's
-// statements in the canonical window order.
-func serveLoopReplay(opts ServeSuiteOptions, stream [][]string) ([]string, error) {
-	db := serveFixture(opts.Rows, opts.Seed)
-	cfg := serveAdvisorCfg(1)
-	pos := make([]int, len(stream))
-	loop := &Loop{
-		DB:       db,
-		Adv:      core.NewAdvisor(db, cfg),
-		Detector: regression.NewDetector(0.5),
-		Gate:     shadow.DefaultGate(),
-		Sample: func(cycle int, _ *rand.Rand) string {
-			s := stream[cycle][pos[cycle]]
-			pos[cycle]++
-			return s
-		},
-		R: rand.New(rand.NewSource(opts.Seed)),
-	}
-	perWindow := opts.Clients * opts.PerRound
-	for round := 0; round < opts.Rounds; round++ {
-		if _, err := loop.RunCycle(perWindow); err != nil {
-			return nil, fmt.Errorf("serve: loop replay round %d: %v", round, err)
-		}
-		if err := checkLoopInvariants(db); err != nil {
-			return nil, fmt.Errorf("serve: loop replay round %d: %v", round, err)
-		}
-	}
-	return automationIndexKeys(db), nil
 }
 
 // serveTunerReplay replays the fleet stream through the server's own Tuner,
@@ -297,6 +257,9 @@ func serveTunerReplay(opts ServeSuiteOptions, stream [][]string) ([]string, []st
 			return nil, nil, nil, fmt.Errorf("serve: tuner replay round %d: %v", round, err)
 		}
 		verdicts = append(verdicts, line)
+		if err := checkLoopInvariants(db); err != nil {
+			return nil, nil, nil, fmt.Errorf("serve: tuner replay round %d: %v", round, err)
+		}
 	}
 	if err := jrn.Close(); err != nil {
 		return nil, nil, nil, fmt.Errorf("serve: tuner replay journal: %v", err)
@@ -416,8 +379,8 @@ func serveLiveRun(opts ServeSuiteOptions, lgOpts loadgen.Options, workers int) (
 		Verdicts:        res.Verdicts,
 		Journal:         normalized,
 		IndexKeys:       automationIndexKeys(db),
-		Adoptions:       t.Adoptions,
-		Reverted:        t.Reverted,
+		Adoptions:       t.Cycle.Adoptions,
+		Reverted:        t.Cycle.Reverted,
 		DrainSeconds:    reg.Histogram("server.drain_seconds").Sum(),
 		TimeSeries:      seriesJSON,
 		TracedAdoptions: traced,

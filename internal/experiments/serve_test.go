@@ -41,11 +41,10 @@ func serveSuiteOptions(t *testing.T) ServeSuiteOptions {
 //   - the fleet completes with zero statement errors and the server drains
 //     cleanly (no forced connections, connections_open back to 0, no
 //     buffered statements left behind);
-//   - the adopted index set equals the offline experiments.Loop replay of
-//     the same statement stream — the machinery the fault and scenario
-//     suites certify;
-//   - the per-round verdict lines are byte-identical across worker counts
-//     AND to an offline single-threaded tuner replay;
+//   - the adopted index set and the per-round verdict lines are
+//     byte-identical across worker counts AND to an offline single-threaded
+//     tuner replay of the same statement stream, which drives the same
+//     tuning.Cycle the fault and scenario suites certify;
 //   - the normalized decision journals are identical across worker counts;
 //   - every adoption closes a complete audit lineage (candidate → selected
 //     rank → accepting shadow verdict → adopt): zero ungated adoptions.

@@ -52,9 +52,7 @@ type SlowLog struct {
 	sampleN   int
 
 	mu   sync.Mutex
-	ring []SlowEntry
-	next int   // ring write cursor
-	size int   // live entries (≤ len(ring))
+	ring ring[SlowEntry]
 	seen int64 // non-slow statements observed (sampling clock)
 
 	observed *Counter // slowlog.observed — statements offered
@@ -73,7 +71,7 @@ func NewSlowLog(capacity int, threshold time.Duration, sampleN int) *SlowLog {
 	return &SlowLog{
 		threshold: threshold,
 		sampleN:   sampleN,
-		ring:      make([]SlowEntry, capacity),
+		ring:      newRing[SlowEntry](capacity),
 	}
 }
 
@@ -137,13 +135,9 @@ func (l *SlowLog) Observe(e SlowEntry, latency time.Duration) {
 	default:
 		return
 	}
-	if l.size == len(l.ring) {
+	if l.ring.push(e) {
 		l.evicted.Inc()
-	} else {
-		l.size++
 	}
-	l.ring[l.next] = e
-	l.next = (l.next + 1) % len(l.ring)
 }
 
 // Snapshot copies the captured entries, oldest first. Nil on a nil or empty
@@ -154,18 +148,7 @@ func (l *SlowLog) Snapshot() []SlowEntry {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.size == 0 {
-		return nil
-	}
-	out := make([]SlowEntry, 0, l.size)
-	start := l.next - l.size
-	if start < 0 {
-		start += len(l.ring)
-	}
-	for i := 0; i < l.size; i++ {
-		out = append(out, l.ring[(start+i)%len(l.ring)])
-	}
-	return out
+	return l.ring.snapshot()
 }
 
 // Len returns the number of captured entries held (0 on nil).
@@ -175,5 +158,5 @@ func (l *SlowLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.size
+	return l.ring.size
 }

@@ -112,8 +112,8 @@ func TestSlowLogNilSafe(t *testing.T) {
 // relies on.
 func TestSlowLogDefaults(t *testing.T) {
 	l := NewSlowLog(0, 5*time.Millisecond, 100)
-	if len(l.ring) != 256 {
-		t.Errorf("default capacity = %d", len(l.ring))
+	if len(l.ring.buf) != 256 {
+		t.Errorf("default capacity = %d", len(l.ring.buf))
 	}
 	if l.Threshold() != 5*time.Millisecond || l.SampleN() != 100 {
 		t.Errorf("threshold=%v sampleN=%d", l.Threshold(), l.SampleN())

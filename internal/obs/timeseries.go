@@ -31,13 +31,13 @@ type TSSample struct {
 	TSUS int64 `json:"ts_us"`
 	// IntervalSeconds is the wall clock since the previous tick (0 on the
 	// first).
-	IntervalSeconds float64 `json:"interval_seconds"`
+	IntervalSeconds float64          `json:"interval_seconds"`
 	Counters        map[string]int64 `json:"counters,omitempty"`
 	// Rates are counter deltas divided by IntervalSeconds.
-	Rates      map[string]float64      `json:"rates,omitempty"`
-	Gauges     map[string]int64        `json:"gauges,omitempty"`
-	Histograms map[string]TSQuantiles  `json:"histograms,omitempty"`
-	Spans      map[string]TSQuantiles  `json:"spans,omitempty"`
+	Rates      map[string]float64     `json:"rates,omitempty"`
+	Gauges     map[string]int64       `json:"gauges,omitempty"`
+	Histograms map[string]TSQuantiles `json:"histograms,omitempty"`
+	Spans      map[string]TSQuantiles `json:"spans,omitempty"`
 }
 
 // TimeSeries samples an obs registry into a fixed-size ring, turning the
@@ -51,9 +51,7 @@ type TimeSeries struct {
 	reg *Registry
 
 	mu   sync.Mutex
-	ring []TSSample
-	next int
-	size int
+	ring ring[TSSample]
 	prev *Snapshot
 	last time.Time
 }
@@ -67,7 +65,7 @@ func NewTimeSeries(reg *Registry, capacity int) *TimeSeries {
 	if capacity <= 0 {
 		capacity = 360
 	}
-	return &TimeSeries{reg: reg, ring: make([]TSSample, capacity)}
+	return &TimeSeries{reg: reg, ring: newRing[TSSample](capacity)}
 }
 
 // Tick takes one sample at now. No-op on a nil recorder.
@@ -97,13 +95,7 @@ func (t *TimeSeries) Tick(now time.Time) {
 	s.Spans = quantileDeltas(snap.Spans, prevSpans(t.prev))
 	t.prev = snap
 	t.last = now
-	if t.size == len(t.ring) {
-		// oldest sample falls off the ring
-	} else {
-		t.size++
-	}
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % len(t.ring)
+	t.ring.push(s) // at capacity the oldest sample falls off
 }
 
 func prevHists(s *Snapshot) map[string]HistogramSnapshot {
@@ -178,18 +170,7 @@ func (t *TimeSeries) Samples() []TSSample {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.size == 0 {
-		return nil
-	}
-	out := make([]TSSample, 0, t.size)
-	start := t.next - t.size
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < t.size; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
-	}
-	return out
+	return t.ring.snapshot()
 }
 
 // MarshalJSON renders the recorder as the /timeseriesz payload: capacity,
@@ -201,7 +182,7 @@ func (t *TimeSeries) MarshalJSON() ([]byte, error) {
 		Samples  []TSSample `json:"samples"`
 	}{Samples: []TSSample{}}
 	if t != nil {
-		payload.Capacity = len(t.ring)
+		payload.Capacity = len(t.ring.buf)
 		if s := t.Samples(); s != nil {
 			payload.Samples = s
 		}

@@ -10,9 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"aim/internal/core"
 	"aim/internal/engine"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
+	"aim/internal/regression"
+	"aim/internal/shadow"
 )
 
 // startTestServer boots a server on an ephemeral loopback port around a
@@ -313,5 +316,105 @@ func TestServerFailpoints(t *testing.T) {
 	}
 	if got := reg.Counter("server.accept_errors").Value(); got == 0 {
 		t.Fatal("accept failpoint fired but server.accept_errors stayed 0")
+	}
+}
+
+// TestTunerFatalLatches pins the fatal state as a latch: a window the
+// collector could not have sealed fails the cycle, and every later window —
+// however well formed — returns that same error without touching the
+// database. A fresh tuner adopts from the same window, so the latch is what
+// held the index set still.
+func TestTunerFatalLatches(t *testing.T) {
+	db := engine.New("latch")
+	db.MustExec(`CREATE TABLE kv (id INT, v INT, PRIMARY KEY (id))`)
+	for i := 0; i < 400; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i*3))
+	}
+	db.Analyze()
+	var good []Record
+	for i := 0; i < 20; i++ {
+		sql := fmt.Sprintf("SELECT id FROM kv WHERE v = %d", i*3)
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = append(good, Record{Session: "s", Seq: uint64(i + 1), SQL: sql, Stats: res.Stats})
+	}
+	cfg := core.DefaultConfig()
+	cfg.Selection.MinExecutions = 1
+	newTuner := func() *Tuner {
+		return &Tuner{DB: db, Adv: core.NewAdvisor(db, cfg), Detector: regression.NewDetector(0.5), Gate: shadow.DefaultGate()}
+	}
+	indexes := func() int { return len(db.Schema.Indexes()) }
+	before := indexes()
+
+	tuner := newTuner()
+	_, err := tuner.CycleWindow([]Record{{Session: "s", Seq: 1, SQL: "SELEKT broken"}})
+	if err == nil {
+		t.Fatal("unparsable window record did not fail the cycle")
+	}
+	if _, err2 := tuner.CycleWindow(good); err2 != err {
+		t.Fatalf("cycle after a fatal error returned %v, want the latched %v", err2, err)
+	}
+	if got := indexes(); got != before {
+		t.Fatalf("latched tuner changed the index set: %d -> %d indexes", before, got)
+	}
+	if v := tuner.Verdicts(); len(v) != 1 || !strings.HasPrefix(v[0], "FATAL ") {
+		t.Fatalf("verdicts = %q, want the one FATAL line", v)
+	}
+	if line, err := newTuner().CycleWindow(good); err != nil || indexes() == before {
+		t.Fatalf("fresh tuner did not adopt from the same window: %q, %v", line, err)
+	}
+}
+
+// TestServerCountsWindowDroppedBusy holds the tuner's cycle mutex so sealed
+// windows back up: the tuner goroutine takes the first and blocks, the
+// second fills the one-slot queue, and the third has nowhere to go — it must
+// be counted, window and statements, not lost silently.
+func TestServerCountsWindowDroppedBusy(t *testing.T) {
+	const window = 5
+	reg := obs.NewRegistry()
+	s, _ := startTestServer(t, Options{WindowStatements: window, Obs: reg})
+	s.tuner.mu.Lock()
+	locked := true
+	unlock := func() {
+		if locked {
+			locked = false
+			s.tuner.mu.Unlock()
+		}
+	}
+	defer unlock()
+	seal := func() {
+		for i := 0; i < window; i++ {
+			if resp := s.execStatement("busy", uint64(i+1), "", "SELECT v FROM kv WHERE id = 1"); resp.Tag != TagRows {
+				t.Fatalf("statement failed: %+v", resp)
+			}
+		}
+	}
+	seal()
+	for deadline := time.Now().Add(5 * time.Second); len(s.windows) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("tuner goroutine never took the first window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	seal()
+	seal()
+	snap := reg.Snapshot().Counters
+	if got := snap["server.windows_sealed"]; got != 3 {
+		t.Fatalf("windows_sealed = %d, want 3", got)
+	}
+	if got := snap["server.windows_dropped_busy"]; got != 1 {
+		t.Errorf("windows_dropped_busy = %d, want 1", got)
+	}
+	if got := snap["server.window_dropped"]; got != window {
+		t.Errorf("window_dropped = %d, want the dropped window's %d statements", got, window)
+	}
+	unlock()
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Tuner().Cycles; got != 2 {
+		t.Errorf("tuner ran %d cycles, want the 2 windows it could take", got)
 	}
 }

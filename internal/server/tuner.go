@@ -6,50 +6,38 @@ import (
 	"sync"
 
 	"aim/internal/audit"
-	"aim/internal/catalog"
 	"aim/internal/core"
 	"aim/internal/engine"
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/shadow"
 	"aim/internal/sqlparser"
+	"aim/internal/tuning"
 	"aim/internal/workload"
 )
 
-// Tuner runs the continuous-tuning cycle against the serving database, fed
-// by sealed collector windows instead of a replayed workload file. The
-// per-cycle ordering is the same safety contract the fault and scenario
-// suites assert on the batch loop (experiments.Loop): recommend, filter
-// cooldowns, gate every creation through shadow validation or change
-// nothing, apply, then let the regression detector revert. An
-// accepted-but-degraded verdict is the one fatal error — it would be an
-// ungated adoption.
-//
-// Locking: the tuner shares the server's statement gate. Recommending and
-// observing hold the read side (stats collection must not race live DML);
-// applying and reverting hold the write side; snapshot creation inside
-// shadow validation serializes through the engine's clone gate (see
-// engine.DB.SetCloneGate), so replays run against frozen snapshots while
-// live client traffic proceeds.
+// Tuner feeds sealed collector windows to the shared tuning cycle
+// (tuning.Cycle.Run — the same code the fault and scenario suites certify
+// offline). What is its own: converting a window into a monitor, journaling
+// the window, serializing cycles, rendering the verdict line, and latching
+// the fatal state.
 type Tuner struct {
 	DB       *engine.DB
 	Adv      *core.Advisor
 	Detector *regression.Detector
 	Gate     shadow.Gate
-	// Exec is the server's statement gate; nil means the caller already
-	// serializes (offline replay).
-	Exec *sync.RWMutex
-	// OnReport, when set, receives every shadow verdict (telemetry hook).
-	OnReport func(*shadow.Report)
+	// Cycle is the tuning cycle this tuner drives; the four fields above are
+	// copied into it before every run. Its lock pair (nil = the caller
+	// already serializes, offline replay), policy fields, Stab and OnReport
+	// are set on it directly before the first window, and its counters read
+	// from it after the last. server.New leaves every policy field zero.
+	Cycle tuning.Cycle
 
 	mu sync.Mutex // serializes cycles (background seals vs OpTune)
 
-	Cycles              int
-	Adoptions           int
-	ApplyFailures       int
-	DegradedValidations int
-	Reverted            int
-	verdicts            []string
+	Cycles   int
+	verdicts []string
+	fatal    error // latched by fail
 
 	tuneCycles *obs.Counter // server.tune_cycles
 }
@@ -62,14 +50,27 @@ func (t *Tuner) Instrument(r *obs.Registry) {
 }
 
 // CycleWindow builds the window's monitor from a sealed (sorted) record
-// slice and runs one tuning cycle. Statements are fed to the monitor in the
-// canonical window order, so the resulting recommendation is byte-identical
-// to an offline replay of the same stream. When the serving database has an
-// audit journal attached, the window itself is journaled first (one
-// EventWindow record mapping normalized queries to live statement IDs), so
-// every decision record of the cycle can be traced back to the statements
-// that drove it.
+// slice and runs one tuning cycle, returning a short rendered verdict line.
+// Statements are fed to the monitor in the canonical window order, so the
+// resulting recommendation is byte-identical to an offline replay of the
+// same stream. When the serving database has an audit journal attached, the
+// window itself is journaled first (one EventWindow record mapping
+// normalized queries to live statement IDs) under the cycle lock, so the
+// journal's window → candidate → shadow → adopt ordering is deterministic
+// and every decision record can be traced back to the statements that drove
+// it.
+//
+// The error path is reserved for invariant violations — a window the
+// collector could not have sealed, an ungated adoption — and is a latch: the
+// daemon must not adopt past one, so every later call returns the same error
+// without touching the database. Operational failures degrade to "no change
+// this cycle" inside the cycle.
 func (t *Tuner) CycleWindow(w []Record) (string, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.fatal != nil {
+		return "", t.fatal
+	}
 	mon := workload.NewMonitor()
 	var queries []audit.WindowQuery
 	index := map[string]int{} // normalized query -> queries slot
@@ -78,11 +79,11 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 		// A statement that executed successfully always re-parses; a failure
 		// here means the collector was fed garbage.
 		stmt, err := sqlparser.Parse(rec.SQL)
-		if err != nil {
-			return "", fmt.Errorf("server: window record: %v", err)
+		if err == nil {
+			err = mon.RecordStmt(stmt, rec.Stats)
 		}
-		if err := mon.RecordStmt(stmt, rec.Stats); err != nil {
-			return "", fmt.Errorf("server: window record: %v", err)
+		if err != nil {
+			return "", t.fail(fmt.Errorf("server: window record: %v", err))
 		}
 		norm, _ := sqlparser.Normalize(stmt)
 		slot, ok := index[norm]
@@ -101,109 +102,53 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 			q.Statements = append(q.Statements, id)
 		}
 	}
-	return t.cycle(mon, queries)
-}
 
-// Cycle runs one tuning cycle over an observed window and returns a short
-// rendered verdict line. The error path is reserved for invariant
-// violations (an ungated adoption); operational failures degrade to "no
-// change this cycle" exactly like the batch loop.
-func (t *Tuner) Cycle(mon *workload.Monitor) (string, error) {
-	return t.cycle(mon, nil)
-}
-
-// cycle is the locked cycle body. windowQueries, when non-nil, is journaled
-// as an EventWindow record before any decision record of this cycle — under
-// the cycle lock, so the journal's window → candidate → shadow → adopt
-// ordering is deterministic.
-func (t *Tuner) cycle(mon *workload.Monitor, windowQueries []audit.WindowQuery) (string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	cycle := t.Cycles
 	t.Cycles++
 	if t.tuneCycles != nil {
 		t.tuneCycles.Inc()
 	}
-	if len(windowQueries) > 0 {
+	if len(queries) > 0 {
 		t.DB.AuditJournal().Append(&audit.Record{
 			Event:   audit.EventWindow,
 			Cycle:   int64(cycle),
-			Queries: windowQueries,
+			Queries: queries,
 		})
 	}
-
-	t.rlock()
-	rec, err := t.Adv.Recommend(mon)
-	t.runlock()
+	c := &t.Cycle
+	c.DB, c.Adv, c.Detector, c.Gate = t.DB, t.Adv, t.Detector, t.Gate
+	out, err := c.Run(mon)
 	if err != nil {
-		return "", fmt.Errorf("server: recommend: %v", err)
-	}
-
-	create := rec.Create
-	if t.Detector != nil {
-		kept := make([]*catalog.Index, 0, len(create))
-		for _, ix := range create {
-			if t.Detector.InCooldown(ix.Key()) {
-				continue
-			}
-			kept = append(kept, ix)
-		}
-		create = kept
+		return "", t.fail(fmt.Errorf("server: %v", err))
 	}
 
 	verdict := "no_candidates"
-	if len(create) > 0 {
-		// Validation clones through the engine's clone gate (write-side of
-		// the statement gate when serving), then replays on frozen COW
-		// snapshots with no server lock held: live traffic continues.
-		report, err := shadow.Validate(t.DB, create, mon, t.Gate)
-		if err != nil {
-			return "", fmt.Errorf("server: validate: %v", err)
-		}
-		if t.OnReport != nil {
-			t.OnReport(report)
-		}
-		if report.Accepted && report.Degraded {
-			return "", fmt.Errorf("server: degraded verdict accepted: %s", report.Reason)
-		}
-		if report.Degraded {
-			t.DegradedValidations++
-		}
-		verdict = fmt.Sprintf("%s[%s]", report.Verdict(), report.Code)
-		if report.Accepted {
-			t.lock()
-			_, err := t.Adv.Apply(&core.Recommendation{Create: create})
-			t.unlock()
-			if err != nil {
-				t.ApplyFailures++
-				verdict += " apply_failed"
-			} else {
-				t.Adoptions++
-				verdict += " adopted=" + strings.Join(indexKeys(create), ",")
-			}
+	if r := out.Report; r != nil {
+		verdict = fmt.Sprintf("%s[%s]", r.Verdict(), r.Code)
+		if out.ApplyErr != nil {
+			verdict += " apply_failed"
+		} else if r.Accepted {
+			verdict += " adopted=" + strings.Join(out.Adopted, ",")
 		}
 	}
-
-	reverted := 0
-	if t.Detector != nil {
-		t.rlock()
-		regs := t.Detector.Observe(t.DB, mon)
-		t.runlock()
-		if len(regs) > 0 {
-			t.lock()
-			keys := t.Detector.Revert(t.DB, regs)
-			t.unlock()
-			reverted = len(keys)
-			t.Reverted += reverted
-			if reverted > 0 {
-				verdict += " reverted=" + strings.Join(keys, ",")
-			}
-		}
+	if len(out.Reverted) > 0 {
+		verdict += " reverted=" + strings.Join(out.Reverted, ",")
 	}
-
-	line := fmt.Sprintf("cycle %d: stmts=%d queries=%d %s", cycle, statementCount(mon), mon.Len(), verdict)
+	var stmts int64
+	for _, q := range mon.Queries() {
+		stmts += q.Executions
+	}
+	line := fmt.Sprintf("cycle %d: stmts=%d queries=%d %s", cycle, stmts, mon.Len(), verdict)
 	t.verdicts = append(t.verdicts, line)
 	return line, nil
+}
+
+// fail latches the fatal state (caller holds t.mu): err is recorded as a
+// "FATAL" verdict line and returned by this and every later CycleWindow.
+func (t *Tuner) fail(err error) error {
+	t.fatal = err
+	t.verdicts = append(t.verdicts, "FATAL "+err.Error())
+	return err
 }
 
 // Verdicts returns the rendered per-cycle verdict lines so far.
@@ -211,41 +156,4 @@ func (t *Tuner) Verdicts() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]string(nil), t.verdicts...)
-}
-
-func (t *Tuner) rlock() {
-	if t.Exec != nil {
-		t.Exec.RLock()
-	}
-}
-func (t *Tuner) runlock() {
-	if t.Exec != nil {
-		t.Exec.RUnlock()
-	}
-}
-func (t *Tuner) lock() {
-	if t.Exec != nil {
-		t.Exec.Lock()
-	}
-}
-func (t *Tuner) unlock() {
-	if t.Exec != nil {
-		t.Exec.Unlock()
-	}
-}
-
-func statementCount(mon *workload.Monitor) int64 {
-	var n int64
-	for _, q := range mon.Queries() {
-		n += q.Executions
-	}
-	return n
-}
-
-func indexKeys(ixs []*catalog.Index) []string {
-	out := make([]string, len(ixs))
-	for i, ix := range ixs {
-		out[i] = ix.Key()
-	}
-	return out
 }

@@ -212,18 +212,23 @@ type statusCostCache struct {
 
 type statusPayload struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// WindowsSealed/WindowDropped mirror the server.windows_sealed and
-	// server.window_dropped registry counters — the sealed-window high-water
-	// mark that makes soak artifacts self-describing. Zero when the process
-	// serves no live traffic (offline replay, aimbench).
-	WindowsSealed int64                  `json:"windows_sealed"`
-	WindowDropped int64                  `json:"window_dropped"`
-	Indexes       []statusIndex          `json:"indexes"`
-	Shadow        *statusShadow          `json:"shadow"`
-	Baselines     []regression.Baseline  `json:"regression_baselines"`
-	Failpoints    []failpoint.SiteStatus `json:"failpoints"`
-	CostCache     *statusCostCache       `json:"costcache"`
-	AuditRecords  int64                  `json:"audit_records"`
+	// WindowsSealed/WindowDropped/WindowsDroppedBusy mirror the
+	// server.windows_sealed, server.window_dropped (statements lost to the
+	// collector's drop-oldest or to a busy tuner) and
+	// server.windows_dropped_busy (whole sealed windows the tuner was too busy
+	// to take) registry counters — the sealed-window high-water mark that
+	// makes soak artifacts self-describing. Zero when the process serves no
+	// live traffic (offline replay, aimbench).
+	WindowsSealed      int64 `json:"windows_sealed"`
+	WindowDropped      int64 `json:"window_dropped"`
+	WindowsDroppedBusy int64 `json:"windows_dropped_busy"`
+
+	Indexes      []statusIndex          `json:"indexes"`
+	Shadow       *statusShadow          `json:"shadow"`
+	Baselines    []regression.Baseline  `json:"regression_baselines"`
+	Failpoints   []failpoint.SiteStatus `json:"failpoints"`
+	CostCache    *statusCostCache       `json:"costcache"`
+	AuditRecords int64                  `json:"audit_records"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
@@ -241,6 +246,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		snap := reg.Snapshot()
 		p.WindowsSealed = snap.Counters["server.windows_sealed"]
 		p.WindowDropped = snap.Counters["server.window_dropped"]
+		p.WindowsDroppedBusy = snap.Counters["server.windows_dropped_busy"]
 	}
 	if db := s.opts.DB; db != nil {
 		for _, ix := range db.Schema.Indexes() {

@@ -166,6 +166,7 @@ func TestEndpoints(t *testing.T) {
 	reg.Counter("exec.statements").Inc()
 	reg.Counter("server.windows_sealed").Add(4)
 	reg.Counter("server.window_dropped").Add(1)
+	reg.Counter("server.windows_dropped_busy").Add(2)
 
 	var jb strings.Builder
 	jrn := audit.New(&jb)
@@ -214,6 +215,7 @@ func TestEndpoints(t *testing.T) {
 		UptimeSeconds json.Number `json:"uptime_seconds"`
 		WindowsSealed int64       `json:"windows_sealed"`
 		WindowDropped int64       `json:"window_dropped"`
+		DroppedBusy   int64       `json:"windows_dropped_busy"`
 		Indexes       []struct {
 			Name string `json:"name"`
 		} `json:"indexes"`
@@ -234,9 +236,9 @@ func TestEndpoints(t *testing.T) {
 	if up, err := status.UptimeSeconds.Float64(); err != nil || up < 0 {
 		t.Errorf("/statusz uptime_seconds = %q (%v)", status.UptimeSeconds, err)
 	}
-	if status.WindowsSealed != 4 || status.WindowDropped != 1 {
-		t.Errorf("/statusz windows sealed=%d dropped=%d, want 4/1",
-			status.WindowsSealed, status.WindowDropped)
+	if status.WindowsSealed != 4 || status.WindowDropped != 1 || status.DroppedBusy != 2 {
+		t.Errorf("/statusz windows sealed=%d dropped=%d dropped_busy=%d, want 4/1/2",
+			status.WindowsSealed, status.WindowDropped, status.DroppedBusy)
 	}
 	if len(status.Indexes) == 0 {
 		t.Error("/statusz missing index set")

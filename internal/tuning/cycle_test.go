@@ -1,0 +1,181 @@
+package tuning
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"aim/internal/core"
+	"aim/internal/engine"
+	"aim/internal/regression"
+	"aim/internal/shadow"
+	"aim/internal/workload"
+)
+
+// gateLog records which side of the statement gate is taken, in order.
+type gateLog struct{ events []string }
+
+type side struct {
+	log  *gateLog
+	name string
+}
+
+func (s side) Lock()   { s.log.events = append(s.log.events, s.name+"+") }
+func (s side) Unlock() { s.log.events = append(s.log.events, s.name+"-") }
+
+// take returns and clears the recorded sequence.
+func (g *gateLog) take() string {
+	out := strings.Join(g.events, " ")
+	g.events = nil
+	return out
+}
+
+// newCycle builds a cycle over a two-column table whose hot filter column
+// is unindexed, with retirement after two unused windows and a revert
+// cooldown, and a recording gate.
+func newCycle(t *testing.T) (*Cycle, *gateLog) {
+	t.Helper()
+	db := engine.New("tuning")
+	db.MustExec(`CREATE TABLE kv (id INT, v INT, w INT, PRIMARY KEY (id))`)
+	for i := 0; i < 600; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i*3, i%7))
+	}
+	db.Analyze()
+	cfg := core.DefaultConfig()
+	cfg.Selection.MinExecutions = 1
+	det := regression.NewDetector(0.5)
+	det.RevertCooldown = 4
+	log := &gateLog{}
+	return &Cycle{
+		DB:              db,
+		Adv:             core.NewAdvisor(db, cfg),
+		Detector:        det,
+		Gate:            shadow.DefaultGate(),
+		Read:            side{log, "r"},
+		Write:           side{log, "w"},
+		ApplyDrops:      true,
+		DropAfterUnused: 2,
+		Stab:            regression.NewStability(),
+	}, log
+}
+
+// window executes n statements of the given shape and returns their monitor.
+func window(t *testing.T, db *engine.DB, n int, format string) *workload.Monitor {
+	t.Helper()
+	mon := workload.NewMonitor()
+	for i := 0; i < n; i++ {
+		sql := fmt.Sprintf(format, i*3)
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon.Record(sql, res.Stats)
+	}
+	return mon
+}
+
+// TestCycleOrderAndGateSides walks one index through its whole life —
+// gated adoption, two unused windows, retirement, cooldown — and pins, for
+// each kind of cycle, which side of the statement gate each phase took and
+// that shadow validation ran with neither held.
+func TestCycleOrderAndGateSides(t *testing.T) {
+	c, gate := newCycle(t)
+	const hot = "SELECT id FROM kv WHERE v = %d"
+	const other = "SELECT id FROM kv WHERE id = %d"
+	const key = "kv(v)"
+
+	var sawReport bool
+	c.OnReport = func(r *shadow.Report) {
+		sawReport = true
+		if held := gate.take(); held != "r+ r-" {
+			t.Errorf("gate before the verdict = %q, want recommend's read side released and nothing since", held)
+		}
+	}
+	out, err := c.Run(window(t, c.DB, 20, hot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sawReport || out.Report == nil || !out.Report.Accepted || len(out.Adopted) != 1 || out.Adopted[0] != key {
+		t.Fatalf("adopting cycle: report=%+v adopted=%v", out.Report, out.Adopted)
+	}
+	if got := gate.take(); got != "w+ w- r+ r-" {
+		t.Errorf("adopting cycle after the verdict took %q, want apply on the write side then observe on the read side", got)
+	}
+	c.OnReport = nil
+
+	// First unused window ages the index; the second retires it through the
+	// revert path on the write side.
+	out, err = c.Run(window(t, c.DB, 20, other))
+	if err != nil || out.Report != nil || len(out.Reverted) != 0 {
+		t.Fatalf("first unused window: %+v, %v", out, err)
+	}
+	if got := gate.take(); got != "r+ r- r+ r-" {
+		t.Errorf("idle cycle took %q, want recommend and observe on the read side only", got)
+	}
+	out, err = c.Run(window(t, c.DB, 20, other))
+	if err != nil || len(out.Reverted) != 1 || out.Reverted[0] != key {
+		t.Fatalf("second unused window: %+v, %v", out, err)
+	}
+	if got := gate.take(); got != "r+ r- w+ w- r+ r-" {
+		t.Errorf("retiring cycle took %q, want the drop on the write side between recommend and observe", got)
+	}
+	if c.DB.Schema.FindIndexByColumns("kv", []string{"v"}) != nil {
+		t.Fatal("retired index still in the catalog")
+	}
+
+	// The hot query is back, but the index is inside its revert cooldown: it
+	// never reaches the gate.
+	out, err = c.Run(window(t, c.DB, 20, hot))
+	if err != nil || out.Report != nil || len(out.Adopted) != 0 {
+		t.Fatalf("cooldown window: %+v, %v", out, err)
+	}
+	if c.Adoptions != 1 || c.Reverted != 1 || c.ApplyFailures != 0 || c.DegradedValidations != 0 {
+		t.Errorf("counters: adoptions=%d reverted=%d apply_failures=%d degraded=%d",
+			c.Adoptions, c.Reverted, c.ApplyFailures, c.DegradedValidations)
+	}
+	var sb strings.Builder
+	c.Stab.Render(&sb)
+	if got, want := sb.String(), key+" adopt@1 revert@3\n"; got != want {
+		t.Errorf("transitions = %q, want %q", got, want)
+	}
+}
+
+// TestCycleBusyWindowResetsUnusedStreak: retirement needs consecutive
+// unused windows; one window that uses the index starts the count over.
+func TestCycleBusyWindowResetsUnusedStreak(t *testing.T) {
+	c, _ := newCycle(t)
+	const hot = "SELECT id FROM kv WHERE v = %d"
+	const other = "SELECT id FROM kv WHERE id = %d"
+	for i, format := range []string{hot, other, hot, other} {
+		out, err := c.Run(window(t, c.DB, 20, format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Reverted) != 0 {
+			t.Fatalf("window %d retired %v with no two consecutive unused windows", i, out.Reverted)
+		}
+	}
+	out, err := c.Run(window(t, c.DB, 20, other))
+	if err != nil || len(out.Reverted) != 1 {
+		t.Fatalf("second consecutive unused window: %+v, %v", out, err)
+	}
+}
+
+// TestCyclePolicyOffNeverRetires: with the zero policy — what server.New
+// runs — an unused automation index is left alone.
+func TestCyclePolicyOffNeverRetires(t *testing.T) {
+	c, _ := newCycle(t)
+	c.ApplyDrops = false
+	if _, err := c.Run(window(t, c.DB, 20, "SELECT id FROM kv WHERE v = %d")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		out, err := c.Run(window(t, c.DB, 20, "SELECT id FROM kv WHERE id = %d"))
+		if err != nil || len(out.Reverted) != 0 {
+			t.Fatalf("window %d: %+v, %v", i, out, err)
+		}
+	}
+	if c.Adoptions != 1 || c.Reverted != 0 {
+		t.Fatalf("adoptions=%d reverted=%d, want 1/0", c.Adoptions, c.Reverted)
+	}
+}
