@@ -145,6 +145,15 @@ func (ix *Index) Key() string {
 	return strings.ToLower(ix.Table) + "(" + strings.Join(cols, ",") + ")"
 }
 
+// Materialized returns a deep copy of the definition with the hypothetical
+// flag cleared — the def to hand to CreateIndexes, which keeps what it gets.
+func (ix *Index) Materialized() *Index {
+	def := *ix
+	def.Columns = append([]string(nil), ix.Columns...)
+	def.Hypothetical = false
+	return &def
+}
+
 // String renders the index like "CREATE INDEX name ON table (a, b)".
 func (ix *Index) String() string {
 	return fmt.Sprintf("INDEX %s ON %s (%s)", ix.Name, ix.Table, strings.Join(ix.Columns, ", "))

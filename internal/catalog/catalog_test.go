@@ -171,3 +171,18 @@ func TestSchemaCloneIsolation(t *testing.T) {
 		t.Error("clone shares column slices")
 	}
 }
+
+// TestMaterializedIsAnIndependentNonHypotheticalCopy: the def handed to
+// CreateIndexes must not alias the recommendation's, which stays
+// hypothetical.
+func TestMaterializedIsAnIndependentNonHypotheticalCopy(t *testing.T) {
+	hyp := &Index{Name: "i", Table: "users", Columns: []string{"age", "city"}, Hypothetical: true, CreatedBy: "aim"}
+	def := hyp.Materialized()
+	if def.Hypothetical || !def.Equal(hyp) || def.Name != "i" || def.CreatedBy != "aim" {
+		t.Fatalf("materialized def = %+v", def)
+	}
+	def.Columns[0] = "name"
+	if !hyp.Hypothetical || hyp.Columns[0] != "age" {
+		t.Errorf("original changed through the copy: %+v", hyp)
+	}
+}

@@ -388,11 +388,13 @@ func (a *Advisor) findUnusedIndexes(rep []*workload.QueryStats) ([]*catalog.Inde
 }
 
 // Apply materializes a recommendation on the database: builds the created
-// indexes (clearing their hypothetical flag) and drops the flagged ones.
-// It returns the names of created indexes. The creates go through one
-// CreateIndexes batch, so a build failure rolls the whole set back —
-// a faulting Apply leaves the catalog exactly as it found it rather than
-// adopting a prefix of the recommendation.
+// indexes (from materialized copies of their defs), drops the flagged ones
+// and swaps each shrink's index for its prefix. It returns the names of
+// created indexes. The creates go through one CreateIndexes batch, so a
+// build failure rolls the whole set back — a faulting Apply leaves the
+// catalog exactly as it found it rather than adopting a prefix of the
+// recommendation. It collects no statistics: they describe table data,
+// which index DDL does not change.
 func (a *Advisor) Apply(rec *Recommendation) ([]string, error) {
 	span := a.DB.ObsRegistry().StartSpan("advisor/apply")
 	defer span.End()
@@ -401,10 +403,7 @@ func (a *Advisor) Apply(rec *Recommendation) ([]string, error) {
 	if len(rec.Create) > 0 {
 		defs := make([]*catalog.Index, len(rec.Create))
 		for i, ix := range rec.Create {
-			def := *ix
-			def.Columns = append([]string(nil), ix.Columns...)
-			def.Hypothetical = false
-			defs[i] = &def
+			defs[i] = ix.Materialized()
 		}
 		if _, err := a.DB.CreateIndexes(defs); err != nil {
 			return nil, err
@@ -436,6 +435,5 @@ func (a *Advisor) Apply(rec *Recommendation) ([]string, error) {
 		}
 		created = append(created, sp.To.Name)
 	}
-	a.DB.Analyze()
 	return created, nil
 }

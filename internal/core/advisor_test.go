@@ -222,7 +222,6 @@ func TestUnusedIndexDetection(t *testing.T) {
 func TestUsedIndexNotDropped(t *testing.T) {
 	adv, mon := advisorFixture(t)
 	adv.DB.MustExec("CREATE INDEX hot ON t1 (col1, col2)")
-	adv.DB.Analyze()
 	rec, err := adv.Recommend(mon)
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,8 @@ type DB struct {
 	executor   *exec.Executor
 	mu         sync.RWMutex // guards statsCache and writesSince
 	statsCache map[string]*stats.TableStats
-	// autoAnalyzeEvery re-collects a table's stats after this many writes.
+	// writesSince counts rows written per table since its statistics were
+	// last collected (collectLocked restarts it, noteWrites applies the rule).
 	writesSince map[string]int
 	// obs is the attached metrics registry (nil = observability off). The DB
 	// is the wiring hub: SetObs fans the registry out to the optimizer, the
@@ -132,25 +133,29 @@ func (db *DB) TableStats(table string) *stats.TableStats {
 	if ts, ok := db.statsCache[key]; ok {
 		return ts // another goroutine collected while we waited
 	}
-	ts = stats.Collect(tbl, DefaultSampleLimit)
+	return db.collectLocked(key, tbl)
+}
+
+// collectLocked is the one place statistics are collected: by Analyze after
+// a load, and lazily by TableStats once noteWrites' churn rule dropped a
+// table's entry — never by index DDL, which cannot change what Collect reads
+// (the clustered tree). It restarts the table's churn count, since rows
+// written before the collection are in it. Caller holds db.mu.
+func (db *DB) collectLocked(key string, tbl *storage.Table) *stats.TableStats {
+	ts := stats.Collect(tbl, DefaultSampleLimit)
 	db.statsCache[key] = ts
+	db.writesSince[key] = 0
+	db.obs.Counter("engine.stats_collections").Inc()
 	return ts
 }
 
-// Analyze refreshes statistics for every table (or one named table).
-func (db *DB) Analyze(tables ...string) {
-	if len(tables) == 0 {
-		for _, t := range db.Schema.Tables() {
-			tables = append(tables, t.Name)
-		}
-	}
+// Analyze collects fresh statistics for every table.
+func (db *DB) Analyze() {
 	db.mu.Lock()
-	for _, t := range tables {
-		tbl := db.Store.Table(t)
-		if tbl == nil {
-			continue
+	for _, t := range db.Schema.Tables() {
+		if tbl := db.Store.Table(t.Name); tbl != nil {
+			db.collectLocked(strings.ToLower(t.Name), tbl)
 		}
-		db.statsCache[strings.ToLower(t)] = stats.Collect(tbl, DefaultSampleLimit)
 	}
 	db.mu.Unlock()
 	db.WhatIf.Invalidate()
@@ -323,7 +328,6 @@ func (db *DB) noteWrites(table string, n int) {
 		threshold := int(ts.RowCount/5) + 100
 		if db.writesSince[key] >= threshold {
 			delete(db.statsCache, key)
-			db.writesSince[key] = 0
 			invalidated = true
 		}
 	}

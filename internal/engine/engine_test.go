@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aim/internal/catalog"
+	"aim/internal/obs"
 	"aim/internal/sqlparser"
 	"aim/internal/sqltypes"
 )
@@ -660,5 +661,40 @@ func TestCreateIndexesBatchRollback(t *testing.T) {
 	}
 	if db.Schema.Index("ix_hyp") != nil {
 		t.Error("hypothetical def leaked into schema")
+	}
+}
+
+// TestCollectionRestartsChurnCount: rows written before a collection are in
+// the collected statistics, so they must not count towards throwing them
+// away. A bulk load + Analyze followed by one UPDATE keeps the same
+// statistics; only RowCount/5+100 further writes drop them, and the lazy
+// re-collection restarts the count just like Analyze.
+func TestCollectionRestartsChurnCount(t *testing.T) {
+	db := newSalesDB(t)
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	collections := reg.Counter("engine.stats_collections")
+	before := db.TableStats("orders")
+	db.MustExec("UPDATE orders SET amount = 1 WHERE id = 7")
+	if db.TableStats("orders") != before {
+		t.Fatal("one UPDATE after load + Analyze threw the fresh statistics away")
+	}
+	// 4000 rows: the rule fires at 4000/5+100 = 900 writes since collection.
+	db.MustExec("UPDATE orders SET amount = 2 WHERE id < 898")
+	if db.TableStats("orders") != before {
+		t.Fatal("statistics dropped below the churn threshold")
+	}
+	db.MustExec("UPDATE orders SET amount = 3 WHERE id = 8")
+	lazy := db.TableStats("orders")
+	if lazy == before || collections.Value() != 1 {
+		t.Fatalf("churn rule did not fire at the threshold (collections=%d)", collections.Value())
+	}
+	db.MustExec("UPDATE orders SET amount = 4 WHERE id < 500")
+	if db.TableStats("orders") != lazy || collections.Value() != 1 {
+		t.Fatal("lazy re-collection did not restart the churn count")
+	}
+	db.Analyze()
+	if db.TableStats("orders") == lazy || collections.Value() != 3 {
+		t.Fatalf("Analyze did not re-collect both tables (collections=%d)", collections.Value())
 	}
 }

@@ -96,7 +96,6 @@ func RunExecBench(opts ExecBenchOptions) (*ExecBenchResult, error) {
 	if err := p.ApplyDBAIndexes(); err != nil {
 		return nil, err
 	}
-	p.DB.Analyze()
 
 	r := rand.New(rand.NewSource(opts.Seed))
 	var reads, joins []sqlparser.Statement

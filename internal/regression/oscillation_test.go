@@ -150,7 +150,6 @@ func TestOscillationGuardBoundsFlips(t *testing.T) {
 				if _, err := db.CreateIndex(ix); err != nil {
 					t.Fatal(err)
 				}
-				db.Analyze()
 				key = ix.Key()
 				adopted = true
 				stab.NoteAdopted(key)

@@ -426,7 +426,6 @@ func revert(db *engine.DB, regs []*Regression) (names, keys []string) {
 	}
 	if len(names) > 0 {
 		db.ObsRegistry().Counter("regression.reverted_indexes").Add(int64(len(names)))
-		db.Analyze()
 	}
 	return names, keys
 }

@@ -130,15 +130,10 @@ func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 		}
 		cand := &catalog.Index{Name: "aim_t_a", Table: "t", Columns: []string{"a"}, Hypothetical: true}
 		makeClones := func() (*engine.DB, *engine.DB) {
-			baseline := db.Clone("shadow-baseline")
-			test := db.Clone("shadow-test")
-			def := *cand
-			def.Columns = append([]string(nil), cand.Columns...)
-			def.Hypothetical = false
-			if _, err := test.CreateIndexes([]*catalog.Index{&def}); err != nil {
+			baseline, test, err := clonePair(db, []*catalog.Index{cand})
+			if err != nil {
 				t.Fatal(err)
 			}
-			test.Analyze()
 			return baseline, test
 		}
 		baseline, test := makeClones()

@@ -124,6 +124,56 @@ type Report struct {
 // different data. The caller must discard both clones.
 var errDiverged = errors.New("shadow: clones diverged on one-sided DML error")
 
+// release retires snapshot handles (the storage.snapshots_live gauge).
+func release(dbs ...*engine.DB) {
+	for _, d := range dbs {
+		if d != nil {
+			d.Release()
+		}
+	}
+}
+
+// clonePair builds a fresh baseline/test pair from production as O(1)
+// copy-on-write snapshots, with the candidates materialized on the test
+// side in one batch (the per-index builds fan out over the storage worker
+// pool); both sides keep the statistics production held, so the candidates
+// are the only difference between them. Rebuilding restores comparability
+// after a divergence (the engine has no transactions to roll back a
+// half-applied replay). The whole pair is built or none of it: a snapshot
+// or materialization failure discards both sides, and clonePolicy retries
+// from scratch with backoff.
+func clonePair(db *engine.DB, candidates []*catalog.Index) (baseline, test *engine.DB, err error) {
+	reg := db.ObsRegistry()
+	err = clonePolicy.Do(func() error {
+		release(baseline, test)
+		baseline, test = nil, nil
+		if err := failpoint.Inject("shadow.clone"); err != nil {
+			return err
+		}
+		var err error
+		if baseline, err = db.CloneChecked("shadow-baseline"); err != nil {
+			return err
+		}
+		if test, err = db.CloneChecked("shadow-test"); err != nil {
+			return err
+		}
+		defs := make([]*catalog.Index, len(candidates))
+		for i, ix := range candidates {
+			defs[i] = ix.Materialized()
+		}
+		if _, err := test.CreateIndexes(defs); err != nil {
+			return fmt.Errorf("shadow: materializing candidates: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		reg.Counter("shadow.clone_failures").Inc()
+		return nil, nil, err
+	}
+	reg.Counter("shadow.clone_pairs").Inc()
+	return baseline, test, nil
+}
+
 // Validate clones the database, materializes the candidate indexes on the
 // clone, replays the workload on both configurations, and applies the gate.
 // Runtime failures (clone build dying, replays erroring, panics below the
@@ -164,58 +214,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 		return verdict(&Report{Accepted: false, Code: CodeNoCandidates, Reason: "no candidate indexes"})
 	}
 
-	// makeClones builds a fresh baseline/test pair from production as O(1)
-	// copy-on-write snapshots, with the candidates materialized on the test
-	// side in one batch (the per-index builds fan out over the storage
-	// worker pool). Rebuilding restores comparability after a divergence
-	// (the engine has no transactions to roll back a half-applied replay).
-	// The whole pair is built or none of it: a snapshot or materialization
-	// failure discards both sides, and clonePolicy retries from scratch
-	// with backoff. Discarded and superseded snapshot handles are Released
-	// so the storage.snapshots_live gauge tracks the pair actually held.
-	release := func(dbs ...*engine.DB) {
-		for _, d := range dbs {
-			if d != nil {
-				d.Release()
-			}
-		}
-	}
-	makeClones := func() (*engine.DB, *engine.DB, error) {
-		var baseline, test *engine.DB
-		err := clonePolicy.Do(func() error {
-			release(baseline, test)
-			baseline, test = nil, nil
-			if err := failpoint.Inject("shadow.clone"); err != nil {
-				return err
-			}
-			var err error
-			if baseline, err = db.CloneChecked("shadow-baseline"); err != nil {
-				return err
-			}
-			if test, err = db.CloneChecked("shadow-test"); err != nil {
-				return err
-			}
-			defs := make([]*catalog.Index, len(candidates))
-			for i, ix := range candidates {
-				def := *ix
-				def.Columns = append([]string(nil), ix.Columns...)
-				def.Hypothetical = false
-				defs[i] = &def
-			}
-			if _, err := test.CreateIndexes(defs); err != nil {
-				return fmt.Errorf("shadow: materializing candidates: %v", err)
-			}
-			test.Analyze()
-			return nil
-		})
-		if err != nil {
-			reg.Counter("shadow.clone_failures").Inc()
-			return nil, nil, err
-		}
-		reg.Counter("shadow.clone_pairs").Inc()
-		return baseline, test, nil
-	}
-	baseline, test, err := makeClones()
+	baseline, test, err := clonePair(db, candidates)
 	if err != nil {
 		return verdict(&Report{
 			Degraded: true,
@@ -245,7 +244,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 				rep.Divergent = append(rep.Divergent, q.Normalized)
 				reg.Counter("shadow.divergent").Inc()
 				release(baseline, test)
-				if baseline, test, err = makeClones(); err != nil {
+				if baseline, test, err = clonePair(db, candidates); err != nil {
 					rep.Degraded = true
 					rep.Code = CodeCloneRebuildFailed
 					rep.Reason = fmt.Sprintf("clone rebuild after divergence failed: %v", err)

@@ -204,3 +204,25 @@ func TestReplayCountRecordedInOutcome(t *testing.T) {
 		}
 	}
 }
+
+// TestClonePairSharesStatistics: the before/after comparison is like for
+// like only if both sides plan from the same statistics. Materializing the
+// candidates on the test side must not re-collect them — the pair differs
+// in the candidate indexes and nothing else.
+func TestClonePairSharesStatistics(t *testing.T) {
+	db, _ := fixture(t)
+	baseline, test, err := clonePair(db, []*catalog.Index{goodIndex()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release(baseline, test)
+	for _, tbl := range db.Schema.Tables() {
+		ts := db.TableStats(tbl.Name)
+		if baseline.TableStats(tbl.Name) != ts || test.TableStats(tbl.Name) != ts {
+			t.Errorf("%s: baseline and test clone do not share production's statistics", tbl.Name)
+		}
+	}
+	if baseline.Schema.Index("aim_t_a") != nil || test.Store.Table("t").Index("aim_t_a") == nil {
+		t.Fatal("candidate must be materialized on the test side only")
+	}
+}

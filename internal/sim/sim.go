@@ -105,11 +105,8 @@ func (m *Machine) BuildIndexes(defs []*catalog.Index) (string, error) {
 	copies := make([]*catalog.Index, len(defs))
 	names := make([]string, len(defs))
 	for i, def := range defs {
-		d := *def
-		d.Columns = append([]string(nil), def.Columns...)
-		d.Hypothetical = false
-		copies[i] = &d
-		names[i] = d.Name
+		copies[i] = def.Materialized()
+		names[i] = def.Name
 	}
 	err := buildPolicy.Do(func() error {
 		_, err := m.DB.CreateIndexes(copies)
@@ -118,7 +115,6 @@ func (m *Machine) BuildIndexes(defs []*catalog.Index) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m.DB.Analyze()
 	return fmt.Sprintf("index built: %s", strings.Join(names, ", ")), nil
 }
 

@@ -553,10 +553,8 @@ func (s *Store) Clone() *Store {
 		nt := &Table{Def: t.Def, data: t.data.Clone(), indexes: make(map[string]*Index, len(t.indexes)), bytes: t.bytes}
 		shared += t.bytes
 		for iname, ix := range t.indexes {
-			def := *ix.Def
-			def.Columns = append([]string(nil), ix.Def.Columns...)
 			nt.indexes[iname] = &Index{
-				Def:      &def,
+				Def:      ix.Def.Materialized(),
 				tree:     ix.tree.Clone(),
 				ordinals: append([]int(nil), ix.ordinals...),
 				pkOrds:   ix.pkOrds,

@@ -7,8 +7,11 @@ import (
 
 	"aim/internal/core"
 	"aim/internal/engine"
+	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/shadow"
+	"aim/internal/sqlparser"
+	"aim/internal/stats"
 	"aim/internal/workload"
 )
 
@@ -177,5 +180,68 @@ func TestCyclePolicyOffNeverRetires(t *testing.T) {
 	}
 	if c.Adoptions != 1 || c.Reverted != 0 {
 		t.Fatalf("adoptions=%d reverted=%d, want 1/0", c.Adoptions, c.Reverted)
+	}
+}
+
+// TestCycleLeavesStatisticsAlone: statistics have one owner, the engine. A
+// cycle that adopts and a cycle that reverts — shadow clones included, which
+// count into the same registry — collect nothing and leave every table's
+// statistics handle as it was, while the what-if estimate follows the
+// changed index set (index DDL invalidated the cost cache).
+func TestCycleLeavesStatisticsAlone(t *testing.T) {
+	c, _ := newCycle(t)
+	reg := obs.NewRegistry()
+	c.DB.SetObs(reg)
+	const hot = "SELECT id FROM kv WHERE v = %d"
+	const other = "SELECT id FROM kv WHERE id = %d"
+
+	before := map[string]*stats.TableStats{}
+	for _, tbl := range c.DB.Schema.Tables() {
+		before[tbl.Name] = c.DB.TableStats(tbl.Name)
+	}
+	stmt, err := sqlparser.Parse(fmt.Sprintf(hot, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := func() float64 {
+		est, err := c.DB.WhatIf.EstimateSelect(stmt.(*sqlparser.Select), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est.Cost
+	}
+	untouched := func(after string) {
+		t.Helper()
+		for name, ts := range before {
+			if c.DB.TableStats(name) != ts {
+				t.Errorf("%s: statistics of %s were replaced", after, name)
+			}
+		}
+		if n := reg.Counter("engine.stats_collections").Value(); n != 0 {
+			t.Errorf("%s: %d statistics collections, want 0", after, n)
+		}
+	}
+	scan := cost()
+
+	out, err := c.Run(window(t, c.DB, 20, hot))
+	if err != nil || len(out.Adopted) != 1 {
+		t.Fatalf("adopting cycle: %+v, %v", out, err)
+	}
+	untouched("adopting cycle")
+	if indexed := cost(); indexed >= scan {
+		t.Errorf("estimate after adoption = %v, still the cached scan cost %v", indexed, scan)
+	}
+
+	for i := 0; i < 2; i++ {
+		if out, err = c.Run(window(t, c.DB, 20, other)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(out.Reverted) != 1 {
+		t.Fatalf("reverting cycle: %+v", out)
+	}
+	untouched("reverting cycle")
+	if got := cost(); got != scan {
+		t.Errorf("estimate after revert = %v, want the scan cost %v", got, scan)
 	}
 }

@@ -463,13 +463,10 @@ func (p *Product) NumTemplates() int { return len(p.templates) }
 // ApplyDBAIndexes materializes the manual configuration on the database.
 func (p *Product) ApplyDBAIndexes() error {
 	for _, ix := range p.DBAIndexes {
-		def := *ix
-		def.Columns = append([]string(nil), ix.Columns...)
-		if _, err := p.DB.CreateIndex(&def); err != nil {
+		if _, err := p.DB.CreateIndex(ix.Materialized()); err != nil {
 			return err
 		}
 	}
-	p.DB.Analyze()
 	return nil
 }
 
@@ -479,7 +476,6 @@ func (p *Product) DropAllSecondaryIndexes() {
 	for _, ix := range p.DB.Schema.Indexes() {
 		p.DB.DropIndex(ix.Name)
 	}
-	p.DB.Analyze()
 }
 
 // SampleStatement draws one workload statement according to the product's
