@@ -14,7 +14,7 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 24840
+LOC_CEILING ?= 24838
 
 .PHONY: check vet build test race benchmodule loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
@@ -48,9 +48,11 @@ loc:
 
 # One iteration of each advisor benchmark as a smoke test — exercises the
 # full pipeline (candidates, cache, parallel costing) without the cost of a
-# real benchmarking run. '^$$' skips unit tests; only benchmarks execute.
+# real benchmarking run — and of BenchmarkNormalize, which every served
+# statement pays once. '^$$' skips unit tests; only benchmarks execute.
 benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkAdvisor -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkNormalize -benchtime 1x ./internal/sqlparser/
 
 # Observability + failpoint + audit overhead gate: a fully instrumented
 # advisor run must stay within 5% of an uninstrumented one, an advisor run

@@ -93,10 +93,6 @@ func (e *Estimate) UsedIndexKeys() []string {
 	return out
 }
 
-func (o *Optimizer) indexConfig(extra []*catalog.Index) *indexForTable {
-	return o.indexConfigMode(extra, false)
-}
-
 // indexConfigMode assembles the visible index configuration. With replace
 // set, only the extra indexes are visible — the schema's materialized
 // indexes are hidden, which is how advisors cost cost(q, ∅) and arbitrary

@@ -6,14 +6,18 @@ import (
 
 	"aim/internal/exec"
 	"aim/internal/obs"
+	"aim/internal/sqltypes"
 )
 
 // Record is one observed statement: which session executed it, its
-// per-session sequence number, the raw SQL, and the execution statistics
-// the engine reported. Sessions observe concurrently, so arrival order in
-// the buffer is nondeterministic; sealing sorts by (session, seq) to give
-// every window one canonical order regardless of goroutine interleaving —
-// that is what makes a live window replayable bit-for-bit offline.
+// per-session sequence number, the execution statistics the engine reported,
+// and the statement — as the template and bindings sqlparser.Normalize gave
+// the session for the statement it had parsed, or, built outside a server,
+// as SQL the tuner resolves the same way at ingest. Sessions observe
+// concurrently, so arrival order in the buffer is nondeterministic; sealing
+// orders by (session, seq) to give every window one canonical order
+// regardless of goroutine interleaving — that is what makes a live window
+// replayable bit-for-bit offline.
 type Record struct {
 	Session string
 	Seq     uint64
@@ -22,16 +26,19 @@ type Record struct {
 	// journal's window events can name the exact live statements that drove
 	// a decision.
 	Trace string
-	SQL   string
+	SQL   string // set only on a record built outside a server
 	Stats exec.Stats
+
+	template string // normalized text ("" = not resolved yet)
+	params   []sqltypes.Value
 }
 
 // Collector buffers the live statement stream into sliding windows for the
 // in-process tuner. When Window > 0 it seals automatically every Window
 // statements; Flush seals on demand (the OpTune path and the drain path).
 // The buffer is bounded: when the tuner falls behind, the oldest
-// statements are dropped (counted, never silently) rather than growing
-// without bound under sustained overload.
+// statements are dropped (counted, never silently, and in constant time)
+// rather than growing without bound under sustained overload.
 type Collector struct {
 	// Window is the auto-seal threshold in statements (0 = manual only).
 	Window int
@@ -39,8 +46,9 @@ type Collector struct {
 	// Window is 0).
 	MaxBuffered int
 
-	mu  sync.Mutex
-	buf []Record
+	mu   sync.Mutex
+	buf  []Record // grows to maxBuffered, a ring from then on
+	head int      // the ring's oldest slot, which the next statement takes
 
 	statements *obs.Counter // server.window_statements
 	dropped    *obs.Counter // server.window_dropped
@@ -74,33 +82,45 @@ func (c *Collector) maxBuffered() int {
 // use by sessions.
 func (c *Collector) Observe(rec Record) []Record {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.statements != nil {
 		c.statements.Inc()
 	}
-	c.buf = append(c.buf, rec)
-	if max := c.maxBuffered(); len(c.buf) > max {
-		over := len(c.buf) - max
-		c.buf = append(c.buf[:0], c.buf[over:]...)
+	if len(c.buf) < c.maxBuffered() {
+		c.buf = append(c.buf, rec)
+	} else {
+		c.buf[c.head] = rec
+		c.head = (c.head + 1) % len(c.buf)
 		if c.dropped != nil {
-			c.dropped.Add(int64(over))
+			c.dropped.Inc()
 		}
 	}
+	var buf []Record
+	var head int
 	if c.Window > 0 && len(c.buf) >= c.Window {
-		return c.sealLocked()
+		buf, head = c.takeLocked()
 	}
-	return nil
+	c.mu.Unlock()
+	return canonical(buf, head)
 }
 
 // Flush seals and returns everything buffered since the last seal (nil when
 // empty).
 func (c *Collector) Flush() []Record {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.buf) == 0 {
-		return nil
+	buf, head := c.takeLocked()
+	c.mu.Unlock()
+	return canonical(buf, head)
+}
+
+// takeLocked hands the buffer off for sealing; ordering it is the caller's
+// job, once c.mu is released.
+func (c *Collector) takeLocked() (buf []Record, head int) {
+	if len(c.buf) > 0 && c.sealedN != nil {
+		c.sealedN.Inc()
 	}
-	return c.sealLocked()
+	buf, head = c.buf, c.head
+	c.buf, c.head = nil, 0
+	return buf, head
 }
 
 // Buffered reports the number of unsealed statements.
@@ -110,14 +130,59 @@ func (c *Collector) Buffered() int {
 	return len(c.buf)
 }
 
-func (c *Collector) sealLocked() []Record {
-	w := c.buf
-	c.buf = nil
-	if c.sealedN != nil {
-		c.sealedN.Inc()
+// canonical puts a taken buffer (arrival order starts at head) in
+// SortWindow's order, in place and without comparing records: a session
+// observes its statements in seq order, so its records already form an
+// ascending run, and the runs laid out in label order are the sorted window.
+// A run that is not ascending — no session produces one — falls back to
+// SortWindow.
+func canonical(buf []Record, head int) []Record {
+	if len(buf) == 0 {
+		return nil
 	}
-	SortWindow(w)
-	return w
+	type run struct {
+		n, at int
+		last  uint64
+	}
+	runs := map[string]*run{}
+	var labels []string
+	sorted := true
+	for i := range buf {
+		rec := &buf[(head+i)%len(buf)]
+		r := runs[rec.Session]
+		if r == nil {
+			r = &run{}
+			runs[rec.Session] = r
+			labels = append(labels, rec.Session)
+		}
+		sorted = sorted && rec.Seq >= r.last
+		r.last = rec.Seq
+		r.n++
+	}
+	sort.Strings(labels)
+	at := 0
+	for _, label := range labels {
+		runs[label].at = at
+		at += runs[label].n
+	}
+	dest := make([]int, len(buf)) // slot -> the slot its record belongs in
+	for i := range buf {
+		slot := (head + i) % len(buf)
+		r := runs[buf[slot].Session]
+		dest[slot] = r.at
+		r.at++
+	}
+	// Apply the permutation: every swap puts one record where it belongs.
+	for slot := range buf {
+		for d := dest[slot]; d != slot; d = dest[slot] {
+			buf[slot], buf[d] = buf[d], buf[slot]
+			dest[slot], dest[d] = dest[d], d
+		}
+	}
+	if !sorted {
+		SortWindow(buf)
+	}
+	return buf
 }
 
 // SortWindow orders a sealed window canonically: by session label, then by

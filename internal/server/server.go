@@ -395,7 +395,12 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 			CPUSeconds:  res.Stats.CPUSeconds(),
 		}, time.Since(start))
 	}
-	if w := s.collector.Observe(Record{Session: session, Seq: seq, Trace: trace, SQL: sql, Stats: res.Stats}); w != nil {
+	// The record carries the parsed statement's template, not its text, so
+	// the cycle folds windows without parsing. Built off the gate; observed
+	// before the response, so an OpTune finds every acknowledged statement.
+	rec := Record{Session: session, Seq: seq, Trace: trace, Stats: res.Stats}
+	rec.template, rec.params = sqlparser.Normalize(stmt)
+	if w := s.collector.Observe(rec); w != nil {
 		select {
 		case s.windows <- w:
 		default:

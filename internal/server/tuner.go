@@ -36,8 +36,8 @@ type Tuner struct {
 	mu sync.Mutex // serializes cycles (background seals vs OpTune)
 
 	Cycles   int
-	verdicts []string
-	fatal    error // latched by fail
+	verdicts []string // the newest maxVerdicts, oldest first
+	fatal    error    // latched by fail
 
 	tuneCycles *obs.Counter // server.tune_cycles
 }
@@ -49,11 +49,9 @@ func (t *Tuner) Instrument(r *obs.Registry) {
 	}
 }
 
-// CycleWindow builds the window's monitor from a sealed (sorted) record
-// slice and runs one tuning cycle, returning a short rendered verdict line.
-// Statements are fed to the monitor in the canonical window order, so the
-// resulting recommendation is byte-identical to an offline replay of the
-// same stream. When the serving database has an audit journal attached, the
+// CycleWindow folds a sealed (canonically ordered) window into a monitor
+// (ingestWindow) and runs one tuning cycle, returning a short rendered
+// verdict line. When the serving database has an audit journal attached, the
 // window itself is journaled first (one EventWindow record mapping
 // normalized queries to live statement IDs) under the cycle lock, so the
 // journal's window → candidate → shadow → adopt ordering is deterministic
@@ -71,36 +69,9 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 	if t.fatal != nil {
 		return "", t.fatal
 	}
-	mon := workload.NewMonitor()
-	var queries []audit.WindowQuery
-	index := map[string]int{} // normalized query -> queries slot
-	for i := range w {
-		rec := &w[i]
-		// A statement that executed successfully always re-parses; a failure
-		// here means the collector was fed garbage.
-		stmt, err := sqlparser.Parse(rec.SQL)
-		if err == nil {
-			err = mon.RecordStmt(stmt, rec.Stats)
-		}
-		if err != nil {
-			return "", t.fail(fmt.Errorf("server: window record: %v", err))
-		}
-		norm, _ := sqlparser.Normalize(stmt)
-		slot, ok := index[norm]
-		if !ok {
-			slot = len(queries)
-			index[norm] = slot
-			queries = append(queries, audit.WindowQuery{Query: norm})
-		}
-		q := &queries[slot]
-		q.Count++
-		if len(q.Statements) < audit.MaxWindowStatements {
-			id := rec.Trace
-			if id == "" {
-				id = fmt.Sprintf("%s#%d", rec.Session, rec.Seq)
-			}
-			q.Statements = append(q.Statements, id)
-		}
+	mon, queries, err := ingestWindow(w)
+	if err != nil {
+		return "", t.fail(err)
 	}
 
 	cycle := t.Cycles
@@ -134,24 +105,78 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 	if len(out.Reverted) > 0 {
 		verdict += " reverted=" + strings.Join(out.Reverted, ",")
 	}
-	var stmts int64
-	for _, q := range mon.Queries() {
-		stmts += q.Executions
-	}
-	line := fmt.Sprintf("cycle %d: stmts=%d queries=%d %s", cycle, stmts, mon.Len(), verdict)
-	t.verdicts = append(t.verdicts, line)
+	line := fmt.Sprintf("cycle %d: stmts=%d queries=%d %s", cycle, len(w), mon.Len(), verdict)
+	t.addVerdict(line)
 	return line, nil
+}
+
+// ingestWindow folds a sealed window into the cycle's monitor and the
+// EventWindow record's queries (first-seen order, the first
+// audit.MaxWindowStatements statement IDs each): one pass over the records
+// in canonical order, which SampleParams rotation, the float CPUSeconds sum
+// and the statement IDs all depend on. What it allocates is per template: a
+// session's record arrives with its template and bindings, and only a record
+// that carries SQL alone is parsed here.
+func ingestWindow(w []Record) (*workload.Monitor, []audit.WindowQuery, error) {
+	mon := workload.NewMonitor()
+	var queries []audit.WindowQuery
+	index := map[*workload.QueryStats]int{} // template -> queries slot
+	for i := range w {
+		rec := &w[i]
+		norm, params := rec.template, rec.params
+		if norm == "" {
+			// A statement that executed successfully always re-parses; a
+			// failure here means the collector was fed garbage.
+			stmt, err := sqlparser.Parse(rec.SQL)
+			if err != nil {
+				return nil, nil, fmt.Errorf("server: window record: %v", err)
+			}
+			norm, params = sqlparser.Normalize(stmt)
+		}
+		q, err := mon.Ingest(norm, params, rec.Stats)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: window record: %v", err)
+		}
+		slot, ok := index[q]
+		if !ok {
+			slot = len(queries)
+			index[q] = slot
+			queries = append(queries, audit.WindowQuery{Query: q.Normalized})
+		}
+		wq := &queries[slot]
+		wq.Count++
+		if len(wq.Statements) < audit.MaxWindowStatements {
+			id := rec.Trace
+			if id == "" {
+				id = fmt.Sprintf("%s#%d", rec.Session, rec.Seq)
+			}
+			wq.Statements = append(wq.Statements, id)
+		}
+	}
+	return mon, queries, nil
+}
+
+// maxVerdicts bounds the lines a tuner keeps: a daemon cycles while it lives.
+const maxVerdicts = 1024
+
+// addVerdict appends line (caller holds t.mu), dropping the oldest beyond
+// maxVerdicts. A FATAL line is the last ever added, so never the oldest.
+func (t *Tuner) addVerdict(line string) {
+	if len(t.verdicts) == maxVerdicts {
+		t.verdicts = append(t.verdicts[:0], t.verdicts[1:]...)
+	}
+	t.verdicts = append(t.verdicts, line)
 }
 
 // fail latches the fatal state (caller holds t.mu): err is recorded as a
 // "FATAL" verdict line and returned by this and every later CycleWindow.
 func (t *Tuner) fail(err error) error {
 	t.fatal = err
-	t.verdicts = append(t.verdicts, "FATAL "+err.Error())
+	t.addVerdict("FATAL " + err.Error())
 	return err
 }
 
-// Verdicts returns the rendered per-cycle verdict lines so far.
+// Verdicts returns the newest maxVerdicts per-cycle verdict lines, oldest first.
 func (t *Tuner) Verdicts() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()

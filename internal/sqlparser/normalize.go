@@ -13,61 +13,72 @@ import (
 // parameter values are returned in syntax order (IN lists contribute all of
 // their members).
 func Normalize(stmt Statement) (string, []sqltypes.Value) {
-	n := &normalizer{}
-	out := n.statement(stmt)
-	return out.SQL(), n.params
+	r := &rewriter{}
+	out := r.statement(stmt)
+	return out.SQL(), r.params
 }
 
-// NormalizeSQL parses and normalizes in one step.
-func NormalizeSQL(src string) (string, []sqltypes.Value, error) {
-	stmt, err := Parse(src)
-	if err != nil {
-		return "", nil, err
+// Bind substitutes placeholder markers in stmt with the given parameter
+// values, returning a deep copy. Placeholders are matched positionally in
+// syntax order.
+func Bind(stmt Statement, params []sqltypes.Value) (Statement, error) {
+	r := &rewriter{bind: true, params: params}
+	out := r.statement(stmt)
+	if r.next > len(params) {
+		return nil, fmt.Errorf("sql: not enough bind parameters (have %d)", len(params))
 	}
-	norm, params := Normalize(stmt)
-	return norm, params, nil
+	return out, nil
 }
 
-type normalizer struct {
+// rewriter deep-copies a statement, passing every literal and placeholder
+// through one of two leaf rules: extract (Normalize) or fill (Bind).
+type rewriter struct {
+	bind   bool
 	params []sqltypes.Value
+	next   int // bind: parameters consumed, counting past the end
 }
 
-func (n *normalizer) placeholder(v sqltypes.Value) Expr {
-	ph := &Placeholder{Ordinal: len(n.params)}
-	n.params = append(n.params, v)
-	return ph
+// extract is Normalize's leaf rule: v moves into params, behind a placeholder.
+func (r *rewriter) extract(v sqltypes.Value) Expr {
+	r.params = append(r.params, v)
+	return &Placeholder{Ordinal: len(r.params) - 1}
 }
 
-func (n *normalizer) statement(stmt Statement) Statement {
+// fill is Bind's leaf rule: a placeholder becomes the next parameter.
+func (r *rewriter) fill() Expr {
+	r.next++
+	if r.next > len(r.params) {
+		return &Literal{Val: sqltypes.Null}
+	}
+	return &Literal{Val: r.params[r.next-1]}
+}
+
+func (r *rewriter) statement(stmt Statement) Statement {
 	switch s := stmt.(type) {
 	case *Select:
 		out := *s
 		out.Exprs = make([]*SelectExpr, len(s.Exprs))
 		for i, se := range s.Exprs {
 			cp := *se
-			if cp.Expr != nil {
-				cp.Expr = n.expr(cp.Expr)
-			}
+			cp.Expr = r.expr(cp.Expr)
 			out.Exprs[i] = &cp
 		}
-		if s.Where != nil {
-			out.Where = n.expr(s.Where)
-		}
-		out.GroupBy = n.exprs(s.GroupBy)
+		out.Where = r.expr(s.Where)
+		out.GroupBy = r.exprs(s.GroupBy)
 		out.OrderBy = make([]*OrderItem, len(s.OrderBy))
 		for i, o := range s.OrderBy {
-			out.OrderBy[i] = &OrderItem{Expr: n.expr(o.Expr), Desc: o.Desc}
+			out.OrderBy[i] = &OrderItem{Expr: r.expr(o.Expr), Desc: o.Desc}
 		}
 		return &out
 	case *Insert:
 		out := *s
 		out.Rows = make([][]Expr, len(s.Rows))
 		for i, row := range s.Rows {
-			out.Rows[i] = n.exprs(row)
+			out.Rows[i] = r.exprs(row)
 		}
 		// Multi-row inserts normalize to a single parameterized row so that
 		// batch sizes do not fragment grouping.
-		if len(out.Rows) > 1 {
+		if !r.bind && len(out.Rows) > 1 {
 			out.Rows = out.Rows[:1]
 		}
 		return &out
@@ -75,179 +86,66 @@ func (n *normalizer) statement(stmt Statement) Statement {
 		out := *s
 		out.Set = make([]Assignment, len(s.Set))
 		for i, a := range s.Set {
-			out.Set[i] = Assignment{Column: a.Column, Value: n.expr(a.Value)}
+			out.Set[i] = Assignment{Column: a.Column, Value: r.expr(a.Value)}
 		}
-		if s.Where != nil {
-			out.Where = n.expr(s.Where)
-		}
+		out.Where = r.expr(s.Where)
 		return &out
 	case *Delete:
 		out := *s
-		if s.Where != nil {
-			out.Where = n.expr(s.Where)
-		}
+		out.Where = r.expr(s.Where)
 		return &out
 	default:
 		return stmt
 	}
 }
 
-func (n *normalizer) exprs(in []Expr) []Expr {
+func (r *rewriter) exprs(in []Expr) []Expr {
 	if in == nil {
 		return nil
 	}
 	out := make([]Expr, len(in))
 	for i, e := range in {
-		out[i] = n.expr(e)
+		out[i] = r.expr(e)
 	}
 	return out
 }
 
-func (n *normalizer) expr(e Expr) Expr {
+// expr rewrites one expression; nil (no WHERE, the * of COUNT(*)) stays nil.
+func (r *rewriter) expr(e Expr) Expr {
 	switch v := e.(type) {
 	case *Literal:
-		return n.placeholder(v.Val)
+		if r.bind {
+			return e
+		}
+		return r.extract(v.Val)
 	case *Placeholder:
-		cp := &Placeholder{Ordinal: len(n.params)}
-		n.params = append(n.params, sqltypes.Null)
-		return cp
-	case *ColumnRef:
-		return v
+		if r.bind {
+			return r.fill()
+		}
+		return r.extract(sqltypes.Null)
 	case *BinaryExpr:
-		return &BinaryExpr{Op: v.Op, Left: n.expr(v.Left), Right: n.expr(v.Right)}
+		return &BinaryExpr{Op: v.Op, Left: r.expr(v.Left), Right: r.expr(v.Right)}
 	case *NotExpr:
-		return &NotExpr{Inner: n.expr(v.Inner)}
+		return &NotExpr{Inner: r.expr(v.Inner)}
 	case *InExpr:
+		if r.bind {
+			return &InExpr{Left: r.expr(v.Left), List: r.exprs(v.List), Not: v.Not}
+		}
 		// Collect every literal but render a single placeholder.
 		for _, item := range v.List {
 			if lit, ok := item.(*Literal); ok {
-				n.params = append(n.params, lit.Val)
+				r.params = append(r.params, lit.Val)
 			}
 		}
-		return &InExpr{Left: n.expr(v.Left), List: []Expr{&Placeholder{}}, Not: v.Not}
+		return &InExpr{Left: r.expr(v.Left), List: []Expr{&Placeholder{}}, Not: v.Not}
 	case *BetweenExpr:
-		return &BetweenExpr{Left: n.expr(v.Left), Low: n.expr(v.Low), High: n.expr(v.High), Not: v.Not}
+		return &BetweenExpr{Left: r.expr(v.Left), Low: r.expr(v.Low), High: r.expr(v.High), Not: v.Not}
 	case *LikeExpr:
-		return &LikeExpr{Left: n.expr(v.Left), Pattern: n.expr(v.Pattern), Not: v.Not}
+		return &LikeExpr{Left: r.expr(v.Left), Pattern: r.expr(v.Pattern), Not: v.Not}
 	case *IsNullExpr:
-		return &IsNullExpr{Left: n.expr(v.Left), Not: v.Not}
+		return &IsNullExpr{Left: r.expr(v.Left), Not: v.Not}
 	case *FuncExpr:
-		return &FuncExpr{Name: v.Name, Args: n.exprs(v.Args), Star: v.Star}
-	default:
-		return e
-	}
-}
-
-// Bind substitutes placeholder markers in stmt with the given parameter
-// values, returning a deep copy. Placeholders are matched positionally in
-// syntax order.
-func Bind(stmt Statement, params []sqltypes.Value) (Statement, error) {
-	b := &binder{params: params}
-	out := b.statement(stmt)
-	if b.err != nil {
-		return nil, b.err
-	}
-	return out, nil
-}
-
-type binder struct {
-	params []sqltypes.Value
-	next   int
-	err    error
-}
-
-func (b *binder) take() sqltypes.Value {
-	if b.next >= len(b.params) {
-		if b.err == nil {
-			b.err = fmt.Errorf("sql: not enough bind parameters (have %d)", len(b.params))
-		}
-		return sqltypes.Null
-	}
-	v := b.params[b.next]
-	b.next++
-	return v
-}
-
-func (b *binder) statement(stmt Statement) Statement {
-	switch s := stmt.(type) {
-	case *Select:
-		out := *s
-		out.Exprs = make([]*SelectExpr, len(s.Exprs))
-		for i, se := range s.Exprs {
-			cp := *se
-			if cp.Expr != nil {
-				cp.Expr = b.expr(cp.Expr)
-			}
-			out.Exprs[i] = &cp
-		}
-		if s.Where != nil {
-			out.Where = b.expr(s.Where)
-		}
-		out.GroupBy = b.exprs(s.GroupBy)
-		out.OrderBy = make([]*OrderItem, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			out.OrderBy[i] = &OrderItem{Expr: b.expr(o.Expr), Desc: o.Desc}
-		}
-		return &out
-	case *Insert:
-		out := *s
-		out.Rows = make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			out.Rows[i] = b.exprs(row)
-		}
-		return &out
-	case *Update:
-		out := *s
-		out.Set = make([]Assignment, len(s.Set))
-		for i, a := range s.Set {
-			out.Set[i] = Assignment{Column: a.Column, Value: b.expr(a.Value)}
-		}
-		if s.Where != nil {
-			out.Where = b.expr(s.Where)
-		}
-		return &out
-	case *Delete:
-		out := *s
-		if s.Where != nil {
-			out.Where = b.expr(s.Where)
-		}
-		return &out
-	default:
-		return stmt
-	}
-}
-
-func (b *binder) exprs(in []Expr) []Expr {
-	if in == nil {
-		return nil
-	}
-	out := make([]Expr, len(in))
-	for i, e := range in {
-		out[i] = b.expr(e)
-	}
-	return out
-}
-
-func (b *binder) expr(e Expr) Expr {
-	switch v := e.(type) {
-	case *Placeholder:
-		return &Literal{Val: b.take()}
-	case *Literal, *ColumnRef:
-		return e
-	case *BinaryExpr:
-		return &BinaryExpr{Op: v.Op, Left: b.expr(v.Left), Right: b.expr(v.Right)}
-	case *NotExpr:
-		return &NotExpr{Inner: b.expr(v.Inner)}
-	case *InExpr:
-		return &InExpr{Left: b.expr(v.Left), List: b.exprs(v.List), Not: v.Not}
-	case *BetweenExpr:
-		return &BetweenExpr{Left: b.expr(v.Left), Low: b.expr(v.Low), High: b.expr(v.High), Not: v.Not}
-	case *LikeExpr:
-		return &LikeExpr{Left: b.expr(v.Left), Pattern: b.expr(v.Pattern), Not: v.Not}
-	case *IsNullExpr:
-		return &IsNullExpr{Left: b.expr(v.Left), Not: v.Not}
-	case *FuncExpr:
-		return &FuncExpr{Name: v.Name, Args: b.exprs(v.Args), Star: v.Star}
+		return &FuncExpr{Name: v.Name, Args: r.exprs(v.Args), Star: v.Star}
 	default:
 		return e
 	}

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -272,10 +273,7 @@ func TestSQLRoundTrip(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	norm, params, err := NormalizeSQL("SELECT id, name FROM students WHERE score > 17")
-	if err != nil {
-		t.Fatal(err)
-	}
+	norm, params := Normalize(mustParse(t, "SELECT id, name FROM students WHERE score > 17"))
 	if norm != "SELECT id, name FROM students WHERE score > ?" {
 		t.Errorf("norm = %q", norm)
 	}
@@ -285,28 +283,28 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestNormalizeGroupsSimilarQueries(t *testing.T) {
-	a, _, _ := NormalizeSQL("SELECT a FROM t WHERE x = 5 AND y IN (1,2,3)")
-	b, _, _ := NormalizeSQL("SELECT a FROM t WHERE x = 9 AND y IN (4,5,6,7,8)")
+	a, _ := Normalize(mustParse(t, "SELECT a FROM t WHERE x = 5 AND y IN (1,2,3)"))
+	b, _ := Normalize(mustParse(t, "SELECT a FROM t WHERE x = 9 AND y IN (4,5,6,7,8)"))
 	if a != b {
 		t.Errorf("normalized forms differ:\n  %s\n  %s", a, b)
 	}
-	c, _, _ := NormalizeSQL("SELECT a FROM t WHERE x = 5 AND z IN (1)")
+	c, _ := Normalize(mustParse(t, "SELECT a FROM t WHERE x = 5 AND z IN (1)"))
 	if a == c {
 		t.Error("different structure should not normalize equal")
 	}
 }
 
 func TestNormalizeDML(t *testing.T) {
-	a, _, _ := NormalizeSQL("INSERT INTO t (x, y) VALUES (1, 'a'), (2, 'b')")
-	b, _, _ := NormalizeSQL("INSERT INTO t (x, y) VALUES (3, 'c')")
+	a, _ := Normalize(mustParse(t, "INSERT INTO t (x, y) VALUES (1, 'a'), (2, 'b')"))
+	b, _ := Normalize(mustParse(t, "INSERT INTO t (x, y) VALUES (3, 'c')"))
 	if a != b {
 		t.Errorf("multi-row insert should normalize to single row:\n  %s\n  %s", a, b)
 	}
-	u, params, _ := NormalizeSQL("UPDATE t SET a = 5 WHERE id = 3")
+	u, params := Normalize(mustParse(t, "UPDATE t SET a = 5 WHERE id = 3"))
 	if u != "UPDATE t SET a = ? WHERE id = ?" || len(params) != 2 {
 		t.Errorf("update norm = %q params=%v", u, params)
 	}
-	d, _, _ := NormalizeSQL("DELETE FROM t WHERE id = 3")
+	d, _ := Normalize(mustParse(t, "DELETE FROM t WHERE id = 3"))
 	if d != "DELETE FROM t WHERE id = ?" {
 		t.Errorf("delete norm = %q", d)
 	}
@@ -388,15 +386,9 @@ func TestNormalizeIdempotent(t *testing.T) {
 		"UPDATE t SET a = 1 WHERE b = 2",
 	}
 	for _, src := range srcs {
-		n1, _, err := NormalizeSQL(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n1, _ := Normalize(mustParse(t, src))
 		// Normalizing the normalized text must be a fixpoint.
-		n2, _, err := NormalizeSQL(n1)
-		if err != nil {
-			t.Fatalf("re-parse of %q: %v", n1, err)
-		}
+		n2, _ := Normalize(mustParse(t, n1))
 		if n1 != n2 {
 			t.Errorf("not idempotent:\n  %s\n  %s", n1, n2)
 		}
@@ -423,5 +415,56 @@ func TestBindRoundTripProperty(t *testing.T) {
 		if norm != norm2 {
 			t.Errorf("round trip diverged:\n  %s\n  %s", norm, norm2)
 		}
+	}
+}
+
+// benchTemplates are the statement shapes bench/stream.go sends on the
+// serving workloads; the first five are point_read's and scan_read's.
+var benchTemplates = []string{
+	"SELECT score, day FROM events WHERE id = 123456",
+	"SELECT id, score FROM events WHERE user_id = 4711",
+	"UPDATE events SET note = 'n417' WHERE id = 98765",
+	"SELECT kind, COUNT(*), SUM(score) FROM events WHERE day BETWEEN 17 AND 18 GROUP BY kind",
+	"SELECT e.id, u.tier FROM events e JOIN users u ON u.id = e.user_id WHERE e.day = 42 LIMIT 200",
+	"SELECT id, score FROM events WHERE day = 42",
+	"INSERT INTO events VALUES (200001, 4711, 3, 42, 977, 'n12')",
+	"UPDATE events SET score = 512 WHERE id = 98765",
+	"DELETE FROM events WHERE id = 98765",
+	"SELECT id, day FROM events WHERE kind = 3 AND score > 985",
+}
+
+// TestBindInvertsNormalize pins what lets a window record carry (template,
+// bindings) instead of the statement: binding the parsed template
+// re-renders the statement the session executed.
+func TestBindInvertsNormalize(t *testing.T) {
+	for _, src := range benchTemplates {
+		stmt := mustParse(t, src)
+		norm, params := Normalize(stmt)
+		bound, err := Bind(mustParse(t, norm), params)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if bound.SQL() != stmt.SQL() {
+			t.Errorf("bind(normalize) diverged:\n  in:  %s\n  out: %s", stmt.SQL(), bound.SQL())
+		}
+	}
+}
+
+var normalizeSink string
+
+// BenchmarkNormalize times Normalize alone (the statement is parsed once,
+// outside the loop): the serving path pays it once per executed statement.
+func BenchmarkNormalize(b *testing.B) {
+	for i, src := range benchTemplates[:5] {
+		stmt, err := Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("template%d", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				normalizeSink, _ = Normalize(stmt)
+			}
+		})
 	}
 }

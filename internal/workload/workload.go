@@ -99,11 +99,20 @@ func (m *Monitor) Record(sql string, st exec.Stats) error {
 // RecordStmt ingests one execution of a parsed statement.
 func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
 	norm, params := sqlparser.Normalize(stmt)
+	_, err := m.Ingest(norm, params, st)
+	return err
+}
+
+// Ingest folds one execution into its template's statistics, given what
+// sqlparser.Normalize returned for the executed statement, and returns the
+// template's entry. The template text is parsed once, when first seen;
+// params is retained, not copied.
+func (m *Monitor) Ingest(norm string, params []sqltypes.Value, st exec.Stats) (*QueryStats, error) {
 	q := m.queries[norm]
 	if q == nil {
 		normStmt, err := sqlparser.Parse(norm)
 		if err != nil {
-			return fmt.Errorf("workload: re-parse of normalized query failed: %v", err)
+			return nil, fmt.Errorf("workload: re-parse of normalized query failed: %v", err)
 		}
 		q = &QueryStats{Normalized: norm, Stmt: normStmt}
 		m.queries[norm] = q
@@ -118,7 +127,7 @@ func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
 		// Deterministic reservoir-ish rotation keeps recent variety.
 		q.SampleParams[int(q.Executions)%sampleParamsKeep] = params
 	}
-	return nil
+	return q, nil
 }
 
 // SetWeight assigns a manual importance weight to a normalized query.
