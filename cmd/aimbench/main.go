@@ -10,7 +10,6 @@
 //	aimbench -exp fig5                # per-query TPC-H costs at fixed budget
 //	aimbench -exp fig6                # join-parameter study vs greedy
 //	aimbench -exp continuous          # workload-shift continuous tuning
-//	aimbench -exp exec                # row vs vectorized executor replay bench
 //	aimbench -exp scenario -scenario drift   # one adversarial scenario
 //	aimbench -exp scenario -scenario all     # the whole adversarial suite
 //	aimbench -exp serve               # live aimd fleet vs offline replay
@@ -50,7 +49,7 @@ var obsReg *obs.Registry
 var contAuditOut, contTelemetryAddr string
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|fig3|fig4|fig5|fig6|continuous|exec|scenario|serve|all")
+	exp := flag.String("exp", "all", "experiment: table2|fig3|fig4|fig5|fig6|continuous|scenario|serve|all")
 	bench := flag.String("bench", "tpch", "benchmark for fig4: tpch|job")
 	scenario := flag.String("scenario", "all", "adversarial scenario for -exp scenario: "+strings.Join(scenarios.Names(), "|")+"|all")
 	product := flag.String("product", "C", "product for fig3: A..G")
@@ -120,8 +119,6 @@ func main() {
 		run("Figure 6", func() error { return runFig6(*fast) })
 	case "continuous":
 		run("Continuous tuning (§VI-D)", func() error { return runContinuous(*fast) })
-	case "exec":
-		run("Executor replay bench", func() error { return runExecBench(*fast) })
 	case "scenario":
 		run("Adversarial scenarios", func() error { return runScenarios(*scenario, *fast) })
 	case "serve":
@@ -334,33 +331,6 @@ func runContinuous(fast bool) error {
 		res.ImprovedQueries, res.OrderOfMagnitude, res.CPUSavingFraction*100)
 	fmt.Printf("data surge: %d regressions flagged, %d automation indexes reverted\n",
 		res.Phase4Regressions, res.RevertedIndexes)
-	return nil
-}
-
-// runExecBench compares tuple-at-a-time and vectorized execution on the
-// replay/serving hot path. Parity is enforced on every sampled statement
-// before any timing runs, so a reported speedup is always a speedup on
-// byte-identical results.
-func runExecBench(fast bool) error {
-	opts := experiments.DefaultExecBenchOptions()
-	if fast {
-		opts.Rows = 4000
-		opts.Statements = 16
-		opts.JoinStatements = 4
-	}
-	res, err := experiments.RunExecBench(opts)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "replay set\tengine\tns/op\titerations")
-	fmt.Fprintf(w, "single-table (%d stmts)\trow\t%d\t%d\n", res.Statements, res.RowEngine.NsPerOp, res.RowEngine.Iterations)
-	fmt.Fprintf(w, "single-table (%d stmts)\tvectorized\t%d\t%d\n", res.Statements, res.VecEngine.NsPerOp, res.VecEngine.Iterations)
-	fmt.Fprintf(w, "join fallback (%d stmts)\trow\t%d\t%d\n", res.JoinStatements, res.JoinRowEngine.NsPerOp, res.JoinRowEngine.Iterations)
-	fmt.Fprintf(w, "join fallback (%d stmts)\tvectorized\t%d\t%d\n", res.JoinStatements, res.JoinVecEngine.NsPerOp, res.JoinVecEngine.Iterations)
-	w.Flush()
-	fmt.Printf("\nreplay speedup: %.2fx (%d rows); join fallback: %.2fx\n",
-		res.Speedup(), res.Rows, res.JoinSpeedup())
 	return nil
 }
 

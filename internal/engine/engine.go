@@ -81,12 +81,6 @@ func (db *DB) ObsRegistry() *obs.Registry { return db.obs }
 // use.
 func (db *DB) SetAudit(j *audit.Journal) { db.audit = j }
 
-// SetRowOnlyExec forces (true) or lifts (false) tuple-at-a-time execution.
-// The default is the vectorized batch engine for eligible plans; differential
-// tests and benchmarks pin the row loop to compare the two engines. Clones
-// inherit the setting (see cloneFrom). Call before concurrent use.
-func (db *DB) SetRowOnlyExec(rowOnly bool) { db.executor.RowOnly = rowOnly }
-
 // SetCloneGate installs a lock held around snapshot creation (nil removes
 // it). Callers that interleave live writers with Clone/CloneChecked — the
 // network server's tuning loop — pass the exclusive side of their write
@@ -547,9 +541,6 @@ func (db *DB) cloneFrom(name string, store *storage.Store) *DB {
 	out.Optimizer = optimizer.New(out.Schema, out)
 	out.WhatIf = costcache.NewCoster(out.Optimizer, costcache.DefaultCapacity)
 	out.executor = exec.New(out.Store)
-	// Shadow replay must execute exactly like production, so the engine
-	// selection travels with the clone.
-	out.executor.RowOnly = db.executor.RowOnly
 	if db.obs != nil {
 		out.SetObs(db.obs)
 	}

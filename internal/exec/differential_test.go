@@ -39,30 +39,33 @@ func renderResult(res *Result) string {
 	return b.String()
 }
 
-// runBothEngines executes the plan on the row engine and the batch engine,
-// each with observability on and off, and requires all four results to be
-// byte-identical. It returns the batch-engine result.
+// runBothEngines executes the plan on the reference interpreter and on the
+// batch driver, each with observability on and off, and requires all four
+// results to be byte-identical. It returns the driver's result.
 func runBothEngines(t testing.TB, store *storage.Store, p *Plan) *Result {
 	t.Helper()
 	var want string
 	var out *Result
-	for _, rowOnly := range []bool{true, false} {
+	for _, reference := range []bool{true, false} {
 		for _, withObs := range []bool{false, true} {
 			ex := New(store)
-			ex.RowOnly = rowOnly
 			if withObs {
 				ex.SetObs(obs.NewRegistry())
 			}
-			res, err := ex.Run(p, nil)
+			run := ex.Run
+			if reference {
+				run = ex.runReference
+			}
+			res, err := run(p, nil)
 			if err != nil {
-				t.Fatalf("rowOnly=%v obs=%v: %v", rowOnly, withObs, err)
+				t.Fatalf("reference=%v obs=%v: %v", reference, withObs, err)
 			}
 			got := renderResult(res)
 			if want == "" {
 				want = got
 			} else if got != want {
-				t.Fatalf("engine divergence (rowOnly=%v obs=%v)\n--- row engine ---\n%s--- this run ---\n%s",
-					rowOnly, withObs, want, got)
+				t.Fatalf("engine divergence (reference=%v obs=%v)\n--- reference ---\n%s--- this run ---\n%s",
+					reference, withObs, want, got)
 			}
 			out = res
 		}
@@ -70,27 +73,34 @@ func runBothEngines(t testing.TB, store *storage.Store, p *Plan) *Result {
 	return out
 }
 
+// refOff resolves "col" or "alias.col" to its env offset.
+func refOff(t testing.TB, l *Layout, ref string) int {
+	t.Helper()
+	qual, col, ok := strings.Cut(ref, ".")
+	if !ok {
+		qual, col = "", ref
+	}
+	off, err := l.Resolve(qual, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return off
+}
+
 // vecOutputs builds direct-copy output specs (the batch projector fast path).
 func vecOutputs(t testing.TB, l *Layout, refs ...string) []OutputSpec {
 	t.Helper()
 	out := make([]OutputSpec, len(refs))
 	for i, r := range refs {
-		qual := ""
-		if idx := strings.IndexByte(r, '.'); idx >= 0 {
-			qual, r = r[:idx], r[idx+1:]
-		}
-		off, err := l.Resolve(qual, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = ColOutput(off)
+		out[i] = ColOutput(refOff(t, l, r))
 	}
 	return out
 }
 
-// TestEngineDifferential pins the determinism contract of the vectorized
-// engine: for every supported plan shape, Result rows and Stats counters are
-// byte-identical to the row engine's, with observability on or off. Cases
+// TestEngineDifferential pins the determinism contract of the batch driver:
+// for every supported single-step plan shape, Result rows and Stats counters
+// are byte-identical to the reference interpreter's, with observability on or
+// off (TestDriverDifferentialJoins covers pipelines and early stops). Cases
 // cover both the vectorized predicate kernels (FilterSrc set, vectorizable)
 // and the per-row closure fallback (no source expression, or a shape the
 // batch compiler rejects).
@@ -203,11 +213,11 @@ func TestEngineDifferential(t *testing.T) {
 			Steps:       []Step{filtered(Step{Instance: 0}, "cust_id < 30", true)},
 			Grouped:     true,
 			GroupBy:     []CompiledExpr{argExpr(t, l, "status")},
-			GroupByCols: []int{colOff(t, l, "status") + 1},
+			GroupByCols: []int{refOff(t, l, "status") + 1},
 			Aggs: []AggSpec{{Func: AggCount},
-				{Func: AggSum, Arg: argExpr(t, l, "amount"), ArgCol: colOff(t, l, "amount") + 1},
-				{Func: AggMin, Arg: argExpr(t, l, "id"), ArgCol: colOff(t, l, "id") + 1},
-				{Func: AggMax, Arg: argExpr(t, l, "id"), ArgCol: colOff(t, l, "id") + 1}},
+				{Func: AggSum, Arg: argExpr(t, l, "amount"), ArgCol: refOff(t, l, "amount") + 1},
+				{Func: AggMin, Arg: argExpr(t, l, "id"), ArgCol: refOff(t, l, "id") + 1},
+				{Func: AggMax, Arg: argExpr(t, l, "id"), ArgCol: refOff(t, l, "id") + 1}},
 			Output: append(vecOutputs(t, l, "status"),
 				OutputSpec{Agg: 0}, OutputSpec{Agg: 1}, OutputSpec{Agg: 2}, OutputSpec{Agg: 3}),
 			Limit: -1}},
@@ -259,22 +269,10 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-func colOff(t testing.TB, l *Layout, col string) int {
-	t.Helper()
-	off, err := l.Resolve("", col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return off
-}
-
 // argExpr compiles a bare column reference as an aggregate/group argument.
 func argExpr(t testing.TB, l *Layout, col string) CompiledExpr {
 	t.Helper()
-	off, err := l.Resolve("", col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := refOff(t, l, col)
 	return func(env []sqltypes.Value) (sqltypes.Value, error) { return env[off], nil }
 }
 
@@ -353,11 +351,14 @@ func TestScanBoundsContract(t *testing.T) {
 	}
 }
 
-// FuzzExecScanOracle executes randomized range/IN/ICP index plans on both
-// engines and checks the produced row SET (order-independent) against a
-// full-scan-plus-filter oracle evaluating the equivalent WHERE clause — and
-// checks row-order and Stats parity between engines for each plan. It is the
-// property-test half of the differential suite and runs in fuzzsmoke.
+// FuzzExecScanOracle executes randomized range/IN/ICP index plans on the
+// driver and the reference interpreter and checks the produced row SET
+// (order-independent) against a full-scan-plus-filter oracle evaluating the
+// equivalent WHERE clause — and checks row-order and Stats parity between
+// driver and reference for each plan, and again under a random LIMIT/OFFSET
+// (early stop; the oracle stays the independent check for the unlimited
+// plans). It is the property-test half of the differential suite and runs in
+// fuzzsmoke.
 func FuzzExecScanOracle(f *testing.F) {
 	store, schema := fixture(f)
 	l := singleLayout(schema, "orders")
@@ -438,6 +439,14 @@ func FuzzExecScanOracle(f *testing.F) {
 				FilterSrc: whereExpr(t, where)}},
 			Output: vecOutputs(t, l, outCols...), Limit: -1}
 
+		// Drawn last, so a seed's scan shape does not depend on this dimension.
+		limited := *indexPlan
+		limited.Limit, limited.Offset = int64(rng.Intn(14)), int64(rng.Intn(4))
+		if rng.Intn(4) == 0 { // an unsatisfied ORDER BY: no early stop, sort then cut
+			limited.OrderBy = []OrderSpec{{Col: 3, Desc: true}}
+		}
+		runBothEngines(t, store, &limited)
+
 		// Engine parity (rows, order, Stats) per plan; then set equality
 		// between the index path and the oracle.
 		got := runBothEngines(t, store, indexPlan)
@@ -456,4 +465,265 @@ func sortedRowSet(res *Result) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n") + "\n"
+}
+
+// joinFixture is a 3 000-order store (75 orders per customer, so every scan
+// of interest spans more than one batch or more than one outer row) with the
+// layout customers c → orders o → customers c2, plus one customer whose tier
+// is NULL to drive a NULL join key.
+func joinFixture(t testing.TB) (*storage.Store, *Layout) {
+	t.Helper()
+	store, schema := fixtureN(t, 3000)
+	err := store.Table("customers").Insert(
+		sqltypes.Row{sqltypes.NewInt(40), sqltypes.NewString("la"), sqltypes.Null}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, NewLayout([]Instance{
+		{Alias: "c", Table: schema.Table("customers")},
+		{Alias: "o", Table: schema.Table("orders")},
+		{Alias: "c2", Table: schema.Table("customers")},
+	})
+}
+
+// TestDriverDifferentialJoins holds the batch driver to the reference
+// interpreter on the shapes that ran on the row loop alone before the driver
+// took every plan: multi-step pipelines and early-stop targets.
+func TestDriverDifferentialJoins(t *testing.T) {
+	store, l := joinFixture(t)
+	slot := func(ref string) KeySource { return SlotRef(refOff(t, l, ref)) }
+	pred := func(where string) (CompiledExpr, sqlparser.Expr) {
+		return compileWhere(t, l, where), whereExpr(t, where)
+	}
+	outer := Step{Instance: 0}
+	outer.Filter, outer.FilterSrc = pred("c.id < 30")
+	probe := Step{Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{slot("c.id")}}
+	back := Step{Instance: 2, EqKeys: []KeySource{slot("o.cust_id")}}
+	with := func(s Step, edit func(*Step)) Step {
+		edit(&s)
+		return s
+	}
+	paid, done := Literal(sqltypes.NewString("paid")), Literal(sqltypes.NewString("done"))
+
+	type shape struct {
+		name string
+		edit func(*Plan)
+	}
+	shapes := []shape{
+		{"all", func(*Plan) {}},
+		{"limit", func(p *Plan) { p.Limit = 7 }},
+		{"limit-offset", func(p *Plan) { p.Limit, p.Offset = 7, 80 }}, // stops in the second outer row
+		{"limit-over-batch", func(p *Plan) { p.Limit = batchSize + 400 }},
+		{"grouped", func(p *Plan) {
+			p.Grouped = true
+			p.GroupBy = []CompiledExpr{p.Output[0].Expr}
+			p.GroupByCols = []int{p.Output[0].col}
+			p.Aggs = []AggSpec{{Func: AggCount}, {Func: AggSum, Arg: p.Output[2].Expr, ArgCol: p.Output[2].col},
+				{Func: AggMax, Arg: p.Output[1].Expr, ArgCol: p.Output[1].col}}
+			p.Output = []OutputSpec{p.Output[0], {Agg: 0}, {Agg: 1}, {Agg: 2}}
+		}},
+		{"distinct", func(p *Plan) { p.Distinct, p.Output = true, p.Output[:1] }},
+		{"order-unsatisfied", func(p *Plan) { p.OrderBy, p.Limit = []OrderSpec{{Col: 2, Desc: true}, {Col: 1}}, 5 }},
+	}
+	pipelines := []struct {
+		name  string
+		steps []Step
+		out   []string
+	}{
+		{"join2", []Step{outer, probe}, []string{"c.city", "o.id", "o.amount"}},
+		{"join3", []Step{outer, probe, back}, []string{"c2.city", "o.id", "o.amount"}},
+	}
+	for _, pl := range pipelines {
+		for _, sh := range shapes {
+			t.Run(pl.name+"-"+sh.name, func(t *testing.T) {
+				p := &Plan{Layout: l, Steps: pl.steps, Output: vecOutputs(t, l, pl.out...), Limit: -1}
+				sh.edit(p)
+				if res := runBothEngines(t, store, p); len(res.Rows) == 0 {
+					t.Fatal("shape produced no rows: the case checks nothing")
+				}
+			})
+		}
+	}
+
+	probes := []struct {
+		name  string
+		steps []Step
+		out   []string
+		limit int64
+	}{
+		{"inner-filter-reads-outer-closure", []Step{outer, with(probe, func(s *Step) {
+			s.Filter = compileWhere(t, l, "o.amount > c.tier * 1000 + c.id") // arithmetic: closure fallback
+		})}, []string{"c.id", "o.id"}, -1},
+		{"inner-filter-reads-outer-kernel", []Step{outer, with(probe, func(s *Step) {
+			s.Filter, s.FilterSrc = pred("o.id > c.id AND o.status != c.city")
+		})}, []string{"c.id", "o.id"}, 90},
+		{"inner-covering", []Step{outer, with(probe, func(s *Step) { s.Covering = true })},
+			[]string{"c.city", "o.cust_id", "o.status", "o.id", "o.amount"}, -1},
+		{"inner-icp", []Step{outer, with(probe, func(s *Step) {
+			s.ICP, s.ICPSrc = pred("o.status >= 'new' AND o.id > c.id")
+			s.Filter, s.FilterSrc = pred("o.amount < 3000")
+		})}, []string{"c.id", "o.id", "o.status"}, 100},
+		{"inner-in-list", []Step{outer, with(probe, func(s *Step) {
+			s.In = []KeySource{paid, done, paid, Literal(sqltypes.Null)}
+		})}, []string{"c.id", "o.id", "o.status"}, -1},
+		{"inner-range", []Step{outer, with(probe, func(s *Step) {
+			s.Range = &RangeSpec{Lo: &done, Hi: &paid, LoInc: false, HiInc: true}
+		})}, []string{"c.id", "o.id", "o.status"}, 200},
+		{"null-join-key", []Step{{Instance: 0}, // tier is NULL for customer 40: its probe matches nothing
+			{Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{slot("c.tier")}}},
+			[]string{"c.id", "o.id"}, -1},
+		{"cross-product-limit", []Step{outer, {Instance: 1}}, []string{"c.id", "o.id"}, 3 * batchSize},
+	}
+	for _, tc := range probes {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Plan{Layout: l, Steps: tc.steps, Output: vecOutputs(t, l, tc.out...), Limit: tc.limit}
+			if res := runBothEngines(t, store, p); len(res.Rows) == 0 {
+				t.Fatal("shape produced no rows: the case checks nothing")
+			}
+		})
+	}
+
+	// Single-step early stops: inside the second range of a multi-range IN,
+	// and past the first full batch of a clustered scan.
+	single := singleLayoutOf(l, 1)
+	for _, tc := range []struct {
+		name          string
+		step          Step
+		limit, offset int64
+	}{
+		{"in-multirange-stop-in-second-range", Step{Instance: 0, IndexName: "o_cust_status",
+			In: []KeySource{Literal(sqltypes.NewInt(9)), Literal(sqltypes.NewInt(5)), Literal(sqltypes.NewInt(7))}}, 70, 20},
+		{"clustered-stop-past-first-batch", Step{Instance: 0,
+			Filter: compileWhere(t, single, "cust_id != 3"), FilterSrc: whereExpr(t, "cust_id != 3")}, batchSize, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Plan{Layout: single, Steps: []Step{tc.step},
+				Output: vecOutputs(t, single, "id", "cust_id"), Limit: tc.limit, Offset: tc.offset}
+			if res := runBothEngines(t, store, p); int64(len(res.Rows)) != tc.limit {
+				t.Fatalf("rows = %d, want %d", len(res.Rows), tc.limit)
+			}
+		})
+	}
+}
+
+// singleLayoutOf is the one-instance layout of instance i of l.
+func singleLayoutOf(l *Layout, i int) *Layout {
+	return NewLayout([]Instance{{Alias: l.Instances[i].Table.Name, Table: l.Instances[i].Table}})
+}
+
+// TestLimitZeroReadsNothing pins that LIMIT 0 opens no scan. It used to run
+// until the first qualifying row (the whole table when none qualifies, and
+// always for grouped or sorted plans), and the monitor booked that work
+// against an empty result: a DDR-0 query with maximal Eq. 5 benefit.
+func TestLimitZeroReadsNothing(t *testing.T) {
+	store, schema := fixture(t)
+	l := singleLayout(schema, "orders")
+	never := Step{Instance: 0, Filter: compileWhere(t, l, "cust_id = 99"), FilterSrc: whereExpr(t, "cust_id = 99")}
+	for name, p := range map[string]*Plan{
+		"filtered": {Layout: l, Steps: []Step{never}, Output: vecOutputs(t, l, "id")},
+		"offset":   {Layout: l, Steps: []Step{{Instance: 0}}, Output: vecOutputs(t, l, "id"), Offset: 3},
+		"grouped": {Layout: l, Steps: []Step{{Instance: 0}}, Grouped: true,
+			Aggs: []AggSpec{{Func: AggCount}}, Output: []OutputSpec{{Agg: 0}}},
+		"sorted-distinct": {Layout: l, Steps: []Step{{Instance: 0}}, Output: vecOutputs(t, l, "status"),
+			Distinct: true, OrderBy: []OrderSpec{{Col: 0}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			res := runBothEngines(t, store, p) // Limit is the zero value
+			if len(res.Rows) != 0 || res.Stats != (Stats{}) {
+				t.Fatalf("LIMIT 0 returned %d rows with %+v, want nothing read", len(res.Rows), res.Stats)
+			}
+		})
+	}
+}
+
+// TestCollectPKsDifferential holds the read phase of UPDATE/DELETE on the
+// driver to the reference interpreter: same keys in the same order, same
+// Stats.
+func TestCollectPKsDifferential(t *testing.T) {
+	store, schema := fixtureN(t, 3000)
+	l := singleLayout(schema, "orders")
+	lo, hi := Literal(sqltypes.NewInt(100)), Literal(sqltypes.NewInt(2400))
+	for name, step := range map[string]Step{
+		"clustered-range": {Instance: 0, Range: &RangeSpec{Lo: &lo, Hi: &hi, LoInc: true},
+			Filter: compileWhere(t, l, "status != 'new'"), FilterSrc: whereExpr(t, "status != 'new'")},
+		"clustered-point": {Instance: 0, EqKeys: []KeySource{lo}},
+		"secondary-icp": {Instance: 0, IndexName: "o_cust_status", EqKeys: []KeySource{Literal(sqltypes.NewInt(6))},
+			ICP: compileWhere(t, l, "status = 'shipped'"), ICPSrc: whereExpr(t, "status = 'shipped'"),
+			Filter: compileWhere(t, l, "amount + 0 > 900")},
+		"secondary-in": {Instance: 0, IndexName: "o_cust_status",
+			In: []KeySource{Literal(sqltypes.NewInt(8)), Literal(sqltypes.NewInt(3))}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := &Plan{Layout: l, Steps: []Step{step}, Limit: -1}
+			for _, withObs := range []bool{false, true} {
+				ex := New(store)
+				if withObs {
+					ex.SetObs(obs.NewRegistry())
+				}
+				want, wantSt, err := ex.collectPKsReference(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotSt, err := ex.CollectPKs(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 {
+					t.Fatal("plan matched no rows: the case checks nothing")
+				}
+				if fmt.Sprintf("%x %+v", got, gotSt) != fmt.Sprintf("%x %+v", want, wantSt) {
+					t.Fatalf("obs=%v: driver %d keys %+v, reference %d keys %+v", withObs, len(got), gotSt, len(want), wantSt)
+				}
+			}
+		})
+	}
+}
+
+// TestDriverConcurrentRuns runs join and early-stop plans from many
+// goroutines on ONE executor (run it under -race): arenas are pooled per
+// executor and handed out one per step, so neither a concurrent run nor a
+// run's own inner scan may ever write into a batch another scan still reads.
+func TestDriverConcurrentRuns(t *testing.T) {
+	store, l := joinFixture(t)
+	steps := []Step{{Instance: 0},
+		{Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, l, "c.id"))},
+			Filter: compileWhere(t, l, "o.id > c.id"), FilterSrc: whereExpr(t, "o.id > c.id")},
+		{Instance: 2, EqKeys: []KeySource{SlotRef(refOff(t, l, "o.cust_id"))}}}
+	out := vecOutputs(t, l, "c.id", "o.id", "c2.city")
+	plans := []*Plan{
+		{Layout: l, Steps: steps, Output: out, Limit: -1},
+		{Layout: l, Steps: steps, Output: out, Limit: 130, Offset: 40},
+		{Layout: l, Steps: steps[:2], Output: out[:2], Limit: batchSize + 1},
+	}
+	ex := New(store)
+	want := make([]string, len(plans))
+	for i, p := range plans {
+		res, err := ex.runReference(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = renderResult(res)
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func() {
+			for n := 0; n < 6; n++ {
+				i := (g + n) % len(plans)
+				res, err := ex.Run(plans[i], nil)
+				if err == nil && renderResult(res) != want[i] {
+					err = fmt.Errorf("goroutine %d: plan %d diverged from the reference", g, i)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
 }

@@ -40,21 +40,15 @@ func (e *Executor) CollectPKs(p *Plan) ([][]byte, Stats, error) {
 	if tbl == nil {
 		return nil, Stats{}, fmt.Errorf("exec: unknown table %q", inst.Table.Name)
 	}
+	sink := &pkSink{vals: make([]sqltypes.Value, len(inst.Table.PrimaryKey))}
+	for _, o := range inst.Table.PrimaryKey {
+		sink.offs = append(sink.offs, inst.Base+o)
+	}
 	var st Stats
-	var pks [][]byte
-	env := make([]sqltypes.Value, p.Layout.Width)
-	pkVals := make([]sqltypes.Value, len(inst.Table.PrimaryKey))
-	err := e.runSteps(p, 0, env, &st, func() error {
-		for i, o := range inst.Table.PrimaryKey {
-			pkVals[i] = env[inst.Base+o]
-		}
-		pks = append(pks, sqltypes.EncodeKey(nil, pkVals...))
-		return nil
-	})
-	if err != nil {
+	if err := e.drive(p, sink, -1, &st); err != nil {
 		return nil, st, err
 	}
-	return pks, st, nil
+	return sink.pks, st, nil
 }
 
 // Assignment sets one column (by table ordinal) to a compiled expression

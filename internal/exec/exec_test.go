@@ -14,6 +14,12 @@ import (
 // customers(id, city, tier), plus an index on orders(cust_id, status).
 func fixture(t testing.TB) (*storage.Store, *catalog.Schema) {
 	t.Helper()
+	return fixtureN(t, 400)
+}
+
+// fixtureN is fixture with nOrders order rows (cust_id = id % 40).
+func fixtureN(t testing.TB, nOrders int64) (*storage.Store, *catalog.Schema) {
+	t.Helper()
 	schema := catalog.NewSchema()
 	orders, err := catalog.NewTable("orders", []catalog.Column{
 		{Name: "id", Type: sqltypes.KindInt},
@@ -42,7 +48,7 @@ func fixture(t testing.TB) (*storage.Store, *catalog.Schema) {
 	ot, _ := store.CreateTable(orders)
 	ct, _ := store.CreateTable(customers)
 	statuses := []string{"new", "paid", "shipped", "done"}
-	for i := int64(0); i < 400; i++ {
+	for i := int64(0); i < nOrders; i++ {
 		err := ot.Insert(sqltypes.Row{
 			sqltypes.NewInt(i),
 			sqltypes.NewInt(i % 40),

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -16,14 +15,10 @@ var errStop = errors.New("exec: early stop")
 // Executor runs physical plans against a store.
 type Executor struct {
 	Store *storage.Store
-	// RowOnly disables the vectorized batch engine, forcing every plan
-	// through the tuple-at-a-time row loop. The zero value (vectorized
-	// execution on) is the production configuration; differential tests and
-	// benchmarks flip it to pin the two engines against each other.
-	RowOnly bool
-	m       *execMetrics // nil when observability is off
+	m     *execMetrics // nil when observability is off
 	// arenas recycles batch scratch buffers (row views, selection vectors,
-	// tri-state predicate lanes, decode slabs) across vectorized runs.
+	// tri-state predicate lanes, env-row slabs) across runs; a run takes one
+	// per plan step.
 	arenas sync.Pool
 }
 
@@ -37,66 +32,40 @@ type Result struct {
 	Stats   Stats
 }
 
-// Run executes a SELECT plan.
+// rowTarget is the number of pipeline rows after which execution can stop:
+// when no sort, grouping or dedup reorders rows, LIMIT ends the pipeline as
+// soon as LIMIT+OFFSET rows are produced. -1 means the pipeline runs dry.
+func (p *Plan) rowTarget() int64 {
+	if !p.Grouped && !p.Distinct && p.Limit >= 0 && (len(p.OrderBy) == 0 || p.OrderSatisfied) {
+		return p.Limit + p.Offset
+	}
+	return -1
+}
+
+// Run executes a SELECT plan on the batch driver (vec.go).
 func (e *Executor) Run(p *Plan, columns []string) (*Result, error) {
 	res := &Result{Columns: columns}
-	env := make([]sqltypes.Value, p.Layout.Width)
-
-	// Early termination: when no sort, grouping or dedup reorders rows,
-	// LIMIT can stop the pipeline as soon as enough rows are produced.
-	rowTarget := int64(-1)
-	if !p.Grouped && !p.Distinct && p.Limit >= 0 && (len(p.OrderBy) == 0 || p.OrderSatisfied) {
-		rowTarget = p.Limit + p.Offset
+	if p.Limit == 0 {
+		// Nothing can be returned, so nothing is read: no scan is opened and
+		// the monitor books zero work for the statement.
+		return e.finish(p, nil, res)
 	}
-
-	// The batch engine covers single-step pipelines without an early-stop
-	// target. Join pipelines stay on the row loop (batching doesn't pay for
-	// the inner steps of an index nested-loop join), and early-stop plans
-	// must stop mid-scan at exactly the row the row loop would, which batch
-	// reads cannot do without breaking Stats parity.
-	if !e.RowOnly && rowTarget < 0 && len(p.Steps) == 1 {
-		return e.runVectorized(p, res)
-	}
-
-	var outRows []sqltypes.Row
-	emitEnvRow := func() error {
-		row := make(sqltypes.Row, len(p.Output))
-		for i, o := range p.Output {
-			v, err := o.Expr(env)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		outRows = append(outRows, row)
-		if rowTarget >= 0 && int64(len(outRows)) >= rowTarget {
-			return errStop
-		}
-		return nil
-	}
-
+	var sink rowSink = newBatchProjector(p)
 	if p.Grouped {
-		agg := newAggregator(p)
-		err := e.runSteps(p, 0, env, &res.Stats, func() error { return agg.absorb(env) })
-		if err != nil {
-			return nil, err
-		}
-		outRows, err = agg.finish()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if err := e.runSteps(p, 0, env, &res.Stats, emitEnvRow); err != nil && err != errStop {
-			return nil, err
-		}
+		sink = newBatchAggSink(p)
 	}
-
+	if err := e.drive(p, sink, p.rowTarget(), &res.Stats); err != nil {
+		return nil, err
+	}
+	outRows, err := sink.finishRows()
+	if err != nil {
+		return nil, err
+	}
 	return e.finish(p, outRows, res)
 }
 
-// finish applies the shared result tail — DISTINCT, ORDER BY, LIMIT/OFFSET,
-// hidden-column trimming — and records stats. Both the row loop and the batch
-// engine end here, so the tail semantics are identical by construction.
+// finish applies the result tail — DISTINCT, ORDER BY, LIMIT/OFFSET,
+// hidden-column trimming — and records stats.
 func (e *Executor) finish(p *Plan, outRows []sqltypes.Row, res *Result) (*Result, error) {
 	if p.Distinct {
 		outRows = distinctRows(outRows, p.HiddenTail, &res.Stats)
@@ -115,70 +84,6 @@ func (e *Executor) finish(p *Plan, outRows []sqltypes.Row, res *Result) (*Result
 	res.Stats.RowsSent = int64(len(outRows))
 	e.record(res.Stats)
 	return res, nil
-}
-
-// runSteps drives the left-deep nested-loop pipeline. onRow is invoked once
-// per fully joined env row.
-func (e *Executor) runSteps(p *Plan, depth int, env []sqltypes.Value, st *Stats, onRow func() error) error {
-	if depth == len(p.Steps) {
-		return onRow()
-	}
-	step := &p.Steps[depth]
-	inst := p.Layout.Instances[step.Instance]
-	tbl := e.Store.Table(inst.Table.Name)
-	if tbl == nil {
-		return fmt.Errorf("exec: table %q not materialized", inst.Table.Name)
-	}
-
-	// Resolve equality-prefix values; a NULL equality key matches nothing.
-	prefix := make([]sqltypes.Value, len(step.EqKeys))
-	for i, k := range step.EqKeys {
-		v := k.Resolve(env)
-		if v.IsNull() {
-			return nil
-		}
-		prefix[i] = v
-	}
-
-	if len(step.In) > 0 {
-		// Multi-range read: one bounded scan per IN value, in value order so
-		// the output remains sorted on the index columns.
-		vals := make([]sqltypes.Value, 0, len(step.In))
-		for _, ks := range step.In {
-			v := ks.Resolve(env)
-			if !v.IsNull() {
-				vals = append(vals, v)
-			}
-		}
-		sort.Slice(vals, func(i, j int) bool { return sqltypes.Compare(vals[i], vals[j]) < 0 })
-		prev := sqltypes.Null
-		for _, v := range vals {
-			if !prev.IsNull() && sqltypes.Compare(prev, v) == 0 {
-				continue // dedupe repeated IN values
-			}
-			prev = v
-			full := append(append([]sqltypes.Value(nil), prefix...), v)
-			lo, hi, hiInc, _ := scanBounds(full, nil, env) // non-null prefix: never empty
-			var err error
-			if step.IndexName == "" {
-				err = e.scanClustered(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
-			} else {
-				err = e.scanIndex(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	lo, hi, hiInc, empty := scanBounds(prefix, step.Range, env)
-	if empty {
-		return nil
-	}
-	if step.IndexName == "" {
-		return e.scanClustered(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
-	}
-	return e.scanIndex(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
 }
 
 // scanBounds builds encoded byte bounds from the equality prefix and the
@@ -225,120 +130,6 @@ func scanBounds(prefix []sqltypes.Value, rng *RangeSpec, env []sqltypes.Value) (
 		hi, hiInc = base, true
 	}
 	return lo, hi, hiInc, false
-}
-
-func (e *Executor) scanClustered(p *Plan, depth int, step *Step, tbl *storage.Table, env []sqltypes.Value, lo, hi []byte, hiInc bool, st *Stats, onRow func() error) error {
-	base := p.Layout.Instances[step.Instance].Base
-	ncols := len(p.Layout.Instances[step.Instance].Table.Columns)
-	if e.m != nil {
-		e.m.clusteredScans.Inc()
-	}
-	var scanned int64
-	st.PageReads += int64(tbl.Data().Height())
-	it := tbl.Data().SeekRange(lo, hi, hiInc)
-	for ; it.Valid(); it.Next() {
-		st.RowsRead++
-		scanned++
-		row := it.Value().(sqltypes.Row)
-		copy(env[base:base+ncols], row)
-		ok, err := passes(step.Filter, env)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := e.runSteps(p, depth+1, env, st, onRow); err != nil {
-			return err
-		}
-	}
-	st.PageReads += int64(it.LeavesWalked())
-	if e.m != nil {
-		e.m.clusteredRows.Add(scanned)
-	}
-	clearSegment(env, base, ncols)
-	return nil
-}
-
-func (e *Executor) scanIndex(p *Plan, depth int, step *Step, tbl *storage.Table, env []sqltypes.Value, lo, hi []byte, hiInc bool, st *Stats, onRow func() error) error {
-	ix := tbl.Index(step.IndexName)
-	if ix == nil {
-		return fmt.Errorf("exec: index %q not materialized on %s", step.IndexName, tbl.Def.Name)
-	}
-	inst := p.Layout.Instances[step.Instance]
-	base := inst.Base
-	ncols := len(inst.Table.Columns)
-	keyCols := len(ix.Ordinals()) + len(tbl.Def.PrimaryKey)
-
-	if e.m != nil {
-		if step.Covering {
-			e.m.indexOnlyScans.Inc()
-		} else {
-			e.m.indexScans.Inc()
-		}
-	}
-	var scanned int64
-	st.PageReads += int64(ix.Tree().Height())
-	it := ix.Tree().SeekRange(lo, hi, hiInc)
-	for ; it.Valid(); it.Next() {
-		st.RowsRead++ // index entry examined
-		scanned++
-		needDecode := step.Covering || step.ICP != nil
-		if needDecode {
-			vals, _, err := sqltypes.DecodeKey(it.Key(), keyCols)
-			if err != nil {
-				return fmt.Errorf("exec: corrupt index entry: %v", err)
-			}
-			clearSegment(env, base, ncols)
-			for i, o := range ix.Ordinals() {
-				env[base+o] = vals[i]
-			}
-			for i, o := range tbl.Def.PrimaryKey {
-				env[base+o] = vals[len(ix.Ordinals())+i]
-			}
-			if step.ICP != nil {
-				ok, err := passes(step.ICP, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-		}
-		if !step.Covering {
-			pk := it.Value().([]byte)
-			row, ok := tbl.GetByPK(pk, nil)
-			if !ok {
-				return fmt.Errorf("exec: dangling index entry in %s", step.IndexName)
-			}
-			st.RowsRead++
-			st.PageReads += int64(tbl.Data().Height())
-			copy(env[base:base+ncols], row)
-		}
-		ok, err := passes(step.Filter, env)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := e.runSteps(p, depth+1, env, st, onRow); err != nil {
-			return err
-		}
-	}
-	st.PageReads += int64(it.LeavesWalked())
-	if e.m != nil {
-		e.m.indexRows.Add(scanned)
-	}
-	clearSegment(env, base, ncols)
-	return nil
-}
-
-func clearSegment(env []sqltypes.Value, base, n int) {
-	for i := base; i < base+n; i++ {
-		env[i] = sqltypes.Null
-	}
 }
 
 func passes(f CompiledExpr, env []sqltypes.Value) (bool, error) {

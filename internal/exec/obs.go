@@ -9,8 +9,7 @@ import "aim/internal/obs"
 type execMetrics struct {
 	statements *obs.Counter
 
-	batchStatements *obs.Counter // statements run on the vectorized engine
-	batches         *obs.Counter // row batches processed by the vectorized engine
+	batches *obs.Counter // row batches read by scans
 
 	clusteredScans *obs.Counter // clustered (base-table) scan operators run
 	indexScans     *obs.Counter // secondary-index scan operators run
@@ -36,22 +35,21 @@ func (e *Executor) SetObs(r *obs.Registry) {
 		return
 	}
 	e.m = &execMetrics{
-		statements:      r.Counter("exec.statements"),
-		batchStatements: r.Counter("exec.batch_statements"),
-		batches:         r.Counter("exec.batches"),
-		clusteredScans:  r.Counter("exec.clustered_scans"),
-		indexScans:      r.Counter("exec.index_scans"),
-		indexOnlyScans:  r.Counter("exec.index_only_scans"),
-		clusteredRows:   r.Counter("exec.clustered_rows"),
-		indexRows:       r.Counter("exec.index_rows"),
-		rowsRead:        r.Counter("exec.rows_read"),
-		rowsSent:        r.Counter("exec.rows_sent"),
-		pageReads:       r.Counter("exec.page_reads"),
-		sortRows:        r.Counter("exec.sort_rows"),
-		rowsWritten:     r.Counter("exec.rows_written"),
-		indexWrites:     r.Counter("exec.index_writes"),
-		cpuMicros:       r.Counter("exec.cpu_micros"),
-		stmtCPU:         r.Histogram("exec.stmt_cpu_seconds"),
+		statements:     r.Counter("exec.statements"),
+		batches:        r.Counter("exec.batches"),
+		clusteredScans: r.Counter("exec.clustered_scans"),
+		indexScans:     r.Counter("exec.index_scans"),
+		indexOnlyScans: r.Counter("exec.index_only_scans"),
+		clusteredRows:  r.Counter("exec.clustered_rows"),
+		indexRows:      r.Counter("exec.index_rows"),
+		rowsRead:       r.Counter("exec.rows_read"),
+		rowsSent:       r.Counter("exec.rows_sent"),
+		pageReads:      r.Counter("exec.page_reads"),
+		sortRows:       r.Counter("exec.sort_rows"),
+		rowsWritten:    r.Counter("exec.rows_written"),
+		indexWrites:    r.Counter("exec.index_writes"),
+		cpuMicros:      r.Counter("exec.cpu_micros"),
+		stmtCPU:        r.Histogram("exec.stmt_cpu_seconds"),
 	}
 }
 

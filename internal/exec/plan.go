@@ -55,7 +55,7 @@ type Step struct {
 	// all earlier steps' instances) are filled.
 	Filter CompiledExpr
 	// ICPSrc/FilterSrc carry the source expressions behind ICP/Filter. The
-	// batch engine compiles them into per-batch predicate kernels; when nil
+	// batch driver compiles them into per-batch predicate kernels; when nil
 	// (plans assembled without the optimizer) it falls back to evaluating
 	// the compiled closure row by row, which is slower but identical.
 	ICPSrc    sqlparser.Expr
@@ -81,7 +81,7 @@ type AggSpec struct {
 	Func AggFunc
 	Arg  CompiledExpr // nil for COUNT(*)
 	// ArgCol is the env offset + 1 when Arg is a bare column reference
-	// (0 = opaque or COUNT(*)). The batch engine reads the column directly
+	// (0 = opaque or COUNT(*)). The batch driver reads the column directly
 	// instead of calling Arg per row; both produce the same value.
 	ArgCol int
 }
@@ -93,7 +93,7 @@ type OutputSpec struct {
 	Agg  int // -1 when Expr is used
 	Expr CompiledExpr
 	// col is the env offset + 1 when the output is a bare column reference
-	// (0 = opaque expression). The batch engine projects such outputs by
+	// (0 = opaque expression). The batch driver projects such outputs by
 	// direct copy instead of calling Expr per row; both paths return the
 	// same Value.
 	col int
@@ -101,7 +101,7 @@ type OutputSpec struct {
 
 // ColOutput builds the output spec for a bare column reference at the given
 // env offset. It sets both the direct-copy fast path and an equivalent
-// closure, so row and batch engines project identically.
+// closure, so the driver and the reference interpreter project identically.
 func ColOutput(off int) OutputSpec {
 	return OutputSpec{
 		Agg: -1,
@@ -126,7 +126,7 @@ type Plan struct {
 	GroupBy []CompiledExpr
 	// GroupByCols carries, per GroupBy entry, the env offset + 1 when the
 	// grouping expression is a bare column reference (0 = opaque). When every
-	// entry is a column (and every aggregate arg likewise), the batch engine
+	// entry is a column (and every aggregate arg likewise), the batch driver
 	// computes group keys by direct reads into a reused buffer instead of
 	// calling the GroupBy closures row by row. Nil disables the fast path.
 	GroupByCols []int

@@ -14,18 +14,19 @@ import (
 // resident.
 const batchSize = 1024
 
-// batchArena bundles the reusable scratch buffers of one vectorized
-// execution: key/value spans filled by ReadBatch, row views, the selection
-// vector, a decode slab for index-only reads, and free lists for the
-// tri-state lanes and sub-selections that nested AND/OR kernels borrow.
-// Arenas are pooled on the Executor (sync.Pool), so steady-state replay
-// allocates only the output rows that escape into Results.
+// batchArena bundles the reusable scratch buffers of one plan step: key/value
+// spans filled by ReadBatch, row views, the selection vector, a slab for env
+// rows the step builds (full-width rows of a join, decoded index-only views),
+// and free lists for the tri-state lanes and sub-selections that nested
+// AND/OR kernels borrow. Arenas are pooled on the Executor (sync.Pool) and a
+// run takes one per step, so steady-state replay allocates only the output
+// rows that escape into Results.
 type batchArena struct {
 	keys []([]byte)
 	vals []interface{}
 	rows []sqltypes.Row
 	sel  []int32
-	slab []sqltypes.Value // decoded env rows for covering/ICP index reads
+	slab []sqltypes.Value // env rows built by the step (see scanRange)
 	dec  []sqltypes.Value // per-entry key decode scratch
 
 	triFree [][]int8
@@ -83,10 +84,16 @@ func (a *batchArena) getSel() []int32 {
 
 func (a *batchArena) putSel(s []int32) { a.selFree = append(a.selFree, s) }
 
-// batchSink consumes filtered batches: either a projector building output
-// rows or an adapter feeding the shared aggregator.
+// batchSink consumes the last step's filtered batches. rows are arena views
+// valid only during the call; a sink copies what it keeps.
 type batchSink interface {
 	consume(rows []sqltypes.Row, sel []int32) error
+}
+
+// rowSink is a batchSink that yields output rows: the projector, or the
+// adapter feeding the aggregator.
+type rowSink interface {
+	batchSink
 	finishRows() ([]sqltypes.Row, error)
 }
 
@@ -150,7 +157,7 @@ func (s *batchProjector) finishRows() ([]sqltypes.Row, error) { return s.outRows
 // group keys by direct reads into one reused buffer and folds values without
 // per-row closure calls — but group identity, insertion order, stream
 // flushing and the accumulation arithmetic all live in the aggregator, so
-// the produced groups are identical to the row engine's by construction.
+// the produced groups are identical to per-row absorb's by construction.
 type batchAggSink struct {
 	agg       *aggregator
 	groupCols []int // env offsets; nil = closure fallback via absorb
@@ -295,96 +302,106 @@ func (s *batchAggSink) consume(rows []sqltypes.Row, sel []int32) error {
 
 func (s *batchAggSink) finishRows() ([]sqltypes.Row, error) { return s.agg.finish() }
 
-// runVectorized executes a single-step plan batch-at-a-time: the scan fills
-// reusable row batches, predicates run per batch into selection vectors, and
-// projection/aggregation consume the selected rows. It produces byte-
-// identical Result rows and Stats to the row loop; the result tail and the
-// aggregator are literally shared, and the scan replicates the row loop's
-// RowsRead/PageReads accounting (height probe up front, per-entry and
-// per-lookup counts, leaves walked at the end).
-func (e *Executor) runVectorized(p *Plan, res *Result) (*Result, error) {
-	st := &res.Stats
-	step := &p.Steps[0]
-	inst := p.Layout.Instances[step.Instance]
-	tbl := e.Store.Table(inst.Table.Name)
+// pkSink collects the encoded primary key of every selected row: the read
+// phase of UPDATE and DELETE (CollectPKs).
+type pkSink struct {
+	offs []int // env offsets of the primary-key columns
+	vals []sqltypes.Value
+	pks  [][]byte
+}
+
+func (s *pkSink) consume(rows []sqltypes.Row, sel []int32) error {
+	for _, i := range sel {
+		for j, off := range s.offs {
+			s.vals[j] = rows[i][off]
+		}
+		s.pks = append(s.pks, sqltypes.EncodeKey(nil, s.vals...))
+	}
+	return nil
+}
+
+// pipeline is one plan execution on the batch driver: a left-deep index
+// nested-loop join whose every step reads batches.
+type pipeline struct {
+	e    *Executor
+	p    *Plan
+	st   *Stats
+	sink batchSink
+	// target is the number of sink rows after which the pipeline stops
+	// (Plan.rowTarget), or -1; produced counts the rows handed over so far.
+	target, produced int64
+	levels           []level // one per step
+}
+
+// level is what one step keeps for the whole run. Each step owns an arena,
+// so an inner scan never clobbers the outer batch it is being driven from.
+type level struct {
+	a                 *batchArena
+	filterVec, icpVec vecPred // nil = closure fallback
+}
+
+// drive runs the plan's steps and feeds every fully joined, fully filtered
+// env row to sink. It produces the rows and the Stats the tuple-at-a-time
+// reference interpreter (reference_test.go) defines, byte for byte; the rule
+// that makes early stop exact is the read cap in scanRange.
+func (e *Executor) drive(p *Plan, sink batchSink, target int64, st *Stats) error {
+	r := &pipeline{e: e, p: p, st: st, sink: sink, target: target, levels: make([]level, len(p.Steps))}
+	for d := range r.levels {
+		step := &p.Steps[d]
+		r.levels[d] = level{e.getArena(), compileVec(step.FilterSrc, p.Layout), compileVec(step.ICPSrc, p.Layout)}
+		defer e.putArena(r.levels[d].a)
+	}
+	err := r.scanStep(0, make([]sqltypes.Value, p.Layout.Width))
+	if err == errStop {
+		return nil
+	}
+	return err
+}
+
+// scanStep resolves the step's key ranges from the outer env row — equality
+// prefix, then either the IN list (one bounded scan per distinct value, in
+// value order so output stays sorted on the index columns) or the optional
+// range — and scans each.
+func (r *pipeline) scanStep(depth int, env []sqltypes.Value) error {
+	step := &r.p.Steps[depth]
+	inst := r.p.Layout.Instances[step.Instance]
+	tbl := r.e.Store.Table(inst.Table.Name)
 	if tbl == nil {
-		return nil, fmt.Errorf("exec: table %q not materialized", inst.Table.Name)
+		return fmt.Errorf("exec: table %q not materialized", inst.Table.Name)
 	}
-	a := e.getArena()
-	defer e.putArena(a)
-	if e.m != nil {
-		e.m.batchStatements.Inc()
-	}
-
-	filterVec := compileVec(step.FilterSrc, p.Layout)
-	icpVec := compileVec(step.ICPSrc, p.Layout)
-
-	var sink batchSink
-	if p.Grouped {
-		sink = newBatchAggSink(p)
-	} else {
-		sink = newBatchProjector(p)
-	}
-
-	// Resolve the equality prefix; a NULL key matches nothing (but grouped
-	// plans still emit their empty-input aggregate row via the sink).
-	env := make([]sqltypes.Value, p.Layout.Width)
+	// A NULL equality key matches nothing.
 	prefix := make([]sqltypes.Value, len(step.EqKeys))
-	skipScan := false
 	for i, k := range step.EqKeys {
 		v := k.Resolve(env)
 		if v.IsNull() {
-			skipScan = true
-			break
+			return nil
 		}
 		prefix[i] = v
 	}
-
-	scan := func(lo, hi []byte, hiInc bool) error {
-		if step.IndexName == "" {
-			return e.vecScanClustered(step, tbl, inst, a, filterVec, sink, lo, hi, hiInc, st)
-		}
-		return e.vecScanIndex(step, tbl, inst, a, filterVec, icpVec, sink, lo, hi, hiInc, st)
-	}
-
-	switch {
-	case skipScan:
-	case len(step.In) > 0:
-		// Multi-range read, identical value ordering to the row loop.
-		vals := make([]sqltypes.Value, 0, len(step.In))
-		for _, ks := range step.In {
-			v := ks.Resolve(env)
-			if !v.IsNull() {
-				vals = append(vals, v)
-			}
-		}
-		sort.Slice(vals, func(i, j int) bool { return sqltypes.Compare(vals[i], vals[j]) < 0 })
-		prev := sqltypes.Null
-		for _, v := range vals {
-			if !prev.IsNull() && sqltypes.Compare(prev, v) == 0 {
-				continue
-			}
-			prev = v
-			full := append(append([]sqltypes.Value(nil), prefix...), v)
-			lo, hi, hiInc, _ := scanBounds(full, nil, env)
-			if err := scan(lo, hi, hiInc); err != nil {
-				return nil, err
-			}
-		}
-	default:
+	if len(step.In) == 0 {
 		lo, hi, hiInc, empty := scanBounds(prefix, step.Range, env)
-		if !empty {
-			if err := scan(lo, hi, hiInc); err != nil {
-				return nil, err
-			}
+		if empty {
+			return nil
+		}
+		return r.scanRange(depth, tbl, env, lo, hi, hiInc)
+	}
+	vals := make([]sqltypes.Value, 0, len(step.In))
+	for _, ks := range step.In {
+		if v := ks.Resolve(env); !v.IsNull() {
+			vals = append(vals, v)
 		}
 	}
-
-	outRows, err := sink.finishRows()
-	if err != nil {
-		return nil, err
+	sort.Slice(vals, func(i, j int) bool { return sqltypes.Compare(vals[i], vals[j]) < 0 })
+	for i, v := range vals {
+		if i > 0 && sqltypes.Compare(vals[i-1], v) == 0 {
+			continue // dedupe repeated IN values
+		}
+		lo, hi, hiInc, _ := scanBounds(append(prefix, v), nil, env) // non-null prefix: never empty
+		if err := r.scanRange(depth, tbl, env, lo, hi, hiInc); err != nil {
+			return err
+		}
 	}
-	return e.finish(p, outRows, res)
+	return nil
 }
 
 // applyPred narrows sel to rows passing the predicate, compacting in place.
@@ -419,78 +436,83 @@ func applyPred(a *batchArena, vp vecPred, closure CompiledExpr, rows []sqltypes.
 	return kept, nil
 }
 
-func (e *Executor) vecScanClustered(step *Step, tbl *storage.Table, inst Instance, a *batchArena, filterVec vecPred, sink batchSink, lo, hi []byte, hiInc bool, st *Stats) error {
-	if e.m != nil {
-		e.m.clusteredScans.Inc()
+// scanRange scans one key range of the step's clustered tree or secondary
+// index batch by batch: read, build env rows, ICP, PK lookup for the ICP
+// survivors, residual filter, then the sink on the last step or one inner
+// scanStep per surviving row.
+//
+// The read cap keeps Stats exact under early stop. Without a row target a
+// batch is batchSize entries. With one, the last step reads at most
+// target-produced entries — each yields at most one row, so the batch cannot
+// run past the entry that completes the target — and every outer step reads
+// one, because its inner scans may complete the target before a second outer
+// entry would be touched. No index entry, PK lookup or leaf is read that a
+// tuple-at-a-time loop stopping on the target row would not have read.
+//
+// Accounting per scan: the tree-height probe up front; RowsRead per entry
+// read, before ICP; one RowsRead plus a clustered-height probe per PK lookup,
+// for ICP survivors only; the leaves walked once the range is exhausted. An
+// errStop unwinds past that last add at every depth, so an early-stopped
+// statement under-counts its leaf pages. The goldens pin that number.
+func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value, lo, hi []byte, hiInc bool) error {
+	e, st, lv := r.e, r.st, &r.levels[depth]
+	a := lv.a
+	step := &r.p.Steps[depth]
+	inst := r.p.Layout.Instances[step.Instance]
+	base, ncols := inst.Base, len(inst.Table.Columns)
+	last := depth == len(r.p.Steps)-1
+	// A single-instance layout's stored row IS the env row (base 0, width ==
+	// ncols): no copy. Otherwise every batch row is a full-width env row, the
+	// outer row with this instance's segment overwritten.
+	wide := len(r.p.Layout.Instances) > 1
+	width := ncols
+	if wide {
+		width = r.p.Layout.Width
 	}
-	var scanned int64
-	st.PageReads += int64(tbl.Data().Height())
-	it := tbl.Data().SeekRange(lo, hi, hiInc)
-	for {
-		n := it.ReadBatch(nil, a.vals, batchSize)
-		if n == 0 {
-			break
-		}
-		st.RowsRead += int64(n)
-		scanned += int64(n)
-		if e.m != nil {
-			e.m.batches.Inc()
-		}
-		rows := a.rows[:n]
-		sel := a.sel[:0]
-		for i := 0; i < n; i++ {
-			// Single-step plans have a single-instance layout (base 0,
-			// width == ncols), so the stored row IS the env row: no copy.
-			rows[i] = a.vals[i].(sqltypes.Row)
-			sel = append(sel, int32(i))
-		}
-		sel, err := applyPred(a, filterVec, step.Filter, rows, sel)
-		if err != nil {
-			return err
-		}
-		if err := sink.consume(rows, sel); err != nil {
-			return err
-		}
-	}
-	st.PageReads += int64(it.LeavesWalked())
-	if e.m != nil {
-		e.m.clusteredRows.Add(scanned)
-	}
-	return nil
-}
 
-func (e *Executor) vecScanIndex(step *Step, tbl *storage.Table, inst Instance, a *batchArena, filterVec, icpVec vecPred, sink batchSink, lo, hi []byte, hiInc bool, st *Stats) error {
-	ix := tbl.Index(step.IndexName)
-	if ix == nil {
-		return fmt.Errorf("exec: index %q not materialized on %s", step.IndexName, tbl.Def.Name)
-	}
-	ncols := len(inst.Table.Columns)
-	ords := ix.Ordinals()
+	tree := tbl.Data()
+	var ix *storage.Index
+	var ords []int
 	pks := tbl.Def.PrimaryKey
-	keyCols := len(ords) + len(pks)
-	needDecode := step.Covering || step.ICP != nil
-
+	needDecode := false
+	if step.IndexName != "" {
+		if ix = tbl.Index(step.IndexName); ix == nil {
+			return fmt.Errorf("exec: index %q not materialized on %s", step.IndexName, tbl.Def.Name)
+		}
+		tree, ords = ix.Tree(), ix.Ordinals()
+		needDecode = step.Covering || step.ICP != nil
+	}
 	if e.m != nil {
-		if step.Covering {
+		switch {
+		case ix == nil:
+			e.m.clusteredScans.Inc()
+		case step.Covering:
 			e.m.indexOnlyScans.Inc()
-		} else {
+		default:
 			e.m.indexScans.Inc()
 		}
 	}
+	var keys [][]byte
+	if needDecode {
+		keys = a.keys
+	}
+	dataHeight := int64(tbl.Data().Height())
 	var scanned int64
-	st.PageReads += int64(ix.Tree().Height())
-	it := ix.Tree().SeekRange(lo, hi, hiInc)
+	st.PageReads += int64(tree.Height())
+	it := tree.SeekRange(lo, hi, hiInc)
 	for {
-		var n int
-		if needDecode {
-			n = it.ReadBatch(a.keys, a.vals, batchSize)
-		} else {
-			n = it.ReadBatch(nil, a.vals, batchSize)
+		max := batchSize
+		if r.target >= 0 {
+			max = 1
+			if last {
+				max = int(min(r.target-r.produced, batchSize))
+			}
 		}
+		n := it.ReadBatch(keys, a.vals, max)
 		if n == 0 {
 			break
 		}
-		st.RowsRead += int64(n) // index entries examined
+		st.RowsRead += int64(n) // entries examined
 		scanned += int64(n)
 		if e.m != nil {
 			e.m.batches.Inc()
@@ -500,59 +522,91 @@ func (e *Executor) vecScanIndex(step *Step, tbl *storage.Table, inst Instance, a
 		for i := 0; i < n; i++ {
 			sel = append(sel, int32(i))
 		}
-		if needDecode {
-			slab := a.envSlab(n * ncols)
-			dec := a.decBuf(keyCols)
-			for i := 0; i < n; i++ {
-				row := slab[i*ncols : (i+1)*ncols : (i+1)*ncols]
-				for j := range row {
-					row[j] = sqltypes.Null
+		if wide || needDecode {
+			slab := a.envSlab(n * width)
+			for i := range rows {
+				rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+				if wide {
+					copy(rows[i], env)
 				}
-				if _, err := sqltypes.DecodeKeyInto(dec, a.keys[i], keyCols); err != nil {
+			}
+		}
+		switch {
+		case ix == nil:
+			for i := range rows {
+				if row := a.vals[i].(sqltypes.Row); wide {
+					copy(rows[i][base:], row)
+				} else {
+					rows[i] = row
+				}
+			}
+		case needDecode:
+			// Index-only view: the index and PK columns, the rest NULL.
+			dec := a.decBuf(len(ords) + len(pks))
+			for i := range rows {
+				seg := rows[i][base : base+ncols]
+				for j := range seg {
+					seg[j] = sqltypes.Null
+				}
+				if _, err := sqltypes.DecodeKeyInto(dec, keys[i], len(dec)); err != nil {
 					return fmt.Errorf("exec: corrupt index entry: %v", err)
 				}
 				for j, o := range ords {
-					row[o] = dec[j]
+					seg[o] = dec[j]
 				}
 				for j, o := range pks {
-					row[o] = dec[len(ords)+j]
+					seg[o] = dec[len(ords)+j]
 				}
-				rows[i] = row
 			}
 			if step.ICP != nil {
 				var err error
-				sel, err = applyPred(a, icpVec, step.ICP, rows, sel)
-				if err != nil {
+				if sel, err = applyPred(a, lv.icpVec, step.ICP, rows, sel); err != nil {
 					return err
 				}
 			}
 		}
-		if !step.Covering {
-			dataHeight := int64(tbl.Data().Height())
+		if ix != nil && !step.Covering {
 			for _, i := range sel {
-				pk := a.vals[i].([]byte)
-				row, ok := tbl.GetByPK(pk, nil)
+				row, ok := tbl.GetByPK(a.vals[i].([]byte), nil)
 				if !ok {
 					return fmt.Errorf("exec: dangling index entry in %s", step.IndexName)
 				}
 				st.RowsRead++
 				st.PageReads += dataHeight
-				// The base row replaces any decoded ICP view: the row loop
-				// likewise overwrites the whole env segment after a lookup.
-				rows[i] = row
+				// The base row replaces any decoded ICP view.
+				if wide {
+					copy(rows[i][base:], row)
+				} else {
+					rows[i] = row
+				}
 			}
 		}
-		sel, err := applyPred(a, filterVec, step.Filter, rows, sel)
+		sel, err := applyPred(a, lv.filterVec, step.Filter, rows, sel)
 		if err != nil {
 			return err
 		}
-		if err := sink.consume(rows, sel); err != nil {
+		if !last {
+			for _, i := range sel {
+				if err := r.scanStep(depth+1, rows[i]); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if err := r.sink.consume(rows, sel); err != nil {
 			return err
+		}
+		if r.produced += int64(len(sel)); r.target >= 0 && r.produced >= r.target {
+			return errStop
 		}
 	}
 	st.PageReads += int64(it.LeavesWalked())
 	if e.m != nil {
-		e.m.indexRows.Add(scanned)
+		if ix == nil {
+			e.m.clusteredRows.Add(scanned)
+		} else {
+			e.m.indexRows.Add(scanned)
+		}
 	}
 	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"aim/internal/sqltypes"
 )
 
-// Three-valued predicate lanes. The batch engine evaluates filters into one
+// Three-valued predicate lanes. The batch driver evaluates filters into one
 // int8 lane per batch row instead of boxing a sqltypes.Value per row; only
 // triTrue rows survive into the selection vector, matching passes().
 const (
@@ -17,7 +17,7 @@ const (
 // vecPred evaluates a predicate over a batch, writing the three-valued
 // result for every row index listed in sel into out (indexed by row, not by
 // selection position). Implementations never error: compileVec only emits
-// kernels for expression shapes whose row-engine closures cannot error
+// kernels for expression shapes whose compiled row closures cannot error
 // either, so error ordering is owned entirely by the fallback closure path.
 type vecPred func(a *batchArena, rows []sqltypes.Row, sel []int32, out []int8)
 
@@ -62,7 +62,7 @@ func boolTri(b bool) int8 {
 // closure per batch row, which is slower but produces identical results and
 // identical error ordering. A composite expression vectorizes only if every
 // subexpression does: partial vectorization of AND/OR could evaluate an
-// erroring branch the row engine would have short-circuited past.
+// erroring branch the row closure would have short-circuited past.
 func compileVec(e sqlparser.Expr, l *Layout) vecPred {
 	if e == nil {
 		return nil

@@ -152,7 +152,7 @@ func (o *Optimizer) buildStep(layout *exec.Layout, inst int, ap *accessPath, fil
 }
 
 // buildExprOutput compiles one scalar output expression, using the direct
-// column-copy spec for bare column references so the batch engine can project
+// column-copy spec for bare column references so the batch driver can project
 // them without per-row closure calls.
 func buildExprOutput(e sqlparser.Expr, layout *exec.Layout) (exec.OutputSpec, error) {
 	if cr, ok := e.(*sqlparser.ColumnRef); ok {

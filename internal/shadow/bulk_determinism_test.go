@@ -77,42 +77,6 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 	}
 }
 
-// TestReplayEngineParityAcrossWorkersAndObs extends the determinism gate
-// across execution engines: the full shadow verdict — replay outcomes,
-// bit-exact CPU gains, and the accept/reject recommendation — must be
-// byte-identical whether statements replay on the vectorized batch engine
-// (production default) or the tuple-at-a-time row loop, at worker counts
-// 1/2/4, with instrumentation on or off. This is the end-to-end proof that
-// batch execution cannot shift an advisor decision.
-func TestReplayEngineParityAcrossWorkersAndObs(t *testing.T) {
-	run := func(workers int, withObs, rowOnly bool) string {
-		db, mon := fixture(t)
-		db.Store.Workers = workers
-		db.SetRowOnlyExec(rowOnly)
-		if withObs {
-			reg := obs.NewRegistry()
-			db.SetObs(reg)
-			storage.Instrument(reg)
-			defer storage.Instrument(nil)
-		}
-		idx := &catalog.Index{Name: "aim_t_a", Table: "t", Columns: []string{"a"}, Hypothetical: true}
-		rep, err := Validate(db, []*catalog.Index{idx}, mon, DefaultGate())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderReport(rep)
-	}
-	want := run(1, false, true) // row engine is the reference
-	for _, workers := range []int{1, 2, 4} {
-		for _, withObs := range []bool{false, true} {
-			if got := run(workers, withObs, false); got != want {
-				t.Errorf("vectorized verdict diverged (workers=%d obs=%v)\n--- row ---\n%s--- vec ---\n%s",
-					workers, withObs, want, got)
-			}
-		}
-	}
-}
-
 // TestDivergenceRebuildByteIdenticalVerdicts forces the one-sided DML
 // divergence path, rebuilds the clone pair exactly as Validate does (clone
 // + batch CreateIndexes, all on the bulk construction path), and asserts
