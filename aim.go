@@ -5,8 +5,8 @@
 // clustered B+tree storage, cost-based optimizer with what-if hypothetical
 // indexes, executor), a workload monitor, a shadow validation environment
 // and a continuous regression detector — plus the baseline advisors (Extend,
-// DTA, Drop, DB2Advis) the paper compares against and harnesses that
-// regenerate every table and figure of its evaluation.
+// DTA) the paper compares against and harnesses that regenerate every table
+// and figure of its evaluation.
 //
 // This root package is a thin facade over the implementation packages; see
 // the examples/ directory and README.md for end-to-end usage.

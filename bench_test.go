@@ -18,6 +18,7 @@ import (
 	"aim/internal/baselines"
 	"aim/internal/core"
 	"aim/internal/experiments"
+	"aim/internal/scenarios"
 	"aim/internal/workload"
 	"aim/internal/workloads/job"
 	"aim/internal/workloads/products"
@@ -153,18 +154,17 @@ func BenchmarkFig6JoinParameter(b *testing.B) {
 	b.ReportMetric(res.J3GainOverJ2()*100, "j3_vs_j2_%")
 }
 
-// BenchmarkContinuousTuning regenerates the §VI-D study (reduced).
+// BenchmarkContinuousTuning regenerates the §VI-D study (the codepush
+// scenario at its reduced length).
 func BenchmarkContinuousTuning(b *testing.B) {
-	opts := experiments.DefaultContinuousOptions()
-	opts.Rows = 2000
-	opts.WindowStatements = 120
-	var res *experiments.ContinuousResult
+	var res experiments.CodePushSummary
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunContinuous(opts)
+		sc := scenarios.NewCodePush()
+		run, err := experiments.RunScenario(sc, experiments.ScenarioOptions{Cycles: sc.Profile().ReducedCycles, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res = experiments.SummarizeCodePush(run)
 	}
 	b.ReportMetric(res.CPUSavingFraction*100, "cpu_saving_%")
 	b.ReportMetric(float64(res.ImprovedQueries), "improved_queries")

@@ -9,21 +9,24 @@
 //	aimbench -exp fig4  -bench job
 //	aimbench -exp fig5                # per-query TPC-H costs at fixed budget
 //	aimbench -exp fig6                # join-parameter study vs greedy
-//	aimbench -exp continuous          # workload-shift continuous tuning
+//	aimbench -exp continuous          # §VI-D: the codepush scenario + summary
 //	aimbench -exp scenario -scenario drift   # one adversarial scenario
 //	aimbench -exp scenario -scenario all     # the whole adversarial suite
 //	aimbench -exp serve               # live aimd fleet vs offline replay
 //	aimbench -exp all                 # everything (slow)
 //
-// -fast shrinks datasets for quick smoke runs. -metrics dumps the
-// observability registry (counters, gauges, what-if latency percentiles,
-// per-phase span timings) after each experiment; -trace-out writes every
-// span as a JSON line for offline flame-graph analysis.
+// -fast shrinks datasets (and scenario cycle counts) for quick smoke runs.
+// -metrics dumps the observability registry (counters, gauges, what-if
+// latency percentiles, per-phase span timings) after each experiment;
+// -trace-out writes every span as a JSON line for offline flame-graph
+// analysis.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -40,33 +43,47 @@ import (
 	"aim/internal/workloads/products"
 )
 
-// obsReg is non-nil when -metrics or -trace-out is set; the run helpers
-// thread it into every experiment's options.
-var obsReg *obs.Registry
+// app carries one invocation's outputs and the settings every experiment
+// helper reads.
+type app struct {
+	out, errw io.Writer
+	// obs is non-nil when -metrics or -trace-out is set; the helpers thread
+	// it into every experiment's options.
+	obs *obs.Registry
+	// auditOut carries -audit-out into the experiments that run a decision
+	// loop (continuous, scenario).
+	auditOut string
+}
 
-// contAuditOut/contTelemetryAddr carry -audit-out and -telemetry-addr into
-// the continuous experiment (the only one with a decision loop to observe).
-var contAuditOut, contTelemetryAddr string
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: table2|fig3|fig4|fig5|fig6|continuous|scenario|serve|all")
-	bench := flag.String("bench", "tpch", "benchmark for fig4: tpch|job")
-	scenario := flag.String("scenario", "all", "adversarial scenario for -exp scenario: "+strings.Join(scenarios.Names(), "|")+"|all")
-	product := flag.String("product", "C", "product for fig3: A..G")
-	fast := flag.Bool("fast", false, "reduced dataset sizes")
-	workers := flag.Int("workers", 0, "cap what-if costing parallelism (0 = all cores)")
-	metrics := flag.Bool("metrics", false, "print the metrics registry after each experiment")
-	traceOut := flag.String("trace-out", "", "write advisor spans as JSON lines to this file")
-	failpoints := flag.String("failpoints", "", `fault spec, e.g. "shadow.clone=err(0.05)" (or env `+failpoint.EnvVar+")")
-	fpSeed := flag.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
-	auditOut := flag.String("audit-out", "", "write the continuous experiment's decision journal (JSON lines) to this file")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metricsz /statusz /healthz /debug/pprof on this address during the continuous experiment")
-	flag.Parse()
-	contAuditOut, contTelemetryAddr = *auditOut, *telemetryAddr
+// run is main without the process: it parses args, runs the selected
+// experiments writing to stdout/stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	a := &app{out: stdout, errw: stderr}
+	fs := flag.NewFlagSet("aimbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: table2|fig3|fig4|fig5|fig6|continuous|scenario|serve|all")
+	bench := fs.String("bench", "tpch", "benchmark for fig4: tpch|job")
+	scenario := fs.String("scenario", "all", "adversarial scenario for -exp scenario: "+strings.Join(scenarios.Names(), "|")+"|all")
+	product := fs.String("product", "C", "product for fig3: A..G")
+	fast := fs.Bool("fast", false, "reduced dataset sizes")
+	workers := fs.Int("workers", 0, "cap what-if costing parallelism (0 = all cores)")
+	metrics := fs.Bool("metrics", false, "print the metrics registry after each experiment")
+	traceOut := fs.String("trace-out", "", "write advisor spans as JSON lines to this file")
+	failpoints := fs.String("failpoints", "", `fault spec, e.g. "shadow.clone=err(0.05)" (or env `+failpoint.EnvVar+")")
+	fpSeed := fs.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
+	fs.StringVar(&a.auditOut, "audit-out", "", "write the decision journal of the continuous / scenario experiments (JSON lines) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if _, err := failpoint.Setup(*failpoints, *fpSeed); err != nil {
-		fmt.Fprintf(os.Stderr, "aimbench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "aimbench: %v\n", err)
+		return 1
 	}
 
 	// The experiments construct their advisor configs internally with the
@@ -76,70 +93,76 @@ func main() {
 		runtime.GOMAXPROCS(*workers)
 	}
 
-	// -telemetry-addr implies a registry: an attached scraper expects
-	// /metricsz to carry the run's counters, not an empty exposition.
-	if *metrics || *traceOut != "" || *telemetryAddr != "" {
-		obsReg = obs.NewRegistry()
-		pool.Instrument(obsReg)
-		storage.Instrument(obsReg)
-		failpoint.Instrument(obsReg)
+	if *metrics || *traceOut != "" {
+		a.obs = obs.NewRegistry()
+		pool.Instrument(a.obs)
+		storage.Instrument(a.obs)
+		failpoint.Instrument(a.obs)
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "aimbench: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "aimbench: %v\n", err)
+				return 1
 			}
 			defer f.Close()
-			obsReg.SetTraceWriter(f)
+			a.obs.SetTraceWriter(f)
 		}
 	}
 
-	run := func(name string, f func() error) {
-		fmt.Printf("\n=== %s ===\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "aimbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		if *metrics {
-			fmt.Printf("\n--- metrics (%s) ---\n", name)
-			obsReg.WriteTo(os.Stdout)
-		}
+	type experiment struct {
+		name string
+		f    func() error
 	}
+	table2 := experiment{"Table II", func() error { return a.runTable2(*fast) }}
+	fig3 := experiment{"Figure 3", func() error { return a.runFig3(*product, *fast) }}
+	fig4 := func(bench string) experiment {
+		return experiment{"Figure 4 (" + bench + ")", func() error { return a.runFig4(bench, *fast) }}
+	}
+	fig5 := experiment{"Figure 5", func() error { return a.runFig5(*fast) }}
+	fig6 := experiment{"Figure 6", func() error { return a.runFig6(*fast) }}
+	continuous := experiment{"Continuous tuning (§VI-D)", func() error { return a.runContinuous(*fast) }}
 
+	var list []experiment
 	switch *exp {
 	case "table2":
-		run("Table II", func() error { return runTable2(*fast) })
+		list = []experiment{table2}
 	case "fig3":
-		run("Figure 3", func() error { return runFig3(*product, *fast) })
+		list = []experiment{fig3}
 	case "fig4":
-		run("Figure 4 ("+*bench+")", func() error { return runFig4(*bench, *fast) })
+		list = []experiment{fig4(*bench)}
 	case "fig5":
-		run("Figure 5", func() error { return runFig5(*fast) })
+		list = []experiment{fig5}
 	case "fig6":
-		run("Figure 6", func() error { return runFig6(*fast) })
+		list = []experiment{fig6}
 	case "continuous":
-		run("Continuous tuning (§VI-D)", func() error { return runContinuous(*fast) })
+		list = []experiment{continuous}
 	case "scenario":
-		run("Adversarial scenarios", func() error { return runScenarios(*scenario, *fast) })
+		list = []experiment{{"Adversarial scenarios", func() error { return a.runScenarios(*scenario, *fast) }}}
 	case "serve":
-		run("Live serving (aimd fleet)", func() error { return runServe(*fast, *workers) })
+		list = []experiment{{"Live serving (aimd fleet)", func() error { return a.runServe(*fast, *workers) }}}
 	case "all":
-		run("Table II", func() error { return runTable2(*fast) })
-		run("Figure 3", func() error { return runFig3(*product, *fast) })
-		run("Figure 4 (tpch)", func() error { return runFig4("tpch", *fast) })
-		run("Figure 4 (job)", func() error { return runFig4("job", *fast) })
-		run("Figure 5", func() error { return runFig5(*fast) })
-		run("Figure 6", func() error { return runFig6(*fast) })
-		run("Continuous tuning (§VI-D)", func() error { return runContinuous(*fast) })
+		list = []experiment{table2, fig3, fig4("tpch"), fig4("job"), fig5, fig6, continuous}
 	default:
-		fmt.Fprintf(os.Stderr, "aimbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "aimbench: unknown experiment %q\n", *exp)
+		return 2
 	}
+	for _, e := range list {
+		fmt.Fprintf(stdout, "\n=== %s ===\n", e.name)
+		if err := e.f(); err != nil {
+			fmt.Fprintf(stderr, "aimbench: %s: %v\n", e.name, err)
+			return 1
+		}
+		if *metrics {
+			fmt.Fprintf(stdout, "\n--- metrics (%s) ---\n", e.name)
+			a.obs.WriteTo(stdout)
+		}
+	}
+	return 0
 }
 
-func runTable2(fast bool) error {
+func (a *app) runTable2(fast bool) error {
 	opts := experiments.DefaultTable2Options()
-	opts.Obs = obsReg
+	opts.Obs = a.obs
 	specs := products.Catalog
 	if fast {
 		opts.WorkloadStatements = 300
@@ -153,7 +176,7 @@ func runTable2(fast bool) error {
 		}
 		specs = scaled
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Product\tTables\tJoinQ\tType\tDBA#\tAIM#\tDBA size\tAIM size\tJaccard")
 	for _, spec := range specs {
 		row, err := experiments.RunTable2Product(spec, opts)
@@ -169,13 +192,13 @@ func runTable2(fast bool) error {
 	return nil
 }
 
-func runFig3(product string, fast bool) error {
+func (a *app) runFig3(product string, fast bool) error {
 	spec, ok := products.SpecByName(product)
 	if !ok {
 		return fmt.Errorf("unknown product %q", product)
 	}
 	opts := experiments.DefaultFig3Options()
-	opts.Obs = obsReg
+	opts.Obs = a.obs
 	if fast {
 		spec.Tables = min(spec.Tables, 15)
 		spec.JoinQueries = min(spec.JoinQueries, 20)
@@ -187,8 +210,8 @@ func runFig3(product string, fast bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s — drop@t%d, AIM@t%d, builds@%v\n", res.Product, res.DropTick, res.AIMStartTick, res.IndexTicks)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(a.out, "%s — drop@t%d, AIM@t%d, builds@%v\n", res.Product, res.DropTick, res.AIMStartTick, res.IndexTicks)
+	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "tick\tcontrol CPU%\ttest CPU%\tcontrol tput\ttest tput\tevent")
 	for i := range res.Test.Ticks {
 		event := ""
@@ -210,9 +233,9 @@ func runFig3(product string, fast bool) error {
 	return w.Flush()
 }
 
-func runFig4(bench string, fast bool) error {
+func (a *app) runFig4(bench string, fast bool) error {
 	opts := experiments.DefaultFig4Options(bench)
-	opts.Obs = obsReg
+	opts.Obs = a.obs
 	if fast {
 		opts.Scale = 0.05
 		opts.BudgetFractions = []float64{0.25, 0.5, 1.0}
@@ -221,7 +244,7 @@ func runFig4(bench string, fast bool) error {
 	if err != nil {
 		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "budget\talgorithm\trel. cost\truntime\topt calls\tindexes")
 	for _, p := range res.Points {
 		fmt.Fprintf(w, "%s\t%s\t%.3f\t%s\t%d\t%d\n",
@@ -230,9 +253,9 @@ func runFig4(bench string, fast bool) error {
 	return w.Flush()
 }
 
-func runFig5(fast bool) error {
+func (a *app) runFig5(fast bool) error {
 	opts := experiments.DefaultFig5Options()
-	opts.Obs = obsReg
+	opts.Obs = a.obs
 	if fast {
 		opts.Scale = 0.05
 	}
@@ -245,7 +268,7 @@ func runFig5(fast bool) error {
 		algos = append(algos, a)
 	}
 	sort.Strings(algos)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "query\tunindexed")
 	for _, a := range algos {
 		fmt.Fprintf(w, "\t%s", a)
@@ -261,9 +284,9 @@ func runFig5(fast bool) error {
 	return w.Flush()
 }
 
-func runFig6(fast bool) error {
+func (a *app) runFig6(fast bool) error {
 	opts := experiments.DefaultFig6Options()
-	opts.Obs = obsReg
+	opts.Obs = a.obs
 	if fast {
 		opts.Rows = 1500
 		opts.PhaseTicks = 4
@@ -274,7 +297,7 @@ func runFig6(fast bool) error {
 	if err != nil {
 		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "tick\tAIM CPU%\tGIA CPU%\tAIM tput\tGIA tput\tphase")
 	for i := range res.AIM.Ticks {
 		phase := ""
@@ -288,79 +311,65 @@ func runFig6(fast bool) error {
 			res.AIM.Ticks[i].Throughput, res.GIA.Ticks[i].Throughput, phase)
 	}
 	w.Flush()
-	fmt.Printf("\nAIM vs GIA: throughput %+.1f%%, CPU %+.1f%% (paper: +27%%, -4.8%%)\n",
+	fmt.Fprintf(a.out, "\nAIM vs GIA: throughput %+.1f%%, CPU %+.1f%% (paper: +27%%, -4.8%%)\n",
 		res.ThroughputGainOverGIA()*100, -res.CPUReductionOverGIA()*100)
-	fmt.Printf("j=1→2 throughput gain: %+.1f%% (paper: +16%%); j=2→3: %+.1f%% (paper: insignificant)\n",
+	fmt.Fprintf(a.out, "j=1→2 throughput gain: %+.1f%% (paper: +16%%); j=2→3: %+.1f%% (paper: insignificant)\n",
 		res.J2GainOverJ1()*100, res.J3GainOverJ2()*100)
 	return nil
 }
 
-func runContinuous(fast bool) error {
-	opts := experiments.DefaultContinuousOptions()
-	opts.Obs = obsReg
-	if fast {
-		opts.Rows = 2000
-		opts.WindowStatements = 150
-	}
-	if contAuditOut != "" {
-		jrn, err := audit.Create(contAuditOut)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := jrn.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "aimbench: audit journal: %v\n", err)
-			}
-		}()
-		opts.Audit = jrn
-	}
-	if contTelemetryAddr != "" {
-		opts.TelemetryAddr = contTelemetryAddr
-		opts.OnTelemetryStart = func(addr string) {
-			fmt.Printf("telemetry on http://%s (/metricsz /statusz /healthz /debug/pprof)\n", addr)
-		}
-	}
-	res, err := experiments.RunContinuous(opts)
+// runContinuous is the §VI-D study: the codepush scenario through the same
+// runner as every other scenario, then the paper's figures read off the run.
+func (a *app) runContinuous(fast bool) error {
+	results, err := a.runScenarioList([]scenarios.Scenario{scenarios.NewCodePush()}, fast)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("window CPU: steady %.3fs -> shifted %.3fs -> re-tuned %.3fs\n",
-		res.Phase1CPU, res.Phase2CPU, res.Phase3CPU)
-	fmt.Printf("new indexes: %d (shadow gate accepted: %v)\n", res.NewIndexes, res.ShadowAccepted)
-	fmt.Printf("improved queries: %d (≥10x: %d); CPU saving: %.1f%%\n",
-		res.ImprovedQueries, res.OrderOfMagnitude, res.CPUSavingFraction*100)
-	fmt.Printf("data surge: %d regressions flagged, %d automation indexes reverted\n",
-		res.Phase4Regressions, res.RevertedIndexes)
+	res := results[0]
+	s := experiments.SummarizeCodePush(res)
+	fmt.Fprintf(a.out, "\nwindow CPU: steady %.3fs -> shifted %.3fs -> re-tuned %.3fs\n",
+		s.SteadyCPU, s.ShiftedCPU, s.RetunedCPU)
+	fmt.Fprintf(a.out, "new indexes: %d (shadow gate accepted: %v)\n", s.NewIndexes, s.ShadowAccepted)
+	fmt.Fprintf(a.out, "improved queries: %d (≥10x: %d); CPU saving: %.1f%%\n",
+		s.ImprovedQueries, s.OrderOfMagnitude, s.CPUSavingFraction*100)
+	fmt.Fprintf(a.out, "data surge in window %d: first revert in window %d, %d automation indexes reverted\n",
+		scenarios.CodeSurgeCycle+1, res.FirstRevertAfterTrap, res.Reverted)
 	return nil
 }
 
 // runScenarios drives the adversarial scenario suite outside the test
-// harness: each scenario runs its full profile (reduced with -fast), prints
-// the stability summary, and fails if any profile bound is violated.
-func runScenarios(name string, fast bool) error {
-	var list []scenarios.Scenario
-	if name == "all" {
-		list = scenarios.All()
-	} else {
+// harness.
+func (a *app) runScenarios(name string, fast bool) error {
+	list := scenarios.All()
+	if name != "all" {
 		sc, ok := scenarios.ByName(name)
 		if !ok {
 			return fmt.Errorf("unknown scenario %q (have %s)", name, strings.Join(scenarios.Names(), ", "))
 		}
 		list = []scenarios.Scenario{sc}
 	}
+	_, err := a.runScenarioList(list, fast)
+	return err
+}
+
+// runScenarioList runs each scenario at its full profile (reduced with
+// -fast), prints the stability summary, and fails if any profile bound is
+// violated.
+func (a *app) runScenarioList(list []scenarios.Scenario, fast bool) ([]*experiments.ScenarioResult, error) {
 	var jrn *audit.Journal
-	if contAuditOut != "" {
-		j, err := audit.Create(contAuditOut)
+	if a.auditOut != "" {
+		j, err := audit.Create(a.auditOut)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		jrn = j
 		defer func() {
 			if err := jrn.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "aimbench: audit journal: %v\n", err)
+				fmt.Fprintf(a.errw, "aimbench: audit journal: %v\n", err)
 			}
 		}()
 	}
+	var results []*experiments.ScenarioResult
 	violated := 0
 	for _, sc := range list {
 		p := sc.Profile()
@@ -369,21 +378,22 @@ func runScenarios(name string, fast bool) error {
 			cycles = p.ReducedCycles
 		}
 		res, err := experiments.RunScenario(sc, experiments.ScenarioOptions{
-			Cycles: cycles, Seed: 1, Obs: obsReg, Audit: jrn,
+			Cycles: cycles, Seed: 1, Obs: a.obs, Audit: jrn,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("\n%s — %s\n%s", sc.Name(), sc.Description(), res.Render())
+		results = append(results, res)
+		fmt.Fprintf(a.out, "\n%s — %s\n%s", sc.Name(), sc.Description(), res.Render())
 		for _, v := range res.Violations(p) {
 			violated++
-			fmt.Printf("VIOLATION: %s\n", v)
+			fmt.Fprintf(a.out, "VIOLATION: %s\n", v)
 		}
 	}
 	if violated > 0 {
-		return fmt.Errorf("%d stability bound(s) violated", violated)
+		return nil, fmt.Errorf("%d stability bound(s) violated", violated)
 	}
-	return nil
+	return results, nil
 }
 
 func sizeStr(b int64) string {

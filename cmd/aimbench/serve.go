@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"text/tabwriter"
 
@@ -13,7 +12,7 @@ import (
 // loopback with a seeded concurrent client fleet, swept across advisor
 // worker counts, cross-checked against the offline batch replay of the
 // same statement stream (see experiments.RunServeSuite).
-func runServe(fast bool, workers int) error {
+func (a *app) runServe(fast bool, workers int) error {
 	opts := experiments.DefaultServeSuiteOptions()
 	if fast {
 		opts.Clients = 4
@@ -28,8 +27,8 @@ func runServe(fast bool, workers int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reference index set (offline replay): %s\n", strings.Join(res.ReferenceKeys, ", "))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(a.out, "reference index set (offline replay): %s\n", strings.Join(res.ReferenceKeys, ", "))
+	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Workers\tStmts\tRows\tAdoptions\tReverted\tDrain(s)\tJournal")
 	for _, run := range res.Runs {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%.3f\t%d records\n",
@@ -38,9 +37,9 @@ func runServe(fast bool, workers int) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("verdicts (identical across workers and vs offline replay):")
+	fmt.Fprintln(a.out, "verdicts (identical across workers and vs offline replay):")
 	for _, line := range res.ReferenceVerdicts {
-		fmt.Println("  " + line)
+		fmt.Fprintln(a.out, "  "+line)
 	}
 	return nil
 }

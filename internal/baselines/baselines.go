@@ -1,7 +1,6 @@
 // Package baselines re-implements the index advisors AIM is compared
-// against in §VI-B: Extend (Schlosser et al., ICDE 2019), a DTA-style
-// anytime enumerator (Chaudhuri & Narasayya), the classic Drop heuristic
-// (Whang 1987) and a DB2Advis-style greedy (Valentin et al., ICDE 2000).
+// against in §VI-B: Extend (Schlosser et al., ICDE 2019) and a DTA-style
+// anytime enumerator (Chaudhuri & Narasayya).
 //
 // All of them drive the same what-if optimizer API as AIM, so the runtime
 // comparison — dominated by the number of optimizer calls (§VIII(a)) — is
@@ -200,17 +199,6 @@ func withIndex(config []*catalog.Index, ix *catalog.Index) []*catalog.Index {
 	return append(out, ix)
 }
 
-// without returns config \ {config[skip]} as a fresh slice.
-func without(config []*catalog.Index, skip int) []*catalog.Index {
-	out := make([]*catalog.Index, 0, len(config)-1)
-	for i, ix := range config {
-		if i != skip {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
 // containsKey reports whether config already holds an index with the key.
 func containsKey(config []*catalog.Index, key string) bool {
 	for _, ix := range config {
@@ -236,7 +224,7 @@ func dedupe(cols []string) []string {
 
 // queryColumnsByRole returns, for a single query and table instance, the
 // columns split by their structural role — used by per-query candidate
-// seeding in DTA and DB2Advis.
+// seeding in DTA.
 type roleColumns struct {
 	table string
 	eq    []string

@@ -49,8 +49,6 @@ func allAdvisors() []Advisor {
 		&AIM{J: 2, EnableCovering: true},
 		&Extend{MaxWidth: 3},
 		&DTA{MaxWidth: 3},
-		&Drop{MaxWidth: 3},
-		&DB2Advis{MaxWidth: 3},
 	}
 }
 
@@ -174,28 +172,6 @@ func TestDTATimeLimitIsAnytime(t *testing.T) {
 	// With a ~zero time limit the greedy phase stops immediately; the seed
 	// phase still runs, so it must return without error (possibly empty).
 	_ = res
-}
-
-func TestDropStartsBigEndsSmaller(t *testing.T) {
-	db, queries := analyticsDB(t)
-	res, err := (&Drop{MaxWidth: 2}).Recommend(db, queries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dead-weight candidates must have been dropped: the final config
-	// should be much smaller than the full enumeration.
-	full := 0
-	for _, q := range queries {
-		if q.IsDML() {
-			continue
-		}
-		for _, rc := range queryRoleColumns(db, q) {
-			full += len(enumerateCandidates(rc, 2))
-		}
-	}
-	if len(res.Indexes) >= full {
-		t.Fatalf("Drop kept everything: %d of %d", len(res.Indexes), full)
-	}
 }
 
 func TestEnumerateCandidatesShape(t *testing.T) {

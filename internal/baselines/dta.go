@@ -21,11 +21,12 @@ import (
 type DTA struct {
 	// MaxWidth caps enumerated index width.
 	MaxWidth int
-	// SeedsPerQuery keeps the top-k candidates per query.
-	SeedsPerQuery int
 	// TimeLimit aborts the greedy phase (anytime behaviour); 0 = none.
 	TimeLimit time.Duration
 }
+
+// dtaSeedsPerQuery is how many of a query's best candidates survive seeding.
+const dtaSeedsPerQuery = 4
 
 // Name implements Advisor.
 func (d *DTA) Name() string { return "DTA" }
@@ -37,10 +38,6 @@ func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 	maxWidth := d.MaxWidth
 	if maxWidth <= 0 {
 		maxWidth = 3
-	}
-	seeds := d.SeedsPerQuery
-	if seeds <= 0 {
-		seeds = 4
 	}
 
 	// Phase 1: per-query candidate seeding — each query's enumeration and
@@ -72,8 +69,8 @@ func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 			}
 		}
 		sort.SliceStable(perQuery, func(i, j int) bool { return perQuery[i].cost < perQuery[j].cost })
-		if len(perQuery) > seeds {
-			perQuery = perQuery[:seeds]
+		if len(perQuery) > dtaSeedsPerQuery {
+			perQuery = perQuery[:dtaSeedsPerQuery]
 		}
 		perQ[qi] = perQuery
 	})

@@ -75,16 +75,6 @@ func (t *Table) PrimaryKeyNames() []string {
 	return out
 }
 
-// IsPrimaryKeyColumn reports whether ordinal is part of the primary key.
-func (t *Table) IsPrimaryKeyColumn(ordinal int) bool {
-	for _, o := range t.PrimaryKey {
-		if o == ordinal {
-			return true
-		}
-	}
-	return false
-}
-
 // Index describes a secondary index. Hypothetical (dataless) indexes carry
 // statistics but no materialized entries; the optimizer can cost plans with
 // them exactly as with real indexes.
@@ -262,17 +252,6 @@ func (s *Schema) Indexes() []*Index {
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TableIndexes returns the indexes on the named table, sorted by name.
-func (s *Schema) TableIndexes(table string) []*Index {
-	var out []*Index
-	for _, ix := range s.Indexes() {
-		if strings.EqualFold(ix.Table, table) {
-			out = append(out, ix)
-		}
-	}
 	return out
 }
 

@@ -28,8 +28,6 @@ type Config struct {
 	// SeekThreshold is the estimated PK-lookup count at which covering
 	// indexes become worthwhile (high for SSDs, §III-D).
 	SeekThreshold float64
-	// CoveringMinExecutions gates covering candidates to hot queries.
-	CoveringMinExecutions int64
 	// Selection configures representative workload selection.
 	Selection workload.SelectionConfig
 	// Ablation knobs (see DESIGN.md): disable partial-order merging, use
@@ -163,14 +161,13 @@ func (a *Advisor) RecommendQueries(rep []*workload.QueryStats) (*Recommendation,
 	defer root.End()
 
 	gen := &Generator{
-		DB:                    a.DB,
-		J:                     a.Cfg.J,
-		EnableCovering:        a.Cfg.EnableCovering,
-		SeekThreshold:         a.Cfg.SeekThreshold,
-		CoveringMinExecutions: a.Cfg.CoveringMinExecutions,
-		DisableMerging:        a.Cfg.DisableMerging,
-		ArbitraryRangeColumn:  a.Cfg.ArbitraryRangeColumn,
-		Parallelism:           a.Cfg.Parallelism,
+		DB:                   a.DB,
+		J:                    a.Cfg.J,
+		EnableCovering:       a.Cfg.EnableCovering,
+		SeekThreshold:        a.Cfg.SeekThreshold,
+		DisableMerging:       a.Cfg.DisableMerging,
+		ArbitraryRangeColumn: a.Cfg.ArbitraryRangeColumn,
+		Parallelism:          a.Cfg.Parallelism,
 	}
 	genSpan := root.Child("generate")
 	gen.span = genSpan

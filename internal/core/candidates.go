@@ -28,9 +28,6 @@ type Generator struct {
 	// index is worth its extra storage (§III-D); "high for fast storage
 	// media such as SSDs".
 	SeekThreshold float64
-	// CoveringMinExecutions additionally requires a query to be hot before
-	// covering candidates are generated for it.
-	CoveringMinExecutions int64
 	// DisableMerging skips the §III-E partial-order merge fixpoint
 	// (ablation knob: each query keeps only its own candidates).
 	DisableMerging bool
@@ -93,7 +90,7 @@ func (g *Generator) GenerateCandidates(queries []*workload.QueryStats) []*Partia
 		if err != nil {
 			return // e.g. table since dropped
 		}
-		mode := g.TryCoveringIndex(q, sel, info)
+		mode := g.TryCoveringIndex(sel, info)
 		src := Source{Normalized: q.Normalized, Covering: mode}
 		var out []*PartialOrder
 		out = append(out, g.forSelection(sel, info, mode, src)...)
@@ -134,8 +131,8 @@ func dedupePartialOrders(pos []*PartialOrder) []*PartialOrder {
 // for a query (§III-D): selectivity cannot be improved further (the current
 // best plan already binds every IPP column) yet the plan still performs
 // many primary-key lookups.
-func (g *Generator) TryCoveringIndex(q *workload.QueryStats, sel *sqlparser.Select, info *queryinfo.Info) bool {
-	if !g.EnableCovering || q.Executions < g.CoveringMinExecutions {
+func (g *Generator) TryCoveringIndex(sel *sqlparser.Select, info *queryinfo.Info) bool {
+	if !g.EnableCovering {
 		return false
 	}
 	g.mCoveringProbes.Inc()

@@ -274,19 +274,19 @@ func TestTryCoveringIndexRequiresExistingPrefixIndex(t *testing.T) {
 	g.SeekThreshold = 20
 	// No index exists yet: selectivity can still be improved, so covering
 	// mode must be off.
-	if g.TryCoveringIndex(q, sel, info) {
+	if g.TryCoveringIndex(sel, info) {
 		t.Fatal("covering should not trigger without a prefix index")
 	}
 	// After materializing the IPP prefix index, the plan performs many PK
 	// lookups and covering becomes worthwhile.
 	db.MustExec("CREATE INDEX t1_c1 ON t1 (col1)")
 	db.Analyze()
-	if !g.TryCoveringIndex(q, sel, info) {
+	if !g.TryCoveringIndex(sel, info) {
 		t.Fatal("covering should trigger with prefix index and many seeks")
 	}
 	// A tiny seek threshold query (very selective) must not trigger.
 	g.SeekThreshold = 1e12
-	if g.TryCoveringIndex(q, sel, info) {
+	if g.TryCoveringIndex(sel, info) {
 		t.Fatal("covering triggered below seek threshold")
 	}
 }

@@ -123,7 +123,7 @@ func goldenRun(t *testing.T, build func(testing.TB) (*engine.DB, []string), para
 		// Full observability on: registry, span tracing, pool metrics. The
 		// recommendation must be byte-identical to an uninstrumented run.
 		reg := obs.NewRegistry()
-		reg.SetTraceWriter(&obs.TraceBuffer{})
+		reg.SetTraceWriter(&strings.Builder{})
 		db.SetObs(reg)
 		pool.Instrument(reg)
 		defer pool.Instrument(nil)

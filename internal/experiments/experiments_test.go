@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"aim/internal/baselines"
+	"aim/internal/engine"
+	"aim/internal/scenarios"
 	"aim/internal/sim"
+	"aim/internal/workload"
 	"aim/internal/workloads/products"
 )
 
@@ -121,6 +124,46 @@ func TestRunFig4TPCHShape(t *testing.T) {
 	}
 }
 
+// missProbe wraps an advisor and records the budget and the what-if cache
+// misses of its last Recommend call.
+type missProbe struct {
+	baselines.Advisor
+	budget, misses int64
+}
+
+func (p *missProbe) Recommend(db *engine.DB, queries []*workload.QueryStats, budget int64) (*baselines.Result, error) {
+	before := db.WhatIf.CacheStats()
+	res, err := p.Advisor.Recommend(db, queries, budget)
+	p.budget, p.misses = budget, db.WhatIf.CacheStats().Delta(before).Misses
+	return res, err
+}
+
+// TestRunFig4PointsStartCold: a Fig. 4 point's runtime must not include memo
+// replay of estimates computed by the algorithms before it. DTA warms the
+// cache, then Extend — whose candidates overlap DTA's — must miss exactly as
+// often as on a database nobody has costed anything on.
+func TestRunFig4PointsStartCold(t *testing.T) {
+	opts := DefaultFig4Options("tpch")
+	opts.Scale = 0.05
+	opts.BudgetFractions = []float64{0.5}
+	probe := &missProbe{Advisor: &baselines.Extend{MaxWidth: opts.MaxWidth}}
+	opts.Algorithms = []baselines.Advisor{&baselines.DTA{MaxWidth: opts.MaxWidth}, probe}
+	if _, err := RunFig4(opts); err != nil {
+		t.Fatal(err)
+	}
+	db, queries, err := buildBenchmark(opts.Benchmark, opts.Scale, opts.Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &missProbe{Advisor: probe.Advisor}
+	if _, err := fresh.Recommend(db, queries, probe.budget); err != nil {
+		t.Fatal(err)
+	}
+	if probe.misses != fresh.misses || fresh.misses == 0 {
+		t.Errorf("Extend after DTA missed the what-if cache %d times, on a fresh database %d times", probe.misses, fresh.misses)
+	}
+}
+
 func TestRunFig4JOBShape(t *testing.T) {
 	opts := DefaultFig4Options("job")
 	opts.Scale = 0.05
@@ -200,27 +243,32 @@ func TestRunFig6JoinParameter(t *testing.T) {
 	}
 }
 
+// TestRunContinuousTuning is the §VI-D reading of the codepush scenario: the
+// cycle that closes the shifted window proposes the fix, the gate accepts it,
+// and the re-tuned windows are cheaper than the shifted one.
 func TestRunContinuousTuning(t *testing.T) {
-	opts := DefaultContinuousOptions()
-	opts.Rows = 2000
-	opts.WindowStatements = 120
-	res, err := RunContinuous(opts)
+	sc := scenarios.NewCodePush()
+	run, err := RunScenario(sc, ScenarioOptions{Cycles: sc.Profile().ReducedCycles, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := SummarizeCodePush(run)
 	if res.NewIndexes == 0 {
 		t.Fatal("shift did not trigger new indexes")
 	}
 	if !res.ShadowAccepted {
 		t.Fatal("shadow gate rejected the fix")
 	}
-	if res.Phase3CPU >= res.Phase2CPU {
-		t.Errorf("re-tuning did not save CPU: %v -> %v", res.Phase2CPU, res.Phase3CPU)
+	if res.RetunedCPU >= res.ShiftedCPU {
+		t.Errorf("re-tuning did not save CPU: %v -> %v", res.ShiftedCPU, res.RetunedCPU)
 	}
 	if res.ImprovedQueries == 0 {
 		t.Error("no queries improved")
 	}
 	if res.CPUSavingFraction <= 0 {
 		t.Error("no savings fraction")
+	}
+	if res.OrderOfMagnitude == 0 {
+		t.Error("no query improved by an order of magnitude")
 	}
 }

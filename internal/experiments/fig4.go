@@ -1,8 +1,8 @@
 // Package experiments contains the harnesses that regenerate every table
 // and figure of the paper's evaluation (§VI): Table II, Figures 3-6 and the
-// continuous-tuning study. Each harness returns structured rows/series; the
-// aimbench command prints them and bench_test.go wraps them as Go
-// benchmarks. Absolute numbers differ from the paper (different substrate);
+// continuous-tuning study (the codepush scenario). Each harness returns
+// structured rows/series; the aimbench command prints them and bench_test.go
+// wraps them as Go benchmarks. Absolute numbers differ from the paper (different substrate);
 // the shapes — who wins, AIM's flat runtime, crossovers at small budgets —
 // are the reproduction target.
 package experiments
@@ -135,6 +135,10 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	for _, frac := range opts.BudgetFractions {
 		budget := int64(float64(fullBytes) * frac)
 		for _, algo := range opts.Algorithms {
+			// Every point starts cold: Runtime is what the algorithm costs
+			// alone, not what is left after replaying estimates memoized by
+			// other algorithms at earlier budgets.
+			db.WhatIf.Invalidate()
 			r, err := algo.Recommend(db, queries, budget)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s: %v", algo.Name(), err)

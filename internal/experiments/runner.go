@@ -22,22 +22,23 @@ type Loop struct {
 	// surges) at the start of each cycle, before the window executes.
 	Advance func(db *engine.DB, cycle int, r *rand.Rand) error
 	R       *rand.Rand
-
-	cycles int // RunCycle calls so far
+	// WindowCPU is the modelled CPU of each window run so far, one entry per
+	// RunCycle call.
+	WindowCPU []float64
 }
 
 // RunCycle advances the scenario, executes and records a window of
 // windowStatements sampled statements (failed ones contribute no load and
 // are not observed), and runs one tuning cycle over it.
 func (l *Loop) RunCycle(windowStatements int) error {
-	cycle := l.cycles
-	l.cycles++
+	cycle := len(l.WindowCPU)
 	if l.Advance != nil {
 		if err := l.Advance(l.DB, cycle, l.R); err != nil {
 			return fmt.Errorf("advance cycle %d: %v", cycle, err)
 		}
 	}
 	mon := workload.NewMonitor()
+	cpu := 0.0
 	for i := 0; i < windowStatements; i++ {
 		sql := l.Sample(cycle, l.R)
 		res, err := l.DB.Exec(sql)
@@ -45,7 +46,9 @@ func (l *Loop) RunCycle(windowStatements int) error {
 			continue
 		}
 		mon.Record(sql, res.Stats)
+		cpu += res.Stats.CPUSeconds()
 	}
+	l.WindowCPU = append(l.WindowCPU, cpu)
 	_, err := l.Run(mon)
 	return err
 }

@@ -59,6 +59,12 @@ type ScenarioResult struct {
 	// Transitions is the deterministic per-key adopt/revert rendering,
 	// compared byte for byte across worker counts.
 	Transitions string
+
+	// WindowCPU is each cycle's modelled window CPU and Accepted the shadow
+	// report of each cycle whose gate accepted (nil elsewhere); both are
+	// indexed by cycle and set by RunScenario only. Neither is rendered.
+	WindowCPU []float64
+	Accepted  []*shadow.Report
 }
 
 // Render writes the result as a stable, worker-count-independent summary.
@@ -170,6 +176,13 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 		Advance: sc.Advance,
 		R:       r,
 	}
+	accepted := make([]*shadow.Report, cycles)
+	loop.OnReport = func(rep *shadow.Report) {
+		if rep.Accepted {
+			// RunCycle books the window's CPU before it runs the cycle.
+			accepted[len(loop.WindowCPU)-1] = rep
+		}
+	}
 	for i := 0; i < cycles; i++ {
 		if err := loop.RunCycle(p.WindowStatements); err != nil {
 			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
@@ -178,7 +191,9 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
 		}
 	}
-	return scenarioResult(sc, cycles, &loop.Cycle, db), nil
+	res := scenarioResult(sc, cycles, &loop.Cycle, db)
+	res.WindowCPU, res.Accepted = loop.WindowCPU, accepted
+	return res, nil
 }
 
 // scenarioDetector builds the regression detector the profile's loop policy

@@ -117,7 +117,7 @@ func TestTuningLoopUnderScenarios(t *testing.T) {
 // transition history, rendered summary and (timestamp-stripped) decision
 // journal — whether the advisor's what-if pools run 1, 2 or 4 workers wide.
 func TestScenarioWorkerDeterminism(t *testing.T) {
-	for _, name := range []string{"drift", "writetrap"} {
+	for _, name := range []string{"drift", "writetrap", "codepush"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var renders, journals []string
@@ -197,18 +197,20 @@ func stripTimestamps(journal string) string {
 	return tsField.ReplaceAllString(journal, "")
 }
 
-// TestScenariosLive runs the two protections the live tuner used to lack —
-// the maintenance-economics guard (writetrap) and unused-index retirement
-// (flashcrowd) — where they matter: a real server on loopback, statements
-// and OpTune over TCP, the tuning cycle taking the statement gate. The
-// profile's policy is set on the server's tuner (server.New leaves it off),
-// a one-client fleet replays the scenario's own statement stream one window
-// per round, and the run must satisfy the profile's stability bounds and
-// render byte-identically to the offline RunScenario of the same seed. Both
-// scenarios have a no-op Advance, so the stream is all there is to replay.
+// TestScenariosLive runs the scenarios where their protections matter — the
+// maintenance-economics guard (writetrap), unused-index retirement
+// (flashcrowd), confirmation and anchoring (diurnal, drift): a real server
+// on loopback, statements and OpTune over TCP, the tuning cycle taking the
+// statement gate. The profile's policy is set on the server's tuner
+// (server.New leaves it off), a one-client fleet replays the scenario's own
+// statement stream one window per round, and the run must satisfy the
+// profile's stability bounds and render byte-identically to the offline
+// RunScenario of the same seed. These are the scenarios whose Advance is a
+// no-op, so the stream is all there is to replay; migration and codepush
+// stay offline until Advance can run under the write gate.
 func TestScenariosLive(t *testing.T) {
 	const seed = 1
-	for _, name := range []string{"writetrap", "flashcrowd"} {
+	for _, name := range []string{"writetrap", "flashcrowd", "diurnal", "drift"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			offline, _ := scenarios.ByName(name)

@@ -24,8 +24,6 @@ type Table2Row struct {
 
 // Table2Options parameterizes the comparison.
 type Table2Options struct {
-	// Products restricts which specs run (nil = all of Table II).
-	Products []products.Spec
 	// WorkloadStatements is how many statements are replayed to build the
 	// observed workload window.
 	WorkloadStatements int
@@ -36,12 +34,12 @@ type Table2Options struct {
 	Obs *obs.Registry
 }
 
-// DefaultTable2Options runs every product with a moderate window.
+// DefaultTable2Options replays a moderate window.
 func DefaultTable2Options() Table2Options {
 	return Table2Options{WorkloadStatements: 1500, Seed: 5, J: 2}
 }
 
-// RunTable2 reproduces the Table II experiment for one product: replay the
+// RunTable2Product reproduces the Table II experiment for one product: replay the
 // workload on the unindexed database, run AIM from scratch, and compare
 // the resulting set with the DBA's.
 func RunTable2Product(spec products.Spec, opts Table2Options) (*Table2Row, error) {
@@ -89,23 +87,6 @@ func RunTable2Product(spec products.Spec, opts Table2Options) (*Table2Row, error
 	}
 	row.AIMBytes = rec.TotalCreateBytes()
 	return row, nil
-}
-
-// RunTable2 runs the comparison for every requested product.
-func RunTable2(opts Table2Options) ([]*Table2Row, error) {
-	specs := opts.Products
-	if specs == nil {
-		specs = products.Catalog
-	}
-	var rows []*Table2Row
-	for _, spec := range specs {
-		row, err := RunTable2Product(spec, opts)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // replayProduct executes sampled statements and collects the monitor.

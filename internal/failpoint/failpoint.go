@@ -194,9 +194,6 @@ func Activate(r *Registry) {
 	active.Store(r)
 }
 
-// Active returns the currently armed registry (nil when disabled).
-func Active() *Registry { return active.Load() }
-
 // Enabled reports whether any registry is armed.
 func Enabled() bool { return active.Load() != nil }
 

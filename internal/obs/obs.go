@@ -161,15 +161,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Mean returns Sum/Count (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // BucketCount is one non-empty histogram bucket in a snapshot: the count of
 // observations that fell inside (UpperBound's bucket, non-cumulative).
 type BucketCount struct {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -174,7 +173,7 @@ func TestWriteToSnapshot(t *testing.T) {
 
 func TestSpanTraceJSON(t *testing.T) {
 	r := NewRegistry()
-	var buf TraceBuffer
+	var buf strings.Builder
 	r.SetTraceWriter(&buf)
 	root := r.StartSpan("advisor")
 	child := root.Child("generate")
@@ -210,61 +209,6 @@ func TestSpanTraceJSON(t *testing.T) {
 	}
 }
 
-// TestTraceBufferRotation drives the byte-capped trace sink across the
-// rotation boundary: the write that pushes the buffer over the limit must
-// evict whole oldest lines (never partial ones), and a single line larger
-// than the limit is truncated with a visible marker so the cap stays a hard
-// bound without silently discarding the span.
-func TestTraceBufferRotation(t *testing.T) {
-	line := func(i int) string { return fmt.Sprintf("{\"id\":%03d}\n", i) } // fixed 11 bytes
-	tb := NewTraceBuffer(3 * len(line(0)))
-
-	// Exactly at the limit: nothing dropped.
-	for i := 0; i < 3; i++ {
-		tb.Write([]byte(line(i)))
-	}
-	if tb.Dropped() != 0 || tb.Len() != 3*len(line(0)) {
-		t.Fatalf("at boundary: dropped=%d len=%d", tb.Dropped(), tb.Len())
-	}
-	// One byte over: exactly one whole oldest line goes.
-	tb.Write([]byte(line(3)))
-	if tb.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", tb.Dropped())
-	}
-	if got, want := tb.String(), line(1)+line(2)+line(3); got != want {
-		t.Fatalf("after rotation:\n got %q\nwant %q", got, want)
-	}
-
-	// A burst lands and only the newest lines survive.
-	for i := 4; i < 20; i++ {
-		tb.Write([]byte(line(i)))
-	}
-	if got, want := tb.String(), line(17)+line(18)+line(19); got != want {
-		t.Fatalf("after burst:\n got %q\nwant %q", got, want)
-	}
-
-	// An oversized single line cannot wedge the buffer above the cap: it is
-	// truncated in place and flagged with the marker.
-	huge := strings.Repeat("x", 4*len(line(0))) // no trailing newline yet
-	tb.Write([]byte(huge))
-	if tb.Len() > 3*len(line(0)) {
-		t.Fatalf("oversized line wedged buffer above cap: len=%d", tb.Len())
-	}
-	if got := tb.String(); !strings.HasSuffix(got, traceTruncMarker) || !strings.HasPrefix(got, "xxx") {
-		t.Fatalf("oversized line not truncated-with-marker: %q", got)
-	}
-
-	// Shrinking the limit evicts immediately.
-	tb2 := &TraceBuffer{} // zero value: unbounded
-	for i := 0; i < 5; i++ {
-		tb2.Write([]byte(line(i)))
-	}
-	tb2.SetLimit(2 * len(line(0)))
-	if got, want := tb2.String(), line(3)+line(4); got != want {
-		t.Fatalf("after SetLimit:\n got %q\nwant %q", got, want)
-	}
-}
-
 // TestHistogramSnapshotBuckets pins the bucket export the Prometheus
 // endpoint renders: non-empty buckets only, ascending power-of-two upper
 // bounds, counts matching the observations.
@@ -292,49 +236,12 @@ func TestHistogramSnapshotBuckets(t *testing.T) {
 	}
 }
 
-// TestTraceBufferTruncateMarker is the regression for single-line rotation:
-// a complete line (trailing newline present) that alone exceeds the limit
-// must be truncated with the marker, not kept verbatim and not silently
-// dropped — and a limit smaller than the marker still holds as a hard cap.
-func TestTraceBufferTruncateMarker(t *testing.T) {
-	tb := NewTraceBuffer(24)
-	before := tb.Dropped()
-	tb.Write([]byte(strings.Repeat("y", 40) + "\n")) // one complete oversized line
-	if tb.Dropped() != before+1 {
-		t.Fatalf("dropped = %d, want %d", tb.Dropped(), before+1)
-	}
-	if tb.Len() > 24 {
-		t.Fatalf("cap violated: len=%d", tb.Len())
-	}
-	got := tb.String()
-	if !strings.HasSuffix(got, traceTruncMarker) {
-		t.Fatalf("missing marker: %q", got)
-	}
-	if !strings.HasPrefix(got, "yyy") {
-		t.Fatalf("head of line not preserved: %q", got)
-	}
-
-	// Writes after a truncation start cleanly on a new line.
-	tb.Write([]byte("{\"id\":1}\n"))
-	lines := strings.Split(strings.TrimSuffix(tb.String(), "\n"), "\n")
-	if last := lines[len(lines)-1]; last != "{\"id\":1}" {
-		t.Fatalf("post-truncation line corrupted: %q (buffer %q)", last, tb.String())
-	}
-
-	// Limit below the marker size: still a hard bound.
-	tiny := NewTraceBuffer(5)
-	tiny.Write([]byte(strings.Repeat("z", 30) + "\n"))
-	if tiny.Len() > 5 {
-		t.Fatalf("tiny cap violated: len=%d", tiny.Len())
-	}
-}
-
 // TestSpanAnnotate pins the trace-line annotation format the flight recorder
 // relies on: key/value pairs appended to the span JSON, absent when no
 // annotations were made, and nil-safe.
 func TestSpanAnnotate(t *testing.T) {
 	r := NewRegistry()
-	var buf TraceBuffer
+	var buf strings.Builder
 	r.SetTraceWriter(&buf)
 
 	r.StartSpan("server/stmt").

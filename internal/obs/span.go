@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -109,9 +107,8 @@ func (r *Registry) emitTrace(s *Span, d time.Duration) {
 	if r.trace == nil {
 		return
 	}
-	// The line is built up front and handed to the sink in one Write:
-	// bounded sinks (TraceBuffer) evict on line boundaries, so a span must
-	// never arrive split across writes.
+	// The line is built up front and handed to the sink in one Write, so a
+	// span never arrives split across writes.
 	line := fmt.Appendf(nil, `{"name":%q,"id":%d,"parent":%d,"start_us":%d,"dur_us":%.1f`,
 		s.name, s.id, s.parent, s.start.UnixMicro(), float64(d.Nanoseconds())/1e3)
 	for _, a := range s.attrs {
@@ -119,95 +116,4 @@ func (r *Registry) emitTrace(s *Span, d time.Duration) {
 	}
 	line = append(line, '}', '\n')
 	r.trace.Write(line)
-}
-
-// TraceBuffer is a minimal in-memory trace sink for tests and for callers
-// that want to post-process spans without a file. The zero value buffers
-// without bound; long-lived sinks (a continuous-tuning loop with tracing
-// attached) should set a byte limit so the buffer cannot grow memory
-// unboundedly — once over the limit, whole oldest lines are dropped first.
-type TraceBuffer struct {
-	mu      sync.Mutex
-	limit   int
-	buf     []byte
-	dropped int64
-}
-
-// NewTraceBuffer returns a trace sink capped at limitBytes (0 = unbounded,
-// equivalent to the zero value).
-func NewTraceBuffer(limitBytes int) *TraceBuffer {
-	return &TraceBuffer{limit: limitBytes}
-}
-
-// SetLimit changes the byte cap (0 = unbounded) and immediately evicts
-// oldest lines if the buffered content already exceeds it.
-func (t *TraceBuffer) SetLimit(limitBytes int) {
-	t.mu.Lock()
-	t.limit = limitBytes
-	t.evictLocked()
-	t.mu.Unlock()
-}
-
-// Write implements io.Writer.
-func (t *TraceBuffer) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = append(t.buf, p...)
-	t.evictLocked()
-	return len(p), nil
-}
-
-// traceTruncMarker replaces the tail of a span line that alone exceeds the
-// buffer limit. Consumers treat any line ending in the marker as damaged.
-const traceTruncMarker = "...truncated\n"
-
-// evictLocked drops whole lines from the front until the buffer fits the
-// limit. When the buffer is down to a single line that still exceeds the
-// limit, the line is truncated in place with traceTruncMarker appended —
-// the cap is a hard memory bound, and the marker makes the damage visible
-// instead of silently discarding the span.
-func (t *TraceBuffer) evictLocked() {
-	if t.limit <= 0 {
-		return
-	}
-	for len(t.buf) > t.limit {
-		nl := bytes.IndexByte(t.buf, '\n')
-		if nl < 0 || nl == len(t.buf)-1 {
-			// One line left (complete or still being appended to) and it is
-			// over the limit by itself: truncate with marker.
-			t.dropped++
-			keep := t.limit - len(traceTruncMarker)
-			if keep < 0 {
-				keep = 0
-			}
-			t.buf = append(t.buf[:keep], traceTruncMarker...)
-			if len(t.buf) > t.limit {
-				t.buf = t.buf[:t.limit]
-			}
-			return
-		}
-		t.buf = t.buf[nl+1:]
-		t.dropped++
-	}
-}
-
-// Dropped returns how many lines rotation has discarded.
-func (t *TraceBuffer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Len returns the buffered byte count.
-func (t *TraceBuffer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
-// String returns the buffered JSON lines.
-func (t *TraceBuffer) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return string(t.buf)
 }

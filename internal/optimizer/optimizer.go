@@ -51,9 +51,6 @@ func New(schema *catalog.Schema, sp StatsProvider) *Optimizer {
 // made so far. Index advisors are compared on this, per §VIII(a).
 func (o *Optimizer) Calls() int64 { return atomic.LoadInt64(&o.calls) }
 
-// ResetCalls zeroes the invocation counter.
-func (o *Optimizer) ResetCalls() { atomic.StoreInt64(&o.calls, 0) }
-
 // AddCalls adds n logical invocations to the counter. The cost cache uses
 // it to replay the calls a memoized estimate originally consumed, so that
 // Calls() stays the §VIII(a) what-if invocation count independent of
@@ -557,26 +554,5 @@ func whereToSelect(table string, where sqlparser.Expr) *sqlparser.Select {
 		Tables: []*sqlparser.TableRef{{Name: table}},
 		Where:  where,
 		Limit:  -1,
-	}
-}
-
-// EstimateStatement dispatches to EstimateSelect or EstimateDML, returning
-// a single comparable cost.
-func (o *Optimizer) EstimateStatement(stmt sqlparser.Statement, extra []*catalog.Index) (float64, error) {
-	switch s := stmt.(type) {
-	case *sqlparser.Select:
-		est, err := o.EstimateSelect(s, extra)
-		if err != nil {
-			return 0, err
-		}
-		return est.Cost, nil
-	case *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
-		est, err := o.EstimateDML(s, extra)
-		if err != nil {
-			return 0, err
-		}
-		return est.TotalCost(), nil
-	default:
-		return 0, fmt.Errorf("optimizer: cannot estimate %T", stmt)
 	}
 }

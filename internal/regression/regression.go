@@ -345,35 +345,22 @@ func (d *Detector) Baselines() []Baseline {
 var revertPolicy = failpoint.Policy{Attempts: 5, Base: time.Millisecond, Max: 16 * time.Millisecond, Deadline: 500 * time.Millisecond}
 
 // Revert drops the suspect automation-created indexes of the given
-// regressions. It returns the dropped index names. Suspects already dropped
-// (by an earlier call or a duplicate regression) are skipped, so Revert is
-// idempotent. Failed drops are retried with backoff; an index that still
-// cannot be dropped is surfaced through the regression.revert_failures and
-// faults.degraded counters and left for the next detection window — the
-// regression keeps flagging it, so the revert is re-attempted until it
-// lands.
-func Revert(db *engine.DB, regs []*Regression) []string {
-	names, _ := revert(db, regs)
-	return names
-}
-
-// Revert is the detector-aware variant of the package-level Revert: it drops
-// the suspects identically and additionally registers every dropped index
-// with the revert cooldown, so the loop's next cycles neither re-suspect nor
-// re-adopt it until the cooldown expires. It returns the dropped indexes'
-// canonical catalog keys.
+// regressions and registers every dropped index with the revert cooldown, so
+// the loop's next cycles neither re-suspect nor re-adopt it until the
+// cooldown expires. It returns the dropped indexes' canonical catalog keys.
+// Suspects already dropped (by an earlier call or a duplicate regression) are
+// skipped, so Revert is idempotent. Failed drops are retried with backoff; an
+// index that still cannot be dropped is surfaced through the
+// regression.revert_failures and faults.degraded counters and left for the
+// next detection window — the regression keeps flagging it, so the revert is
+// re-attempted until it lands.
 func (d *Detector) Revert(db *engine.DB, regs []*Regression) []string {
-	_, keys := revert(db, regs)
-	d.NoteReverted(keys...)
-	return keys
-}
-
-func revert(db *engine.DB, regs []*Regression) (names, keys []string) {
 	span := db.ObsRegistry().StartSpan("regression/revert")
 	defer span.End()
 	jrn := db.AuditJournal()
 	failures := 0
 	seen := map[string]bool{}
+	var keys []string
 	for _, r := range regs {
 		for _, ix := range r.SuspectIndexes {
 			if seen[ix.Name] {
@@ -397,7 +384,6 @@ func revert(db *engine.DB, regs []*Regression) (names, keys []string) {
 				failures++
 				continue
 			}
-			names = append(names, name)
 			keys = append(keys, ix.Key())
 			if jrn != nil {
 				reason := r.ReasonCode
@@ -424,8 +410,9 @@ func revert(db *engine.DB, regs []*Regression) (names, keys []string) {
 			failpoint.CountDegraded()
 		}
 	}
-	if len(names) > 0 {
-		db.ObsRegistry().Counter("regression.reverted_indexes").Add(int64(len(names)))
+	if len(keys) > 0 {
+		db.ObsRegistry().Counter("regression.reverted_indexes").Add(int64(len(keys)))
 	}
-	return names, keys
+	d.NoteReverted(keys...)
+	return keys
 }

@@ -48,7 +48,7 @@ func TestRevertSkipsAlreadyDroppedIndex(t *testing.T) {
 	if _, err := db.DropIndex(ix.Name); err != nil {
 		t.Fatal(err)
 	}
-	if dropped := Revert(db, regressionFor(ix)); len(dropped) != 0 {
+	if dropped := NewDetector(0.5).Revert(db, regressionFor(ix)); len(dropped) != 0 {
 		t.Fatalf("dropped = %v", dropped)
 	}
 }
@@ -59,8 +59,8 @@ func TestRevertRetriesTransientDropFailure(t *testing.T) {
 	db := fixture(t)
 	ix := suspectIndex(t, db)
 	arm(t, "engine.drop_index=err()@1-2")
-	dropped := Revert(db, regressionFor(ix))
-	if len(dropped) != 1 || dropped[0] != ix.Name {
+	dropped := NewDetector(0.5).Revert(db, regressionFor(ix))
+	if len(dropped) != 1 || dropped[0] != ix.Key() {
 		t.Fatalf("dropped = %v", dropped)
 	}
 	if db.Schema.Index(ix.Name) != nil {
@@ -78,7 +78,7 @@ func TestRevertSurfacesPersistentDropFailure(t *testing.T) {
 	db.SetObs(reg)
 	ix := suspectIndex(t, db)
 	arm(t, "engine.drop_index=err(1)")
-	if dropped := Revert(db, regressionFor(ix)); len(dropped) != 0 {
+	if dropped := NewDetector(0.5).Revert(db, regressionFor(ix)); len(dropped) != 0 {
 		t.Fatalf("dropped = %v", dropped)
 	}
 	if db.Schema.Index(ix.Name) == nil || db.Store.Table("t").Index(ix.Name) == nil {
@@ -90,7 +90,7 @@ func TestRevertSurfacesPersistentDropFailure(t *testing.T) {
 	// The outage clears; the regression is still flagged next window and the
 	// re-attempted revert lands.
 	failpoint.Activate(nil)
-	dropped := Revert(db, regressionFor(ix))
+	dropped := NewDetector(0.5).Revert(db, regressionFor(ix))
 	if len(dropped) != 1 {
 		t.Fatalf("re-attempt dropped = %v", dropped)
 	}
@@ -105,7 +105,7 @@ func TestRevertDeduplicatesSuspects(t *testing.T) {
 	db := fixture(t)
 	ix := suspectIndex(t, db)
 	regs := append(regressionFor(ix), regressionFor(ix)...)
-	if dropped := Revert(db, regs); len(dropped) != 1 {
+	if dropped := NewDetector(0.5).Revert(db, regs); len(dropped) != 1 {
 		t.Fatalf("dropped = %v", dropped)
 	}
 }

@@ -87,8 +87,8 @@ func TestDetectorAttributesAutomationIndexes(t *testing.T) {
 	if len(regs[0].SuspectIndexes) != 1 || regs[0].SuspectIndexes[0].Name != "aim_t_a" {
 		t.Fatalf("suspects = %v", regs[0].SuspectIndexes)
 	}
-	dropped := Revert(db, regs)
-	if len(dropped) != 1 || dropped[0] != "aim_t_a" {
+	dropped := d.Revert(db, regs)
+	if len(dropped) != 1 || dropped[0] != "t(a)" {
 		t.Fatalf("dropped = %v", dropped)
 	}
 	if db.Schema.Index("aim_t_a") != nil {
@@ -111,7 +111,7 @@ func TestDetectorDoesNotSuspectDBAIndexes(t *testing.T) {
 	if len(regs[0].SuspectIndexes) != 0 {
 		t.Fatal("DBA index suspected")
 	}
-	if dropped := Revert(db, regs); len(dropped) != 0 {
+	if dropped := d.Revert(db, regs); len(dropped) != 0 {
 		t.Fatal("DBA index reverted")
 	}
 }
@@ -184,12 +184,13 @@ func TestRevertIdempotent(t *testing.T) {
 		{Normalized: "q1", SuspectIndexes: []*catalog.Index{ix}},
 		{Normalized: "q2", SuspectIndexes: []*catalog.Index{ix}},
 	}
-	dropped := Revert(db, regs)
-	if len(dropped) != 1 || dropped[0] != "aim_t_a" {
-		t.Fatalf("first revert dropped %v, want [aim_t_a]", dropped)
+	d := NewDetector(0.3)
+	dropped := d.Revert(db, regs)
+	if len(dropped) != 1 || dropped[0] != "t(a)" {
+		t.Fatalf("first revert dropped %v, want [t(a)]", dropped)
 	}
 	// A second call over the same regressions finds nothing left to drop.
-	if again := Revert(db, regs); len(again) != 0 {
+	if again := d.Revert(db, regs); len(again) != 0 {
 		t.Fatalf("second revert dropped %v, want none", again)
 	}
 }

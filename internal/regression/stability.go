@@ -41,9 +41,6 @@ func (s *Stability) SetObs(r *obs.Registry) { s.reg = r }
 // recording that cycle's transitions.
 func (s *Stability) BeginWindow() { s.window++ }
 
-// Window returns the current window number (0 before the first BeginWindow).
-func (s *Stability) Window() int { return s.window }
-
 // NoteAdopted records the adoption of the given index keys this window.
 func (s *Stability) NoteAdopted(keys ...string) {
 	for _, k := range keys {
@@ -102,24 +99,6 @@ func (s *Stability) MaxFlips() (string, int) {
 		}
 	}
 	return bestKey, best
-}
-
-// TotalAdoptions counts every adopt transition across all keys.
-func (s *Stability) TotalAdoptions() int { return s.total(false) }
-
-// TotalReverts counts every revert transition across all keys.
-func (s *Stability) TotalReverts() int { return s.total(true) }
-
-func (s *Stability) total(revert bool) int {
-	n := 0
-	for _, ts := range s.keys {
-		for _, t := range ts {
-			if t.revert == revert {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // AdoptedThenReverted returns the sorted keys with at least one adopt

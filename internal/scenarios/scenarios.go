@@ -1,12 +1,13 @@
 // Package scenarios is the adversarial workload suite: seeded, deterministic
 // generators for the workload patterns known to break index automation in
 // production — diurnal read/write shifts, flash crowds, mid-stream schema
-// migrations, slowly drifting range predicates, and write-amplification
-// traps. Each scenario emits a phased statement stream for the
-// continuous-tuning loop plus a Profile describing both the loop policy it
-// should run under and the stability bounds it is expected to satisfy
-// (bounded adopt/revert flips, bounded time-to-revert after the trap). The
-// harness in internal/experiments drives them and asserts the bounds.
+// migrations, slowly drifting range predicates, write-amplification traps,
+// and the paper's own §VI-D code push followed by a data surge. Each
+// scenario emits a phased statement stream for the continuous-tuning loop
+// plus a Profile describing both the loop policy it should run under and the
+// stability bounds it is expected to satisfy (bounded adopt/revert flips,
+// bounded time-to-revert after the trap). The harness in
+// internal/experiments drives them and asserts the bounds.
 //
 // Determinism contract: for a fixed seed the statement stream depends only
 // on the construction PRNG and the sequence of Statement calls — never on
@@ -89,6 +90,7 @@ func All() []Scenario {
 		NewMigration(),
 		NewDrift(),
 		NewWriteTrap(),
+		NewCodePush(),
 	}
 }
 

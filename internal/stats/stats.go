@@ -304,27 +304,3 @@ func Collect(t *storage.Table, sampleLimit int) *TableStats {
 	}
 	return ts
 }
-
-// CombinedNDV estimates the number of distinct combinations of several
-// columns, assuming independence but capped by the row count. This is how
-// dataless multi-column indexes estimate prefix cardinality.
-func (ts *TableStats) CombinedNDV(columns []string) int64 {
-	if ts.RowCount == 0 {
-		return 0
-	}
-	ndv := 1.0
-	for _, c := range columns {
-		cs := ts.Column(c)
-		if cs == nil || cs.NDV == 0 {
-			continue
-		}
-		ndv *= float64(cs.NDV)
-		if ndv >= float64(ts.RowCount) {
-			return ts.RowCount
-		}
-	}
-	if ndv < 1 {
-		ndv = 1
-	}
-	return int64(ndv)
-}

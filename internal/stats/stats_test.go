@@ -194,26 +194,6 @@ func TestCollectEmptyTable(t *testing.T) {
 	}
 }
 
-func TestCombinedNDV(t *testing.T) {
-	ts := &TableStats{RowCount: 1000, Columns: map[string]*ColumnStats{
-		"a": {NDV: 10},
-		"b": {NDV: 50},
-		"c": {NDV: 1000},
-	}}
-	if got := ts.CombinedNDV([]string{"a"}); got != 10 {
-		t.Errorf("NDV(a) = %d", got)
-	}
-	if got := ts.CombinedNDV([]string{"a", "b"}); got != 500 {
-		t.Errorf("NDV(a,b) = %d", got)
-	}
-	if got := ts.CombinedNDV([]string{"a", "b", "c"}); got != 1000 {
-		t.Errorf("NDV(a,b,c) = %d, want capped at rows", got)
-	}
-	if got := ts.CombinedNDV(nil); got != 1 {
-		t.Errorf("NDV() = %d", got)
-	}
-}
-
 func TestSelectivityMonotoneProperty(t *testing.T) {
 	// Widening a range must never decrease selectivity.
 	r := rand.New(rand.NewSource(2))

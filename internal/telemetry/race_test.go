@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -9,62 +10,93 @@ import (
 	"testing"
 
 	"aim/internal/audit"
+	"aim/internal/core"
 	"aim/internal/experiments"
 	"aim/internal/obs"
+	"aim/internal/regression"
+	"aim/internal/scenarios"
+	"aim/internal/shadow"
+	"aim/internal/telemetry"
+	"aim/internal/tuning"
 )
 
-// TestScrapeDuringTuningLoop runs the continuous-tuning experiment with the
-// telemetry server attached and hammers /metricsz and /statusz from
-// concurrent scrapers for the whole run. Under -race this proves reading
-// telemetry never races with the loop mutating the schema, the registry,
-// the detector baselines or the journal. Request errors near the end are
-// expected (the loop closes its server on return) and ignored; a minimum
-// number of scrapes must succeed while the loop is live.
+// TestScrapeDuringTuningLoop runs the §VI-D tuning loop (the codepush
+// scenario on an experiments.Loop) with a telemetry server attached and
+// hammers /metricsz and /statusz from concurrent scrapers for the whole run.
+// Under -race this proves reading telemetry never races with the loop
+// mutating the schema, the registry, the detector baselines or the journal.
+// A minimum number of scrapes must succeed while the loop is live.
 func TestScrapeDuringTuningLoop(t *testing.T) {
 	var jb strings.Builder
-	opts := experiments.DefaultContinuousOptions()
-	opts.Obs = obs.NewRegistry()
-	opts.Audit = audit.New(&jb)
-	opts.TelemetryAddr = "127.0.0.1:0"
+	reg, jrn := obs.NewRegistry(), audit.New(&jb)
+	sc := scenarios.NewCodePush()
+	p := sc.Profile()
+	r := rand.New(rand.NewSource(1))
+	db, err := sc.Setup(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetObs(reg)
+	db.SetAudit(jrn)
+	cfg := core.DefaultConfig()
+	cfg.Selection.MinExecutions = 1
+	det := regression.NewDetector(0.5)
+	det.RevertCooldown = p.RevertCooldown
+	tel := telemetry.New(telemetry.Options{Registry: reg, DB: db, Detector: det, Audit: jrn})
+	addr, err := tel.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Close()
+	loop := &experiments.Loop{
+		Cycle: tuning.Cycle{
+			DB: db, Adv: core.NewAdvisor(db, cfg), Detector: det, Gate: shadow.DefaultGate(),
+			OnReport: tel.SetShadowReport,
+		},
+		Sample:  sc.Statement,
+		Advance: sc.Advance,
+		R:       r,
+	}
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
 	var metricsOK, statusOK atomic.Int64
-	opts.OnTelemetryStart = func(addr string) {
-		scrape := func(path string, ok *atomic.Int64, check func(string) bool) {
-			defer scrapers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get("http://" + addr + path)
-				if err != nil {
-					continue // loop finished and closed the server
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == 200 && check(string(body)) {
-					ok.Add(1)
-				}
+	scrape := func(path string, ok *atomic.Int64, check func(string) bool) {
+		defer scrapers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get("http://" + addr + path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == 200 && check(string(body)) {
+				ok.Add(1)
 			}
 		}
-		for i := 0; i < 2; i++ {
-			scrapers.Add(2)
-			go scrape("/metricsz", &metricsOK, func(b string) bool { return strings.Contains(b, "# TYPE") })
-			go scrape("/statusz", &statusOK, func(b string) bool { return strings.Contains(b, `"indexes"`) })
-		}
+	}
+	for i := 0; i < 2; i++ {
+		scrapers.Add(2)
+		go scrape("/metricsz", &metricsOK, func(b string) bool { return strings.Contains(b, "# TYPE") })
+		go scrape("/statusz", &statusOK, func(b string) bool { return strings.Contains(b, `"indexes"`) })
 	}
 
-	res, err := experiments.RunContinuous(opts)
+	for i := 0; i < p.ReducedCycles && err == nil; i++ {
+		err = loop.RunCycle(p.WindowStatements)
+	}
 	close(stop)
 	scrapers.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TelemetryAddr == "" {
-		t.Fatal("telemetry server did not start")
+	if loop.Adoptions == 0 || loop.Reverted == 0 {
+		t.Errorf("loop shape changed: adoptions=%d reverted=%d", loop.Adoptions, loop.Reverted)
 	}
 	if metricsOK.Load() == 0 || statusOK.Load() == 0 {
 		t.Errorf("no successful live scrapes: metrics=%d status=%d", metricsOK.Load(), statusOK.Load())

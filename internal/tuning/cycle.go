@@ -1,6 +1,7 @@
 // Package tuning holds the one tuning cycle every driver runs: the offline
-// batch loop (experiments.Loop), the live daemon (server.Tuner) and the
-// continuous study. It is the only place that knows the order of the
+// batch loop (experiments.Loop, which the fault suite, the scenario suite and
+// the §VI-D study share) and the live daemon (server.Tuner). Run is the only
+// way in, and the package the only place that knows the order of the
 // no-regression contract (§VII-B/C) — nothing changes the physical design
 // without a shadow-gate verdict or a journaled revert reason, and what
 // regresses is reverted.
@@ -52,7 +53,7 @@ type Cycle struct {
 	// OnReport, when set, receives every shadow verdict (telemetry hook).
 	OnReport func(*shadow.Report)
 
-	// Outcome counters, aggregated over every Run and Adopt.
+	// Outcome counters, aggregated over every Run.
 	Adoptions           int
 	ApplyFailures       int
 	DegradedValidations int
@@ -85,7 +86,7 @@ func hold(l sync.Locker, f func()) {
 }
 
 // Run drives one tuning cycle over an observed window: recommend, gate the
-// creations through shadow validation and apply only on acceptance (Adopt),
+// creations through shadow validation and apply only on acceptance (adopt),
 // retire unused indexes, then let the regression detector revert what it
 // flags. Every failure path degrades to "no change this cycle"; the error
 // return is reserved for invariant violations, and an accepted-but-degraded
@@ -100,7 +101,7 @@ func (c *Cycle) Run(mon *workload.Monitor) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("recommend: %v", err)
 	}
-	out, err := c.Adopt(mon, rec.Create)
+	out, err := c.adopt(mon, rec.Create)
 	if err != nil {
 		return out, err
 	}
@@ -121,10 +122,10 @@ func (c *Cycle) Run(mon *workload.Monitor) (Outcome, error) {
 	return out, nil
 }
 
-// Adopt is the forward half of the cycle: drop candidates inside their
+// adopt is the forward half of the cycle: drop candidates inside their
 // revert cooldown, validate the rest on shadow snapshots, and apply exactly
 // the validated creations when the gate accepts.
-func (c *Cycle) Adopt(mon *workload.Monitor, create []*catalog.Index) (Outcome, error) {
+func (c *Cycle) adopt(mon *workload.Monitor, create []*catalog.Index) (Outcome, error) {
 	var out Outcome
 	// An index the loop just reverted must wait its cooldown out, or a
 	// borderline workload flips it adopt/revert forever.

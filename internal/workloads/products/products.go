@@ -490,10 +490,6 @@ func (p *Product) SampleStatement(r *rand.Rand) string {
 // SampleRead draws one read statement.
 func (p *Product) SampleRead(r *rand.Rand) string { return p.sampleRead(r) }
 
-// SampleWrite draws one DML statement (insert with a fresh id, delete or
-// payload update by primary key).
-func (p *Product) SampleWrite(r *rand.Rand) string { return p.sampleWrite(r) }
-
 // SampleMixed draws one statement with an explicit write fraction,
 // overriding the spec's mix. Scenario generators use it to shift the
 // read/write balance over time (a diurnal workload is read-heavy by day and
