@@ -12,7 +12,7 @@
 //	aimbench -exp continuous          # §VI-D: the codepush scenario + summary
 //	aimbench -exp scenario -scenario drift   # one adversarial scenario
 //	aimbench -exp scenario -scenario all     # the whole adversarial suite
-//	aimbench -exp serve               # live aimd fleet vs offline replay
+//	aimbench -exp serve               # live aimd fleet vs its offline run
 //	aimbench -exp all                 # everything (slow)
 //
 // -fast shrinks datasets (and scenario cycle counts) for quick smoke runs.

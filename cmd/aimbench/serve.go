@@ -8,17 +8,13 @@ import (
 	"aim/internal/experiments"
 )
 
-// runServe drives the live-serving experiment: a real aimd server on
-// loopback with a seeded concurrent client fleet, swept across advisor
-// worker counts, cross-checked against the offline batch replay of the
-// same statement stream (see experiments.RunServeSuite).
+// runServe drives the live-serving experiment: the fleet scenario against a
+// real aimd server on loopback, swept across advisor worker counts and
+// cross-checked against its offline run (see experiments.RunServeSuite).
 func (a *app) runServe(fast bool, workers int) error {
 	opts := experiments.DefaultServeSuiteOptions()
 	if fast {
-		opts.Clients = 4
 		opts.Rounds = 3
-		opts.PerRound = 12
-		opts.Rows = 600
 	}
 	if workers > 0 {
 		opts.Parallelism = []int{workers}
@@ -27,7 +23,7 @@ func (a *app) runServe(fast bool, workers int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(a.out, "reference index set (offline replay): %s\n", strings.Join(res.ReferenceKeys, ", "))
+	fmt.Fprintf(a.out, "reference index set (offline run): %s\n", strings.Join(res.Reference.FinalIndexKeys, ", "))
 	w := tabwriter.NewWriter(a.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Workers\tStmts\tRows\tAdoptions\tReverted\tDrain(s)\tJournal")
 	for _, run := range res.Runs {
@@ -37,8 +33,8 @@ func (a *app) runServe(fast bool, workers int) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(a.out, "verdicts (identical across workers and vs offline replay):")
-	for _, line := range res.ReferenceVerdicts {
+	fmt.Fprintln(a.out, "verdicts (identical across workers and vs the offline run):")
+	for _, line := range res.Reference.Verdicts {
 		fmt.Fprintln(a.out, "  "+line)
 	}
 	return nil

@@ -32,8 +32,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -62,36 +64,73 @@ SELECT id FROM orders WHERE day BETWEEN 100 AND 140 ORDER BY day LIMIT 10;
 UPDATE orders SET status = 'done' WHERE id = 42;
 `
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "explain" {
-		runExplain(os.Args[2:])
-		return
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// app carries one invocation's output streams.
+type app struct{ out, errw io.Writer }
+
+func (a *app) fail(err error) int {
+	fmt.Fprintf(a.errw, "aimctl: %v\n", err)
+	return 1
+}
+
+// parse parses fs against args, reporting to the app's stderr; done is set
+// when the invocation ends here (-h, or a flag error with its status).
+func (a *app) parse(fs *flag.FlagSet, args []string) (status int, done bool) {
+	fs.SetOutput(a.errw)
+	switch err := fs.Parse(args); {
+	case err == nil:
+		return 0, false
+	case errors.Is(err, flag.ErrHelp):
+		return 0, true
+	default:
+		return 2, true
 	}
-	if len(os.Args) > 1 && os.Args[1] == "remote" {
-		runRemote(os.Args[2:])
-		return
+}
+
+// run is main without the process: it dispatches the subcommand (or the
+// advisor walk-through) writing to stdout/stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	a := &app{out: stdout, errw: stderr}
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		switch args[0] {
+		case "explain":
+			return a.runExplain(args[1:])
+		case "remote":
+			return a.runRemote(args[1:])
+		case "top":
+			return a.runTop(args[1:])
+		}
+		fmt.Fprintf(stderr, "aimctl: unknown subcommand %q (have explain, remote, top)\n", args[0])
+		return 2
 	}
-	if len(os.Args) > 1 && os.Args[1] == "top" {
-		runTop(os.Args[2:])
-		return
+	return a.runAdvisor(args)
+}
+
+// runAdvisor is the end-to-end walk-through: load, replay, recommend and,
+// on request, validate and apply.
+func (a *app) runAdvisor(args []string) int {
+	fs := flag.NewFlagSet("aimctl", flag.ContinueOnError)
+	script := fs.String("script", "", "SQL script file (schema + data, then -- workload section)")
+	demo := fs.Bool("demo", false, "run the built-in demo")
+	j := fs.Int("j", 2, "join parameter")
+	budget := fs.String("budget", "", "storage budget, e.g. 64MiB (empty = unlimited)")
+	apply := fs.Bool("apply", false, "materialize the recommendation")
+	validate := fs.Bool("validate", false, "run the shadow no-regression gate before applying")
+	workers := fs.Int("workers", 0, "what-if costing worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	metrics := fs.Bool("metrics", false, "print the metrics registry after the run")
+	traceOut := fs.String("trace-out", "", "write advisor spans as JSON lines to this file")
+	failpoints := fs.String("failpoints", "", `fault spec, e.g. "shadow.clone=err(0.05)" (or env `+failpoint.EnvVar+")")
+	fpSeed := fs.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
+	auditOut := fs.String("audit-out", "", "write the decision journal (JSON lines) to this file")
+	telemetryAddr := fs.String("telemetry-addr", "", "serve /metricsz /statusz /healthz /debug/pprof on this address for the run")
+	if status, done := a.parse(fs, args); done {
+		return status
 	}
-	script := flag.String("script", "", "SQL script file (schema + data, then -- workload section)")
-	demo := flag.Bool("demo", false, "run the built-in demo")
-	j := flag.Int("j", 2, "join parameter")
-	budget := flag.String("budget", "", "storage budget, e.g. 64MiB (empty = unlimited)")
-	apply := flag.Bool("apply", false, "materialize the recommendation")
-	validate := flag.Bool("validate", false, "run the shadow no-regression gate before applying")
-	workers := flag.Int("workers", 0, "what-if costing worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	metrics := flag.Bool("metrics", false, "print the metrics registry after the run")
-	traceOut := flag.String("trace-out", "", "write advisor spans as JSON lines to this file")
-	failpoints := flag.String("failpoints", "", `fault spec, e.g. "shadow.clone=err(0.05)" (or env `+failpoint.EnvVar+")")
-	fpSeed := flag.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
-	auditOut := flag.String("audit-out", "", "write the decision journal (JSON lines) to this file")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metricsz /statusz /healthz /debug/pprof on this address for the run")
-	flag.Parse()
 
 	if _, err := failpoint.Setup(*failpoints, *fpSeed); err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
 
 	var reg *obs.Registry
@@ -105,7 +144,7 @@ func main() {
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fatal(err)
+				return a.fail(err)
 			}
 			defer f.Close()
 			reg.SetTraceWriter(f)
@@ -113,8 +152,8 @@ func main() {
 	}
 	if *metrics {
 		defer func() {
-			fmt.Println("\n--- metrics ---")
-			reg.WriteTo(os.Stdout)
+			fmt.Fprintln(a.out, "\n--- metrics ---")
+			reg.WriteTo(a.out) //nolint:errcheck // diagnostics
 		}()
 	}
 
@@ -125,12 +164,12 @@ func main() {
 	case *script != "":
 		b, err := os.ReadFile(*script)
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 		text = string(b)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	db := engine.New("aimctl")
@@ -141,11 +180,11 @@ func main() {
 	if *auditOut != "" {
 		var err error
 		if jrn, err = audit.Create(*auditOut); err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 		defer func() {
 			if err := jrn.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "aimctl: audit journal: %v\n", err)
+				fmt.Fprintf(a.errw, "aimctl: audit journal: %v\n", err)
 			}
 		}()
 		db.SetAudit(jrn)
@@ -155,20 +194,20 @@ func main() {
 		tel = telemetry.New(telemetry.Options{Registry: reg, DB: db, Audit: jrn})
 		addr, err := tel.Start(*telemetryAddr)
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 		defer tel.Close()
-		fmt.Printf("telemetry on http://%s (/metricsz /statusz /healthz /debug/pprof)\n", addr)
+		fmt.Fprintf(a.out, "telemetry on http://%s (/metricsz /statusz /healthz /debug/pprof)\n", addr)
 	}
 	mon := workload.NewMonitor()
 	if err := runScript(db, mon, text, *demo); err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
 
-	fmt.Printf("observed %d distinct normalized queries, %.4fs total cpu\n",
+	fmt.Fprintf(a.out, "observed %d distinct normalized queries, %.4fs total cpu\n",
 		mon.Len(), mon.TotalCPUSeconds())
 	for _, q := range mon.Queries() {
-		fmt.Printf("  %6.4fs cpu  %4d exec  ddr %.3f  %s\n", q.CPUSeconds, q.Executions, q.DDR(), q.Normalized)
+		fmt.Fprintf(a.out, "  %6.4fs cpu  %4d exec  ddr %.3f  %s\n", q.CPUSeconds, q.Executions, q.DDR(), q.Normalized)
 	}
 
 	cfg := core.DefaultConfig()
@@ -178,54 +217,55 @@ func main() {
 	if *budget != "" {
 		n, err := parseSize(*budget)
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 		cfg.BudgetBytes = n
 	}
 	adv := core.NewAdvisor(db, cfg)
 	rec, err := adv.Recommend(mon)
 	if err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
 
-	fmt.Printf("\nAIM: %d partial orders -> %d candidates -> %d selected (%d optimizer calls, %s)\n",
+	fmt.Fprintf(a.out, "\nAIM: %d partial orders -> %d candidates -> %d selected (%d optimizer calls, %s)\n",
 		rec.PartialOrders, rec.CandidateCount, len(rec.Create), rec.OptimizerCalls, rec.Elapsed.Round(1000000))
-	fmt.Printf("cost cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d entries\n",
+	fmt.Fprintf(a.out, "cost cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d entries\n",
 		rec.Cache.Hits, rec.Cache.Misses, rec.Cache.HitRate()*100, rec.Cache.Evictions, rec.Cache.Entries)
 	for _, e := range rec.Explanations {
-		fmt.Printf("  CREATE %s\n    %s\n", e.Index, e.String())
+		fmt.Fprintf(a.out, "  CREATE %s\n    %s\n", e.Index, e.String())
 	}
 	for _, d := range rec.Drop {
-		fmt.Printf("  DROP %s (unused by observed workload)\n", d)
+		fmt.Fprintf(a.out, "  DROP %s (unused by observed workload)\n", d)
 	}
 	if len(rec.Create) == 0 {
-		return
+		return 0
 	}
 
 	if *validate {
 		report, err := shadow.Validate(db, rec.Create, mon, shadow.DefaultGate())
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 		if tel != nil {
 			tel.SetShadowReport(report)
 		}
-		fmt.Printf("\nshadow validation: %s [%s] (gain %.4fs cpu/window)\n", report.Verdict(), report.Code, report.TotalGain)
-		fmt.Printf("  %s\n", report.Reason)
+		fmt.Fprintf(a.out, "\nshadow validation: %s [%s] (gain %.4fs cpu/window)\n", report.Verdict(), report.Code, report.TotalGain)
+		fmt.Fprintf(a.out, "  %s\n", report.Reason)
 		for _, o := range report.Outcomes {
-			fmt.Printf("  %+6.1f%%  %s\n", o.Change()*100, o.Normalized)
+			fmt.Fprintf(a.out, "  %+6.1f%%  %s\n", o.Change()*100, o.Normalized)
 		}
 		if !report.Accepted {
-			return
+			return 0
 		}
 	}
 	if *apply {
 		created, err := adv.Apply(rec)
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
-		fmt.Printf("\napplied: %s\n", strings.Join(created, ", "))
+		fmt.Fprintf(a.out, "\napplied: %s\n", strings.Join(created, ", "))
 	}
+	return 0
 }
 
 // runExplain implements `aimctl explain <ref>`: it reads a decision journal
@@ -233,12 +273,12 @@ func main() {
 // the candidate it came from, its ranking and knapsack verdict under the
 // budget, the shadow-gate verdict, the adoption and any regression revert.
 // With -trace, each step is annotated with the obs span that produced it.
-func runExplain(args []string) {
-	fs := flag.NewFlagSet("aimctl explain", flag.ExitOnError)
+func (a *app) runExplain(args []string) int {
+	fs := flag.NewFlagSet("aimctl explain", flag.ContinueOnError)
 	journal := fs.String("journal", "", "decision journal file (written with -audit-out)")
 	trace := fs.String("trace", "", "span trace file (written with -trace-out) for phase annotations")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: aimctl explain <table.index | index | table(col,...)> -journal aim.jsonl [-trace spans.json]")
+		fmt.Fprintln(a.errw, "usage: aimctl explain <table.index | index | table(col,...)> -journal aim.jsonl [-trace spans.json]")
 		fs.PrintDefaults()
 	}
 	// Accept the reference before or after the flags.
@@ -246,35 +286,38 @@ func runExplain(args []string) {
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		ref, args = args[0], args[1:]
 	}
-	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if status, done := a.parse(fs, args); done {
+		return status
+	}
 	if ref == "" && fs.NArg() > 0 {
 		ref = fs.Arg(0)
 	}
 	if ref == "" || *journal == "" {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	recs, err := audit.ReadFile(*journal)
 	if err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
 	var spans map[uint64]audit.SpanInfo
 	if *trace != "" {
 		f, err := os.Open(*trace)
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 		spans, err = audit.ParseTrace(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 	}
 	lineage, err := audit.Explain(recs, ref)
 	if err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
-	lineage.Render(os.Stdout, spans)
+	lineage.Render(a.out, spans)
+	return 0
 }
 
 // runScript executes the load section and replays the workload section.
@@ -348,9 +391,4 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return int64(n * float64(mult)), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "aimctl: %v\n", err)
-	os.Exit(1)
 }

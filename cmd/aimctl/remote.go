@@ -24,8 +24,8 @@ import (
 //	aimctl remote -addr 127.0.0.1:4440 -tune
 //	aimctl remote -addr 127.0.0.1:4440 -slow
 //	cat stmts.sql | aimctl remote -addr 127.0.0.1:4440
-func runRemote(args []string) {
-	fs := flag.NewFlagSet("aimctl remote", flag.ExitOnError)
+func (a *app) runRemote(args []string) int {
+	fs := flag.NewFlagSet("aimctl remote", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:4440", "aimd address")
 	label := fs.String("label", "aimctl", "session label (window attribution)")
 	tune := fs.Bool("tune", false, "trigger one tuning cycle and print the verdict")
@@ -33,29 +33,31 @@ func runRemote(args []string) {
 	slow := fs.Bool("slow", false, "dump the server's slow-query log (JSON lines, oldest first)")
 	traceID := fs.String("trace", "", "trace ID to stamp on statements (needs a v2 server; audit windows then name it)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-frame round-trip bound")
-	fs.Parse(args) //nolint:errcheck
+	if status, done := a.parse(fs, args); done {
+		return status
+	}
 
 	c, err := server.Dial(*addr, *timeout)
 	if err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
 	defer c.Close()
 	if *ping {
 		if err := c.Ping(); err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
-		fmt.Println("pong")
-		return
+		fmt.Fprintln(a.out, "pong")
+		return 0
 	}
 	if err := c.Hello(*label); err != nil {
-		fatal(err)
+		return a.fail(err)
 	}
 	if *traceID != "" && c.Version() < 2 {
-		fmt.Fprintln(os.Stderr, "aimctl: peer speaks protocol v1; -trace will be dropped")
+		fmt.Fprintln(a.errw, "aimctl: peer speaks protocol v1; -trace will be dropped")
 	}
 
 	nth := 0
-	run := func(sql string) {
+	run := func(sql string) error {
 		var res *server.Result
 		var err error
 		if *traceID != "" {
@@ -69,26 +71,29 @@ func runRemote(args []string) {
 			res, err = c.Query(sql)
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if res.Columns == nil && len(res.Rows) == 0 {
-			fmt.Printf("ok (%d rows affected)\n", res.Affected)
-			return
+			fmt.Fprintf(a.out, "ok (%d rows affected)\n", res.Affected)
+			return nil
 		}
-		fmt.Println(strings.Join(res.Columns, "\t"))
+		fmt.Fprintln(a.out, strings.Join(res.Columns, "\t"))
 		for _, row := range res.Rows {
 			cells := make([]string, len(row))
 			for i, v := range row {
 				cells[i] = v.String()
 			}
-			fmt.Println(strings.Join(cells, "\t"))
+			fmt.Fprintln(a.out, strings.Join(cells, "\t"))
 		}
-		fmt.Printf("(%d rows)\n", len(res.Rows))
+		fmt.Fprintf(a.out, "(%d rows)\n", len(res.Rows))
+		return nil
 	}
 
 	if stmts := fs.Args(); len(stmts) > 0 {
 		for _, sql := range stmts {
-			run(sql)
+			if err := run(sql); err != nil {
+				return a.fail(err)
+			}
 		}
 	} else if !*tune && !*slow {
 		sc := bufio.NewScanner(os.Stdin)
@@ -98,31 +103,34 @@ func runRemote(args []string) {
 			if line == "" || strings.HasPrefix(line, "--") {
 				continue
 			}
-			run(line)
+			if err := run(line); err != nil {
+				return a.fail(err)
+			}
 		}
 		if err := sc.Err(); err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
 	}
 
 	if *tune {
 		line, err := c.Tune()
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(a.out, line)
 	}
 	if *slow {
 		entries, err := c.Slow()
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(a.out)
 		for i := range entries {
 			if err := enc.Encode(&entries[i]); err != nil {
-				fatal(err)
+				return a.fail(err)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "(%d slow-log entries)\n", len(entries))
+		fmt.Fprintf(a.errw, "(%d slow-log entries)\n", len(entries))
 	}
+	return 0
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -20,13 +19,15 @@ import (
 //
 //	aimctl top -url http://127.0.0.1:8080
 //	aimctl top -url http://127.0.0.1:8080 -iterations 1   # one snapshot (scripts)
-func runTop(args []string) {
-	fs := flag.NewFlagSet("aimctl top", flag.ExitOnError)
+func (a *app) runTop(args []string) int {
+	fs := flag.NewFlagSet("aimctl top", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:8080", "aimd telemetry base URL")
 	interval := fs.Duration("interval", 2*time.Second, "refresh period")
 	iterations := fs.Int("iterations", 0, "refresh count before exiting (0 = until interrupted)")
 	rows := fs.Int("rows", 12, "max rows per section")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if status, done := a.parse(fs, args); done {
+		return status
+	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	for n := 0; *iterations == 0 || n < *iterations; n++ {
@@ -35,10 +36,11 @@ func runTop(args []string) {
 		}
 		payload, err := fetchTimeSeries(client, strings.TrimSuffix(*url, "/")+"/timeseriesz")
 		if err != nil {
-			fatal(err)
+			return a.fail(err)
 		}
-		renderTop(os.Stdout, payload, *rows)
+		renderTop(a.out, payload, *rows)
 	}
+	return 0
 }
 
 // topPayload mirrors the /timeseriesz wire shape (obs.TimeSeries.MarshalJSON).

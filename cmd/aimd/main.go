@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -46,29 +48,44 @@ import (
 	icore "aim/internal/core"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:4440", "listen address")
-	initScript := flag.String("init", "", "SQL script executed before serving (schema + data)")
-	demo := flag.Bool("demo", false, "load the built-in demo fixture")
-	window := flag.Int("window", 500, "statements per tuning window (0 = tune only on client OpTune frames)")
-	workers := flag.Int("workers", 0, "what-if costing worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	maxConns := flag.Int("max-conns", 0, "max concurrent client sessions (0 = 8x cores)")
-	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "per-frame read deadline")
-	writeTimeout := flag.Duration("write-timeout", 2*time.Minute, "per-frame write deadline")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful drain bound on SIGTERM")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof on this address")
-	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "slow-query log latency threshold (0 = no over-threshold capture)")
-	traceSample := flag.Int("trace-sample", 0, "also capture every Nth statement in the slow-query log (0 = off)")
-	slowCap := flag.Int("slow-log", 256, "slow-query log ring capacity (0 = disable the log entirely)")
-	tsInterval := flag.Duration("timeseries-interval", 5*time.Second, "registry sampling period for /timeseriesz (0 = off)")
-	tsCap := flag.Int("timeseries-window", 360, "samples kept in the /timeseriesz ring")
-	auditOut := flag.String("audit-out", "", "write the decision journal (JSON lines) to this file")
-	failpoints := flag.String("failpoints", "", `fault spec, e.g. "server.read_frame=err(0.01)" (or env `+failpoint.EnvVar+")")
-	fpSeed := flag.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it serves until SIGTERM or SIGINT,
+// drains, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aimd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:4440", "listen address")
+	initScript := fs.String("init", "", "SQL script executed before serving (schema + data)")
+	demo := fs.Bool("demo", false, "load the built-in demo fixture")
+	window := fs.Int("window", 500, "statements per tuning window (0 = tune only on client OpTune frames)")
+	workers := fs.Int("workers", 0, "what-if costing worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	maxConns := fs.Int("max-conns", 0, "max concurrent client sessions (0 = 8x cores)")
+	readTimeout := fs.Duration("read-timeout", 2*time.Minute, "per-frame read deadline")
+	writeTimeout := fs.Duration("write-timeout", 2*time.Minute, "per-frame write deadline")
+	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful drain bound on SIGTERM")
+	telemetryAddr := fs.String("telemetry-addr", "", "serve /metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof on this address")
+	slowThreshold := fs.Duration("slow-threshold", 250*time.Millisecond, "slow-query log latency threshold (0 = no over-threshold capture)")
+	traceSample := fs.Int("trace-sample", 0, "also capture every Nth statement in the slow-query log (0 = off)")
+	slowCap := fs.Int("slow-log", 256, "slow-query log ring capacity (0 = disable the log entirely)")
+	tsInterval := fs.Duration("timeseries-interval", 5*time.Second, "registry sampling period for /timeseriesz (0 = off)")
+	tsCap := fs.Int("timeseries-window", 360, "samples kept in the /timeseriesz ring")
+	auditOut := fs.String("audit-out", "", "write the decision journal (JSON lines) to this file")
+	failpoints := fs.String("failpoints", "", `fault spec, e.g. "server.read_frame=err(0.01)" (or env `+failpoint.EnvVar+")")
+	fpSeed := fs.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "aimd: %v\n", err)
+		return 1
+	}
 
 	if _, err := failpoint.Setup(*failpoints, *fpSeed); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	reg := obs.NewRegistry()
@@ -82,11 +99,11 @@ func main() {
 	if *auditOut != "" {
 		var err error
 		if jrn, err = audit.Create(*auditOut); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer func() {
 			if err := jrn.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "aimd: audit journal: %v\n", err)
+				fmt.Fprintf(stderr, "aimd: audit journal: %v\n", err)
 			}
 		}()
 		db.SetAudit(jrn)
@@ -98,13 +115,13 @@ func main() {
 	case *initScript != "":
 		b, err := os.ReadFile(*initScript)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := loadScript(db, string(b)); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "aimd: serving an empty database (use -demo or -init to preload; clients may CREATE TABLE over the wire)")
+		fmt.Fprintln(stderr, "aimd: serving an empty database (use -demo or -init to preload; clients may CREATE TABLE over the wire)")
 	}
 	db.Analyze()
 
@@ -136,11 +153,11 @@ func main() {
 			Slow: slow, TimeSeries: series})
 		taddr, err := tel.Start(*telemetryAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer tel.Close()
 		onReport = tel.SetShadowReport
-		fmt.Printf("aimd: telemetry on http://%s (/metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof)\n", taddr)
+		fmt.Fprintf(stdout, "aimd: telemetry on http://%s (/metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof)\n", taddr)
 	}
 
 	srv := server.New(server.Options{
@@ -156,23 +173,27 @@ func main() {
 		SlowLog:          slow,
 		OnReport:         onReport,
 	})
-	bound, err := srv.Start(*addr)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("aimd: listening on %s (window=%d statements, workers=%d)\n", bound, *window, pool.Workers(*workers))
-
+	// Registered before the listener opens: a signal that arrives the moment
+	// the address is announced must drain, not kill.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sig)
+	bound, err := srv.Start(*addr)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "aimd: listening on %s (window=%d statements, workers=%d)\n", bound, *window, pool.Workers(*workers))
+
 	got := <-sig
-	fmt.Printf("aimd: %s received, draining...\n", got)
+	fmt.Fprintf(stdout, "aimd: %s received, draining...\n", got)
 	start := time.Now()
 	if err := srv.Shutdown(); err != nil {
-		fmt.Fprintf(os.Stderr, "aimd: %v\n", err)
+		fmt.Fprintf(stderr, "aimd: %v\n", err)
 	}
 	t := srv.Tuner()
-	fmt.Printf("aimd: drained in %.3fs (cycles=%d adoptions=%d reverted=%d degraded=%d)\n",
+	fmt.Fprintf(stdout, "aimd: drained in %.3fs (cycles=%d adoptions=%d reverted=%d degraded=%d)\n",
 		time.Since(start).Seconds(), t.Cycles, t.Cycle.Adoptions, t.Cycle.Reverted, t.Cycle.DegradedValidations)
+	return 0
 }
 
 // loadScript executes a plain SQL script: statements separated by
@@ -201,9 +222,4 @@ func loadDemoFixture(db *engine.DB) {
 		db.MustExec(fmt.Sprintf("INSERT INTO events VALUES (%d, %d, %d, %d, %d)",
 			i, r.Intn(300), r.Intn(10), r.Intn(365), r.Intn(1000)))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "aimd: %v\n", err)
-	os.Exit(1)
 }

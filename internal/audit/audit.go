@@ -54,8 +54,8 @@ const (
 	// The record maps each normalized query in the window to the concrete
 	// statement IDs (wire trace IDs, or session#seq) that produced it — the
 	// bridge that lets Explain resolve a later adoption back to the exact
-	// live statements that drove it. Offline replays of the same window
-	// write byte-identical window records.
+	// live statements that drove it. An offline run of the same window writes
+	// a byte-identical window record.
 	EventWindow Event = "window"
 )
 

@@ -28,10 +28,12 @@ type Lineage struct {
 	Shadows    []*Record
 	Adopts     []*Record
 	Reverts    []*Record
-	// WindowStatements are the concrete live statement IDs (wire trace IDs
-	// or session#seq) from the sealed window that drove the first adoption —
-	// resolved through the latest EventWindow record preceding it. Empty for
-	// offline/batch journals, which carry no window records.
+	// Window is the latest EventWindow record preceding the first adoption
+	// and WindowStatements the concrete statement IDs (wire trace IDs or
+	// session#seq) in it that executed a query the index serves. Nil for a
+	// journal written without a tuner (aimctl's one-shot run), which carries
+	// no window records.
+	Window           *Record
 	WindowStatements []string
 }
 
@@ -126,7 +128,7 @@ func Explain(records []*Record, ref string) (*Lineage, error) {
 			l.Reverts = append(l.Reverts, r)
 		}
 	}
-	l.WindowStatements = windowStatements(records, l)
+	l.Window, l.WindowStatements = windowStatements(records, l)
 	return l, nil
 }
 
@@ -134,10 +136,10 @@ func Explain(records []*Record, ref string) (*Lineage, error) {
 // that drove it: the candidate records name the normalized queries the index
 // serves, the latest EventWindow before the adoption names the statements
 // that executed each query in that window. Nil when the index was never
-// adopted or the journal has no window records (offline runs).
-func windowStatements(records []*Record, l *Lineage) []string {
+// adopted or the journal has no window records.
+func windowStatements(records []*Record, l *Lineage) (*Record, []string) {
 	if !l.Adopted() {
-		return nil
+		return nil, nil
 	}
 	adopt := l.Adopts[0]
 	serves := map[string]bool{}
@@ -155,7 +157,7 @@ func windowStatements(records []*Record, l *Lineage) []string {
 		}
 	}
 	if win == nil {
-		return nil
+		return nil, nil
 	}
 	var out []string
 	for _, wq := range win.Queries {
@@ -163,7 +165,7 @@ func windowStatements(records []*Record, l *Lineage) []string {
 			out = append(out, wq.Statements...)
 		}
 	}
-	return out
+	return win, out
 }
 
 // AdoptedThenReverted returns the sorted canonical keys of indexes whose
@@ -297,10 +299,8 @@ func (l *Lineage) Render(w io.Writer, spans map[uint64]SpanInfo) {
 	for _, r := range l.Adopts {
 		fmt.Fprintf(w, "#%-4d adopt        materialized as %s%s\n", r.Seq, r.Index, annot(r))
 	}
-	// Offline journals have no window records; the line appears only for
-	// live-traffic adoptions so batch goldens stay byte-identical.
 	if len(l.WindowStatements) > 0 {
-		fmt.Fprintf(w, "      driven by    live statements %s\n", strings.Join(l.WindowStatements, ", "))
+		fmt.Fprintf(w, "      driven by    live statements %s%s\n", strings.Join(l.WindowStatements, ", "), annot(l.Window))
 	}
 	for _, r := range l.Reverts {
 		fmt.Fprintf(w, "#%-4d revert       %s [%s] regressed %.6fs -> %.6fs cpu_avg; index dropped%s\n",

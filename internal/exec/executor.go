@@ -149,11 +149,10 @@ type aggregator struct {
 	groups map[string]*groupState
 	order  []string // insertion order for deterministic output
 	// streaming state
-	stream    bool
-	curKey    []byte
-	curState  *groupState
-	flushed   []sqltypes.Row
-	streamErr error
+	stream   bool
+	curKey   []byte
+	curState *groupState
+	flushed  []sqltypes.Row
 }
 
 type groupState struct {

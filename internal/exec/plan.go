@@ -60,8 +60,6 @@ type Step struct {
 	// the compiled closure row by row, which is slower but identical.
 	ICPSrc    sqlparser.Expr
 	FilterSrc sqlparser.Expr
-	// Desc is a human-readable access path description for EXPLAIN output.
-	Desc string
 }
 
 // AggFunc enumerates supported aggregates.
@@ -148,7 +146,6 @@ type Plan struct {
 
 	// Optimizer annotations.
 	EstimatedCost float64
-	EstimatedRows float64
 	UsedIndexes   []string // index names the plan reads (not incl. clustered)
 }
 

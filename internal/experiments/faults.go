@@ -11,8 +11,6 @@ import (
 	"aim/internal/failpoint"
 	"aim/internal/obs"
 	"aim/internal/regression"
-	"aim/internal/shadow"
-	"aim/internal/tuning"
 )
 
 // FaultSuiteOptions parameterizes the fault-injection study of the
@@ -108,21 +106,14 @@ func newTuningLoop(opts FaultSuiteOptions) *Loop {
 	db.Analyze()
 	cfg := core.DefaultConfig()
 	cfg.Selection.MinExecutions = 1
-	return &Loop{
-		Cycle: tuning.Cycle{
-			DB:       db,
-			Adv:      core.NewAdvisor(db, cfg),
-			Detector: regression.NewDetector(0.5),
-			Gate:     shadow.DefaultGate(),
-		},
-		Sample: func(_ int, r *rand.Rand) string {
-			if r.Intn(4) == 0 {
-				return fmt.Sprintf("SELECT id FROM events WHERE kind = %d AND score > %d", r.Intn(8), r.Intn(900))
-			}
-			return fmt.Sprintf("SELECT score FROM events WHERE user_id = %d", r.Intn(150))
-		},
-		R: r,
+	loop := NewLoop(db, cfg, regression.NewDetector(0.5), r)
+	loop.Sample = func(_ int, r *rand.Rand) string {
+		if r.Intn(4) == 0 {
+			return fmt.Sprintf("SELECT id FROM events WHERE kind = %d AND score > %d", r.Intn(8), r.Intn(900))
+		}
+		return fmt.Sprintf("SELECT score FROM events WHERE user_id = %d", r.Intn(150))
 	}
+	return loop
 }
 
 // automationIndexKeys returns the sorted catalog keys of non-DBA,
@@ -193,10 +184,8 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 	}
 	// Reference: the recommendation set a fault-free loop converges to.
 	ref := newTuningLoop(opts)
-	for i := 0; i < opts.DrainCycles; i++ {
-		if err := ref.RunCycle(opts.WindowStatements); err != nil {
-			return nil, fmt.Errorf("reference cycle %d: %v", i, err)
-		}
+	if err := ref.Run(opts.DrainCycles, opts.WindowStatements); err != nil {
+		return nil, fmt.Errorf("reference %v", err)
 	}
 	out := &FaultSuiteResult{ReferenceKeys: automationIndexKeys(ref.DB)}
 	if len(out.ReferenceKeys) == 0 {
@@ -210,34 +199,23 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 		}
 		loop := newTuningLoop(opts)
 		failpoint.Activate(fp)
-		for i := 0; i < opts.Cycles; i++ {
-			if err := loop.RunCycle(opts.WindowStatements); err != nil {
-				failpoint.Activate(nil)
-				return nil, fmt.Errorf("rate %g cycle %d: %v", rate, i, err)
-			}
-			if err := checkLoopInvariants(loop.DB); err != nil {
-				failpoint.Activate(nil)
-				return nil, fmt.Errorf("rate %g cycle %d: %v", rate, i, err)
-			}
-		}
+		err = loop.Run(opts.Cycles, opts.WindowStatements)
 		failpoint.Activate(nil)
-		// Faults stop; the loop must converge to the reference set.
-		for i := 0; i < opts.DrainCycles; i++ {
-			if err := loop.RunCycle(opts.WindowStatements); err != nil {
-				return nil, fmt.Errorf("rate %g drain cycle %d: %v", rate, i, err)
-			}
-			if err := checkLoopInvariants(loop.DB); err != nil {
-				return nil, fmt.Errorf("rate %g drain cycle %d: %v", rate, i, err)
-			}
+		if err == nil {
+			// Faults stop; the loop must converge to the reference set.
+			err = loop.Run(opts.DrainCycles, opts.WindowStatements)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rate %g %v", rate, err)
 		}
 		out.PerRate = append(out.PerRate, FaultRateResult{
 			Rate:                rate,
 			Cycles:              opts.Cycles,
 			FaultsInjected:      fp.InjectedTotal(),
-			Adoptions:           loop.Adoptions,
-			ApplyFailures:       loop.ApplyFailures,
-			DegradedValidations: loop.DegradedValidations,
-			Reverted:            loop.Reverted,
+			Adoptions:           loop.Tuner.Cycle.Adoptions,
+			ApplyFailures:       loop.Tuner.Cycle.ApplyFailures,
+			DegradedValidations: loop.Tuner.Cycle.DegradedValidations,
+			Reverted:            loop.Tuner.Cycle.Reverted,
 			FinalIndexKeys:      automationIndexKeys(loop.DB),
 		})
 	}

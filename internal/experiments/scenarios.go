@@ -7,12 +7,10 @@ import (
 
 	"aim/internal/audit"
 	"aim/internal/core"
-	"aim/internal/engine"
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
 	"aim/internal/shadow"
-	"aim/internal/tuning"
 )
 
 // ScenarioOptions parameterizes one adversarial-scenario run.
@@ -60,11 +58,22 @@ type ScenarioResult struct {
 	// compared byte for byte across worker counts.
 	Transitions string
 
-	// WindowCPU is each cycle's modelled window CPU and Accepted the shadow
-	// report of each cycle whose gate accepted (nil elsewhere); both are
-	// indexed by cycle and set by RunScenario only. Neither is rendered.
-	WindowCPU []float64
-	Accepted  []*shadow.Report
+	// Verdicts is each cycle's verdict line; Statements and Rows count the
+	// statements that executed and the rows they returned; Journal is the
+	// normalized decision journal (ts_us and span_id zeroed: both depend on
+	// wall clock or allocation order, not on decisions), set by runJournaled.
+	// Not rendered; a live run must reproduce the offline run's.
+	Verdicts         []string
+	Statements, Rows int64
+	Journal          []string
+	// Accepted is the shadow report of each cycle whose gate accepted (nil
+	// elsewhere) and WindowCPU each cycle's modelled window CPU (offline only:
+	// the wire carries no execution statistics); both are indexed by cycle.
+	// TimeSeries is a live run's per-cycle sample ring in the /timeseriesz
+	// payload shape. None is rendered.
+	Accepted   []*shadow.Report
+	WindowCPU  []float64
+	TimeSeries []byte
 }
 
 // Render writes the result as a stable, worker-count-independent summary.
@@ -128,12 +137,24 @@ func (res *ScenarioResult) Violations(p scenarios.Profile) []string {
 	return out
 }
 
-// RunScenario drives the continuous-tuning loop through one adversarial
-// scenario under the profile's loop policy, with the same per-cycle
-// invariants as the fault suite: an accepted-but-degraded shadow verdict is
-// fatal (it would be an ungated adoption), and the catalog/store cross-check
-// runs after every cycle.
+// RunScenario drives one scenario offline under the profile's loop policy,
+// with the same per-cycle invariants as the fault suite: an
+// accepted-but-degraded shadow verdict is fatal (it would be an ungated
+// adoption), and the catalog/store cross-check runs after every cycle.
 func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
+	return runScenario(sc, opts, false)
+}
+
+// RunScenarioLive is RunScenario over TCP: the same loop on its live
+// transport (a real server on loopback, the profile's sessions as concurrent
+// connections, the tuner taking the statement gate). Its result must equal
+// the offline one; a statement error, a dirty drain or any other failed
+// live-transport check (Loop.Close) is an error.
+func RunScenarioLive(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
+	return runScenario(sc, opts, true)
+}
+
+func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*ScenarioResult, error) {
 	p := sc.Profile()
 	cycles := opts.Cycles
 	if cycles <= 0 {
@@ -157,62 +178,49 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 	cfg.Selection.MinExecutions = 1
 	cfg.Parallelism = opts.Parallelism
 
-	stab := regression.NewStability()
-	if opts.Obs != nil {
-		stab.SetObs(opts.Obs)
+	det := regression.NewDetector(0.5)
+	det.ConfirmWindows, det.AnchorWindows, det.RevertCooldown = p.ConfirmWindows, p.AnchorWindows, p.RevertCooldown
+	var loop *Loop
+	if live {
+		if loop, err = NewLiveLoop(db, cfg, det, r, p.Sessions); err != nil {
+			return nil, err
+		}
+	} else {
+		loop = NewLoop(db, cfg, det, r)
+		loop.Clients = p.Sessions
 	}
-	loop := &Loop{
-		Cycle: tuning.Cycle{
-			DB:               db,
-			Adv:              core.NewAdvisor(db, cfg),
-			Detector:         scenarioDetector(p),
-			Gate:             shadow.DefaultGate(),
-			MaintenanceGuard: p.MaintenanceGuard,
-			ApplyDrops:       p.ApplyDrops,
-			DropAfterUnused:  p.DropAfterUnused,
-			Stab:             stab,
-		},
-		Sample:  sc.Statement,
-		Advance: sc.Advance,
-		R:       r,
-	}
+	loop.Sample, loop.Advance = sc.Statement, sc.Advance
+	c := &loop.Tuner.Cycle
+	c.MaintenanceGuard, c.ApplyDrops, c.DropAfterUnused = p.MaintenanceGuard, p.ApplyDrops, p.DropAfterUnused
+	c.Stab = regression.NewStability()
+	c.Stab.SetObs(opts.Obs)
 	accepted := make([]*shadow.Report, cycles)
-	loop.OnReport = func(rep *shadow.Report) {
+	c.OnReport = func(rep *shadow.Report) {
 		if rep.Accepted {
-			// RunCycle books the window's CPU before it runs the cycle.
-			accepted[len(loop.WindowCPU)-1] = rep
+			accepted[len(loop.Verdicts)] = rep
 		}
 	}
-	for i := 0; i < cycles; i++ {
-		if err := loop.RunCycle(p.WindowStatements); err != nil {
-			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
-		}
-		if err := checkLoopInvariants(db); err != nil {
-			return nil, fmt.Errorf("scenario %s cycle %d: %v", sc.Name(), i, err)
+	err = loop.Run(cycles, p.WindowStatements)
+	if closeErr := loop.Close(); err == nil {
+		err = closeErr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %v", sc.Name(), err)
+	}
+	res := scenarioResult(sc, cycles, loop)
+	res.Accepted = accepted
+	if live {
+		if res.TimeSeries, err = loop.series.MarshalJSON(); err != nil {
+			return nil, fmt.Errorf("scenario %s: timeseries: %v", sc.Name(), err)
 		}
 	}
-	res := scenarioResult(sc, cycles, &loop.Cycle, db)
-	res.WindowCPU, res.Accepted = loop.WindowCPU, accepted
 	return res, nil
 }
 
-// scenarioDetector builds the regression detector the profile's loop policy
-// asks for.
-func scenarioDetector(p scenarios.Profile) *regression.Detector {
-	threshold := p.DetectorThreshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	det := regression.NewDetector(threshold)
-	det.ConfirmWindows = p.ConfirmWindows
-	det.AnchorWindows = p.AnchorWindows
-	det.RevertCooldown = p.RevertCooldown
-	return det
-}
-
-// scenarioResult summarizes a finished run from the cycle's counters, its
-// stability tracker and the database's final index set.
-func scenarioResult(sc scenarios.Scenario, cycles int, c *tuning.Cycle, db *engine.DB) *ScenarioResult {
+// scenarioResult summarizes a finished run from the loop's record, the
+// cycle's counters and stability tracker, and the database's final index set.
+func scenarioResult(sc scenarios.Scenario, cycles int, loop *Loop) *ScenarioResult {
+	c := &loop.Tuner.Cycle
 	stab := c.Stab
 	res := &ScenarioResult{
 		Name:                sc.Name(),
@@ -223,7 +231,11 @@ func scenarioResult(sc scenarios.Scenario, cycles int, c *tuning.Cycle, db *engi
 		Reverted:            c.Reverted,
 		AdoptedThenReverted: stab.AdoptedThenReverted(),
 		MaxRevertLatency:    stab.MaxRevertLatency(),
-		FinalIndexKeys:      automationIndexKeys(db),
+		FinalIndexKeys:      automationIndexKeys(loop.DB),
+		Verdicts:            loop.Verdicts,
+		Statements:          loop.Statements,
+		Rows:                loop.Rows,
+		WindowCPU:           loop.WindowCPU,
 	}
 	res.MaxFlipsKey, res.MaxFlips = stab.MaxFlips()
 	if _, w, ok := stab.FirstRevertAt(sc.Profile().TrapCycle + 1); ok {

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"math/rand"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"aim/internal/audit"
-	"aim/internal/loadgen"
 	"aim/internal/obs"
-	"aim/internal/regression"
 	"aim/internal/scenarios"
-	"aim/internal/server"
 )
 
 // scenarioCycles picks the run length: the full acceptance profile when
@@ -117,7 +113,7 @@ func TestTuningLoopUnderScenarios(t *testing.T) {
 // transition history, rendered summary and (timestamp-stripped) decision
 // journal — whether the advisor's what-if pools run 1, 2 or 4 workers wide.
 func TestScenarioWorkerDeterminism(t *testing.T) {
-	for _, name := range []string{"drift", "writetrap", "codepush"} {
+	for _, name := range []string{"drift", "writetrap", "codepush", "fleet"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var renders, journals []string
@@ -197,73 +193,34 @@ func stripTimestamps(journal string) string {
 	return tsField.ReplaceAllString(journal, "")
 }
 
-// TestScenariosLive runs the scenarios where their protections matter — the
-// maintenance-economics guard (writetrap), unused-index retirement
-// (flashcrowd), confirmation and anchoring (diurnal, drift): a real server
-// on loopback, statements and OpTune over TCP, the tuning cycle taking the
-// statement gate. The profile's policy is set on the server's tuner
-// (server.New leaves it off), a one-client fleet replays the scenario's own
-// statement stream one window per round, and the run must satisfy the
-// profile's stability bounds and render byte-identically to the offline
-// RunScenario of the same seed. These are the scenarios whose Advance is a
-// no-op, so the stream is all there is to replay; migration and codepush
-// stay offline until Advance can run under the write gate.
+// TestScenariosLive runs every scenario where its protections matter: a real
+// server on loopback, statements and OpTune over TCP, the tuning cycle and
+// the scenario's Advance taking the statement gate, the profile's sessions
+// connected concurrently. The live run must satisfy the profile's stability
+// bounds and equal the offline RunScenario of the same seed in its
+// rendering, verdict lines, statement and row counts and normalized decision
+// journal; RunScenarioLive itself fails on a statement error, a dirty drain
+// or a recorder that disagrees with the sessions.
 func TestScenariosLive(t *testing.T) {
-	const seed = 1
-	for _, name := range []string{"writetrap", "flashcrowd", "diurnal", "drift"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			offline, _ := scenarios.ByName(name)
-			p := offline.Profile()
-			cycles := scenarioCycles(p)
-			want, err := RunScenario(offline, ScenarioOptions{Cycles: cycles, Seed: seed})
+	for _, sc := range scenarios.All() {
+		t.Run(sc.Name(), func(t *testing.T) {
+			p := sc.Profile()
+			opts := ScenarioOptions{Cycles: scenarioCycles(p), Seed: 1}
+			want, _, err := runJournaled(RunScenario, sc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			sc, _ := scenarios.ByName(name)
-			r := rand.New(rand.NewSource(seed))
-			db, err := sc.Setup(r)
+			live, _ := scenarios.ByName(sc.Name())
+			got, _, err := runJournaled(RunScenarioLive, live, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := server.New(server.Options{DB: db, Detector: scenarioDetector(p)})
-			c := &srv.Tuner().Cycle
-			c.MaintenanceGuard, c.ApplyDrops, c.DropAfterUnused = p.MaintenanceGuard, p.ApplyDrops, p.DropAfterUnused
-			c.Stab = regression.NewStability()
-			addr, err := srv.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, lgErr := loadgen.Run(loadgen.Options{
-				Addr:     addr,
-				Clients:  1,
-				Rounds:   cycles,
-				PerRound: p.WindowStatements,
-				// The scenario's stream continues the setup PRNG, exactly as
-				// the offline loop draws it; the fleet's own PRNG is unused.
-				Sample:        func(_, round, _ int, _ *rand.Rand) string { return sc.Statement(round, r) },
-				TuneEachRound: true,
-			})
-			if err := srv.Shutdown(); err != nil {
-				t.Fatalf("dirty drain: %v", err)
-			}
-			if lgErr != nil {
-				t.Fatal(lgErr)
-			}
-			if len(res.Errors) > 0 {
-				t.Fatalf("%d statement errors, first: %s", len(res.Errors), res.Errors[0])
-			}
-			if err := checkLoopInvariants(db); err != nil {
-				t.Fatal(err)
-			}
-			got := scenarioResult(sc, cycles, c, db)
 			t.Logf("\n%s", got.Render())
 			for _, v := range got.Violations(p) {
 				t.Errorf("stability bound violated over TCP: %s", v)
 			}
-			if got.Render() != want.Render() {
-				t.Errorf("live run diverged from the offline scenario:\n--- live ---\n%s--- offline ---\n%s", got.Render(), want.Render())
+			if err := got.diverges(want); err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -3,25 +3,25 @@ package experiments
 import (
 	"encoding/json"
 	"os"
+	"slices"
 	"testing"
+
+	"aim/internal/scenarios"
 )
 
-// serveSuiteOptions picks the run size: the full 16-client acceptance run
-// when AIM_SERVE_SUITE=1 (the CI "servesuite" job via `make servesuite`), a
-// reduced fleet otherwise so the tier-1 `go test` stays fast. AIM_SERVE_SOAK=1
-// grows the run into the nightly soak, and AIM_SERVE_JOURNAL names the
-// decision-journal artifact it leaves behind.
+// serveSuiteOptions picks the run size: the fleet profile's reduced length
+// across workers {1,2,4} when AIM_SERVE_SUITE=1 (the CI "servesuite" job via
+// `make servesuite`), a shorter run and sweep otherwise so the tier-1 `go
+// test` stays fast. AIM_SERVE_SOAK=1 grows the run into the nightly soak (the
+// profile's full length), and AIM_SERVE_JOURNAL names the decision-journal
+// artifact it leaves behind.
 func serveSuiteOptions(t *testing.T) ServeSuiteOptions {
 	opts := DefaultServeSuiteOptions()
 	switch {
 	case os.Getenv("AIM_SERVE_SOAK") == "1":
-		opts.Rounds = 40
-		opts.PerRound = 25
+		opts.Rounds = scenarios.NewFleet().Profile().Cycles
 	case os.Getenv("AIM_SERVE_SUITE") != "1":
-		opts.Clients = 4
 		opts.Rounds = 3
-		opts.PerRound = 12
-		opts.Rows = 600
 		opts.Parallelism = []int{1, 2}
 		if testing.Short() {
 			opts.Rounds = 2
@@ -34,17 +34,16 @@ func serveSuiteOptions(t *testing.T) ServeSuiteOptions {
 }
 
 // TestServeSuite boots a real aimd server on loopback for every advisor
-// worker count in the sweep, drives a seeded concurrent client fleet over
-// TCP with a tuning cycle at each round barrier, and asserts the live-path
-// acceptance invariants:
+// worker count in the sweep, drives the fleet scenario's sixteen concurrent
+// sessions over TCP with a tuning cycle at each round barrier, and asserts
+// the live-path acceptance invariants:
 //
 //   - the fleet completes with zero statement errors and the server drains
 //     cleanly (no forced connections, connections_open back to 0, no
 //     buffered statements left behind);
 //   - the adopted index set and the per-round verdict lines are
-//     byte-identical across worker counts AND to an offline single-threaded
-//     tuner replay of the same statement stream, which drives the same
-//     tuning.Cycle the fault and scenario suites certify;
+//     byte-identical across worker counts AND to the offline run of the same
+//     scenario and seed through the same loop and tuner;
 //   - the normalized decision journals are identical across worker counts;
 //   - every adoption closes a complete audit lineage (candidate → selected
 //     rank → accepting shadow verdict → adopt): zero ungated adoptions.
@@ -57,7 +56,7 @@ func TestServeSuite(t *testing.T) {
 	if len(res.Runs) != len(opts.Parallelism) {
 		t.Fatalf("got %d runs, want %d", len(res.Runs), len(opts.Parallelism))
 	}
-	t.Logf("reference index set: %v", res.ReferenceKeys)
+	t.Logf("reference index set: %v", res.Reference.FinalIndexKeys)
 	for _, run := range res.Runs {
 		t.Logf("workers=%d stmts=%d rows=%d adoptions=%d traced=%d reverted=%d drain=%.3fs journal=%d records",
 			run.Workers, run.Statements, run.Rows, run.Adoptions, run.TracedAdoptions, run.Reverted, run.DrainSeconds, len(run.Journal))
@@ -75,8 +74,8 @@ func TestServeSuite(t *testing.T) {
 		if err := json.Unmarshal(run.TimeSeries, &ts); err != nil {
 			t.Fatalf("workers=%d: timeseries not JSON: %v", run.Workers, err)
 		}
-		if len(ts.Samples) != opts.Rounds {
-			t.Errorf("workers=%d: %d timeseries samples, want one per round (%d)", run.Workers, len(ts.Samples), opts.Rounds)
+		if rounds := res.Reference.Cycles; len(ts.Samples) != rounds {
+			t.Errorf("workers=%d: %d timeseries samples, want one per round (%d)", run.Workers, len(ts.Samples), rounds)
 		}
 		if len(ts.Samples) > 1 && ts.Samples[1].Rates["server.frames"] <= 0 {
 			t.Errorf("workers=%d: timeseries has no server.frames rate: %+v", run.Workers, ts.Samples[1])
@@ -86,7 +85,7 @@ func TestServeSuite(t *testing.T) {
 	// cross-run verdict equality here too so a future refactor of the
 	// harness cannot silently drop the assertion.
 	for i := 1; i < len(res.Runs); i++ {
-		if !equalStrings(res.Runs[i].Verdicts, res.Runs[0].Verdicts) {
+		if !slices.Equal(res.Runs[i].Verdicts, res.Runs[0].Verdicts) {
 			t.Errorf("verdicts diverge between workers=%d and workers=%d", res.Runs[0].Workers, res.Runs[i].Workers)
 		}
 	}

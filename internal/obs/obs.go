@@ -196,34 +196,34 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Quantile returns the approximate q-quantile (q in [0, 1]); 0 on nil or
-// with no observations. The answer is the representative value of the
-// bucket containing the rank-q observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
+// with no observations.
+func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
+
+// Quantile returns the approximate q-quantile (q in [0, 1]) of the
+// snapshot; 0 with no observations. The answer is the representative value
+// of the bucket containing the rank-q observation: the geometric midpoint of
+// its bounds, except the zero bucket, which reports 0.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
+	q = math.Min(math.Max(q, 0), 1)
+	rank := int64(math.Ceil(q * float64(s.Count)))
 	if rank < 1 {
 		rank = 1
 	}
+	at := s.Buckets[len(s.Buckets)-1]
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			return bucketRep(i)
+	for _, b := range s.Buckets {
+		if cum += b.Count; cum >= rank {
+			at = b
+			break
 		}
 	}
-	return bucketRep(histBuckets - 1)
+	if at.UpperBound <= math.Exp2(-histBias) {
+		return 0
+	}
+	return at.UpperBound * math.Sqrt2 / 2
 }
 
 // Registry holds named metrics and the span/trace machinery. A nil
@@ -406,64 +406,35 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
 		return 0, nil
 	}
-	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for k, c := range r.counters {
-		counters[k] = c.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for k, g := range r.gauges {
-		gauges[k] = g.Value()
-	}
-	funcs := make(map[string]func() int64, len(r.gaugeFuncs))
-	for k, fn := range r.gaugeFuncs {
-		funcs[k] = fn
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
-	}
-	spans := make(map[string]*Histogram, len(r.spans))
-	for k, h := range r.spans {
-		spans[k] = h
-	}
-	r.mu.Unlock()
-
-	// GaugeFunc callbacks run outside the lock: they may read other
-	// components (cache shard locks) and must not deadlock with them.
-	for k, fn := range funcs {
-		gauges[k] = fn()
-	}
-
+	snap := r.Snapshot()
 	var n int64
 	emit := func(format string, args ...any) error {
 		m, err := fmt.Fprintf(w, format, args...)
 		n += int64(m)
 		return err
 	}
-	for _, k := range sortedKeys(counters) {
-		if err := emit("counter %-40s %d\n", k, counters[k]); err != nil {
+	for _, k := range sortedKeys(snap.Counters) {
+		if err := emit("counter %-40s %d\n", k, snap.Counters[k]); err != nil {
 			return n, err
 		}
 	}
-	for _, k := range sortedKeys(gauges) {
-		if err := emit("gauge   %-40s %d\n", k, gauges[k]); err != nil {
+	for _, k := range sortedKeys(snap.Gauges) {
+		if err := emit("gauge   %-40s %d\n", k, snap.Gauges[k]); err != nil {
 			return n, err
 		}
 	}
-	histLine := func(kind, k string, h *Histogram) error {
-		return emit("%s %-40s count=%d sum=%.6g p50=%.3g p95=%.3g p99=%.3g\n",
-			kind, k, h.Count(), h.Sum(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
-	}
-	for _, k := range sortedKeys(hists) {
-		if err := histLine("hist   ", k, hists[k]); err != nil {
-			return n, err
+	histLines := func(kind string, hists map[string]HistogramSnapshot) error {
+		for _, k := range sortedKeys(hists) {
+			h := hists[k]
+			if err := emit("%s %-40s count=%d sum=%.6g p50=%.3g p95=%.3g p99=%.3g\n",
+				kind, k, h.Count, h.Sum, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	for _, k := range sortedKeys(spans) {
-		if err := histLine("span   ", k, spans[k]); err != nil {
-			return n, err
-		}
+	if err := histLines("hist   ", snap.Histograms); err != nil {
+		return n, err
 	}
-	return n, nil
+	return n, histLines("span   ", snap.Spans)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"time"
 )
@@ -126,41 +125,12 @@ func quantileDeltas(cur, prev map[string]HistogramSnapshot) map[string]TSQuantil
 			q.CountDelta -= p.Count
 			q.SumDelta -= p.Sum
 		}
-		q.P50 = snapshotQuantile(h, 0.50)
-		q.P95 = snapshotQuantile(h, 0.95)
-		q.P99 = snapshotQuantile(h, 0.99)
+		q.P50 = h.Quantile(0.50)
+		q.P95 = h.Quantile(0.95)
+		q.P99 = h.Quantile(0.99)
 		out[k] = q
 	}
 	return out
-}
-
-// snapshotQuantile computes the approximate q-quantile from a snapshot's
-// non-empty bucket list, mirroring Histogram.Quantile's representative-value
-// semantics.
-func snapshotQuantile(h HistogramSnapshot, q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range h.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			// UpperBound is 2^(i-histBias); the representative is the
-			// geometric midpoint, except the zero bucket which reports 0.
-			if b.UpperBound <= math.Exp2(float64(-histBias)) {
-				return 0
-			}
-			return b.UpperBound * math.Sqrt2 / 2
-		}
-	}
-	if n := len(h.Buckets); n > 0 {
-		return h.Buckets[n-1].UpperBound * math.Sqrt2 / 2
-	}
-	return 0
 }
 
 // Samples copies the ring, oldest first (nil on a nil or empty recorder).

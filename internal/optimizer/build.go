@@ -31,7 +31,6 @@ func (o *Optimizer) buildExecPlan(sel *sqlparser.Select, p *planned) (*exec.Plan
 		OrderSatisfied: p.sorted,
 		GroupOrdered:   p.gOrder,
 		EstimatedCost:  p.cost,
-		EstimatedRows:  p.rows,
 	}
 
 	// Steps in join order, with residual filters attached to the earliest
@@ -147,7 +146,6 @@ func (o *Optimizer) buildStep(layout *exec.Layout, inst int, ap *accessPath, fil
 		step.Filter = ce
 		step.FilterSrc = filterExpr
 	}
-	step.Desc = ap.Desc(layout.Instances[inst].Alias)
 	return step, nil
 }
 

@@ -2,7 +2,8 @@
 // generators for the workload patterns known to break index automation in
 // production — diurnal read/write shifts, flash crowds, mid-stream schema
 // migrations, slowly drifting range predicates, write-amplification traps,
-// and the paper's own §VI-D code push followed by a data surge. Each
+// the paper's own §VI-D code push followed by a data surge, and the
+// concurrent read-only fleet of the live-serving suite. Each
 // scenario emits a phased statement stream for the continuous-tuning loop
 // plus a Profile describing both the loop policy it should run under and the
 // stability bounds it is expected to satisfy (bounded adopt/revert flips,
@@ -32,6 +33,11 @@ type Profile struct {
 	Cycles           int
 	ReducedCycles    int
 	WindowStatements int
+	// Sessions is how many concurrent sessions a window is dealt to (0 = one).
+	// Only a read-only scenario may ask for more than one: sessions interleave
+	// freely over TCP, and a write would make one statement's statistics
+	// depend on which others ran first.
+	Sessions int
 	// TrapCycle is the cycle at which the adversarial shift lands (the mix
 	// flips, the crowd ends, the migration starts). Time-to-revert bounds
 	// are measured from it.
@@ -39,13 +45,12 @@ type Profile struct {
 
 	// Loop policy: detector tuning and retirement behavior the scenario is
 	// designed to exercise. Zero values select the detector defaults.
-	DetectorThreshold float64
-	ConfirmWindows    int
-	AnchorWindows     int
-	RevertCooldown    int
-	MaintenanceGuard  bool
-	ApplyDrops        bool
-	DropAfterUnused   int
+	ConfirmWindows   int
+	AnchorWindows    int
+	RevertCooldown   int
+	MaintenanceGuard bool
+	ApplyDrops       bool
+	DropAfterUnused  int
 
 	// Stability bounds. MaxFlipsPerKey caps re-adoptions after a revert for
 	// any one index (0 = no flips tolerated). RevertWithin, with
@@ -91,6 +96,7 @@ func All() []Scenario {
 		NewDrift(),
 		NewWriteTrap(),
 		NewCodePush(),
+		NewFleet(),
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 	"aim/internal/sqlparser"
 )
 
-// TestRegistry pins the registry surface: six scenarios, stable unique
+// TestRegistry pins the registry surface: seven scenarios, stable unique
 // names, ByName returning fresh instances.
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 6 {
-		t.Fatalf("got %d scenarios, want 6", len(all))
+	if len(all) != 7 {
+		t.Fatalf("got %d scenarios, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, sc := range all {
@@ -138,6 +138,7 @@ func FuzzScenarioDeterminism(f *testing.F) {
 	f.Add(int64(7), uint8(3), uint8(31), false)
 	f.Add(int64(-5), uint8(4), uint8(5), true)
 	f.Add(int64(23), uint8(5), uint8(12), true)
+	f.Add(int64(23), uint8(6), uint8(6), false)
 	f.Fuzz(func(t *testing.T, seed int64, which uint8, cycles uint8, fromTrap bool) {
 		all := All()
 		i := int(which) % len(all)

@@ -10,7 +10,7 @@ import (
 )
 
 // Client is a minimal wire-protocol client: one connection, synchronous
-// request/response. The load generator and the CLIs use it; it is also the
+// request/response. experiments.Loop and the CLIs use it; it is also the
 // reference implementation of the client side of the framing.
 type Client struct {
 	conn    net.Conn

@@ -58,13 +58,12 @@ type Collector struct {
 // NewCollector returns a collector sealing every window statements
 // (0 = manual), reporting into r (nil = metrics off).
 func NewCollector(window int, r *obs.Registry) *Collector {
-	c := &Collector{Window: window}
-	if r != nil {
-		c.statements = r.Counter("server.window_statements")
-		c.dropped = r.Counter("server.window_dropped")
-		c.sealedN = r.Counter("server.windows_sealed")
+	return &Collector{
+		Window:     window,
+		statements: r.Counter("server.window_statements"),
+		dropped:    r.Counter("server.window_dropped"),
+		sealedN:    r.Counter("server.windows_sealed"),
 	}
-	return c
 }
 
 func (c *Collector) maxBuffered() int {
@@ -82,17 +81,13 @@ func (c *Collector) maxBuffered() int {
 // use by sessions.
 func (c *Collector) Observe(rec Record) []Record {
 	c.mu.Lock()
-	if c.statements != nil {
-		c.statements.Inc()
-	}
+	c.statements.Inc()
 	if len(c.buf) < c.maxBuffered() {
 		c.buf = append(c.buf, rec)
 	} else {
 		c.buf[c.head] = rec
 		c.head = (c.head + 1) % len(c.buf)
-		if c.dropped != nil {
-			c.dropped.Inc()
-		}
+		c.dropped.Inc()
 	}
 	var buf []Record
 	var head int
@@ -115,7 +110,7 @@ func (c *Collector) Flush() []Record {
 // takeLocked hands the buffer off for sealing; ordering it is the caller's
 // job, once c.mu is released.
 func (c *Collector) takeLocked() (buf []Record, head int) {
-	if len(c.buf) > 0 && c.sealedN != nil {
+	if len(c.buf) > 0 {
 		c.sealedN.Inc()
 	}
 	buf, head = c.buf, c.head

@@ -101,13 +101,6 @@ type Server struct {
 	busyStmts   *obs.Counter // server.window_dropped
 }
 
-// writeLocker adapts the server's statement gate to the engine's clone
-// gate: snapshot creation excludes writers, briefly.
-type writeLocker struct{ mu *sync.RWMutex }
-
-func (l writeLocker) Lock()   { l.mu.Lock() }
-func (l writeLocker) Unlock() { l.mu.Unlock() }
-
 // New assembles an unstarted server around a loaded database.
 func New(opts Options) *Server {
 	if opts.DB == nil {
@@ -146,17 +139,18 @@ func New(opts Options) *Server {
 		Gate:     gate,
 		Cycle:    tuning.Cycle{Read: s.exec.RLocker(), Write: &s.exec, OnReport: opts.OnReport},
 	}
-	opts.DB.SetCloneGate(writeLocker{&s.exec})
-	if r := opts.Obs; r != nil {
-		s.connsOpen = r.Gauge("server.connections_open")
-		s.frames = r.Counter("server.frames")
-		s.acceptErr = r.Counter("server.accept_errors")
-		s.readErr = r.Counter("server.read_errors")
-		s.drainHist = r.Histogram("server.drain_seconds")
-		s.busyWindows = r.Counter("server.windows_dropped_busy")
-		s.busyStmts = r.Counter("server.window_dropped")
-		s.tuner.Instrument(r)
-	}
+	// Snapshot creation excludes writers, briefly: the clone gate is the
+	// statement gate's write side.
+	opts.DB.SetCloneGate(&s.exec)
+	r := opts.Obs // nil = every handle below is a nil no-op
+	s.connsOpen = r.Gauge("server.connections_open")
+	s.frames = r.Counter("server.frames")
+	s.acceptErr = r.Counter("server.accept_errors")
+	s.readErr = r.Counter("server.read_errors")
+	s.drainHist = r.Histogram("server.drain_seconds")
+	s.busyWindows = r.Counter("server.windows_dropped_busy")
+	s.busyStmts = r.Counter("server.window_dropped")
+	s.tuner.tuneCycles = r.Counter("server.tune_cycles")
 	return s
 }
 
@@ -184,14 +178,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address ("" before Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 func (s *Server) acceptLoop() {
 	defer close(s.closed)
 	for {
@@ -207,9 +193,7 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		if ferr := failpoint.Inject("server.accept"); ferr != nil {
-			if s.acceptErr != nil {
-				s.acceptErr.Inc()
-			}
+			s.acceptErr.Inc()
 			conn.Close()
 			continue
 		}
@@ -218,9 +202,7 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.sessions.Add(1)
-		if s.connsOpen != nil {
-			s.connsOpen.Add(1)
-		}
+		s.connsOpen.Add(1)
 		go s.serve(conn)
 	}
 }
@@ -244,9 +226,7 @@ func (s *Server) serve(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		<-s.sem
-		if s.connsOpen != nil {
-			s.connsOpen.Add(-1)
-		}
+		s.connsOpen.Add(-1)
 		s.sessions.Done()
 	}()
 	session := fmt.Sprintf("conn-%04d", s.seq.Add(1))
@@ -267,9 +247,7 @@ func (s *Server) serve(conn net.Conn) {
 		if err := failpoint.Inject("server.read_frame"); err != nil {
 			// An injected read failure models a torn connection: the session
 			// ends exactly as it would on a real socket error.
-			if s.readErr != nil {
-				s.readErr.Inc()
-			}
+			s.readErr.Inc()
 			return
 		}
 		payload, err := ReadFrame(conn, MaxFrame)
@@ -279,14 +257,10 @@ func (s *Server) serve(conn net.Conn) {
 			if err == ErrFrameTooLarge || err == ErrZeroFrame {
 				s.respond(conn, writeTO, &Response{Tag: TagError, Code: CodeBadFrame, Msg: err.Error()})
 			}
-			if s.readErr != nil && err != nil {
-				s.readErr.Inc()
-			}
+			s.readErr.Inc()
 			return
 		}
-		if s.frames != nil {
-			s.frames.Inc()
-		}
+		s.frames.Inc()
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			s.respond(conn, writeTO, &Response{Tag: TagError, Code: CodeBadFrame, Msg: err.Error()})
@@ -407,10 +381,8 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 			// The tuner is mid-cycle and the queue is full: re-buffer is
 			// pointless (the statements were consumed), drop the window —
 			// counted — and let the next one carry fresher traffic.
-			if s.busyWindows != nil {
-				s.busyWindows.Inc()
-				s.busyStmts.Add(int64(len(w)))
-			}
+			s.busyWindows.Inc()
+			s.busyStmts.Add(int64(len(w)))
 		}
 	}
 	if isSelect {
@@ -483,9 +455,7 @@ func (s *Server) Shutdown() error {
 			}
 		}
 	}
-	if s.drainHist != nil {
-		s.drainHist.Observe(time.Since(start).Seconds())
-	}
+	s.drainHist.Observe(time.Since(start).Seconds())
 	s.db.SetCloneGate(nil)
 	return forced
 }

@@ -28,7 +28,7 @@ type Tuner struct {
 	Gate     shadow.Gate
 	// Cycle is the tuning cycle this tuner drives; the four fields above are
 	// copied into it before every run. Its lock pair (nil = the caller
-	// already serializes, offline replay), policy fields, Stab and OnReport
+	// already serializes, offline), policy fields, Stab and OnReport
 	// are set on it directly before the first window, and its counters read
 	// from it after the last. server.New leaves every policy field zero.
 	Cycle tuning.Cycle
@@ -40,13 +40,6 @@ type Tuner struct {
 	fatal    error    // latched by fail
 
 	tuneCycles *obs.Counter // server.tune_cycles
-}
-
-// Instrument attaches the tuner's counters to r.
-func (t *Tuner) Instrument(r *obs.Registry) {
-	if r != nil {
-		t.tuneCycles = r.Counter("server.tune_cycles")
-	}
 }
 
 // CycleWindow folds a sealed (canonically ordered) window into a monitor
@@ -76,12 +69,15 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 
 	cycle := t.Cycles
 	t.Cycles++
-	if t.tuneCycles != nil {
-		t.tuneCycles.Inc()
-	}
+	t.tuneCycles.Inc()
+	// The cycle's own span: what the window record carries, so the journal's
+	// rule — every record names the phase that produced it — has no exception.
+	sp := t.DB.ObsRegistry().StartSpan("tuner/cycle")
+	defer sp.End()
 	if len(queries) > 0 {
 		t.DB.AuditJournal().Append(&audit.Record{
 			Event:   audit.EventWindow,
+			SpanID:  sp.ID(),
 			Cycle:   int64(cycle),
 			Queries: queries,
 		})

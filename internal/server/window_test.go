@@ -56,14 +56,22 @@ func testWindow(t testing.TB, n int) (live, replay []Record) {
 func TestIngestWindowIsTemplateSized(t *testing.T) {
 	small, _ := testWindow(t, 64)
 	big, replay := testWindow(t, 4096)
+	// AllocsPerRun counts every goroutine's allocations, so under a loaded
+	// -race suite one sample can carry a few strays: take the least of
+	// several, and hold the growth against the 4 032 extra records rather
+	// than against an absolute slack.
 	allocs := func(w []Record) float64 {
-		return testing.AllocsPerRun(10, func() {
-			if _, _, err := ingestWindow(w); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			least = math.Min(least, testing.AllocsPerRun(10, func() {
+				if _, _, err := ingestWindow(w); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
-	if a, b := allocs(small), allocs(big); b > a+4 {
+	if a, b := allocs(small), allocs(big); b-a > float64(len(big)-len(small))/100 {
 		t.Fatalf("ingest allocates per statement: %.0f allocations for 64 records, %.0f for 4096", a, b)
 	}
 

@@ -58,7 +58,7 @@ const MaxTraceID = 128
 // Request opcodes.
 const (
 	// OpHello declares the session label (body: label bytes). Clients that
-	// need deterministic statement attribution (the loadgen fleet) send it
+	// need deterministic statement attribution (experiments.Loop) send it
 	// first; sessions without a hello get an accept-order label.
 	OpHello = byte('H')
 	// OpQuery executes one SQL statement (body: SQL text).

@@ -15,9 +15,7 @@ import (
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
-	"aim/internal/shadow"
 	"aim/internal/telemetry"
-	"aim/internal/tuning"
 )
 
 // TestScrapeDuringTuningLoop runs the §VI-D tuning loop (the codepush
@@ -48,15 +46,9 @@ func TestScrapeDuringTuningLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tel.Close()
-	loop := &experiments.Loop{
-		Cycle: tuning.Cycle{
-			DB: db, Adv: core.NewAdvisor(db, cfg), Detector: det, Gate: shadow.DefaultGate(),
-			OnReport: tel.SetShadowReport,
-		},
-		Sample:  sc.Statement,
-		Advance: sc.Advance,
-		R:       r,
-	}
+	loop := experiments.NewLoop(db, cfg, det, r)
+	loop.Sample, loop.Advance = sc.Statement, sc.Advance
+	loop.Tuner.Cycle.OnReport = tel.SetShadowReport
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -87,16 +79,14 @@ func TestScrapeDuringTuningLoop(t *testing.T) {
 		go scrape("/statusz", &statusOK, func(b string) bool { return strings.Contains(b, `"indexes"`) })
 	}
 
-	for i := 0; i < p.ReducedCycles && err == nil; i++ {
-		err = loop.RunCycle(p.WindowStatements)
-	}
+	err = loop.Run(p.ReducedCycles, p.WindowStatements)
 	close(stop)
 	scrapers.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loop.Adoptions == 0 || loop.Reverted == 0 {
-		t.Errorf("loop shape changed: adoptions=%d reverted=%d", loop.Adoptions, loop.Reverted)
+	if c := &loop.Tuner.Cycle; c.Adoptions == 0 || c.Reverted == 0 {
+		t.Errorf("loop shape changed: adoptions=%d reverted=%d", c.Adoptions, c.Reverted)
 	}
 	if metricsOK.Load() == 0 || statusOK.Load() == 0 {
 		t.Errorf("no successful live scrapes: metrics=%d status=%d", metricsOK.Load(), statusOK.Load())

@@ -218,7 +218,7 @@ type statusPayload struct {
 	// server.windows_dropped_busy (whole sealed windows the tuner was too busy
 	// to take) registry counters — the sealed-window high-water mark that
 	// makes soak artifacts self-describing. Zero when the process serves no
-	// live traffic (offline replay, aimbench).
+	// live traffic (offline runs, aimbench).
 	WindowsSealed      int64 `json:"windows_sealed"`
 	WindowDropped      int64 `json:"window_dropped"`
 	WindowsDroppedBusy int64 `json:"windows_dropped_busy"`
