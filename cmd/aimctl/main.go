@@ -246,6 +246,7 @@ func (a *app) runAdvisor(args []string) int {
 		if err != nil {
 			return a.fail(err)
 		}
+		report.Release() // -apply builds; the snapshot with the validated trees is not kept
 		if tel != nil {
 			tel.SetShadowReport(report)
 		}

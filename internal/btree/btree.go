@@ -659,6 +659,67 @@ func (t *Tree) SharedFootprint(other *Tree) Footprint {
 	return f
 }
 
+// Diff merge-walks two handles of one clone family in key order and calls fn
+// for every key stored in a leaf the handles do not share, with each side's
+// value (nil where that side lacks the key). A subtree both reach through the
+// same node pointer is skipped whole — copy-on-write never mutates a node
+// another handle can reach, so one pointer means one content — which makes
+// the walk proportional to the leaves written since the two were one tree.
+// Keys in unshared leaves are reported even when both sides hold an equal
+// value; the caller tells those apart. fn returning false stops the walk.
+func Diff(a, b *Tree, fn func(key []byte, av, bv interface{}) bool) {
+	if a.root == b.root {
+		return
+	}
+	ia, ib := a.Seek(nil), b.Seek(nil)
+	for ia.valid || ib.valid {
+		if ia.valid && ib.valid && ia.i == 0 && ib.i == 0 && skipShared(ia, ib) {
+			continue
+		}
+		c := -1 // which side holds the smaller key: a (-1), both (0), b (1)
+		if !ia.valid {
+			c = 1
+		} else if ib.valid {
+			c = bytes.Compare(ia.Key(), ib.Key())
+		}
+		var key []byte
+		var av, bv interface{}
+		if c <= 0 {
+			key, av = ia.Key(), ia.Value()
+		}
+		if c >= 0 {
+			key, bv = ib.Key(), ib.Value()
+		}
+		if !fn(key, av, bv) {
+			return
+		}
+		if c <= 0 {
+			ia.advance()
+		}
+		if c >= 0 {
+			ib.advance()
+		}
+	}
+}
+
+// skipShared steps both iterators, each on the first entry of a leaf, past
+// the largest subtree that begins at both positions, and reports whether
+// there was one. Such a subtree begins with the same leaf on both sides, and
+// is as tall under one root as under the other: climb from the leaves while
+// the descent took child 0 of the same node on both sides.
+func skipShared(ia, ib *Iter) bool {
+	if ia.l != ib.l {
+		return false
+	}
+	da, db := len(ia.stack), len(ib.stack)
+	for da > 0 && db > 0 && ia.stack[da-1] == ib.stack[db-1] && ia.stack[da-1].idx == 0 {
+		da, db = da-1, db-1
+	}
+	ia.stack, ib.stack = ia.stack[:da], ib.stack[:db]
+	ia.valid, ib.valid = ia.nextLeaf(), ib.nextLeaf()
+	return true
+}
+
 // Iter is a forward iterator positioned on a sequence of entries. It holds
 // a descent stack into the tree it was opened on: iterating a snapshot is
 // stable under any concurrent DML on other handles of the family, while

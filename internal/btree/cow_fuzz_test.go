@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sort"
 	"testing"
@@ -9,7 +10,9 @@ import (
 // FuzzCOWSnapshotEquivalence drives a fuzz-chosen op sequence (put / delete /
 // clone-snapshot) against the tree and a pair of model maps, then checks that
 // the live tree matches the live model, the most recent snapshot matches the
-// model frozen at clone time, and both sides pass the full COW Validate.
+// model frozen at clone time, both sides pass the full COW Validate, and Diff
+// of the two reports every key whose presence or value differs (and, of the
+// keys it skips with a shared subtree, none that does).
 func FuzzCOWSnapshotEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 0, 3, 1, 1, 0, 4})
 	f.Add([]byte{2, 0, 0, 1, 0, 2, 0, 1, 2, 1, 0, 2, 0, 3})
@@ -45,11 +48,46 @@ func FuzzCOWSnapshotEquivalence(f *testing.F) {
 			if err := snap.Validate(); err != nil {
 				t.Fatalf("snapshot Validate: %v", err)
 			}
+			checkDiff(t, snap, tr, snapModel, liveModel)
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("live Validate: %v", err)
 		}
 	})
+}
+
+// checkDiff asserts Diff(a, b) reports keys in order, each side's value as
+// its model holds it, and leaves out no key the models disagree on.
+func checkDiff(t *testing.T, a, b *Tree, am, bm map[string]int) {
+	t.Helper()
+	seen := map[string]bool{}
+	var prev []byte
+	Diff(a, b, func(key []byte, av, bv interface{}) bool {
+		if prev != nil && bytes.Compare(prev, key) >= 0 {
+			t.Fatalf("Diff keys out of order: %x then %x", prev, key)
+		}
+		prev = key
+		seen[string(key)] = true
+		for _, side := range []struct {
+			v interface{}
+			m map[string]int
+		}{{av, am}, {bv, bm}} {
+			want, ok := side.m[string(key)]
+			if (side.v != nil) != ok || (ok && side.v.(int) != want) {
+				t.Fatalf("Diff key %x: value %v, model %d (present %v)", key, side.v, want, ok)
+			}
+		}
+		return true
+	})
+	for _, m := range []map[string]int{am, bm} {
+		for k := range m {
+			av, aok := am[k]
+			bv, bok := bm[k]
+			if (aok != bok || av != bv) && !seen[k] {
+				t.Fatalf("Diff skipped key %x that differs (%v,%v vs %v,%v)", k, av, aok, bv, bok)
+			}
+		}
+	}
 }
 
 func fuzzKey(b byte) []byte {

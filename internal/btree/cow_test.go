@@ -245,3 +245,71 @@ func TestSnapshotChainsDeep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDiffPrunesSharedSubtrees: after a handful of writes to a large live
+// tree, Diff against the snapshot visits only the leaves those writes
+// copied — a few hundred entries of 50 000 — reports exactly the changed
+// keys among them, survives the live root splitting to a taller tree, and
+// walks a tree rebuilt from scratch, which shares nothing, in full.
+func TestDiffPrunesSharedSubtrees(t *testing.T) {
+	items := make([]Item, 50000)
+	for i := range items {
+		items[i] = Item{Key: key(2 * i), Val: i}
+	}
+	live := BulkLoad(items)
+	snap := live.Clone()
+	Diff(snap, live, func([]byte, interface{}, interface{}) bool {
+		t.Fatal("identical handles reported an entry")
+		return false
+	})
+
+	live.Put(key(10), -1)         // replace
+	live.Delete(key(40000))       // delete
+	live.Put(key(60001), "fresh") // insert between two keys
+	want := map[string]bool{string(key(10)): true, string(key(40000)): true, string(key(60001)): true}
+	visited := 0
+	Diff(snap, live, func(k []byte, av, bv interface{}) bool {
+		visited++
+		changed := av == nil || bv == nil || av != bv
+		if changed != want[string(k)] {
+			t.Errorf("key %s: a=%v b=%v, changed=%v", k, av, bv, changed)
+		}
+		delete(want, string(k))
+		return true
+	})
+	if len(want) != 0 {
+		t.Fatalf("missed %v", want)
+	}
+	if visited > 3*(degree+1) {
+		t.Fatalf("visited %d entries for three single-leaf writes", visited)
+	}
+
+	// Grow the live tree until its root splits: the snapshot's whole tree is
+	// then one subtree below the live root's level.
+	h := live.Height()
+	for i := 0; live.Height() == h; i++ {
+		live.Put(key(200000+i), i)
+	}
+	old := 0
+	Diff(snap, live, func(k []byte, av, bv interface{}) bool {
+		if av != nil {
+			old++
+		}
+		return true
+	})
+	if old > 8*degree {
+		t.Fatalf("after a root split Diff walked %d snapshot entries", old)
+	}
+
+	// Early stop, and a reload that shares no node.
+	n := 0
+	Diff(snap, live, func([]byte, interface{}, interface{}) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("fn returning false was called %d times", n)
+	}
+	n = 0
+	Diff(snap, BulkLoad(items), func([]byte, interface{}, interface{}) bool { n++; return true })
+	if n != len(items) {
+		t.Fatalf("unrelated trees: %d entries reported, want all %d", n, len(items))
+	}
+}

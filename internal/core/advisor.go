@@ -393,6 +393,19 @@ func (a *Advisor) findUnusedIndexes(rep []*workload.QueryStats) ([]*catalog.Inde
 // recommendation. It collects no statistics: they describe table data,
 // which index DDL does not change.
 func (a *Advisor) Apply(rec *Recommendation) ([]string, error) {
+	return a.apply(rec, a.DB.CreateIndexes)
+}
+
+// Adopt is Apply for creations the shadow gate accepted and built, its
+// snapshot, already holds: the trees are handed over (engine.AdoptIndexes),
+// not built again, and journaled as the same adoptions under the same span.
+func (a *Advisor) Adopt(create []*catalog.Index, built *engine.DB) ([]string, error) {
+	return a.apply(&Recommendation{Create: create}, func(defs []*catalog.Index) (*engine.Result, error) {
+		return a.DB.AdoptIndexes(built, defs)
+	})
+}
+
+func (a *Advisor) apply(rec *Recommendation, createIndexes func([]*catalog.Index) (*engine.Result, error)) ([]string, error) {
 	span := a.DB.ObsRegistry().StartSpan("advisor/apply")
 	defer span.End()
 	jrn := a.DB.AuditJournal()
@@ -402,7 +415,7 @@ func (a *Advisor) Apply(rec *Recommendation) ([]string, error) {
 		for i, ix := range rec.Create {
 			defs[i] = ix.Materialized()
 		}
-		if _, err := a.DB.CreateIndexes(defs); err != nil {
+		if _, err := createIndexes(defs); err != nil {
 			return nil, err
 		}
 		for _, def := range defs {

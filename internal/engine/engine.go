@@ -4,6 +4,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -368,6 +369,30 @@ var buildPolicy = failpoint.Policy{Attempts: 3, Base: 500 * time.Microsecond, Ma
 // byte-identical at any worker count. On any failure every index of the
 // batch is rolled back.
 func (db *DB) CreateIndexes(defs []*catalog.Index) (*Result, error) {
+	return db.addIndexes(defs, (*storage.Table).PrepareIndex)
+}
+
+// AdoptIndexes is CreateIndexes for indexes already built on built, a
+// snapshot of this database nothing has written since: each is caught up with
+// what this database wrote after the snapshot (storage.AdoptIndex — no work
+// when nothing did) and attached. It is the tuning cycle's handoff from the
+// shadow gate and has no other caller: the gate's verdict is what licenses
+// the trees. storage.ErrSnapshotStale (batch rolled back, like any failure)
+// tells the caller to build instead.
+func (db *DB) AdoptIndexes(built *DB, defs []*catalog.Index) (*Result, error) {
+	return db.addIndexes(defs, func(tbl *storage.Table, def *catalog.Index, _ *storage.Metrics) (*storage.Index, error) {
+		ix, err := tbl.AdoptIndex(def, built.Store.Table(def.Table))
+		if errors.Is(err, storage.ErrSnapshotStale) {
+			return nil, failpoint.Abort(err) // a retry would find it as stale
+		}
+		return ix, err
+	})
+}
+
+// addIndexes is the batch both go through: register, prepare each tree
+// behind the "engine.create_index" failpoint and buildPolicy, attach in input
+// order, invalidate the what-if cache — or roll everything back.
+func (db *DB) addIndexes(defs []*catalog.Index, prepare func(*storage.Table, *catalog.Index, *storage.Metrics) (*storage.Index, error)) (*Result, error) {
 	if len(defs) == 0 {
 		return &Result{}, nil
 	}
@@ -407,7 +432,7 @@ func (db *DB) CreateIndexes(defs []*catalog.Index) (*Result, error) {
 			}
 			ms[i] = storage.Metrics{}
 			var err error
-			built[i], err = tbl.PrepareIndex(defs[i], &ms[i])
+			built[i], err = prepare(tbl, defs[i], &ms[i])
 			return err
 		})
 	})

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"aim/internal/catalog"
-	"aim/internal/engine"
 	"aim/internal/exec"
 	"aim/internal/obs"
 	"aim/internal/storage"
@@ -78,9 +77,9 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 }
 
 // TestDivergenceRebuildByteIdenticalVerdicts forces the one-sided DML
-// divergence path, rebuilds the clone pair exactly as Validate does (clone
-// + batch CreateIndexes, all on the bulk construction path), and asserts
-// the rebuilt pair produces byte-identical replay verdicts at any worker
+// divergence path, replaces the clone pair exactly as Validate does (two
+// fresh clones of the frozen snapshots — no gate, no second build), and
+// asserts the new pair produces byte-identical replay verdicts at any worker
 // count and with instrumentation on or off.
 func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 	run := func(workers int, withObs bool) string {
@@ -93,13 +92,12 @@ func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 			defer storage.Instrument(nil)
 		}
 		cand := &catalog.Index{Name: "aim_t_a", Table: "t", Columns: []string{"a"}, Hypothetical: true}
-		makeClones := func() (*engine.DB, *engine.DB) {
-			baseline, test, err := clonePair(db, []*catalog.Index{cand})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return baseline, test
+		var f frozen
+		if err := f.take(db, []*catalog.Index{cand}); err != nil {
+			t.Fatal(err)
 		}
+		defer release(f.base, f.built)
+		makeClones := f.pair
 		baseline, test := makeClones()
 
 		// Half-apply a write: land it on the baseline only, exactly the state
@@ -111,16 +109,16 @@ func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 		if err := dmlMon.Record("INSERT INTO t VALUES (99999, 1, 1, 'w')", exec.Stats{RowsWritten: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := replayQuery(baseline, test, dmlMon.Queries()[0], 3); !errors.Is(err, errDiverged) {
+		if _, _, _, err := replayQuery(baseline, test, dmlMon.Queries()[0], 3, new(skips)); !errors.Is(err, errDiverged) {
 			t.Fatalf("half-applied write returned %v, want errDiverged", err)
 		}
 
-		// Rebuild the pair on the bulk path and replay the read workload.
+		// Replace the pair and replay the read workload.
 		baseline, test = makeClones()
 		hex := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 		var b strings.Builder
 		for _, q := range mon.Queries() {
-			before, after, replays, err := replayQuery(baseline, test, q, 3)
+			before, after, replays, err := replayQuery(baseline, test, q, 3, new(skips))
 			fmt.Fprintf(&b, "%s replays=%d before=%s after=%s err=%v\n",
 				q.Normalized, replays, hex(before), hex(after), err != nil)
 		}

@@ -21,9 +21,6 @@ const (
 	CodeOverallRegressed ReasonCode = "overall_regressed"
 	// CodeCloneUnavailable: the clone pair could not be built (degraded).
 	CodeCloneUnavailable ReasonCode = "clone_unavailable"
-	// CodeCloneRebuildFailed: a post-divergence clone rebuild failed
-	// (degraded).
-	CodeCloneRebuildFailed ReasonCode = "clone_rebuild_failed"
 	// CodeUnreplayable: one or more queries stayed unreplayable after
 	// retries, so the gate would have decided on partial evidence
 	// (degraded).

@@ -16,6 +16,7 @@ package shadow
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"aim/internal/audit"
@@ -117,6 +118,21 @@ type Report struct {
 	// AcceptedIndexes are the indexes that survive validation (currently
 	// all-or-nothing, like the paper's per-database gate).
 	AcceptedIndexes []*catalog.Index
+	// built is the snapshot an accepted report's candidates were materialized
+	// on: the tuning cycle adopts those trees instead of building them again.
+	built *engine.DB
+}
+
+// Built returns the snapshot holding an accepted report's validated trees
+// (nil otherwise, and after Release), for engine.AdoptIndexes.
+func (r *Report) Built() *engine.DB { return r.built }
+
+// Release retires that snapshot once the caller has adopted from it or built
+// the indexes itself. Idempotent; a report dropped without it only leaves
+// the storage.snapshots_live gauge one high.
+func (r *Report) Release() {
+	release(r.built)
+	r.built = nil
 }
 
 // errDiverged signals a one-sided DML replay failure: one clone applied the
@@ -133,45 +149,50 @@ func release(dbs ...*engine.DB) {
 	}
 }
 
-// clonePair builds a fresh baseline/test pair from production as O(1)
-// copy-on-write snapshots, with the candidates materialized on the test
-// side in one batch (the per-index builds fan out over the storage worker
-// pool); both sides keep the statistics production held, so the candidates
-// are the only difference between them. Rebuilding restores comparability
-// after a divergence (the engine has no transactions to roll back a
-// half-applied replay). The whole pair is built or none of it: a snapshot
-// or materialization failure discards both sides, and clonePolicy retries
-// from scratch with backoff.
-func clonePair(db *engine.DB, candidates []*catalog.Index) (baseline, test *engine.DB, err error) {
-	reg := db.ObsRegistry()
-	err = clonePolicy.Do(func() error {
-		release(baseline, test)
-		baseline, test = nil, nil
+// frozen is production frozen for one validation: base, the one gated O(1)
+// copy-on-write snapshot, and built, a second handle over the same rows and
+// statistics with the candidates materialized in one batch. No replay writes
+// either — replays run on pairs cloned from them — so both sides of every
+// comparison hold the rows of one instant, a diverged pair is replaced with
+// no gate and no build, and an accepted verdict hands built's trees over.
+type frozen struct{ base, built *engine.DB }
+
+// take fills f from db, retrying a failed attempt from scratch under
+// clonePolicy; what the last attempt leaves in f is the caller's to release.
+func (f *frozen) take(db *engine.DB, candidates []*catalog.Index) error {
+	err := clonePolicy.Do(func() error {
+		release(f.base, f.built)
+		f.base, f.built = nil, nil
 		if err := failpoint.Inject("shadow.clone"); err != nil {
 			return err
 		}
 		var err error
-		if baseline, err = db.CloneChecked("shadow-baseline"); err != nil {
+		if f.base, err = db.CloneChecked("shadow-base"); err != nil {
 			return err
 		}
-		if test, err = db.CloneChecked("shadow-test"); err != nil {
-			return err
-		}
+		f.built = f.base.Clone("shadow-built")
 		defs := make([]*catalog.Index, len(candidates))
 		for i, ix := range candidates {
 			defs[i] = ix.Materialized()
 		}
-		if _, err := test.CreateIndexes(defs); err != nil {
+		if _, err := f.built.CreateIndexes(defs); err != nil {
 			return fmt.Errorf("shadow: materializing candidates: %v", err)
 		}
 		return nil
 	})
 	if err != nil {
-		reg.Counter("shadow.clone_failures").Inc()
-		return nil, nil, err
+		db.ObsRegistry().Counter("shadow.clone_failures").Inc()
 	}
-	reg.Counter("shadow.clone_pairs").Inc()
-	return baseline, test, nil
+	return err
+}
+
+// pair clones a baseline/test pair for replay: two O(1) clones that differ
+// in the candidate indexes and nothing else. shadow.clone_pairs counts pairs
+// handed to replay — one per validation plus one per divergence — not
+// snapshots of production.
+func (f *frozen) pair() (baseline, test *engine.DB) {
+	f.base.ObsRegistry().Counter("shadow.clone_pairs").Inc()
+	return f.base.Clone("shadow-baseline"), f.built.Clone("shadow-test")
 }
 
 // Validate clones the database, materializes the candidate indexes on the
@@ -184,6 +205,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 	reg.Counter("shadow.validations").Inc()
 	span := reg.StartSpan("shadow/validate")
 	defer span.End()
+	var sk skips
 	verdict := func(rep *Report) (*Report, error) {
 		if rep.Accepted {
 			reg.Counter("shadow.accepted").Inc()
@@ -194,13 +216,21 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 			reg.Counter("shadow.degraded").Inc()
 			failpoint.CountDegraded()
 		}
+		if n := sk.unbindable + sk.failedBoth; n > 0 {
+			reg.Counter("shadow.replay_samples_skipped").Add(int64(n))
+			span.Annotate("skipped_unbindable", strconv.Itoa(sk.unbindable))
+			span.Annotate("skipped_failed_on_both_sides", strconv.Itoa(sk.failedBoth))
+		}
 		journalVerdict(db, span, candidates, mon, rep)
 		return rep, nil
 	}
 	// Everything below runs on clones; production state is untouched until
 	// the caller applies an accepted recommendation. A panic mid-validation
 	// (e.g. an injected panic action in a clone build) therefore degrades
-	// to "no change" instead of taking the tuning loop down.
+	// to "no change" instead of taking the tuning loop down. Every handle is
+	// retired here, on every path, but built's when the report carries it out.
+	var f frozen
+	var baseline, test *engine.DB
 	defer func() {
 		if p := recover(); p != nil {
 			rep, err = verdict(&Report{
@@ -209,20 +239,23 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 				Reason:   fmt.Sprintf("validation panicked: %v", p),
 			})
 		}
+		release(f.base, baseline, test)
+		if rep.built == nil {
+			release(f.built)
+		}
 	}()
 	if len(candidates) == 0 {
 		return verdict(&Report{Accepted: false, Code: CodeNoCandidates, Reason: "no candidate indexes"})
 	}
 
-	baseline, test, err := clonePair(db, candidates)
-	if err != nil {
+	if err := f.take(db, candidates); err != nil {
 		return verdict(&Report{
 			Degraded: true,
 			Code:     CodeCloneUnavailable,
 			Reason:   fmt.Sprintf("clone environment unavailable: %v", err),
 		})
 	}
-	defer func() { release(baseline, test) }()
+	baseline, test = f.pair()
 
 	rep = &Report{}
 	improvedOne := false
@@ -232,7 +265,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 		var replays int
 		rerr := replayPolicy.Do(func() error {
 			var e error
-			before, after, replays, e = replayQuery(baseline, test, q, gate.MaxReplays)
+			before, after, replays, e = replayQuery(baseline, test, q, gate.MaxReplays, &sk)
 			reg.Counter("shadow.replays").Add(int64(replays))
 			if errors.Is(e, errDiverged) {
 				return failpoint.Abort(e)
@@ -244,12 +277,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 				rep.Divergent = append(rep.Divergent, q.Normalized)
 				reg.Counter("shadow.divergent").Inc()
 				release(baseline, test)
-				if baseline, test, err = clonePair(db, candidates); err != nil {
-					rep.Degraded = true
-					rep.Code = CodeCloneRebuildFailed
-					rep.Reason = fmt.Sprintf("clone rebuild after divergence failed: %v", err)
-					return verdict(rep)
-				}
+				baseline, test = f.pair()
 				continue
 			}
 			// A query that stays unreplayable after retries degrades the
@@ -317,6 +345,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 	// queries were compared and what the gate measured.
 	rep.Reason = fmt.Sprintf("accepted: %d queries compared, gain %.4fs cpu/window", len(rep.Outcomes), rep.TotalGain)
 	rep.AcceptedIndexes = candidates
+	rep.built = f.built
 	return verdict(rep)
 }
 
@@ -350,14 +379,19 @@ func journalVerdict(db *engine.DB, span *obs.Span, candidates []*catalog.Index, 
 	}
 }
 
+// skips counts the samples replayQuery dropped from the comparison, by
+// reason (shadow.replay_samples_skipped; the validate span carries the split).
+type skips struct{ unbindable, failedBoth int }
+
 // replayQuery executes the query's sampled parameterizations on both clones
 // and returns average CPU seconds per execution for each, plus the number of
-// samples replayed. A one-sided DML failure returns errDiverged: the write
-// landed on one clone only, so the pair is no longer comparable and the
-// caller must rebuild both clones. The "replay.query" failpoint fires before
+// samples replayed. A sample that does not bind, or fails on both sides
+// alike, leaves the clones in step and is counted in sk, not compared. A
+// one-sided DML failure returns errDiverged: the write landed on one clone
+// only, so the pair is no longer comparable and the caller must replace it. The "replay.query" failpoint fires before
 // any sample executes, so an injected replay failure is retryable without
 // re-applying DML.
-func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays int) (before, after float64, replays int, err error) {
+func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays int, sk *skips) (before, after float64, replays int, err error) {
 	if err := failpoint.Inject("replay.query"); err != nil {
 		return 0, 0, 0, err
 	}
@@ -371,6 +405,7 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 	for _, p := range params {
 		stmt, err := sqlparser.Bind(q.Stmt, p)
 		if err != nil {
+			sk.unbindable++
 			continue
 		}
 		// DML must not change clone contents between replays in a way that
@@ -382,6 +417,7 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 				// The statement mutated exactly one clone.
 				return 0, 0, replays, errDiverged
 			}
+			sk.failedBoth++
 			continue
 		}
 		before += resB.Stats.CPUSeconds()

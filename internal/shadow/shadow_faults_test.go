@@ -1,10 +1,13 @@
 package shadow
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"aim/internal/catalog"
+	"aim/internal/exec"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
 )
@@ -128,5 +131,35 @@ func TestValidateToleratesPartialReplayErrors(t *testing.T) {
 	}
 	if rep.Accepted || !rep.Degraded {
 		t.Fatalf("partial evidence must degrade: accepted=%v degraded=%v", rep.Accepted, rep.Degraded)
+	}
+}
+
+// TestValidateCountsSkippedSamples: a sample that fails on both sides alike
+// is left out of the comparison, and says so — counted in
+// shadow.replay_samples_skipped with the reason on the validate span — while
+// the verdict rests on the samples that did replay, as before.
+func TestValidateCountsSkippedSamples(t *testing.T) {
+	db, mon := fixture(t)
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	var trace bytes.Buffer
+	reg.SetTraceWriter(&trace)
+	for _, id := range []int{5, 99998} { // 5 is taken: a duplicate key on both sides
+		if err := mon.Record(fmt.Sprintf("INSERT INTO t VALUES (%d, 1, 1, 'x')", id), exec.Stats{RowsWritten: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := DefaultGate()
+	gate.Lambda3 = 10 // the insert pays for the new index; not what is tested here
+	rep, err := Validate(db, []*catalog.Index{goodIndex()}, mon, gate)
+	if err != nil || !rep.Accepted || len(rep.ReplayErrors)+len(rep.Divergent) != 0 {
+		t.Fatalf("validation: %+v, %v", rep, err)
+	}
+	rep.Release()
+	if got := reg.Counter("shadow.replay_samples_skipped").Value(); got != 1 {
+		t.Errorf("shadow.replay_samples_skipped = %d, want 1", got)
+	}
+	if !strings.Contains(trace.String(), `"skipped_failed_on_both_sides":"1"`) {
+		t.Errorf("validate span does not carry the reason:\n%s", trace.String())
 	}
 }

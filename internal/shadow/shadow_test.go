@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aim/internal/btree"
 	"aim/internal/catalog"
 	"aim/internal/engine"
 	"aim/internal/exec"
@@ -146,7 +147,7 @@ func TestReplayQueryDivergesOnOneSidedDMLError(t *testing.T) {
 	}
 	q := mon.Queries()[0]
 
-	_, _, _, err := replayQuery(baseline, test, q, 3)
+	_, _, _, err := replayQuery(baseline, test, q, 3, new(skips))
 	if !errors.Is(err, errDiverged) {
 		t.Fatalf("one-sided DML error returned %v, want errDiverged", err)
 	}
@@ -177,12 +178,16 @@ func TestReplayQuerySkipsBothSidedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mon.Queries()[0]
-	_, _, _, err := replayQuery(baseline, test, q, 3)
+	var sk skips
+	_, _, _, err := replayQuery(baseline, test, q, 3, &sk)
 	if errors.Is(err, errDiverged) {
 		t.Fatal("both-sided error misreported as divergence")
 	}
 	if err == nil {
 		t.Fatal("expected no-replayable-samples error")
+	}
+	if sk != (skips{failedBoth: 1}) {
+		t.Fatalf("skipped samples = %+v, want the one both-sided failure counted", sk)
 	}
 }
 
@@ -207,15 +212,16 @@ func TestReplayCountRecordedInOutcome(t *testing.T) {
 
 // TestClonePairSharesStatistics: the before/after comparison is like for
 // like only if both sides plan from the same statistics. Materializing the
-// candidates on the test side must not re-collect them — the pair differs
-// in the candidate indexes and nothing else.
+// candidates on the built snapshot must not re-collect them — the pair
+// differs in the candidate indexes and nothing else.
 func TestClonePairSharesStatistics(t *testing.T) {
 	db, _ := fixture(t)
-	baseline, test, err := clonePair(db, []*catalog.Index{goodIndex()})
-	if err != nil {
+	var f frozen
+	if err := f.take(db, []*catalog.Index{goodIndex()}); err != nil {
 		t.Fatal(err)
 	}
-	defer release(baseline, test)
+	baseline, test := f.pair()
+	defer release(f.base, f.built, baseline, test)
 	for _, tbl := range db.Schema.Tables() {
 		ts := db.TableStats(tbl.Name)
 		if baseline.TableStats(tbl.Name) != ts || test.TableStats(tbl.Name) != ts {
@@ -224,5 +230,63 @@ func TestClonePairSharesStatistics(t *testing.T) {
 	}
 	if baseline.Schema.Index("aim_t_a") != nil || test.Store.Table("t").Index("aim_t_a") == nil {
 		t.Fatal("candidate must be materialized on the test side only")
+	}
+}
+
+// writingGate is a clone gate that counts its acquisitions and, each time it
+// is given back, lets a session's write through — the statement that was
+// parked on the gate while the snapshot was taken.
+type writingGate struct {
+	locks int
+	db    *engine.DB
+	next  int
+}
+
+func (g *writingGate) Lock() { g.locks++ }
+func (g *writingGate) Unlock() {
+	g.next++
+	g.db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1, 1, 'late')", 100000+g.next))
+}
+
+// TestValidateComparesOneSnapshot: the two sides of the gate's comparison
+// must hold the rows of one instant. A validation takes the clone gate
+// exactly once; the pair it replays on — and the pair that replaces it after
+// a divergence, which takes no gate at all — share one clustered tree, so a
+// write landing right behind the snapshot is on neither side. (Two gated
+// clones, as before, put that write on the test side only.)
+func TestValidateComparesOneSnapshot(t *testing.T) {
+	db, mon := fixture(t)
+	gate := &writingGate{db: db}
+	db.SetCloneGate(gate)
+	cands := []*catalog.Index{goodIndex()}
+	rep, err := Validate(db, cands, mon, DefaultGate())
+	if err != nil || !rep.Accepted {
+		t.Fatalf("validation: %+v, %v", rep, err)
+	}
+	rep.Release()
+	if gate.locks != 1 {
+		t.Fatalf("one validation took the clone gate %d times, want once", gate.locks)
+	}
+
+	var f frozen
+	if err := f.take(db, cands); err != nil {
+		t.Fatal(err)
+	}
+	defer release(f.base, f.built)
+	rows := db.Store.Table("t").RowCount() - 1 // the write behind this snapshot
+	for i := 0; i < 2; i++ {
+		baseline, test := f.pair()
+		b, s := baseline.Store.Table("t"), test.Store.Table("t")
+		btree.Diff(b.Data(), s.Data(), func(key []byte, _, _ interface{}) bool {
+			t.Fatalf("pair %d: the sides differ at key %x", i, key)
+			return false
+		})
+		if b.RowCount() != rows || s.RowCount() != rows {
+			t.Fatalf("pair %d: %d and %d rows, want the snapshot's %d", i, b.RowCount(), s.RowCount(), rows)
+		}
+		release(baseline, test)
+	}
+	if gate.locks != 2 {
+		t.Fatalf("a snapshot and two pairs took the clone gate %d times, want once", gate.locks-1)
 	}
 }

@@ -197,6 +197,46 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 }
 
+// adoptChanged are the catch-up sizes BenchmarkAdoptIndex and the report
+// measure: an untouched table, a tuning cycle's worth of concurrent DML, and
+// a tenth of the table.
+var adoptChanged = []int{0, 100, 10_000}
+
+// benchAdoptIndex measures the handoff of benchBuildDef from a snapshot that
+// built it to a live table on which changed rows, spread evenly over the key
+// space, had their indexed column updated since — what the write gate is
+// held for in place of BenchmarkBuildIndex. AdoptIndex writes neither side,
+// so one fixture serves every iteration.
+func benchAdoptIndex(b *testing.B, changed int) {
+	live := benchFixture(b).Clone()
+	snap := live.Clone()
+	if _, err := snap.Table("events").BuildIndex(benchBuildDef, nil); err != nil {
+		b.Fatal(err)
+	}
+	tbl := live.Table("events")
+	for k := 0; k < changed; k++ {
+		row := eventRow(int64(k * (benchRows / changed)))
+		row[1] = sqltypes.NewInt(row[1].Int() + 1)
+		if err := tbl.Update(tbl.PKKey(row), row, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := tbl.AdoptIndex(benchBuildDef, snap.Table("events"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = ix
+	}
+}
+
+func BenchmarkAdoptIndex(b *testing.B) {
+	for _, changed := range adoptChanged {
+		b.Run(fmt.Sprintf("changed=%d", changed), func(b *testing.B) { benchAdoptIndex(b, changed) })
+	}
+}
+
 func BenchmarkBuildIndexIncremental(b *testing.B) {
 	tbl := benchFixture(b).Table("events")
 	b.ResetTimer()
@@ -243,7 +283,9 @@ func storeShared(live, snap *Store) btree.Footprint {
 // baselines and records the results in BENCH_storage.json at the repo root:
 // snapshot ns/op across 10k/100k/1M rows (gated row-count-independent),
 // COW clone vs the old deep-copy clone (gated >= 100x at 100k rows), index
-// build vs incremental (gated >= 3x), and the memory amplification of a
+// build vs incremental (gated >= 3x), adopting a snapshot-built index vs
+// building it (AdoptIndex at 0 / 100 / 10 000 changed rows; adopt_vs_build is
+// the 100-row case, gated >= 10x), and the memory amplification of a
 // snapshot after 1000 DML ops (bytes shared vs copied). Wall-clock
 // sensitive, so it is env-gated out of plain `go test ./...`;
 // `make benchstorage` invokes it.
@@ -266,6 +308,9 @@ func TestBenchStorageReport(t *testing.T) {
 		"CloneUnderDML":         run(BenchmarkCloneUnderDML),
 		"BuildIndex":            run(BenchmarkBuildIndex),
 		"BuildIndexIncremental": run(BenchmarkBuildIndexIncremental),
+	}
+	for _, changed := range adoptChanged {
+		bench[fmt.Sprintf("AdoptIndex/changed=%d", changed)] = run(func(b *testing.B) { benchAdoptIndex(b, changed) })
 	}
 
 	// Snapshot latency across row counts: O(1) means flat.
@@ -340,8 +385,9 @@ func TestBenchStorageReport(t *testing.T) {
 		SnapshotNsRows: snapshotNs,
 		CloneFlatness:  flatness,
 		Speedup: map[string]float64{
-			"clone":       ratio("StoreCloneIncremental", "StoreClone"),
-			"build_index": ratio("BuildIndexIncremental", "BuildIndex"),
+			"clone":          ratio("StoreCloneIncremental", "StoreClone"),
+			"build_index":    ratio("BuildIndexIncremental", "BuildIndex"),
+			"adopt_vs_build": ratio("BuildIndex", "AdoptIndex/changed=100"),
 		},
 	}
 	report.Memory.DMLOps = dmlOps
@@ -350,7 +396,8 @@ func TestBenchStorageReport(t *testing.T) {
 	report.Memory.CopiedBytes = total.Bytes - shared.Bytes
 	report.Memory.SharedPercent = 100 * float64(shared.Bytes) / float64(total.Bytes)
 
-	t.Logf("clone speedup: %.0fx, build_index speedup: %.2fx", report.Speedup["clone"], report.Speedup["build_index"])
+	t.Logf("clone speedup: %.0fx, build_index speedup: %.2fx, adopt_vs_build: %.0fx",
+		report.Speedup["clone"], report.Speedup["build_index"], report.Speedup["adopt_vs_build"])
 	t.Logf("memory after %d DML ops: %.1f%% shared (%d of %d bytes)",
 		dmlOps, report.Memory.SharedPercent, shared.Bytes, total.Bytes)
 	if report.Speedup["clone"] < 100 {
@@ -358,6 +405,9 @@ func TestBenchStorageReport(t *testing.T) {
 	}
 	if report.Speedup["build_index"] < 3 {
 		t.Errorf("build_index fast path only %.2fx over the incremental baseline, want >= 3x", report.Speedup["build_index"])
+	}
+	if report.Speedup["adopt_vs_build"] < 10 {
+		t.Errorf("adopting with 100 changed rows only %.2fx faster than building, want >= 10x — the catch-up is doing build-sized work", report.Speedup["adopt_vs_build"])
 	}
 	if report.Memory.SharedPercent < 50 {
 		t.Errorf("only %.1f%% of the store shared after %d DML ops — structural sharing is not holding", report.Memory.SharedPercent, dmlOps)

@@ -8,6 +8,7 @@
 package tuning
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"aim/internal/engine"
 	"aim/internal/regression"
 	"aim/internal/shadow"
+	"aim/internal/storage"
 	"aim/internal/workload"
 )
 
@@ -33,8 +35,9 @@ type Cycle struct {
 	// Read and Write are the two sides of the serving statement gate: phases
 	// that read statistics hold Read (they must not race live DML), phases
 	// that change the physical design hold Write. Nil means the caller
-	// already serializes (offline). Shadow validation holds neither; its
-	// snapshots serialize through the engine's clone gate.
+	// already serializes (offline). Shadow validation holds neither: its one
+	// snapshot serializes through the engine's clone gate. Adoption holds
+	// Write to catch the validated trees up and attach them, not to build.
 	Read, Write sync.Locker
 
 	// MaintenanceGuard additionally runs the detector's write-amplification
@@ -68,9 +71,9 @@ type Outcome struct {
 	Report *shadow.Report
 	// Adopted are the catalog keys of the validated creations applied.
 	Adopted []string
-	// ApplyErr is set when an accepted batch failed to apply: CreateIndexes
-	// rolled it back, the catalog is unchanged and a later cycle
-	// re-validates.
+	// ApplyErr is set when an accepted batch failed to apply: the handoff (or
+	// its fallback build) rolled it back, the catalog is unchanged and a
+	// later cycle re-validates.
 	ApplyErr error
 	// Reverted are the catalog keys dropped this cycle, retirements first.
 	Reverted []string
@@ -123,8 +126,10 @@ func (c *Cycle) Run(mon *workload.Monitor) (Outcome, error) {
 }
 
 // adopt is the forward half of the cycle: drop candidates inside their
-// revert cooldown, validate the rest on shadow snapshots, and apply exactly
-// the validated creations when the gate accepts.
+// revert cooldown, validate the rest on shadow snapshots, and when the gate
+// accepts adopt exactly the validated creations — the trees it measured,
+// handed over from the report's snapshot, or, when the table has moved too
+// far from it for a catch-up to beat a build, built again under the gate.
 func (c *Cycle) adopt(mon *workload.Monitor, create []*catalog.Index) (Outcome, error) {
 	var out Outcome
 	// An index the loop just reverted must wait its cooldown out, or a
@@ -142,6 +147,7 @@ func (c *Cycle) adopt(mon *workload.Monitor, create []*catalog.Index) (Outcome, 
 	if err != nil {
 		return out, fmt.Errorf("validate: %v", err)
 	}
+	defer report.Release()
 	out.Report = report
 	if c.OnReport != nil {
 		c.OnReport(report)
@@ -155,7 +161,12 @@ func (c *Cycle) adopt(mon *workload.Monitor, create []*catalog.Index) (Outcome, 
 	if !report.Accepted {
 		return out, nil
 	}
-	hold(c.Write, func() { _, out.ApplyErr = c.Adv.Apply(&core.Recommendation{Create: kept}) })
+	hold(c.Write, func() {
+		_, out.ApplyErr = c.Adv.Adopt(kept, report.Built())
+		if errors.Is(out.ApplyErr, storage.ErrSnapshotStale) {
+			_, out.ApplyErr = c.Adv.Apply(&core.Recommendation{Create: kept})
+		}
+	})
 	if out.ApplyErr != nil {
 		c.ApplyFailures++
 		return out, nil

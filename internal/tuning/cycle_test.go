@@ -5,13 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"aim/internal/catalog"
 	"aim/internal/core"
 	"aim/internal/engine"
+	"aim/internal/failpoint"
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/shadow"
 	"aim/internal/sqlparser"
 	"aim/internal/stats"
+	"aim/internal/storage"
 	"aim/internal/workload"
 )
 
@@ -243,5 +246,158 @@ func TestCycleLeavesStatisticsAlone(t *testing.T) {
 	untouched("reverting cycle")
 	if got := cost(); got != scan {
 		t.Errorf("estimate after revert = %v, want the scan cost %v", got, scan)
+	}
+}
+
+// writerGate is a Write side that stands for sessions writing while the
+// cycle validates: the first time it is taken it runs dml on the database
+// before granting the lock, so the statements land after the shadow snapshot
+// and before the adoption, every run alike. It also records how many index
+// builds had run when it was granted and when it was given back.
+type writerGate struct {
+	db                  *engine.DB
+	dml                 []string
+	builds              *obs.Histogram
+	atLock, atUnlock    int64
+	taken, failedWrites int
+}
+
+func (g *writerGate) Lock() {
+	if g.taken++; g.taken == 1 {
+		for _, sql := range g.dml {
+			if _, err := g.db.Exec(sql); err != nil {
+				g.failedWrites++
+			}
+		}
+		g.atLock = g.builds.Count()
+	}
+}
+
+func (g *writerGate) Unlock() {
+	if g.taken == 1 {
+		g.atUnlock = g.builds.Count()
+	}
+}
+
+// TestCycleHandsOverTheValidatedTrees drives the handoff through Cycle.Run
+// on every path a validation can take: the trees the gate measured are
+// adopted with whatever the sessions wrote meanwhile caught up (no build
+// under the gate — one build per adoption, on the snapshot); a table that
+// moved too far is built under the gate as before; a handoff that fails
+// surfaces as ApplyErr over an unchanged catalog; and accepted, rejected,
+// degraded, failed and fallen-back cycles alike leave every index equal to a
+// fresh build of its definition and no snapshot handle behind.
+func TestCycleHandsOverTheValidatedTrees(t *testing.T) {
+	const hot = "SELECT id FROM kv WHERE v = %d"
+	tail := []string{
+		"UPDATE kv SET v = v + 1 WHERE id < 40", // indexed column
+		"UPDATE kv SET w = 9 WHERE id = 77",     // unindexed column
+		"DELETE FROM kv WHERE id = 500",
+		"INSERT INTO kv VALUES (5000, 15000, 1)",
+		"UPDATE kv SET id = 6000 WHERE id = 501", // primary key
+	}
+	for _, tc := range []struct {
+		name      string
+		dml       []string
+		faults    string
+		gate      func(*shadow.Gate)
+		adopted   bool
+		applyErr  bool
+		degraded  int
+		catchUp   float64 // rows re-derived by the handoff
+		builds    int64   // index builds in the whole cycle
+		gated     int64   // of them, while the write gate was held
+		fallbacks int64
+	}{
+		{name: "quiet table", adopted: true, builds: 1},
+		{name: "writes during validation", dml: tail, adopted: true, builds: 1, catchUp: 45},
+		{name: "table rewritten during validation", dml: []string{"UPDATE kv SET w = w + 1 WHERE id >= 0"},
+			adopted: true, builds: 2, gated: 1, fallbacks: 1},
+		{name: "rejected", dml: tail, gate: func(g *shadow.Gate) { g.Lambda2 = 0.9999999 }, builds: 1},
+		{name: "degraded", faults: "shadow.clone=err(1)", degraded: 1},
+		{name: "handoff fails", dml: tail, faults: "engine.create_index=err()@2-4", applyErr: true, builds: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := newCycle(t)
+			reg := obs.NewRegistry()
+			c.DB.SetObs(reg)
+			storage.Instrument(reg)
+			defer storage.Instrument(nil)
+			if tc.faults != "" {
+				fp, err := failpoint.Parse(tc.faults, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				failpoint.Activate(fp)
+				defer failpoint.Activate(nil)
+			}
+			if tc.gate != nil {
+				tc.gate(&c.Gate)
+			}
+			w := &writerGate{db: c.DB, dml: tc.dml, builds: reg.Histogram("storage.index_build_seconds")}
+			c.Read, c.Write = nil, w
+			live := reg.Gauge("storage.snapshots_live").Value()
+
+			out, err := c.Run(window(t, c.DB, 20, hot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(out.Adopted) == 1; got != tc.adopted || (out.ApplyErr != nil) != tc.applyErr || c.DegradedValidations != tc.degraded {
+				t.Fatalf("adopted=%v apply_err=%v degraded=%d, want %v / %v / %d (report %+v)",
+					out.Adopted, out.ApplyErr, c.DegradedValidations, tc.adopted, tc.applyErr, tc.degraded, out.Report)
+			}
+			if w.failedWrites != 0 {
+				t.Fatalf("%d of the sessions' writes failed", w.failedWrites)
+			}
+			if out.Report.Built() != nil {
+				t.Error("the report still holds its snapshot after the cycle")
+			}
+			if got := reg.Gauge("storage.snapshots_live").Value(); got != live {
+				t.Errorf("storage.snapshots_live = %d after the cycle, %d before", got, live)
+			}
+			if got := w.builds.Count(); got != tc.builds || w.atUnlock-w.atLock != tc.gated {
+				t.Errorf("%d index builds, %d of them under the write gate; want %d and %d", got, w.atUnlock-w.atLock, tc.builds, tc.gated)
+			}
+			catchUp := reg.Histogram("storage.adopt_catchup_rows").Snapshot()
+			if handed := tc.adopted && tc.fallbacks == 0; (catchUp.Count == 1) != handed || catchUp.Sum != tc.catchUp {
+				t.Errorf("storage.adopt_catchup_rows = %+v, want handoff=%v re-deriving %v rows", catchUp, handed, tc.catchUp)
+			}
+			if got := reg.Counter("storage.adopt_fallbacks").Value(); got != tc.fallbacks {
+				t.Errorf("storage.adopt_fallbacks = %d, want %d", got, tc.fallbacks)
+			}
+
+			// Catalog and store agree, and every index is what a build of its
+			// definition over the table as it now stands would be.
+			tbl := c.DB.Store.Table("kv")
+			if got, want := len(tbl.Indexes()), len(c.DB.Schema.Indexes()); got != want || (got == 1) != tc.adopted {
+				t.Fatalf("%d materialized indexes, %d in the catalog, adopted=%v", got, want, tc.adopted)
+			}
+			for _, def := range c.DB.Schema.Indexes() {
+				got := tbl.Index(def.Name)
+				want, err := tbl.PrepareIndex(&catalog.Index{Name: "fresh", Table: def.Table, Columns: def.Columns}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Tree().Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if got.Len() != tbl.RowCount() || got.SizeBytes() != want.SizeBytes() {
+					t.Fatalf("%s: %d entries / %d bytes for %d rows, a fresh build has %d bytes",
+						def.Name, got.Len(), got.SizeBytes(), tbl.RowCount(), want.SizeBytes())
+				}
+				for ig, iw := got.Tree().Seek(nil), want.Tree().Seek(nil); ig.Valid(); ig.Next() {
+					if string(ig.Key()) != string(iw.Key()) {
+						t.Fatalf("%s: entries differ from a fresh build", def.Name)
+					}
+					iw.Next()
+				}
+			}
+			if tc.adopted {
+				res, err := c.DB.Exec(fmt.Sprintf(hot, 3))
+				if err != nil || len(res.UsedIndexes) == 0 {
+					t.Fatalf("hot query after adoption: %v, plan %v", err, res)
+				}
+			}
+		})
 	}
 }
