@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"aim/internal/sqltypes"
 )
@@ -75,6 +76,16 @@ func (t *Table) PrimaryKeyNames() []string {
 	return out
 }
 
+// IsPrimaryKey reports whether name is one of the primary key columns.
+func (t *Table) IsPrimaryKey(name string) bool {
+	for _, o := range t.PrimaryKey {
+		if strings.EqualFold(t.Columns[o].Name, name) {
+			return true
+		}
+	}
+	return false
+}
+
 // Index describes a secondary index. Hypothetical (dataless) indexes carry
 // statistics but no materialized entries; the optimizer can cost plans with
 // them exactly as with real indexes.
@@ -88,24 +99,21 @@ type Index struct {
 	CreatedBy string
 }
 
-// ColumnSet returns the index key columns as a set of lower-cased names.
-func (ix *Index) ColumnSet() map[string]bool {
-	s := make(map[string]bool, len(ix.Columns))
+// HasColumn reports whether name is one of the index key columns.
+func (ix *Index) HasColumn(name string) bool {
 	for _, c := range ix.Columns {
-		s[strings.ToLower(c)] = true
+		if strings.EqualFold(c, name) {
+			return true
+		}
 	}
-	return s
+	return false
 }
 
 // Covers reports whether the index key columns plus the table's primary key
 // cover all of the named columns (i.e. an index-only read can answer them).
 func (ix *Index) Covers(t *Table, needed []string) bool {
-	have := ix.ColumnSet()
-	for _, p := range t.PrimaryKeyNames() {
-		have[strings.ToLower(p)] = true
-	}
 	for _, n := range needed {
-		if !have[strings.ToLower(n)] {
+		if !ix.HasColumn(n) && !t.IsPrimaryKey(n) {
 			return false
 		}
 	}
@@ -156,7 +164,14 @@ type Schema struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
 	indexes map[string]*Index // by lower-cased index name
+	// version counts the changes to tables and indexes. What is derived from
+	// the schema (a prepared plan) records the version it read before reading
+	// anything else and is stale once Version has moved on.
+	version atomic.Uint64
 }
+
+// Version returns the schema's change counter.
+func (s *Schema) Version() uint64 { return s.version.Load() }
 
 // NewSchema returns an empty schema.
 func NewSchema() *Schema {
@@ -172,6 +187,7 @@ func (s *Schema) AddTable(t *Table) error {
 		return fmt.Errorf("catalog: table %q already exists", t.Name)
 	}
 	s.tables[key] = t
+	s.version.Add(1)
 	return nil
 }
 
@@ -221,6 +237,7 @@ func (s *Schema) AddIndex(ix *Index) error {
 		return fmt.Errorf("catalog: index %q already exists", ix.Name)
 	}
 	s.indexes[key] = ix
+	s.version.Add(1)
 	return nil
 }
 
@@ -233,6 +250,7 @@ func (s *Schema) DropIndex(name string) bool {
 		return false
 	}
 	delete(s.indexes, key)
+	s.version.Add(1)
 	return true
 }
 

@@ -1,16 +1,10 @@
-// Package costcache memoizes what-if optimizer estimates behind a sharded,
-// bounded LRU. Advisors re-cost the same (query, index-configuration) pairs
-// constantly — AIM's ranking re-costs every query's base configuration,
-// DTA's greedy re-costs the whole workload per move — and CoPhy identifies
-// this call volume as the scalability limit of index advisors. The cache
-// keys on a normalized query fingerprint plus the sorted fingerprint of the
-// configuration's *relevant* indexes (only indexes on tables the statement
-// touches can change its plan), so a candidate index on another table never
-// forces a re-plan.
+// Package costcache is the sharded, bounded LRU behind the optimizer's two
+// memos: what-if estimates per (query, relevant index configuration)
+// (optimizer.Coster) and the parameter-independent half of planning per
+// normalized template (the optimizer's template memo). It is a leaf package so the
+// optimizer can hold both.
 //
-// Cached values are immutable: callers must not mutate a returned Estimate
-// or DMLEstimate, and the Index pointers inside a cached plan may come from
-// an earlier, equivalent configuration (compare by Index.Key, not pointer).
+// Cached values are immutable and shared between goroutines.
 package costcache
 
 import (
@@ -80,20 +74,26 @@ type Cache struct {
 }
 
 // SetObs attaches (or with a nil registry, detaches) live cache metrics:
-// costcache.{hits,misses,evictions} counters and the costcache.entries
-// gauge. Call before concurrent use; existing residency is folded into the
-// entries gauge at attach time.
-func (c *Cache) SetObs(r *obs.Registry) {
+// <prefix>{hits,misses,evictions} counters and the <prefix>entries gauge
+// ("costcache.", "optimizer.prepared_"). Call before concurrent use; existing
+// residency is folded into the entries gauge at attach time.
+func (c *Cache) SetObs(r *obs.Registry, prefix string) {
 	if r == nil {
 		c.mHits, c.mMisses, c.mEvictions, c.mEntries = nil, nil, nil, nil
 		return
 	}
-	c.mHits = r.Counter("costcache.hits")
-	c.mMisses = r.Counter("costcache.misses")
-	c.mEvictions = r.Counter("costcache.evictions")
-	c.mEntries = r.Gauge("costcache.entries")
+	c.mHits = r.Counter(prefix + "hits")
+	c.mMisses = r.Counter(prefix + "misses")
+	c.mEvictions = r.Counter(prefix + "evictions")
+	c.mEntries = r.Gauge(prefix + "entries")
 	c.mEntries.Add(c.Stats().Entries)
 }
+
+// Validator is implemented by values that can go stale on their own (a
+// prepared plan holds the catalog version it was built at). Get drops an
+// entry whose Valid reports false and counts a miss, so nothing has to
+// remember to invalidate it.
+type Validator interface{ Valid() bool }
 
 type shard struct {
 	mu    sync.Mutex
@@ -131,7 +131,7 @@ func (c *Cache) shardFor(key string) *shard {
 }
 
 // Get returns the cached value for key and promotes it to most recently
-// used.
+// used. A Validator that reports false is removed and missed.
 func (c *Cache) Get(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -142,6 +142,16 @@ func (c *Cache) Get(key string) (any, bool) {
 		val = el.Value.(*entry).val
 	}
 	s.mu.Unlock()
+	if v, self := val.(Validator); self && !v.Valid() {
+		s.mu.Lock()
+		if s.byKey[key] == el {
+			s.lru.Remove(el)
+			delete(s.byKey, key)
+			c.mEntries.Add(-1)
+		}
+		s.mu.Unlock()
+		ok = false
+	}
 	if ok {
 		atomic.AddInt64(&c.hits, 1)
 		c.mHits.Inc()

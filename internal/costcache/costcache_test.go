@@ -174,3 +174,31 @@ func TestConcurrentAccessIsConsistent(t *testing.T) {
 		t.Fatalf("entries exceed capacity: %d", st.Entries)
 	}
 }
+
+// versioned is a Validator: valid while its version is the current one.
+type versioned struct{ at, now *int }
+
+func (v versioned) Valid() bool { return *v.at == *v.now }
+
+// TestStaleEntryIsAMiss pins the self-validation the planner's memo relies on:
+// an entry that reports itself stale is dropped by the Get that finds it,
+// counted as a miss, and the key takes a fresh value.
+func TestStaleEntryIsAMiss(t *testing.T) {
+	c := NewCache(64)
+	now, one, two := 1, 1, 2
+	c.Put("k", versioned{&one, &now})
+	if _, ok := c.Get("k"); !ok {
+		t.Fatal("valid entry missed")
+	}
+	now = 2
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("stale entry served")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("after the stale lookup: %+v", st)
+	}
+	c.Put("k", versioned{&two, &now})
+	if v, ok := c.Get("k"); !ok || v.(versioned).at != &two {
+		t.Fatalf("re-put after stale: %v, %v", v, ok)
+	}
+}

@@ -36,7 +36,7 @@ type DB struct {
 	// WhatIf memoizes what-if estimates behind a sharded LRU; all advisor
 	// costing routes through it. The engine invalidates it whenever
 	// statistics or the materialized schema change.
-	WhatIf     *costcache.Coster
+	WhatIf     *optimizer.Coster
 	executor   *exec.Executor
 	mu         sync.RWMutex // guards statsCache and writesSince
 	statsCache map[string]*stats.TableStats
@@ -103,7 +103,7 @@ func New(name string) *DB {
 		writesSince: map[string]int{},
 	}
 	db.Optimizer = optimizer.New(db.Schema, db)
-	db.WhatIf = costcache.NewCoster(db.Optimizer, costcache.DefaultCapacity)
+	db.WhatIf = optimizer.NewCoster(db.Optimizer, costcache.DefaultCapacity)
 	db.executor = exec.New(db.Store)
 	return db
 }
@@ -164,6 +164,11 @@ type Result struct {
 	// Plan annotations for SELECTs.
 	PlanDesc    []string
 	UsedIndexes []string
+	// Template and Params are what sqlparser.Normalize returns for the
+	// statement; ExecStmt computes them anyway, so the workload monitor's
+	// feeders need not normalize again.
+	Template string
+	Params   []sqltypes.Value
 }
 
 // Exec parses and executes one SQL statement.
@@ -184,15 +189,36 @@ func (db *DB) MustExec(sql string) *Result {
 	return r
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement: normalize, then run the template with
+// the statement's own literals as its parameters, so that the planner's
+// parameter-independent half is looked up in the optimizer's memo instead of
+// redone. A statement its template cannot stand in for (Template.Bypass) is
+// planned as written, and counted.
 func (db *DB) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
+	t := sqlparser.NewTemplate(stmt)
+	key, run, params := t.Text, t.Stmt, t.Params
+	if t.Bypass != "" {
+		db.Optimizer.CountBypass(t.Bypass)
+		key, run, params = "", stmt, nil
+	}
+	res, err := db.exec(key, run, params)
+	if err != nil {
+		return nil, err
+	}
+	res.Template, res.Params = t.Text, t.Params
+	return res, nil
+}
+
+// exec runs stmt with its placeholders bound to params; key, when not empty,
+// is the template text the plan's prepared half is memoised under.
+func (db *DB) exec(key string, stmt sqlparser.Statement, params []sqltypes.Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.Select:
-		return db.execSelect(s)
+		return db.execSelect(key, s, params)
 	case *sqlparser.Insert:
-		return db.execInsert(s)
+		return db.execInsert(s, params)
 	case *sqlparser.Update, *sqlparser.Delete:
-		return db.execUpdateDelete(s)
+		return db.execUpdateDelete(key, s, params)
 	case *sqlparser.CreateTable:
 		return db.execCreateTable(s)
 	case *sqlparser.CreateIndex:
@@ -204,11 +230,13 @@ func (db *DB) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
 	}
 }
 
-func (db *DB) execSelect(s *sqlparser.Select) (*Result, error) {
-	plan, desc, err := db.Optimizer.BuildSelectPlan(s)
+func (db *DB) execSelect(key string, s *sqlparser.Select, params []sqltypes.Value) (*Result, error) {
+	plan, desc, err := db.Optimizer.PlanSelect(key, s, params)
 	if err != nil {
 		return nil, err
 	}
+	// A template renders its column names as the statement would: one with a
+	// literal in its select list is not run as a template.
 	cols := make([]string, len(s.Exprs))
 	for i, se := range s.Exprs {
 		switch {
@@ -233,13 +261,12 @@ func (db *DB) execSelect(s *sqlparser.Select) (*Result, error) {
 	}, nil
 }
 
-func (db *DB) execInsert(s *sqlparser.Insert) (*Result, error) {
+func (db *DB) execInsert(s *sqlparser.Insert, params []sqltypes.Value) (*Result, error) {
 	tbl := db.Schema.Table(s.Table)
 	if tbl == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
 	// Evaluate row expressions (must be constant).
-	emptyLayout := exec.NewLayout(nil)
 	rows := make([]sqltypes.Row, 0, len(s.Rows))
 	for _, exprRow := range s.Rows {
 		full := make(sqltypes.Row, len(tbl.Columns))
@@ -251,7 +278,7 @@ func (db *DB) execInsert(s *sqlparser.Insert) (*Result, error) {
 				return nil, fmt.Errorf("engine: INSERT expects %d values, got %d", len(tbl.Columns), len(exprRow))
 			}
 			for i, e := range exprRow {
-				v, err := constEval(e, emptyLayout)
+				v, err := constEval(e, params)
 				if err != nil {
 					return nil, err
 				}
@@ -266,7 +293,7 @@ func (db *DB) execInsert(s *sqlparser.Insert) (*Result, error) {
 				if ord < 0 {
 					return nil, fmt.Errorf("engine: unknown column %q", c)
 				}
-				v, err := constEval(exprRow[i], emptyLayout)
+				v, err := constEval(exprRow[i], params)
 				if err != nil {
 					return nil, err
 				}
@@ -283,16 +310,19 @@ func (db *DB) execInsert(s *sqlparser.Insert) (*Result, error) {
 	return &Result{Stats: st}, nil
 }
 
-func constEval(e sqlparser.Expr, l *exec.Layout) (sqltypes.Value, error) {
-	ce, err := exec.Compile(e, l)
+// constEval evaluates a constant expression; its placeholders read params.
+func constEval(e sqlparser.Expr, params []sqltypes.Value) (sqltypes.Value, error) {
+	ce, err := exec.Compile(e, emptyLayout, params)
 	if err != nil {
 		return sqltypes.Null, err
 	}
 	return ce(nil)
 }
 
-func (db *DB) execUpdateDelete(stmt sqlparser.Statement) (*Result, error) {
-	plan, assigns, err := db.Optimizer.BuildDMLPlan(stmt)
+var emptyLayout = exec.NewLayout(nil)
+
+func (db *DB) execUpdateDelete(key string, stmt sqlparser.Statement, params []sqltypes.Value) (*Result, error) {
+	plan, assigns, err := db.Optimizer.PlanDML(key, stmt, params)
 	if err != nil {
 		return nil, err
 	}
@@ -553,7 +583,7 @@ func (db *DB) cloneFrom(name string, store *storage.Store) *DB {
 	}
 	db.mu.RUnlock()
 	out.Optimizer = optimizer.New(out.Schema, out)
-	out.WhatIf = costcache.NewCoster(out.Optimizer, costcache.DefaultCapacity)
+	out.WhatIf = optimizer.NewCoster(out.Optimizer, costcache.DefaultCapacity)
 	out.executor = exec.New(out.Store)
 	if db.obs != nil {
 		out.SetObs(db.obs)

@@ -12,14 +12,20 @@ import (
 type CompiledExpr func(env []sqltypes.Value) (sqltypes.Value, error)
 
 // Compile resolves every column reference in e against the layout and
-// returns a closure tree. Placeholders must have been bound beforehand.
-func Compile(e sqlparser.Expr, l *Layout) (CompiledExpr, error) {
+// returns a closure tree. A placeholder compiles to the value params holds at
+// its ordinal, as the literal would have; one params does not reach (nil
+// params: a statement executed as written) is an error.
+func Compile(e sqlparser.Expr, l *Layout, params []sqltypes.Value) (CompiledExpr, error) {
 	switch v := e.(type) {
 	case *sqlparser.Literal:
 		val := v.Val
 		return func([]sqltypes.Value) (sqltypes.Value, error) { return val, nil }, nil
 	case *sqlparser.Placeholder:
-		return nil, fmt.Errorf("exec: unbound placeholder")
+		if v.Ordinal >= len(params) {
+			return nil, fmt.Errorf("exec: unbound placeholder")
+		}
+		val := params[v.Ordinal]
+		return func([]sqltypes.Value) (sqltypes.Value, error) { return val, nil }, nil
 	case *sqlparser.ColumnRef:
 		off, err := l.Resolve(v.Table, v.Column)
 		if err != nil {
@@ -27,9 +33,9 @@ func Compile(e sqlparser.Expr, l *Layout) (CompiledExpr, error) {
 		}
 		return func(env []sqltypes.Value) (sqltypes.Value, error) { return env[off], nil }, nil
 	case *sqlparser.BinaryExpr:
-		return compileBinary(v, l)
+		return compileBinary(v, l, params)
 	case *sqlparser.NotExpr:
-		inner, err := Compile(v.Inner, l)
+		inner, err := Compile(v.Inner, l, params)
 		if err != nil {
 			return nil, err
 		}
@@ -41,13 +47,13 @@ func Compile(e sqlparser.Expr, l *Layout) (CompiledExpr, error) {
 			return sqltypes.NewBool(!val.Bool()), nil
 		}, nil
 	case *sqlparser.InExpr:
-		return compileIn(v, l)
+		return compileIn(v, l, params)
 	case *sqlparser.BetweenExpr:
-		return compileBetween(v, l)
+		return compileBetween(v, l, params)
 	case *sqlparser.LikeExpr:
-		return compileLike(v, l)
+		return compileLike(v, l, params)
 	case *sqlparser.IsNullExpr:
-		inner, err := Compile(v.Left, l)
+		inner, err := Compile(v.Left, l, params)
 		if err != nil {
 			return nil, err
 		}
@@ -60,18 +66,18 @@ func Compile(e sqlparser.Expr, l *Layout) (CompiledExpr, error) {
 			return sqltypes.NewBool(val.IsNull() != not), nil
 		}, nil
 	case *sqlparser.FuncExpr:
-		return compileScalarFunc(v, l)
+		return compileScalarFunc(v, l, params)
 	default:
 		return nil, fmt.Errorf("exec: cannot compile %T", e)
 	}
 }
 
-func compileBinary(v *sqlparser.BinaryExpr, l *Layout) (CompiledExpr, error) {
-	left, err := Compile(v.Left, l)
+func compileBinary(v *sqlparser.BinaryExpr, l *Layout, params []sqltypes.Value) (CompiledExpr, error) {
+	left, err := Compile(v.Left, l, params)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Compile(v.Right, l)
+	right, err := Compile(v.Right, l, params)
 	if err != nil {
 		return nil, err
 	}
@@ -215,14 +221,14 @@ func arith(op string, a, b sqltypes.Value) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("exec: bad arithmetic op %q", op)
 }
 
-func compileIn(v *sqlparser.InExpr, l *Layout) (CompiledExpr, error) {
-	left, err := Compile(v.Left, l)
+func compileIn(v *sqlparser.InExpr, l *Layout, params []sqltypes.Value) (CompiledExpr, error) {
+	left, err := Compile(v.Left, l, params)
 	if err != nil {
 		return nil, err
 	}
 	items := make([]CompiledExpr, len(v.List))
 	for i, item := range v.List {
-		items[i], err = Compile(item, l)
+		items[i], err = Compile(item, l, params)
 		if err != nil {
 			return nil, err
 		}
@@ -257,16 +263,16 @@ func compileIn(v *sqlparser.InExpr, l *Layout) (CompiledExpr, error) {
 	}, nil
 }
 
-func compileBetween(v *sqlparser.BetweenExpr, l *Layout) (CompiledExpr, error) {
-	left, err := Compile(v.Left, l)
+func compileBetween(v *sqlparser.BetweenExpr, l *Layout, params []sqltypes.Value) (CompiledExpr, error) {
+	left, err := Compile(v.Left, l, params)
 	if err != nil {
 		return nil, err
 	}
-	lo, err := Compile(v.Low, l)
+	lo, err := Compile(v.Low, l, params)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := Compile(v.High, l)
+	hi, err := Compile(v.High, l, params)
 	if err != nil {
 		return nil, err
 	}
@@ -292,12 +298,12 @@ func compileBetween(v *sqlparser.BetweenExpr, l *Layout) (CompiledExpr, error) {
 	}, nil
 }
 
-func compileLike(v *sqlparser.LikeExpr, l *Layout) (CompiledExpr, error) {
-	left, err := Compile(v.Left, l)
+func compileLike(v *sqlparser.LikeExpr, l *Layout, params []sqltypes.Value) (CompiledExpr, error) {
+	left, err := Compile(v.Left, l, params)
 	if err != nil {
 		return nil, err
 	}
-	pat, err := Compile(v.Pattern, l)
+	pat, err := Compile(v.Pattern, l, params)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +361,7 @@ func LikePrefix(pattern string) string {
 	return pattern[:i]
 }
 
-func compileScalarFunc(v *sqlparser.FuncExpr, l *Layout) (CompiledExpr, error) {
+func compileScalarFunc(v *sqlparser.FuncExpr, l *Layout, params []sqltypes.Value) (CompiledExpr, error) {
 	if v.IsAggregate() {
 		return nil, fmt.Errorf("exec: aggregate %s not allowed here", v.Name)
 	}
@@ -364,7 +370,7 @@ func compileScalarFunc(v *sqlparser.FuncExpr, l *Layout) (CompiledExpr, error) {
 		if len(v.Args) != 1 {
 			return nil, fmt.Errorf("exec: ABS takes 1 argument")
 		}
-		arg, err := Compile(v.Args[0], l)
+		arg, err := Compile(v.Args[0], l, params)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +391,7 @@ func compileScalarFunc(v *sqlparser.FuncExpr, l *Layout) (CompiledExpr, error) {
 		if len(v.Args) != 1 {
 			return nil, fmt.Errorf("exec: LENGTH takes 1 argument")
 		}
-		arg, err := Compile(v.Args[0], l)
+		arg, err := Compile(v.Args[0], l, params)
 		if err != nil {
 			return nil, err
 		}

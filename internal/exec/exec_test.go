@@ -89,7 +89,7 @@ func compileWhere(t testing.TB, l *Layout, where string) CompiledExpr {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := Compile(stmt.(*sqlparser.Select).Where, l)
+	ce, err := Compile(stmt.(*sqlparser.Select).Where, l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCompileErrors(t *testing.T) {
 		&sqlparser.FuncExpr{Name: "NOSUCH"},
 	}
 	for _, e := range bad {
-		if _, err := Compile(e, l); err == nil {
+		if _, err := Compile(e, l, nil); err == nil {
 			t.Errorf("Compile(%s) should fail", e.SQL())
 		}
 	}

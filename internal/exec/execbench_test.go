@@ -186,12 +186,18 @@ func TestBenchExecReport(t *testing.T) {
 
 	// The benchmark keys predate the single executor: "RowEngine" is the
 	// reference interpreter, "VecEngine" the driver.
+	oneShotNs, preparedNs := measurePlans(t)
+	prepared := float64(oneShotNs["point"]) / float64(preparedNs["point"])
+
 	report := struct {
 		Rows       int                       `json:"rows"`
 		GoVersion  string                    `json:"go_version"`
 		GOMAXPROCS int                       `json:"gomaxprocs"`
 		Benchmarks map[string]execBenchEntry `json:"benchmarks"`
-		Speedup    map[string]float64        `json:"speedup"`
+		// Plan is ns per planned statement, per planbench case and, under
+		// "point", the mean over the two point_read templates the gate is on.
+		Plan    map[string]map[string]int64 `json:"plan"`
+		Speedup map[string]float64          `json:"speedup"`
 	}{
 		Rows:       res.Rows,
 		GoVersion:  runtime.Version(),
@@ -202,10 +208,14 @@ func TestBenchExecReport(t *testing.T) {
 			"ReplayJoinRowEngine": res.JoinReference,
 			"ReplayJoinVecEngine": res.JoinDriver,
 		},
-		Speedup: map[string]float64{"replay": replay, "join_replay": join},
+		Plan:    map[string]map[string]int64{"oneshot_ns": oneShotNs, "prepared_ns": preparedNs},
+		Speedup: map[string]float64{"replay": replay, "join_replay": join, "prepared_vs_oneshot": prepared},
 	}
-	t.Logf("replay: %.2fx the reference over %d statements (%d rows); joins: %.2fx over %d statements",
-		replay, res.Statements, res.Rows, join, res.JoinStatements)
+	t.Logf("replay: %.2fx the reference over %d statements (%d rows); joins: %.2fx over %d statements; planning a point read on a memo hit: %.2fx one-shot (%d -> %d ns)",
+		replay, res.Statements, res.Rows, join, res.JoinStatements, prepared, oneShotNs["point"], preparedNs["point"])
+	if prepared < 2 {
+		t.Errorf("planning a point_read template on a memo hit only %.2fx one-shot planning, want >= 2x", prepared)
+	}
 	if replay < 2 {
 		t.Errorf("single-table replay only %.2fx the reference interpreter, want >= 2x", replay)
 	}
@@ -219,7 +229,7 @@ func TestBenchExecReport(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_exec.json", append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join replay %.2fx\n", replay, join)
+	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join replay %.2fx, prepared vs one-shot planning %.2fx\n", replay, join, prepared)
 }
 
 // TestExecBenchSmoke runs a miniature configuration on every plain test run:

@@ -55,9 +55,10 @@ type Step struct {
 	// all earlier steps' instances) are filled.
 	Filter CompiledExpr
 	// ICPSrc/FilterSrc carry the source expressions behind ICP/Filter. The
-	// batch driver compiles them into per-batch predicate kernels; when nil
-	// (plans assembled without the optimizer) it falls back to evaluating
-	// the compiled closure row by row, which is slower but identical.
+	// batch driver compiles them into per-batch predicate kernels (their
+	// placeholders read Plan.Params); when nil (plans assembled without the
+	// optimizer) it falls back to evaluating the compiled closure row by row,
+	// which is slower but identical.
 	ICPSrc    sqlparser.Expr
 	FilterSrc sqlparser.Expr
 }
@@ -118,7 +119,10 @@ type OrderSpec struct {
 
 // Plan is a complete physical plan for a SELECT.
 type Plan struct {
-	Layout  *Layout
+	Layout *Layout
+	// Params is the parameter vector the plan's expressions were compiled
+	// with (nil for a statement planned as written).
+	Params  []sqltypes.Value
 	Steps   []Step
 	Grouped bool
 	GroupBy []CompiledExpr

@@ -348,7 +348,7 @@ func (e *Executor) drive(p *Plan, sink batchSink, target int64, st *Stats) error
 	r := &pipeline{e: e, p: p, st: st, sink: sink, target: target, levels: make([]level, len(p.Steps))}
 	for d := range r.levels {
 		step := &p.Steps[d]
-		r.levels[d] = level{e.getArena(), compileVec(step.FilterSrc, p.Layout), compileVec(step.ICPSrc, p.Layout)}
+		r.levels[d] = level{e.getArena(), compileVec(step.FilterSrc, p.Layout, p.Params), compileVec(step.ICPSrc, p.Layout, p.Params)}
 		defer e.putArena(r.levels[d].a)
 	}
 	err := r.scanStep(0, make([]sqltypes.Value, p.Layout.Width))

@@ -36,10 +36,14 @@ func (s valSrc) get(row sqltypes.Row) sqltypes.Value {
 	return s.lit
 }
 
-func compileValSrc(e sqlparser.Expr, l *Layout) (valSrc, bool) {
+func compileValSrc(e sqlparser.Expr, l *Layout, params []sqltypes.Value) (valSrc, bool) {
 	switch v := e.(type) {
 	case *sqlparser.Literal:
 		return valSrc{off: -1, lit: v.Val}, true
+	case *sqlparser.Placeholder:
+		if v.Ordinal < len(params) {
+			return valSrc{off: -1, lit: params[v.Ordinal]}, true
+		}
 	case *sqlparser.ColumnRef:
 		off, err := l.Resolve(v.Table, v.Column)
 		if err != nil {
@@ -63,7 +67,7 @@ func boolTri(b bool) int8 {
 // identical error ordering. A composite expression vectorizes only if every
 // subexpression does: partial vectorization of AND/OR could evaluate an
 // erroring branch the row closure would have short-circuited past.
-func compileVec(e sqlparser.Expr, l *Layout) vecPred {
+func compileVec(e sqlparser.Expr, l *Layout, params []sqltypes.Value) vecPred {
 	if e == nil {
 		return nil
 	}
@@ -80,7 +84,7 @@ func compileVec(e sqlparser.Expr, l *Layout) vecPred {
 			}
 		}
 	case *sqlparser.ColumnRef:
-		src, ok := compileValSrc(e, l)
+		src, ok := compileValSrc(e, l, params)
 		if !ok {
 			return nil
 		}
@@ -95,9 +99,9 @@ func compileVec(e sqlparser.Expr, l *Layout) vecPred {
 			}
 		}
 	case *sqlparser.BinaryExpr:
-		return compileVecBinary(v, l)
+		return compileVecBinary(v, l, params)
 	case *sqlparser.NotExpr:
-		inner := compileVec(v.Inner, l)
+		inner := compileVec(v.Inner, l, params)
 		if inner == nil {
 			return nil
 		}
@@ -113,13 +117,13 @@ func compileVec(e sqlparser.Expr, l *Layout) vecPred {
 			}
 		}
 	case *sqlparser.InExpr:
-		return compileVecIn(v, l)
+		return compileVecIn(v, l, params)
 	case *sqlparser.BetweenExpr:
-		return compileVecBetween(v, l)
+		return compileVecBetween(v, l, params)
 	case *sqlparser.LikeExpr:
-		return compileVecLike(v, l)
+		return compileVecLike(v, l, params)
 	case *sqlparser.IsNullExpr:
-		src, ok := compileValSrc(v.Left, l)
+		src, ok := compileValSrc(v.Left, l, params)
 		if !ok {
 			return nil
 		}
@@ -133,11 +137,11 @@ func compileVec(e sqlparser.Expr, l *Layout) vecPred {
 	return nil
 }
 
-func compileVecBinary(v *sqlparser.BinaryExpr, l *Layout) vecPred {
+func compileVecBinary(v *sqlparser.BinaryExpr, l *Layout, params []sqltypes.Value) vecPred {
 	switch v.Op {
 	case "AND", "OR":
-		left := compileVec(v.Left, l)
-		right := compileVec(v.Right, l)
+		left := compileVec(v.Left, l, params)
+		right := compileVec(v.Right, l, params)
 		if left == nil || right == nil {
 			return nil
 		}
@@ -146,11 +150,11 @@ func compileVecBinary(v *sqlparser.BinaryExpr, l *Layout) vecPred {
 		}
 		return vecOr(left, right)
 	case "=", "!=", "<", "<=", ">", ">=", "<=>":
-		ls, ok := compileValSrc(v.Left, l)
+		ls, ok := compileValSrc(v.Left, l, params)
 		if !ok {
 			return nil
 		}
-		rs, ok := compileValSrc(v.Right, l)
+		rs, ok := compileValSrc(v.Right, l, params)
 		if !ok {
 			return nil
 		}
@@ -331,8 +335,8 @@ func vecOr(left, right vecPred) vecPred {
 	}
 }
 
-func compileVecIn(v *sqlparser.InExpr, l *Layout) vecPred {
-	src, ok := compileValSrc(v.Left, l)
+func compileVecIn(v *sqlparser.InExpr, l *Layout, params []sqltypes.Value) vecPred {
+	src, ok := compileValSrc(v.Left, l, params)
 	if !ok {
 		return nil
 	}
@@ -404,16 +408,16 @@ func compileVecIn(v *sqlparser.InExpr, l *Layout) vecPred {
 	}
 }
 
-func compileVecBetween(v *sqlparser.BetweenExpr, l *Layout) vecPred {
-	src, ok := compileValSrc(v.Left, l)
+func compileVecBetween(v *sqlparser.BetweenExpr, l *Layout, params []sqltypes.Value) vecPred {
+	src, ok := compileValSrc(v.Left, l, params)
 	if !ok {
 		return nil
 	}
-	lo, ok := compileValSrc(v.Low, l)
+	lo, ok := compileValSrc(v.Low, l, params)
 	if !ok {
 		return nil
 	}
-	hi, ok := compileValSrc(v.High, l)
+	hi, ok := compileValSrc(v.High, l, params)
 	if !ok {
 		return nil
 	}
@@ -432,12 +436,12 @@ func compileVecBetween(v *sqlparser.BetweenExpr, l *Layout) vecPred {
 	}
 }
 
-func compileVecLike(v *sqlparser.LikeExpr, l *Layout) vecPred {
-	src, ok := compileValSrc(v.Left, l)
+func compileVecLike(v *sqlparser.LikeExpr, l *Layout, params []sqltypes.Value) vecPred {
+	src, ok := compileValSrc(v.Left, l, params)
 	if !ok {
 		return nil
 	}
-	pat, ok := compileValSrc(v.Pattern, l)
+	pat, ok := compileValSrc(v.Pattern, l, params)
 	if !ok {
 		return nil
 	}

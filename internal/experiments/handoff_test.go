@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aim/internal/catalog"
 	"aim/internal/engine"
@@ -86,6 +88,29 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 		}()
 	}
 
+	var reads atomic.Int64
+	for s := 0; s < 2; s++ {
+		cl := dial()
+		r := rand.New(rand.NewSource(int64(100 + s)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer cl.Close() //nolint:errcheck // nothing buffered
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := cl.Query(fmt.Sprintf("SELECT id FROM kv WHERE v = %d", r.Intn(3*rows))); err != nil {
+					t.Errorf("reader %d: %v", s, err)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+
 	adopted := ""
 	for round := 0; round < 5 && adopted == ""; round++ {
 		for i := 0; i < 40; i++ {
@@ -102,8 +127,20 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 			adopted = line
 		}
 	}
+	// The readers keep going on the adopted index before anything stops.
+	for at := reads.Load(); adopted != "" && reads.Load() < at+20 && !t.Failed(); {
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
+	if res, err := db.Exec("SELECT id FROM kv WHERE v = 3"); err != nil || len(res.UsedIndexes) == 0 {
+		t.Errorf("after the adoption the readers' template plans %v (%v)", res.PlanDesc, err)
+	}
+	hits, misses := reg.Counter("optimizer.prepared_hits").Value(), reg.Counter("optimizer.prepared_misses").Value()
+	t.Logf("readers sent %d reads; planner memo %d hits, %d misses", reads.Load(), hits, misses)
+	if hits == 0 || misses < 2 {
+		t.Errorf("planner memo: %d hits, %d misses; want hits, and a miss on each side of the adoption", hits, misses)
+	}
 	reader.Close()  //nolint:errcheck // nothing buffered
 	control.Close() //nolint:errcheck // nothing buffered
 	if err := srv.Shutdown(); err != nil {

@@ -1,31 +1,56 @@
 package optimizer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"aim/internal/catalog"
 	"aim/internal/queryinfo"
+	"aim/internal/sqltypes"
 	"aim/internal/stats"
 )
 
-// eqSource is one way to bind an index column by equality: a constant atom
-// or a join edge to an already-placed table instance.
-type eqSource struct {
-	atom *queryinfo.Atom
-	join *queryinfo.JoinEdge // this instance's column = placed instance's column
+// atom is one filter atom of a table instance with its slot in the
+// chooser's selectivity table.
+type atom struct {
+	*queryinfo.Atom
+	slot int
 }
 
-// accessPath is one way to read a table instance.
-type accessPath struct {
+// eqSource is one way to bind an index column by equality: a constant atom
+// or, when atom is nil, a join edge (its ordinal in Info.JoinEdges: this
+// instance's column = an already-placed instance's column).
+type eqSource struct {
+	atom *atom
+	edge int
+}
+
+// pathSkel is the parameter-independent half of one way to read a table
+// instance: which key it walks, what binds it, what it covers and pushes
+// down, how it is described. It is built once per prepare and shared by every
+// execution; the chooser prices it into an accessPath.
+type pathSkel struct {
+	ctx      *instanceContext
 	index    *catalog.Index // nil = clustered full/range access on the PK
 	indexKey []string       // effective key columns (index cols, or PK cols)
 	eq       []eqSource     // bindings for the leading key columns
-	inAtom   *queryinfo.Atom
-	rng      *queryinfo.Atom
+	inAtom   *atom
+	rng      *atom
 	covering bool
-	icp      []*queryinfo.Atom
+	icp      []*atom
+	// sorted / gOrder: as the first step of a plan, the path delivers rows in
+	// the query's ORDER BY order / clustered by its GROUP BY columns.
+	sorted, gOrder bool
+	// desc renders the path for EXPLAIN-style output.
+	desc string
+}
 
+// accessPath is a path skeleton priced under one execution's statistics and
+// parameter values.
+type accessPath struct {
+	*pathSkel
+	// rows is the table's row count.
+	rows float64
 	// entrySel is the fraction of the table's entries the scan visits.
 	entrySel float64
 	// lookupSel is the fraction requiring a PK lookup (after ICP).
@@ -38,25 +63,29 @@ type accessPath struct {
 	outRows float64
 }
 
-// Desc renders the access path for EXPLAIN-style output.
-func (ap *accessPath) Desc(table string) string {
+func (sk *pathSkel) fullScan() bool {
+	return sk.index == nil && len(sk.eq) == 0 && sk.rng == nil && sk.inAtom == nil
+}
+
+func (sk *pathSkel) render() string {
+	table := sk.ctx.info.Layout.Instances[sk.ctx.inst].Alias
 	switch {
-	case ap.index == nil && len(ap.eq) == 0 && ap.rng == nil && ap.inAtom == nil:
-		return fmt.Sprintf("%s: full scan", table)
-	case ap.index == nil:
-		return fmt.Sprintf("%s: PK range (eq=%d)", table, len(ap.eq))
+	case sk.fullScan():
+		return table + ": full scan"
+	case sk.index == nil:
+		return table + ": PK range (eq=" + strconv.Itoa(len(sk.eq)) + ")"
 	default:
 		kind := "ref"
-		if ap.rng != nil || ap.inAtom != nil {
+		if sk.rng != nil || sk.inAtom != nil {
 			kind = "range"
 		}
-		if ap.covering {
+		if sk.covering {
 			kind += ",covering"
 		}
-		if len(ap.icp) > 0 {
+		if len(sk.icp) > 0 {
 			kind += ",icp"
 		}
-		return fmt.Sprintf("%s: index %s (%s) eq=%d", table, ap.index.Name, kind, len(ap.eq))
+		return table + ": index " + sk.index.Name + " (" + kind + ") eq=" + strconv.Itoa(len(sk.eq))
 	}
 }
 
@@ -66,29 +95,41 @@ type instanceContext struct {
 	info  *queryinfo.Info
 	inst  int
 	table *catalog.Table
+	pk    []string
+	// indexes is the visible configuration's indexes on this table.
+	indexes []*catalog.Index
 	// eqAtoms, inAtoms, rangeAtoms index single-table atoms by column.
-	eqAtoms    map[string]*queryinfo.Atom
-	inAtoms    map[string]*queryinfo.Atom
-	rangeAtoms map[string]*queryinfo.Atom
-	allAtoms   []*queryinfo.Atom
+	eqAtoms    map[string]*atom
+	inAtoms    map[string]*atom
+	rangeAtoms map[string]*atom
+	allAtoms   []*atom
 	// opaqueSel multiplies in non-atom single-instance conjunct defaults.
 	opaqueSel float64
 	// referenced columns of this instance (for covering checks).
 	referenced []string
 }
 
-func newInstanceContext(info *queryinfo.Info, inst int) *instanceContext {
+// newInstanceContext builds the context for instance inst; its atoms take the
+// selectivity slots from firstSlot on.
+func newInstanceContext(info *queryinfo.Info, inst int, config []*catalog.Index, firstSlot int) *instanceContext {
 	c := &instanceContext{
 		info:       info,
 		inst:       inst,
 		table:      info.Layout.Instances[inst].Table,
-		eqAtoms:    map[string]*queryinfo.Atom{},
-		inAtoms:    map[string]*queryinfo.Atom{},
-		rangeAtoms: map[string]*queryinfo.Atom{},
+		eqAtoms:    map[string]*atom{},
+		inAtoms:    map[string]*atom{},
+		rangeAtoms: map[string]*atom{},
 		opaqueSel:  1,
 		referenced: info.Referenced[inst],
 	}
-	for _, a := range info.FilterAtoms[inst] {
+	c.pk = c.table.PrimaryKeyNames()
+	for _, ix := range config {
+		if strings.EqualFold(ix.Table, c.table.Name) {
+			c.indexes = append(c.indexes, ix)
+		}
+	}
+	for _, qa := range info.FilterAtoms[inst] {
+		a := &atom{Atom: qa, slot: firstSlot + len(c.allAtoms)}
 		c.allAtoms = append(c.allAtoms, a)
 		switch a.Op {
 		case queryinfo.OpEq, queryinfo.OpNullSafeEq, queryinfo.OpIsNull:
@@ -110,165 +151,200 @@ func newInstanceContext(info *queryinfo.Info, inst int) *instanceContext {
 	return c
 }
 
-// enumeratePaths builds every sensible access path for the instance, given
-// the set of placed instances (for join-edge equality bindings) and the
-// candidate index configuration.
-func (o *Optimizer) enumeratePaths(ctx *instanceContext, placed map[int]bool, indexes []*catalog.Index) []*accessPath {
-	ts := o.Stats.TableStats(ctx.table.Name)
-	rows := float64(1)
-	if ts != nil && ts.RowCount > 0 {
-		rows = float64(ts.RowCount)
-	}
-
-	// Selectivity of all single-table predicates on this instance.
-	outSel := ctx.opaqueSel
-	for _, a := range ctx.allAtoms {
-		outSel *= atomSelectivity(a, ts)
-	}
-
-	// Join-edge eq sources per column.
-	joinEq := map[string]*queryinfo.JoinEdge{}
-	for i := range ctx.info.JoinEdges {
-		e := &ctx.info.JoinEdges[i]
-		other, thisCol, _, ok := e.Other(ctx.inst)
-		if ok && placed[other] {
-			joinEq[thisCol] = e
+// joinEdgeFor returns the join edge binding col to an instance in placed (a
+// bit per instance ordinal); the last such edge wins.
+func (c *instanceContext) joinEdgeFor(col string, placed instSet) (edge int, ok bool) {
+	for i := range c.info.JoinEdges {
+		other, thisCol, _, touches := c.info.JoinEdges[i].Other(c.inst)
+		if touches && thisCol == col && placed.has(other) {
+			edge, ok = i, true
 		}
 	}
+	return edge, ok
+}
 
-	var paths []*accessPath
-
-	// Full clustered scan is always available.
-	full := &accessPath{
-		indexKey:  ctx.table.PrimaryKeyNames(),
-		entrySel:  1,
-		lookupSel: 0,
-		outSel:    outSel,
-		covering:  true, // the clustered tree has every column
-		probeCost: rows*costRow + scanPages(rows)*costPage,
-		outRows:   rows * outSel,
-	}
-	paths = append(paths, full)
-
+// skeletons builds every sensible access path skeleton for the instance,
+// given the placed instances (for join-edge equality bindings): the full
+// clustered scan, the PK prefix when bound, and each bound secondary index.
+func (c *instanceContext) skeletons(placed instSet) []*pathSkel {
+	// Full clustered scan is always available; the clustered tree has every
+	// column.
+	paths := []*pathSkel{c.finish(&pathSkel{indexKey: c.pk}, placed)}
 	// PK-prefix access (eq/range on leading primary key columns).
-	if p := o.buildKeyedPath(ctx, nil, ctx.table.PrimaryKeyNames(), joinEq, ts, rows, outSel); p != nil {
-		paths = append(paths, p)
+	if sk := c.keyedSkel(nil, c.pk, placed); sk != nil {
+		paths = append(paths, sk)
 	}
-
-	// Secondary indexes.
-	for _, ix := range indexes {
-		if !strings.EqualFold(ix.Table, ctx.table.Name) {
-			continue
-		}
-		if p := o.buildKeyedPath(ctx, ix, ix.Columns, joinEq, ts, rows, outSel); p != nil {
-			paths = append(paths, p)
+	for _, ix := range c.indexes {
+		if sk := c.keyedSkel(ix, ix.Columns, placed); sk != nil {
+			paths = append(paths, sk)
 		}
 	}
 	return paths
 }
 
-// buildKeyedPath binds the key columns of one index (or the PK) and costs
-// the resulting scan. It returns nil when the index is unusable (no leading
-// binding) — except that an unbound secondary index can still be useful for
-// covering or ordered reads, which the caller handles via fullIndexPath.
-func (o *Optimizer) buildKeyedPath(ctx *instanceContext, ix *catalog.Index, keyCols []string, joinEq map[string]*queryinfo.JoinEdge, ts *stats.TableStats, rows, outSel float64) *accessPath {
-	p := &accessPath{index: ix, indexKey: keyCols}
-	entrySel := 1.0
+// keyedSkel binds the key columns of one index (or the PK). It returns nil
+// when the index is unusable (no leading binding) — except that an unbound
+// secondary index can still be useful for covering or ordered reads, which
+// single-table planning adds via fullIndexSkel.
+func (c *instanceContext) keyedSkel(ix *catalog.Index, keyCols []string, placed instSet) *pathSkel {
+	sk := &pathSkel{index: ix, indexKey: keyCols}
 	pos := 0
 	for ; pos < len(keyCols); pos++ {
 		col := strings.ToLower(keyCols[pos])
-		if a, ok := ctx.eqAtoms[col]; ok {
-			p.eq = append(p.eq, eqSource{atom: a})
-			entrySel *= atomSelectivity(a, ts)
+		if a, ok := c.eqAtoms[col]; ok {
+			sk.eq = append(sk.eq, eqSource{atom: a})
 			continue
 		}
-		if e, ok := joinEq[col]; ok {
-			p.eq = append(p.eq, eqSource{join: e})
-			entrySel *= joinEdgeSelectivity(*e, ctx.info, o.Stats)
+		if e, ok := c.joinEdgeFor(col, placed); ok {
+			sk.eq = append(sk.eq, eqSource{edge: e})
 			continue
 		}
 		break
 	}
 	if pos < len(keyCols) {
 		col := strings.ToLower(keyCols[pos])
-		if a, ok := ctx.inAtoms[col]; ok {
-			p.inAtom = a
-			entrySel *= atomSelectivity(a, ts)
-		} else if a, ok := ctx.rangeAtoms[col]; ok {
-			p.rng = a
-			entrySel *= atomSelectivity(a, ts)
+		if a, ok := c.inAtoms[col]; ok {
+			sk.inAtom = a
+		} else if a, ok := c.rangeAtoms[col]; ok {
+			sk.rng = a
 		}
 	}
-	if len(p.eq) == 0 && p.inAtom == nil && p.rng == nil {
+	if len(sk.eq) == 0 && sk.inAtom == nil && sk.rng == nil {
 		return nil // no binding; the plain full-scan path already covers this
 	}
-	o.finishPath(ctx, p, ts, rows, entrySel, outSel)
-	return p
+	return c.finish(sk, placed)
 }
 
-// fullIndexPath builds an unbounded scan over a secondary index, useful only
-// for covering or ordered reads. The caller decides when to consider it.
-func (o *Optimizer) fullIndexPath(ctx *instanceContext, ix *catalog.Index, ts *stats.TableStats, rows, outSel float64) *accessPath {
-	p := &accessPath{index: ix, indexKey: ix.Columns}
-	o.finishPath(ctx, p, ts, rows, 1.0, outSel)
-	return p
+// fullIndexSkel is an unbounded scan over a secondary index, useful only for
+// covering or ordered reads.
+func (c *instanceContext) fullIndexSkel(ix *catalog.Index) *pathSkel {
+	return c.finish(&pathSkel{index: ix, indexKey: ix.Columns}, instSet{})
 }
 
-// finishPath computes covering/ICP and the probe cost.
-func (o *Optimizer) finishPath(ctx *instanceContext, p *accessPath, ts *stats.TableStats, rows, entrySel, outSel float64) {
-	p.entrySel = entrySel
-	p.outSel = outSel
-	p.outRows = rows * outSel
-
-	if p.index != nil {
-		p.covering = p.index.Covers(ctx.table, ctx.referenced)
+// finish computes covering, ICP, the ordering flags and the description.
+func (c *instanceContext) finish(sk *pathSkel, placed instSet) *pathSkel {
+	sk.ctx = c
+	sk.covering = sk.index == nil || sk.index.Covers(c.table, c.referenced)
+	if sk.index != nil {
 		// ICP: atoms over index key + PK columns reduce PK lookups.
-		avail := p.index.ColumnSet()
-		for _, pk := range ctx.table.PrimaryKeyNames() {
-			avail[strings.ToLower(pk)] = true
-		}
-		lookupSel := entrySel
-		for _, a := range ctx.allAtoms {
-			if !avail[a.Column] {
-				continue
+		for _, a := range c.allAtoms {
+			if (sk.index.HasColumn(a.Column) || c.table.IsPrimaryKey(a.Column)) && !usedInBinding(sk, a) {
+				sk.icp = append(sk.icp, a)
 			}
-			if usedInBinding(p, a) {
-				continue
-			}
-			p.icp = append(p.icp, a)
-			lookupSel *= atomSelectivity(a, ts)
 		}
-		p.lookupSel = lookupSel
-	} else {
-		p.covering = true
-		p.lookupSel = 0
 	}
-
-	entries := rows * entrySel
-	ranges := 1.0
-	if p.inAtom != nil {
-		n := len(p.inAtom.InValues)
-		if n == 0 {
-			n = defaultInCount
-		}
-		ranges = float64(n)
+	if placed.empty() {
+		// Only a plan's first step can hand its order to ORDER BY / GROUP BY,
+		// and only when every such column is this instance's.
+		sk.sorted = allOnInstance(c.info.OrderBy, c.inst) && orderSatisfiedBy(sk, c.info)
+		sk.gOrder = allOnInstance(c.info.GroupBy, c.inst) && groupOrderedBy(sk, c.info)
 	}
-	height := treeHeight(rows)
-	cost := ranges*height*costPage + entries*costRow + scanPages(entries)*costPage
-	if p.index != nil && !p.covering {
-		lookups := rows * p.lookupSel
-		cost += lookups * (height*costPage + costRow)
-	}
-	p.probeCost = cost
+	sk.desc = sk.render()
+	return sk
 }
 
-func usedInBinding(p *accessPath, a *queryinfo.Atom) bool {
-	for _, e := range p.eq {
+func usedInBinding(sk *pathSkel, a *atom) bool {
+	for _, e := range sk.eq {
 		if e.atom == a {
 			return true
 		}
 	}
-	return p.inAtom == a || p.rng == a
+	return sk.inAtom == a || sk.rng == a
+}
+
+// instStats is what the chooser reads fresh for one instance per execution.
+type instStats struct {
+	rows   float64
+	outSel float64 // selectivity of all single-table predicates on the instance
+	ts     *stats.TableStats
+}
+
+// chooser is the parameter-dependent half of planning one execution: the
+// selectivity of every atom under the bound values and of every join edge,
+// and the table statistics, each read once.
+type chooser struct {
+	o      *Optimizer
+	p      *prepared
+	params []sqltypes.Value
+	sel    []float64 // by atom slot, then by join edge behind p.atoms
+	inst   []instStats
+}
+
+func (o *Optimizer) newChooser(p *prepared, params []sqltypes.Value) *chooser {
+	c := &chooser{o: o, p: p, params: params,
+		sel:  make([]float64, p.atoms+len(p.info.JoinEdges)),
+		inst: make([]instStats, len(p.ctxs))}
+	for i, ctx := range p.ctxs {
+		in := &c.inst[i]
+		in.ts = o.Stats.TableStats(ctx.table.Name)
+		in.rows = 1
+		if in.ts != nil && in.ts.RowCount > 0 {
+			in.rows = float64(in.ts.RowCount)
+		}
+		in.outSel = ctx.opaqueSel
+		for _, a := range ctx.allAtoms {
+			c.sel[a.slot] = atomSelectivity(a.Atom, in.ts, params)
+			in.outSel *= c.sel[a.slot]
+		}
+	}
+	for i, e := range p.info.JoinEdges {
+		c.sel[p.atoms+i] = joinEdgeSelectivity(e, c.inst[e.LeftInstance].ts, c.inst[e.RightInstance].ts)
+	}
+	return c
+}
+
+// price computes the skeleton's selectivities and probe cost.
+func (c *chooser) price(sk *pathSkel) accessPath {
+	in := &c.inst[sk.ctx.inst]
+	rows := in.rows
+	ap := accessPath{pathSkel: sk, rows: rows, entrySel: 1, outSel: in.outSel, outRows: rows * in.outSel}
+	if sk.fullScan() {
+		ap.probeCost = rows*costRow + scanPages(rows)*costPage
+		return ap
+	}
+	for _, e := range sk.eq {
+		if e.atom != nil {
+			ap.entrySel *= c.sel[e.atom.slot]
+		} else {
+			ap.entrySel *= c.sel[c.p.atoms+e.edge]
+		}
+	}
+	ranges := 1.0
+	if sk.inAtom != nil {
+		ap.entrySel *= c.sel[sk.inAtom.slot]
+		n := len(sk.inAtom.InValues)
+		if n == 0 {
+			n = defaultInCount
+		}
+		ranges = float64(n)
+	} else if sk.rng != nil {
+		ap.entrySel *= c.sel[sk.rng.slot]
+	}
+	if sk.index != nil {
+		ap.lookupSel = ap.entrySel
+		for _, a := range sk.icp {
+			ap.lookupSel *= c.sel[a.slot]
+		}
+	}
+	entries := rows * ap.entrySel
+	height := treeHeight(rows)
+	ap.probeCost = ranges*height*costPage + entries*costRow + scanPages(entries)*costPage
+	if sk.index != nil && !sk.covering {
+		lookups := rows * ap.lookupSel
+		ap.probeCost += lookups * (height*costPage + costRow)
+	}
+	return ap
+}
+
+// best prices the skeletons and returns the cheapest probe.
+func (c *chooser) best(skels []*pathSkel) accessPath {
+	best := c.price(skels[0])
+	for _, sk := range skels[1:] {
+		if ap := c.price(sk); ap.probeCost < best.probeCost {
+			best = ap
+		}
+	}
+	return best
 }
 
 // treeHeight models the B+tree descent depth for a table of the given size.
@@ -278,15 +354,4 @@ func treeHeight(rows float64) float64 {
 		h++
 	}
 	return h
-}
-
-// bestPath returns the cheapest path from the list.
-func bestPath(paths []*accessPath) *accessPath {
-	var best *accessPath
-	for _, p := range paths {
-		if best == nil || p.probeCost < best.probeCost {
-			best = p
-		}
-	}
-	return best
 }

@@ -7,30 +7,53 @@ import (
 	"aim/internal/exec"
 	"aim/internal/queryinfo"
 	"aim/internal/sqlparser"
+	"aim/internal/sqltypes"
 )
 
 // BuildSelectPlan plans and constructs an executable physical plan for a
-// fully bound SELECT (no placeholders). Only materialized schema indexes are
-// considered.
+// fully bound SELECT (no placeholders), one-shot. Only materialized schema
+// indexes are considered.
 func (o *Optimizer) BuildSelectPlan(sel *sqlparser.Select) (*exec.Plan, []string, error) {
-	p, err := o.planSelect(sel, nil)
+	return o.PlanSelect("", sel, nil)
+}
+
+// PlanSelect is BuildSelectPlan for an execution of a normalized template:
+// sel's placeholders take params' values, and the parameter-independent half
+// of the planning is memoised under key, the template's text (see plan).
+func (o *Optimizer) PlanSelect(key string, sel *sqlparser.Select, params []sqltypes.Value) (*exec.Plan, []string, error) {
+	p, err := o.plan(key, sel, nil, false, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	return o.buildExecPlan(sel, p)
+	plan, err := buildExecPlan(p, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := buildOutputs(p.sel, p.info, plan); err != nil {
+		return nil, nil, err
+	}
+	desc := make([]string, len(p.join.paths))
+	for i, ap := range p.join.paths {
+		desc[i] = ap.desc
+	}
+	return plan, desc, nil
 }
 
-func (o *Optimizer) buildExecPlan(sel *sqlparser.Select, p *planned) (*exec.Plan, []string, error) {
+// buildExecPlan constructs the access steps of the chosen plan; the caller
+// adds the outputs it needs.
+func buildExecPlan(p *planned, params []sqltypes.Value) (*exec.Plan, error) {
 	info := p.info
 	layout := info.Layout
 	plan := &exec.Plan{
 		Layout:         layout,
-		Distinct:       sel.Distinct,
-		Limit:          sel.Limit,
-		Offset:         sel.Offset,
+		Params:         params,
+		Distinct:       p.sel.Distinct,
+		Limit:          p.sel.Limit,
+		Offset:         p.sel.Offset,
 		OrderSatisfied: p.sorted,
 		GroupOrdered:   p.gOrder,
 		EstimatedCost:  p.cost,
+		Steps:          make([]exec.Step, len(p.join.order)),
 	}
 
 	// Steps in join order, with residual filters attached to the earliest
@@ -39,7 +62,7 @@ func (o *Optimizer) buildExecPlan(sel *sqlparser.Select, p *planned) (*exec.Plan
 	for pos, inst := range p.join.order {
 		placedAt[inst] = pos
 	}
-	stepFilters := make([][]sqlparser.Expr, len(p.join.order))
+	stepFilters := make([]sqlparser.Expr, len(p.join.order))
 	for _, cj := range info.Conjuncts {
 		last := 0
 		for _, inst := range cj.Instances {
@@ -47,79 +70,69 @@ func (o *Optimizer) buildExecPlan(sel *sqlparser.Select, p *planned) (*exec.Plan
 				last = placedAt[inst]
 			}
 		}
-		stepFilters[last] = append(stepFilters[last], cj.Expr)
+		stepFilters[last] = and(stepFilters[last], cj.Expr)
 	}
 
 	for pos, inst := range p.join.order {
 		ap := p.join.paths[pos]
-		step, err := o.buildStep(layout, inst, ap, stepFilters[pos])
-		if err != nil {
-			return nil, nil, err
+		if err := buildStep(&plan.Steps[pos], layout, inst, ap, stepFilters[pos], params); err != nil {
+			return nil, err
 		}
-		plan.Steps = append(plan.Steps, *step)
 		if ap.index != nil {
 			plan.UsedIndexes = append(plan.UsedIndexes, ap.index.Name)
 		}
 	}
-
-	if err := o.buildOutputs(sel, info, plan); err != nil {
-		return nil, nil, err
-	}
-
-	var desc []string
-	for pos, inst := range p.join.order {
-		desc = append(desc, p.join.paths[pos].Desc(layout.Instances[inst].Alias))
-	}
-	return plan, desc, nil
+	return plan, nil
 }
 
-// buildStep constructs one executable access step from an access path.
-func (o *Optimizer) buildStep(layout *exec.Layout, inst int, ap *accessPath, filters []sqlparser.Expr) (*exec.Step, error) {
-	step := &exec.Step{Instance: inst, Covering: ap.index != nil && ap.covering}
+// buildStep fills one executable access step from an access path.
+func buildStep(step *exec.Step, layout *exec.Layout, inst int, ap accessPath, filter sqlparser.Expr, params []sqltypes.Value) error {
+	step.Instance, step.Covering = inst, ap.index != nil && ap.covering
 	if ap.index != nil {
 		step.IndexName = ap.index.Name
 	}
+	if len(ap.eq) > 0 {
+		step.EqKeys = make([]exec.KeySource, len(ap.eq))
+	}
 	for i, src := range ap.eq {
-		switch {
-		case src.atom != nil:
-			if src.atom.EqValue == nil {
-				return nil, fmt.Errorf("optimizer: cannot execute plan with unbound parameter on %s", src.atom.Column)
+		if src.atom != nil {
+			v := src.atom.Eq(params)
+			if v == nil {
+				return fmt.Errorf("optimizer: cannot execute plan with unbound parameter on %s", src.atom.Column)
 			}
-			step.EqKeys = append(step.EqKeys, exec.Literal(*src.atom.EqValue))
-		case src.join != nil:
-			otherInst, _, otherCol, ok := src.join.Other(inst)
-			if !ok {
-				return nil, fmt.Errorf("optimizer: join edge does not touch instance %d", inst)
-			}
-			off, err := layout.Resolve(layout.Instances[otherInst].Alias, otherCol)
-			if err != nil {
-				return nil, err
-			}
-			step.EqKeys = append(step.EqKeys, exec.SlotRef(off))
-		default:
-			return nil, fmt.Errorf("optimizer: empty eq source at position %d", i)
+			step.EqKeys[i] = exec.Literal(*v)
+			continue
 		}
+		otherInst, _, otherCol, ok := ap.ctx.info.JoinEdges[src.edge].Other(inst)
+		if !ok {
+			return fmt.Errorf("optimizer: join edge does not touch instance %d", inst)
+		}
+		off, err := layout.Resolve(layout.Instances[otherInst].Alias, otherCol)
+		if err != nil {
+			return err
+		}
+		step.EqKeys[i] = exec.SlotRef(off)
 	}
 	switch {
 	case ap.inAtom != nil:
 		if len(ap.inAtom.InValues) == 0 {
-			return nil, fmt.Errorf("optimizer: cannot execute IN with unbound parameters")
+			return fmt.Errorf("optimizer: cannot execute IN with unbound parameters")
 		}
 		for _, v := range ap.inAtom.InValues {
 			step.In = append(step.In, exec.Literal(v))
 		}
 	case ap.rng != nil:
 		spec := &exec.RangeSpec{LoInc: ap.rng.LoInc, HiInc: ap.rng.HiInc}
-		if ap.rng.Lo != nil {
-			ks := exec.Literal(*ap.rng.Lo)
+		if lo := ap.rng.Low(params); lo != nil {
+			ks := exec.Literal(*lo)
 			spec.Lo = &ks
 		}
-		if ap.rng.Hi != nil {
-			ks := exec.Literal(*ap.rng.Hi)
+		if hi := ap.rng.High(params); hi != nil {
+			ks := exec.Literal(*hi)
 			spec.Hi = &ks
 		}
 		if spec.Lo == nil && spec.Hi == nil {
-			return nil, fmt.Errorf("optimizer: cannot execute range with unbound parameters")
+			return fmt.Errorf("optimizer: cannot execute range with unbound parameters")
 		}
 		step.Range = spec
 	}
@@ -128,25 +141,25 @@ func (o *Optimizer) buildStep(layout *exec.Layout, inst int, ap *accessPath, fil
 	// access; covering scans evaluate everything in the residual filter,
 	// and clustered access has no separate lookup to avoid).
 	if ap.index != nil && !ap.covering && len(ap.icp) > 0 {
-		icpExpr := andAll(atomExprs(ap.icp))
-		ce, err := exec.Compile(icpExpr, layout)
+		for _, a := range ap.icp {
+			step.ICPSrc = and(step.ICPSrc, a.Expr)
+		}
+		ce, err := exec.Compile(step.ICPSrc, layout, params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.ICP = ce
-		step.ICPSrc = icpExpr
 	}
 
-	if len(filters) > 0 {
-		filterExpr := andAll(filters)
-		ce, err := exec.Compile(filterExpr, layout)
+	if filter != nil {
+		ce, err := exec.Compile(filter, layout, params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.Filter = ce
-		step.FilterSrc = filterExpr
+		step.FilterSrc = filter
 	}
-	return step, nil
+	return nil
 }
 
 // buildExprOutput compiles one scalar output expression, using the direct
@@ -158,35 +171,25 @@ func buildExprOutput(e sqlparser.Expr, layout *exec.Layout) (exec.OutputSpec, er
 			return exec.ColOutput(off), nil
 		}
 	}
-	ce, err := exec.Compile(e, layout)
+	ce, err := exec.Compile(e, layout, nil)
 	if err != nil {
 		return exec.OutputSpec{}, err
 	}
 	return exec.OutputSpec{Agg: -1, Expr: ce}, nil
 }
 
-func atomExprs(atoms []*queryinfo.Atom) []sqlparser.Expr {
-	out := make([]sqlparser.Expr, len(atoms))
-	for i, a := range atoms {
-		out[i] = a.Expr
+// and conjoins e onto acc (nil: e itself).
+func and(acc, e sqlparser.Expr) sqlparser.Expr {
+	if acc == nil {
+		return e
 	}
-	return out
-}
-
-func andAll(exprs []sqlparser.Expr) sqlparser.Expr {
-	var out sqlparser.Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparser.BinaryExpr{Op: "AND", Left: out, Right: e}
-		}
-	}
-	return out
+	return &sqlparser.BinaryExpr{Op: "AND", Left: acc, Right: e}
 }
 
 // buildOutputs fills projection, aggregation, grouping and ordering specs.
-func (o *Optimizer) buildOutputs(sel *sqlparser.Select, info *queryinfo.Info, plan *exec.Plan) error {
+// Output expressions hold no placeholders: a template with a literal outside
+// WHERE is never planned as a template (sqlparser.BypassProjection).
+func buildOutputs(sel *sqlparser.Select, info *queryinfo.Info, plan *exec.Plan) error {
 	layout := info.Layout
 	type outCol struct {
 		sql   string
@@ -214,7 +217,7 @@ func (o *Optimizer) buildOutputs(sel *sqlparser.Select, info *queryinfo.Info, pl
 			if len(f.Args) != 1 {
 				return 0, fmt.Errorf("optimizer: %s needs exactly one argument", f.Name)
 			}
-			ce, err := exec.Compile(f.Args[0], layout)
+			ce, err := exec.Compile(f.Args[0], layout, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -270,7 +273,7 @@ func (o *Optimizer) buildOutputs(sel *sqlparser.Select, info *queryinfo.Info, pl
 
 	plan.Grouped = len(sel.GroupBy) > 0 || len(plan.Aggs) > 0
 	for _, g := range sel.GroupBy {
-		ce, err := exec.Compile(g, layout)
+		ce, err := exec.Compile(g, layout, nil)
 		if err != nil {
 			return err
 		}
@@ -327,42 +330,34 @@ func (o *Optimizer) buildOutputs(sel *sqlparser.Select, info *queryinfo.Info, pl
 	return nil
 }
 
-// BuildDMLPlan constructs the single-table locating plan for UPDATE/DELETE.
-// It returns the plan plus the compiled SET assignments for updates.
-func (o *Optimizer) BuildDMLPlan(stmt sqlparser.Statement) (*exec.Plan, []exec.Assignment, error) {
-	var table string
-	var where sqlparser.Expr
-	var set []sqlparser.Assignment
-	switch s := stmt.(type) {
-	case *sqlparser.Update:
-		table, where, set = s.Table, s.Where, s.Set
-	case *sqlparser.Delete:
-		table, where = s.Table, s.Where
-	default:
-		return nil, nil, fmt.Errorf("optimizer: BuildDMLPlan on %T", stmt)
+// PlanDML constructs the single-table locating plan for an UPDATE or DELETE,
+// plus the compiled SET assignments for updates, with key and params as in
+// PlanSelect: the memoised half is the locating SELECT's.
+func (o *Optimizer) PlanDML(key string, stmt sqlparser.Statement, params []sqltypes.Value) (*exec.Plan, []exec.Assignment, error) {
+	upd, isUpdate := stmt.(*sqlparser.Update)
+	if _, isDelete := stmt.(*sqlparser.Delete); !isUpdate && !isDelete {
+		return nil, nil, fmt.Errorf("optimizer: PlanDML on %T", stmt)
 	}
-	sel := whereToSelect(table, where)
-	p, err := o.planSelect(sel, nil)
+	p, err := o.plan(key, stmt, nil, false, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, _, err := o.buildExecPlan(sel, p)
+	// The locating plan does not early-terminate or project.
+	plan, err := buildExecPlan(p, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The locating plan must not early-terminate or project.
-	plan.Limit = -1
-	plan.Grouped = false
-	plan.Output = nil
-
-	tbl := o.Schema.Table(table)
-	var assigns []exec.Assignment
-	for _, a := range set {
+	if !isUpdate {
+		return plan, nil, nil
+	}
+	tbl := p.ctxs[0].table
+	assigns := make([]exec.Assignment, 0, len(upd.Set))
+	for _, a := range upd.Set {
 		ord := tbl.ColumnIndex(a.Column)
 		if ord < 0 {
 			return nil, nil, fmt.Errorf("optimizer: unknown column %q in SET", a.Column)
 		}
-		ce, err := exec.Compile(a.Value, plan.Layout)
+		ce, err := exec.Compile(a.Value, plan.Layout, params)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -44,8 +44,10 @@ type StatsProvider interface {
 	TableStats(table string) *stats.TableStats
 }
 
-// atomSelectivity estimates the fraction of a table's rows matching an atom.
-func atomSelectivity(a *queryinfo.Atom, ts *stats.TableStats) float64 {
+// atomSelectivity estimates the fraction of a table's rows matching an atom
+// whose placeholders take their values from params (nil: unknown, shape-only
+// defaults).
+func atomSelectivity(a *queryinfo.Atom, ts *stats.TableStats, params []sqltypes.Value) float64 {
 	if ts == nil || ts.RowCount == 0 {
 		return defaultSel(a)
 	}
@@ -55,19 +57,20 @@ func atomSelectivity(a *queryinfo.Atom, ts *stats.TableStats) float64 {
 	}
 	switch a.Op {
 	case queryinfo.OpEq, queryinfo.OpNullSafeEq:
-		if a.EqValue == nil {
+		eq := a.Eq(params)
+		if eq == nil {
 			if cs.NDV > 0 {
 				return clamp(1 / float64(cs.NDV))
 			}
 			return 0.1
 		}
-		if a.EqValue.IsNull() {
+		if eq.IsNull() {
 			if a.Op == queryinfo.OpNullSafeEq {
 				return cs.SelectivityIsNull()
 			}
 			return 0
 		}
-		return clamp(cs.SelectivityEq(*a.EqValue))
+		return clamp(cs.SelectivityEq(*eq))
 	case queryinfo.OpIn:
 		n := len(a.InValues)
 		if n == 0 {
@@ -80,15 +83,16 @@ func atomSelectivity(a *queryinfo.Atom, ts *stats.TableStats) float64 {
 	case queryinfo.OpIsNull:
 		return clamp(cs.SelectivityIsNull())
 	case queryinfo.OpRange, queryinfo.OpLikePrefix:
-		if a.Lo == nil && a.Hi == nil {
+		lop, hip := a.Low(params), a.High(params)
+		if lop == nil && hip == nil {
 			return defaultSel(a)
 		}
 		lo, hi := sqltypes.Null, sqltypes.Null
-		if a.Lo != nil {
-			lo = *a.Lo
+		if lop != nil {
+			lo = *lop
 		}
-		if a.Hi != nil {
-			hi = *a.Hi
+		if hip != nil {
+			hi = *hip
 		}
 		return clamp(cs.SelectivityRange(lo, hi, a.LoInc, a.HiInc))
 	default:
@@ -124,11 +128,9 @@ func clamp(x float64) float64 {
 	return x
 }
 
-// joinEdgeSelectivity estimates the selectivity of an equi-join edge using
-// the classic 1/max(NDV_l, NDV_r) formula.
-func joinEdgeSelectivity(e queryinfo.JoinEdge, info *queryinfo.Info, sp StatsProvider) float64 {
-	l := sp.TableStats(info.Layout.Instances[e.LeftInstance].Table.Name)
-	r := sp.TableStats(info.Layout.Instances[e.RightInstance].Table.Name)
+// joinEdgeSelectivity estimates the selectivity of an equi-join edge from its
+// two tables' statistics using the classic 1/max(NDV_l, NDV_r) formula.
+func joinEdgeSelectivity(e queryinfo.JoinEdge, l, r *stats.TableStats) float64 {
 	maxNDV := int64(10)
 	if l != nil {
 		if cs := l.Column(e.LeftColumn); cs != nil && cs.NDV > maxNDV {

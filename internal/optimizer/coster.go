@@ -1,19 +1,29 @@
-package costcache
+package optimizer
 
 import (
 	"sort"
 	"strings"
 
 	"aim/internal/catalog"
+	"aim/internal/costcache"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
-	"aim/internal/optimizer"
 	"aim/internal/sqlparser"
 )
 
-// Coster wraps an Optimizer's what-if entry points with the memo cache.
+// Coster wraps an Optimizer's what-if entry points with a memo cache.
 // Every advisor (AIM and the baselines) costs through a Coster, so repeated
-// (query, relevant-configuration) pairs are planned once.
+// (query, relevant-configuration) pairs are planned once. Advisors re-cost
+// the same pairs constantly — AIM's ranking re-costs every query's base
+// configuration, DTA's greedy re-costs the whole workload per move — and
+// CoPhy identifies this call volume as the scalability limit of index
+// advisors. The key is a normalized query fingerprint plus the sorted
+// fingerprint of the configuration's *relevant* indexes (only indexes on
+// tables the statement touches can change its plan), so a candidate index on
+// another table never forces a re-plan. Callers must not mutate a returned
+// Estimate or DMLEstimate, and the Index pointers inside a cached plan may
+// come from an earlier, equivalent configuration (compare by Index.Key, not
+// pointer).
 //
 // Calls accounting: the optimizer's Calls() counter remains the *logical*
 // what-if invocation count of §VIII(a) — on a cache hit the Coster replays
@@ -21,22 +31,22 @@ import (
 // algorithm comparisons by optimizer-call volume are unaffected by caching
 // while wall-clock time is not.
 type Coster struct {
-	Opt   *optimizer.Optimizer
-	cache *Cache
+	Opt   *Optimizer
+	cache *costcache.Cache
 }
 
 // NewCoster returns a Coster memoizing into a fresh cache of the given
-// capacity (<= 0 selects DefaultCapacity).
-func NewCoster(opt *optimizer.Optimizer, capacity int) *Coster {
-	return &Coster{Opt: opt, cache: NewCache(capacity)}
+// capacity (<= 0 selects costcache.DefaultCapacity).
+func NewCoster(opt *Optimizer, capacity int) *Coster {
+	return &Coster{Opt: opt, cache: costcache.NewCache(capacity)}
 }
 
 // CacheStats snapshots the underlying cache counters.
-func (cs *Coster) CacheStats() Stats { return cs.cache.Stats() }
+func (cs *Coster) CacheStats() costcache.Stats { return cs.cache.Stats() }
 
 // SetObs attaches live cache metrics to the registry (nil detaches). See
 // Cache.SetObs.
-func (cs *Coster) SetObs(r *obs.Registry) { cs.cache.SetObs(r) }
+func (cs *Coster) SetObs(r *obs.Registry) { cs.cache.SetObs(r, "costcache.") }
 
 // Invalidate drops all memoized estimates; the engine calls it whenever
 // statistics or the materialized schema change.
@@ -44,13 +54,13 @@ func (cs *Coster) Invalidate() { cs.cache.Invalidate() }
 
 // selResult memoizes one select estimate (or its error).
 type selResult struct {
-	est *optimizer.Estimate
+	est *Estimate
 	err error
 }
 
 // dmlResult memoizes one DML estimate (or its error).
 type dmlResult struct {
-	est *optimizer.DMLEstimate
+	est *DMLEstimate
 	err error
 }
 
@@ -113,7 +123,7 @@ func key(mode string, stmt sqlparser.Statement, config []*catalog.Index) string 
 }
 
 func (cs *Coster) selectVia(mode string, sel *sqlparser.Select, config []*catalog.Index,
-	compute func() (*optimizer.Estimate, error)) (*optimizer.Estimate, error) {
+	compute func() (*Estimate, error)) (*Estimate, error) {
 	if cs == nil || cs.cache == nil {
 		return compute()
 	}
@@ -135,7 +145,7 @@ func (cs *Coster) selectVia(mode string, sel *sqlparser.Select, config []*catalo
 }
 
 func (cs *Coster) dmlVia(mode string, stmt sqlparser.Statement, config []*catalog.Index,
-	compute func() (*optimizer.DMLEstimate, error)) (*optimizer.DMLEstimate, error) {
+	compute func() (*DMLEstimate, error)) (*DMLEstimate, error) {
 	if cs == nil || cs.cache == nil {
 		return compute()
 	}
@@ -154,8 +164,8 @@ func (cs *Coster) dmlVia(mode string, stmt sqlparser.Statement, config []*catalo
 
 // EstimateSelectConfig memoizes Optimizer.EstimateSelectConfig — cost(q, X)
 // under exactly configuration X, the advisors' hot path.
-func (cs *Coster) EstimateSelectConfig(sel *sqlparser.Select, config []*catalog.Index) (*optimizer.Estimate, error) {
-	return cs.selectVia("sc", sel, config, func() (*optimizer.Estimate, error) {
+func (cs *Coster) EstimateSelectConfig(sel *sqlparser.Select, config []*catalog.Index) (*Estimate, error) {
+	return cs.selectVia("sc", sel, config, func() (*Estimate, error) {
 		return cs.Opt.EstimateSelectConfig(sel, config)
 	})
 }
@@ -163,22 +173,22 @@ func (cs *Coster) EstimateSelectConfig(sel *sqlparser.Select, config []*catalog.
 // EstimateSelect memoizes Optimizer.EstimateSelect (materialized schema
 // indexes plus extras). The engine invalidates the cache on any schema or
 // statistics change, so the schema's index set needs no key component.
-func (cs *Coster) EstimateSelect(sel *sqlparser.Select, extra []*catalog.Index) (*optimizer.Estimate, error) {
-	return cs.selectVia("ss", sel, extra, func() (*optimizer.Estimate, error) {
+func (cs *Coster) EstimateSelect(sel *sqlparser.Select, extra []*catalog.Index) (*Estimate, error) {
+	return cs.selectVia("ss", sel, extra, func() (*Estimate, error) {
 		return cs.Opt.EstimateSelect(sel, extra)
 	})
 }
 
 // EstimateDMLConfig memoizes Optimizer.EstimateDMLConfig.
-func (cs *Coster) EstimateDMLConfig(stmt sqlparser.Statement, config []*catalog.Index) (*optimizer.DMLEstimate, error) {
-	return cs.dmlVia("dc", stmt, config, func() (*optimizer.DMLEstimate, error) {
+func (cs *Coster) EstimateDMLConfig(stmt sqlparser.Statement, config []*catalog.Index) (*DMLEstimate, error) {
+	return cs.dmlVia("dc", stmt, config, func() (*DMLEstimate, error) {
 		return cs.Opt.EstimateDMLConfig(stmt, config)
 	})
 }
 
 // EstimateDML memoizes Optimizer.EstimateDML.
-func (cs *Coster) EstimateDML(stmt sqlparser.Statement, extra []*catalog.Index) (*optimizer.DMLEstimate, error) {
-	return cs.dmlVia("ds", stmt, extra, func() (*optimizer.DMLEstimate, error) {
+func (cs *Coster) EstimateDML(stmt sqlparser.Statement, extra []*catalog.Index) (*DMLEstimate, error) {
+	return cs.dmlVia("ds", stmt, extra, func() (*DMLEstimate, error) {
 		return cs.Opt.EstimateDML(stmt, extra)
 	})
 }

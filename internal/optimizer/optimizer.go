@@ -5,47 +5,68 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"aim/internal/catalog"
+	"aim/internal/costcache"
 	"aim/internal/obs"
 	"aim/internal/queryinfo"
 	"aim/internal/sqlparser"
+	"aim/internal/sqltypes"
 )
 
 // Optimizer plans queries and serves what-if cost estimates.
 type Optimizer struct {
 	Schema *catalog.Schema
 	Stats  StatsProvider
-	calls  int64
+	// memo keeps the parameter-independent half of planning per normalized
+	// template (PlanSelect, PlanDML; PreparedCapacity entries); entries
+	// validate themselves against Schema.Version. Each handle has its own: a
+	// clone starts cold.
+	memo  *costcache.Cache
+	calls int64
 
 	// Observability handles (nil = disabled; see SetObs). Metrics record
 	// planning behaviour only — they never influence plan choice.
-	mWhatIf     *obs.Histogram // per-invocation planning latency (seconds)
-	mJoinTables *obs.Histogram // join-order search width (tables per search)
-	mJoinDP     *obs.Counter   // Selinger DP searches
-	mJoinGreedy *obs.Counter   // greedy fallback searches (> dpLimit tables)
+	mWhatIf     *obs.Histogram          // per-invocation planning latency (seconds)
+	mJoinTables *obs.Histogram          // join-order search width (tables per search)
+	mJoinDP     *obs.Counter            // Selinger DP searches
+	mJoinGreedy *obs.Counter            // greedy fallback searches (> dpLimit tables)
+	mBypass     map[string]*obs.Counter // statements planned as written, by sqlparser.Bypass* reason
 }
 
 // SetObs attaches (nil registry: detaches) optimizer metrics:
 // optimizer.whatif_seconds latency histogram, optimizer.join_tables search
-// width histogram, and optimizer.join_{dp,greedy}_searches counters. Call
-// before concurrent planning starts.
+// width histogram, optimizer.join_{dp,greedy}_searches counters, the memo's
+// optimizer.prepared_{hits,misses,evictions,entries} and one
+// optimizer.prepared_bypass.<reason> counter per sqlparser.BypassReasons.
+// Call before concurrent planning starts.
 func (o *Optimizer) SetObs(r *obs.Registry) {
+	o.memo.SetObs(r, "optimizer.prepared_")
 	if r == nil {
-		o.mWhatIf, o.mJoinTables, o.mJoinDP, o.mJoinGreedy = nil, nil, nil, nil
+		o.mWhatIf, o.mJoinTables, o.mJoinDP, o.mJoinGreedy, o.mBypass = nil, nil, nil, nil, nil
 		return
 	}
 	o.mWhatIf = r.Histogram("optimizer.whatif_seconds")
 	o.mJoinTables = r.Histogram("optimizer.join_tables")
 	o.mJoinDP = r.Counter("optimizer.join_dp_searches")
 	o.mJoinGreedy = r.Counter("optimizer.join_greedy_searches")
+	o.mBypass = map[string]*obs.Counter{}
+	for _, reason := range sqlparser.BypassReasons {
+		o.mBypass[reason] = r.Counter("optimizer.prepared_bypass." + reason)
+	}
 }
+
+// CountBypass records a statement that is planned as written, outside the
+// memo, for reason (one of sqlparser.BypassReasons).
+func (o *Optimizer) CountBypass(reason string) { o.mBypass[reason].Inc() }
 
 // New returns an optimizer over the schema and statistics provider.
 func New(schema *catalog.Schema, sp StatsProvider) *Optimizer {
-	return &Optimizer{Schema: schema, Stats: sp}
+	return &Optimizer{Schema: schema, Stats: sp, memo: costcache.NewCache(PreparedCapacity)}
 }
+
+// PreparedStats snapshots the template memo's counters.
+func (o *Optimizer) PreparedStats() costcache.Stats { return o.memo.Stats() }
 
 // Calls returns the number of optimizer invocations (plan/estimate calls)
 // made so far. Index advisors are compared on this, per §VIII(a).
@@ -90,34 +111,34 @@ func (e *Estimate) UsedIndexKeys() []string {
 	return out
 }
 
-// indexConfigMode assembles the visible index configuration. With replace
-// set, only the extra indexes are visible — the schema's materialized
-// indexes are hidden, which is how advisors cost cost(q, ∅) and arbitrary
-// candidate configurations.
-func (o *Optimizer) indexConfigMode(extra []*catalog.Index, replace bool) *indexForTable {
-	cfg := &indexForTable{}
-	seen := map[string]bool{}
+// indexConfig assembles the visible index configuration. With replace set,
+// only the extra indexes are visible — the schema's materialized indexes are
+// hidden, which is how advisors cost cost(q, ∅) and arbitrary candidate
+// configurations.
+func (o *Optimizer) indexConfig(extra []*catalog.Index, replace bool) []*catalog.Index {
+	var list []*catalog.Index
 	if !replace {
 		for _, ix := range o.Schema.Indexes() {
-			if ix.Hypothetical {
-				continue
+			if !ix.Hypothetical {
+				list = append(list, ix)
 			}
-			cfg.list = append(cfg.list, ix)
-			seen[ix.Key()] = true
 		}
 	}
+next:
 	for _, ix := range extra {
-		if !seen[ix.Key()] {
-			cfg.list = append(cfg.list, ix)
-			seen[ix.Key()] = true
+		for _, have := range list {
+			if have.Equal(ix) {
+				continue next
+			}
 		}
+		list = append(list, ix)
 	}
-	return cfg
+	return list
 }
 
-// planned is the internal result of the planning search.
+// planned is the result of the planning search for one execution.
 type planned struct {
-	info   *queryinfo.Info
+	*prepared
 	join   *joinResult
 	cost   float64
 	rows   float64
@@ -125,122 +146,65 @@ type planned struct {
 	gOrder bool // GROUP BY satisfied by the access order
 }
 
-// planSelect runs the full planning search for a SELECT under the given
-// index configuration.
-func (o *Optimizer) planSelect(sel *sqlparser.Select, extra []*catalog.Index) (*planned, error) {
-	return o.planSelectMode(sel, extra, false)
-}
-
-func (o *Optimizer) planSelectMode(sel *sqlparser.Select, extra []*catalog.Index, replace bool) (*planned, error) {
-	o.countCall()
-	if o.mWhatIf != nil {
-		defer func(t0 time.Time) { o.mWhatIf.Observe(time.Since(t0).Seconds()) }(time.Now())
+// choose is the parameter-dependent half of planning: it prices what prepare
+// enumerated under the current statistics and the bound values, with the float
+// operations of a from-scratch search in their order, and picks the access
+// path or join order.
+func (o *Optimizer) choose(p *prepared, params []sqltypes.Value) *planned {
+	c := o.newChooser(p, params)
+	if len(p.ctxs) == 1 {
+		return c.planSingleTable()
 	}
-	info, err := queryinfo.Analyze(sel, o.Schema)
-	if err != nil {
-		return nil, err
-	}
-	cfg := o.indexConfigMode(extra, replace)
-	ctxs := make([]*instanceContext, len(info.Layout.Instances))
-	for i := range ctxs {
-		ctxs[i] = newInstanceContext(info, i)
-	}
-
-	grouped := len(sel.GroupBy) > 0 || len(info.Aggregates) > 0
-
-	if len(ctxs) == 1 {
-		return o.planSingleTable(sel, info, ctxs[0], cfg, grouped), nil
-	}
-
-	jr := o.searchJoinOrder(info, ctxs, cfg, sel.StraightJoin)
-	p := &planned{info: info, join: jr, cost: jr.cost, rows: jr.rows}
-	o.addPostJoinCosts(sel, info, p, grouped)
-	return p, nil
+	jr := c.searchJoinOrder()
+	// The access order is only credited for the first step's table.
+	out := &planned{prepared: p, join: jr, cost: jr.cost, rows: jr.rows,
+		sorted: jr.paths[0].sorted, gOrder: jr.paths[0].gOrder}
+	c.addShapeCosts(out)
+	return out
 }
 
 // planSingleTable considers every access path with full query-shape costing
 // (sort avoidance, stream grouping, LIMIT early termination).
-func (o *Optimizer) planSingleTable(sel *sqlparser.Select, info *queryinfo.Info, ctx *instanceContext, cfg *indexForTable, grouped bool) *planned {
-	ts := o.Stats.TableStats(ctx.table.Name)
-	rows := float64(1)
-	if ts != nil && ts.RowCount > 0 {
-		rows = float64(ts.RowCount)
-	}
-	outSel := ctx.opaqueSel
-	for _, a := range ctx.allAtoms {
-		outSel *= atomSelectivity(a, ts)
-	}
-
-	paths := o.enumeratePaths(ctx, map[int]bool{}, cfg.forInstance(0))
-	// Also consider unbounded secondary-index scans: they can satisfy
-	// ordering/grouping or serve covering reads.
-	for _, ix := range cfg.forInstance(0) {
-		if !strings.EqualFold(ix.Table, ctx.table.Name) {
-			continue
-		}
-		paths = append(paths, o.fullIndexPath(ctx, ix, ts, rows, outSel))
-	}
-
-	var best *planned
-	for _, ap := range paths {
-		p := &planned{
-			info: info,
-			join: &joinResult{order: []int{0}, paths: []*accessPath{ap}},
-			rows: ap.outRows,
-		}
-		cost := ap.probeCost
-		p.sorted = orderSatisfiedBy(ap, info)
-		p.gOrder = groupOrderedBy(ap, info)
-
+func (c *chooser) planSingleTable() *planned {
+	sel := c.p.sel
+	var best planned
+	var bestAP accessPath
+	for i, sk := range c.p.moves[0].skels {
+		ap := c.price(sk)
+		cur := planned{prepared: c.p, rows: ap.outRows, cost: ap.probeCost, sorted: sk.sorted, gOrder: sk.gOrder}
 		// LIMIT early termination scaling.
-		if sel.Limit >= 0 && !grouped && !sel.Distinct && (len(info.OrderBy) == 0 || p.sorted) && ap.outRows > 0 {
+		if sel.Limit >= 0 && !c.p.grouped && !sel.Distinct && (len(c.p.info.OrderBy) == 0 || cur.sorted) && ap.outRows > 0 {
 			target := float64(sel.Limit + sel.Offset)
 			if f := target / ap.outRows; f < 1 {
-				cost *= f
-				if cost < costPage {
-					cost = costPage
+				cur.cost *= f
+				if cur.cost < costPage {
+					cur.cost = costPage
 				}
 			}
 		}
-		p.cost = cost
-		o.addShapeCosts(sel, info, p, grouped)
-		if best == nil || p.cost < best.cost {
-			best = p
+		c.addShapeCosts(&cur)
+		if i == 0 || cur.cost < best.cost {
+			best, bestAP = cur, ap
 		}
 	}
-	return best
+	best.join = &joinResult{order: fromOrder, paths: []accessPath{bestAP}}
+	return &best
 }
 
-// addPostJoinCosts applies sort/group costs for multi-table plans, where
-// the access order is only credited for the first step's table.
-func (o *Optimizer) addPostJoinCosts(sel *sqlparser.Select, info *queryinfo.Info, p *planned, grouped bool) {
-	first := p.join.paths[0]
-	firstInst := p.join.order[0]
-	p.sorted = len(info.OrderBy) > 0 && allOnInstance(info.OrderBy, firstInst) && orderSatisfiedBy(first, info)
-	p.gOrder = len(info.GroupBy) > 0 && allOnInstance(info.GroupBy, firstInst) && groupOrderedBy(first, info)
-	o.addShapeCosts(sel, info, p, grouped)
-}
-
-func allOnInstance(cols []queryinfo.OrderColumn, inst int) bool {
-	for _, c := range cols {
-		if c.Instance != inst {
-			return false
-		}
-	}
-	return true
-}
+// fromOrder is the join order of every single-table plan (read-only).
+var fromOrder = []int{0}
 
 // addShapeCosts folds grouping / distinct / sorting costs into p.cost and
 // adjusts the output row estimate.
-func (o *Optimizer) addShapeCosts(sel *sqlparser.Select, info *queryinfo.Info, p *planned, grouped bool) {
+func (c *chooser) addShapeCosts(p *planned) {
+	sel := p.sel
 	inputRows := p.rows
 	outRows := inputRows
-	if grouped {
+	if p.grouped {
 		if len(sel.GroupBy) == 0 {
 			outRows = 1
 		} else {
-			groups := o.estimateGroups(info, inputRows)
-			outRows = groups
+			outRows = c.estimateGroups(inputRows)
 		}
 		if p.gOrder {
 			p.cost += inputRows * costSortRow * 0.1 // streaming aggregation
@@ -263,11 +227,11 @@ func (o *Optimizer) addShapeCosts(sel *sqlparser.Select, info *queryinfo.Info, p
 	p.rows = outRows
 }
 
-func (o *Optimizer) estimateGroups(info *queryinfo.Info, inputRows float64) float64 {
+func (c *chooser) estimateGroups(inputRows float64) float64 {
 	// Distinct combinations of the group columns, capped by input rows.
 	groups := 1.0
-	for _, g := range info.GroupBy {
-		ts := o.Stats.TableStats(info.Layout.Instances[g.Instance].Table.Name)
+	for _, g := range c.p.info.GroupBy {
+		ts := c.inst[g.Instance].ts
 		if ts == nil {
 			continue
 		}
@@ -296,32 +260,28 @@ func log2f(x float64) float64 {
 // orderSatisfiedBy reports whether the access path delivers rows in the
 // query's ORDER BY order (all-ascending only; the executor has no reverse
 // scans).
-func orderSatisfiedBy(ap *accessPath, info *queryinfo.Info) bool {
+func orderSatisfiedBy(sk *pathSkel, info *queryinfo.Info) bool {
 	if len(info.OrderBy) == 0 || len(info.OrderBy) != len(info.Select.OrderBy) {
 		return false
 	}
-	eqBound := eqBoundSet(ap)
-	// Order columns bound to constants are trivially ordered; drop them.
-	var need []queryinfo.OrderColumn
+	pos := 0
 	for _, oc := range info.OrderBy {
 		if oc.Desc {
 			return false
 		}
-		if !eqBound[oc.Column] {
-			need = append(need, oc)
+		// Order columns bound to constants are trivially ordered; drop them.
+		if sk.eqBound(oc.Column) {
+			continue
 		}
-	}
-	pos := 0
-	for _, oc := range need {
 		matched := false
-		for pos < len(ap.indexKey) {
-			col := strings.ToLower(ap.indexKey[pos])
+		for pos < len(sk.indexKey) {
+			col := strings.ToLower(sk.indexKey[pos])
 			if col == oc.Column {
 				matched = true
 				pos++
 				break
 			}
-			if eqBound[col] {
+			if sk.eqBound(col) {
 				pos++
 				continue
 			}
@@ -336,26 +296,25 @@ func orderSatisfiedBy(ap *accessPath, info *queryinfo.Info) bool {
 
 // groupOrderedBy reports whether the access path delivers rows clustered by
 // the GROUP BY columns (any permutation of a key prefix after constants).
-func groupOrderedBy(ap *accessPath, info *queryinfo.Info) bool {
+func groupOrderedBy(sk *pathSkel, info *queryinfo.Info) bool {
 	if len(info.GroupBy) == 0 || len(info.GroupBy) != len(info.Select.GroupBy) {
 		return false
 	}
-	eqBound := eqBoundSet(ap)
 	need := map[string]bool{}
 	for _, gc := range info.GroupBy {
-		if !eqBound[gc.Column] {
+		if !sk.eqBound(gc.Column) {
 			need[gc.Column] = true
 		}
 	}
 	pos := 0
-	for len(need) > 0 && pos < len(ap.indexKey) {
-		col := strings.ToLower(ap.indexKey[pos])
+	for len(need) > 0 && pos < len(sk.indexKey) {
+		col := strings.ToLower(sk.indexKey[pos])
 		if need[col] {
 			delete(need, col)
 			pos++
 			continue
 		}
-		if eqBound[col] {
+		if sk.eqBound(col) {
 			pos++
 			continue
 		}
@@ -364,66 +323,55 @@ func groupOrderedBy(ap *accessPath, info *queryinfo.Info) bool {
 	return len(need) == 0
 }
 
-// eqBoundSet returns the columns bound by equality in the path's prefix.
-func eqBoundSet(ap *accessPath) map[string]bool {
-	out := map[string]bool{}
-	for i, e := range ap.eq {
-		col := strings.ToLower(ap.indexKey[i])
-		_ = e
-		out[col] = true
+// eqBound reports whether col is bound by equality in the path's prefix.
+func (sk *pathSkel) eqBound(col string) bool {
+	for i := range sk.eq {
+		if strings.EqualFold(sk.indexKey[i], col) {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // EstimateSelect costs a SELECT under the schema's materialized indexes
 // plus the extra (typically hypothetical) indexes. The statement may contain
 // placeholders; shape-only default selectivities apply to them.
 func (o *Optimizer) EstimateSelect(sel *sqlparser.Select, extra []*catalog.Index) (*Estimate, error) {
-	p, err := o.planSelect(sel, extra)
+	p, err := o.plan("", sel, extra, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	return o.estimateFromPlanned(p), nil
+	return estimateFromPlanned(p), nil
 }
 
 // EstimateSelectConfig costs a SELECT under exactly the given index
 // configuration, hiding the schema's materialized indexes. Advisors use it
 // for cost(q, X) with arbitrary X, including X = ∅.
 func (o *Optimizer) EstimateSelectConfig(sel *sqlparser.Select, config []*catalog.Index) (*Estimate, error) {
-	p, err := o.planSelectMode(sel, config, true)
+	p, err := o.plan("", sel, config, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	return o.estimateFromPlanned(p), nil
+	return estimateFromPlanned(p), nil
 }
 
-func (o *Optimizer) estimateFromPlanned(p *planned) *Estimate {
+func estimateFromPlanned(p *planned) *Estimate {
 	est := &Estimate{Cost: p.cost, Rows: p.rows}
-	ts := func(name string) float64 {
-		s := o.Stats.TableStats(name)
-		if s == nil || s.RowCount == 0 {
-			return 1
-		}
-		return float64(s.RowCount)
-	}
 	for i, ap := range p.join.paths {
-		inst := p.join.order[i]
-		table := p.info.Layout.Instances[inst].Table
-		rows := ts(table.Name)
 		u := UsedIndex{
-			Instance:   inst,
+			Instance:   p.join.order[i],
 			Index:      ap.index,
 			EqLen:      len(ap.eq),
 			HasRange:   ap.rng != nil || ap.inAtom != nil,
 			Covering:   ap.covering,
-			EstEntries: rows * ap.entrySel,
+			EstEntries: ap.rows * ap.entrySel,
 			EstLookups: 0,
 		}
 		if ap.index != nil && !ap.covering {
-			u.EstLookups = rows * ap.lookupSel
+			u.EstLookups = ap.rows * ap.lookupSel
 		}
 		est.Used = append(est.Used, u)
-		est.Desc = append(est.Desc, ap.Desc(p.info.Layout.Instances[inst].Alias))
+		est.Desc = append(est.Desc, ap.desc)
 	}
 	return est
 }
@@ -469,7 +417,7 @@ func (o *Optimizer) EstimateDMLConfig(stmt sqlparser.Statement, config []*catalo
 func (o *Optimizer) estimateDMLMode(stmt sqlparser.Statement, extra []*catalog.Index, replace bool) (*DMLEstimate, error) {
 	o.countCall()
 	out := &DMLEstimate{IndexMaintenance: map[string]float64{}}
-	cfg := o.indexConfigMode(extra, replace)
+	cfg := o.indexConfig(extra, replace)
 
 	perEntryWrite := func(table string) float64 {
 		ts := o.Stats.TableStats(table)
@@ -492,15 +440,14 @@ func (o *Optimizer) estimateDMLMode(stmt sqlparser.Statement, extra []*catalog.I
 		}
 		out.Rows = n
 		out.BaseCost = n * (perEntryWrite(s.Table) + costRowWrite)
-		for _, ix := range cfg.list {
+		for _, ix := range cfg {
 			if strings.EqualFold(ix.Table, s.Table) {
 				out.IndexMaintenance[ix.Key()] += n * perEntryWrite(s.Table)
 			}
 		}
 		return out, nil
 	case *sqlparser.Update:
-		sel := whereToSelect(s.Table, s.Where)
-		p, err := o.planSelectMode(sel, extra, replace)
+		p, err := o.plan("", s, extra, replace, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -510,7 +457,7 @@ func (o *Optimizer) estimateDMLMode(stmt sqlparser.Statement, extra []*catalog.I
 		for _, a := range s.Set {
 			setCols[strings.ToLower(a.Column)] = true
 		}
-		for _, ix := range cfg.list {
+		for _, ix := range cfg {
 			if !strings.EqualFold(ix.Table, s.Table) {
 				continue
 			}
@@ -528,14 +475,13 @@ func (o *Optimizer) estimateDMLMode(stmt sqlparser.Statement, extra []*catalog.I
 		}
 		return out, nil
 	case *sqlparser.Delete:
-		sel := whereToSelect(s.Table, s.Where)
-		p, err := o.planSelectMode(sel, extra, replace)
+		p, err := o.plan("", s, extra, replace, nil)
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = p.rows
 		out.BaseCost = p.cost + p.rows*costRowWrite
-		for _, ix := range cfg.list {
+		for _, ix := range cfg {
 			if strings.EqualFold(ix.Table, s.Table) {
 				out.IndexMaintenance[ix.Key()] += p.rows * perEntryWrite(s.Table)
 			}

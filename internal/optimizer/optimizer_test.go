@@ -82,7 +82,7 @@ func TestSmallTableDrivesJoin(t *testing.T) {
 	}
 	o := New(schema, sp)
 	stmt, _ := sqlparser.Parse("SELECT s.y FROM big b JOIN small s ON b.fk = s.id WHERE s.x = 3")
-	p, err := o.planSelect(stmt.(*sqlparser.Select), nil)
+	p, err := o.plan("", stmt, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSmallTableDrivesJoin(t *testing.T) {
 		t.Fatalf("join order = %v (want small first)", p.join.order)
 	}
 	if p.join.paths[1].index == nil || p.join.paths[1].index.Name != "big_fk" {
-		t.Fatalf("inner access = %+v", p.join.paths[1].Desc("big"))
+		t.Fatalf("inner access = %+v", p.join.paths[1].desc)
 	}
 }
 
@@ -100,12 +100,49 @@ func TestStraightJoinRespectsOrder(t *testing.T) {
 	schema, sp := testSetup(t)
 	o := New(schema, sp)
 	stmt, _ := sqlparser.Parse("SELECT STRAIGHT_JOIN s.y FROM big b, small s WHERE b.fk = s.id")
-	p, err := o.planSelect(stmt.(*sqlparser.Select), nil)
+	p, err := o.plan("", stmt, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.join.order[0] != 0 {
 		t.Fatalf("straight join reordered: %v", p.join.order)
+	}
+}
+
+// TestJoinWiderThanAWord pins that placed sets do not cap the FROM clause: a
+// chain of 70 instances is ordered by the greedy search (and read in FROM order
+// under STRAIGHT_JOIN) with every step after the first probing through its
+// join edge, also the steps past the 64th.
+func TestJoinWiderThanAWord(t *testing.T) {
+	schema, sp := testSetup(t)
+	o := New(schema, sp)
+	const n = 70
+	from, where := make([]string, n), make([]string, n-1)
+	for i := range from {
+		from[i] = fmt.Sprintf("small s%d", i)
+		if i > 0 {
+			where[i-1] = fmt.Sprintf("s%d.id = s%d.id", i, i-1)
+		}
+	}
+	for _, hint := range []string{"", "STRAIGHT_JOIN "} {
+		stmt, err := sqlparser.Parse("SELECT " + hint + "s0.y FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := o.plan("", stmt, nil, false, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", hint, err)
+		}
+		seen := map[int]bool{}
+		for pos, inst := range p.join.order {
+			seen[inst] = true
+			if path := p.join.paths[pos]; pos > 0 && len(path.eq) == 0 {
+				t.Fatalf("%q: step %d reads instance %d without its join edge: %s", hint, pos, inst, path.desc)
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("%q: order %v", hint, p.join.order)
+		}
 	}
 }
 
@@ -197,11 +234,10 @@ func TestHypotheticalIndexOnlyInEstimates(t *testing.T) {
 }
 
 func TestOrderSatisfactionLogic(t *testing.T) {
-	schema, sp := testSetup(t)
+	schema, _ := testSetup(t)
 	if err := schema.AddIndex(&catalog.Index{Name: "ix_abc", Table: "big", Columns: []string{"a", "b", "c"}}); err != nil {
 		t.Fatal(err)
 	}
-	o := New(schema, sp)
 	cases := []struct {
 		sql  string
 		want bool
@@ -220,9 +256,9 @@ func TestOrderSatisfactionLogic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := newInstanceContext(info, 0)
-		paths := o.enumeratePaths(ctx, map[int]bool{}, schema.Indexes())
-		var ixPath *accessPath
+		ctx := newInstanceContext(info, 0, schema.Indexes(), 0)
+		paths := ctx.skeletons(instSet{})
+		var ixPath *pathSkel
 		for _, p := range paths {
 			if p.index != nil && p.index.Name == "ix_abc" {
 				ixPath = p
@@ -238,11 +274,10 @@ func TestOrderSatisfactionLogic(t *testing.T) {
 }
 
 func TestGroupOrderingLogic(t *testing.T) {
-	schema, sp := testSetup(t)
+	schema, _ := testSetup(t)
 	if err := schema.AddIndex(&catalog.Index{Name: "ix_abc", Table: "big", Columns: []string{"a", "b", "c"}}); err != nil {
 		t.Fatal(err)
 	}
-	o := New(schema, sp)
 	cases := []struct {
 		sql  string
 		want bool
@@ -260,17 +295,16 @@ func TestGroupOrderingLogic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := newInstanceContext(info, 0)
-		paths := o.enumeratePaths(ctx, map[int]bool{}, schema.Indexes())
-		var ixPath *accessPath
+		ctx := newInstanceContext(info, 0, schema.Indexes(), 0)
+		paths := ctx.skeletons(instSet{})
+		var ixPath *pathSkel
 		for _, p := range paths {
 			if p.index != nil {
 				ixPath = p
 			}
 		}
 		if ixPath == nil {
-			ts := sp.TableStats("big")
-			ixPath = o.fullIndexPath(ctx, schema.Index("ix_abc"), ts, float64(ts.RowCount), 1)
+			ixPath = ctx.fullIndexSkel(schema.Index("ix_abc"))
 		}
 		if got := groupOrderedBy(ixPath, info); got != c.want {
 			t.Errorf("%s: ordered = %v, want %v", c.sql, got, c.want)

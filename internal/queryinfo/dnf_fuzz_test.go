@@ -70,11 +70,11 @@ func checkDNFEquivalence(t *testing.T, layout *exec.Layout, whereSQL string, whe
 		}
 		return !v.IsNull() && v.Bool()
 	}
-	orig, err := exec.Compile(where, layout)
+	orig, err := exec.Compile(where, layout, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", whereSQL, err)
 	}
-	re, err := exec.Compile(rebuilt, layout)
+	re, err := exec.Compile(rebuilt, layout, nil)
 	if err != nil {
 		t.Fatalf("rebuilt %s: %v", rebuilt.SQL(), err)
 	}

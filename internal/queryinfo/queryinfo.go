@@ -57,6 +57,9 @@ func (op AtomOp) IsIPP() bool {
 }
 
 // Atom is an atomic single-table predicate of the form `column op constant`.
+// A comparand is a literal (EqValue, Lo, Hi) or a placeholder (EqParam,
+// LoParam, HiParam: its ordinal plus one), whose value is unknown until a
+// parameter vector is supplied — see Eq, Low and High.
 type Atom struct {
 	Instance int    // table instance ordinal
 	Column   string // lower-cased column name
@@ -64,13 +67,39 @@ type Atom struct {
 	Expr     sqlparser.Expr
 	// Eq/NullSafeEq value, or nil when the comparand is a placeholder.
 	EqValue *sqltypes.Value
+	EqParam int
 	// In list values (literals only).
 	InValues []sqltypes.Value
 	// Range bounds; nil pointer = unbounded / unknown.
-	Lo, Hi       *sqltypes.Value
-	LoInc, HiInc bool
+	Lo, Hi           *sqltypes.Value
+	LoParam, HiParam int
+	LoInc, HiInc     bool
 	// LikePrefix holds the constant prefix for OpLikePrefix.
 	LikePrefix string
+}
+
+// Eq returns the Eq/NullSafeEq comparand under params: the literal, the bound
+// parameter, or nil when it is a placeholder params does not reach (nil params:
+// shape-only costing).
+func (a *Atom) Eq(params []sqltypes.Value) *sqltypes.Value {
+	return comparand(a.EqValue, a.EqParam, params)
+}
+
+// Low returns the lower range bound under params, like Eq.
+func (a *Atom) Low(params []sqltypes.Value) *sqltypes.Value {
+	return comparand(a.Lo, a.LoParam, params)
+}
+
+// High returns the upper range bound under params, like Eq.
+func (a *Atom) High(params []sqltypes.Value) *sqltypes.Value {
+	return comparand(a.Hi, a.HiParam, params)
+}
+
+func comparand(lit *sqltypes.Value, param int, params []sqltypes.Value) *sqltypes.Value {
+	if lit == nil && param > 0 && param <= len(params) {
+		return &params[param-1]
+	}
+	return lit
 }
 
 // JoinEdge is one equality predicate between columns of two instances.
@@ -359,26 +388,26 @@ func classifyAtom(e sqlparser.Expr, l *exec.Layout, inst int) *Atom {
 		}
 		return strings.ToLower(c.Column), true
 	}
-	lit := func(x sqlparser.Expr) (*sqltypes.Value, bool) {
+	lit := func(x sqlparser.Expr) (*sqltypes.Value, int, bool) {
 		switch v := x.(type) {
 		case *sqlparser.Literal:
 			val := v.Val
-			return &val, true
+			return &val, 0, true
 		case *sqlparser.Placeholder:
-			return nil, true // shape is usable, value unknown
+			return nil, v.Ordinal + 1, true // shape is usable, value arrives with the parameters
 		}
-		return nil, false
+		return nil, 0, false
 	}
 	switch v := e.(type) {
 	case *sqlparser.BinaryExpr:
 		c, okL := col(v.Left)
-		val, okR := lit(v.Right)
+		val, param, okR := lit(v.Right)
 		op := v.Op
 		if !okL || !okR {
 			// Try the flipped orientation, e.g. 5 < col.
 			if c2, ok := col(v.Right); ok {
-				if val2, ok2 := lit(v.Left); ok2 {
-					c, val, okL, okR = c2, val2, true, true
+				if val2, param2, ok2 := lit(v.Left); ok2 {
+					c, val, param, okL, okR = c2, val2, param2, true, true
 					op = flipOp(op)
 				}
 			}
@@ -390,17 +419,17 @@ func classifyAtom(e sqlparser.Expr, l *exec.Layout, inst int) *Atom {
 		switch op {
 		case "=":
 			a.Op = OpEq
-			a.EqValue = val
+			a.EqValue, a.EqParam = val, param
 		case "<=>":
 			a.Op = OpNullSafeEq
-			a.EqValue = val
+			a.EqValue, a.EqParam = val, param
 		case "<", "<=":
 			a.Op = OpRange
-			a.Hi = val
+			a.Hi, a.HiParam = val, param
 			a.HiInc = op == "<="
 		case ">", ">=":
 			a.Op = OpRange
-			a.Lo = val
+			a.Lo, a.LoParam = val, param
 			a.LoInc = op == ">="
 		default:
 			a.Op = OpOther
@@ -430,14 +459,15 @@ func classifyAtom(e sqlparser.Expr, l *exec.Layout, inst int) *Atom {
 		if !ok {
 			return a
 		}
-		lo, okLo := lit(v.Low)
-		hi, okHi := lit(v.High)
+		lo, loParam, okLo := lit(v.Low)
+		hi, hiParam, okHi := lit(v.High)
 		if !okLo || !okHi {
 			return a
 		}
 		a.Column = c
 		a.Op = OpRange
 		a.Lo, a.Hi = lo, hi
+		a.LoParam, a.HiParam = loParam, hiParam
 		a.LoInc, a.HiInc = true, true
 		return a
 	case *sqlparser.LikeExpr:

@@ -369,11 +369,11 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 			CPUSeconds:  res.Stats.CPUSeconds(),
 		}, time.Since(start))
 	}
-	// The record carries the parsed statement's template, not its text, so
-	// the cycle folds windows without parsing. Built off the gate; observed
-	// before the response, so an OpTune finds every acknowledged statement.
-	rec := Record{Session: session, Seq: seq, Trace: trace, Stats: res.Stats}
-	rec.template, rec.params = sqlparser.Normalize(stmt)
+	// The record carries the statement's template as the engine normalized it
+	// to plan, not its text, so the cycle folds windows without parsing.
+	// Observed before the response, so an OpTune finds every acknowledged
+	// statement.
+	rec := Record{Session: session, Seq: seq, Trace: trace, Stats: res.Stats, template: res.Template, params: res.Params}
 	if w := s.collector.Observe(rec); w != nil {
 		select {
 		case s.windows <- w:

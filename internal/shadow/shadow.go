@@ -410,6 +410,8 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 		}
 		// DML must not change clone contents between replays in a way that
 		// breaks comparability; replay on both sides keeps them in step.
+		// ExecStmt normalizes stmt back to q's template, so a template's
+		// samples share one prepare per side.
 		resB, errB := baseline.ExecStmt(stmt)
 		resT, errT := test.ExecStmt(stmt)
 		if errB != nil || errT != nil {

@@ -62,18 +62,67 @@ type BinaryExpr struct {
 
 func (b *BinaryExpr) expr() {}
 
-// SQL renders with minimal parenthesization of logical operands.
+// SQL renders so that the text parses back to the tree: an operand the grammar
+// wants at a higher level than it has is parenthesized (operand), so
+// `10 - (5 - 2)` and `10 - 5 - 2` stay apart. AND / OR keep their older, looser
+// rule — the other logical operator is parenthesized, a nested chain of the
+// same one is not — which distinguishes trees up to the association of a chain;
+// everything that reads a WHERE clause flattens chains first.
 func (b *BinaryExpr) SQL() string {
+	p := level(b)
+	if p > levelAnd {
+		return operand(b.Left, max(p, levelAdditive)) + " " + b.Op + " " + operand(b.Right, max(p+1, levelAdditive))
+	}
 	l, r := b.Left.SQL(), b.Right.SQL()
-	if b.Op == "AND" || b.Op == "OR" {
-		if inner, ok := b.Left.(*BinaryExpr); ok && inner.Op != b.Op && (inner.Op == "AND" || inner.Op == "OR") {
-			l = "(" + l + ")"
-		}
-		if inner, ok := b.Right.(*BinaryExpr); ok && inner.Op != b.Op && (inner.Op == "AND" || inner.Op == "OR") {
-			r = "(" + r + ")"
-		}
+	if inner, ok := b.Left.(*BinaryExpr); ok && inner.Op != b.Op && level(inner) <= levelAnd {
+		l = "(" + l + ")"
+	}
+	if inner, ok := b.Right.(*BinaryExpr); ok && inner.Op != b.Op && level(inner) <= levelAnd {
+		r = "(" + r + ")"
 	}
 	return l + " " + b.Op + " " + r
+}
+
+// Grammar levels, loosest first (see parseExpr).
+const (
+	levelOr = iota + 1
+	levelAnd
+	levelNot
+	levelPredicate
+	levelAdditive
+	levelMultiplicative
+	levelPrimary
+)
+
+// level is the grammar level e parses at.
+func level(e Expr) int {
+	switch v := e.(type) {
+	case *BinaryExpr:
+		switch v.Op {
+		case "OR":
+			return levelOr
+		case "AND":
+			return levelAnd
+		case "+", "-":
+			return levelAdditive
+		case "*", "/", "%":
+			return levelMultiplicative
+		}
+		return levelPredicate
+	case *NotExpr:
+		return levelNot
+	case *InExpr, *BetweenExpr, *LikeExpr, *IsNullExpr:
+		return levelPredicate
+	}
+	return levelPrimary
+}
+
+// operand renders e where the grammar parses level min or tighter.
+func operand(e Expr, min int) string {
+	if level(e) < min {
+		return "(" + e.SQL() + ")"
+	}
+	return e.SQL()
 }
 
 // NotExpr negates Inner.
@@ -101,7 +150,7 @@ func (i *InExpr) SQL() string {
 	if i.Not {
 		op = "NOT IN"
 	}
-	return i.Left.SQL() + " " + op + " (" + strings.Join(parts, ", ") + ")"
+	return operand(i.Left, levelAdditive) + " " + op + " (" + strings.Join(parts, ", ") + ")"
 }
 
 // BetweenExpr tests Low <= Left <= High.
@@ -118,7 +167,7 @@ func (b *BetweenExpr) SQL() string {
 	if b.Not {
 		op = "NOT BETWEEN"
 	}
-	return b.Left.SQL() + " " + op + " " + b.Low.SQL() + " AND " + b.High.SQL()
+	return operand(b.Left, levelAdditive) + " " + op + " " + operand(b.Low, levelAdditive) + " AND " + operand(b.High, levelAdditive)
 }
 
 // LikeExpr matches Left against a pattern with % and _ wildcards.
@@ -136,7 +185,7 @@ func (l *LikeExpr) SQL() string {
 	if l.Not {
 		op = "NOT LIKE"
 	}
-	return l.Left.SQL() + " " + op + " " + l.Pattern.SQL()
+	return operand(l.Left, levelAdditive) + " " + op + " " + operand(l.Pattern, levelAdditive)
 }
 
 // IsNullExpr tests for NULL.
@@ -150,9 +199,9 @@ func (i *IsNullExpr) expr() {}
 // SQL renders the IS [NOT] NULL.
 func (i *IsNullExpr) SQL() string {
 	if i.Not {
-		return i.Left.SQL() + " IS NOT NULL"
+		return operand(i.Left, levelAdditive) + " IS NOT NULL"
 	}
-	return i.Left.SQL() + " IS NULL"
+	return operand(i.Left, levelAdditive) + " IS NULL"
 }
 
 // FuncExpr is an aggregate or scalar function call. Star marks COUNT(*).
@@ -266,6 +315,9 @@ func (s *Select) SQL() string {
 	b.WriteString("SELECT ")
 	if s.Distinct {
 		b.WriteString("DISTINCT ")
+	}
+	if s.StraightJoin {
+		b.WriteString("STRAIGHT_JOIN ")
 	}
 	for i, e := range s.Exprs {
 		if i > 0 {

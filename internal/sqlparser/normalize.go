@@ -6,16 +6,50 @@ import (
 	"aim/internal/sqltypes"
 )
 
-// Normalize returns the normalized (parameterized) form of a statement per
-// §III-A1 of the AIM paper: every literal is replaced by `?` so queries with
-// the same structure share a normalized text. IN lists collapse to a single
-// `?` so the list length does not fragment the grouping. The extracted
-// parameter values are returned in syntax order (IN lists contribute all of
-// their members).
-func Normalize(stmt Statement) (string, []sqltypes.Value) {
+// Template is the normalized (parameterized) form of a statement per §III-A1
+// of the AIM paper: every literal is replaced by `?` so queries with the same
+// structure share a normalized text. IN lists collapse to a single `?` so the
+// list length does not fragment the grouping.
+type Template struct {
+	// Text is Stmt rendered: what the workload monitor groups by and the
+	// planner's memo is keyed on.
+	Text string
+	// Stmt is the statement with each literal replaced by a placeholder whose
+	// Ordinal indexes Params.
+	Stmt Statement
+	// Params holds the extracted values in syntax order (IN lists contribute
+	// all of their members).
+	Params []sqltypes.Value
+	// Bypass is empty when executing Stmt with Params is executing the
+	// statement. Otherwise it names why it is not — the plan's shape depends on
+	// a literal, or the ordinals do not line up — and the statement must be
+	// planned as written.
+	Bypass string
+}
+
+// Bypass reasons.
+const (
+	BypassInList      = "in_list"     // IN lists collapse: ordinals no longer line up with Params
+	BypassLike        = "like"        // the pattern's constant prefix decides whether LIKE is a range
+	BypassMultiRow    = "multi_row"   // the template keeps the first row of a multi-row INSERT only
+	BypassPlaceholder = "placeholder" // the statement already held an unbound `?`
+	BypassProjection  = "projection"  // a literal outside WHERE / SET / VALUES: output names and ORDER BY matching render it
+)
+
+// BypassReasons lists every Bypass value.
+var BypassReasons = []string{BypassInList, BypassLike, BypassMultiRow, BypassPlaceholder, BypassProjection}
+
+// NewTemplate normalizes stmt.
+func NewTemplate(stmt Statement) Template {
 	r := &rewriter{}
 	out := r.statement(stmt)
-	return out.SQL(), r.params
+	return Template{Text: out.SQL(), Stmt: out, Params: r.params, Bypass: r.bypass}
+}
+
+// Normalize returns NewTemplate's text and parameter values.
+func Normalize(stmt Statement) (string, []sqltypes.Value) {
+	t := NewTemplate(stmt)
+	return t.Text, t.Params
 }
 
 // Bind substitutes placeholder markers in stmt with the given parameter
@@ -36,10 +70,23 @@ type rewriter struct {
 	bind   bool
 	params []sqltypes.Value
 	next   int // bind: parameters consumed, counting past the end
+	// normalize: the first Bypass reason met, and whether the walk is outside
+	// WHERE / SET / VALUES.
+	bypass  string
+	outside bool
+}
+
+func (r *rewriter) note(reason string) {
+	if r.bypass == "" {
+		r.bypass = reason
+	}
 }
 
 // extract is Normalize's leaf rule: v moves into params, behind a placeholder.
 func (r *rewriter) extract(v sqltypes.Value) Expr {
+	if r.outside {
+		r.note(BypassProjection)
+	}
 	r.params = append(r.params, v)
 	return &Placeholder{Ordinal: len(r.params) - 1}
 }
@@ -58,12 +105,15 @@ func (r *rewriter) statement(stmt Statement) Statement {
 	case *Select:
 		out := *s
 		out.Exprs = make([]*SelectExpr, len(s.Exprs))
+		r.outside = true
 		for i, se := range s.Exprs {
 			cp := *se
 			cp.Expr = r.expr(cp.Expr)
 			out.Exprs[i] = &cp
 		}
+		r.outside = false
 		out.Where = r.expr(s.Where)
+		r.outside = true
 		out.GroupBy = r.exprs(s.GroupBy)
 		out.OrderBy = make([]*OrderItem, len(s.OrderBy))
 		for i, o := range s.OrderBy {
@@ -80,6 +130,7 @@ func (r *rewriter) statement(stmt Statement) Statement {
 		// batch sizes do not fragment grouping.
 		if !r.bind && len(out.Rows) > 1 {
 			out.Rows = out.Rows[:1]
+			r.note(BypassMultiRow)
 		}
 		return &out
 	case *Update:
@@ -122,6 +173,7 @@ func (r *rewriter) expr(e Expr) Expr {
 		if r.bind {
 			return r.fill()
 		}
+		r.note(BypassPlaceholder)
 		return r.extract(sqltypes.Null)
 	case *BinaryExpr:
 		return &BinaryExpr{Op: v.Op, Left: r.expr(v.Left), Right: r.expr(v.Right)}
@@ -132,6 +184,7 @@ func (r *rewriter) expr(e Expr) Expr {
 			return &InExpr{Left: r.expr(v.Left), List: r.exprs(v.List), Not: v.Not}
 		}
 		// Collect every literal but render a single placeholder.
+		r.note(BypassInList)
 		for _, item := range v.List {
 			if lit, ok := item.(*Literal); ok {
 				r.params = append(r.params, lit.Val)
@@ -141,6 +194,7 @@ func (r *rewriter) expr(e Expr) Expr {
 	case *BetweenExpr:
 		return &BetweenExpr{Left: r.expr(v.Left), Low: r.expr(v.Low), High: r.expr(v.High), Not: v.Not}
 	case *LikeExpr:
+		r.note(BypassLike)
 		return &LikeExpr{Left: r.expr(v.Left), Pattern: r.expr(v.Pattern), Not: v.Not}
 	case *IsNullExpr:
 		return &IsNullExpr{Left: r.expr(v.Left), Not: v.Not}

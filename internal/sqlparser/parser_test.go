@@ -2,6 +2,8 @@ package sqlparser
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -466,5 +468,164 @@ func BenchmarkNormalize(b *testing.B) {
 				normalizeSink, _ = Normalize(stmt)
 			}
 		})
+	}
+}
+
+// TestTemplateOrdinalsAndBypass pins what the planner's memo relies on: a
+// template's placeholders index Params, the template's text parsed again
+// numbers them the same way, and every statement whose plan or ordinals
+// depend on a literal says why it bypasses.
+func TestTemplateOrdinalsAndBypass(t *testing.T) {
+	ordinals := func(stmt Statement) []int {
+		var out []int
+		visit := func(e Expr) {
+			WalkExpr(e, func(x Expr) bool {
+				if p, ok := x.(*Placeholder); ok {
+					out = append(out, p.Ordinal)
+				}
+				return true
+			})
+		}
+		switch s := stmt.(type) {
+		case *Select:
+			visit(s.Where)
+		case *Update:
+			for _, a := range s.Set {
+				visit(a.Value)
+			}
+			visit(s.Where)
+		case *Delete:
+			visit(s.Where)
+		case *Insert:
+			for _, e := range s.Rows[0] {
+				visit(e)
+			}
+		}
+		return out
+	}
+	for sql, bypass := range map[string]string{
+		"SELECT a FROM t WHERE x = 5 AND 7 < y AND z BETWEEN 1 AND 'b' ORDER BY a LIMIT 3": "",
+		"SELECT a.x FROM t a JOIN u b ON b.k = a.k WHERE a.x = 1.5 AND b.y <=> NULL":       "",
+		"UPDATE t SET a = 5, b = 'x' WHERE id = 3 AND c > 2":                               "",
+		"DELETE FROM t WHERE id = 3":                                                       "",
+		"INSERT INTO t (x, y) VALUES (1, 'a')":                                             "",
+		"SELECT a FROM t WHERE x = 5 AND y IN (1, 2, 3)":                                   BypassInList,
+		"SELECT a FROM t WHERE name LIKE 'ab%' AND x = 5":                                  BypassLike,
+		"INSERT INTO t (x, y) VALUES (1, 'a'), (2, 'b')":                                   BypassMultiRow,
+		"SELECT a FROM t WHERE x = ? AND y = 2":                                            BypassPlaceholder,
+		"SELECT a + 1 FROM t WHERE x = 5":                                                  BypassProjection,
+		"SELECT a FROM t WHERE x = 5 ORDER BY a + 1":                                       BypassProjection,
+		"SELECT a + 1 FROM t WHERE y IN (1, 2) AND name LIKE 'a%'":                         BypassProjection,
+		"SELECT a FROM t WHERE name NOT LIKE 'a%' AND y NOT IN (1, 2)":                     BypassLike,
+	} {
+		tmpl := NewTemplate(mustParse(t, sql))
+		if tmpl.Bypass != bypass {
+			t.Errorf("%s: bypass %q, want %q", sql, tmpl.Bypass, bypass)
+		}
+		if text, params := Normalize(mustParse(t, sql)); text != tmpl.Text || len(params) != len(tmpl.Params) {
+			t.Errorf("%s: Normalize and NewTemplate disagree", sql)
+		}
+		again := mustParse(t, tmpl.Text)
+		if bypass != "" {
+			continue
+		}
+		want := ordinals(again)
+		for i, o := range want {
+			if o != i {
+				t.Fatalf("%s: parsed template numbers its placeholders %v", tmpl.Text, want)
+			}
+		}
+		if got := ordinals(tmpl.Stmt); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(tmpl.Params) {
+			t.Errorf("%s: template ordinals %v over %d params, parsed again %v", sql, got, len(tmpl.Params), want)
+		}
+		if _, err := Bind(again, tmpl.Params[:len(tmpl.Params)-1]); err == nil {
+			t.Errorf("%s: binding one parameter short succeeds", tmpl.Text)
+		}
+	}
+}
+
+// randomExpr draws an expression tree with any node in any operand position
+// (the parser builds every such tree from parentheses). AND / OR chains are
+// drawn left-deep, the one association SQL() renders without parentheses.
+func randomExpr(r *rand.Rand, depth int) Expr {
+	if depth == 0 || r.Intn(4) == 0 {
+		switch r.Intn(6) {
+		case 0:
+			return &ColumnRef{Table: "t", Column: "b"}
+		case 1:
+			return &Literal{Val: sqltypes.NewInt(int64(r.Intn(9) - 3))}
+		case 2:
+			return &Literal{Val: sqltypes.NewString("it's")}
+		case 3:
+			return &Literal{Val: sqltypes.Null}
+		}
+		return &ColumnRef{Column: "a"}
+	}
+	sub := func() Expr { return randomExpr(r, depth-1) }
+	switch r.Intn(9) {
+	case 0:
+		op := []string{"AND", "OR"}[r.Intn(2)]
+		right := sub()
+		for b, ok := right.(*BinaryExpr); ok && b.Op == op; b, ok = right.(*BinaryExpr) {
+			right = b.Right
+		}
+		return &BinaryExpr{Op: op, Left: sub(), Right: right}
+	case 1:
+		return &NotExpr{Inner: sub()}
+	case 2:
+		return &InExpr{Left: sub(), List: []Expr{sub(), sub()}, Not: r.Intn(2) == 0}
+	case 3:
+		return &BetweenExpr{Left: sub(), Low: sub(), High: sub(), Not: r.Intn(2) == 0}
+	case 4:
+		return &LikeExpr{Left: sub(), Pattern: sub(), Not: r.Intn(2) == 0}
+	case 5:
+		return &IsNullExpr{Left: sub(), Not: r.Intn(2) == 0}
+	case 6:
+		return &FuncExpr{Name: "ABS", Args: []Expr{sub()}}
+	}
+	ops := []string{"=", "!=", "<", "<=", ">", ">=", "<=>", "+", "-", "*", "/", "%"}
+	return &BinaryExpr{Op: ops[r.Intn(len(ops))], Left: sub(), Right: sub()}
+}
+
+// TestSQLParsesBackToTheTree pins that SQL() is faithful: the text of a
+// statement parses back to the statement, so two statements that differ — in
+// where their parentheses sit, in a join hint — never share a text. The
+// workload monitor parses a template's text again, and the planner's memo is
+// keyed on it.
+func TestSQLParsesBackToTheTree(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		sel := &Select{
+			Distinct: r.Intn(2) == 0, StraightJoin: r.Intn(2) == 0, Limit: -1,
+			Exprs:  []*SelectExpr{{Expr: randomExpr(r, 2), Alias: "x"}},
+			Tables: []*TableRef{{Name: "t"}, {Name: "u", Alias: "v"}},
+			Where:  randomExpr(r, 4),
+		}
+		text := sel.SQL()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if !reflect.DeepEqual(again, Statement(sel)) {
+			t.Fatalf("%s parses back as %s", text, again.SQL())
+		}
+	}
+	// The pairs that shared a template before SQL() was faithful.
+	for _, pair := range [][2]string{
+		{"SELECT a FROM t WHERE id = 10 - (5 - 2)", "SELECT a FROM t WHERE id = 10 - 5 - 2"},
+		{"SELECT a FROM t WHERE x = (y + 1) * 2", "SELECT a FROM t WHERE x = y + 1 * 2"},
+		{"UPDATE t SET a = 2 * (a + 1) WHERE id = 8 / (4 / 2)", "UPDATE t SET a = 2 * a + 1 WHERE id = 8 / 4 / 2"},
+		{"SELECT STRAIGHT_JOIN a.x FROM a, b WHERE a.k = b.k AND a.x = 1", "SELECT a.x FROM a, b WHERE a.k = b.k AND a.x = 1"},
+		{"SELECT a FROM t WHERE (x = 1) = TRUE", "SELECT a FROM t WHERE x = (1 = TRUE)"},
+	} {
+		one, two := NewTemplate(mustParse(t, pair[0])), NewTemplate(mustParse(t, pair[1]))
+		if one.Text == two.Text {
+			t.Errorf("%s and %s share the template %s", pair[0], pair[1], one.Text)
+		}
+		for _, tmpl := range []Template{one, two} {
+			if again := mustParse(t, tmpl.Text).SQL(); again != tmpl.Text {
+				t.Errorf("template %s parses back as %s", tmpl.Text, again)
+			}
+		}
 	}
 }

@@ -228,6 +228,7 @@ type statusPayload struct {
 	Baselines    []regression.Baseline  `json:"regression_baselines"`
 	Failpoints   []failpoint.SiteStatus `json:"failpoints"`
 	CostCache    *statusCostCache       `json:"costcache"`
+	Prepared     *statusCostCache       `json:"prepared"` // the planner's per-template memo
 	AuditRecords int64                  `json:"audit_records"`
 }
 
@@ -260,6 +261,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 		cs := db.WhatIf.CacheStats()
 		p.CostCache = &statusCostCache{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Entries: cs.Entries}
+		ps := db.Optimizer.PreparedStats()
+		p.Prepared = &statusCostCache{Hits: ps.Hits, Misses: ps.Misses, Evictions: ps.Evictions, Entries: ps.Entries}
 	}
 	if d := s.opts.Detector; d != nil {
 		p.Baselines = d.Baselines()

@@ -13,6 +13,7 @@ import (
 
 	"aim/internal/audit"
 	"aim/internal/core"
+	"aim/internal/costcache"
 	"aim/internal/engine"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
@@ -163,6 +164,11 @@ func TestEndpoints(t *testing.T) {
 	db.MustExec("CREATE INDEX aim_orders_cust ON orders (customer)")
 	reg := obs.NewRegistry()
 	db.SetObs(reg)
+	// One template planned twice and one statement no template stands in for:
+	// a miss, a hit and a bypass on the planner's memo.
+	db.MustExec("SELECT id FROM orders WHERE status = 1")
+	db.MustExec("SELECT id FROM orders WHERE status = 2")
+	db.MustExec("SELECT id FROM orders WHERE status IN (1, 2)")
 	reg.Counter("exec.statements").Inc()
 	reg.Counter("server.windows_sealed").Add(4)
 	reg.Counter("server.window_dropped").Add(1)
@@ -202,6 +208,12 @@ func TestEndpoints(t *testing.T) {
 	}
 	if code, body := get("/metricsz"); code != 200 || !strings.Contains(body, "# TYPE exec_statements counter") {
 		t.Errorf("/metricsz = %d:\n%s", code, body)
+	} else {
+		for _, line := range []string{"optimizer_prepared_hits 1", "optimizer_prepared_misses 1", "optimizer_prepared_evictions 0", "optimizer_prepared_bypass_in_list 1", "optimizer_prepared_bypass_like 0"} {
+			if !strings.Contains(body, line+"\n") {
+				t.Errorf("/metricsz lacks %q", line)
+			}
+		}
 	}
 	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
@@ -226,8 +238,9 @@ func TestEndpoints(t *testing.T) {
 		Failpoints []struct {
 			Name string `json:"name"`
 		} `json:"failpoints"`
-		CostCache    *struct{} `json:"costcache"`
-		AuditRecords int64     `json:"audit_records"`
+		CostCache    *struct{}        `json:"costcache"`
+		Prepared     *costcache.Stats `json:"prepared"`
+		AuditRecords int64            `json:"audit_records"`
 	}
 	if err := json.Unmarshal([]byte(body), &status); err != nil {
 		t.Fatalf("/statusz not JSON: %v\n%s", err, body)
@@ -251,6 +264,9 @@ func TestEndpoints(t *testing.T) {
 	}
 	if status.CostCache == nil || status.AuditRecords != 1 {
 		t.Errorf("/statusz costcache=%v audit_records=%d", status.CostCache, status.AuditRecords)
+	}
+	if want := db.Optimizer.PreparedStats(); status.Prepared == nil || *status.Prepared != want || want.Hits == 0 || want.Entries == 0 {
+		t.Errorf("/statusz prepared=%+v, the memo says %+v", status.Prepared, want)
 	}
 }
 
