@@ -1,8 +1,8 @@
 // Command aimctl demonstrates the AIM advisor end to end on a SQL script:
 // it loads schema + data, replays a workload section, prints the workload
 // monitor's view, runs the advisor and prints the recommendation with its
-// metrics-driven explanations, optionally validating through the shadow
-// gate and applying.
+// metrics-driven explanations, optionally validating it through the shadow
+// gate (a dry run) or running one gated tuning cycle that adopts it.
 //
 // Script format: plain SQL statements separated by semicolons/newlines.
 // Lines starting with "-- workload" switch from loading to workload replay
@@ -46,6 +46,8 @@ import (
 	"aim/internal/failpoint"
 	"aim/internal/obs"
 	"aim/internal/pool"
+	"aim/internal/regression"
+	"aim/internal/server"
 	"aim/internal/shadow"
 	"aim/internal/storage"
 	"aim/internal/telemetry"
@@ -116,8 +118,8 @@ func (a *app) runAdvisor(args []string) int {
 	demo := fs.Bool("demo", false, "run the built-in demo")
 	j := fs.Int("j", 2, "join parameter")
 	budget := fs.String("budget", "", "storage budget, e.g. 64MiB (empty = unlimited)")
-	apply := fs.Bool("apply", false, "materialize the recommendation")
-	validate := fs.Bool("validate", false, "run the shadow no-regression gate before applying")
+	apply := fs.Bool("apply", false, "run one tuning cycle: shadow-validate the recommendation and adopt it on acceptance")
+	validate := fs.Bool("validate", false, "run the shadow no-regression gate without applying (implied by -apply)")
 	workers := fs.Int("workers", 0, "what-if costing worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	metrics := fs.Bool("metrics", false, "print the metrics registry after the run")
 	traceOut := fs.String("trace-out", "", "write advisor spans as JSON lines to this file")
@@ -222,10 +224,20 @@ func (a *app) runAdvisor(args []string) int {
 		cfg.BudgetBytes = n
 	}
 	adv := core.NewAdvisor(db, cfg)
-	rec, err := adv.Recommend(mon)
+	// -apply is one tuning cycle, the daemon's own: recommend, gate, adopt the
+	// trees the gate measured. Otherwise the recommendation is all there is.
+	var out server.Outcome
+	var err error
+	if *apply {
+		tuner := &server.Tuner{DB: db, Adv: adv, Detector: regression.NewDetector(0.5), Gate: shadow.DefaultGate()}
+		out, err = tuner.Run(mon)
+	} else {
+		out.Rec, err = adv.Recommend(mon)
+	}
 	if err != nil {
 		return a.fail(err)
 	}
+	rec := out.Rec
 
 	fmt.Fprintf(a.out, "\nAIM: %d partial orders -> %d candidates -> %d selected (%d optimizer calls, %s)\n",
 		rec.PartialOrders, rec.CandidateCount, len(rec.Create), rec.OptimizerCalls, rec.Elapsed.Round(1000000))
@@ -241,30 +253,29 @@ func (a *app) runAdvisor(args []string) int {
 		return 0
 	}
 
-	if *validate {
-		report, err := shadow.Validate(db, rec.Create, mon, shadow.DefaultGate())
-		if err != nil {
+	report := out.Report
+	if *validate && !*apply {
+		if report, err = shadow.Validate(db, rec.Create, mon, shadow.DefaultGate()); err != nil {
 			return a.fail(err)
 		}
-		report.Release() // -apply builds; the snapshot with the validated trees is not kept
-		if tel != nil {
-			tel.SetShadowReport(report)
-		}
-		fmt.Fprintf(a.out, "\nshadow validation: %s [%s] (gain %.4fs cpu/window)\n", report.Verdict(), report.Code, report.TotalGain)
-		fmt.Fprintf(a.out, "  %s\n", report.Reason)
-		for _, o := range report.Outcomes {
-			fmt.Fprintf(a.out, "  %+6.1f%%  %s\n", o.Change()*100, o.Normalized)
-		}
-		if !report.Accepted {
-			return 0
-		}
+		report.Release() // a dry run adopts nothing from the snapshot
 	}
-	if *apply {
-		created, err := adv.Apply(rec)
-		if err != nil {
-			return a.fail(err)
-		}
-		fmt.Fprintf(a.out, "\napplied: %s\n", strings.Join(created, ", "))
+	if report == nil {
+		return 0
+	}
+	if tel != nil {
+		tel.SetShadowReport(report)
+	}
+	fmt.Fprintf(a.out, "\nshadow validation: %s [%s] (gain %.4fs cpu/window)\n", report.Verdict(), report.Code, report.TotalGain)
+	fmt.Fprintf(a.out, "  %s\n", report.Reason)
+	for _, o := range report.Outcomes {
+		fmt.Fprintf(a.out, "  %+6.1f%%  %s\n", o.Change()*100, o.Normalized)
+	}
+	if out.ApplyErr != nil {
+		return a.fail(out.ApplyErr)
+	}
+	if len(out.Adopted) > 0 {
+		fmt.Fprintf(a.out, "\napplied: %s\n", strings.Join(out.Adopted, ", "))
 	}
 	return 0
 }

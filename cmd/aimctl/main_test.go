@@ -94,3 +94,44 @@ func TestRunExplain(t *testing.T) {
 		}
 	}
 }
+
+// TestRunApplyIsGated: -apply is one gated tuning cycle. It prints the shadow
+// verdict before anything is applied, and the journal holds one lineage per
+// applied index: one candidate, one accepting verdict and one adoption, with
+// nothing built outside the gate.
+func TestRunApplyIsGated(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "aim.jsonl")
+	var stdout, stderr strings.Builder
+	if got := run([]string{"-demo", "-apply", "-audit-out", journal}, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit status %d, stderr %q", got, stderr.String())
+	}
+	out := stdout.String()
+	verdict, applied := strings.Index(out, "shadow validation: accepted [accepted]"), strings.Index(out, "\napplied: ")
+	if verdict < 0 || applied < verdict {
+		t.Fatalf("want the accepting verdict, then the applied set:\n%s", out)
+	}
+	recs, err := audit.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := strings.Split(strings.TrimSpace(out[applied+len("\napplied: "):]), ", ")
+	for _, key := range keys {
+		l, err := audit.Explain(recs, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l.Complete() || len(l.Candidates) != 1 || len(l.Shadows) != 1 || len(l.Adopts) != 1 {
+			t.Errorf("%s: complete=%v, %d candidate / %d shadow / %d adopt records, want one lineage",
+				key, l.Complete(), len(l.Candidates), len(l.Shadows), len(l.Adopts))
+		}
+	}
+	adopts := 0
+	for _, r := range recs {
+		if r.Event == audit.EventAdopt {
+			adopts++
+		}
+	}
+	if len(keys) == 0 || adopts != len(keys) {
+		t.Errorf("%d adopt records for %d applied indexes %v", adopts, len(keys), keys)
+	}
+}

@@ -41,7 +41,6 @@ import (
 	"aim/internal/pool"
 	"aim/internal/regression"
 	"aim/internal/server"
-	"aim/internal/shadow"
 	"aim/internal/storage"
 	"aim/internal/telemetry"
 
@@ -147,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var tel *telemetry.Server
-	var onReport func(*shadow.Report)
+	var onCycle func(server.Outcome)
 	if *telemetryAddr != "" {
 		tel = telemetry.New(telemetry.Options{Registry: reg, DB: db, Detector: det, Audit: jrn,
 			Slow: slow, TimeSeries: series})
@@ -156,7 +155,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer tel.Close()
-		onReport = tel.SetShadowReport
+		onCycle = func(o server.Outcome) {
+			if o.Report != nil {
+				tel.SetShadowReport(o.Report)
+			}
+		}
 		fmt.Fprintf(stdout, "aimd: telemetry on http://%s (/metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof)\n", taddr)
 	}
 
@@ -171,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DrainTimeout:     *drainTimeout,
 		Obs:              reg,
 		SlowLog:          slow,
-		OnReport:         onReport,
+		OnCycle:          onCycle,
 	})
 	// Registered before the listener opens: a signal that arrives the moment
 	// the address is announced must drain, not kill.
@@ -192,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	t := srv.Tuner()
 	fmt.Fprintf(stdout, "aimd: drained in %.3fs (cycles=%d adoptions=%d reverted=%d degraded=%d)\n",
-		time.Since(start).Seconds(), t.Cycles, t.Cycle.Adoptions, t.Cycle.Reverted, t.Cycle.DegradedValidations)
+		time.Since(start).Seconds(), t.Cycles, t.Adoptions, t.Reverted, t.DegradedValidations)
 	return 0
 }
 

@@ -114,10 +114,9 @@ type Record struct {
 	ReasonCode string `json:"reason_code,omitempty"`
 	Reason     string `json:"reason,omitempty"`
 	Replays    int64  `json:"replays,omitempty"`
-	// QueriesCompared/QueriesDiverged/QueriesUnreplayable summarize the
-	// replay evidence behind the verdict.
+	// QueriesCompared/QueriesUnreplayable summarize the replay evidence
+	// behind the verdict.
 	QueriesCompared     int `json:"queries_compared,omitempty"`
-	QueriesDiverged     int `json:"queries_diverged,omitempty"`
 	QueriesUnreplayable int `json:"queries_unreplayable,omitempty"`
 
 	// EventRevert.

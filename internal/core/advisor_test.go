@@ -422,27 +422,31 @@ func TestShardingEconomicsPruneMarginalIndexes(t *testing.T) {
 }
 
 func TestFleetAggregatedRecommendation(t *testing.T) {
-	// §VII-A: per-replica monitors are merged into a fleet view before the
-	// advisor runs. A query that is lukewarm on each replica is hot in the
-	// aggregate.
+	// §VII-A: the fleet view aggregates every replica's executions before
+	// the advisor runs. A query that is lukewarm on each replica is hot in
+	// the aggregate.
 	db := paperDB(t)
 	cfg := DefaultConfig()
 	cfg.Selection.MinExecutions = 10
 	cfg.Selection.MinBenefit = 0
 	adv := NewAdvisor(db, cfg)
 	q := "SELECT col5 FROM t1 WHERE col1 = 5 AND col2 = 3"
-	replica := func() *workload.Monitor {
-		m := workload.NewMonitor()
+	// replica records one replica's executions into each of the monitors.
+	replica := func(mons ...*workload.Monitor) {
 		for i := 0; i < 4; i++ { // below MinExecutions individually
 			res, err := db.Exec(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Record(q, res.Stats)
+			for _, m := range mons {
+				m.Record(q, res.Stats)
+			}
 		}
-		return m
 	}
-	r1, r2, r3 := replica(), replica(), replica()
+	r1, fleet := workload.NewMonitor(), workload.NewMonitor()
+	replica(r1, fleet)
+	replica(fleet)
+	replica(fleet)
 	// A single replica's view is below threshold.
 	recSingle, err := adv.Recommend(r1)
 	if err != nil {
@@ -451,7 +455,6 @@ func TestFleetAggregatedRecommendation(t *testing.T) {
 	if len(recSingle.Create) != 0 {
 		t.Fatalf("single replica should be below threshold: %v", recSingle.Create)
 	}
-	fleet := workload.Merge(r1, r2, r3)
 	recFleet, err := adv.Recommend(fleet)
 	if err != nil {
 		t.Fatal(err)

@@ -100,9 +100,6 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 			return
 		}
 		uPlus := (base.Cost - with.Cost) / base.Cost * q.CPUSeconds
-		if q.Weight > 0 {
-			uPlus *= q.Weight
-		}
 		// Share ∝ the I/O reduction each used candidate provides. Only the
 		// candidates generated for this query are in the configuration, so
 		// attribution goes through forQCand.

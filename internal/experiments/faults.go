@@ -187,7 +187,7 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 	if err := ref.Run(opts.DrainCycles, opts.WindowStatements); err != nil {
 		return nil, fmt.Errorf("reference %v", err)
 	}
-	out := &FaultSuiteResult{ReferenceKeys: automationIndexKeys(ref.DB)}
+	out := &FaultSuiteResult{ReferenceKeys: automationIndexKeys(ref.Tuner.DB)}
 	if len(out.ReferenceKeys) == 0 {
 		return nil, fmt.Errorf("faults: reference run adopted no indexes; fixture is not exercising the loop")
 	}
@@ -212,11 +212,11 @@ func RunFaultSuite(opts FaultSuiteOptions) (*FaultSuiteResult, error) {
 			Rate:                rate,
 			Cycles:              opts.Cycles,
 			FaultsInjected:      fp.InjectedTotal(),
-			Adoptions:           loop.Tuner.Cycle.Adoptions,
-			ApplyFailures:       loop.Tuner.Cycle.ApplyFailures,
-			DegradedValidations: loop.Tuner.Cycle.DegradedValidations,
-			Reverted:            loop.Tuner.Cycle.Reverted,
-			FinalIndexKeys:      automationIndexKeys(loop.DB),
+			Adoptions:           loop.Tuner.Adoptions,
+			ApplyFailures:       loop.Tuner.ApplyFailures,
+			DegradedValidations: loop.Tuner.DegradedValidations,
+			Reverted:            loop.Tuner.Reverted,
+			FinalIndexKeys:      automationIndexKeys(loop.Tuner.DB),
 		})
 	}
 	return out, nil

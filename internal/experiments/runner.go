@@ -33,17 +33,15 @@ import (
 // scenarios.Profile.Sessions). Nothing of a cycle is drawn before the
 // cycle's Advance has returned: Advance and Sample share R.
 type Loop struct {
-	DB *engine.DB
-	// Tuner is what the loop cycles: policy, Stab and OnReport are set on
-	// Tuner.Cycle before the first Run, the counters read from it after the
-	// last.
+	// Tuner is what the loop cycles, over Tuner.DB: its policy and OnCycle
+	// are set before the first Run, its counters read after the last.
 	Tuner *server.Tuner
 	// Sample draws the next workload statement for the given cycle.
 	Sample func(cycle int, r *rand.Rand) string
 	// Advance, when set, runs scenario side effects (schema migrations, load
 	// surges) at the start of each cycle, holding the statement gate's write
-	// side: Tuner.Cycle.Write, the locker the cycle applies and reverts
-	// under (nil offline).
+	// side: Tuner.Write, the locker the cycle applies and reverts under (nil
+	// offline).
 	Advance func(db *engine.DB, cycle int, r *rand.Rand) error
 	R       *rand.Rand
 	// Clients is the number of sessions a window is dealt to (<= 1: one).
@@ -75,7 +73,7 @@ type Loop struct {
 // NewLoop returns an offline loop over db with one session.
 func NewLoop(db *engine.DB, cfg core.Config, det *regression.Detector, r *rand.Rand) *Loop {
 	tuner := &server.Tuner{DB: db, Adv: core.NewAdvisor(db, cfg), Detector: det, Gate: shadow.DefaultGate()}
-	return &Loop{DB: db, Tuner: tuner, R: r}
+	return &Loop{Tuner: tuner, R: r}
 }
 
 // NewLiveLoop boots a server for db on an ephemeral loopback port and
@@ -89,7 +87,7 @@ func NewLiveLoop(db *engine.DB, cfg core.Config, det *regression.Detector, r *ra
 	if reg == nil { // Close reads the server's gauges
 		reg = obs.NewRegistry()
 	}
-	l := &Loop{DB: db, R: r, Clients: max(clients, 1), reg: reg, slow: obs.NewSlowLog(256, time.Hour, 100)}
+	l := &Loop{R: r, Clients: max(clients, 1), reg: reg, slow: obs.NewSlowLog(256, time.Hour, 100)}
 	l.slow.Instrument(reg)
 	l.series = obs.NewTimeSeries(reg, 0)
 	// Every session plus the control connection must be admitted at once — a
@@ -163,15 +161,15 @@ func (l *Loop) runCycle(cycle, windowStatements int) error {
 		return err
 	}
 	l.Verdicts = append(l.Verdicts, line)
-	return checkLoopInvariants(l.DB)
+	return checkLoopInvariants(l.Tuner.DB)
 }
 
 func (l *Loop) advance(cycle int) error {
-	if w := l.Tuner.Cycle.Write; w != nil {
+	if w := l.Tuner.Write; w != nil {
 		w.Lock()
 		defer w.Unlock()
 	}
-	return l.Advance(l.DB, cycle, l.R)
+	return l.Advance(l.Tuner.DB, cycle, l.R)
 }
 
 // runOffline executes the window in draw order and hands the tuner the
@@ -185,7 +183,7 @@ func (l *Loop) runOffline(cycle int, stmts []string, per int) (string, error) {
 	for k, sql := range stmts {
 		c, trace := k/per, traceID(k/per, cycle, k%per)
 		l.seq[c]++ // a session numbers every statement it is sent
-		res, err := l.DB.Exec(sql)
+		res, err := l.Tuner.DB.Exec(sql)
 		if err != nil {
 			l.Errors = append(l.Errors, fmt.Sprintf("%s: %v", trace, err))
 			continue

@@ -98,7 +98,7 @@ func TestLoopDealsClientMajor(t *testing.T) {
 
 // TestLiveAdvanceHoldsWriteGate pins that a live loop runs the scenario's
 // side effect holding the write side of the server's statement gate — the
-// locker tuning.Cycle applies and reverts under — and an offline loop, which
+// locker the tuner applies and reverts under — and an offline loop, which
 // has no gate, runs it bare.
 func TestLiveAdvanceHoldsWriteGate(t *testing.T) {
 	sc := scenarios.NewCodePush()
@@ -113,9 +113,9 @@ func TestLiveAdvanceHoldsWriteGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate, ok := loop.Tuner.Cycle.Write.(*sync.RWMutex)
+	gate, ok := loop.Tuner.Write.(*sync.RWMutex)
 	if !ok {
-		t.Fatalf("the live tuner's write side is a %T, want the server's statement gate", loop.Tuner.Cycle.Write)
+		t.Fatalf("the live tuner's write side is a %T, want the server's statement gate", loop.Tuner.Write)
 	}
 	advanced := 0
 	loop.Sample = sc.Statement
@@ -136,7 +136,7 @@ func TestLiveAdvanceHoldsWriteGate(t *testing.T) {
 	if advanced != 2 || loop.Statements != 40 || len(loop.Errors) != 0 {
 		t.Errorf("advanced %d times, %d statements, errors %v; want 2, 40, none", advanced, loop.Statements, loop.Errors)
 	}
-	if offline := NewLoop(db, cfg, regression.NewDetector(0.5), r); offline.Tuner.Cycle.Write != nil {
+	if offline := NewLoop(db, cfg, regression.NewDetector(0.5), r); offline.Tuner.Write != nil {
 		t.Error("an offline loop's tuner has a statement gate")
 	}
 }

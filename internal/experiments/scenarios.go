@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"aim/internal/audit"
@@ -10,6 +11,7 @@ import (
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
+	"aim/internal/server"
 	"aim/internal/shadow"
 )
 
@@ -190,16 +192,10 @@ func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*Scena
 		loop.Clients = p.Sessions
 	}
 	loop.Sample, loop.Advance = sc.Statement, sc.Advance
-	c := &loop.Tuner.Cycle
-	c.MaintenanceGuard, c.ApplyDrops, c.DropAfterUnused = p.MaintenanceGuard, p.ApplyDrops, p.DropAfterUnused
-	c.Stab = regression.NewStability()
-	c.Stab.SetObs(opts.Obs)
-	accepted := make([]*shadow.Report, cycles)
-	c.OnReport = func(rep *shadow.Report) {
-		if rep.Accepted {
-			accepted[len(loop.Verdicts)] = rep
-		}
-	}
+	t := loop.Tuner
+	t.MaintenanceGuard, t.ApplyDrops, t.DropAfterUnused = p.MaintenanceGuard, p.ApplyDrops, p.DropAfterUnused
+	var outs []server.Outcome
+	t.OnCycle = func(o server.Outcome) { outs = append(outs, o) }
 	err = loop.Run(cycles, p.WindowStatements)
 	if closeErr := loop.Close(); err == nil {
 		err = closeErr
@@ -207,8 +203,20 @@ func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*Scena
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %v", sc.Name(), err)
 	}
-	res := scenarioResult(sc, cycles, loop)
-	res.Accepted = accepted
+	res := &ScenarioResult{
+		Name:                sc.Name(),
+		Cycles:              cycles,
+		Adoptions:           t.Adoptions,
+		ApplyFailures:       t.ApplyFailures,
+		DegradedValidations: t.DegradedValidations,
+		Reverted:            t.Reverted,
+		FinalIndexKeys:      automationIndexKeys(t.DB),
+		Verdicts:            loop.Verdicts,
+		Statements:          loop.Statements,
+		Rows:                loop.Rows,
+		WindowCPU:           loop.WindowCPU,
+	}
+	res.account(outs, p.TrapCycle)
 	if live {
 		if res.TimeSeries, err = loop.series.MarshalJSON(); err != nil {
 			return nil, fmt.Errorf("scenario %s: timeseries: %v", sc.Name(), err)
@@ -217,32 +225,66 @@ func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*Scena
 	return res, nil
 }
 
-// scenarioResult summarizes a finished run from the loop's record, the
-// cycle's counters and stability tracker, and the database's final index set.
-func scenarioResult(sc scenarios.Scenario, cycles int, loop *Loop) *ScenarioResult {
-	c := &loop.Tuner.Cycle
-	stab := c.Stab
-	res := &ScenarioResult{
-		Name:                sc.Name(),
-		Cycles:              cycles,
-		Adoptions:           c.Adoptions,
-		ApplyFailures:       c.ApplyFailures,
-		DegradedValidations: c.DegradedValidations,
-		Reverted:            c.Reverted,
-		AdoptedThenReverted: stab.AdoptedThenReverted(),
-		MaxRevertLatency:    stab.MaxRevertLatency(),
-		FinalIndexKeys:      automationIndexKeys(loop.DB),
-		Verdicts:            loop.Verdicts,
-		Statements:          loop.Statements,
-		Rows:                loop.Rows,
-		WindowCPU:           loop.WindowCPU,
+// transition is one adopt or revert of an index key in a 1-based window.
+type transition struct {
+	window int
+	revert bool
+}
+
+// account derives the stability accounting from the per-cycle outcomes:
+// cycle c is window c+1, and within a cycle the adoptions come before the
+// reverts (retirements, then the detector's), the order the cycle made them.
+// A flip is a re-adoption after a revert; the revert latency is the gap in
+// windows from the adopt that preceded a revert.
+func (res *ScenarioResult) account(outs []server.Outcome, trapCycle int) {
+	history := map[string][]transition{}
+	res.Accepted = make([]*shadow.Report, res.Cycles)
+	for _, o := range outs {
+		for _, k := range o.Adopted {
+			history[k] = append(history[k], transition{window: o.Cycle + 1})
+		}
+		for _, k := range o.Reverted {
+			history[k] = append(history[k], transition{window: o.Cycle + 1, revert: true})
+		}
+		if o.Report != nil && o.Report.Accepted {
+			res.Accepted[o.Cycle] = o.Report
+		}
 	}
-	res.MaxFlipsKey, res.MaxFlips = stab.MaxFlips()
-	if _, w, ok := stab.FirstRevertAt(sc.Profile().TrapCycle + 1); ok {
-		res.FirstRevertAfterTrap = w
+	keys := make([]string, 0, len(history))
+	for k := range history {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	var tr strings.Builder
-	stab.Render(&tr)
+	for _, k := range keys {
+		tr.WriteString(k)
+		flips, lastAdopt, reverted, adoptedThenReverted := 0, 0, false, false
+		for _, t := range history[k] {
+			if !t.revert {
+				fmt.Fprintf(&tr, " adopt@%d", t.window)
+				if reverted {
+					flips++
+				}
+				lastAdopt = t.window
+				continue
+			}
+			fmt.Fprintf(&tr, " revert@%d", t.window)
+			reverted = true
+			if lastAdopt > 0 {
+				adoptedThenReverted = true
+				res.MaxRevertLatency = max(res.MaxRevertLatency, t.window-lastAdopt)
+			}
+			if t.window > trapCycle && (res.FirstRevertAfterTrap == 0 || t.window < res.FirstRevertAfterTrap) {
+				res.FirstRevertAfterTrap = t.window
+			}
+		}
+		tr.WriteByte('\n')
+		if adoptedThenReverted {
+			res.AdoptedThenReverted = append(res.AdoptedThenReverted, k)
+		}
+		if flips > res.MaxFlips {
+			res.MaxFlipsKey, res.MaxFlips = k, flips
+		}
+	}
 	res.Transitions = tr.String()
-	return res
 }

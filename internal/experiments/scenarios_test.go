@@ -93,7 +93,7 @@ func TestTuningLoopUnderScenarios(t *testing.T) {
 					}
 				}
 				if !found {
-					t.Errorf("stability tracker saw %s adopted-then-reverted but the journal lineage does not", key)
+					t.Errorf("the cycle outcomes show %s adopted-then-reverted but the journal lineage does not", key)
 				}
 				l, err := audit.Explain(recs, key)
 				if err != nil {

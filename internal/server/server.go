@@ -16,7 +16,6 @@ import (
 	"aim/internal/regression"
 	"aim/internal/shadow"
 	"aim/internal/sqlparser"
-	"aim/internal/tuning"
 )
 
 // Options configures a Server. DB is the one required field; everything
@@ -54,8 +53,8 @@ type Options struct {
 	// "server/stmt" span per executed statement annotated with (session,
 	// seq, trace). Nil = metrics off.
 	Obs *obs.Registry
-	// OnReport forwards every shadow verdict (telemetry SetShadowReport).
-	OnReport func(*shadow.Report)
+	// OnCycle receives every tuning cycle's outcome (Tuner.OnCycle).
+	OnCycle func(Outcome)
 	// SlowLog, when set, captures executed statements (over-threshold plus
 	// 1-in-N samples) with plan shape and operator stats. Served by OpSlow
 	// and /slowz. Nil = capture off, zero per-statement cost.
@@ -137,7 +136,9 @@ func New(opts Options) *Server {
 		Adv:      core.NewAdvisor(opts.DB, cfg),
 		Detector: det,
 		Gate:     gate,
-		Cycle:    tuning.Cycle{Read: s.exec.RLocker(), Write: &s.exec, OnReport: opts.OnReport},
+		Read:     s.exec.RLocker(),
+		Write:    &s.exec,
+		OnCycle:  opts.OnCycle,
 	}
 	// Snapshot creation excludes writers, briefly: the clone gate is the
 	// statement gate's write side.

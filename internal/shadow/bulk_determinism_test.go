@@ -19,8 +19,8 @@ import (
 func renderReport(rep *Report) string {
 	hex := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "accepted=%v reason=%s gain=%s divergent=%v\n",
-		rep.Accepted, rep.Reason, hex(rep.TotalGain), rep.Divergent)
+	fmt.Fprintf(&b, "accepted=%v degraded=%v code=%s reason=%s gain=%s replay_errors=%q\n",
+		rep.Accepted, rep.Degraded, rep.Code, rep.Reason, hex(rep.TotalGain), rep.ReplayErrors)
 	for _, o := range rep.Outcomes {
 		fmt.Fprintf(&b, "%s exec=%d replays=%d before=%s after=%s\n",
 			o.Normalized, o.Executions, o.Replays, hex(o.BeforeCPU), hex(o.AfterCPU))
@@ -77,11 +77,13 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 }
 
 // TestDivergenceRebuildByteIdenticalVerdicts forces the one-sided DML
-// divergence path, replaces the clone pair exactly as Validate does (two
-// fresh clones of the frozen snapshots — no gate, no second build), and
-// asserts the new pair produces byte-identical replay verdicts at any worker
-// count and with instrumentation on or off.
+// divergence path on a pair cloned from the frozen snapshots exactly as
+// Validate clones it, and asserts the validation fails closed — a degraded
+// [unreplayable_queries] verdict naming the diverging write, with the read
+// evidence beside it — byte-identical at any worker count and with
+// instrumentation on or off.
 func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
+	const write = "INSERT INTO t VALUES (99999, 1, 1, 'w')"
 	run := func(workers int, withObs bool) string {
 		db, mon := fixture(t)
 		db.Store.Workers = workers
@@ -96,42 +98,33 @@ func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 		if err := f.take(db, []*catalog.Index{cand}); err != nil {
 			t.Fatal(err)
 		}
-		defer release(f.base, f.built)
-		makeClones := f.pair
-		baseline, test := makeClones()
+		baseline, test := f.pair()
+		defer release(f.base, f.built, baseline, test)
 
 		// Half-apply a write: land it on the baseline only, exactly the state
-		// an aborted replay leaves behind. The next replay of that statement
-		// fails on the baseline, succeeds on the test clone — a one-sided DML
-		// error that must be reported as divergence.
-		baseline.MustExec("INSERT INTO t VALUES (99999, 1, 1, 'w')")
-		dmlMon := workload.NewMonitor()
-		if err := dmlMon.Record("INSERT INTO t VALUES (99999, 1, 1, 'w')", exec.Stats{RowsWritten: 1}); err != nil {
+		// an aborted replay leaves behind. Its replay then fails on the
+		// baseline and succeeds on the test clone.
+		baseline.MustExec(write)
+		if err := mon.Record(write, exec.Stats{RowsWritten: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := replayQuery(baseline, test, dmlMon.Queries()[0], 3, new(skips)); !errors.Is(err, errDiverged) {
+		var dml *workload.QueryStats
+		for _, q := range mon.Queries() {
+			if q.IsDML() {
+				dml = q
+			}
+		}
+		if _, _, _, err := replayQuery(baseline.Clone("b"), test.Clone("t"), dml, 3, new(skips)); !errors.Is(err, errDiverged) {
 			t.Fatalf("half-applied write returned %v, want errDiverged", err)
 		}
-
-		// Replace the pair and replay the read workload.
-		baseline, test = makeClones()
-		hex := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
-		var b strings.Builder
-		for _, q := range mon.Queries() {
-			before, after, replays, err := replayQuery(baseline, test, q, 3, new(skips))
-			fmt.Fprintf(&b, "%s replays=%d before=%s after=%s err=%v\n",
-				q.Normalized, replays, hex(before), hex(after), err != nil)
+		rep := judge(baseline, test, mon, DefaultGate(), new(skips))
+		if rep.Accepted || !rep.Degraded || rep.Code != CodeUnreplayable ||
+			len(rep.ReplayErrors) != 1 || rep.ReplayErrors[0] != dml.Normalized || len(rep.Outcomes) == 0 {
+			t.Fatalf("verdict on a diverged pair:\n%s", renderReport(rep))
 		}
-		// The rebuilt baseline must not contain the half-applied row.
-		if res := baseline.MustExec("SELECT a FROM t WHERE id = 99999"); len(res.Rows) != 0 {
-			t.Fatal("rebuilt baseline kept the diverged write")
-		}
-		return b.String()
+		return renderReport(rep)
 	}
 	want := run(1, false)
-	if want == "" {
-		t.Fatal("no verdicts rendered")
-	}
 	for _, workers := range []int{2, 8} {
 		if got := run(workers, false); got != want {
 			t.Errorf("workers=%d diverged\n--- want ---\n%s--- got ---\n%s", workers, want, got)

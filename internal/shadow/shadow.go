@@ -66,7 +66,7 @@ var (
 	// never patched.
 	clonePolicy = failpoint.DefaultPolicy()
 	// replayPolicy guards one query's replay. Divergence aborts the retry
-	// loop immediately (the clones must be rebuilt, retrying cannot help).
+	// loop immediately (the pair no longer compares like with like).
 	replayPolicy = failpoint.Policy{Attempts: 2, Base: 500 * time.Microsecond, Max: 2 * time.Millisecond, Deadline: 100 * time.Millisecond}
 )
 
@@ -106,12 +106,9 @@ type Report struct {
 	Degraded  bool
 	Outcomes  []QueryOutcome
 	TotalGain float64 // weighted CPU seconds saved per window
-	// Divergent lists normalized queries whose DML replay succeeded on one
-	// clone but failed on the other. Their comparison was aborted and the
-	// clones rebuilt; the gate verdict excludes them.
-	Divergent []string
 	// ReplayErrors lists normalized queries that could not be replayed at
-	// all after retries (clone errors, unbindable samples). Any entry here
+	// all after retries (clone errors, unbindable samples, a DML statement
+	// that failed on one side of the pair only). Any entry here
 	// degrades the verdict: a gate decided on partial evidence could let a
 	// regression through on exactly the queries it failed to see.
 	ReplayErrors []string
@@ -137,7 +134,9 @@ func (r *Report) Release() {
 
 // errDiverged signals a one-sided DML replay failure: one clone applied the
 // write and the other did not, so every subsequent replay would compare
-// different data. The caller must discard both clones.
+// different data. Both sides hold the rows of one snapshot and differ only
+// in non-unique secondary indexes, so only a bug gets here; the query is
+// unreplayable and the verdict degraded, never retried on the diverged pair.
 var errDiverged = errors.New("shadow: clones diverged on one-sided DML error")
 
 // release retires snapshot handles (the storage.snapshots_live gauge).
@@ -152,9 +151,9 @@ func release(dbs ...*engine.DB) {
 // frozen is production frozen for one validation: base, the one gated O(1)
 // copy-on-write snapshot, and built, a second handle over the same rows and
 // statistics with the candidates materialized in one batch. No replay writes
-// either — replays run on pairs cloned from them — so both sides of every
-// comparison hold the rows of one instant, a diverged pair is replaced with
-// no gate and no build, and an accepted verdict hands built's trees over.
+// either — replays run on a pair cloned from them — so both sides of every
+// comparison hold the rows of one instant, and an accepted verdict hands
+// built's trees over.
 type frozen struct{ base, built *engine.DB }
 
 // take fills f from db, retrying a failed attempt from scratch under
@@ -188,8 +187,7 @@ func (f *frozen) take(db *engine.DB, candidates []*catalog.Index) error {
 
 // pair clones a baseline/test pair for replay: two O(1) clones that differ
 // in the candidate indexes and nothing else. shadow.clone_pairs counts pairs
-// handed to replay — one per validation plus one per divergence — not
-// snapshots of production.
+// handed to replay — one per validation — not snapshots of production.
 func (f *frozen) pair() (baseline, test *engine.DB) {
 	f.base.ObsRegistry().Counter("shadow.clone_pairs").Inc()
 	return f.base.Clone("shadow-baseline"), f.built.Clone("shadow-test")
@@ -256,8 +254,18 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 		})
 	}
 	baseline, test = f.pair()
+	if rep = judge(baseline, test, mon, gate, &sk); rep.Accepted {
+		rep.AcceptedIndexes = candidates
+		rep.built = f.built
+	}
+	return verdict(rep)
+}
 
-	rep = &Report{}
+// judge replays mon on a baseline/test pair and applies the gate: fail
+// closed on any unreplayable query, then Eq. 4, Eq. 3 and Eq. 2 in turn.
+func judge(baseline, test *engine.DB, mon *workload.Monitor, gate Gate, sk *skips) *Report {
+	reg := baseline.ObsRegistry()
+	rep := &Report{}
 	improvedOne := false
 	var totalBefore, totalAfter float64
 	for _, q := range mon.Queries() {
@@ -265,21 +273,11 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 		var replays int
 		rerr := replayPolicy.Do(func() error {
 			var e error
-			before, after, replays, e = replayQuery(baseline, test, q, gate.MaxReplays, &sk)
+			before, after, replays, e = replayQuery(baseline, test, q, gate.MaxReplays, sk)
 			reg.Counter("shadow.replays").Add(int64(replays))
-			if errors.Is(e, errDiverged) {
-				return failpoint.Abort(e)
-			}
 			return e
 		})
 		if rerr != nil {
-			if errors.Is(rerr, errDiverged) {
-				rep.Divergent = append(rep.Divergent, q.Normalized)
-				reg.Counter("shadow.divergent").Inc()
-				release(baseline, test)
-				baseline, test = f.pair()
-				continue
-			}
 			// A query that stays unreplayable after retries degrades the
 			// verdict below: the gate must not pass on evidence that is
 			// silently missing exactly this query.
@@ -313,7 +311,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 		rep.Code = CodeUnreplayable
 		rep.Reason = fmt.Sprintf("validation degraded: %d of %d queries unreplayable",
 			len(rep.ReplayErrors), mon.Len())
-		return verdict(rep)
+		return rep
 	}
 
 	// Eq. 4: no individual regression beyond λ₃ (ignoring absolute deltas
@@ -323,30 +321,28 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 			out.AfterCPU-out.BeforeCPU >= gate.MinRegressCPU {
 			rep.Code = CodeQueryRegressed
 			rep.Reason = fmt.Sprintf("query regressed %.1f%% > λ₃: %s", out.Change()*100, out.Normalized)
-			return verdict(rep)
+			return rep
 		}
 	}
 	// Eq. 3: at least one query improved by λ₂.
 	if !improvedOne {
 		rep.Code = CodeNoQueryImproved
 		rep.Reason = "no query improved by λ₂"
-		return verdict(rep)
+		return rep
 	}
 	// Eq. 2 (approximated): the overall cost must not increase by more
 	// than λ₁ relative to the candidate configuration's promise.
 	if totalBefore > 0 && totalAfter > totalBefore*(1+gate.Lambda1) {
 		rep.Code = CodeOverallRegressed
 		rep.Reason = "overall cost regressed beyond λ₁"
-		return verdict(rep)
+		return rep
 	}
 	rep.Accepted = true
 	rep.Code = CodeAccepted
 	// Accepted verdicts carry the evidence, not just the word: how many
 	// queries were compared and what the gate measured.
 	rep.Reason = fmt.Sprintf("accepted: %d queries compared, gain %.4fs cpu/window", len(rep.Outcomes), rep.TotalGain)
-	rep.AcceptedIndexes = candidates
-	rep.built = f.built
-	return verdict(rep)
+	return rep
 }
 
 // journalVerdict writes one shadow record per candidate index to the
@@ -373,7 +369,6 @@ func journalVerdict(db *engine.DB, span *obs.Span, candidates []*catalog.Index, 
 			Reason:              rep.Reason,
 			Replays:             replays,
 			QueriesCompared:     len(rep.Outcomes),
-			QueriesDiverged:     len(rep.Divergent),
 			QueriesUnreplayable: len(rep.ReplayErrors),
 		})
 	}
@@ -387,10 +382,10 @@ type skips struct{ unbindable, failedBoth int }
 // and returns average CPU seconds per execution for each, plus the number of
 // samples replayed. A sample that does not bind, or fails on both sides
 // alike, leaves the clones in step and is counted in sk, not compared. A
-// one-sided DML failure returns errDiverged: the write landed on one clone
-// only, so the pair is no longer comparable and the caller must replace it. The "replay.query" failpoint fires before
-// any sample executes, so an injected replay failure is retryable without
-// re-applying DML.
+// one-sided DML failure returns errDiverged, marked non-retryable: the write
+// landed on one clone only, so the pair is no longer comparable. The
+// "replay.query" failpoint fires before any sample executes, so an injected
+// replay failure is retryable without re-applying DML.
 func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays int, sk *skips) (before, after float64, replays int, err error) {
 	if err := failpoint.Inject("replay.query"); err != nil {
 		return 0, 0, 0, err
@@ -417,7 +412,7 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 		if errB != nil || errT != nil {
 			if _, isSelect := stmt.(*sqlparser.Select); !isSelect && (errB == nil) != (errT == nil) {
 				// The statement mutated exactly one clone.
-				return 0, 0, replays, errDiverged
+				return 0, 0, replays, failpoint.Abort(errDiverged)
 			}
 			sk.failedBoth++
 			continue

@@ -10,6 +10,8 @@ import (
 	"aim/internal/catalog"
 	"aim/internal/engine"
 	"aim/internal/exec"
+	"aim/internal/failpoint"
+	"aim/internal/obs"
 	"aim/internal/workload"
 )
 
@@ -124,7 +126,7 @@ func TestReplayQueryDivergesOnOneSidedDMLError(t *testing.T) {
 	// Two clones that are *already* out of step: the test side holds primary
 	// key 42, the baseline does not. Replaying INSERT (42, ...) succeeds on
 	// the baseline and fails with a duplicate-key error on the test side —
-	// exactly the one-sided DML failure that must abort the comparison
+	// exactly the one-sided DML failure that must fail the validation closed
 	// instead of silently continuing with diverged clones.
 	mk := func(withExtra bool) *engine.DB {
 		db := engine.New("clone")
@@ -138,23 +140,36 @@ func TestReplayQueryDivergesOnOneSidedDMLError(t *testing.T) {
 		db.Analyze()
 		return db
 	}
-	baseline := mk(false)
-	test := mk(true)
-
 	mon := workload.NewMonitor()
 	if err := mon.Record("INSERT INTO t VALUES (42, 1)", exec.Stats{RowsWritten: 1}); err != nil {
 		t.Fatal(err)
 	}
 	q := mon.Queries()[0]
 
+	baseline, test := mk(false), mk(true)
 	_, _, _, err := replayQuery(baseline, test, q, 3, new(skips))
 	if !errors.Is(err, errDiverged) {
 		t.Fatalf("one-sided DML error returned %v, want errDiverged", err)
 	}
-	// The baseline must not have kept replaying after the divergence was
-	// detected (the write that did land is unavoidable, but only one).
-	res := baseline.MustExec("SELECT a FROM t WHERE id = 42")
-	if len(res.Rows) != 1 {
+
+	// The gate records the query as unreplayable and degrades the verdict,
+	// without retrying the write on the diverged pair.
+	if err := mon.Record("SELECT a FROM t WHERE id = 3", exec.Stats{RowsRead: 10, RowsSent: 1}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	failpoint.Instrument(reg)
+	defer failpoint.Instrument(nil)
+	baseline, test = mk(false), mk(true)
+	rep := judge(baseline, test, mon, DefaultGate(), new(skips))
+	if rep.Accepted || !rep.Degraded || rep.Code != CodeUnreplayable ||
+		len(rep.ReplayErrors) != 1 || rep.ReplayErrors[0] != q.Normalized || len(rep.Outcomes) != 1 {
+		t.Fatalf("verdict on a diverging write: %+v", rep)
+	}
+	if got := reg.Counter("faults.retries").Value(); got != 0 {
+		t.Errorf("the diverging write was retried %d times on the diverged pair", got)
+	}
+	if res := baseline.MustExec("SELECT a FROM t WHERE id = 42"); len(res.Rows) != 1 {
 		t.Fatalf("baseline rows for id=42: %d", len(res.Rows))
 	}
 }
@@ -250,10 +265,10 @@ func (g *writingGate) Unlock() {
 
 // TestValidateComparesOneSnapshot: the two sides of the gate's comparison
 // must hold the rows of one instant. A validation takes the clone gate
-// exactly once; the pair it replays on — and the pair that replaces it after
-// a divergence, which takes no gate at all — share one clustered tree, so a
-// write landing right behind the snapshot is on neither side. (Two gated
-// clones, as before, put that write on the test side only.)
+// exactly once; the pairs cloned from its snapshot take no gate at all and
+// share one clustered tree, so a write landing right behind the snapshot is
+// on neither side. (Two gated clones, as before, put that write on the test
+// side only.)
 func TestValidateComparesOneSnapshot(t *testing.T) {
 	db, mon := fixture(t)
 	gate := &writingGate{db: db}

@@ -15,6 +15,7 @@ import (
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
+	"aim/internal/server"
 	"aim/internal/telemetry"
 )
 
@@ -48,7 +49,11 @@ func TestScrapeDuringTuningLoop(t *testing.T) {
 	defer tel.Close()
 	loop := experiments.NewLoop(db, cfg, det, r)
 	loop.Sample, loop.Advance = sc.Statement, sc.Advance
-	loop.Tuner.Cycle.OnReport = tel.SetShadowReport
+	loop.Tuner.OnCycle = func(o server.Outcome) {
+		if o.Report != nil {
+			tel.SetShadowReport(o.Report)
+		}
+	}
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -85,7 +90,7 @@ func TestScrapeDuringTuningLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := &loop.Tuner.Cycle; c.Adoptions == 0 || c.Reverted == 0 {
+	if c := loop.Tuner; c.Adoptions == 0 || c.Reverted == 0 {
 		t.Errorf("loop shape changed: adoptions=%d reverted=%d", c.Adoptions, c.Reverted)
 	}
 	if metricsOK.Load() == 0 || statusOK.Load() == 0 {

@@ -199,7 +199,6 @@ type statusShadow struct {
 	Reason       string          `json:"reason"`
 	TotalGain    float64         `json:"total_gain"`
 	Outcomes     []statusOutcome `json:"outcomes,omitempty"`
-	Divergent    []string        `json:"divergent,omitempty"`
 	ReplayErrors []string        `json:"replay_errors,omitempty"`
 }
 
@@ -276,7 +275,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			ReasonCode:   string(rep.Code),
 			Reason:       rep.Reason,
 			TotalGain:    rep.TotalGain,
-			Divergent:    rep.Divergent,
 			ReplayErrors: rep.ReplayErrors,
 		}
 		for _, o := range rep.Outcomes {

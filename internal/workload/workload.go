@@ -3,9 +3,6 @@
 // rows read/sent, execution counts), computes the discarded data ratio and
 // the optimistic expected benefit of Eq. 5, and selects the representative
 // workload that the candidate generator optimizes.
-//
-// It also models the continuous statistics export pipeline (§VII-A): per
-// replica monitors can be merged into a fleet-wide view.
 package workload
 
 import (
@@ -26,8 +23,6 @@ type QueryStats struct {
 	Normalized string
 	// Stmt is the parsed normalized statement (contains placeholders).
 	Stmt sqlparser.Statement
-	// Weight is a manual importance multiplier (default 1).
-	Weight float64
 
 	Executions int64
 	CPUSeconds float64
@@ -63,11 +58,7 @@ func (q *QueryStats) DDR() float64 {
 // seconds that could be saved if every read that was not returned had been
 // avoided by a perfect index.
 func (q *QueryStats) Benefit() float64 {
-	w := q.Weight
-	if w == 0 {
-		w = 1
-	}
-	return w * (1 - q.DDR()) * q.CPUSeconds
+	return (1 - q.DDR()) * q.CPUSeconds
 }
 
 // IsDML reports whether the normalized statement mutates data.
@@ -130,13 +121,6 @@ func (m *Monitor) Ingest(norm string, params []sqltypes.Value, st exec.Stats) (*
 	return q, nil
 }
 
-// SetWeight assigns a manual importance weight to a normalized query.
-func (m *Monitor) SetWeight(normalized string, w float64) {
-	if q := m.queries[normalized]; q != nil {
-		q.Weight = w
-	}
-}
-
 // Queries returns all tracked normalized queries sorted by descending
 // benefit.
 func (m *Monitor) Queries() []*QueryStats {
@@ -171,32 +155,6 @@ func (m *Monitor) TotalCPUSeconds() float64 {
 		t += q.CPUSeconds
 	}
 	return t
-}
-
-// Merge combines per-replica monitors into a fleet-wide view (§VII-A).
-func Merge(monitors ...*Monitor) *Monitor {
-	out := NewMonitor()
-	for _, m := range monitors {
-		for norm, q := range m.queries {
-			dst := out.queries[norm]
-			if dst == nil {
-				cp := *q
-				cp.SampleParams = append([][]sqltypes.Value(nil), q.SampleParams...)
-				out.queries[norm] = &cp
-				continue
-			}
-			dst.Executions += q.Executions
-			dst.CPUSeconds += q.CPUSeconds
-			dst.RowsRead += q.RowsRead
-			dst.RowsSent += q.RowsSent
-			for _, p := range q.SampleParams {
-				if len(dst.SampleParams) < sampleParamsKeep {
-					dst.SampleParams = append(dst.SampleParams, p)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // SelectionConfig tunes representative workload selection (§III-C).

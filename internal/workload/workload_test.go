@@ -73,17 +73,6 @@ func TestDDREdgeCases(t *testing.T) {
 	}
 }
 
-func TestWeightScalesBenefit(t *testing.T) {
-	m := NewMonitor()
-	m.Record("SELECT id FROM t WHERE a = 1", exec.Stats{RowsRead: 100, RowsSent: 1, PageReads: 10})
-	q := m.Queries()[0]
-	base := q.Benefit()
-	m.SetWeight(q.Normalized, 3)
-	if math.Abs(q.Benefit()-3*base) > 1e-12 {
-		t.Fatalf("weighted benefit = %v, want %v", q.Benefit(), 3*base)
-	}
-}
-
 func TestRepresentativeSelection(t *testing.T) {
 	m := NewMonitor()
 	// Hot inefficient query.
@@ -134,29 +123,6 @@ func TestTopKCapsSelection(t *testing.T) {
 	// Must be the 5 highest-benefit ones (most executions).
 	if rep[0].Executions != 20 {
 		t.Fatalf("first has %d executions", rep[0].Executions)
-	}
-}
-
-func TestMergeReplicas(t *testing.T) {
-	a, b := NewMonitor(), NewMonitor()
-	a.Record("SELECT id FROM t WHERE a = 1", exec.Stats{RowsRead: 10, RowsSent: 1, PageReads: 2})
-	b.Record("SELECT id FROM t WHERE a = 2", exec.Stats{RowsRead: 20, RowsSent: 2, PageReads: 4})
-	b.Record("SELECT id FROM t WHERE b = 1", exec.Stats{RowsRead: 5, RowsSent: 5, PageReads: 1})
-	merged := Merge(a, b)
-	if merged.Len() != 2 {
-		t.Fatalf("merged queries = %d", merged.Len())
-	}
-	q := merged.Get("SELECT id FROM t WHERE a = ?")
-	if q.Executions != 2 || q.RowsRead != 30 {
-		t.Fatalf("merged stats = %+v", q)
-	}
-	if merged.TotalCPUSeconds() <= 0 {
-		t.Fatal("total cpu")
-	}
-	// Merging must not alias the source monitors.
-	a.Record("SELECT id FROM t WHERE a = 3", exec.Stats{RowsRead: 10, RowsSent: 1})
-	if q.Executions != 2 {
-		t.Fatal("merge aliased source")
 	}
 }
 
