@@ -116,9 +116,14 @@ func (t *Tree) COWCopies() int64 { return t.copies }
 // Epoch returns the handle's current write epoch, for invariant checks.
 func (t *Tree) Epoch() uint64 { return t.epoch }
 
-// Get returns the value stored under key, if any.
+// Get returns the value stored under key, if any. It descends without
+// recording a path, so a lookup allocates nothing.
 func (t *Tree) Get(key []byte) (interface{}, bool) {
-	l, _ := t.findLeaf(key)
+	n := t.root
+	for in, ok := n.(*inner); ok; in, ok = n.(*inner) {
+		n = in.children[in.childIndex(key)]
+	}
+	l := n.(*leaf)
 	i, ok := l.search(key)
 	if !ok {
 		return nil, false
@@ -737,8 +742,11 @@ type Iter struct {
 
 // Seek returns an iterator positioned at the first entry with key >= from.
 // A nil from starts at the beginning.
-func (t *Tree) Seek(from []byte) *Iter {
-	it := &Iter{}
+func (t *Tree) Seek(from []byte) *Iter { return t.seek(&Iter{}, from) }
+
+// seek repositions it, reusing its descent stack.
+func (t *Tree) seek(it *Iter, from []byte) *Iter {
+	*it = Iter{stack: it.stack[:0]}
 	n := t.root
 	for {
 		in, ok := n.(*inner)
@@ -770,7 +778,14 @@ func (t *Tree) Seek(from []byte) *Iter {
 // composite-key tree can be scanned for "leading columns <= v" by passing the
 // encoded v without manufacturing an artificial successor key.
 func (t *Tree) SeekRange(from, to []byte, toInclusive bool) *Iter {
-	it := t.Seek(from)
+	return t.SeekRangeInto(&Iter{}, from, to, toInclusive)
+}
+
+// SeekRangeInto is SeekRange repositioning it instead of allocating an
+// iterator: a caller that opens scan after scan (the inner step of a join)
+// reuses one iterator and its descent stack.
+func (t *Tree) SeekRangeInto(it *Iter, from, to []byte, toInclusive bool) *Iter {
+	t.seek(it, from)
 	it.hi = to
 	it.hiInclusive = toInclusive
 	it.checkBound()

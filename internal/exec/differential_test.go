@@ -322,7 +322,7 @@ func TestScanBoundsContract(t *testing.T) {
 	ksPaid := Literal(paid)
 	ksNull := Literal(sqltypes.Null)
 
-	lo, hi, hiInc, empty := scanBounds([]sqltypes.Value{five}, &RangeSpec{Hi: &ksPaid, HiInc: true}, nil)
+	lo, hi, hiInc, empty := new(keyBuf).scanBounds([]sqltypes.Value{five}, &RangeSpec{Hi: &ksPaid, HiInc: true}, nil)
 	if empty || !hiInc {
 		t.Fatalf("inclusive hi: hiInc=%v empty=%v, want true/false", hiInc, empty)
 	}
@@ -334,18 +334,18 @@ func TestScanBoundsContract(t *testing.T) {
 		t.Fatalf("lo = %x, want prefix %x", lo, base)
 	}
 
-	_, _, hiInc, _ = scanBounds([]sqltypes.Value{five}, &RangeSpec{Hi: &ksPaid, HiInc: false}, nil)
+	_, _, hiInc, _ = new(keyBuf).scanBounds([]sqltypes.Value{five}, &RangeSpec{Hi: &ksPaid, HiInc: false}, nil)
 	if hiInc {
 		t.Fatal("exclusive hi reported inclusive")
 	}
 
-	lo, hi, hiInc, empty = scanBounds([]sqltypes.Value{five}, nil, nil)
+	lo, hi, hiInc, empty = new(keyBuf).scanBounds([]sqltypes.Value{five}, nil, nil)
 	if empty || !hiInc || string(lo) != string(base) || string(hi) != string(base) {
 		t.Fatalf("prefix-only scan: lo=%x hi=%x hiInc=%v empty=%v", lo, hi, hiInc, empty)
 	}
 
 	for _, rng := range []*RangeSpec{{Lo: &ksNull, LoInc: true}, {Hi: &ksNull, HiInc: true}} {
-		if _, _, _, empty := scanBounds([]sqltypes.Value{five}, rng, nil); !empty {
+		if _, _, _, empty := new(keyBuf).scanBounds([]sqltypes.Value{five}, rng, nil); !empty {
 			t.Fatalf("NULL bound %+v not marked empty", rng)
 		}
 	}
@@ -357,12 +357,33 @@ func TestScanBoundsContract(t *testing.T) {
 // equivalent WHERE clause — and checks row-order and Stats parity between
 // driver and reference for each plan, and again under a random LIMIT/OFFSET
 // (early stop; the oracle stays the independent check for the unlimited
-// plans). It is the property-test half of the differential suite and runs in
-// fuzzsmoke.
+// plans). Half the seeds put an outer customers step in front of the index
+// step, whose ICP and filter then carry random atoms over the outer row's
+// columns (the batch constants; customer 40's tier is NULL). It is the
+// property-test half of the differential suite and runs in fuzzsmoke.
 func FuzzExecScanOracle(f *testing.F) {
 	store, schema := fixture(f)
-	l := singleLayout(schema, "orders")
+	err := store.Table("customers").Insert(
+		sqltypes.Row{sqltypes.NewInt(40), sqltypes.NewString("la"), sqltypes.Null}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	single := singleLayout(schema, "orders")
+	joined := NewLayout([]Instance{
+		{Alias: "c", Table: schema.Table("customers")},
+		{Alias: "o", Table: schema.Table("orders")},
+	})
 	statuses := []string{"aaa", "done", "new", "paid", "shipped", "zzz"}
+	ops := []string{"=", "!=", "<", "<=", ">", ">="}
+	// Outer-referencing atoms, ? a random comparison operator. ICP atoms read
+	// only the index and PK columns.
+	icpAtoms := []string{"o.status ? c.city", "c.tier ? o.cust_id", "o.id ? c.id", "c.city ? o.status"}
+	filterAtoms := []string{"o.amount ? c.tier", "c.id ? o.amount", "o.status ? c.city",
+		"o.cust_id BETWEEN c.tier AND c.id", "c.city LIKE 's%'", "o.status NOT LIKE c.city",
+		"c.tier IS NULL", "c.tier IN (0, 2)"}
+	atom := func(rng *rand.Rand, atoms []string) string {
+		return strings.ReplaceAll(atoms[rng.Intn(len(atoms))], "?", ops[rng.Intn(len(ops))])
+	}
 
 	for seed := uint64(0); seed < 12; seed++ {
 		f.Add(seed)
@@ -416,33 +437,60 @@ func FuzzExecScanOracle(f *testing.F) {
 			conds = append(conds, fmt.Sprintf("status = '%s'", v))
 		}
 
+		var icp, filter []string
 		if rng.Intn(2) == 0 {
-			icp := fmt.Sprintf("status != '%s'", statuses[rng.Intn(len(statuses))])
-			step.ICP = compileWhere(t, l, icp)
-			step.ICPSrc = whereExpr(t, icp)
-			conds = append(conds, icp)
+			icp = append(icp, fmt.Sprintf("status != '%s'", statuses[rng.Intn(len(statuses))]))
 		}
 		if rng.Intn(2) == 0 {
-			res := fmt.Sprintf("amount <= %d", rng.Intn(700))
-			step.Filter = compileWhere(t, l, res)
-			step.FilterSrc = whereExpr(t, res)
-			conds = append(conds, res)
+			filter = append(filter, fmt.Sprintf("amount <= %d", rng.Intn(700)))
 		}
+		// Drawn after the scan shape, so a seed's scan shape does not depend
+		// on the dimensions below.
+		limit, offset := int64(rng.Intn(14)), int64(rng.Intn(4))
+		orderBy := rng.Intn(4) == 0 // an unsatisfied ORDER BY: no early stop, sort then cut
 
-		outCols := []string{"id", "cust_id", "status", "amount"}
-		indexPlan := &Plan{Layout: l, Steps: []Step{step},
+		l, outCols := single, []string{"id", "cust_id", "status", "amount"}
+		var outer []Step
+		if rng.Intn(2) == 0 {
+			l, outCols = joined, []string{"c.id", "c.tier", "o.id", "o.cust_id", "o.status", "o.amount"}
+			lo := rng.Intn(42)
+			where := fmt.Sprintf("c.id BETWEEN %d AND %d", lo, lo+2)
+			outer = []Step{{Instance: 0, Filter: compileWhere(t, l, where), FilterSrc: whereExpr(t, where)}}
+			conds = append(conds, where)
+			step.Instance = 1
+			if rng.Intn(2) == 0 { // the probe key comes from the outer row
+				step.EqKeys[0], conds[0] = SlotRef(refOff(t, l, "c.id")), "cust_id = c.id"
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				icp = append(icp, atom(rng, icpAtoms))
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				filter = append(filter, atom(rng, filterAtoms))
+			}
+		}
+		if len(icp) > 0 {
+			where := strings.Join(icp, " AND ")
+			step.ICP, step.ICPSrc = compileWhere(t, l, where), whereExpr(t, where)
+		}
+		if len(filter) > 0 {
+			where := strings.Join(filter, " AND ")
+			step.Filter, step.FilterSrc = compileWhere(t, l, where), whereExpr(t, where)
+		}
+		conds = append(append(conds, icp...), filter...)
+
+		indexPlan := &Plan{Layout: l, Steps: append(outer, step),
 			Output: vecOutputs(t, l, outCols...), Limit: -1}
 		where := strings.Join(conds, " AND ")
-		oraclePlan := &Plan{Layout: l,
-			Steps: []Step{{Instance: 0,
-				Filter:    compileWhere(t, l, where),
-				FilterSrc: whereExpr(t, where)}},
-			Output: vecOutputs(t, l, outCols...), Limit: -1}
+		last := Step{Instance: len(outer), Filter: compileWhere(t, l, where), FilterSrc: whereExpr(t, where)}
+		oracleSteps := []Step{last}
+		if len(outer) > 0 {
+			oracleSteps = []Step{{Instance: 0}, last}
+		}
+		oraclePlan := &Plan{Layout: l, Steps: oracleSteps, Output: vecOutputs(t, l, outCols...), Limit: -1}
 
-		// Drawn last, so a seed's scan shape does not depend on this dimension.
 		limited := *indexPlan
-		limited.Limit, limited.Offset = int64(rng.Intn(14)), int64(rng.Intn(4))
-		if rng.Intn(4) == 0 { // an unsatisfied ORDER BY: no early stop, sort then cut
+		limited.Limit, limited.Offset = limit, offset
+		if orderBy {
 			limited.OrderBy = []OrderSpec{{Col: 3, Desc: true}}
 		}
 		runBothEngines(t, store, &limited)
@@ -603,6 +651,116 @@ func TestDriverDifferentialJoins(t *testing.T) {
 				t.Fatalf("rows = %d, want %d", len(res.Rows), tc.limit)
 			}
 		})
+	}
+}
+
+// TestDriverDifferentialOuterOperands holds inner-step kernels that read the
+// outer row's columns as batch constants to the reference interpreter: every
+// comparison with the outer column on either side, customer 40's NULL tier,
+// mixed kinds, IN / BETWEEN / LIKE / IS NULL with an outer operand, columns of
+// an instance not placed yet, covering and ICP steps, early stops, and the
+// closure fallbacks that widen their rows before filtering.
+func TestDriverDifferentialOuterOperands(t *testing.T) {
+	store, l := joinFixture(t)
+	pred := func(where string) (CompiledExpr, sqlparser.Expr) {
+		return compileWhere(t, l, where), whereExpr(t, where)
+	}
+	outer := Step{Instance: 0}
+	outer.Filter, outer.FilterSrc = pred("c.id >= 36") // 36..40; 40's tier is NULL
+	first := Literal(sqltypes.NewInt(240))
+	scan := func(where string) Step { // a clustered scan of the first 240 orders
+		s := Step{Instance: 1, Range: &RangeSpec{Hi: &first}}
+		s.Filter, s.FilterSrc = pred(where)
+		return s
+	}
+	probe := Step{Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, l, "c.id"))}}
+	with := func(s Step, edit func(*Step)) Step {
+		edit(&s)
+		return s
+	}
+	type outerCase struct {
+		name  string
+		steps []Step
+		limit int64
+	}
+	var cases []outerCase
+	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+		for _, form := range []string{"o.cust_id ? c.tier", "c.tier ? o.cust_id", // NULL outer value
+			"o.amount ? c.id", "c.id ? o.amount", // int outer, float inner
+			"o.status ? c.tier OR o.id < 3", "c.city ? o.id OR o.id < 3"} { // string vs int
+			where := strings.ReplaceAll(form, "?", op)
+			cases = append(cases, outerCase{where, []Step{outer, scan(where)}, -1})
+		}
+	}
+	for _, where := range []string{
+		"o.cust_id <=> c.tier OR c.tier <=> o.amount",
+		"c.city IN ('sf', 'la') AND o.cust_id NOT IN (1, 2)",
+		"o.cust_id BETWEEN c.tier AND c.id AND c.id NOT BETWEEN o.cust_id AND o.amount",
+		"c.city LIKE 's%' OR o.status NOT LIKE c.city",
+		"c.tier IS NULL OR NOT (o.cust_id > c.tier)",
+		"c2.id IS NULL AND c2.city IS NULL AND o.id < c.id", // c2 is placed later: NULL here
+		"c.tier", // a bare outer column as the predicate
+	} {
+		cases = append(cases, outerCase{where, []Step{outer, scan(where)}, -1})
+	}
+	cases = append(cases,
+		outerCase{"covering", []Step{outer, with(probe, func(s *Step) {
+			s.Covering = true
+			s.Filter, s.FilterSrc = pred("o.status != c.city AND o.id > c.id")
+		})}, -1},
+		outerCase{"icp", []Step{outer, with(probe, func(s *Step) {
+			s.ICP, s.ICPSrc = pred("o.status < c.city OR o.id < c.id * 1")
+			s.Filter, s.FilterSrc = pred("o.amount > c.id")
+		})}, -1},
+		outerCase{"icp-closure-widens-first", []Step{outer, with(probe, func(s *Step) {
+			s.ICP = compileWhere(t, l, "o.status < c.city") // no source: closure only
+			s.Filter, s.FilterSrc = pred("o.amount > c.id")
+		})}, -1},
+		outerCase{"three-way", []Step{outer, probe, {Instance: 2, EqKeys: []KeySource{SlotRef(refOff(t, l, "o.cust_id"))},
+			Filter:    compileWhere(t, l, "c2.tier >= c.tier AND c2.city = c.city AND o.id > c2.id"),
+			FilterSrc: whereExpr(t, "c2.tier >= c.tier AND c2.city = c.city AND o.id > c2.id")}}, -1},
+		outerCase{"limit-narrow", []Step{outer, scan("o.cust_id < c.id")}, 300},
+		outerCase{"fallback-widens-first", []Step{outer, scan("o.amount + 1 > c.id")}, -1},
+		outerCase{"fallback-limit", []Step{outer, scan("o.amount + 1 > c.id")}, 301},
+	)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Plan{Layout: l, Steps: tc.steps, Output: vecOutputs(t, l, "c.id", "o.id", "o.status"), Limit: tc.limit}
+			if res := runBothEngines(t, store, p); len(res.Rows) == 0 {
+				t.Fatal("shape produced no rows: the case checks nothing")
+			}
+		})
+	}
+}
+
+// TestJoinAllocsFlatInOuterRows pins that an inner step reopens its scans
+// from buffers in its arena: an index nested-loop join allocates no more
+// with 35 outer rows than with 5. The bound allows a few allocations of
+// jitter, because sync.Pool drops arenas at random under the race detector;
+// one allocation per outer row would add 30.
+func TestJoinAllocsFlatInOuterRows(t *testing.T) {
+	store, l := joinFixture(t)
+	ex := New(store)
+	paid, done := Literal(sqltypes.NewString("paid")), Literal(sqltypes.NewString("done"))
+	for name, inner := range map[string]Step{
+		"eq":    {Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, l, "c.id"))}},
+		"range": {Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, l, "c.id"))}, Range: &RangeSpec{Lo: &done, Hi: &paid}},
+		"in":    {Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, l, "c.id"))}, In: []KeySource{paid, done}},
+	} {
+		inner.Filter, inner.FilterSrc = compileWhere(t, l, "o.id > c.id"), whereExpr(t, "o.id > c.id")
+		allocs := func(outerRows int) float64 {
+			where := fmt.Sprintf("c.id < %d", outerRows)
+			p := &Plan{Layout: l, Limit: -1, Grouped: true, Aggs: []AggSpec{{Func: AggCount}}, Output: []OutputSpec{{Agg: 0}},
+				Steps: []Step{{Instance: 0, Filter: compileWhere(t, l, where), FilterSrc: whereExpr(t, where)}, inner}}
+			return testing.AllocsPerRun(50, func() {
+				if _, err := ex.Run(p, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocs(5), allocs(35); many-few >= 15 {
+			t.Errorf("%s: %.0f allocations with 35 outer rows, %.0f with 5: the inner step allocates per outer row", name, many, few)
+		}
 	}
 }
 

@@ -20,14 +20,18 @@ import (
 // half of the differential suite — the driver must return what the reference
 // defines (checked on every statement before any timing) and must not be
 // slower than the tuple-at-a-time loop it replaced. Join statements are
-// measured separately: single-table replay is where batching pays, joins are
-// where it must at least not cost.
+// measured separately: single-table replay is where batching pays, index
+// nested-loop joins are where it must at least not cost. A third set replays
+// the same join templates on a products database without its indexes, where
+// every inner step scans its whole table once per outer row: the shape the
+// shadow gate's baseline side replays.
 
 type execBenchOptions struct {
 	Rows           int // total rows across all tables
 	Tables         int
 	Statements     int // single-table read statements in the replay set
-	JoinStatements int
+	JoinStatements int // join statements per join set
+	ScanRows       int // total rows of the unindexed database
 	Seed           int64
 }
 
@@ -40,8 +44,9 @@ type execBenchEntry struct {
 type execBenchResult struct {
 	Rows, Statements, JoinStatements int
 
-	Reference, Driver         execBenchEntry // single-table replay
-	JoinReference, JoinDriver execBenchEntry
+	Reference, Driver                 execBenchEntry // single-table replay
+	JoinReference, JoinDriver         execBenchEntry
+	JoinScanReference, JoinScanDriver execBenchEntry // joins without indexes
 }
 
 func speedup(reference, driver execBenchEntry) float64 {
@@ -56,32 +61,36 @@ var execBenchSink int64
 
 type runFunc func(*exec.Plan, []string) (*exec.Result, error)
 
-// runExecBench builds the workload, holds the driver to the reference on
-// every statement in the replay set, then measures both. Statements are
-// parsed once up front: the benchmark times plan + execute, not the parser.
-func runExecBench(opts execBenchOptions) (*execBenchResult, error) {
-	spec := products.Spec{
+// replaySet is one database and the statements replayed on it.
+type replaySet struct {
+	p            *products.Product
+	reads, joins []*sqlparser.Select
+}
+
+// buildReplaySet builds a products database of rows rows (with its DBA
+// indexes when indexed) and samples up to nReads single-table and nJoins join
+// statements from it. Statements are parsed once up front: the benchmark
+// times plan + execute, not the parser.
+func buildReplaySet(opts execBenchOptions, rows int, indexed bool, nReads, nJoins int) (*replaySet, error) {
+	p, err := products.Build(products.Spec{
 		Name: "ExecBench", Tables: opts.Tables, JoinQueries: 6,
 		Type: products.ReadHeavy, TargetDBA: 12,
-		RowsPerTable: opts.Rows / opts.Tables, Seed: 100 + opts.Seed,
-	}
-	p, err := products.Build(spec)
+		RowsPerTable: rows / opts.Tables, Seed: 100 + opts.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := p.ApplyDBAIndexes(); err != nil {
-		return nil, err
+	if indexed {
+		if err := p.ApplyDBAIndexes(); err != nil {
+			return nil, err
+		}
 	}
-
+	set := &replaySet{p: p}
 	r := rand.New(rand.NewSource(opts.Seed))
-	var reads, joins []*sqlparser.Select
-	for attempts := 0; (len(reads) < opts.Statements || len(joins) < opts.JoinStatements) && attempts < 10_000; attempts++ {
+	for attempts := 0; (len(set.reads) < nReads || len(set.joins) < nJoins) && attempts < 10_000; attempts++ {
 		sql := p.SampleRead(r)
 		isJoin := strings.Contains(sql, "JOIN")
-		if isJoin && len(joins) >= opts.JoinStatements {
-			continue
-		}
-		if !isJoin && len(reads) >= opts.Statements {
+		if isJoin && len(set.joins) >= nJoins || !isJoin && len(set.reads) >= nReads {
 			continue
 		}
 		stmt, err := sqlparser.Parse(sql)
@@ -93,77 +102,92 @@ func runExecBench(opts execBenchOptions) (*execBenchResult, error) {
 			return nil, fmt.Errorf("execbench: sampled read %q is not a SELECT", sql)
 		}
 		if isJoin {
-			joins = append(joins, sel)
+			set.joins = append(set.joins, sel)
 		} else {
-			reads = append(reads, sel)
+			set.reads = append(set.reads, sel)
 		}
 	}
-	if len(reads) < opts.Statements {
-		return nil, fmt.Errorf("execbench: sampled only %d/%d single-table statements", len(reads), opts.Statements)
+	if len(set.reads) < nReads || len(set.joins) < nJoins {
+		return nil, fmt.Errorf("execbench: sampled only %d/%d single-table and %d/%d join statements",
+			len(set.reads), nReads, len(set.joins), nJoins)
 	}
+	return set, nil
+}
 
-	ex := exec.New(p.DB.Store)
-	run := func(sel *sqlparser.Select, f runFunc) (*exec.Result, error) {
-		plan, _, err := p.DB.Optimizer.BuildSelectPlan(sel)
-		if err != nil {
-			return nil, err
-		}
-		return f(plan, nil)
+func (s *replaySet) run(sel *sqlparser.Select, f runFunc) (*exec.Result, error) {
+	plan, _, err := s.p.DB.Optimizer.BuildSelectPlan(sel)
+	if err != nil {
+		return nil, err
 	}
-	render := func(sel *sqlparser.Select, f runFunc) (string, error) {
-		out, err := run(sel, f)
-		if err != nil {
-			return "", err
-		}
-		return exec.RenderResult(out), nil
-	}
+	return f(plan, nil)
+}
 
-	// Parity gate before timing anything: every replayed statement must
-	// produce byte-identical rows and Stats on the driver and the reference.
-	for _, sel := range append(append([]*sqlparser.Select(nil), reads...), joins...) {
-		want, err := render(sel, ex.RunReference)
-		if err != nil {
-			return nil, err
+// parity holds the driver to the reference on every statement of the set
+// before anything is timed: byte-identical rows and Stats.
+func (s *replaySet) parity(ex *exec.Executor) error {
+	for _, sel := range append(append([]*sqlparser.Select(nil), s.reads...), s.joins...) {
+		var out [2]string
+		for k, f := range []runFunc{ex.RunReference, ex.Run} {
+			res, err := s.run(sel, f)
+			if err != nil {
+				return err
+			}
+			out[k] = exec.RenderResult(res)
 		}
-		got, err := render(sel, ex.Run)
-		if err != nil {
-			return nil, err
-		}
-		if got != want {
-			return nil, fmt.Errorf("execbench: driver diverges from the reference on %s\n--- reference ---\n%s\n--- driver ---\n%s",
-				sel.SQL(), want, got)
+		if out[0] != out[1] {
+			return fmt.Errorf("execbench: driver diverges from the reference on %s\n--- reference ---\n%s\n--- driver ---\n%s",
+				sel.SQL(), out[0], out[1])
 		}
 	}
+	return nil
+}
 
-	res := &execBenchResult{Rows: opts.Tables * spec.RowsPerTable,
-		Statements: len(reads), JoinStatements: len(joins)}
-	measure := func(stmts []*sqlparser.Select, f runFunc) (execBenchEntry, error) {
-		if len(stmts) == 0 {
-			return execBenchEntry{}, nil
-		}
-		var benchErr error
+// measure times the reference and the driver over stmts.
+func (s *replaySet) measure(ex *exec.Executor, stmts []*sqlparser.Select) (reference, driver execBenchEntry, err error) {
+	var entries [2]execBenchEntry
+	for k, f := range []runFunc{ex.RunReference, ex.Run} {
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := run(stmts[i%len(stmts)], f)
-				if err != nil {
-					benchErr = err
+				out, runErr := s.run(stmts[i%len(stmts)], f)
+				if runErr != nil {
+					err = runErr
 					b.FailNow()
 				}
 				execBenchSink += out.Stats.RowsSent
 			}
 		})
-		return execBenchEntry{NsPerOp: br.NsPerOp(), Iterations: br.N}, benchErr
+		entries[k] = execBenchEntry{NsPerOp: br.NsPerOp(), Iterations: br.N}
 	}
-	if res.Reference, err = measure(reads, ex.RunReference); err != nil {
+	return entries[0], entries[1], err
+}
+
+// runExecBench builds both databases, holds the driver to the reference on
+// every statement, then measures the three pairs.
+func runExecBench(opts execBenchOptions) (*execBenchResult, error) {
+	indexed, err := buildReplaySet(opts, opts.Rows, true, opts.Statements, opts.JoinStatements)
+	if err != nil {
 		return nil, err
 	}
-	if res.Driver, err = measure(reads, ex.Run); err != nil {
+	scan, err := buildReplaySet(opts, opts.ScanRows, false, 0, opts.JoinStatements)
+	if err != nil {
 		return nil, err
 	}
-	if res.JoinReference, err = measure(joins, ex.RunReference); err != nil {
+	ex, scanEx := exec.New(indexed.p.DB.Store), exec.New(scan.p.DB.Store)
+	if err := indexed.parity(ex); err != nil {
 		return nil, err
 	}
-	if res.JoinDriver, err = measure(joins, ex.Run); err != nil {
+	if err := scan.parity(scanEx); err != nil {
+		return nil, err
+	}
+	res := &execBenchResult{Rows: opts.Rows / opts.Tables * opts.Tables,
+		Statements: len(indexed.reads), JoinStatements: len(indexed.joins)}
+	if res.Reference, res.Driver, err = indexed.measure(ex, indexed.reads); err != nil {
+		return nil, err
+	}
+	if res.JoinReference, res.JoinDriver, err = indexed.measure(ex, indexed.joins); err != nil {
+		return nil, err
+	}
+	if res.JoinScanReference, res.JoinScanDriver, err = scan.measure(scanEx, scan.joins); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -178,11 +202,12 @@ func TestBenchExecReport(t *testing.T) {
 	if os.Getenv("AIM_BENCH_EXEC") == "" {
 		t.Skip("set AIM_BENCH_EXEC=1 to run (invoked by make benchexec)")
 	}
-	res, err := runExecBench(execBenchOptions{Rows: 100_000, Tables: 2, Statements: 64, JoinStatements: 8, Seed: 1})
+	res, err := runExecBench(execBenchOptions{Rows: 100_000, Tables: 2, Statements: 64, JoinStatements: 8, ScanRows: 20_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay, join := speedup(res.Reference, res.Driver), speedup(res.JoinReference, res.JoinDriver)
+	joinScan := speedup(res.JoinScanReference, res.JoinScanDriver)
 
 	// The benchmark keys predate the single executor: "RowEngine" is the
 	// reference interpreter, "VecEngine" the driver.
@@ -207,20 +232,26 @@ func TestBenchExecReport(t *testing.T) {
 			"ReplayVecEngine":     res.Driver,
 			"ReplayJoinRowEngine": res.JoinReference,
 			"ReplayJoinVecEngine": res.JoinDriver,
+			// Joins on the products database without its indexes.
+			"ReplayJoinScanRowEngine": res.JoinScanReference,
+			"ReplayJoinScanVecEngine": res.JoinScanDriver,
 		},
 		Plan:    map[string]map[string]int64{"oneshot_ns": oneShotNs, "prepared_ns": preparedNs},
-		Speedup: map[string]float64{"replay": replay, "join_replay": join, "prepared_vs_oneshot": prepared},
+		Speedup: map[string]float64{"replay": replay, "join_replay": join, "join_scan_replay": joinScan, "prepared_vs_oneshot": prepared},
 	}
-	t.Logf("replay: %.2fx the reference over %d statements (%d rows); joins: %.2fx over %d statements; planning a point read on a memo hit: %.2fx one-shot (%d -> %d ns)",
-		replay, res.Statements, res.Rows, join, res.JoinStatements, prepared, oneShotNs["point"], preparedNs["point"])
+	t.Logf("replay: %.2fx the reference over %d statements (%d rows); joins: %.2fx over %d statements, %.2fx unindexed; planning a point read on a memo hit: %.2fx one-shot (%d -> %d ns)",
+		replay, res.Statements, res.Rows, join, res.JoinStatements, joinScan, prepared, oneShotNs["point"], preparedNs["point"])
 	if prepared < 2 {
 		t.Errorf("planning a point_read template on a memo hit only %.2fx one-shot planning, want >= 2x", prepared)
 	}
 	if replay < 2 {
 		t.Errorf("single-table replay only %.2fx the reference interpreter, want >= 2x", replay)
 	}
-	if join < 0.9 {
-		t.Errorf("join replay %.2fx the reference interpreter, want >= 0.9x", join)
+	if join < 1.2 {
+		t.Errorf("join replay %.2fx the reference interpreter, want >= 1.2x", join)
+	}
+	if joinScan < 2.5 {
+		t.Errorf("unindexed join replay %.2fx the reference interpreter, want >= 2.5x", joinScan)
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -229,21 +260,21 @@ func TestBenchExecReport(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_exec.json", append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join replay %.2fx, prepared vs one-shot planning %.2fx\n", replay, join, prepared)
+	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join replay %.2fx, unindexed join replay %.2fx, prepared vs one-shot planning %.2fx\n", replay, join, joinScan, prepared)
 }
 
 // TestExecBenchSmoke runs a miniature configuration on every plain test run:
 // it exercises the workload build, the pre-timing parity gate, and both
 // measurement paths without wall-clock assertions.
 func TestExecBenchSmoke(t *testing.T) {
-	res, err := runExecBench(execBenchOptions{Rows: 2_000, Tables: 2, Statements: 8, JoinStatements: 2, Seed: 1})
+	res, err := runExecBench(execBenchOptions{Rows: 2_000, Tables: 2, Statements: 8, JoinStatements: 2, ScanRows: 2_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Statements != 8 {
 		t.Fatalf("replay set has %d statements, want 8", res.Statements)
 	}
-	if res.Driver.NsPerOp <= 0 || res.Reference.NsPerOp <= 0 {
+	if res.Driver.NsPerOp <= 0 || res.Reference.NsPerOp <= 0 || res.JoinScanDriver.NsPerOp <= 0 || res.JoinScanReference.NsPerOp <= 0 {
 		t.Fatalf("degenerate measurements: %+v", res)
 	}
 }

@@ -86,17 +86,23 @@ func (e *Executor) finish(p *Plan, outRows []sqltypes.Row, res *Result) (*Result
 	return res, nil
 }
 
+// keyBuf holds the encoded bounds of one step's scans. A step reuses it for
+// every scan it opens, so an inner step's keys cost no allocation per outer
+// row.
+type keyBuf struct{ lo, hi []byte }
+
 // scanBounds builds encoded byte bounds from the equality prefix and the
-// optional range on the following column. The returned hiInc is real: an
-// inclusive upper bound relies on the B+tree's prefix-inclusive bound
+// optional range on the following column, into b. The returned hiInc is real:
+// an inclusive upper bound relies on the B+tree's prefix-inclusive bound
 // semantics (keys equal to hi or extending it stay in range), which admits
 // exactly the composite keys whose bounded columns match — no artificial
 // 0xFF successor byte is appended. empty marks a scan statically proven to
 // match nothing: a NULL range bound makes the comparison predicate NULL for
 // every row, so the caller skips the scan outright instead of walking keys
 // the residual filter would discard one by one.
-func scanBounds(prefix []sqltypes.Value, rng *RangeSpec, env []sqltypes.Value) (lo, hi []byte, hiInc, empty bool) {
-	base := sqltypes.EncodeKey(nil, prefix...)
+func (b *keyBuf) scanBounds(prefix []sqltypes.Value, rng *RangeSpec, env []sqltypes.Value) (lo, hi []byte, hiInc, empty bool) {
+	base := sqltypes.EncodeKey(b.lo[:0], prefix...)
+	b.lo = base
 	if rng == nil {
 		if len(prefix) == 0 {
 			return nil, nil, false, false // full scan
@@ -110,7 +116,8 @@ func scanBounds(prefix []sqltypes.Value, rng *RangeSpec, env []sqltypes.Value) (
 		if v.IsNull() {
 			return nil, nil, false, true
 		}
-		lo = sqltypes.EncodeKey(append([]byte(nil), base...), v)
+		// Appended in place: base stays intact as lo's prefix.
+		lo = sqltypes.EncodeKey(base, v)
 		if !rng.LoInc {
 			// Exclusive lower bound: skip every key extending lo. 0xFF sorts
 			// after any value-encoding continuation byte (tags are <= 0x02),
@@ -118,14 +125,15 @@ func scanBounds(prefix []sqltypes.Value, rng *RangeSpec, env []sqltypes.Value) (
 			// the bound and before the next column value's first key.
 			lo = append(lo, 0xFF)
 		}
+		b.lo = lo
 	}
 	if rng.Hi != nil {
 		v := rng.Hi.Resolve(env)
 		if v.IsNull() {
 			return nil, nil, false, true
 		}
-		hi = sqltypes.EncodeKey(append([]byte(nil), base...), v)
-		hiInc = rng.HiInc
+		b.hi = sqltypes.EncodeKey(append(b.hi[:0], base...), v)
+		hi, hiInc = b.hi, rng.HiInc
 	} else if len(base) > 0 {
 		hi, hiInc = base, true
 	}

@@ -119,7 +119,7 @@ func (e *Executor) runSteps(p *Plan, depth int, env []sqltypes.Value, st *Stats,
 			}
 			prev = v
 			full := append(append([]sqltypes.Value(nil), prefix...), v)
-			lo, hi, hiInc, _ := scanBounds(full, nil, env) // non-null prefix: never empty
+			lo, hi, hiInc, _ := new(keyBuf).scanBounds(full, nil, env) // non-null prefix: never empty
 			var err error
 			if step.IndexName == "" {
 				err = e.scanClustered(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
@@ -132,7 +132,7 @@ func (e *Executor) runSteps(p *Plan, depth int, env []sqltypes.Value, st *Stats,
 		}
 		return nil
 	}
-	lo, hi, hiInc, empty := scanBounds(prefix, step.Range, env)
+	lo, hi, hiInc, empty := new(keyBuf).scanBounds(prefix, step.Range, env)
 	if empty {
 		return nil
 	}

@@ -2,8 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"aim/internal/btree"
 	"aim/internal/sqltypes"
 	"aim/internal/storage"
 )
@@ -15,19 +16,25 @@ import (
 const batchSize = 1024
 
 // batchArena bundles the reusable scratch buffers of one plan step: key/value
-// spans filled by ReadBatch, row views, the selection vector, a slab for env
-// rows the step builds (full-width rows of a join, decoded index-only views),
-// and free lists for the tri-state lanes and sub-selections that nested
-// AND/OR kernels borrow. Arenas are pooled on the Executor (sync.Pool) and a
-// run takes one per step, so steady-state replay allocates only the output
-// rows that escape into Results.
+// spans filled by ReadBatch, row views, the selection vector, slabs for the
+// rows the step builds (decoded index views, widened env rows), the scan
+// iterator and key-range buffers its scans reopen once per outer row, and
+// free lists for the tri-state lanes and sub-selections that nested AND/OR
+// kernels borrow. Arenas are pooled on the Executor (sync.Pool) and a run
+// takes one per step, so steady-state replay allocates only the output rows
+// that escape into Results.
 type batchArena struct {
 	keys []([]byte)
 	vals []interface{}
 	rows []sqltypes.Row
 	sel  []int32
-	slab []sqltypes.Value // env rows built by the step (see scanRange)
+	slab []sqltypes.Value // batch rows built by the step (see scanRange)
+	wide []sqltypes.Value // survivors widened to env rows
 	dec  []sqltypes.Value // per-entry key decode scratch
+
+	prefix, in []sqltypes.Value // equality prefix and IN values of a scan
+	bounds     keyBuf
+	it         btree.Iter
 
 	triFree [][]int8
 	selFree [][]int32
@@ -47,19 +54,12 @@ func (e *Executor) getArena() *batchArena {
 
 func (e *Executor) putArena(a *batchArena) { e.arenas.Put(a) }
 
-// envSlab returns a cleared-on-demand value slab of at least n values.
-func (a *batchArena) envSlab(n int) []sqltypes.Value {
-	if cap(a.slab) < n {
-		a.slab = make([]sqltypes.Value, n)
+// grow returns *buf resliced to n values, reallocated when too small.
+func grow(buf *[]sqltypes.Value, n int) []sqltypes.Value {
+	if cap(*buf) < n {
+		*buf = make([]sqltypes.Value, n)
 	}
-	return a.slab[:n]
-}
-
-func (a *batchArena) decBuf(n int) []sqltypes.Value {
-	if cap(a.dec) < n {
-		a.dec = make([]sqltypes.Value, n)
-	}
-	return a.dec[:n]
+	return (*buf)[:n]
 }
 
 func (a *batchArena) getTri() []int8 {
@@ -338,6 +338,10 @@ type pipeline struct {
 type level struct {
 	a                 *batchArena
 	filterVec, icpVec vecPred // nil = closure fallback
+	// widenFirst marks a multi-instance step with a predicate that has no
+	// kernel: its closure reads full env rows, so the step widens every batch
+	// row before filtering, and its kernels read the full row too.
+	widenFirst bool
 }
 
 // drive runs the plan's steps and feeds every fully joined, fully filtered
@@ -348,8 +352,15 @@ func (e *Executor) drive(p *Plan, sink batchSink, target int64, st *Stats) error
 	r := &pipeline{e: e, p: p, st: st, sink: sink, target: target, levels: make([]level, len(p.Steps))}
 	for d := range r.levels {
 		step := &p.Steps[d]
-		r.levels[d] = level{e.getArena(), compileVec(step.FilterSrc, p.Layout, p.Params), compileVec(step.ICPSrc, p.Layout, p.Params)}
-		defer e.putArena(r.levels[d].a)
+		inst := p.Layout.Instances[step.Instance]
+		sc := scope{l: p.Layout, params: p.Params, base: inst.Base, n: len(inst.Table.Columns)}
+		lv := level{a: e.getArena(), filterVec: compileVec(step.FilterSrc, sc), icpVec: compileVec(step.ICPSrc, sc)}
+		if (lv.filterVec == nil && step.Filter != nil || lv.icpVec == nil && step.ICP != nil) && sc.n < p.Layout.Width {
+			sc.base, sc.n, lv.widenFirst = 0, p.Layout.Width, true
+			lv.filterVec, lv.icpVec = compileVec(step.FilterSrc, sc), compileVec(step.ICPSrc, sc)
+		}
+		r.levels[d] = lv
+		defer e.putArena(lv.a)
 	}
 	err := r.scanStep(0, make([]sqltypes.Value, p.Layout.Width))
 	if err == errStop {
@@ -361,42 +372,46 @@ func (e *Executor) drive(p *Plan, sink batchSink, target int64, st *Stats) error
 // scanStep resolves the step's key ranges from the outer env row — equality
 // prefix, then either the IN list (one bounded scan per distinct value, in
 // value order so output stays sorted on the index columns) or the optional
-// range — and scans each.
+// range — and scans each. Its buffers live in the step's arena: an inner step
+// runs once per outer row.
 func (r *pipeline) scanStep(depth int, env []sqltypes.Value) error {
 	step := &r.p.Steps[depth]
+	a := r.levels[depth].a
 	inst := r.p.Layout.Instances[step.Instance]
 	tbl := r.e.Store.Table(inst.Table.Name)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q not materialized", inst.Table.Name)
 	}
 	// A NULL equality key matches nothing.
-	prefix := make([]sqltypes.Value, len(step.EqKeys))
-	for i, k := range step.EqKeys {
+	a.prefix = a.prefix[:0]
+	for _, k := range step.EqKeys {
 		v := k.Resolve(env)
 		if v.IsNull() {
 			return nil
 		}
-		prefix[i] = v
+		a.prefix = append(a.prefix, v)
 	}
 	if len(step.In) == 0 {
-		lo, hi, hiInc, empty := scanBounds(prefix, step.Range, env)
+		lo, hi, hiInc, empty := a.bounds.scanBounds(a.prefix, step.Range, env)
 		if empty {
 			return nil
 		}
 		return r.scanRange(depth, tbl, env, lo, hi, hiInc)
 	}
-	vals := make([]sqltypes.Value, 0, len(step.In))
+	a.in = a.in[:0]
 	for _, ks := range step.In {
 		if v := ks.Resolve(env); !v.IsNull() {
-			vals = append(vals, v)
+			a.in = append(a.in, v)
 		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return sqltypes.Compare(vals[i], vals[j]) < 0 })
-	for i, v := range vals {
-		if i > 0 && sqltypes.Compare(vals[i-1], v) == 0 {
+	slices.SortFunc(a.in, sqltypes.Compare)
+	n := len(a.prefix)
+	for i, v := range a.in {
+		if i > 0 && sqltypes.Compare(a.in[i-1], v) == 0 {
 			continue // dedupe repeated IN values
 		}
-		lo, hi, hiInc, _ := scanBounds(append(prefix, v), nil, env) // non-null prefix: never empty
+		a.prefix = append(a.prefix[:n], v)
+		lo, hi, hiInc, _ := a.bounds.scanBounds(a.prefix, nil, env) // non-null prefix: never empty
 		if err := r.scanRange(depth, tbl, env, lo, hi, hiInc); err != nil {
 			return err
 		}
@@ -407,10 +422,10 @@ func (r *pipeline) scanStep(depth int, env []sqltypes.Value) error {
 // applyPred narrows sel to rows passing the predicate, compacting in place.
 // The vectorized kernel is preferred; a nil kernel falls back to the row
 // closure evaluated per selected row (same order, same first error).
-func applyPred(a *batchArena, vp vecPred, closure CompiledExpr, rows []sqltypes.Row, sel []int32) ([]int32, error) {
+func applyPred(a *batchArena, env []sqltypes.Value, vp vecPred, closure CompiledExpr, rows []sqltypes.Row, sel []int32) ([]int32, error) {
 	if vp != nil {
 		out := a.getTri()
-		vp(a, rows, sel, out)
+		vp(a, env, rows, sel, out)
 		kept := sel[:0]
 		for _, i := range sel {
 			if out[i] == triTrue {
@@ -437,9 +452,19 @@ func applyPred(a *batchArena, vp vecPred, closure CompiledExpr, rows []sqltypes.
 }
 
 // scanRange scans one key range of the step's clustered tree or secondary
-// index batch by batch: read, build env rows, ICP, PK lookup for the ICP
-// survivors, residual filter, then the sink on the last step or one inner
-// scanStep per surviving row.
+// index batch by batch: read, build batch rows, ICP, PK lookup for the ICP
+// survivors, residual filter, widen the survivors to env rows, then the sink
+// on the last step or one inner scanStep per surviving row.
+//
+// A batch row is the step's own stored row, or its decoded index view of
+// the table's columns (index and PK columns, the rest NULL, until a PK
+// lookup replaces it) — no copy of the outer row. The step's kernels read
+// the outer row's columns as batch constants from env. Only rows that pass
+// are widened to a full Layout.Width env row: the outer row with this
+// instance's segment overwritten. A single-instance layout's stored row IS
+// the env row (base 0, width == the table's columns), so nothing is copied.
+// When a multi-instance step's predicate falls back to its closure, the
+// rows are widened before filtering instead (level.widenFirst).
 //
 // The read cap keeps Stats exact under early stop. Without a row target a
 // batch is batchSize entries. With one, the last step reads at most
@@ -459,15 +484,12 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 	a := lv.a
 	step := &r.p.Steps[depth]
 	inst := r.p.Layout.Instances[step.Instance]
-	base, ncols := inst.Base, len(inst.Table.Columns)
+	base, ncols, envW := inst.Base, len(inst.Table.Columns), r.p.Layout.Width
 	last := depth == len(r.p.Steps)-1
-	// A single-instance layout's stored row IS the env row (base 0, width ==
-	// ncols): no copy. Otherwise every batch row is a full-width env row, the
-	// outer row with this instance's segment overwritten.
-	wide := len(r.p.Layout.Instances) > 1
-	width := ncols
-	if wide {
-		width = r.p.Layout.Width
+	// width is a batch row's length, seg where the instance's segment starts.
+	width, seg, widenFirst := ncols, 0, lv.widenFirst
+	if widenFirst {
+		width, seg = envW, base
 	}
 
 	tree := tbl.Data()
@@ -499,7 +521,7 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 	dataHeight := int64(tbl.Data().Height())
 	var scanned int64
 	st.PageReads += int64(tree.Height())
-	it := tree.SeekRange(lo, hi, hiInc)
+	it := tree.SeekRangeInto(&a.it, lo, hi, hiInc)
 	for {
 		max := batchSize
 		if r.target >= 0 {
@@ -522,11 +544,11 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		for i := 0; i < n; i++ {
 			sel = append(sel, int32(i))
 		}
-		if wide || needDecode {
-			slab := a.envSlab(n * width)
+		if widenFirst || needDecode {
+			slab := grow(&a.slab, n*width)
 			for i := range rows {
 				rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
-				if wide {
+				if widenFirst {
 					copy(rows[i], env)
 				}
 			}
@@ -534,33 +556,33 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		switch {
 		case ix == nil:
 			for i := range rows {
-				if row := a.vals[i].(sqltypes.Row); wide {
-					copy(rows[i][base:], row)
+				if row := a.vals[i].(sqltypes.Row); widenFirst {
+					copy(rows[i][seg:], row)
 				} else {
 					rows[i] = row
 				}
 			}
 		case needDecode:
 			// Index-only view: the index and PK columns, the rest NULL.
-			dec := a.decBuf(len(ords) + len(pks))
+			dec := grow(&a.dec, len(ords)+len(pks))
 			for i := range rows {
-				seg := rows[i][base : base+ncols]
-				for j := range seg {
-					seg[j] = sqltypes.Null
+				view := rows[i][seg : seg+ncols]
+				for j := range view {
+					view[j] = sqltypes.Null
 				}
 				if _, err := sqltypes.DecodeKeyInto(dec, keys[i], len(dec)); err != nil {
 					return fmt.Errorf("exec: corrupt index entry: %v", err)
 				}
 				for j, o := range ords {
-					seg[o] = dec[j]
+					view[o] = dec[j]
 				}
 				for j, o := range pks {
-					seg[o] = dec[len(ords)+j]
+					view[o] = dec[len(ords)+j]
 				}
 			}
 			if step.ICP != nil {
 				var err error
-				if sel, err = applyPred(a, lv.icpVec, step.ICP, rows, sel); err != nil {
+				if sel, err = applyPred(a, env, lv.icpVec, step.ICP, rows, sel); err != nil {
 					return err
 				}
 			}
@@ -574,16 +596,26 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 				st.RowsRead++
 				st.PageReads += dataHeight
 				// The base row replaces any decoded ICP view.
-				if wide {
-					copy(rows[i][base:], row)
+				if widenFirst {
+					copy(rows[i][seg:], row)
 				} else {
 					rows[i] = row
 				}
 			}
 		}
-		sel, err := applyPred(a, lv.filterVec, step.Filter, rows, sel)
+		sel, err := applyPred(a, env, lv.filterVec, step.Filter, rows, sel)
 		if err != nil {
 			return err
+		}
+		if !widenFirst && ncols < envW {
+			// Widen only what survives.
+			slab := grow(&a.wide, len(sel)*envW)
+			for k, i := range sel {
+				w := slab[k*envW : (k+1)*envW : (k+1)*envW]
+				copy(w, env)
+				copy(w[base:], rows[i])
+				rows[i] = w
+			}
 		}
 		if !last {
 			for _, i := range sel {

@@ -16,17 +16,30 @@ const (
 
 // vecPred evaluates a predicate over a batch, writing the three-valued
 // result for every row index listed in sel into out (indexed by row, not by
-// selection position). Implementations never error: compileVec only emits
-// kernels for expression shapes whose compiled row closures cannot error
+// selection position). env is the outer env row the step scans for, the
+// source of its batch constants. Implementations never error: compileVec only
+// emits kernels for expression shapes whose compiled row closures cannot error
 // either, so error ordering is owned entirely by the fallback closure path.
-type vecPred func(a *batchArena, rows []sqltypes.Row, sel []int32, out []int8)
+type vecPred func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8)
 
-// valSrc is a per-row scalar source: a column offset in the env row or a
-// literal. It is the only operand shape the batch kernels accept; anything
-// else (arithmetic, nested functions) falls back to the compiled closure.
+// valSrc is a kernel operand: a column of the batch row, or a batch constant,
+// one value for the whole kernel call, which is either a literal fixed at
+// compile time or a column of the outer env row. It is the only operand shape
+// the batch kernels accept; anything else (arithmetic, nested functions)
+// falls back to the compiled closure.
 type valSrc struct {
-	off int // -1 = literal
+	off int // offset in the batch row, or -1 for a batch constant
+	env int // offset of a batch constant in the outer env row, or -1 for a literal
 	lit sqltypes.Value
+}
+
+// bind resolves a batch constant against the outer env row, once per kernel
+// call.
+func (s valSrc) bind(env []sqltypes.Value) valSrc {
+	if s.env >= 0 {
+		s.lit = env[s.env]
+	}
+	return s
 }
 
 func (s valSrc) get(row sqltypes.Row) sqltypes.Value {
@@ -36,20 +49,32 @@ func (s valSrc) get(row sqltypes.Row) sqltypes.Value {
 	return s.lit
 }
 
-func compileValSrc(e sqlparser.Expr, l *Layout, params []sqltypes.Value) (valSrc, bool) {
+// scope is what a step's kernels are compiled against: the plan's layout and
+// parameters, and the env-row segment [base, base+n) the step's batch rows
+// hold. A column outside the segment is a batch constant.
+type scope struct {
+	l       *Layout
+	params  []sqltypes.Value
+	base, n int
+}
+
+func compileValSrc(e sqlparser.Expr, sc scope) (valSrc, bool) {
 	switch v := e.(type) {
 	case *sqlparser.Literal:
-		return valSrc{off: -1, lit: v.Val}, true
+		return valSrc{off: -1, env: -1, lit: v.Val}, true
 	case *sqlparser.Placeholder:
-		if v.Ordinal < len(params) {
-			return valSrc{off: -1, lit: params[v.Ordinal]}, true
+		if v.Ordinal < len(sc.params) {
+			return valSrc{off: -1, env: -1, lit: sc.params[v.Ordinal]}, true
 		}
 	case *sqlparser.ColumnRef:
-		off, err := l.Resolve(v.Table, v.Column)
+		off, err := sc.l.Resolve(v.Table, v.Column)
 		if err != nil {
 			return valSrc{}, false
 		}
-		return valSrc{off: off}, true
+		if off >= sc.base && off < sc.base+sc.n {
+			return valSrc{off: off - sc.base, env: -1}, true
+		}
+		return valSrc{off: -1, env: off}, true
 	}
 	return valSrc{}, false
 }
@@ -67,31 +92,20 @@ func boolTri(b bool) int8 {
 // identical error ordering. A composite expression vectorizes only if every
 // subexpression does: partial vectorization of AND/OR could evaluate an
 // erroring branch the row closure would have short-circuited past.
-func compileVec(e sqlparser.Expr, l *Layout, params []sqltypes.Value) vecPred {
+func compileVec(e sqlparser.Expr, sc scope) vecPred {
 	if e == nil {
 		return nil
 	}
 	switch v := e.(type) {
-	case *sqlparser.Literal:
-		val := v.Val
-		res := triNull
-		if !val.IsNull() {
-			res = boolTri(val.Bool())
-		}
-		return func(_ *batchArena, _ []sqltypes.Row, sel []int32, out []int8) {
-			for _, i := range sel {
-				out[i] = res
-			}
-		}
-	case *sqlparser.ColumnRef:
-		src, ok := compileValSrc(e, l, params)
+	case *sqlparser.Literal, *sqlparser.Placeholder, *sqlparser.ColumnRef:
+		src, ok := compileValSrc(e, sc)
 		if !ok {
 			return nil
 		}
-		return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
+		return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+			s := src.bind(env)
 			for _, i := range sel {
-				val := src.get(rows[i])
-				if val.IsNull() {
+				if val := s.get(rows[i]); val.IsNull() {
 					out[i] = triNull
 				} else {
 					out[i] = boolTri(val.Bool())
@@ -99,14 +113,14 @@ func compileVec(e sqlparser.Expr, l *Layout, params []sqltypes.Value) vecPred {
 			}
 		}
 	case *sqlparser.BinaryExpr:
-		return compileVecBinary(v, l, params)
+		return compileVecBinary(v, sc)
 	case *sqlparser.NotExpr:
-		inner := compileVec(v.Inner, l, params)
+		inner := compileVec(v.Inner, sc)
 		if inner == nil {
 			return nil
 		}
-		return func(a *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-			inner(a, rows, sel, out)
+		return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+			inner(a, env, rows, sel, out)
 			for _, i := range sel {
 				switch out[i] {
 				case triTrue:
@@ -117,31 +131,32 @@ func compileVec(e sqlparser.Expr, l *Layout, params []sqltypes.Value) vecPred {
 			}
 		}
 	case *sqlparser.InExpr:
-		return compileVecIn(v, l, params)
+		return compileVecIn(v, sc)
 	case *sqlparser.BetweenExpr:
-		return compileVecBetween(v, l, params)
+		return compileVecBetween(v, sc)
 	case *sqlparser.LikeExpr:
-		return compileVecLike(v, l, params)
+		return compileVecLike(v, sc)
 	case *sqlparser.IsNullExpr:
-		src, ok := compileValSrc(v.Left, l, params)
+		src, ok := compileValSrc(v.Left, sc)
 		if !ok {
 			return nil
 		}
 		not := v.Not
-		return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
+		return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+			s := src.bind(env)
 			for _, i := range sel {
-				out[i] = boolTri(src.get(rows[i]).IsNull() != not)
+				out[i] = boolTri(s.get(rows[i]).IsNull() != not)
 			}
 		}
 	}
 	return nil
 }
 
-func compileVecBinary(v *sqlparser.BinaryExpr, l *Layout, params []sqltypes.Value) vecPred {
+func compileVecBinary(v *sqlparser.BinaryExpr, sc scope) vecPred {
 	switch v.Op {
 	case "AND", "OR":
-		left := compileVec(v.Left, l, params)
-		right := compileVec(v.Right, l, params)
+		left := compileVec(v.Left, sc)
+		right := compileVec(v.Right, sc)
 		if left == nil || right == nil {
 			return nil
 		}
@@ -150,11 +165,11 @@ func compileVecBinary(v *sqlparser.BinaryExpr, l *Layout, params []sqltypes.Valu
 		}
 		return vecOr(left, right)
 	case "=", "!=", "<", "<=", ">", ">=", "<=>":
-		ls, ok := compileValSrc(v.Left, l, params)
+		ls, ok := compileValSrc(v.Left, sc)
 		if !ok {
 			return nil
 		}
-		rs, ok := compileValSrc(v.Right, l, params)
+		rs, ok := compileValSrc(v.Right, sc)
 		if !ok {
 			return nil
 		}
@@ -164,18 +179,11 @@ func compileVecBinary(v *sqlparser.BinaryExpr, l *Layout, params []sqltypes.Valu
 }
 
 func vecCmp(op string, left, right valSrc) vecPred {
-	if op == "<=>" {
-		return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-			for _, i := range sel {
-				out[i] = boolTri(sqltypes.Compare(left.get(rows[i]), right.get(rows[i])) == 0)
-			}
-		}
-	}
 	// Encode the operator as the set of accepted Compare signs; the kernel
 	// loop then has no per-row indirect call.
 	var accNeg, accZero, accPos bool
 	switch op {
-	case "=":
+	case "=", "<=>":
 		accZero = true
 	case "!=":
 		accNeg, accPos = true, true
@@ -187,71 +195,87 @@ func vecCmp(op string, left, right valSrc) vecPred {
 		accPos = true
 	case ">=":
 		accZero, accPos = true, true
-	default:
-		return nil
 	}
-	if left.off >= 0 && right.off < 0 && !right.lit.IsNull() {
-		// Column vs non-NULL literal, the dominant filter shape: hoist the
-		// literal out of the loop, index the env row by pointer (no 40-byte
-		// Value copies) and, for numeric literals, inline the comparison so
-		// the loop has no function call at all. The kind switches reproduce
-		// Compare's rank ordering (numbers < strings) exactly.
-		lit := right.lit
-		off := left.off
+	if left.off < 0 && right.off >= 0 {
+		// Constant on the left: compare the other way round (c < x is x > c).
+		left, right, accNeg, accPos = right, left, accPos, accNeg
+	}
+	if op == "<=>" || right.off >= 0 || left.off < 0 {
+		nullSafe := op == "<=>"
+		return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+			l, r := left.bind(env), right.bind(env)
+			for _, i := range sel {
+				av, bv := l.get(rows[i]), r.get(rows[i])
+				if !nullSafe && (av.IsNull() || bv.IsNull()) {
+					out[i] = triNull
+					continue
+				}
+				c := sqltypes.ComparePtr(&av, &bv)
+				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+			}
+		}
+	}
+	// Column vs constant, the dominant filter shape (a literal, or the outer
+	// row's join column): read the constant once, index the batch row by
+	// pointer (no 40-byte Value copies) and, for a numeric constant, inline
+	// the comparison so the loop has no function call at all. The kind
+	// switches reproduce Compare's rank ordering (numbers < strings) exactly.
+	off := left.off
+	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+		lit := right.bind(env).lit
 		switch lit.Kind() {
+		case sqltypes.KindNull:
+			for _, i := range sel {
+				out[i] = triNull
+			}
 		case sqltypes.KindInt, sqltypes.KindBool:
 			litI := lit.Int()
 			litF := float64(litI)
-			return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-				for _, i := range sel {
-					av := &rows[i][off]
-					var c int
-					switch av.Kind() {
-					case sqltypes.KindNull:
-						out[i] = triNull
-						continue
-					case sqltypes.KindInt, sqltypes.KindBool:
-						if ai := av.Int(); ai < litI {
-							c = -1
-						} else if ai > litI {
-							c = 1
-						}
-					case sqltypes.KindFloat:
-						if af := av.Float(); af < litF {
-							c = -1
-						} else if af > litF {
-							c = 1
-						}
-					default: // string-ish outranks numeric
+			for _, i := range sel {
+				av := &rows[i][off]
+				var c int
+				switch av.Kind() {
+				case sqltypes.KindNull:
+					out[i] = triNull
+					continue
+				case sqltypes.KindInt, sqltypes.KindBool:
+					if ai := av.Int(); ai < litI {
+						c = -1
+					} else if ai > litI {
 						c = 1
 					}
-					out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+				case sqltypes.KindFloat:
+					if af := av.Float(); af < litF {
+						c = -1
+					} else if af > litF {
+						c = 1
+					}
+				default: // string-ish outranks numeric
+					c = 1
 				}
+				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
 			}
 		case sqltypes.KindFloat:
 			litF := lit.Float()
-			return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-				for _, i := range sel {
-					av := &rows[i][off]
-					var c int
-					switch av.Kind() {
-					case sqltypes.KindNull:
-						out[i] = triNull
-						continue
-					case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindFloat:
-						if af := av.Float(); af < litF {
-							c = -1
-						} else if af > litF {
-							c = 1
-						}
-					default:
+			for _, i := range sel {
+				av := &rows[i][off]
+				var c int
+				switch av.Kind() {
+				case sqltypes.KindNull:
+					out[i] = triNull
+					continue
+				case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindFloat:
+					if af := av.Float(); af < litF {
+						c = -1
+					} else if af > litF {
 						c = 1
 					}
-					out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+				default:
+					c = 1
 				}
+				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
 			}
-		}
-		return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
+		default:
 			for _, i := range sel {
 				av := &rows[i][off]
 				if av.IsNull() {
@@ -263,25 +287,14 @@ func vecCmp(op string, left, right valSrc) vecPred {
 			}
 		}
 	}
-	return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-		for _, i := range sel {
-			av, bv := left.get(rows[i]), right.get(rows[i])
-			if av.IsNull() || bv.IsNull() {
-				out[i] = triNull
-				continue
-			}
-			c := sqltypes.ComparePtr(&av, &bv)
-			out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
-		}
-	}
 }
 
 // vecAnd evaluates the right operand only where the left is not false,
 // mirroring the row closure's short-circuit; for surviving rows the combine
 // is false-dominant, then null-dominant, like SQL three-valued AND.
 func vecAnd(left, right vecPred) vecPred {
-	return func(a *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-		left(a, rows, sel, out)
+	return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+		left(a, env, rows, sel, out)
 		sub := a.getSel()
 		for _, i := range sel {
 			if out[i] != triFalse {
@@ -290,7 +303,7 @@ func vecAnd(left, right vecPred) vecPred {
 		}
 		if len(sub) > 0 {
 			rtri := a.getTri()
-			right(a, rows, sub, rtri)
+			right(a, env, rows, sub, rtri)
 			for _, i := range sub {
 				switch {
 				case rtri[i] == triFalse:
@@ -308,8 +321,8 @@ func vecAnd(left, right vecPred) vecPred {
 }
 
 func vecOr(left, right vecPred) vecPred {
-	return func(a *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
-		left(a, rows, sel, out)
+	return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+		left(a, env, rows, sel, out)
 		sub := a.getSel()
 		for _, i := range sel {
 			if out[i] != triTrue {
@@ -318,7 +331,7 @@ func vecOr(left, right vecPred) vecPred {
 		}
 		if len(sub) > 0 {
 			rtri := a.getTri()
-			right(a, rows, sub, rtri)
+			right(a, env, rows, sub, rtri)
 			for _, i := range sub {
 				switch {
 				case rtri[i] == triTrue:
@@ -335,8 +348,8 @@ func vecOr(left, right vecPred) vecPred {
 	}
 }
 
-func compileVecIn(v *sqlparser.InExpr, l *Layout, params []sqltypes.Value) vecPred {
-	src, ok := compileValSrc(v.Left, l, params)
+func compileVecIn(v *sqlparser.InExpr, sc scope) vecPred {
+	src, ok := compileValSrc(v.Left, sc)
 	if !ok {
 		return nil
 	}
@@ -354,78 +367,56 @@ func compileVecIn(v *sqlparser.InExpr, l *Layout, params []sqltypes.Value) vecPr
 		items = append(items, lit.Val)
 	}
 	not := v.Not
-	if src.off < 0 {
-		// Literal LHS: resolve once, constant result for every row.
-		val := src.lit
-		res := triNull
-		if !val.IsNull() {
-			matched := false
-			for j := range items {
-				if sqltypes.ComparePtr(&val, &items[j]) == 0 {
-					matched = true
-					break
-				}
-			}
-			switch {
-			case matched:
-				res = boolTri(!not)
-			case hasNull:
-				res = triNull
-			default:
-				res = boolTri(not)
-			}
-		}
-		return func(_ *batchArena, _ []sqltypes.Row, sel []int32, out []int8) {
+	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+		if s := src.bind(env); s.off < 0 {
+			// Constant LHS: one result for every row.
+			res := inTri(&s.lit, items, hasNull, not)
 			for _, i := range sel {
 				out[i] = res
 			}
+			return
 		}
-	}
-	off := src.off
-	return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
 		for _, i := range sel {
-			val := &rows[i][off]
-			if val.IsNull() {
-				out[i] = triNull
-				continue
-			}
-			matched := false
-			for j := range items {
-				if sqltypes.ComparePtr(val, &items[j]) == 0 {
-					matched = true
-					break
-				}
-			}
-			switch {
-			case matched:
-				out[i] = boolTri(!not)
-			case hasNull:
-				out[i] = triNull
-			default:
-				out[i] = boolTri(not)
-			}
+			out[i] = inTri(&rows[i][src.off], items, hasNull, not)
 		}
 	}
 }
 
-func compileVecBetween(v *sqlparser.BetweenExpr, l *Layout, params []sqltypes.Value) vecPred {
-	src, ok := compileValSrc(v.Left, l, params)
+// inTri is [NOT] IN over non-NULL literal items, hasNull marking a NULL item.
+func inTri(val *sqltypes.Value, items []sqltypes.Value, hasNull, not bool) int8 {
+	if val.IsNull() {
+		return triNull
+	}
+	for j := range items {
+		if sqltypes.ComparePtr(val, &items[j]) == 0 {
+			return boolTri(!not)
+		}
+	}
+	if hasNull {
+		return triNull
+	}
+	return boolTri(not)
+}
+
+func compileVecBetween(v *sqlparser.BetweenExpr, sc scope) vecPred {
+	src, ok := compileValSrc(v.Left, sc)
 	if !ok {
 		return nil
 	}
-	lo, ok := compileValSrc(v.Low, l, params)
+	lo, ok := compileValSrc(v.Low, sc)
 	if !ok {
 		return nil
 	}
-	hi, ok := compileValSrc(v.High, l, params)
+	hi, ok := compileValSrc(v.High, sc)
 	if !ok {
 		return nil
 	}
 	not := v.Not
-	return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
+	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+		s, l, h := src.bind(env), lo.bind(env), hi.bind(env)
 		for _, i := range sel {
 			row := rows[i]
-			val, lv, hv := src.get(row), lo.get(row), hi.get(row)
+			val, lv, hv := s.get(row), l.get(row), h.get(row)
 			if val.IsNull() || lv.IsNull() || hv.IsNull() {
 				out[i] = triNull
 				continue
@@ -436,20 +427,21 @@ func compileVecBetween(v *sqlparser.BetweenExpr, l *Layout, params []sqltypes.Va
 	}
 }
 
-func compileVecLike(v *sqlparser.LikeExpr, l *Layout, params []sqltypes.Value) vecPred {
-	src, ok := compileValSrc(v.Left, l, params)
+func compileVecLike(v *sqlparser.LikeExpr, sc scope) vecPred {
+	src, ok := compileValSrc(v.Left, sc)
 	if !ok {
 		return nil
 	}
-	pat, ok := compileValSrc(v.Pattern, l, params)
+	pat, ok := compileValSrc(v.Pattern, sc)
 	if !ok {
 		return nil
 	}
 	not := v.Not
-	return func(_ *batchArena, rows []sqltypes.Row, sel []int32, out []int8) {
+	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+		s, p := src.bind(env), pat.bind(env)
 		for _, i := range sel {
 			row := rows[i]
-			val, pv := src.get(row), pat.get(row)
+			val, pv := s.get(row), p.get(row)
 			if val.IsNull() || pv.IsNull() {
 				out[i] = triNull
 				continue
