@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzBulkLoadEquivalence asserts that for any set of keys, BulkLoad over
-// the sorted unique items produces a tree that is entry-for-entry and
+// FuzzBulkLoadEquivalence asserts that for any set of keys, SlabItems sorts
+// them and BulkLoad over its items produces a tree that is entry-for-entry and
 // invariant-identical (via Validate) to one grown by incremental Put — and
 // that AppendBulk over a sorted suffix agrees with both.
 //
@@ -29,6 +29,10 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 	f.Add(big)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Keys go through SlabItems in first-appearance order, the way an index
+		// build hands over entries in clustered order; later values win, like
+		// repeated Put.
+		var keys [][]byte
 		uniq := map[string]int{}
 		for i := 0; len(data) > 0; i++ {
 			n := int(data[0])%17 + 1
@@ -39,33 +43,35 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 			if n == 0 {
 				break
 			}
-			uniq[string(data[:n])] = i // later values win, like repeated Put
+			if _, seen := uniq[string(data[:n])]; !seen {
+				keys = append(keys, data[:n])
+			}
+			uniq[string(data[:n])] = i
 			data = data[n:]
 		}
-		keys := make([]string, 0, len(uniq))
+		slab, offs := slabOf(keys)
+		items := SlabItems(slab, offs, func(_ int, key []byte) interface{} { return uniq[string(key)] })
+		sorted := make([]string, 0, len(uniq))
 		for k := range uniq {
-			keys = append(keys, k)
+			sorted = append(sorted, k)
 		}
-		sort.Strings(keys)
+		sort.Strings(sorted)
 
-		items := make([]Item, len(keys))
 		inc := New()
-		for i, k := range keys {
-			items[i] = Item{Key: []byte(k), Val: uniq[k]}
+		for i, k := range sorted {
+			if string(items[i].Key) != k {
+				t.Fatalf("SlabItems position %d: %x, want %x", i, items[i].Key, k)
+			}
 			inc.Put([]byte(k), uniq[k])
 		}
 		bulk := BulkLoad(items)
 
 		appended := New()
-		split := len(keys) / 2
-		for _, k := range keys[:split] {
-			appended.Put([]byte(k), uniq[k])
+		split := len(items) / 2
+		for _, it := range items[:split] {
+			appended.Put(it.Key, it.Val)
 		}
-		tail := make([]Item, 0, len(keys)-split)
-		for _, k := range keys[split:] {
-			tail = append(tail, Item{Key: []byte(k), Val: uniq[k]})
-		}
-		if !appended.AppendBulk(tail) {
+		if !appended.AppendBulk(items[split:]) {
 			t.Fatal("AppendBulk rejected a sorted suffix beyond the current max")
 		}
 

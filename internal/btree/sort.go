@@ -2,99 +2,97 @@ package btree
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 )
 
-// SortItems sorts items by bytewise key order. It is the companion to
-// BulkLoad for callers whose entries are not naturally sorted (secondary
-// index keys emitted in clustered order): an MSD radix sort over the key
-// bytes, O(n·keylen) instead of O(n log n) comparisons, which is what makes
-// sort-then-bulk-load competitive with the clustered fast append. Equal
-// keys keep their relative order only if they are identical byte strings,
-// which BulkLoad rejects anyway — callers must guarantee unique keys.
-func SortItems(items []Item) {
-	if len(items) < 2 {
-		return
+// SlabItems returns the keys held back to back in slab as Items in bytewise
+// key order, ready for BulkLoad or AppendBulk: key i is slab[offs[i]:offs[i+1]]
+// (offs has one entry more than there are keys) and its value is val(i, key).
+// Sorting is pointer-free until the Items are emitted — an MSD radix sort over
+// the key bytes permutes int32 key numbers, never the keys, so a GC mark
+// running beside it has nothing to scan or barrier — and skipped for keys
+// already in order (a primary-key-prefix index). Each key is a sub-slice of
+// slab with cap == len, so appending to one never writes into the next; the
+// slab stays reachable while any key or value cut from it is in any tree.
+// Keys must be unique, as BulkLoad requires.
+func SlabItems(slab []byte, offs []int, val func(i int, key []byte) interface{}) []Item {
+	perm := make([]int32, len(offs)-1)
+	sorted := true
+	for i := range perm {
+		perm[i] = int32(i)
+		if sorted && i > 0 && bytes.Compare(slab[offs[i-1]:offs[i]], slab[offs[i]:offs[i+1]]) >= 0 {
+			sorted = false
+		}
 	}
-	aux := make([]Item, len(items))
-	radixSortItems(items, aux, 0)
+	if !sorted {
+		sortSlab(slab, offs, perm, make([]int32, len(perm)), 0)
+	}
+	items := make([]Item, len(perm))
+	for i, k := range perm {
+		key := slab[offs[k]:offs[k+1]:offs[k+1]]
+		items[i] = Item{Key: key, Val: val(int(k), key)}
+	}
+	return items
 }
 
 // radixCutoff is the bucket size below which comparison sort beats another
 // counting pass.
 const radixCutoff = 64
 
-func radixSortItems(items, aux []Item, depth int) {
-	for len(items) > radixCutoff {
-		// Bucket 0 holds keys exhausted at this depth; byte b lands in b+1.
+// sortSlab orders perm by the slab keys it numbers. Every key in perm agrees
+// with the others on its first depth bytes.
+func sortSlab(slab []byte, offs []int, perm, aux []int32, depth int) {
+	for len(perm) > radixCutoff {
+		// Bucket 0 holds keys exhausted at this depth (shorter keys sort
+		// first, matching bytes.Compare); byte b lands in b+1.
 		var counts [257]int
-		for i := range items {
-			counts[bucketOf(items[i].Key, depth)]++
+		for _, k := range perm {
+			counts[slabBucket(slab, offs, k, depth)]++
+		}
+		if counts[0] == len(perm) {
+			return // every key ends here, so they are all equal
 		}
 		var offsets [257]int
-		sum := 0
+		sum, largest := 0, 1
 		for b, c := range counts {
 			offsets[b] = sum
 			sum += c
-		}
-		pos := offsets
-		for i := range items {
-			b := bucketOf(items[i].Key, depth)
-			aux[pos[b]] = items[i]
-			pos[b]++
-		}
-		copy(items, aux[:len(items)])
-		// Recurse into every byte bucket except the largest, which is handled
-		// by the enclosing loop (tail-call elimination bounds the stack by the
-		// number of distinct branching prefixes, not the key length).
-		largest := -1
-		for b := 1; b <= 256; b++ {
-			if counts[b] > 1 && (largest < 0 || counts[b] > counts[largest]) {
+			if b > 0 && c > counts[largest] {
 				largest = b
 			}
 		}
-		for b := 1; b <= 256; b++ {
-			if b != largest && counts[b] > 1 {
-				radixSortItems(items[offsets[b]:offsets[b]+counts[b]], aux, depth+1)
+		// A depth where every key has the same byte costs this counting pass
+		// and no move.
+		if counts[largest] < len(perm) {
+			pos := offsets
+			for _, k := range perm {
+				b := slabBucket(slab, offs, k, depth)
+				aux[pos[b]] = k
+				pos[b]++
+			}
+			copy(perm, aux[:len(perm)])
+			// Recurse into every byte bucket except the largest, which the
+			// enclosing loop takes: the stack is bounded by the number of
+			// distinct branching prefixes, not by the key length.
+			for b := 1; b <= 256; b++ {
+				if b != largest && counts[b] > 1 {
+					sortSlab(slab, offs, perm[offsets[b]:offsets[b]+counts[b]], aux, depth+1)
+				}
 			}
 		}
-		if largest < 0 {
-			return
-		}
-		items = items[offsets[largest] : offsets[largest]+counts[largest]]
-		aux = aux[:len(items)]
+		perm = perm[offsets[largest] : offsets[largest]+counts[largest]]
 		depth++
 	}
-	sort.Sort(itemSuffixSort{items, depth})
+	slices.SortFunc(perm, func(a, b int32) int {
+		return bytes.Compare(slab[offs[a]+depth:offs[a+1]], slab[offs[b]+depth:offs[b+1]])
+	})
 }
 
-// bucketOf maps the key byte at depth to a counting bucket: 0 for exhausted
-// keys (shorter keys sort first, matching bytes.Compare), 1+b otherwise.
-func bucketOf(key []byte, depth int) int {
-	if depth >= len(key) {
-		return 0
+// slabBucket maps the byte at depth of key k to a counting bucket: 0 when the
+// key is exhausted, 1+b otherwise.
+func slabBucket(slab []byte, offs []int, k int32, depth int) int {
+	if p := offs[k] + depth; p < offs[k+1] {
+		return int(slab[p]) + 1
 	}
-	return int(key[depth]) + 1
+	return 0
 }
-
-type itemSuffixSort struct {
-	items []Item
-	depth int
-}
-
-func (s itemSuffixSort) Len() int { return len(s.items) }
-func (s itemSuffixSort) Less(i, j int) bool {
-	a, b := s.items[i].Key, s.items[j].Key
-	if s.depth < len(a) {
-		a = a[s.depth:]
-	} else {
-		a = nil
-	}
-	if s.depth < len(b) {
-		b = b[s.depth:]
-	} else {
-		b = nil
-	}
-	return bytes.Compare(a, b) < 0
-}
-func (s itemSuffixSort) Swap(i, j int) { s.items[i], s.items[j] = s.items[j], s.items[i] }

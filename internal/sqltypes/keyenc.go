@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Key encoding produces a binary string whose bytewise (memcmp) order equals
@@ -35,6 +36,18 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 		dst = encodeOne(dst, v)
 	}
 	return dst
+}
+
+// EncodedLen is len(EncodeKey(nil, v)), computed without encoding.
+func EncodedLen(v Value) int {
+	switch v.kind {
+	case KindNull:
+		return 1
+	case KindInt, KindFloat, KindBool:
+		return 9
+	default:
+		return 3 + len(v.s) + strings.Count(v.s, "\x00")
+	}
 }
 
 func encodeOne(dst []byte, v Value) []byte {

@@ -234,6 +234,19 @@ func TestKeyDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestEncodedLenMatchesEncodeKey(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	vals := []Value{Null, NewString(""), NewString("\x00"), NewString("a\x00\x00b"), NewBytes([]byte{0, 1, 0})}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, randomValue(r))
+	}
+	for _, v := range vals {
+		if got, want := EncodedLen(v), len(EncodeKey(nil, v)); got != want {
+			t.Fatalf("EncodedLen(%v) = %d, want %d", v, got, want)
+		}
+	}
+}
+
 func TestKeyDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeKey([]byte{}, 1); err == nil {
 		t.Error("empty key should fail")

@@ -183,6 +183,10 @@ func BenchmarkCloneUnderDML(b *testing.B) {
 	}
 }
 
+// maxBuildAllocsPerEntry bounds a bulk index build's allocations per entry:
+// the boxed value, plus a share of the slab, its offsets and the tree nodes.
+const maxBuildAllocsPerEntry = 1.3
+
 var benchBuildDef = &catalog.Index{Name: "ix_bench_user_day", Table: "events", Columns: []string{"user_id", "day"}}
 
 func BenchmarkBuildIndex(b *testing.B) {
@@ -285,7 +289,8 @@ func storeShared(live, snap *Store) btree.Footprint {
 // COW clone vs the old deep-copy clone (gated >= 100x at 100k rows), index
 // build vs incremental (gated >= 3x), adopting a snapshot-built index vs
 // building it (AdoptIndex at 0 / 100 / 10 000 changed rows; adopt_vs_build is
-// the 100-row case, gated >= 10x), and the memory amplification of a
+// the 100-row case, gated >= 10x), the build's allocations per entry (gated
+// <= maxBuildAllocsPerEntry), and the memory amplification of a
 // snapshot after 1000 DML ops (bytes shared vs copied). Wall-clock
 // sensitive, so it is env-gated out of plain `go test ./...`;
 // `make benchstorage` invokes it.
@@ -295,12 +300,13 @@ func TestBenchStorageReport(t *testing.T) {
 	}
 
 	type entry struct {
-		NsPerOp    int64 `json:"ns_per_op"`
-		Iterations int   `json:"iterations"`
+		NsPerOp     int64 `json:"ns_per_op"`
+		AllocsPerOp int64 `json:"allocs_per_op"`
+		Iterations  int   `json:"iterations"`
 	}
 	run := func(f func(*testing.B)) entry {
 		r := testing.Benchmark(f)
-		return entry{NsPerOp: r.NsPerOp(), Iterations: r.N}
+		return entry{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), Iterations: r.N}
 	}
 	bench := map[string]entry{
 		"StoreClone":            run(BenchmarkStoreClone),
@@ -408,6 +414,9 @@ func TestBenchStorageReport(t *testing.T) {
 	}
 	if report.Speedup["adopt_vs_build"] < 10 {
 		t.Errorf("adopting with 100 changed rows only %.2fx faster than building, want >= 10x — the catch-up is doing build-sized work", report.Speedup["adopt_vs_build"])
+	}
+	if per := float64(bench["BuildIndex"].AllocsPerOp) / benchRows; per > maxBuildAllocsPerEntry {
+		t.Errorf("BuildIndex makes %.3f allocations per entry, want <= %.1f", per, maxBuildAllocsPerEntry)
 	}
 	if report.Memory.SharedPercent < 50 {
 		t.Errorf("only %.1f%% of the store shared after %d DML ops — structural sharing is not holding", report.Memory.SharedPercent, dmlOps)

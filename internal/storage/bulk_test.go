@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"aim/internal/btree"
 	"aim/internal/catalog"
 	"aim/internal/obs"
 	"aim/internal/sqltypes"
@@ -159,44 +162,234 @@ func TestCloneInheritsWorkers(t *testing.T) {
 	}
 }
 
-func TestBuildIndexBulkMatchesIncremental(t *testing.T) {
-	s := seededStore(t, 400)
-	tbl := s.Table("users")
-	var m Metrics
-	ix, err := tbl.BuildIndex(&catalog.Index{Name: "u_age", Table: "users", Columns: []string{"age"}}, &m)
+// newRegionsTable is a table with a composite string+int primary key, so pk
+// encodings (and the pk tails of index entries) differ in length.
+func newRegionsTable(t *testing.T) *Table {
+	t.Helper()
+	def, err := catalog.NewTable("regions", []catalog.Column{
+		{Name: "region", Type: sqltypes.KindString},
+		{Name: "id", Type: sqltypes.KindInt},
+		{Name: "city", Type: sqltypes.KindString},
+		{Name: "age", Type: sqltypes.KindInt},
+	}, []string{"region", "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Tree().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != tbl.RowCount() {
-		t.Fatalf("index len %d, rows %d", ix.Len(), tbl.RowCount())
-	}
-	if m.RowsRead != int64(tbl.RowCount()) || m.IndexWrites != int64(tbl.RowCount()) {
-		t.Fatalf("metrics = %+v", m)
-	}
-	// Reference: the entry set produced by per-row maintenance.
-	ref := NewTable(tbl.Def)
-	for it := tbl.Data().Seek(nil); it.Valid(); it.Next() {
-		if err := ref.Insert(it.Value().(sqltypes.Row), nil); err != nil {
-			t.Fatal(err)
+	return NewTable(def)
+}
+
+// regionRows returns n rows in primary-key order, with regions drawn above
+// from, NULL cities and ages, and cities holding 0x00 bytes (escaped in keys).
+func regionRows(r *rand.Rand, n int, from string) []sqltypes.Row {
+	cities := []string{"", "a", "a\x00", "a\x00b", "ab", "b\x00\x00"}
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		row := sqltypes.Row{sqltypes.NewString(fmt.Sprintf("%s%03d", from, i/7)), sqltypes.NewInt(int64(i % 7)), sqltypes.Null, sqltypes.Null}
+		if r.Intn(5) > 0 {
+			row[2] = sqltypes.NewString(cities[r.Intn(len(cities))])
 		}
+		if r.Intn(5) > 0 {
+			row[3] = sqltypes.NewInt(int64(r.Intn(40)))
+		}
+		rows[i] = row
 	}
-	rix, err := ref.BuildIndex(&catalog.Index{Name: "u_age", Table: "users", Columns: []string{"age"}}, nil)
-	if err != nil {
+	return rows
+}
+
+// sortedEntries encodes ix's entries for rows the way per-row maintenance
+// does (entryKey, the clustered key as value) and comparison-sorts them.
+func sortedEntries(tbl *Table, ix *Index, rows []sqltypes.Row) []btree.Item {
+	items := make([]btree.Item, len(rows))
+	for i, row := range rows {
+		items[i] = btree.Item{Key: ix.entryKey(row), Val: tbl.PKKey(row)}
+	}
+	slices.SortFunc(items, func(a, b btree.Item) int { return bytes.Compare(a.Key, b.Key) })
+	return items
+}
+
+// tableRows returns the table's rows in clustered order.
+func tableRows(tbl *Table) []sqltypes.Row {
+	var rows []sqltypes.Row
+	for it := tbl.Data().Seek(nil); it.Valid(); it.Next() {
+		rows = append(rows, it.Value().(sqltypes.Row))
+	}
+	return rows
+}
+
+// sameEntries fails unless got and want hold the same keys and values.
+func sameEntries(t *testing.T, got, want *btree.Tree) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ia, ib := ix.Tree().Seek(nil), rix.Tree().Seek(nil)
+	ia, ib := got.Seek(nil), want.Seek(nil)
 	for ib.Valid() {
-		if !ia.Valid() || string(ia.Key()) != string(ib.Key()) || string(ia.Value().([]byte)) != string(ib.Value().([]byte)) {
-			t.Fatal("bulk-built index diverged from incremental reference")
+		if !ia.Valid() || !bytes.Equal(ia.Key(), ib.Key()) || !bytes.Equal(ia.Value().([]byte), ib.Value().([]byte)) {
+			t.Fatal("entries diverged from the reference")
 		}
 		ia.Next()
 		ib.Next()
 	}
 	if ia.Valid() {
-		t.Fatal("bulk-built index has extra entries")
+		t.Fatal("extra entries beyond the reference")
+	}
+}
+
+// sameTree is sameEntries plus the page accounting: node for node.
+func sameTree(t *testing.T, got, want *btree.Tree) {
+	t.Helper()
+	sameEntries(t, got, want)
+	if got.Len() != want.Len() || got.Leaves() != want.Leaves() || got.Height() != want.Height() {
+		t.Fatalf("len/leaves/height = %d/%d/%d, want %d/%d/%d",
+			got.Len(), got.Leaves(), got.Height(), want.Len(), want.Leaves(), want.Height())
+	}
+}
+
+// incrementalIndex grows def's index the way per-row maintenance does: the
+// index exists first and every row arrives through Insert.
+func incrementalIndex(t *testing.T, def *catalog.Index, tbl *Table, rows []sqltypes.Row) *Index {
+	t.Helper()
+	ref := NewTable(tbl.Def)
+	ix, err := ref.BuildIndex(def, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if err := ref.Insert(row, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix
+}
+
+func TestBuildIndexBulkMatchesIncremental(t *testing.T) {
+	regions := newRegionsTable(t)
+	if err := regions.InsertBatch(regionRows(rand.New(rand.NewSource(3)), 700, "r"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tbl  *Table
+		def  *catalog.Index
+	}{
+		{"int", seededStore(t, 400).Table("users"), &catalog.Index{Name: "u_age", Table: "users", Columns: []string{"age"}}},
+		{"composite_nulls", regions, &catalog.Index{Name: "r_city_age", Table: "regions", Columns: []string{"city", "age"}}},
+		{"pk_prefix", regions, &catalog.Index{Name: "r_region", Table: "regions", Columns: []string{"region"}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var m Metrics
+			ix, err := c.tbl.PrepareIndex(c.def, &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := tableRows(c.tbl)
+			inc := incrementalIndex(t, c.def, c.tbl, rows)
+			sameEntries(t, ix.Tree(), inc.Tree())
+			if ix.SizeBytes() != inc.SizeBytes() {
+				t.Fatalf("bytes = %d, incremental %d", ix.SizeBytes(), inc.SizeBytes())
+			}
+			// Node for node the bulk load of the comparison-sorted entries.
+			want := btree.BulkLoad(sortedEntries(c.tbl, ix, rows))
+			sameTree(t, ix.Tree(), want)
+			n := int64(len(rows))
+			if wantM := (Metrics{RowsRead: n, IndexWrites: n, PageReads: int64(c.tbl.Data().Leaves() + want.Leaves())}); m != wantM {
+				t.Fatalf("metrics = %+v, want %+v", m, wantM)
+			}
+		})
+	}
+}
+
+// TestInsertBatchIntoIndexedTableMatchesReference appends a batch to a table
+// that already has secondary indexes: each index must come out node for node
+// as the comparison-sorted batch entries appended (or, where they interleave
+// with existing keys, Put in order) onto its previous tree.
+func TestInsertBatchIntoIndexedTableMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	tbl := newRegionsTable(t)
+	first := regionRows(r, 600, "m")
+	if err := tbl.InsertBatch(first, nil); err != nil {
+		t.Fatal(err)
+	}
+	defs := []*catalog.Index{
+		{Name: "r_city_age", Table: "regions", Columns: []string{"city", "age"}},
+		{Name: "r_region", Table: "regions", Columns: []string{"region"}}, // appends: new regions sort last
+		{Name: "r_age", Table: "regions", Columns: []string{"age"}},
+	}
+	before := map[string]*btree.Tree{}
+	for _, def := range defs {
+		ix, err := tbl.BuildIndex(def, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[def.Name] = ix.Tree().Clone()
+	}
+	second := regionRows(r, 400, "z")
+	var m Metrics
+	if err := tbl.InsertBatch(second, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range defs {
+		ix := tbl.Index(def.Name)
+		want := before[def.Name]
+		entries := sortedEntries(tbl, ix, second)
+		if !want.AppendBulk(entries) {
+			for _, e := range entries {
+				want.PutOwned(e.Key, e.Val)
+			}
+		}
+		sameTree(t, ix.Tree(), want)
+		sameEntries(t, ix.Tree(), incrementalIndex(t, def, tbl, append(slices.Clone(first), second...)).Tree())
+	}
+	pages := int64(len(second)+1)/int64(bulkPageEntries) + 1
+	n := int64(len(second))
+	if wantM := (Metrics{RowWrites: n, IndexWrites: n * int64(len(defs)), PageReads: pages * int64(1+len(defs))}); m != wantM {
+		t.Fatalf("metrics = %+v, want %+v", m, wantM)
+	}
+}
+
+// TestBuiltKeysDoNotShareCapacity appends to every key and value taken from
+// bulk-built trees: each is cut from one slab with cap == len, so the append
+// must reallocate and leave the neighbouring entries unchanged.
+func TestBuiltKeysDoNotShareCapacity(t *testing.T) {
+	tbl := newRegionsTable(t)
+	if _, err := tbl.BuildIndex(&catalog.Index{Name: "r_city", Table: "regions", Columns: []string{"city"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertBatch(regionRows(rand.New(rand.NewSource(4)), 300, "r"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.BuildIndex(&catalog.Index{Name: "r_city_age", Table: "regions", Columns: []string{"city", "age"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := &Store{tables: map[string]*Table{"regions": tbl}}
+	want := renderStore(s)
+	for _, ix := range tbl.Indexes() {
+		for it := ix.Tree().Seek(nil); it.Valid(); it.Next() {
+			k, v := it.Key(), it.Value().([]byte)
+			if cap(k) != len(k) || cap(v) != len(v) {
+				t.Fatalf("%s: key cap %d len %d, value cap %d len %d", ix.Def.Name, cap(k), len(k), cap(v), len(v))
+			}
+			_ = append(k, 0xEE, 0xEE)
+			_ = append(v, 0xEE)
+		}
+	}
+	if renderStore(s) != want {
+		t.Fatal("appending to a key wrote into its neighbour")
+	}
+}
+
+// TestPrepareIndexAllocsPerEntry pins the bulk build's allocations: one boxed
+// value per entry plus the slab, its offsets and the tree's nodes.
+func TestPrepareIndexAllocsPerEntry(t *testing.T) {
+	const rows = 20_000
+	tbl := benchFixtureSized(t, rows).Table("events")
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := tbl.PrepareIndex(benchBuildDef, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / rows; per > maxBuildAllocsPerEntry {
+		t.Fatalf("PrepareIndex makes %.3f allocations per entry, want <= %.1f", per, maxBuildAllocsPerEntry)
 	}
 }
 

@@ -250,14 +250,13 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 		// Bulk appends write whole pages, not per-row root-to-leaf descents.
 		m.PageReads += int64(len(rows)+1)/int64(bulkPageEntries) + 1
 	}
-	for _, ix := range t.indexes {
-		entries := make([]btree.Item, len(items))
-		for i := range items {
-			stored := items[i].Val.(sqltypes.Row)
-			entries[i] = btree.Item{Key: ix.entryKey(stored), Val: items[i].Key}
-			ix.bytes += ix.entrySize(stored)
+	batch := func(fn func(pk []byte, row sqltypes.Row)) {
+		for _, it := range items {
+			fn(it.Key, it.Val.(sqltypes.Row))
 		}
-		btree.SortItems(entries)
+	}
+	for _, ix := range t.indexes {
+		entries := ix.bulkEntries(batch)
 		if !ix.tree.AppendBulk(entries) {
 			for _, e := range entries {
 				ix.tree.PutOwned(e.Key, e.Val)
@@ -278,6 +277,35 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 // bulkPageEntries approximates entries per written page for bulk-append
 // I/O accounting (≈90% of the btree degree).
 const bulkPageEntries = 57
+
+// bulkEntries returns, in key order for BulkLoad or AppendBulk, the entries
+// of the rows each hands over with their clustered keys. The entry keys are
+// encoded into one slab sized to the bytes it holds and sorted there
+// (btree.SlabItems); an entry's value is its key's pk tail, so it adds no
+// bytes. Encoding is concatenative per value, so the stored pk bytes append
+// verbatim.
+func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) []btree.Item {
+	size, n := 0, 0
+	each(func(pk []byte, row sqltypes.Row) {
+		for _, o := range ix.ordinals {
+			size += sqltypes.EncodedLen(row[o])
+		}
+		size, n = size+len(pk), n+1
+	})
+	slab, offs, pkAt := make([]byte, 0, size), make([]int, 1, n+1), make([]int, 0, n)
+	each(func(pk []byte, row sqltypes.Row) {
+		for _, o := range ix.ordinals {
+			slab = sqltypes.EncodeKey(slab, row[o])
+		}
+		pkAt = append(pkAt, len(slab))
+		slab = append(slab, pk...)
+		offs = append(offs, len(slab))
+		ix.bytes += ix.entrySize(row)
+	})
+	return btree.SlabItems(slab, offs, func(i int, key []byte) interface{} {
+		return key[pkAt[i]-offs[i]:]
+	})
+}
 
 // insertStored is Insert for a row whose clustered key is already encoded.
 func (t *Table) insertStored(key []byte, stored sqltypes.Row, m *Metrics) error {
@@ -397,9 +425,9 @@ func (t *Table) BuildIndex(def *catalog.Index, m *Metrics) (*Index, error) {
 // PrepareIndex builds a secondary index over the current table contents
 // without attaching it, so several index builds over the same table can run
 // concurrently (builds only read the clustered tree; AttachIndex serializes
-// the map write). Entry keys are collected in one clustered scan, sorted
-// bytewise when the scan order does not already match (secondary entry keys
-// are generally not PK-ordered), and bulk-loaded in O(n).
+// the map write). Entry keys are encoded from clustered scans into one slab,
+// sorted bytewise when the scan order does not already match (secondary entry
+// keys are generally not PK-ordered), and bulk-loaded in O(n).
 func (t *Table) PrepareIndex(def *catalog.Index, m *Metrics) (*Index, error) {
 	lower := strings.ToLower(def.Name)
 	if _, dup := t.indexes[lower]; dup {
@@ -414,41 +442,17 @@ func (t *Table) PrepareIndex(def *catalog.Index, m *Metrics) (*Index, error) {
 		}
 		ix.ordinals = append(ix.ordinals, o)
 	}
-	items := make([]btree.Item, 0, t.data.Len())
-	vals := make([]sqltypes.Value, len(ix.ordinals))
-	var scratch []byte
-	sorted := true
-	for it := t.data.Seek(nil); it.Valid(); it.Next() {
-		row := it.Value().(sqltypes.Row)
-		// The stored clustered key is immutable: share it as the entry value
-		// and splice its bytes into the entry key instead of re-encoding the
-		// pk columns (key encoding is concatenative per value).
-		pk := it.Key()
-		for i, o := range ix.ordinals {
-			vals[i] = row[o]
+	items := ix.bulkEntries(func(fn func(pk []byte, row sqltypes.Row)) {
+		for it := t.data.Seek(nil); it.Valid(); it.Next() {
+			fn(it.Key(), it.Value().(sqltypes.Row))
 		}
-		scratch = sqltypes.EncodeKey(scratch[:0], vals...)
-		key := make([]byte, len(scratch)+len(pk))
-		copy(key[copy(key, scratch):], pk)
-		if sorted && len(items) > 0 && bytes.Compare(items[len(items)-1].Key, key) >= 0 {
-			sorted = false
-		}
-		items = append(items, btree.Item{Key: key, Val: pk})
-		ix.bytes += ix.entrySize(row)
-		if m != nil {
-			m.RowsRead++
-			m.IndexWrites++
-		}
-	}
-	// Sorted-input detection: an index whose columns form a PK prefix emits
-	// entries already in clustered order — skip the sort for those.
-	if !sorted {
-		btree.SortItems(items)
-	}
+	})
 	// Entry keys are unique (PK suffix) and freshly encoded: ownership
 	// transfers to the tree, no re-copy.
 	ix.tree = btree.BulkLoad(items)
 	if m != nil {
+		m.RowsRead += int64(len(items))
+		m.IndexWrites += int64(len(items))
 		m.PageReads += int64(t.data.Leaves() + ix.tree.Leaves())
 	}
 	if ms := instr.Load(); ms != nil {
@@ -465,8 +469,8 @@ var ErrSnapshotStale = errors.New("storage: snapshot too far behind the table to
 
 // adoptMaxChanged is the share of the table's rows (1/adoptMaxChanged) past
 // which AdoptIndex gives up. A catch-up row costs a delete and an insert by
-// descent, about 3 µs, where a build spends 0.3 µs a row (BENCH_storage.json:
-// AdoptIndex at 10 000 changed rows of 100 000 costs what BuildIndex costs),
+// descent, about 6 µs, where a build spends 0.3 µs a row (BENCH_storage.json:
+// BuildIndex 32 ms at 100 000 rows, AdoptIndex 61 ms at 10 000 changed rows),
 // so past a tenth of the table the build is the cheaper way to the same
 // index. Structural, like the btree's degree: no workload wants another value.
 const adoptMaxChanged = 10
