@@ -9,7 +9,7 @@
 // and figure of its evaluation.
 //
 // This root package is a thin facade over the implementation packages; see
-// the examples/ directory and README.md for end-to-end usage.
+// examples/quickstart and README.md for end-to-end usage.
 //
 //	db := aim.NewDB("mydb")
 //	db.MustExec(`CREATE TABLE t (id INT, a INT, PRIMARY KEY (id))`)
@@ -25,6 +25,7 @@ import (
 	"aim/internal/core"
 	"aim/internal/engine"
 	"aim/internal/regression"
+	"aim/internal/server"
 	"aim/internal/shadow"
 	"aim/internal/workload"
 )
@@ -80,3 +81,7 @@ type RegressionDetector = regression.Detector
 func NewRegressionDetector(threshold float64) *RegressionDetector {
 	return regression.NewDetector(threshold)
 }
+
+// Tuner is the one tuning cycle — recommend, shadow-validate, adopt what the
+// gate accepted, revert what regressed; Run takes an observed window.
+type Tuner = server.Tuner

@@ -1,13 +1,17 @@
-// Quickstart: create a database, run a workload, let AIM recommend indexes,
-// validate them on a shadow clone, apply, and observe the speedup.
+// Quickstart: create a database, run a workload, and let one tuning cycle
+// recommend indexes, validate them on a shadow clone and adopt what the gate
+// accepts; then observe the speedup.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"aim/internal/core"
 	"aim/internal/engine"
+	"aim/internal/regression"
+	"aim/internal/server"
 	"aim/internal/shadow"
 	"aim/internal/workload"
 )
@@ -44,34 +48,33 @@ func main() {
 	}
 	fmt.Printf("before tuning: %.4fs cpu for %d statements\n", beforeCPU, 20*len(queries))
 
-	// 3. Ask AIM for a recommendation.
+	// 3. One tuning cycle: AIM recommends, the shadow gate (the no-regression
+	// check) validates on a clone, and only what it accepts is adopted.
 	cfg := core.DefaultConfig()
 	cfg.Selection.MinExecutions = 1
-	adv := core.NewAdvisor(db, cfg)
-	rec, err := adv.Recommend(mon)
+	tuner := &server.Tuner{DB: db, Adv: core.NewAdvisor(db, cfg), Detector: regression.NewDetector(0.5), Gate: shadow.DefaultGate()}
+	out, err := tuner.Run(mon)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nAIM recommends %d indexes (%d optimizer calls in %s):\n",
-		len(rec.Create), rec.OptimizerCalls, rec.Elapsed.Round(1000000))
-	for _, e := range rec.Explanations {
+		len(out.Rec.Create), out.Rec.OptimizerCalls, out.Rec.Elapsed.Round(1000000))
+	for _, e := range out.Rec.Explanations {
 		fmt.Println("  " + e.String())
 	}
-
-	// 4. Validate on a shadow clone (the no-regression gate), then apply.
-	report, err := shadow.Validate(db, rec.Create, mon, shadow.DefaultGate())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nshadow gate: %s\n", report.Reason)
-	if !report.Accepted {
+	if out.Report == nil {
 		return
 	}
-	if _, err := adv.Apply(rec); err != nil {
-		log.Fatal(err)
+	fmt.Printf("\nshadow gate: %s\n", out.Report.Reason)
+	if out.ApplyErr != nil {
+		log.Fatal(out.ApplyErr)
 	}
+	if len(out.Adopted) == 0 {
+		return
+	}
+	fmt.Printf("adopted: %s\n", strings.Join(out.Adopted, ", "))
 
-	// 5. Re-run the workload and compare.
+	// 4. Re-run the workload and compare.
 	var afterCPU float64
 	for round := 0; round < 20; round++ {
 		for _, q := range queries {

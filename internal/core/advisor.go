@@ -392,6 +392,9 @@ func (a *Advisor) findUnusedIndexes(rep []*workload.QueryStats) ([]*catalog.Inde
 // catalog exactly as it found it rather than adopting a prefix of the
 // recommendation. It collects no statistics: they describe table data,
 // which index DDL does not change.
+//
+// Apply has no shadow verdict, so the tuning cycle adopts through Adopt;
+// its one non-test caller is bench/trace.go's phase replica.
 func (a *Advisor) Apply(rec *Recommendation) ([]string, error) {
 	return a.apply(rec, a.DB.CreateIndexes)
 }

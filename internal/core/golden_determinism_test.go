@@ -20,8 +20,8 @@ import (
 // optimizer-call count. The comparison renders every float with %x (hex
 // mantissa), so even one ULP of drift from a reordered float fold fails.
 
-// ecommerceGoldenDB mirrors examples/ecommerce: a products/orders shape
-// with a mixed read/write workload.
+// ecommerceGoldenDB is an e-commerce shape: products and orders under a
+// mixed read/write workload.
 func ecommerceGoldenDB(t testing.TB) (*engine.DB, []string) {
 	t.Helper()
 	db := engine.New("golden_ecommerce")
@@ -54,8 +54,8 @@ func ecommerceGoldenDB(t testing.TB) (*engine.DB, []string) {
 	return db, queries
 }
 
-// joinheavyGoldenDB mirrors examples/joinheavy: a fact table joining three
-// dimensions, exercising the J-parameter powerset paths.
+// joinheavyGoldenDB is a star join: a fact table joining three dimensions,
+// exercising the J-parameter powerset paths.
 func joinheavyGoldenDB(t testing.TB) (*engine.DB, []string) {
 	t.Helper()
 	db := engine.New("golden_joinheavy")

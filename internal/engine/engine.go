@@ -4,7 +4,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -405,18 +404,80 @@ func (db *DB) CreateIndexes(defs []*catalog.Index) (*Result, error) {
 // AdoptIndexes is CreateIndexes for indexes already built on built, a
 // snapshot of this database nothing has written since: each is caught up with
 // what this database wrote after the snapshot (storage.AdoptIndex — no work
-// when nothing did) and attached. It is the tuning cycle's handoff from the
-// shadow gate and has no other caller: the gate's verdict is what licenses
-// the trees. storage.ErrSnapshotStale (batch rolled back, like any failure)
-// tells the caller to build instead.
+// when nothing did) and attached. It is the tuning cycle's gated handoff from
+// the shadow gate, on the snapshot CatchUp returns, and has no other caller:
+// the gate's verdict is what licenses the trees.
 func (db *DB) AdoptIndexes(built *DB, defs []*catalog.Index) (*Result, error) {
 	return db.addIndexes(defs, func(tbl *storage.Table, def *catalog.Index, _ *storage.Metrics) (*storage.Index, error) {
-		ix, err := tbl.AdoptIndex(def, built.Store.Table(def.Table))
-		if errors.Is(err, storage.ErrSnapshotStale) {
-			return nil, failpoint.Abort(err) // a retry would find it as stale
-		}
+		ix, _, err := tbl.AdoptIndex(def, built.Store.Table(def.Table))
 		return ix, err
 	})
+}
+
+// The catch-up rounds' constants. A round re-derives a changed row in about
+// 9.4 µs (BENCH_storage.json: AdoptIndex/changed=100, 0.94 ms), so once a
+// round re-derived at most catchUpBound rows, what was written while it ran
+// leaves the gated AdoptIndexes about a millisecond. Writers at half the
+// catch-up's pace halve each round, and maxCatchUpRounds halvings take the
+// largest first round, a 100 000-row table rewritten whole, under the bound;
+// faster writers outpace the catch-up. Structural, like the sort's
+// radixCutoff: ratios of this implementation's costs, not options.
+const (
+	catchUpBound     = 100
+	maxCatchUpRounds = 10
+)
+
+// CatchUp brings the trees built (an accepted shadow report's snapshot of
+// db) holds for defs up to db in rounds that hold only the clone gate: each
+// takes a plain Clone of db, attaches to it the previous round's trees
+// caught up by storage.AdoptIndex, and releases the previous round's
+// snapshot — so the trees stay the indexes as if created at the validation
+// snapshot and maintained since. Once a round re-derived at most
+// catchUpBound rows its snapshot is returned, for AdoptIndexes to diff under
+// the write gate and the caller to release; after maxCatchUpRounds nothing is
+// kept and the error names the rows outstanding. No failpoint is evaluated,
+// built is neither written nor released, and engine.adopt_rounds observes
+// the rounds run.
+func (db *DB) CatchUp(built *DB, defs []*catalog.Index) (*DB, error) {
+	prev := built
+	for round := 1; ; round++ {
+		snap := db.Clone("catch-up")
+		changed, err := catchUpRound(snap, prev, defs)
+		if prev != built {
+			prev.Release()
+		}
+		if err == nil && changed > catchUpBound {
+			if round < maxCatchUpRounds {
+				prev = snap
+				continue
+			}
+			err = fmt.Errorf("engine: catch-up outpaced: %d rows still outstanding after %d rounds (bound %d)", changed, round, catchUpBound)
+		}
+		db.obs.Histogram("engine.adopt_rounds").Observe(float64(round))
+		if err != nil {
+			snap.Release()
+			return nil, err
+		}
+		return snap, nil
+	}
+}
+
+// catchUpRound attaches to snap's tables the trees prev holds for defs,
+// caught up to snap, and returns the rows it re-derived.
+func catchUpRound(snap, prev *DB, defs []*catalog.Index) (int, error) {
+	changed := 0
+	for _, def := range defs {
+		tbl := snap.Store.Table(def.Table) // built's tables are db's: tables are never dropped
+		ix, n, err := tbl.AdoptIndex(def, prev.Store.Table(def.Table))
+		if err == nil {
+			err = tbl.AttachIndex(ix)
+		}
+		if err != nil {
+			return 0, err
+		}
+		changed += n
+	}
+	return changed, nil
 }
 
 // addIndexes is the batch both go through: register, prepare each tree

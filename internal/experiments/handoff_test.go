@@ -20,13 +20,15 @@ import (
 
 // TestLiveAdoptionUnderConcurrentWrites is the live pin of "sessions write
 // while the tuner applies": over loopback TCP (under -race in `make check`)
-// two sessions update the columns about to be indexed, without pause, while a
-// control connection tunes on windows of reads over those columns until the
-// cycle adopts. The adopted trees were built on a snapshot the writers have
-// since left behind, so the handoff had rows to catch up (or, had they
-// rewritten a tenth of the table, a build to fall back to) — and after the
-// drain every secondary index must equal a fresh build of its definition over
-// the table as the writers left it, catalog and store agreeing.
+// two sessions update the columns about to be indexed, without pause, and a
+// third rewrites a tenth of the table in one bulk UPDATE per tuning cycle,
+// while a control connection tunes on windows of reads over those columns
+// until the cycle adopts. The rewrite lands during validation, so a
+// catch-up round of its own re-derives it outside the write gate, and point
+// writes land during the last round, so the gated diff has rows of its own;
+// no index build completes while the write gate is held. After the drain
+// every secondary index must equal a fresh build of its definition over the
+// table as the writers left it, catalog and store agreeing.
 func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 	const rows = 30000
 	db := engine.New("handoff")
@@ -49,6 +51,19 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 	gate := shadow.DefaultGate()
 	gate.Lambda3 = 1000
 	srv := server.New(server.Options{DB: db, Gate: &gate, Obs: reg})
+	// The first snapshot a cycle takes is the shadow gate's: once it is
+	// taken the bulk writer is let go, and the next snapshot, the first
+	// catch-up round's, waits for its rewrite. The write side, in turn, waits
+	// for a point write that landed after the last snapshot, so the gated
+	// diff always has a row to re-derive.
+	stop := make(chan struct{})
+	var pointWrites atomic.Int64
+	exec := srv.Tuner().Write
+	hook := &snapHook{Locker: exec, fire: make(chan struct{}, 1), done: make(chan struct{}, 1), stop: stop, writes: &pointWrites}
+	db.SetCloneGate(hook)
+	held := &heldGate{Locker: exec, hook: hook, builds: reg.Histogram("storage.index_build_seconds"),
+		rows: reg.Histogram("storage.adopt_catchup_rows")}
+	srv.Tuner().Write = held
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +77,6 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 	}
 	reader, control := dial(), dial()
 
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var written [2]int
 	for s := range written {
@@ -84,6 +98,34 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 					return
 				}
 				written[s]++
+				pointWrites.Add(1)
+			}
+		}()
+	}
+
+	// The bulk writer rewrites a tenth of kv, the k-th tenth in the k-th
+	// cycle, in one UPDATE.
+	var rewritten atomic.Int64
+	{
+		cl := dial()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer cl.Close() //nolint:errcheck // nothing buffered
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				case <-hook.fire:
+				}
+				lo := k % 10 * rows / 10
+				_, err := cl.Query(fmt.Sprintf("UPDATE kv SET v = v + 1 WHERE id >= %d AND id < %d", lo, lo+rows/10))
+				hook.done <- struct{}{}
+				if err != nil {
+					t.Errorf("bulk writer: %v", err) // and keep answering the hook
+					continue
+				}
+				rewritten.Add(rows / 10)
 			}
 		}()
 	}
@@ -118,6 +160,7 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		hook.armed.Store(true)
 		line, err := control.Tune()
 		if err != nil {
 			t.Fatal(err)
@@ -150,12 +193,14 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 		t.Fatal("five tuned windows of reads on kv(v) adopted nothing")
 	}
 
-	catchUp := reg.Histogram("storage.adopt_catchup_rows").Snapshot()
-	fallbacks := reg.Counter("storage.adopt_fallbacks").Value()
-	t.Logf("writers sent %d + %d updates; handoffs %d re-deriving %v rows, fallbacks %d",
-		written[0], written[1], catchUp.Count, catchUp.Sum, fallbacks)
-	if catchUp.Sum == 0 && fallbacks == 0 {
-		t.Error("no write landed between the snapshot and the adoption: the test exercised nothing")
+	rounds := reg.Histogram("engine.adopt_rounds").Snapshot()
+	t.Logf("writers sent %d + %d updates and rewrote %d rows in bulk; %d catch-ups ran %v rounds; under the write gate %v rows re-derived, held at most %v",
+		written[0], written[1], rewritten.Load(), rounds.Count, rounds.Sum, held.gatedRows, held.longest)
+	if held.gatedBuilds != 0 {
+		t.Errorf("%d index builds completed while the write gate was held", held.gatedBuilds)
+	}
+	if rounds.Sum < 2 || held.gatedRows == 0 {
+		t.Error("the rewrite was not caught up in a round of its own, or nothing landed during the last round: the test exercised nothing")
 	}
 	if got := reg.Gauge("storage.snapshots_live").Value(); got != 0 {
 		t.Errorf("storage.snapshots_live = %d after the drain", got)
@@ -180,4 +225,76 @@ func TestLiveAdoptionUnderConcurrentWrites(t *testing.T) {
 			iw.Next()
 		}
 	}
+}
+
+// snapHook is the clone gate with a trigger: the first snapshot taken after
+// armed is set fires the bulk writer, and the snapshot after it waits until
+// the writer is done (or stopped). Each snapshot notes the point writes
+// counted so far.
+type snapHook struct {
+	sync.Locker
+	armed, pending   atomic.Bool
+	fire, done, stop chan struct{}
+	writes           *atomic.Int64
+	atSnap           atomic.Int64
+}
+
+func (h *snapHook) Lock() {
+	if h.pending.Swap(false) {
+		select {
+		case <-h.done:
+		case <-h.stop:
+		}
+	}
+	h.Locker.Lock()
+}
+
+func (h *snapHook) Unlock() {
+	h.atSnap.Store(h.writes.Load())
+	if h.armed.CompareAndSwap(true, false) {
+		h.pending.Store(true)
+		h.fire <- struct{}{}
+	}
+	h.Locker.Unlock()
+}
+
+func (h *snapHook) stopped() bool {
+	select {
+	case <-h.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// heldGate wraps the tuner's Write side: before taking it, it waits for a
+// point write executed after the last snapshot (each of the two writers may
+// have counted one that was in flight at the snapshot, hence the margin of
+// two), and it accounts what happened while it was held: index builds
+// completed and catch-up rows re-derived, and the longest hold.
+type heldGate struct {
+	sync.Locker
+	hook         *snapHook
+	builds, rows *obs.Histogram
+	at           time.Time
+	buildsAt     int64
+	rowsAt       float64
+	longest      time.Duration
+	gatedBuilds  int64
+	gatedRows    float64
+}
+
+func (g *heldGate) Lock() {
+	for g.hook.writes.Load() <= g.hook.atSnap.Load()+2 && !g.hook.stopped() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	g.Locker.Lock()
+	g.at, g.buildsAt, g.rowsAt = time.Now(), g.builds.Count(), g.rows.Sum()
+}
+
+func (g *heldGate) Unlock() {
+	g.longest = max(g.longest, time.Since(g.at))
+	g.gatedBuilds += g.builds.Count() - g.buildsAt
+	g.gatedRows += g.rows.Sum() - g.rowsAt
+	g.Locker.Unlock()
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"aim/internal/regression"
 	"aim/internal/shadow"
 	"aim/internal/sqlparser"
-	"aim/internal/storage"
 	"aim/internal/workload"
 )
 
@@ -40,8 +38,9 @@ type Tuner struct {
 	// that read statistics hold Read (they must not race live DML), phases
 	// that change the physical design hold Write. Nil means the caller
 	// already serializes (offline). Shadow validation holds neither: its one
-	// snapshot serializes through the engine's clone gate. Adoption holds
-	// Write to catch the validated trees up and attach them, not to build.
+	// snapshot serializes through the engine's clone gate, as do the
+	// adoption's catch-up rounds. Adoption holds Write only to diff the last
+	// round's writes and attach, never to build.
 	Read, Write sync.Locker
 
 	// MaintenanceGuard additionally runs the detector's write-amplification
@@ -85,9 +84,9 @@ type Outcome struct {
 	Report *shadow.Report
 	// Adopted are the catalog keys of the validated creations applied.
 	Adopted []string
-	// ApplyErr is set when an accepted batch failed to apply: the handoff (or
-	// its fallback build) rolled it back, the catalog is unchanged and a
-	// later cycle re-validates.
+	// ApplyErr is set when an accepted batch failed to apply: the catch-up
+	// was outpaced or the handoff rolled it back, the catalog is unchanged
+	// and a later cycle re-validates.
 	ApplyErr error
 	// Reverted are the catalog keys dropped this cycle, retirements first.
 	Reverted []string
@@ -222,8 +221,9 @@ func (t *Tuner) run(mon *workload.Monitor) (out Outcome, err error) {
 // adopt is the forward half of the cycle: drop candidates inside their
 // revert cooldown, validate the rest on shadow snapshots, and when the gate
 // accepts adopt exactly the validated creations — the trees it measured,
-// handed over from the report's snapshot, or, when the table has moved too
-// far from it for a catch-up to beat a build, built again under the gate.
+// caught up to the live tables in rounds outside the write gate
+// (engine.CatchUp), then handed over under it. Writers that outpace the
+// rounds fail the adoption like any failed handoff.
 func (t *Tuner) adopt(out *Outcome, mon *workload.Monitor) error {
 	// An index the loop just reverted must wait its cooldown out, or a
 	// borderline workload flips it adopt/revert forever.
@@ -251,13 +251,12 @@ func (t *Tuner) adopt(out *Outcome, mon *workload.Monitor) error {
 	if !report.Accepted {
 		return nil
 	}
-	hold(t.Write, func() {
-		_, out.ApplyErr = t.Adv.Adopt(kept, report.Built())
-		if errors.Is(out.ApplyErr, storage.ErrSnapshotStale) {
-			_, out.ApplyErr = t.Adv.Apply(&core.Recommendation{Create: kept})
-		}
-	})
-	if out.ApplyErr != nil {
+	caught, err := t.DB.CatchUp(report.Built(), kept)
+	if err == nil {
+		defer caught.Release()
+		hold(t.Write, func() { _, err = t.Adv.Adopt(kept, caught) })
+	}
+	if out.ApplyErr = err; err != nil {
 		t.ApplyFailures++
 		return nil
 	}

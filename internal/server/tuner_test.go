@@ -98,8 +98,8 @@ func TestCycleOrderAndGateSides(t *testing.T) {
 	if out.Cycle != 0 || out.Report == nil || !out.Report.Accepted || len(out.Adopted) != 1 || out.Adopted[0] != key {
 		t.Fatalf("adopting cycle: report=%+v adopted=%v", out.Report, out.Adopted)
 	}
-	if got := gate.take(); got != "r+ r- snap+ snap- w+ w- r+ r-" {
-		t.Errorf("adopting cycle took %q, want recommend on the read side, the snapshot with nothing held, apply on the write side, then observe on the read side", got)
+	if got := gate.take(); got != "r+ r- snap+ snap- snap+ snap- w+ w- r+ r-" {
+		t.Errorf("adopting cycle took %q, want recommend on the read side, the validation's and the one catch-up round's snapshots with nothing held, apply on the write side, then observe on the read side", got)
 	}
 
 	// First unused window ages the index; the second retires it through the
@@ -237,44 +237,73 @@ func TestCycleLeavesStatisticsAlone(t *testing.T) {
 	}
 }
 
-// writerGate is a Write side that stands for sessions writing while the
-// cycle validates: the first time it is taken it runs dml on the database
-// before granting the lock, so the statements land after the shadow snapshot
-// and before the adoption, every run alike. It also records how many index
-// builds had run when it was granted and when it was given back.
+// writerGate stands for sessions writing while the cycle validates and
+// adopts. Installed as both the clone gate and the Write side, it runs
+// dml[i] on the database before granting the snapshot of catch-up round
+// i+1 (with repeat, the last entry before every later round too; the first
+// snapshot is the shadow gate's), and cutover before first granting the
+// Write side, so the statements land at the same points every run. It
+// records the index builds and the catch-up rows re-derived while the Write
+// side was held.
 type writerGate struct {
-	db                  *engine.DB
-	dml                 []string
-	builds              *obs.Histogram
-	atLock, atUnlock    int64
-	taken, failedWrites int
+	db            *engine.DB
+	dml           [][]string
+	repeat        bool
+	cutover       []string
+	builds, rows  *obs.Histogram
+	snaps, writes int
+	gatedBuilds   int64
+	gatedRows     float64
+	failedWrites  int
+}
+
+func (g *writerGate) run(dml []string) {
+	for _, sql := range dml {
+		if _, err := g.db.Exec(sql); err != nil {
+			g.failedWrites++
+		}
+	}
 }
 
 func (g *writerGate) Lock() {
-	if g.taken++; g.taken == 1 {
-		for _, sql := range g.dml {
-			if _, err := g.db.Exec(sql); err != nil {
-				g.failedWrites++
-			}
-		}
-		g.atLock = g.builds.Count()
+	if g.writes++; g.writes == 1 {
+		g.run(g.cutover)
 	}
+	g.gatedBuilds -= g.builds.Count()
+	g.gatedRows -= g.rows.Sum()
 }
 
 func (g *writerGate) Unlock() {
-	if g.taken == 1 {
-		g.atUnlock = g.builds.Count()
+	g.gatedBuilds += g.builds.Count()
+	g.gatedRows += g.rows.Sum()
+}
+
+// snapshots is a writerGate's clone-gate side.
+type snapshots struct{ *writerGate }
+
+func (s snapshots) Lock() {
+	g := s.writerGate
+	g.snaps++
+	switch round := g.snaps - 2; {
+	case round >= 0 && round < len(g.dml):
+		g.run(g.dml[round])
+	case round >= 0 && g.repeat:
+		g.run(g.dml[len(g.dml)-1])
 	}
 }
 
+func (snapshots) Unlock() {}
+
 // TestCycleHandsOverTheValidatedTrees drives the handoff through Tuner.Run
 // on every path a validation can take: the trees the gate measured are
-// adopted with whatever the sessions wrote meanwhile caught up (no build
-// under the gate — one build per adoption, on the snapshot); a table that
-// moved too far is built under the gate as before; a handoff that fails
-// surfaces as ApplyErr over an unchanged catalog; and accepted, rejected,
-// degraded, failed and fallen-back cycles alike leave every index equal to a
-// fresh build of its definition and no snapshot handle behind.
+// adopted with whatever the sessions wrote meanwhile caught up in rounds
+// outside the write gate, the write gate diffing only what landed during
+// the last round — one build per adoption, on the snapshot, and none under
+// the gate, however much of the table moved; writers that outpace every
+// round and a handoff that fails both surface as ApplyErr over an unchanged
+// catalog; and accepted, rejected, degraded and failed cycles alike leave
+// every index equal to a fresh build of its definition and no snapshot
+// handle behind.
 func TestCycleHandsOverTheValidatedTrees(t *testing.T) {
 	const hot = "SELECT id FROM kv WHERE v = %d"
 	tail := []string{
@@ -284,26 +313,36 @@ func TestCycleHandsOverTheValidatedTrees(t *testing.T) {
 		"INSERT INTO kv VALUES (5000, 15000, 1)",
 		"UPDATE kv SET id = 6000 WHERE id = 501", // primary key
 	}
+	rewrite := []string{"UPDATE kv SET w = w + 1 WHERE id >= 0"}
+	churn := []string{"UPDATE kv SET v = v + 1 WHERE id < 150"} // a quarter of kv
 	for _, tc := range []struct {
-		name      string
-		dml       []string
-		faults    string
-		gate      func(*shadow.Gate)
-		adopted   bool
-		applyErr  bool
-		degraded  int
-		catchUp   float64 // rows re-derived by the handoff
-		builds    int64   // index builds in the whole cycle
-		gated     int64   // of them, while the write gate was held
-		fallbacks int64
+		name     string
+		dml      [][]string // dml[i] runs before catch-up round i+1's snapshot
+		repeat   bool
+		cutover  []string
+		faults   string
+		gate     func(*shadow.Gate)
+		adopted  bool
+		applyErr bool
+		degraded int
+		builds   int64   // index builds in the whole cycle, none under the write gate
+		caughtUp float64 // rows the catch-up rounds re-derived
+		gated    float64 // rows the handoff under the write gate re-derived
+		rounds   float64 // catch-up rounds run
 	}{
-		{name: "quiet table", adopted: true, builds: 1},
-		{name: "writes during validation", dml: tail, adopted: true, builds: 1, catchUp: 45},
-		{name: "table rewritten during validation", dml: []string{"UPDATE kv SET w = w + 1 WHERE id >= 0"},
-			adopted: true, builds: 2, gated: 1, fallbacks: 1},
-		{name: "rejected", dml: tail, gate: func(g *shadow.Gate) { g.Lambda2 = 0.9999999 }, builds: 1},
+		{name: "quiet table", adopted: true, builds: 1, rounds: 1},
+		{name: "writes during validation", dml: [][]string{tail}, adopted: true, builds: 1, caughtUp: 45, rounds: 1},
+		{name: "writes during the last round", cutover: tail, adopted: true, builds: 1, gated: 45, rounds: 1},
+		{name: "table rewritten during validation", dml: [][]string{rewrite},
+			adopted: true, builds: 1, caughtUp: 600, rounds: 2},
+		{name: "churn between rounds", dml: [][]string{rewrite, churn},
+			adopted: true, builds: 1, caughtUp: 750, rounds: 3},
+		{name: "writers outpace every round", dml: [][]string{churn}, repeat: true,
+			applyErr: true, builds: 1, caughtUp: 1500, rounds: 10},
+		{name: "rejected", dml: [][]string{tail}, gate: func(g *shadow.Gate) { g.Lambda2 = 0.9999999 }, builds: 1},
 		{name: "degraded", faults: "shadow.clone=err(1)", degraded: 1},
-		{name: "handoff fails", dml: tail, faults: "engine.create_index=err()@2-4", applyErr: true, builds: 1},
+		{name: "handoff fails", dml: [][]string{tail}, faults: "engine.create_index=err()@2-4", applyErr: true,
+			builds: 1, caughtUp: 45, rounds: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := newTuner(t)
@@ -322,8 +361,10 @@ func TestCycleHandsOverTheValidatedTrees(t *testing.T) {
 			if tc.gate != nil {
 				tc.gate(&c.Gate)
 			}
-			w := &writerGate{db: c.DB, dml: tc.dml, builds: reg.Histogram("storage.index_build_seconds")}
+			w := &writerGate{db: c.DB, dml: tc.dml, repeat: tc.repeat, cutover: tc.cutover,
+				builds: reg.Histogram("storage.index_build_seconds"), rows: reg.Histogram("storage.adopt_catchup_rows")}
 			c.Read, c.Write = nil, w
+			c.DB.SetCloneGate(snapshots{w})
 			live := reg.Gauge("storage.snapshots_live").Value()
 
 			out, err := c.Run(window(t, c.DB, 20, hot))
@@ -334,6 +375,9 @@ func TestCycleHandsOverTheValidatedTrees(t *testing.T) {
 				t.Fatalf("adopted=%v apply_err=%v degraded=%d, want %v / %v / %d (report %+v)",
 					out.Adopted, out.ApplyErr, c.DegradedValidations, tc.adopted, tc.applyErr, tc.degraded, out.Report)
 			}
+			if tc.repeat && !strings.Contains(out.ApplyErr.Error(), "150 rows still outstanding") {
+				t.Errorf("an outpaced catch-up reads %q, which does not name the rows left", out.ApplyErr)
+			}
 			if w.failedWrites != 0 {
 				t.Fatalf("%d of the sessions' writes failed", w.failedWrites)
 			}
@@ -343,15 +387,16 @@ func TestCycleHandsOverTheValidatedTrees(t *testing.T) {
 			if got := reg.Gauge("storage.snapshots_live").Value(); got != live {
 				t.Errorf("storage.snapshots_live = %d after the cycle, %d before", got, live)
 			}
-			if got := w.builds.Count(); got != tc.builds || w.atUnlock-w.atLock != tc.gated {
-				t.Errorf("%d index builds, %d of them under the write gate; want %d and %d", got, w.atUnlock-w.atLock, tc.builds, tc.gated)
+			if got := w.builds.Count(); got != tc.builds || w.gatedBuilds != 0 {
+				t.Errorf("%d index builds, %d of them under the write gate; want %d and none", got, w.gatedBuilds, tc.builds)
 			}
-			catchUp := reg.Histogram("storage.adopt_catchup_rows").Snapshot()
-			if handed := tc.adopted && tc.fallbacks == 0; (catchUp.Count == 1) != handed || catchUp.Sum != tc.catchUp {
-				t.Errorf("storage.adopt_catchup_rows = %+v, want handoff=%v re-deriving %v rows", catchUp, handed, tc.catchUp)
+			caughtUp := w.rows.Sum() - w.gatedRows
+			if caughtUp != tc.caughtUp || w.gatedRows != tc.gated {
+				t.Errorf("catch-up re-derived %v rows in rounds and %v under the write gate, want %v and %v",
+					caughtUp, w.gatedRows, tc.caughtUp, tc.gated)
 			}
-			if got := reg.Counter("storage.adopt_fallbacks").Value(); got != tc.fallbacks {
-				t.Errorf("storage.adopt_fallbacks = %d, want %d", got, tc.fallbacks)
+			if got := reg.Histogram("engine.adopt_rounds").Sum(); got != tc.rounds {
+				t.Errorf("engine.adopt_rounds = %v, want %v", got, tc.rounds)
 			}
 
 			// Catalog and store agree, and every index is what a build of its

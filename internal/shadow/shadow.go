@@ -121,12 +121,12 @@ type Report struct {
 }
 
 // Built returns the snapshot holding an accepted report's validated trees
-// (nil otherwise, and after Release), for engine.AdoptIndexes.
+// (nil otherwise, and after Release), for engine.CatchUp.
 func (r *Report) Built() *engine.DB { return r.built }
 
-// Release retires that snapshot once the caller has adopted from it or built
-// the indexes itself. Idempotent; a report dropped without it only leaves
-// the storage.snapshots_live gauge one high.
+// Release retires that snapshot once the caller has adopted from it or given
+// up. Idempotent; a report dropped without it only leaves the
+// storage.snapshots_live gauge one high.
 func (r *Report) Release() {
 	release(r.built)
 	r.built = nil

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -71,12 +70,14 @@ func entries(ix *Index) string {
 // FuzzAdoptCatchUp: candidates are built on a snapshot, a fuzz-chosen DML
 // tail runs on the live table — single-row inserts, deletes, updates of
 // indexed, unindexed and primary-key columns, runs of 80 inserts or deletes
-// that split and prune leaves, a whole-table reload — and every index is
-// adopted. Each adoption must either refuse (ErrSnapshotStale; never with an
-// empty tail) or return exactly what a fresh PrepareIndex on the live table
-// builds — key sequence, Len, SizeBytes — with every entry leading to the row
-// it was derived from, both tree families passing Validate, and the
-// snapshot's own index untouched.
+// that split and prune leaves, a whole-table reload — while 1–3 intermediate
+// snapshots are taken between its statements, and every index is adopted
+// twice: straight from the snapshot, and chained through the intermediate
+// snapshots the way engine.CatchUp's rounds go. Every adoption succeeds, and
+// each must return exactly what a fresh PrepareIndex on the live table builds
+// — key sequence, Len, SizeBytes — with every entry leading to the row it was
+// derived from, both tree families passing Validate, and no snapshot's index
+// written by the adoptions after it.
 func FuzzAdoptCatchUp(f *testing.F) {
 	f.Add(uint16(300), []byte{})
 	f.Add(uint16(300), []byte{0, 0, 9, 1, 0, 40, 2, 1, 3, 3, 0, 77, 4, 0, 12})
@@ -84,17 +85,30 @@ func FuzzAdoptCatchUp(f *testing.F) {
 	f.Add(uint16(40), []byte{2, 0, 2}) // one leaf, rewritten: nothing shared
 	f.Add(uint16(200), []byte{7, 0, 0})
 	f.Add(uint16(0), []byte{0, 0, 1})
+	// rows/700 picks how many intermediate snapshots (1–3) the chain takes.
+	f.Add(uint16(700+300), []byte{2, 0, 9, 5, 0, 40, 3, 0, 11, 6, 0, 100})
+	f.Add(uint16(1400+250), []byte{7, 0, 0, 2, 0, 8, 7, 0, 0, 4, 0, 30, 1, 0, 60})
 	f.Fuzz(func(t *testing.T, rows uint16, ops []byte) {
 		n := int(rows % 700)
 		live, snap := adoptFixture(t, n)
 		tbl, snapTbl := live.Table("t"), snap.Table("t")
-		before := map[string]string{}
-		for name, ix := range snapTbl.Indexes() {
-			before[name] = entries(ix)
+		written := map[*Index]string{} // every snapshot's index, as first seen
+		for _, ix := range snapTbl.Indexes() {
+			written[ix] = entries(ix)
 		}
 
+		// The j-th of k intermediate snapshots is taken before statement
+		// j*steps/(k+1), so DML falls between each of them when there is some.
+		k, steps := 1+int(rows/700)%3, len(ops)/3
+		var chain []*Store
+		snapAt := func(step int) {
+			for len(chain) < k && (len(chain)+1)*steps/(k+1) <= step {
+				chain = append(chain, live.Clone())
+			}
+		}
 		pk := func(id int64) []byte { return tbl.PKKey(adoptRow(id, 0, "", 0)) }
 		for i := 0; i+2 < len(ops); i += 3 {
+			snapAt(i / 3)
 			op, arg, v := ops[i]%8, int64(ops[i+1])<<8|int64(ops[i+2]), int64(ops[i+2])
 			id := arg % int64(2*n+2)
 			old, exists := tbl.GetByPK(pk(id), nil)
@@ -141,43 +155,56 @@ func FuzzAdoptCatchUp(f *testing.F) {
 			}
 		}
 
-		for _, def := range adoptDefs() {
-			got, err := tbl.AdoptIndex(def, snapTbl)
-			if errors.Is(err, ErrSnapshotStale) {
-				if len(ops) < 3 {
-					t.Fatalf("%s: refused with no DML in between", def.Name)
-				}
-				continue
-			}
+		snapAt(steps)
+
+		adopt := func(def *catalog.Index, to, from *Table) *Index {
+			t.Helper()
+			got, _, err := to.AdoptIndex(def, from)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return got
+		}
+		for _, def := range adoptDefs() {
 			want, err := tbl.PrepareIndex(def, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Len() != want.Len() || got.SizeBytes() != want.SizeBytes() || got.Len() != tbl.RowCount() {
-				t.Fatalf("%s: adopted Len=%d SizeBytes=%d, fresh build Len=%d SizeBytes=%d, rows %d",
-					def.Name, got.Len(), got.SizeBytes(), want.Len(), want.SizeBytes(), tbl.RowCount())
+			// The rounds: each intermediate snapshot takes the previous one's
+			// tree, caught up, and the live table takes the last.
+			from := snapTbl
+			for _, s := range chain {
+				ix := adopt(def, s.Table("t"), from)
+				if err := s.Table("t").AttachIndex(ix); err != nil {
+					t.Fatal(err)
+				}
+				written[ix], from = entries(ix), s.Table("t")
 			}
-			if g, w := entries(got), entries(want); g != w {
-				t.Fatalf("%s: adopted entries differ from a fresh build\n--- adopted ---\n%s--- built ---\n%s", def.Name, g, w)
-			}
-			for it := got.Tree().Seek(nil); it.Valid(); it.Next() {
-				row, ok := tbl.GetByPK(it.Value().([]byte), nil)
-				if !ok || !bytes.Equal(got.entryKey(row), it.Key()) {
-					t.Fatalf("%s: entry %x does not lead to its row", def.Name, it.Key())
+			for _, got := range []*Index{adopt(def, tbl, snapTbl), adopt(def, tbl, from)} {
+				if got.Len() != want.Len() || got.SizeBytes() != want.SizeBytes() || got.Len() != tbl.RowCount() {
+					t.Fatalf("%s: adopted Len=%d SizeBytes=%d, fresh build Len=%d SizeBytes=%d, rows %d",
+						def.Name, got.Len(), got.SizeBytes(), want.Len(), want.SizeBytes(), tbl.RowCount())
+				}
+				if g, w := entries(got), entries(want); g != w {
+					t.Fatalf("%s: adopted entries differ from a fresh build\n--- adopted ---\n%s--- built ---\n%s", def.Name, g, w)
+				}
+				for it := got.Tree().Seek(nil); it.Valid(); it.Next() {
+					row, ok := tbl.GetByPK(it.Value().([]byte), nil)
+					if !ok || !bytes.Equal(got.entryKey(row), it.Key()) {
+						t.Fatalf("%s: entry %x does not lead to its row", def.Name, it.Key())
+					}
+				}
+				if err := got.Tree().Validate(); err != nil {
+					t.Fatalf("%s: adopted tree: %v", def.Name, err)
 				}
 			}
-			if err := got.Tree().Validate(); err != nil {
-				t.Fatalf("%s: adopted tree: %v", def.Name, err)
+		}
+		for ix, was := range written {
+			if err := ix.Tree().Validate(); err != nil {
+				t.Fatalf("%s: snapshot tree after adoption: %v", ix.Def.Name, err)
 			}
-			src := snapTbl.Index(def.Name)
-			if err := src.Tree().Validate(); err != nil {
-				t.Fatalf("%s: snapshot tree after adoption: %v", def.Name, err)
-			}
-			if entries(src) != before[def.Name] {
-				t.Fatalf("%s: adoption wrote the snapshot's index", def.Name)
+			if entries(ix) != was {
+				t.Fatalf("%s: an adoption wrote a snapshot's index", ix.Def.Name)
 			}
 		}
 		for _, tr := range []*Table{tbl, snapTbl} {
@@ -196,9 +223,9 @@ func TestAdoptIndexUntouchedTableIsTheBuiltTree(t *testing.T) {
 	live, snap := adoptFixture(t, 5000)
 	tbl := live.Table("t")
 	for _, def := range adoptDefs() {
-		got, err := tbl.AdoptIndex(def, snap.Table("t"))
-		if err != nil {
-			t.Fatal(err)
+		got, changed, err := tbl.AdoptIndex(def, snap.Table("t"))
+		if err != nil || changed != 0 {
+			t.Fatalf("%s: %d rows re-derived, %v", def.Name, changed, err)
 		}
 		want, err := tbl.PrepareIndex(def, nil)
 		if err != nil {
@@ -218,32 +245,34 @@ func TestAdoptIndexUntouchedTableIsTheBuiltTree(t *testing.T) {
 	}
 }
 
-// TestAdoptIndexRefusals: one changed row past a tenth of the table is
-// ErrSnapshotStale (a tenth exactly still catches up); an index the
-// snapshot never built is a plain error. Neither attaches anything.
+// TestAdoptIndexRefusals: AdoptIndex refuses only an index the snapshot
+// never built. More than a tenth of the table changed still catches up, entry
+// for entry a fresh build, and reports the rows it re-derived. Neither
+// attaches anything.
 func TestAdoptIndexRefusals(t *testing.T) {
 	live, snap := adoptFixture(t, 1000)
 	tbl, snapTbl := live.Table("t"), snap.Table("t")
 	def := adoptDefs()[0]
-	touch := func(i int64) {
-		if err := tbl.Update(tbl.PKKey(adoptRow(2*i, 0, "", 0)), adoptRow(2*i, 99, "x", i), nil); err != nil {
+	for i := int64(0); i < 101; i++ {
+		if err := tbl.Update(tbl.PKKey(adoptRow(18*i, 0, "", 0)), adoptRow(18*i, 99, "x", i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := int64(0); i < 100; i++ {
-		touch(i * 10)
+	ix, changed, err := tbl.AdoptIndex(def, snapTbl)
+	if err != nil || changed != 101 {
+		t.Fatalf("101 of 1000 rows changed: %d re-derived, %v", changed, err)
 	}
-	if ix, err := tbl.AdoptIndex(def, snapTbl); err != nil || ix.Len() != 1000 {
-		t.Fatalf("100 of 1000 rows changed: %v", err)
+	want, err := tbl.PrepareIndex(def, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	touch(1)
-	if _, err := tbl.AdoptIndex(def, snapTbl); !errors.Is(err, ErrSnapshotStale) {
-		t.Fatalf("101 of 1000 rows changed: err = %v, want ErrSnapshotStale", err)
+	if ix.Len() != want.Len() || ix.SizeBytes() != want.SizeBytes() || entries(ix) != entries(want) {
+		t.Fatal("101 of 1000 rows changed: the catch-up differs from a fresh build")
 	}
-	if _, err := tbl.AdoptIndex(&catalog.Index{Name: "ix_nowhere", Table: "t", Columns: []string{"c"}}, snapTbl); err == nil || errors.Is(err, ErrSnapshotStale) {
-		t.Fatalf("index missing from the snapshot: err = %v", err)
+	if _, _, err := tbl.AdoptIndex(&catalog.Index{Name: "ix_nowhere", Table: "t", Columns: []string{"c"}}, snapTbl); err == nil {
+		t.Fatal("adopted an index missing from the snapshot")
 	}
 	if len(tbl.Indexes()) != 0 {
-		t.Fatalf("a refused adoption attached something: %d indexes", len(tbl.Indexes()))
+		t.Fatalf("an adoption attached something: %d indexes", len(tbl.Indexes()))
 	}
 }

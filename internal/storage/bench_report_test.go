@@ -227,7 +227,7 @@ func benchAdoptIndex(b *testing.B, changed int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := tbl.AdoptIndex(benchBuildDef, snap.Table("events"))
+		ix, _, err := tbl.AdoptIndex(benchBuildDef, snap.Table("events"))
 		if err != nil {
 			b.Fatal(err)
 		}

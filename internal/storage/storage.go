@@ -10,7 +10,6 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -35,14 +34,13 @@ type metricsSet struct {
 	leafFill     *obs.Histogram // leaf fill % of bulk-built trees
 	adoptRows    *obs.Histogram // rows re-derived per adopted index
 	adoptSeconds *obs.Histogram // wall clock per AdoptIndex
-	adoptStale   *obs.Counter   // adoptions refused: snapshot too far behind
 }
 
 // instr holds the active metrics set; nil means instrumentation is off.
 var instr atomic.Pointer[metricsSet]
 
 // Instrument attaches storage metrics to the registry (nil detaches):
-// storage.{bulk_rows,clones,adopt_fallbacks} counters, the
+// storage.{bulk_rows,clones} counters, the
 // storage.{snapshots_live,shared_bytes} gauges, the monotone
 // storage.cow_node_copies gauge (fed by the btree writer's path-copy
 // counter, sampled at scrape time), and histograms storage.{clone_seconds,
@@ -65,7 +63,6 @@ func Instrument(r *obs.Registry) {
 		leafFill:     r.Histogram("storage.bulk_leaf_fill"),
 		adoptRows:    r.Histogram("storage.adopt_catchup_rows"),
 		adoptSeconds: r.Histogram("storage.adopt_seconds"),
-		adoptStale:   r.Counter("storage.adopt_fallbacks"),
 	})
 }
 
@@ -463,38 +460,26 @@ func (t *Table) PrepareIndex(def *catalog.Index, m *Metrics) (*Index, error) {
 	return ix, nil
 }
 
-// ErrSnapshotStale is AdoptIndex's refusal: re-deriving what changed since
-// the snapshot would cost what a build costs.
-var ErrSnapshotStale = errors.New("storage: snapshot too far behind the table to adopt its index")
-
-// adoptMaxChanged is the share of the table's rows (1/adoptMaxChanged) past
-// which AdoptIndex gives up. A catch-up row costs a delete and an insert by
-// descent, about 6 µs, where a build spends 0.3 µs a row (BENCH_storage.json:
-// BuildIndex 32 ms at 100 000 rows, AdoptIndex 61 ms at 10 000 changed rows),
-// so past a tenth of the table the build is the cheaper way to the same
-// index. Structural, like the btree's degree: no workload wants another value.
-const adoptMaxChanged = 10
-
 // AdoptIndex returns, unattached like PrepareIndex, the index snap built for
-// def caught up to this table. snap must be a snapshot of this table (a Clone
-// of its store, however many Clones removed) that nothing wrote since: the
-// rows the table wrote after it are then among the entries of the clustered
-// leaves the two no longer share (btree.Diff), and a row is unchanged when
-// both sides hold the very same slice, because DML replaces rows and never
-// edits them. For each changed row the old row's entry goes and the new
-// row's comes, so the result holds what an index created at the snapshot
-// instant and maintained since would hold — and when nothing wrote the table
-// it is, node for node, the tree snap built. Neither snap nor the clustered
-// tree is written; serialize with writers to t, like PrepareIndex. More than
-// a tenth of the rows changed (a reload changes all: its rows are new slices)
-// is ErrSnapshotStale.
-func (t *Table) AdoptIndex(def *catalog.Index, snap *Table) (*Index, error) {
+// def caught up to this table, and how many changed rows it re-derived. snap
+// must be a snapshot of this table (a Clone of its store, however many Clones
+// removed) that nothing wrote since: the rows the table wrote after it are
+// then among the entries of the clustered leaves the two no longer share
+// (btree.Diff), and a row is unchanged when both sides hold the very same
+// slice, because DML replaces rows and never edits them. For each changed row
+// the old row's entry goes and the new row's comes, so the result holds what
+// an index created at the snapshot instant and maintained since would hold —
+// and when nothing wrote the table it is, node for node, the tree snap built.
+// It is total: however many rows changed (a reload changes all: its rows are
+// new slices), the result is exact; engine.CatchUp's rounds keep what is left
+// for the write gate small. Neither snap nor the clustered tree is written;
+// serialize with writers to t, like PrepareIndex.
+func (t *Table) AdoptIndex(def *catalog.Index, snap *Table) (*Index, int, error) {
 	if snap == nil || snap.Index(def.Name) == nil {
-		return nil, fmt.Errorf("storage: index %q not built on the snapshot", def.Name)
+		return nil, 0, fmt.Errorf("storage: index %q not built on the snapshot", def.Name)
 	}
 	start, src := time.Now(), snap.Index(def.Name)
 	ix := &Index{Def: def, tree: src.tree.Clone(), ordinals: src.ordinals, pkOrds: src.pkOrds, bytes: src.bytes}
-	limit := max(t.data.Len(), snap.data.Len()) / adoptMaxChanged
 	changed := 0
 	btree.Diff(snap.data, t.data, func(pk []byte, was, now interface{}) bool {
 		old, _ := was.(sqltypes.Row)
@@ -502,10 +487,7 @@ func (t *Table) AdoptIndex(def *catalog.Index, snap *Table) (*Index, error) {
 		if old != nil && cur != nil && &old[0] == &cur[0] {
 			return true // the same stored row, in a leaf rewritten for a neighbour
 		}
-		if changed++; changed > limit {
-			return false
-		}
-		if old != nil && cur != nil && bytes.Equal(ix.entryKey(old), ix.entryKey(cur)) {
+		if changed++; old != nil && cur != nil && bytes.Equal(ix.entryKey(old), ix.entryKey(cur)) {
 			return true // an update that left the key columns alone
 		}
 		if old != nil {
@@ -518,18 +500,11 @@ func (t *Table) AdoptIndex(def *catalog.Index, snap *Table) (*Index, error) {
 		}
 		return true
 	})
-	ms := instr.Load()
-	if changed > limit {
-		if ms != nil {
-			ms.adoptStale.Inc()
-		}
-		return nil, ErrSnapshotStale
-	}
-	if ms != nil {
+	if ms := instr.Load(); ms != nil {
 		ms.adoptRows.Observe(float64(changed))
 		ms.adoptSeconds.Observe(time.Since(start).Seconds())
 	}
-	return ix, nil
+	return ix, changed, nil
 }
 
 // AttachIndex registers a prepared index on the table. It fails if an index
