@@ -14,15 +14,17 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 23924
+LOC_CEILING ?= 23952
 
 .PHONY: check vet build test race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
 # check is the tier-1 gate: everything here must pass before a change lands.
 check: vet build race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstoragesmoke benchexecsmoke
 
+# vet also fails on any Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -80,7 +82,8 @@ telemetrysmoke:
 # Short budgeted runs of every native fuzz target: the bulk-load/merge/DNF
 # equivalence properties, the failpoint spec parser, the index handoff's
 # catch-up against a fresh build, the memoised planner against the one-shot
-# one. Go allows one -fuzz pattern per invocation, hence one line per target.
+# one, the key walk's skip against encode and decode. Go allows one -fuzz
+# pattern per invocation, hence one line per target.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBulkLoadEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -run '^$$' -fuzz 'FuzzCOWSnapshotEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
@@ -92,6 +95,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz 'FuzzAdoptCatchUp$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzPreparedEqualsOneShot$$' -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run '^$$' -fuzz 'FuzzSkipKey$$' -fuzztime $(FUZZTIME) ./internal/sqltypes/
 
 # The fault-injection acceptance sweep: 1000 tuning cycles at fault rates
 # {1%, 5%, 20%} with a fixed seed, asserting no ungated adoptions, no

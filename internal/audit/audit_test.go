@@ -67,7 +67,9 @@ func TestJournalDeterministicModuloTimestamps(t *testing.T) {
 	if a == b {
 		t.Fatal("clocks did not differ; test is vacuous")
 	}
-	strip := func(s string) string { return strings.ReplaceAll(strings.ReplaceAll(s, `"ts_us":1111,`, ""), `"ts_us":2222,`, "") }
+	strip := func(s string) string {
+		return strings.ReplaceAll(strings.ReplaceAll(s, `"ts_us":1111,`, ""), `"ts_us":2222,`, "")
+	}
 	if strip(a) != strip(b) {
 		t.Errorf("journals differ beyond timestamps:\n%s\n---\n%s", strip(a), strip(b))
 	}

@@ -1,6 +1,7 @@
 // Package btree implements an in-memory copy-on-write B+tree over []byte
-// keys with bytewise ordering. It backs both clustered tables and secondary
-// indexes.
+// keys with bytewise ordering, typed by its values. It backs clustered tables
+// (Tree[sqltypes.Row]: rows unboxed in the leaves) and secondary indexes
+// (Tree[struct{}]: an entry is its key; a zero-size value takes no memory).
 //
 // The tree is persistent in the functional-data-structure sense: Clone is an
 // O(1) root-pointer copy, after which both handles share the entire node
@@ -28,29 +29,31 @@ import (
 	"bytes"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // degree is the maximum number of keys per node. 64 keeps nodes around the
 // size of a small database page for typical key lengths.
 const degree = 64
 
-type leaf struct {
+type leaf[V any] struct {
 	epoch uint64
 	keys  [][]byte
-	vals  []interface{}
+	vals  []V
 }
 
-type inner struct {
+type inner[V any] struct {
 	epoch uint64
 	// keys[i] is the smallest key reachable under children[i+1].
 	keys     [][]byte
 	children []node
 }
 
+// node is a *leaf[V] or an *inner[V] of one tree's value type.
 type node interface{ isNode() }
 
-func (*leaf) isNode()  {}
-func (*inner) isNode() {}
+func (*leaf[V]) isNode()  {}
+func (*inner[V]) isNode() {}
 
 // epochClock allocates write epochs for one clone family. It is shared by
 // every Tree handle descended from the same New/BulkLoad call, and advanced
@@ -75,7 +78,7 @@ func COWNodeCopies() int64 { return cowCopies.Load() }
 // be serialized by the caller. Distinct handles of the same family (a live
 // tree and its snapshots) are fully independent — reads on one may run
 // concurrently with writes on another.
-type Tree struct {
+type Tree[V any] struct {
 	root   node
 	size   int
 	height int
@@ -91,71 +94,72 @@ type Tree struct {
 }
 
 // New returns an empty tree starting its own clone family.
-func New() *Tree {
+func New[V any]() *Tree[V] {
 	c := &epochClock{}
-	t := &Tree{clock: c, epoch: c.next()}
-	t.root = &leaf{epoch: t.epoch}
+	t := &Tree[V]{clock: c, epoch: c.next()}
+	t.root = &leaf[V]{epoch: t.epoch}
 	t.height, t.leaves = 1, 1
 	return t
 }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree[V]) Len() int { return t.size }
 
 // Height returns the number of levels from root to leaf, used to model the
 // cost of a point lookup (one page read per level).
-func (t *Tree) Height() int { return t.height }
+func (t *Tree[V]) Height() int { return t.height }
 
 // Leaves returns the number of leaf pages.
-func (t *Tree) Leaves() int { return t.leaves }
+func (t *Tree[V]) Leaves() int { return t.leaves }
 
 // COWCopies returns how many nodes this handle has path-copied since it was
 // created (counters are not inherited by clones).
-func (t *Tree) COWCopies() int64 { return t.copies }
+func (t *Tree[V]) COWCopies() int64 { return t.copies }
 
 // Epoch returns the handle's current write epoch, for invariant checks.
-func (t *Tree) Epoch() uint64 { return t.epoch }
+func (t *Tree[V]) Epoch() uint64 { return t.epoch }
 
 // Get returns the value stored under key, if any. It descends without
 // recording a path, so a lookup allocates nothing.
-func (t *Tree) Get(key []byte) (interface{}, bool) {
+func (t *Tree[V]) Get(key []byte) (val V, ok bool) {
 	n := t.root
-	for in, ok := n.(*inner); ok; in, ok = n.(*inner) {
+	for in, ok := n.(*inner[V]); ok; in, ok = n.(*inner[V]) {
 		n = in.children[in.childIndex(key)]
 	}
-	l := n.(*leaf)
+	l := n.(*leaf[V])
 	i, ok := l.search(key)
 	if !ok {
-		return nil, false
+		return val, false
 	}
 	return l.vals[i], true
 }
 
+const pathDepth = 8 // the descent a writer keeps on the stack (64^8 entries)
+
 // pathEntry records one inner node on a descent plus the child index taken.
-type pathEntry struct {
-	in  *inner
+type pathEntry[V any] struct {
+	in  *inner[V]
 	idx int
 }
 
 // findLeaf descends to the leaf that owns key and returns it with the
-// descent path (root first).
-func (t *Tree) findLeaf(key []byte) (*leaf, []pathEntry) {
-	var path []pathEntry
+// descent path (root first) appended to path.
+func (t *Tree[V]) findLeaf(path []pathEntry[V], key []byte) (*leaf[V], []pathEntry[V]) {
 	n := t.root
 	for {
 		switch v := n.(type) {
-		case *leaf:
+		case *leaf[V]:
 			return v, path
-		case *inner:
+		case *inner[V]:
 			i := v.childIndex(key)
-			path = append(path, pathEntry{v, i})
+			path = append(path, pathEntry[V]{v, i})
 			n = v.children[i]
 		}
 	}
 }
 
 // childIndex returns the index of the child that may contain key.
-func (in *inner) childIndex(key []byte) int {
+func (in *inner[V]) childIndex(key []byte) int {
 	lo, hi := 0, len(in.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -170,7 +174,7 @@ func (in *inner) childIndex(key []byte) int {
 
 // search finds key within the leaf, returning its index and whether it was
 // found; when not found the index is the insertion point.
-func (l *leaf) search(key []byte) (int, bool) {
+func (l *leaf[V]) search(key []byte) (int, bool) {
 	lo, hi := 0, len(l.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -189,27 +193,27 @@ func (l *leaf) search(key []byte) (int, bool) {
 // ownLeaf returns a leaf this handle may mutate, path-copying when the leaf
 // is shared with another handle. Key and value slices are shared with the
 // copy — both sides treat stored keys and rows as immutable.
-func (t *Tree) ownLeaf(l *leaf) *leaf {
+func (t *Tree[V]) ownLeaf(l *leaf[V]) *leaf[V] {
 	if l.epoch == t.epoch {
 		return l
 	}
 	t.copies++
 	cowCopies.Add(1)
-	return &leaf{
+	return &leaf[V]{
 		epoch: t.epoch,
 		keys:  append([][]byte(nil), l.keys...),
-		vals:  append([]interface{}(nil), l.vals...),
+		vals:  append([]V(nil), l.vals...),
 	}
 }
 
 // ownInner is ownLeaf for inner nodes.
-func (t *Tree) ownInner(in *inner) *inner {
+func (t *Tree[V]) ownInner(in *inner[V]) *inner[V] {
 	if in.epoch == t.epoch {
 		return in
 	}
 	t.copies++
 	cowCopies.Add(1)
-	return &inner{
+	return &inner[V]{
 		epoch:    t.epoch,
 		keys:     append([][]byte(nil), in.keys...),
 		children: append([]node(nil), in.children...),
@@ -220,7 +224,7 @@ func (t *Tree) ownInner(in *inner) *inner {
 // first, then each ancestor bottom-up, relinking child pointers and the root
 // as copies are made — and returns the owned leaf. path entries are updated
 // in place so callers keep working with owned nodes.
-func (t *Tree) ownPath(l *leaf, path []pathEntry) *leaf {
+func (t *Tree[V]) ownPath(l *leaf[V], path []pathEntry[V]) *leaf[V] {
 	nl := t.ownLeaf(l)
 	var child node = nl
 	for d := len(path) - 1; d >= 0; d-- {
@@ -240,7 +244,7 @@ func (t *Tree) ownPath(l *leaf, path []pathEntry) *leaf {
 // Put inserts or replaces the value under key and reports whether the key
 // was newly inserted. The key is copied on insert; the replacement path
 // copies only the shared portion of the descent.
-func (t *Tree) Put(key []byte, val interface{}) bool {
+func (t *Tree[V]) Put(key []byte, val V) bool {
 	return t.put(key, val, true)
 }
 
@@ -248,12 +252,13 @@ func (t *Tree) Put(key []byte, val interface{}) bool {
 // ownership of a freshly-encoded buffer it will never modify. Builders that
 // encode keys per entry (index builds, batch loads) use it to skip one
 // allocation per insert.
-func (t *Tree) PutOwned(key []byte, val interface{}) bool {
+func (t *Tree[V]) PutOwned(key []byte, val V) bool {
 	return t.put(key, val, false)
 }
 
-func (t *Tree) put(key []byte, val interface{}, copyKey bool) bool {
-	l, path := t.findLeaf(key)
+func (t *Tree[V]) put(key []byte, val V, copyKey bool) bool {
+	var buf [pathDepth]pathEntry[V]
+	l, path := t.findLeaf(buf[:0], key)
 	i, found := l.search(key)
 	if found {
 		l = t.ownPath(l, path)
@@ -268,7 +273,7 @@ func (t *Tree) put(key []byte, val interface{}, copyKey bool) bool {
 	l.keys = append(l.keys, nil)
 	copy(l.keys[i+1:], l.keys[i:])
 	l.keys[i] = k
-	l.vals = append(l.vals, nil)
+	l.vals = append(l.vals, val)
 	copy(l.vals[i+1:], l.vals[i:])
 	l.vals[i] = val
 	t.size++
@@ -280,12 +285,12 @@ func (t *Tree) put(key []byte, val interface{}, copyKey bool) bool {
 
 // splitLeaf splits an owned, overfull leaf. The right half is a fresh node
 // at the writer's epoch; no shared node is touched.
-func (t *Tree) splitLeaf(l *leaf, path []pathEntry) {
+func (t *Tree[V]) splitLeaf(l *leaf[V], path []pathEntry[V]) {
 	mid := len(l.keys) / 2
-	right := &leaf{
+	right := &leaf[V]{
 		epoch: t.epoch,
 		keys:  append([][]byte(nil), l.keys[mid:]...),
-		vals:  append([]interface{}(nil), l.vals[mid:]...),
+		vals:  append([]V(nil), l.vals[mid:]...),
 	}
 	l.keys = l.keys[:mid:mid]
 	l.vals = l.vals[:mid:mid]
@@ -295,9 +300,9 @@ func (t *Tree) splitLeaf(l *leaf, path []pathEntry) {
 
 // insertIntoParent splices right under the lowest path entry (already owned
 // by this handle), growing a new root when the path is empty.
-func (t *Tree) insertIntoParent(path []pathEntry, left node, sep []byte, right node) {
+func (t *Tree[V]) insertIntoParent(path []pathEntry[V], left node, sep []byte, right node) {
 	if len(path) == 0 {
-		t.root = &inner{epoch: t.epoch, keys: [][]byte{sep}, children: []node{left, right}}
+		t.root = &inner[V]{epoch: t.epoch, keys: [][]byte{sep}, children: []node{left, right}}
 		t.height++
 		return
 	}
@@ -314,10 +319,10 @@ func (t *Tree) insertIntoParent(path []pathEntry, left node, sep []byte, right n
 	}
 }
 
-func (t *Tree) splitInner(in *inner, path []pathEntry) {
+func (t *Tree[V]) splitInner(in *inner[V], path []pathEntry[V]) {
 	mid := len(in.keys) / 2
 	sep := in.keys[mid]
-	right := &inner{
+	right := &inner[V]{
 		epoch:    t.epoch,
 		keys:     append([][]byte(nil), in.keys[mid+1:]...),
 		children: append([]node(nil), in.children[mid+1:]...),
@@ -331,8 +336,9 @@ func (t *Tree) splitInner(in *inner, path []pathEntry) {
 // are tolerated (no rebalancing), but a leaf that empties is pruned from its
 // ancestors immediately so Leaves()-based page accounting stays faithful
 // after delete-heavy workloads.
-func (t *Tree) Delete(key []byte) bool {
-	l, path := t.findLeaf(key)
+func (t *Tree[V]) Delete(key []byte) bool {
+	var buf [pathDepth]pathEntry[V]
+	l, path := t.findLeaf(buf[:0], key)
 	i, found := l.search(key)
 	if !found {
 		return false
@@ -352,7 +358,7 @@ func (t *Tree) Delete(key []byte) bool {
 // leaf is kept as the empty tree's single page. Separators above the pruned
 // subtree may end up lower than the actual minimum beneath them; that is
 // safe — routing only requires separators to be lower bounds.
-func (t *Tree) pruneLeaf(path []pathEntry) {
+func (t *Tree[V]) pruneLeaf(path []pathEntry[V]) {
 	if len(path) == 0 {
 		return
 	}
@@ -365,7 +371,7 @@ func (t *Tree) pruneLeaf(path []pathEntry) {
 	if d < 0 {
 		// Every ancestor had a single child: the tree is empty. Reset to a
 		// fresh single-leaf tree.
-		t.root = &leaf{epoch: t.epoch}
+		t.root = &leaf[V]{epoch: t.epoch}
 		t.height, t.leaves = 1, 1
 		return
 	}
@@ -382,9 +388,9 @@ func (t *Tree) pruneLeaf(path []pathEntry) {
 }
 
 // Item is one key/value pair handed to the bulk-construction paths.
-type Item struct {
+type Item[V any] struct {
 	Key []byte
-	Val interface{}
+	Val V
 }
 
 // Bulk-construction fill factors. Leaves and inner nodes are packed to ~90%
@@ -404,9 +410,9 @@ const (
 // the key slices transfers to the tree; callers must hand over
 // freshly-encoded buffers they will not modify. Panics if the input is not
 // strictly sorted (callers sort with bytes.Compare first).
-func BulkLoad(items []Item) *Tree {
+func BulkLoad[V any](items []Item[V]) *Tree[V] {
 	c := &epochClock{}
-	t := &Tree{clock: c, epoch: c.next()}
+	t := &Tree[V]{clock: c, epoch: c.next()}
 	bulkInto(t, items)
 	return t
 }
@@ -414,9 +420,9 @@ func BulkLoad(items []Item) *Tree {
 // bulkInto (re)initializes t from sorted items. Every node is created fresh
 // at t's epoch; nodes of any previous contents are abandoned to snapshots
 // that still reference them.
-func bulkInto(t *Tree, items []Item) {
+func bulkInto[V any](t *Tree[V], items []Item[V]) {
 	if len(items) == 0 {
-		t.root = &leaf{epoch: t.epoch}
+		t.root = &leaf[V]{epoch: t.epoch}
 		t.height, t.leaves, t.size = 1, 1, 0
 		return
 	}
@@ -432,10 +438,10 @@ func bulkInto(t *Tree, items []Item) {
 		if i < extra {
 			cnt++
 		}
-		l := &leaf{
+		l := &leaf[V]{
 			epoch: t.epoch,
 			keys:  make([][]byte, cnt),
-			vals:  make([]interface{}, cnt),
+			vals:  make([]V, cnt),
 		}
 		for j := 0; j < cnt; j++ {
 			it := items[pos]
@@ -459,7 +465,7 @@ func bulkInto(t *Tree, items []Item) {
 // buildInnerLevels assembles inner levels bottom-up over nodes whose
 // smallest reachable keys are lows, returning the root and bumping height
 // once per level built.
-func (t *Tree) buildInnerLevels(nodes []node, lows [][]byte) node {
+func (t *Tree[V]) buildInnerLevels(nodes []node, lows [][]byte) node {
 	for len(nodes) > 1 {
 		nGroups := (len(nodes) + bulkNodeFill - 1) / bulkNodeFill
 		base, extra := len(nodes)/nGroups, len(nodes)%nGroups
@@ -471,7 +477,7 @@ func (t *Tree) buildInnerLevels(nodes []node, lows [][]byte) node {
 			if g < extra {
 				cnt++
 			}
-			in := &inner{
+			in := &inner[V]{
 				epoch:    t.epoch,
 				keys:     make([][]byte, cnt-1),
 				children: make([]node, cnt),
@@ -496,7 +502,7 @@ func (t *Tree) buildInnerLevels(nodes []node, lows [][]byte) node {
 // It reports whether the fast path applied; on false the tree is unchanged
 // and the caller should fall back to Put. Ownership of the key slices
 // transfers to the tree, as with BulkLoad.
-func (t *Tree) AppendBulk(items []Item) bool {
+func (t *Tree[V]) AppendBulk(items []Item[V]) bool {
 	if len(items) == 0 {
 		return true
 	}
@@ -529,10 +535,10 @@ func (t *Tree) AppendBulk(items []Item) bool {
 		if cnt > bulkLeafFill {
 			cnt = bulkLeafFill
 		}
-		nl := &leaf{
+		nl := &leaf[V]{
 			epoch: t.epoch,
 			keys:  make([][]byte, cnt),
-			vals:  make([]interface{}, cnt),
+			vals:  make([]V, cnt),
 		}
 		for j := 0; j < cnt; j++ {
 			nl.keys[j] = items[pos].Key
@@ -551,16 +557,16 @@ func (t *Tree) AppendBulk(items []Item) bool {
 }
 
 // rightmostLeaf returns the rightmost leaf and its descent path.
-func (t *Tree) rightmostLeaf() (*leaf, []pathEntry) {
-	var path []pathEntry
+func (t *Tree[V]) rightmostLeaf() (*leaf[V], []pathEntry[V]) {
+	var path []pathEntry[V]
 	n := t.root
 	for {
 		switch v := n.(type) {
-		case *leaf:
+		case *leaf[V]:
 			return v, path
-		case *inner:
+		case *inner[V]:
 			i := len(v.children) - 1
-			path = append(path, pathEntry{v, i})
+			path = append(path, pathEntry[V]{v, i})
 			n = v.children[i]
 		}
 	}
@@ -575,7 +581,7 @@ func (t *Tree) rightmostLeaf() (*leaf, []pathEntry) {
 // Clone must be serialized with writes to the receiver (it reassigns the
 // receiver's epoch); the returned snapshot may then be read concurrently
 // with writes to the receiver.
-func (t *Tree) Clone() *Tree {
+func (t *Tree[V]) Clone() *Tree[V] {
 	out := *t
 	t.epoch = t.clock.next()
 	out.epoch = t.clock.next()
@@ -585,7 +591,7 @@ func (t *Tree) Clone() *Tree {
 
 // FillPercent returns the average leaf occupancy as a percentage of leaf
 // capacity — the observability hook for bulk-load fill accounting.
-func (t *Tree) FillPercent() float64 {
+func (t *Tree[V]) FillPercent() float64 {
 	if t.leaves == 0 {
 		return 0
 	}
@@ -594,9 +600,8 @@ func (t *Tree) FillPercent() float64 {
 
 // Footprint is the reachable size of one tree handle, for
 // memory-amplification accounting (bytes shared vs copied across a clone
-// family). Bytes counts key payloads plus fixed per-node and per-entry
-// overheads; row values are excluded (they are shared by construction — DML
-// replaces rows, never mutates them).
+// family). Bytes counts key payloads and per-node and per-entry overheads,
+// not what values point to (rows: shared by construction, DML replaces them).
 type Footprint struct {
 	Nodes int
 	Bytes int64
@@ -604,33 +609,33 @@ type Footprint struct {
 
 const (
 	nodeOverhead  = 48 // node header + slice headers
-	entryOverhead = 40 // key slice header + value interface
+	keyOverhead   = 24 // key slice header
 	childOverhead = 8  // child pointer
 )
 
-func nodeBytes(n node) int64 {
+// nodeBytes sizes one node. A leaf entry is its key plus the tree's inline
+// value slot (none for struct{}); an inner key carries no value.
+func (t *Tree[V]) nodeBytes(n node) int64 {
+	b := int64(nodeOverhead)
 	switch v := n.(type) {
-	case *leaf:
-		b := int64(nodeOverhead)
+	case *leaf[V]:
 		for _, k := range v.keys {
-			b += int64(len(k)) + entryOverhead
+			b += int64(len(k)) + keyOverhead + int64(unsafe.Sizeof(*new(V)))
 		}
-		return b
-	case *inner:
-		b := int64(nodeOverhead)
+	case *inner[V]:
 		for _, k := range v.keys {
-			b += int64(len(k)) + entryOverhead
+			b += int64(len(k)) + keyOverhead
 		}
-		return b + int64(len(v.children))*childOverhead
+		b += int64(len(v.children)) * childOverhead
 	}
-	return 0
+	return b
 }
 
-func (t *Tree) walk(fn func(n node)) {
+func (t *Tree[V]) walk(fn func(n node)) {
 	var rec func(n node)
 	rec = func(n node) {
 		fn(n)
-		if in, ok := n.(*inner); ok {
+		if in, ok := n.(*inner[V]); ok {
 			for _, c := range in.children {
 				rec(c)
 			}
@@ -640,25 +645,25 @@ func (t *Tree) walk(fn func(n node)) {
 }
 
 // Footprint walks the handle and sums its reachable nodes.
-func (t *Tree) Footprint() Footprint {
+func (t *Tree[V]) Footprint() Footprint {
 	var f Footprint
 	t.walk(func(n node) {
 		f.Nodes++
-		f.Bytes += nodeBytes(n)
+		f.Bytes += t.nodeBytes(n)
 	})
 	return f
 }
 
 // SharedFootprint reports the nodes (by pointer identity) reachable from
 // both handles — the structurally shared portion of a clone pair.
-func (t *Tree) SharedFootprint(other *Tree) Footprint {
+func (t *Tree[V]) SharedFootprint(other *Tree[V]) Footprint {
 	seen := map[node]bool{}
 	other.walk(func(n node) { seen[n] = true })
 	var f Footprint
 	t.walk(func(n node) {
 		if seen[n] {
 			f.Nodes++
-			f.Bytes += nodeBytes(n)
+			f.Bytes += t.nodeBytes(n)
 		}
 	})
 	return f
@@ -666,13 +671,13 @@ func (t *Tree) SharedFootprint(other *Tree) Footprint {
 
 // Diff merge-walks two handles of one clone family in key order and calls fn
 // for every key stored in a leaf the handles do not share, with each side's
-// value (nil where that side lacks the key). A subtree both reach through the
+// value (the zero V where that side lacks the key). A subtree both reach through the
 // same node pointer is skipped whole — copy-on-write never mutates a node
 // another handle can reach, so one pointer means one content — which makes
 // the walk proportional to the leaves written since the two were one tree.
 // Keys in unshared leaves are reported even when both sides hold an equal
 // value; the caller tells those apart. fn returning false stops the walk.
-func Diff(a, b *Tree, fn func(key []byte, av, bv interface{}) bool) {
+func Diff[V any](a, b *Tree[V], fn func(key []byte, av, bv V) bool) {
 	if a.root == b.root {
 		return
 	}
@@ -688,7 +693,7 @@ func Diff(a, b *Tree, fn func(key []byte, av, bv interface{}) bool) {
 			c = bytes.Compare(ia.Key(), ib.Key())
 		}
 		var key []byte
-		var av, bv interface{}
+		var av, bv V
 		if c <= 0 {
 			key, av = ia.Key(), ia.Value()
 		}
@@ -712,7 +717,7 @@ func Diff(a, b *Tree, fn func(key []byte, av, bv interface{}) bool) {
 // there was one. Such a subtree begins with the same leaf on both sides, and
 // is as tall under one root as under the other: climb from the leaves while
 // the descent took child 0 of the same node on both sides.
-func skipShared(ia, ib *Iter) bool {
+func skipShared[V any](ia, ib *Iter[V]) bool {
 	if ia.l != ib.l {
 		return false
 	}
@@ -730,9 +735,9 @@ func skipShared(ia, ib *Iter) bool {
 // stable under any concurrent DML on other handles of the family, while
 // mutating the iterated handle itself mid-iteration is undefined (open the
 // iterator on a Clone instead).
-type Iter struct {
-	stack        []pathEntry
-	l            *leaf
+type Iter[V any] struct {
+	stack        []pathEntry[V]
+	l            *leaf[V]
 	i            int
 	hi           []byte // exclusive upper bound key, nil = unbounded
 	hiInclusive  bool
@@ -742,14 +747,14 @@ type Iter struct {
 
 // Seek returns an iterator positioned at the first entry with key >= from.
 // A nil from starts at the beginning.
-func (t *Tree) Seek(from []byte) *Iter { return t.seek(&Iter{}, from) }
+func (t *Tree[V]) Seek(from []byte) *Iter[V] { return t.seek(&Iter[V]{}, from) }
 
 // seek repositions it, reusing its descent stack.
-func (t *Tree) seek(it *Iter, from []byte) *Iter {
-	*it = Iter{stack: it.stack[:0]}
+func (t *Tree[V]) seek(it *Iter[V], from []byte) *Iter[V] {
+	*it = Iter[V]{stack: it.stack[:0]}
 	n := t.root
 	for {
-		in, ok := n.(*inner)
+		in, ok := n.(*inner[V])
 		if !ok {
 			break
 		}
@@ -757,10 +762,10 @@ func (t *Tree) seek(it *Iter, from []byte) *Iter {
 		if from != nil {
 			i = in.childIndex(from)
 		}
-		it.stack = append(it.stack, pathEntry{in, i})
+		it.stack = append(it.stack, pathEntry[V]{in, i})
 		n = in.children[i]
 	}
-	it.l = n.(*leaf)
+	it.l = n.(*leaf[V])
 	if from == nil {
 		it.i = -1
 	} else {
@@ -777,14 +782,14 @@ func (t *Tree) seek(it *Iter, from []byte) *Iter {
 // keys equal to the bound or extending it byte-wise stay in range, so a
 // composite-key tree can be scanned for "leading columns <= v" by passing the
 // encoded v without manufacturing an artificial successor key.
-func (t *Tree) SeekRange(from, to []byte, toInclusive bool) *Iter {
-	return t.SeekRangeInto(&Iter{}, from, to, toInclusive)
+func (t *Tree[V]) SeekRange(from, to []byte, toInclusive bool) *Iter[V] {
+	return t.SeekRangeInto(&Iter[V]{}, from, to, toInclusive)
 }
 
 // SeekRangeInto is SeekRange repositioning it instead of allocating an
 // iterator: a caller that opens scan after scan (the inner step of a join)
 // reuses one iterator and its descent stack.
-func (t *Tree) SeekRangeInto(it *Iter, from, to []byte, toInclusive bool) *Iter {
+func (t *Tree[V]) SeekRangeInto(it *Iter[V], from, to []byte, toInclusive bool) *Iter[V] {
 	t.seek(it, from)
 	it.hi = to
 	it.hiInclusive = toInclusive
@@ -796,20 +801,20 @@ func (t *Tree) SeekRangeInto(it *Iter, from, to []byte, toInclusive bool) *Iter 
 // false (and clearing l) at the end of the tree. Empty leaves cannot occur
 // below inner nodes (Delete prunes them immediately), so the landed leaf
 // always has entries.
-func (it *Iter) nextLeaf() bool {
+func (it *Iter[V]) nextLeaf() bool {
 	for len(it.stack) > 0 {
 		f := &it.stack[len(it.stack)-1]
 		if f.idx+1 < len(f.in.children) {
 			f.idx++
 			n := f.in.children[f.idx]
 			for {
-				in, ok := n.(*inner)
+				in, ok := n.(*inner[V])
 				if !ok {
-					it.l = n.(*leaf)
+					it.l = n.(*leaf[V])
 					it.i = 0
 					return true
 				}
-				it.stack = append(it.stack, pathEntry{in, 0})
+				it.stack = append(it.stack, pathEntry[V]{in, 0})
 				n = in.children[0]
 			}
 		}
@@ -819,7 +824,7 @@ func (it *Iter) nextLeaf() bool {
 	return false
 }
 
-func (it *Iter) advance() {
+func (it *Iter[V]) advance() {
 	it.i++
 	for it.l != nil && it.i >= len(it.l.keys) {
 		if it.nextLeaf() {
@@ -830,7 +835,7 @@ func (it *Iter) advance() {
 	it.checkBound()
 }
 
-func (it *Iter) checkBound() {
+func (it *Iter[V]) checkBound() {
 	if !it.valid || it.hi == nil {
 		return
 	}
@@ -843,7 +848,7 @@ func (it *Iter) checkBound() {
 // admitted key set is always a contiguous range downward-closed in key order:
 // exclusive bounds admit key < hi, prefix-inclusive bounds additionally admit
 // hi itself and every key extending it.
-func (it *Iter) inBound(key []byte) bool {
+func (it *Iter[V]) inBound(key []byte) bool {
 	c := bytes.Compare(key, it.hi)
 	if it.hiInclusive {
 		return c <= 0 || bytes.HasPrefix(key, it.hi)
@@ -852,16 +857,16 @@ func (it *Iter) inBound(key []byte) bool {
 }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (it *Iter) Valid() bool { return it.valid }
+func (it *Iter[V]) Valid() bool { return it.valid }
 
 // Key returns the current key. The slice must not be modified.
-func (it *Iter) Key() []byte { return it.l.keys[it.i] }
+func (it *Iter[V]) Key() []byte { return it.l.keys[it.i] }
 
 // Value returns the current value.
-func (it *Iter) Value() interface{} { return it.l.vals[it.i] }
+func (it *Iter[V]) Value() V { return it.l.vals[it.i] }
 
 // Next advances to the next entry.
-func (it *Iter) Next() { it.advance() }
+func (it *Iter[V]) Next() { it.advance() }
 
 // ReadBatch copies up to max entries into vals (and keys, when non-nil) and
 // advances past them, returning the number copied. It visits exactly the same
@@ -871,7 +876,7 @@ func (it *Iter) Next() { it.advance() }
 // fast path span-copies a whole leaf remainder with a single bound check on
 // its last key, which is sound because the bound admits a downward-closed key
 // range (see inBound).
-func (it *Iter) ReadBatch(keys [][]byte, vals []interface{}, max int) int {
+func (it *Iter[V]) ReadBatch(keys [][]byte, vals []V, max int) int {
 	n := 0
 	for it.valid && n < max {
 		l, i := it.l, it.i
@@ -909,12 +914,12 @@ func (it *Iter) ReadBatch(keys [][]byte, vals []interface{}, max int) int {
 
 // LeavesWalked returns how many leaf pages the iterator has touched, for
 // I/O accounting.
-func (it *Iter) LeavesWalked() int { return it.leavesWalked }
+func (it *Iter[V]) LeavesWalked() int { return it.leavesWalked }
 
 // LeafLen returns the number of entries in the current leaf page, or 0 when
 // the iterator is exhausted. Together with SkipLeaf it supports page-stride
 // sampling (ANALYZE reads whole pages or skips them wholesale).
-func (it *Iter) LeafLen() int {
+func (it *Iter[V]) LeafLen() int {
 	if !it.valid {
 		return 0
 	}
@@ -925,7 +930,7 @@ func (it *Iter) LeafLen() int {
 // visiting the remaining entries of the current one. The entered page
 // counts as walked; the skipped remainder of the current page was already
 // counted when the iterator entered it.
-func (it *Iter) SkipLeaf() {
+func (it *Iter[V]) SkipLeaf() {
 	if !it.valid {
 		return
 	}
@@ -951,7 +956,7 @@ func (it *Iter) SkipLeaf() {
 // The fault and scenario suites run this per cycle on every live tree, so a
 // cross-snapshot in-place mutation would surface as a structural violation
 // there even when no snapshot is currently observing the damage.
-func (t *Tree) Validate() error {
+func (t *Tree[V]) Validate() error {
 	var prev []byte
 	count := 0
 	for it := t.Seek(nil); it.Valid(); it.Next() {
@@ -969,7 +974,7 @@ func (t *Tree) Validate() error {
 	reachable := 0
 	var err error
 	t.walk(func(n node) {
-		if l, ok := n.(*leaf); ok {
+		if l, ok := n.(*leaf[V]); ok {
 			reachable++
 			if len(l.keys) == 0 && t.size > 0 && err == nil {
 				err = fmt.Errorf("btree: empty leaf reachable at position %d", reachable-1)
@@ -991,9 +996,9 @@ func (t *Tree) Validate() error {
 	return t.validateNode(t.root, nil, nil, t.epoch)
 }
 
-func (t *Tree) validateNode(n node, lo, hi []byte, maxEpoch uint64) error {
+func (t *Tree[V]) validateNode(n node, lo, hi []byte, maxEpoch uint64) error {
 	switch v := n.(type) {
-	case *leaf:
+	case *leaf[V]:
 		if v.epoch > maxEpoch {
 			return fmt.Errorf("btree: leaf epoch %d above parent/handle epoch %d (cross-snapshot mutation)", v.epoch, maxEpoch)
 		}
@@ -1005,7 +1010,7 @@ func (t *Tree) validateNode(n node, lo, hi []byte, maxEpoch uint64) error {
 				return fmt.Errorf("btree: leaf key above upper bound")
 			}
 		}
-	case *inner:
+	case *inner[V]:
 		if v.epoch > maxEpoch {
 			return fmt.Errorf("btree: inner epoch %d above parent/handle epoch %d (cross-snapshot mutation)", v.epoch, maxEpoch)
 		}

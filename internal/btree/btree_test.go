@@ -12,7 +12,7 @@ import (
 func key(i int) []byte { return []byte(fmt.Sprintf("%08d", i)) }
 
 func TestPutGet(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 1000; i++ {
 		if !tr.Put(key(i), i) {
 			t.Fatalf("Put(%d) reported replace", i)
@@ -33,7 +33,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestPutReplace(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	tr.Put(key(1), "a")
 	if tr.Put(key(1), "b") {
 		t.Fatal("replace reported insert")
@@ -48,7 +48,7 @@ func TestPutReplace(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 500; i++ {
 		tr.Put(key(i), i)
 	}
@@ -75,7 +75,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestIterFullScan(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	n := 5000
 	perm := rand.New(rand.NewSource(3)).Perm(n)
 	for _, i := range perm {
@@ -97,7 +97,7 @@ func TestIterFullScan(t *testing.T) {
 }
 
 func TestSeekRange(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 100; i++ {
 		tr.Put(key(i), i)
 	}
@@ -131,7 +131,7 @@ func TestSeekRange(t *testing.T) {
 }
 
 func TestLeavesWalkedAccounting(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 10000; i++ {
 		tr.Put(key(i), i)
 	}
@@ -157,7 +157,7 @@ func TestLeavesWalkedAccounting(t *testing.T) {
 // it always matches a reference map, plus structural invariants.
 func TestRandomOpsAgainstMap(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	tr := New()
+	tr := New[any]()
 	ref := map[string]int{}
 	for op := 0; op < 20000; op++ {
 		k := key(r.Intn(3000))
@@ -203,7 +203,7 @@ func TestSortedInvariantProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := int(nRaw%2000) + 1
 		r := rand.New(rand.NewSource(seed))
-		tr := New()
+		tr := New[any]()
 		for i := 0; i < n; i++ {
 			b := make([]byte, 1+r.Intn(12))
 			r.Read(b)
@@ -217,7 +217,7 @@ func TestSortedInvariantProperty(t *testing.T) {
 }
 
 func TestKeyIsCopied(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	k := []byte("abc")
 	tr.Put(k, 1)
 	k[0] = 'z'
@@ -227,14 +227,14 @@ func TestKeyIsCopied(t *testing.T) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < b.N; i++ {
 		tr.Put(key(i), i)
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 100000; i++ {
 		tr.Put(key(i), i)
 	}
@@ -245,7 +245,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func BenchmarkRangeScan100(b *testing.B) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 100000; i++ {
 		tr.Put(key(i), i)
 	}
@@ -263,7 +263,7 @@ func BenchmarkRangeScan100(b *testing.B) {
 // byte-wise, which is how composite-index scans express "leading columns <= v"
 // without appending an artificial successor byte.
 func TestSeekRangePrefixInclusive(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	// Composite-style keys: a short prefix followed by a suffix.
 	put := func(s string) { tr.Put([]byte(s), s) }
 	for _, s := range []string{"a|1", "a|2", "b|1", "b|2", "b|3", "c|1"} {
@@ -308,7 +308,7 @@ func TestSeekRangePrefixInclusive(t *testing.T) {
 // the same LeavesWalked accounting, across batch sizes that straddle leaf
 // boundaries.
 func TestReadBatchMatchesIteration(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	const n = 5000
 	for i := 0; i < n; i++ {
 		tr.Put(key(i), i)
@@ -363,5 +363,24 @@ func TestReadBatchMatchesIteration(t *testing.T) {
 				t.Fatalf("bs=%d range=%v: LeavesWalked %d (batch) vs %d (loop)", bs, rg, itB.LeavesWalked(), itA.LeavesWalked())
 			}
 		}
+	}
+}
+
+// TestTypedValuesFootprint: a tree's value slots are inline, so a keys-only
+// Tree[struct{}] pays nothing per entry beyond its key, and a tree of slice
+// values pays the slice header — the same nodes, 24 bytes per entry apart.
+func TestTypedValuesFootprint(t *testing.T) {
+	keys, rows := New[struct{}](), New[[]int]()
+	for i := 0; i < 500; i++ {
+		keys.Put(key(i), struct{}{})
+		rows.Put(key(i), []int{i})
+	}
+	fk, fr := keys.Footprint(), rows.Footprint()
+	if fk.Nodes != fr.Nodes || fr.Bytes-fk.Bytes != 500*24 {
+		t.Fatalf("keys-only %+v, slice-valued %+v: want the same nodes, 24 B per entry apart", fk, fr)
+	}
+	got := make([][]byte, 600)
+	if n := keys.Seek(nil).ReadBatch(got, make([]struct{}, 600), 600); n != 500 || !bytes.Equal(got[499], key(499)) {
+		t.Fatalf("ReadBatch read %d keys ending %q", n, got[max(n-1, 0)])
 	}
 }

@@ -57,7 +57,7 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 		}
 		sort.Strings(sorted)
 
-		inc := New()
+		inc := New[any]()
 		for i, k := range sorted {
 			if string(items[i].Key) != k {
 				t.Fatalf("SlabItems position %d: %x, want %x", i, items[i].Key, k)
@@ -66,7 +66,7 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 		}
 		bulk := BulkLoad(items)
 
-		appended := New()
+		appended := New[any]()
 		split := len(items) / 2
 		for _, it := range items[:split] {
 			appended.Put(it.Key, it.Val)
@@ -77,7 +77,7 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 
 		for _, pair := range []struct {
 			name string
-			tr   *Tree
+			tr   *Tree[any]
 		}{{"bulk", bulk}, {"appended", appended}} {
 			if err := pair.tr.Validate(); err != nil {
 				t.Fatalf("%s: %v", pair.name, err)

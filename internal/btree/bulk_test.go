@@ -9,17 +9,17 @@ import (
 )
 
 // sortedItems returns n strictly-increasing key/value items.
-func sortedItems(n int) []Item {
-	items := make([]Item, n)
+func sortedItems(n int) []Item[any] {
+	items := make([]Item[any], n)
 	for i := range items {
-		items[i] = Item{Key: key(i), Val: i}
+		items[i] = Item[any]{Key: key(i), Val: i}
 	}
 	return items
 }
 
 // assertEqualTrees checks both trees hold exactly the same entries in the
 // same order and both pass Validate.
-func assertEqualTrees(t *testing.T, got, want *Tree) {
+func assertEqualTrees(t *testing.T, got, want *Tree[any]) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
@@ -53,7 +53,7 @@ func TestBulkLoadMatchesPut(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 57, 58, 100, 3650, 20000} {
 		items := sortedItems(n)
 		bulk := BulkLoad(items)
-		inc := New()
+		inc := New[any]()
 		for _, it := range sortedItems(n) { // fresh keys: BulkLoad took ownership
 			inc.Put(it.Key, it.Val)
 		}
@@ -85,7 +85,7 @@ func TestBulkLoadUnsortedPanics(t *testing.T) {
 			t.Fatal("BulkLoad accepted unsorted input")
 		}
 	}()
-	BulkLoad([]Item{{Key: key(2), Val: 2}, {Key: key(1), Val: 1}})
+	BulkLoad([]Item[any]{{Key: key(2), Val: 2}, {Key: key(1), Val: 1}})
 }
 
 func TestBulkLoadThenMutate(t *testing.T) {
@@ -106,19 +106,19 @@ func TestBulkLoadThenMutate(t *testing.T) {
 
 func TestAppendBulk(t *testing.T) {
 	// Onto an empty tree.
-	tr := New()
+	tr := New[any]()
 	if !tr.AppendBulk(sortedItems(500)) {
 		t.Fatal("AppendBulk on empty tree rejected")
 	}
 	// Onto a populated tree, keys beyond the current max.
-	more := make([]Item, 500)
+	more := make([]Item[any], 500)
 	for i := range more {
-		more[i] = Item{Key: key(500 + i), Val: 500 + i}
+		more[i] = Item[any]{Key: key(500 + i), Val: 500 + i}
 	}
 	if !tr.AppendBulk(more) {
 		t.Fatal("AppendBulk beyond max rejected")
 	}
-	want := New()
+	want := New[any]()
 	for i := 0; i < 1000; i++ {
 		want.Put(key(i), i)
 	}
@@ -126,10 +126,10 @@ func TestAppendBulk(t *testing.T) {
 
 	// Overlapping keys must be rejected without mutation.
 	before := tr.Len()
-	if tr.AppendBulk([]Item{{Key: key(10), Val: 0}}) {
+	if tr.AppendBulk([]Item[any]{{Key: key(10), Val: 0}}) {
 		t.Fatal("AppendBulk accepted overlapping key")
 	}
-	if tr.AppendBulk([]Item{{Key: key(2000), Val: 0}, {Key: key(1500), Val: 0}}) {
+	if tr.AppendBulk([]Item[any]{{Key: key(2000), Val: 0}, {Key: key(1500), Val: 0}}) {
 		t.Fatal("AppendBulk accepted unsorted input")
 	}
 	if tr.Len() != before {
@@ -141,13 +141,13 @@ func TestAppendBulk(t *testing.T) {
 }
 
 func TestAppendBulkRepeatedBatches(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	pos := 0
 	for batch := 0; batch < 40; batch++ {
 		n := 1 + (batch*37)%200
-		items := make([]Item, n)
+		items := make([]Item[any], n)
 		for i := range items {
-			items[i] = Item{Key: key(pos), Val: pos}
+			items[i] = Item[any]{Key: key(pos), Val: pos}
 			pos++
 		}
 		if !tr.AppendBulk(items) {
@@ -170,7 +170,7 @@ func TestAppendBulkRepeatedBatches(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	src := New()
+	src := New[any]()
 	perm := rand.New(rand.NewSource(5)).Perm(8000)
 	for _, i := range perm {
 		src.Put(key(i), i)
@@ -206,7 +206,7 @@ func TestClone(t *testing.T) {
 }
 
 func TestCloneEmpty(t *testing.T) {
-	cl := New().Clone()
+	cl := New[any]().Clone()
 	if cl.Len() != 0 || cl.Leaves() != 1 || cl.Height() != 1 {
 		t.Fatalf("empty clone: len=%d leaves=%d height=%d", cl.Len(), cl.Leaves(), cl.Height())
 	}
@@ -217,7 +217,7 @@ func TestCloneEmpty(t *testing.T) {
 }
 
 func TestDeleteUnlinksEmptyLeaves(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	n := 10000
 	for i := 0; i < n; i++ {
 		tr.Put(key(i), i)
@@ -268,7 +268,7 @@ func TestDeleteUnlinksEmptyLeaves(t *testing.T) {
 
 func TestDeleteRandomLeafAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	tr := New()
+	tr := New[any]()
 	live := map[int]bool{}
 	for op := 0; op < 30000; op++ {
 		i := r.Intn(4000)
@@ -289,7 +289,7 @@ func TestDeleteRandomLeafAccounting(t *testing.T) {
 }
 
 func TestPutOwned(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 1000; i++ {
 		k := append([]byte(nil), key(i)...) // freshly allocated, handed over
 		tr.PutOwned(k, i)
@@ -310,7 +310,7 @@ func TestPutOwned(t *testing.T) {
 }
 
 func TestLeafStrideIteration(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	n := 20000
 	for i := 0; i < n; i++ {
 		tr.Put(key(i), i)
@@ -352,10 +352,10 @@ func TestBulkLoadAgainstSortedRandomKeys(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	items := make([]Item, len(keys))
-	inc := New()
+	items := make([]Item[any], len(keys))
+	inc := New[any]()
 	for i, k := range keys {
-		items[i] = Item{Key: []byte(k), Val: i}
+		items[i] = Item[any]{Key: []byte(k), Val: i}
 		inc.Put([]byte(k), i)
 	}
 	assertEqualTrees(t, BulkLoad(items), inc)
@@ -365,7 +365,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	base := sortedItems(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := make([]Item, len(base))
+		items := make([]Item[any], len(base))
 		copy(items, base)
 		BulkLoad(items)
 	}
@@ -373,7 +373,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 
 func BenchmarkIncrementalLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tr := New()
+		tr := New[any]()
 		for j := 0; j < 100000; j++ {
 			tr.PutOwned(key(j), j)
 		}

@@ -18,9 +18,9 @@ func FuzzCOWSnapshotEquivalence(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 0, 2, 0, 1, 2, 1, 0, 2, 0, 3})
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 2, 1, 10, 1, 20, 0, 40, 2, 1, 30})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tr := New()
+		tr := New[any]()
 		liveModel := map[string]int{}
-		var snap *Tree
+		var snap *Tree[any]
 		var snapModel map[string]int
 
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -58,7 +58,7 @@ func FuzzCOWSnapshotEquivalence(f *testing.F) {
 
 // checkDiff asserts Diff(a, b) reports keys in order, each side's value as
 // its model holds it, and leaves out no key the models disagree on.
-func checkDiff(t *testing.T, a, b *Tree, am, bm map[string]int) {
+func checkDiff(t *testing.T, a, b *Tree[any], am, bm map[string]int) {
 	t.Helper()
 	seen := map[string]bool{}
 	var prev []byte
@@ -97,7 +97,7 @@ func fuzzKey(b byte) []byte {
 }
 
 // checkModel asserts the tree's full ordered scan equals the sorted model.
-func checkModel(t *testing.T, label string, tr *Tree, model map[string]int) {
+func checkModel(t *testing.T, label string, tr *Tree[any], model map[string]int) {
 	t.Helper()
 	if tr.Len() != len(model) {
 		t.Fatalf("%s: Len=%d, model=%d", label, tr.Len(), len(model))

@@ -10,7 +10,7 @@ import (
 
 // scan renders the full contents of a tree as one string, for byte-identical
 // snapshot comparisons.
-func scan(t *Tree) string {
+func scan(t *Tree[any]) string {
 	var b bytes.Buffer
 	for it := t.Seek(nil); it.Valid(); it.Next() {
 		fmt.Fprintf(&b, "%s=%v\n", it.Key(), it.Value())
@@ -23,7 +23,7 @@ func scan(t *Tree) string {
 // and assert an iteration of the snapshot — including one opened mid-DML and
 // one opened before any DML — is byte-identical to the pre-DML scan.
 func TestSnapshotReadStability(t *testing.T) {
-	live := New()
+	live := New[any]()
 	for i := 0; i < 5000; i++ {
 		live.Put(key(i), i)
 	}
@@ -77,7 +77,7 @@ func TestSnapshotReadStability(t *testing.T) {
 // a frozen snapshot while the single writer churns the live handle. The
 // race detector proves the writer never touches a node the snapshot reaches.
 func TestSnapshotScanDuringDML(t *testing.T) {
-	live := New()
+	live := New[any]()
 	for i := 0; i < 3000; i++ {
 		live.Put(key(i), i)
 	}
@@ -119,7 +119,7 @@ func TestSnapshotScanDuringDML(t *testing.T) {
 // performs no node copies itself, and the first write after a clone copies
 // exactly one root-to-leaf path.
 func TestCloneIsConstantWork(t *testing.T) {
-	live := New()
+	live := New[any]()
 	for i := 0; i < 50000; i++ {
 		live.Put(key(i), i)
 	}
@@ -145,7 +145,7 @@ func TestCloneIsConstantWork(t *testing.T) {
 // is shared; after writes the shared portion shrinks by exactly the copied
 // paths while the snapshot's own footprint is unchanged.
 func TestSharedFootprintAccounting(t *testing.T) {
-	live := New()
+	live := New[any]()
 	for i := 0; i < 20000; i++ {
 		live.Put(key(i), i)
 	}
@@ -176,7 +176,7 @@ func TestSharedFootprintAccounting(t *testing.T) {
 // (an in-place mutation that skipped path-copying) and a node tagged ahead
 // of the family clock.
 func TestValidateDetectsEpochViolations(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	for i := 0; i < 500; i++ {
 		tr.Put(key(i), i)
 	}
@@ -186,8 +186,8 @@ func TestValidateDetectsEpochViolations(t *testing.T) {
 	}
 	// Forge: pretend a live writer mutated a leaf the snapshot can reach by
 	// re-tagging it with the live handle's (newer) epoch.
-	root := snap.root.(*inner)
-	l := root.children[0].(*leaf)
+	root := snap.root.(*inner[any])
+	l := root.children[0].(*leaf[any])
 	saved := l.epoch
 	l.epoch = tr.epoch
 	if err := snap.Validate(); err == nil {
@@ -207,11 +207,11 @@ func TestValidateDetectsEpochViolations(t *testing.T) {
 // interleaved writes at every level — the regression-detector pattern of
 // holding several historical snapshots at once.
 func TestSnapshotChainsDeep(t *testing.T) {
-	tr := New()
+	tr := New[any]()
 	ref := map[string]interface{}{}
 	r := rand.New(rand.NewSource(13))
 	type held struct {
-		tree *Tree
+		tree *Tree[any]
 		want string
 	}
 	var snaps []held
@@ -252,9 +252,9 @@ func TestSnapshotChainsDeep(t *testing.T) {
 // keys among them, survives the live root splitting to a taller tree, and
 // walks a tree rebuilt from scratch, which shares nothing, in full.
 func TestDiffPrunesSharedSubtrees(t *testing.T) {
-	items := make([]Item, 50000)
+	items := make([]Item[any], 50000)
 	for i := range items {
-		items[i] = Item{Key: key(2 * i), Val: i}
+		items[i] = Item[any]{Key: key(2 * i), Val: i}
 	}
 	live := BulkLoad(items)
 	snap := live.Clone()

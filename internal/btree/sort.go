@@ -15,7 +15,7 @@ import (
 // slab with cap == len, so appending to one never writes into the next; the
 // slab stays reachable while any key or value cut from it is in any tree.
 // Keys must be unique, as BulkLoad requires.
-func SlabItems(slab []byte, offs []int, val func(i int, key []byte) interface{}) []Item {
+func SlabItems[V any](slab []byte, offs []int, val func(i int, key []byte) V) []Item[V] {
 	perm := make([]int32, len(offs)-1)
 	sorted := true
 	for i := range perm {
@@ -27,10 +27,10 @@ func SlabItems(slab []byte, offs []int, val func(i int, key []byte) interface{})
 	if !sorted {
 		sortSlab(slab, offs, perm, make([]int32, len(perm)), 0)
 	}
-	items := make([]Item, len(perm))
+	items := make([]Item[V], len(perm))
 	for i, k := range perm {
 		key := slab[offs[k]:offs[k+1]:offs[k+1]]
-		items[i] = Item{Key: key, Val: val(int(k), key)}
+		items[i] = Item[V]{Key: key, Val: val(int(k), key)}
 	}
 	return items
 }

@@ -154,7 +154,7 @@ func (e *Executor) scanClustered(p *Plan, depth int, step *Step, tbl *storage.Ta
 	for ; it.Valid(); it.Next() {
 		st.RowsRead++
 		scanned++
-		row := it.Value().(sqltypes.Row)
+		row := it.Value()
 		copy(env[base:base+ncols], row)
 		ok, err := passes(step.Filter, env)
 		if err != nil {
@@ -222,8 +222,13 @@ func (e *Executor) scanIndex(p *Plan, depth int, step *Step, tbl *storage.Table,
 			}
 		}
 		if !step.Covering {
-			pk := it.Value().([]byte)
-			row, ok := tbl.GetByPK(pk, nil)
+			// The clustered key the long way, independent of Index.PK: decode
+			// the whole entry, re-encode its primary-key values.
+			vals, rest, err := sqltypes.DecodeKey(it.Key(), keyCols)
+			if err != nil || len(rest) != 0 {
+				return fmt.Errorf("exec: corrupt index entry %x: %v", it.Key(), err)
+			}
+			row, ok := tbl.GetByPK(sqltypes.EncodeKey(nil, vals[len(ix.Ordinals()):]...), nil)
 			if !ok {
 				return fmt.Errorf("exec: dangling index entry in %s", step.IndexName)
 			}

@@ -15,17 +15,18 @@ import (
 // resident.
 const batchSize = 1024
 
-// batchArena bundles the reusable scratch buffers of one plan step: key/value
-// spans filled by ReadBatch, row views, the selection vector, slabs for the
+var noVals [batchSize]struct{} // an index batch's values: no memory
+
+// batchArena bundles the reusable scratch buffers of one plan step: the key
+// span and row views ReadBatch fills, the selection vector, slabs for the
 // rows the step builds (decoded index views, widened env rows), the scan
-// iterator and key-range buffers its scans reopen once per outer row, and
+// iterators and key-range buffers its scans reopen once per outer row, and
 // free lists for the tri-state lanes and sub-selections that nested AND/OR
 // kernels borrow. Arenas are pooled on the Executor (sync.Pool) and a run
 // takes one per step, so steady-state replay allocates only the output rows
 // that escape into Results.
 type batchArena struct {
 	keys []([]byte)
-	vals []interface{}
 	rows []sqltypes.Row
 	sel  []int32
 	slab []sqltypes.Value // batch rows built by the step (see scanRange)
@@ -34,7 +35,8 @@ type batchArena struct {
 
 	prefix, in []sqltypes.Value // equality prefix and IN values of a scan
 	bounds     keyBuf
-	it         btree.Iter
+	rowIt      btree.Iter[sqltypes.Row]
+	keyIt      btree.Iter[struct{}]
 
 	triFree [][]int8
 	selFree [][]int32
@@ -46,7 +48,6 @@ func (e *Executor) getArena() *batchArena {
 	}
 	return &batchArena{
 		keys: make([][]byte, batchSize),
-		vals: make([]interface{}, batchSize),
 		rows: make([]sqltypes.Row, batchSize),
 		sel:  make([]int32, 0, batchSize),
 	}
@@ -492,7 +493,6 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		width, seg = envW, base
 	}
 
-	tree := tbl.Data()
 	var ix *storage.Index
 	var ords []int
 	pks := tbl.Def.PrimaryKey
@@ -501,7 +501,7 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		if ix = tbl.Index(step.IndexName); ix == nil {
 			return fmt.Errorf("exec: index %q not materialized on %s", step.IndexName, tbl.Def.Name)
 		}
-		tree, ords = ix.Tree(), ix.Ordinals()
+		ords = ix.Ordinals()
 		needDecode = step.Covering || step.ICP != nil
 	}
 	if e.m != nil {
@@ -514,14 +514,15 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 			e.m.indexScans.Inc()
 		}
 	}
-	var keys [][]byte
-	if needDecode {
-		keys = a.keys
-	}
 	dataHeight := int64(tbl.Data().Height())
 	var scanned int64
-	st.PageReads += int64(tree.Height())
-	it := tree.SeekRangeInto(&a.it, lo, hi, hiInc)
+	if ix == nil {
+		st.PageReads += dataHeight
+		tbl.Data().SeekRangeInto(&a.rowIt, lo, hi, hiInc)
+	} else {
+		st.PageReads += int64(ix.Tree().Height())
+		ix.Tree().SeekRangeInto(&a.keyIt, lo, hi, hiInc)
+	}
 	for {
 		max := batchSize
 		if r.target >= 0 {
@@ -530,7 +531,12 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 				max = int(min(r.target-r.produced, batchSize))
 			}
 		}
-		n := it.ReadBatch(keys, a.vals, max)
+		var n int
+		if ix == nil {
+			n = a.rowIt.ReadBatch(nil, a.rows, max)
+		} else {
+			n = a.keyIt.ReadBatch(a.keys, noVals[:], max)
+		}
 		if n == 0 {
 			break
 		}
@@ -547,22 +553,17 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		if widenFirst || needDecode {
 			slab := grow(&a.slab, n*width)
 			for i := range rows {
-				rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+				w := slab[i*width : (i+1)*width : (i+1)*width]
 				if widenFirst {
-					copy(rows[i], env)
+					copy(w, env)
+					if ix == nil {
+						copy(w[seg:], rows[i])
+					}
 				}
+				rows[i] = w
 			}
 		}
-		switch {
-		case ix == nil:
-			for i := range rows {
-				if row := a.vals[i].(sqltypes.Row); widenFirst {
-					copy(rows[i][seg:], row)
-				} else {
-					rows[i] = row
-				}
-			}
-		case needDecode:
+		if needDecode {
 			// Index-only view: the index and PK columns, the rest NULL.
 			dec := grow(&a.dec, len(ords)+len(pks))
 			for i := range rows {
@@ -570,7 +571,7 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 				for j := range view {
 					view[j] = sqltypes.Null
 				}
-				if _, err := sqltypes.DecodeKeyInto(dec, keys[i], len(dec)); err != nil {
+				if _, err := sqltypes.DecodeKeyInto(dec, a.keys[i], len(dec)); err != nil {
 					return fmt.Errorf("exec: corrupt index entry: %v", err)
 				}
 				for j, o := range ords {
@@ -589,7 +590,11 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		}
 		if ix != nil && !step.Covering {
 			for _, i := range sel {
-				row, ok := tbl.GetByPK(a.vals[i].([]byte), nil)
+				pk, err := ix.PK(a.keys[i])
+				if err != nil {
+					return fmt.Errorf("exec: corrupt index entry: %v", err)
+				}
+				row, ok := tbl.GetByPK(pk, nil)
 				if !ok {
 					return fmt.Errorf("exec: dangling index entry in %s", step.IndexName)
 				}
@@ -632,7 +637,11 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 			return errStop
 		}
 	}
-	st.PageReads += int64(it.LeavesWalked())
+	if ix == nil {
+		st.PageReads += int64(a.rowIt.LeavesWalked())
+	} else {
+		st.PageReads += int64(a.keyIt.LeavesWalked())
+	}
 	if e.m != nil {
 		if ix == nil {
 			e.m.clusteredRows.Add(scanned)

@@ -12,6 +12,7 @@ import (
 	"aim/internal/exec"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
+	"aim/internal/sqltypes"
 	"aim/internal/workload"
 )
 
@@ -292,7 +293,7 @@ func TestValidateComparesOneSnapshot(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		baseline, test := f.pair()
 		b, s := baseline.Store.Table("t"), test.Store.Table("t")
-		btree.Diff(b.Data(), s.Data(), func(key []byte, _, _ interface{}) bool {
+		btree.Diff(b.Data(), s.Data(), func(key []byte, _, _ sqltypes.Row) bool {
 			t.Fatalf("pair %d: the sides differ at key %x", i, key)
 			return false
 		})

@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -109,15 +110,28 @@ func DecodeKey(src []byte, n int) ([]Value, []byte, error) {
 // batch decoders reuse one dst slice across many keys instead of allocating a
 // result slice per entry.
 func DecodeKeyInto(dst []Value, src []byte, n int) ([]byte, error) {
+	return walkKey(dst[:n], src, n)
+}
+
+// SkipKey returns what follows the first n values encoded in src without
+// decoding them, so it allocates nothing. Skipping an index entry's index
+// columns leaves its clustered key.
+func SkipKey(src []byte, n int) ([]byte, error) {
+	return walkKey(nil, src, n)
+}
+
+// walkKey is the one parser of the key encoding: it steps over n values,
+// storing each in dst when dst is non-nil, and returns the bytes after them.
+func walkKey(dst []Value, src []byte, n int) ([]byte, error) {
 	for i := 0; i < n; i++ {
 		if len(src) == 0 {
 			return nil, fmt.Errorf("sqltypes: truncated key, want %d values got %d", n, i)
 		}
 		tag := src[0]
 		src = src[1:]
+		v := Null
 		switch tag {
 		case tagNull:
-			dst[i] = Null
 		case tagNum:
 			if len(src) < 8 {
 				return nil, fmt.Errorf("sqltypes: truncated numeric payload")
@@ -129,36 +143,32 @@ func DecodeKeyInto(dst []Value, src []byte, n int) ([]byte, error) {
 			} else {
 				bits = ^bits
 			}
-			dst[i] = Float64ToValue(math.Float64frombits(bits))
+			v = Float64ToValue(math.Float64frombits(bits))
 		case tagString:
-			var b []byte
+			// Only a 0x00 0xFF escape or the 0x00 0x01 terminator holds 0x00.
+			payload := src
 			for {
-				if len(src) < 2 && !(len(src) >= 1 && src[0] != 0x00) {
+				j := bytes.IndexByte(src, 0x00)
+				if j < 0 || j+1 >= len(src) {
 					return nil, fmt.Errorf("sqltypes: truncated string payload")
 				}
-				c := src[0]
-				if c != 0x00 {
-					b = append(b, c)
-					src = src[1:]
-					continue
-				}
-				if len(src) < 2 {
-					return nil, fmt.Errorf("sqltypes: truncated string terminator")
-				}
-				next := src[1]
-				src = src[2:]
-				if next == 0x01 { // terminator
+				next := src[j+1]
+				if src = src[j+2:]; next == 0x01 {
 					break
 				}
-				if next == 0xFF {
-					b = append(b, 0x00)
-					continue
+				if next != 0xFF {
+					return nil, fmt.Errorf("sqltypes: bad string escape 0x00 0x%02x", next)
 				}
-				return nil, fmt.Errorf("sqltypes: bad string escape 0x00 0x%02x", next)
 			}
-			dst[i] = NewString(string(b))
+			if dst != nil { // decode; a skip copies nothing
+				payload = payload[:len(payload)-len(src)-2]
+				v = NewString(strings.ReplaceAll(string(payload), "\x00\xff", "\x00"))
+			}
 		default:
 			return nil, fmt.Errorf("sqltypes: unknown key tag 0x%02x", tag)
+		}
+		if dst != nil {
+			dst[i] = v
 		}
 	}
 	return src, nil

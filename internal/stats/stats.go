@@ -266,7 +266,7 @@ func Collect(t *storage.Table, sampleLimit int) *TableStats {
 	}
 	if sampleLimit <= 0 || int(total) <= sampleLimit {
 		for it := t.Data().Seek(nil); it.Valid(); it.Next() {
-			take(it.Value().(sqltypes.Row))
+			take(it.Value())
 		}
 	} else {
 		// Page-stride sampling: pick whole leaf pages by a deterministic hash
@@ -291,7 +291,7 @@ func Collect(t *storage.Table, sampleLimit int) *TableStats {
 				continue
 			}
 			for n := it.LeafLen(); n > 0 && it.Valid(); n-- {
-				take(it.Value().(sqltypes.Row))
+				take(it.Value())
 				it.Next()
 			}
 		}

@@ -90,7 +90,7 @@ func renderStore(s *Store) string {
 			fmt.Fprintf(&b, "index %s len=%d bytes=%d leaves=%d height=%d\n",
 				n, ix.Len(), ix.SizeBytes(), ix.Tree().Leaves(), ix.Tree().Height())
 			for it := ix.Tree().Seek(nil); it.Valid(); it.Next() {
-				fmt.Fprintf(&b, "  %x -> %x\n", it.Key(), it.Value())
+				fmt.Fprintf(&b, "  %x\n", it.Key())
 			}
 		}
 	}
@@ -196,14 +196,14 @@ func regionRows(r *rand.Rand, n int, from string) []sqltypes.Row {
 	return rows
 }
 
-// sortedEntries encodes ix's entries for rows the way per-row maintenance
-// does (entryKey, the clustered key as value) and comparison-sorts them.
-func sortedEntries(tbl *Table, ix *Index, rows []sqltypes.Row) []btree.Item {
-	items := make([]btree.Item, len(rows))
+// sortedEntries encodes ix's entries for rows value by value (oracleEntry)
+// and comparison-sorts them.
+func sortedEntries(ix *Index, rows []sqltypes.Row) []btree.Item[struct{}] {
+	items := make([]btree.Item[struct{}], len(rows))
 	for i, row := range rows {
-		items[i] = btree.Item{Key: ix.entryKey(row), Val: tbl.PKKey(row)}
+		items[i] = btree.Item[struct{}]{Key: oracleEntry(ix, row)}
 	}
-	slices.SortFunc(items, func(a, b btree.Item) int { return bytes.Compare(a.Key, b.Key) })
+	slices.SortFunc(items, func(a, b btree.Item[struct{}]) int { return bytes.Compare(a.Key, b.Key) })
 	return items
 }
 
@@ -211,20 +211,20 @@ func sortedEntries(tbl *Table, ix *Index, rows []sqltypes.Row) []btree.Item {
 func tableRows(tbl *Table) []sqltypes.Row {
 	var rows []sqltypes.Row
 	for it := tbl.Data().Seek(nil); it.Valid(); it.Next() {
-		rows = append(rows, it.Value().(sqltypes.Row))
+		rows = append(rows, it.Value())
 	}
 	return rows
 }
 
-// sameEntries fails unless got and want hold the same keys and values.
-func sameEntries(t *testing.T, got, want *btree.Tree) {
+// sameEntries fails unless got and want hold the same entry keys.
+func sameEntries(t *testing.T, got, want *btree.Tree[struct{}]) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	ia, ib := got.Seek(nil), want.Seek(nil)
 	for ib.Valid() {
-		if !ia.Valid() || !bytes.Equal(ia.Key(), ib.Key()) || !bytes.Equal(ia.Value().([]byte), ib.Value().([]byte)) {
+		if !ia.Valid() || !bytes.Equal(ia.Key(), ib.Key()) {
 			t.Fatal("entries diverged from the reference")
 		}
 		ia.Next()
@@ -236,7 +236,7 @@ func sameEntries(t *testing.T, got, want *btree.Tree) {
 }
 
 // sameTree is sameEntries plus the page accounting: node for node.
-func sameTree(t *testing.T, got, want *btree.Tree) {
+func sameTree(t *testing.T, got, want *btree.Tree[struct{}]) {
 	t.Helper()
 	sameEntries(t, got, want)
 	if got.Len() != want.Len() || got.Leaves() != want.Leaves() || got.Height() != want.Height() {
@@ -289,7 +289,7 @@ func TestBuildIndexBulkMatchesIncremental(t *testing.T) {
 				t.Fatalf("bytes = %d, incremental %d", ix.SizeBytes(), inc.SizeBytes())
 			}
 			// Node for node the bulk load of the comparison-sorted entries.
-			want := btree.BulkLoad(sortedEntries(c.tbl, ix, rows))
+			want := btree.BulkLoad(sortedEntries(ix, rows))
 			sameTree(t, ix.Tree(), want)
 			n := int64(len(rows))
 			if wantM := (Metrics{RowsRead: n, IndexWrites: n, PageReads: int64(c.tbl.Data().Leaves() + want.Leaves())}); m != wantM {
@@ -315,7 +315,7 @@ func TestInsertBatchIntoIndexedTableMatchesReference(t *testing.T) {
 		{Name: "r_region", Table: "regions", Columns: []string{"region"}}, // appends: new regions sort last
 		{Name: "r_age", Table: "regions", Columns: []string{"age"}},
 	}
-	before := map[string]*btree.Tree{}
+	before := map[string]*btree.Tree[struct{}]{}
 	for _, def := range defs {
 		ix, err := tbl.BuildIndex(def, nil)
 		if err != nil {
@@ -331,7 +331,7 @@ func TestInsertBatchIntoIndexedTableMatchesReference(t *testing.T) {
 	for _, def := range defs {
 		ix := tbl.Index(def.Name)
 		want := before[def.Name]
-		entries := sortedEntries(tbl, ix, second)
+		entries := sortedEntries(ix, second)
 		if !want.AppendBulk(entries) {
 			for _, e := range entries {
 				want.PutOwned(e.Key, e.Val)
@@ -347,9 +347,10 @@ func TestInsertBatchIntoIndexedTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuiltKeysDoNotShareCapacity appends to every key and value taken from
-// bulk-built trees: each is cut from one slab with cap == len, so the append
-// must reallocate and leave the neighbouring entries unchanged.
+// TestBuiltKeysDoNotShareCapacity appends to every key taken from bulk-built
+// trees, and to the clustered key at its tail: each key is cut from one slab
+// with cap == len, so the append must reallocate and leave the neighbouring
+// entries unchanged.
 func TestBuiltKeysDoNotShareCapacity(t *testing.T) {
 	tbl := newRegionsTable(t)
 	if _, err := tbl.BuildIndex(&catalog.Index{Name: "r_city", Table: "regions", Columns: []string{"city"}}, nil); err != nil {
@@ -365,12 +366,15 @@ func TestBuiltKeysDoNotShareCapacity(t *testing.T) {
 	want := renderStore(s)
 	for _, ix := range tbl.Indexes() {
 		for it := ix.Tree().Seek(nil); it.Valid(); it.Next() {
-			k, v := it.Key(), it.Value().([]byte)
-			if cap(k) != len(k) || cap(v) != len(v) {
-				t.Fatalf("%s: key cap %d len %d, value cap %d len %d", ix.Def.Name, cap(k), len(k), cap(v), len(v))
+			k := it.Key()
+			if cap(k) != len(k) {
+				t.Fatalf("%s: key cap %d len %d", ix.Def.Name, cap(k), len(k))
+			}
+			if _, ok := tbl.GetByPK(oraclePK(t, ix, k), nil); !ok {
+				t.Fatalf("%s: entry %x leads to no row", ix.Def.Name, k)
 			}
 			_ = append(k, 0xEE, 0xEE)
-			_ = append(v, 0xEE)
+			_ = append(k[len(k)-len(oraclePK(t, ix, k)):], 0xEE)
 		}
 	}
 	if renderStore(s) != want {
@@ -378,8 +382,8 @@ func TestBuiltKeysDoNotShareCapacity(t *testing.T) {
 	}
 }
 
-// TestPrepareIndexAllocsPerEntry pins the bulk build's allocations: one boxed
-// value per entry plus the slab, its offsets and the tree's nodes.
+// TestPrepareIndexAllocsPerEntry pins the bulk build's allocations: the slab,
+// its offsets and the tree's nodes, and nothing per entry.
 func TestPrepareIndexAllocsPerEntry(t *testing.T) {
 	const rows = 20_000
 	tbl := benchFixtureSized(t, rows).Table("events")

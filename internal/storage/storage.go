@@ -2,10 +2,10 @@
 // backed by B+trees, secondary indexes maintained on every DML, and
 // page/row-level accounting used by the cost model and workload monitor.
 //
-// A secondary index entry is keyed by enc(index columns..., primary key
-// columns...) so that duplicate index-column values remain unique, exactly
-// like InnoDB secondary indexes; the entry value is the primary-key encoding
-// used for the back-lookup into the clustered tree.
+// A secondary index entry is its key, enc(index columns..., primary key
+// columns...), exactly like an InnoDB secondary-index record: the primary-key
+// suffix keeps duplicate index-column values unique and is the back-lookup
+// into the clustered tree (Index.PK). The entry stores no value.
 package storage
 
 import (
@@ -86,14 +86,19 @@ func (m *Metrics) Add(other Metrics) {
 // Index is a materialized secondary index.
 type Index struct {
 	Def      *catalog.Index
-	tree     *btree.Tree
+	tree     *btree.Tree[struct{}]
 	ordinals []int // table column ordinals of the key columns
 	pkOrds   []int
 	bytes    int64
 }
 
 // Tree exposes the underlying B+tree for scans.
-func (ix *Index) Tree() *btree.Tree { return ix.tree }
+func (ix *Index) Tree() *btree.Tree[struct{}] { return ix.tree }
+
+// PK returns the clustered key an entry points at, its key's suffix.
+func (ix *Index) PK(entry []byte) ([]byte, error) {
+	return sqltypes.SkipKey(entry, len(ix.ordinals))
+}
 
 // Ordinals returns the table column ordinals of the index key columns.
 func (ix *Index) Ordinals() []int { return ix.ordinals }
@@ -104,18 +109,25 @@ func (ix *Index) SizeBytes() int64 { return ix.bytes }
 // Len returns the number of entries.
 func (ix *Index) Len() int { return ix.tree.Len() }
 
-// entryKey builds the full index entry key for a row.
-func (ix *Index) entryKey(row sqltypes.Row) []byte {
-	vals := make([]sqltypes.Value, 0, len(ix.ordinals)+len(ix.pkOrds))
+// entryKey builds, in one allocation, the index entry key for a row stored
+// under the clustered key pk (encoding is concatenative per value).
+func (ix *Index) entryKey(row sqltypes.Row, pk []byte) []byte {
+	n := len(pk)
 	for _, o := range ix.ordinals {
-		vals = append(vals, row[o])
+		n += sqltypes.EncodedLen(row[o])
 	}
-	for _, o := range ix.pkOrds {
-		vals = append(vals, row[o])
+	key := make([]byte, 0, n)
+	for _, o := range ix.ordinals {
+		key = sqltypes.EncodeKey(key, row[o])
 	}
-	return sqltypes.EncodeKey(nil, vals...)
+	return append(key, pk...)
 }
 
+// entrySize is the advisor's size model of an entry (SizeBytes,
+// storage.index_mb), not its heap: the entry stores no value, but the "value
+// payload" term stays so modelled sizes, and so recommendations, are
+// unchanged. Measured heap on the serving fixture: 89.6 B per entry with a
+// boxed pk value, 47.6 B without.
 func (ix *Index) entrySize(row sqltypes.Row) int64 {
 	n := 0
 	for _, o := range ix.ordinals {
@@ -130,18 +142,18 @@ func (ix *Index) entrySize(row sqltypes.Row) int64 {
 // Table is a clustered table plus its materialized secondary indexes.
 type Table struct {
 	Def     *catalog.Table
-	data    *btree.Tree // pk key -> sqltypes.Row
+	data    *btree.Tree[sqltypes.Row] // pk key -> row
 	indexes map[string]*Index
 	bytes   int64
 }
 
 // NewTable creates an empty table for the definition.
 func NewTable(def *catalog.Table) *Table {
-	return &Table{Def: def, data: btree.New(), indexes: map[string]*Index{}}
+	return &Table{Def: def, data: btree.New[sqltypes.Row](), indexes: map[string]*Index{}}
 }
 
 // Data exposes the clustered tree for scans.
-func (t *Table) Data() *btree.Tree { return t.data }
+func (t *Table) Data() *btree.Tree[sqltypes.Row] { return t.data }
 
 // RowCount returns the number of rows.
 func (t *Table) RowCount() int { return t.data.Len() }
@@ -185,7 +197,7 @@ func (t *Table) Insert(row sqltypes.Row, m *Metrics) error {
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		ix.tree.PutOwned(ix.entryKey(stored), key)
+		ix.tree.PutOwned(ix.entryKey(stored, key), struct{}{})
 		ix.bytes += ix.entrySize(stored)
 		if m != nil {
 			m.IndexWrites++
@@ -211,12 +223,12 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 			return fmt.Errorf("storage: table %s expects %d columns, got %d", t.Def.Name, len(t.Def.Columns), len(row))
 		}
 	}
-	items := make([]btree.Item, len(rows))
+	items := make([]btree.Item[sqltypes.Row], len(rows))
 	sorted := true
 	var batchBytes int64
 	for i, row := range rows {
 		stored := row.Clone()
-		items[i] = btree.Item{Key: t.PKKey(stored), Val: stored}
+		items[i] = btree.Item[sqltypes.Row]{Key: t.PKKey(stored), Val: stored}
 		batchBytes += int64(stored.Size()) + 16
 		if i > 0 && bytes.Compare(items[i-1].Key, items[i].Key) >= 0 {
 			sorted = false
@@ -235,7 +247,7 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 	}
 	if !fastPath {
 		for _, it := range items {
-			if err := t.insertStored(it.Key, it.Val.(sqltypes.Row), m); err != nil {
+			if err := t.insertStored(it.Key, it.Val, m); err != nil {
 				return err
 			}
 		}
@@ -249,7 +261,7 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 	}
 	batch := func(fn func(pk []byte, row sqltypes.Row)) {
 		for _, it := range items {
-			fn(it.Key, it.Val.(sqltypes.Row))
+			fn(it.Key, it.Val)
 		}
 	}
 	for _, ix := range t.indexes {
@@ -278,10 +290,9 @@ const bulkPageEntries = 57
 // bulkEntries returns, in key order for BulkLoad or AppendBulk, the entries
 // of the rows each hands over with their clustered keys. The entry keys are
 // encoded into one slab sized to the bytes it holds and sorted there
-// (btree.SlabItems); an entry's value is its key's pk tail, so it adds no
-// bytes. Encoding is concatenative per value, so the stored pk bytes append
-// verbatim.
-func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) []btree.Item {
+// (btree.SlabItems), so a build allocates per slab, not per entry. Encoding
+// is concatenative per value, so the stored pk bytes append verbatim.
+func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) []btree.Item[struct{}] {
 	size, n := 0, 0
 	each(func(pk []byte, row sqltypes.Row) {
 		for _, o := range ix.ordinals {
@@ -289,19 +300,16 @@ func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) []
 		}
 		size, n = size+len(pk), n+1
 	})
-	slab, offs, pkAt := make([]byte, 0, size), make([]int, 1, n+1), make([]int, 0, n)
+	slab, offs := make([]byte, 0, size), make([]int, 1, n+1)
 	each(func(pk []byte, row sqltypes.Row) {
 		for _, o := range ix.ordinals {
 			slab = sqltypes.EncodeKey(slab, row[o])
 		}
-		pkAt = append(pkAt, len(slab))
 		slab = append(slab, pk...)
 		offs = append(offs, len(slab))
 		ix.bytes += ix.entrySize(row)
 	})
-	return btree.SlabItems(slab, offs, func(i int, key []byte) interface{} {
-		return key[pkAt[i]-offs[i]:]
-	})
+	return btree.SlabItems(slab, offs, func(int, []byte) struct{} { return struct{}{} })
 }
 
 // insertStored is Insert for a row whose clustered key is already encoded.
@@ -316,7 +324,7 @@ func (t *Table) insertStored(key []byte, stored sqltypes.Row, m *Metrics) error 
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		ix.tree.PutOwned(ix.entryKey(stored), key)
+		ix.tree.PutOwned(ix.entryKey(stored, key), struct{}{})
 		ix.bytes += ix.entrySize(stored)
 		if m != nil {
 			m.IndexWrites++
@@ -331,24 +339,23 @@ func (t *Table) GetByPK(key []byte, m *Metrics) (sqltypes.Row, bool) {
 	if m != nil {
 		m.PageReads += int64(t.data.Height())
 	}
-	v, ok := t.data.Get(key)
+	row, ok := t.data.Get(key)
 	if !ok {
 		return nil, false
 	}
 	if m != nil {
 		m.RowsRead++
 	}
-	return v.(sqltypes.Row), true
+	return row, true
 }
 
 // DeleteByPK removes the row with the given encoded primary key, updating
 // all secondary indexes. It reports whether a row was removed.
 func (t *Table) DeleteByPK(key []byte, m *Metrics) bool {
-	v, ok := t.data.Get(key)
+	row, ok := t.data.Get(key)
 	if !ok {
 		return false
 	}
-	row := v.(sqltypes.Row)
 	t.data.Delete(key)
 	t.bytes -= int64(row.Size()) + 16
 	if m != nil {
@@ -356,7 +363,7 @@ func (t *Table) DeleteByPK(key []byte, m *Metrics) bool {
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		ix.tree.Delete(ix.entryKey(row))
+		ix.tree.Delete(ix.entryKey(row, key))
 		ix.bytes -= ix.entrySize(row)
 		if m != nil {
 			m.IndexWrites++
@@ -370,11 +377,10 @@ func (t *Table) DeleteByPK(key []byte, m *Metrics) bool {
 // primary key columns), maintaining secondary indexes. Index entries are
 // only rewritten when their key columns changed.
 func (t *Table) Update(key []byte, newRow sqltypes.Row, m *Metrics) error {
-	v, ok := t.data.Get(key)
+	oldRow, ok := t.data.Get(key)
 	if !ok {
 		return fmt.Errorf("storage: update of missing row in table %s", t.Def.Name)
 	}
-	oldRow := v.(sqltypes.Row)
 	newKey := t.PKKey(newRow)
 	stored := newRow.Clone()
 	if string(newKey) != string(key) {
@@ -390,13 +396,13 @@ func (t *Table) Update(key []byte, newRow sqltypes.Row, m *Metrics) error {
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		oldEntry := ix.entryKey(oldRow)
-		newEntry := ix.entryKey(stored)
+		oldEntry := ix.entryKey(oldRow, key)
+		newEntry := ix.entryKey(stored, newKey)
 		if string(oldEntry) == string(newEntry) {
 			continue
 		}
 		ix.tree.Delete(oldEntry)
-		ix.tree.PutOwned(newEntry, newKey)
+		ix.tree.PutOwned(newEntry, struct{}{})
 		ix.bytes += ix.entrySize(stored) - ix.entrySize(oldRow)
 		if m != nil {
 			m.IndexWrites++
@@ -441,7 +447,7 @@ func (t *Table) PrepareIndex(def *catalog.Index, m *Metrics) (*Index, error) {
 	}
 	items := ix.bulkEntries(func(fn func(pk []byte, row sqltypes.Row)) {
 		for it := t.data.Seek(nil); it.Valid(); it.Next() {
-			fn(it.Key(), it.Value().(sqltypes.Row))
+			fn(it.Key(), it.Value())
 		}
 	})
 	// Entry keys are unique (PK suffix) and freshly encoded: ownership
@@ -481,21 +487,19 @@ func (t *Table) AdoptIndex(def *catalog.Index, snap *Table) (*Index, int, error)
 	start, src := time.Now(), snap.Index(def.Name)
 	ix := &Index{Def: def, tree: src.tree.Clone(), ordinals: src.ordinals, pkOrds: src.pkOrds, bytes: src.bytes}
 	changed := 0
-	btree.Diff(snap.data, t.data, func(pk []byte, was, now interface{}) bool {
-		old, _ := was.(sqltypes.Row)
-		cur, _ := now.(sqltypes.Row)
+	btree.Diff(snap.data, t.data, func(pk []byte, old, cur sqltypes.Row) bool {
 		if old != nil && cur != nil && &old[0] == &cur[0] {
 			return true // the same stored row, in a leaf rewritten for a neighbour
 		}
-		if changed++; old != nil && cur != nil && bytes.Equal(ix.entryKey(old), ix.entryKey(cur)) {
+		if changed++; old != nil && cur != nil && bytes.Equal(ix.entryKey(old, pk), ix.entryKey(cur, pk)) {
 			return true // an update that left the key columns alone
 		}
 		if old != nil {
-			ix.tree.Delete(ix.entryKey(old))
+			ix.tree.Delete(ix.entryKey(old, pk))
 			ix.bytes -= ix.entrySize(old)
 		}
 		if cur != nil {
-			ix.tree.PutOwned(ix.entryKey(cur), pk)
+			ix.tree.PutOwned(ix.entryKey(cur, pk), struct{}{})
 			ix.bytes += ix.entrySize(cur)
 		}
 		return true
