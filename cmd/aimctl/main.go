@@ -28,7 +28,8 @@
 //	    slow-query log.
 //
 //	aimctl top -url http://127.0.0.1:8080
-//	    live terminal dashboard over aimd's /timeseriesz samples.
+//	    live terminal dashboard: rates and interval latencies from
+//	    differencing successive /metricsz scrapes of a running aimd.
 package main
 
 import (

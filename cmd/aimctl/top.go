@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -9,16 +8,20 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"aim/internal/obs"
+	"aim/internal/telemetry"
 )
 
 // runTop is the `aimctl top` subcommand: a terminal dashboard over a running
-// aimd's /timeseriesz endpoint. Each refresh fetches the sample ring and
-// renders the newest sample — counter rates, gauges and span latency
-// quantiles — so an operator can watch a live tuning loop without wiring up
-// a metrics stack.
+// aimd's /metricsz endpoint. It scrapes once, then once per refresh, and
+// renders each scrape against the one before — counter rates over the
+// elapsed time, gauges, and span latency quantiles of the interval's
+// observations alone — so an operator can watch a live tuning loop without
+// wiring up a metrics stack. The daemon keeps no history; top does.
 //
 //	aimctl top -url http://127.0.0.1:8080
-//	aimctl top -url http://127.0.0.1:8080 -iterations 1   # one snapshot (scripts)
+//	aimctl top -url http://127.0.0.1:8080 -iterations 1   # two scrapes, one render (scripts)
 func (a *app) runTop(args []string) int {
 	fs := flag.NewFlagSet("aimctl top", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:8080", "aimd telemetry base URL")
@@ -30,110 +33,102 @@ func (a *app) runTop(args []string) int {
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
+	metricsURL := strings.TrimSuffix(*url, "/") + "/metricsz"
+	prev, prevAt, err := scrape(client, metricsURL)
+	if err != nil {
+		return a.fail(err)
+	}
 	for n := 0; *iterations == 0 || n < *iterations; n++ {
-		if n > 0 {
-			time.Sleep(*interval)
-		}
-		payload, err := fetchTimeSeries(client, strings.TrimSuffix(*url, "/")+"/timeseriesz")
+		time.Sleep(*interval)
+		cur, at, err := scrape(client, metricsURL)
 		if err != nil {
 			return a.fail(err)
 		}
-		renderTop(a.out, payload, *rows)
+		renderTop(a.out, prev, cur, at, at.Sub(prevAt), *rows)
+		prev, prevAt = cur, at
 	}
 	return 0
 }
 
-// topPayload mirrors the /timeseriesz wire shape (obs.TimeSeries.MarshalJSON).
-type topPayload struct {
-	Capacity int `json:"capacity"`
-	Samples  []struct {
-		TSUS            int64              `json:"ts_us"`
-		IntervalSeconds float64            `json:"interval_seconds"`
-		Rates           map[string]float64 `json:"rates,omitempty"`
-		Gauges          map[string]int64   `json:"gauges,omitempty"`
-		Histograms      map[string]topQ    `json:"histograms,omitempty"`
-		Spans           map[string]topQ    `json:"spans,omitempty"`
-	} `json:"samples"`
-}
-
-type topQ struct {
-	CountDelta int64   `json:"count_delta"`
-	P50        float64 `json:"p50"`
-	P95        float64 `json:"p95"`
-	P99        float64 `json:"p99"`
-}
-
-func fetchTimeSeries(client *http.Client, url string) (*topPayload, error) {
+// scrape fetches and parses one exposition, stamped with when it was taken.
+func scrape(client *http.Client, url string) (*obs.Snapshot, time.Time, error) {
 	resp, err := client.Get(url)
 	if err != nil {
-		return nil, err
+		return nil, time.Time{}, err
 	}
+	at := time.Now()
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
+		body, _ := io.ReadAll(resp.Body)
+		return nil, at, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
-	p := &topPayload{}
-	if err := json.Unmarshal(body, p); err != nil {
-		return nil, fmt.Errorf("%s: %v", url, err)
+	snap, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
+		return nil, at, fmt.Errorf("%s: %v", url, err)
 	}
-	return p, nil
+	return snap, at, nil
 }
 
-func renderTop(w io.Writer, p *topPayload, maxRows int) {
-	if len(p.Samples) == 0 {
-		fmt.Fprintln(w, "aimctl top: no samples yet (is -timeseries-interval on?)")
-		return
+// intervalHist is what a histogram observed between two scrapes: the
+// per-bucket differences of its two lifetime snapshots.
+func intervalHist(cur, prev obs.HistogramSnapshot) obs.HistogramSnapshot {
+	before := make(map[float64]int64, len(prev.Buckets))
+	for _, b := range prev.Buckets {
+		before[b.UpperBound] = b.Count
 	}
-	s := p.Samples[len(p.Samples)-1]
-	fmt.Fprintf(w, "── %s  (interval %.1fs, ring %d/%d) ──\n",
-		time.UnixMicro(s.TSUS).Format("15:04:05"), s.IntervalSeconds, len(p.Samples), p.Capacity)
-
-	type kv struct {
-		k string
-		v float64
-	}
-	section := func(title, unit string, m map[string]kv) {
-		if len(m) == 0 {
-			return
+	var out obs.HistogramSnapshot
+	for _, b := range cur.Buckets {
+		if n := b.Count - before[b.UpperBound]; n > 0 {
+			out.Count += n
+			out.Buckets = append(out.Buckets, obs.BucketCount{UpperBound: b.UpperBound, Count: n})
 		}
-		rows := make([]kv, 0, len(m))
-		for _, e := range m {
-			rows = append(rows, e)
+	}
+	return out
+}
+
+// renderTop writes one refresh: the scrape cur taken at at, differenced
+// against prev taken elapsed earlier. Each section lists at most maxRows
+// rows, largest first.
+func renderTop(w io.Writer, prev, cur *obs.Snapshot, at time.Time, elapsed time.Duration, maxRows int) {
+	fmt.Fprintf(w, "── %s  (interval %.3fs) ──\n", at.Format("15:04:05"), elapsed.Seconds())
+
+	type row struct {
+		v    float64
+		line string
+	}
+	section := func(title string, rows []row) {
+		if len(rows) == 0 {
+			return
 		}
 		sort.Slice(rows, func(i, j int) bool {
 			if rows[i].v != rows[j].v {
 				return rows[i].v > rows[j].v
 			}
-			return rows[i].k < rows[j].k
+			return rows[i].line < rows[j].line
 		})
-		if len(rows) > maxRows {
-			rows = rows[:maxRows]
-		}
-		fmt.Fprintf(w, "%s\n", title)
-		for _, r := range rows {
-			fmt.Fprintf(w, "  %12.2f %-6s %s\n", r.v, unit, r.k)
+		fmt.Fprintln(w, title)
+		for _, r := range rows[:min(len(rows), maxRows)] {
+			fmt.Fprintln(w, r.line)
 		}
 	}
 
-	rates := map[string]kv{}
-	for k, v := range s.Rates {
-		rates[k] = kv{k, v}
-	}
-	section("rates", "/s", rates)
-	gauges := map[string]kv{}
-	for k, v := range s.Gauges {
-		gauges[k] = kv{k, float64(v)}
-	}
-	section("gauges", "", gauges)
-	spans := map[string]kv{}
-	for k, v := range s.Spans {
-		if v.CountDelta > 0 {
-			spans[k+" p95"] = kv{k + " p95", v.P95 * 1000}
+	var rates, gauges, spans []row
+	if dt := elapsed.Seconds(); dt > 0 {
+		for k, v := range cur.Counters {
+			r := float64(v-prev.Counters[k]) / dt
+			rates = append(rates, row{r, fmt.Sprintf("  %12.2f /s     %s", r, k)})
 		}
 	}
-	section("span latency (active this tick)", "ms", spans)
+	section("rates", rates)
+	for k, v := range cur.Gauges {
+		gauges = append(gauges, row{float64(v), fmt.Sprintf("  %12d        %s", v, k)})
+	}
+	section("gauges", gauges)
+	for k, h := range cur.Spans {
+		if d := intervalHist(h, prev.Spans[k]); d.Count > 0 {
+			p50, p95 := d.Quantile(0.50)*1000, d.Quantile(0.95)*1000
+			spans = append(spans, row{p95, fmt.Sprintf("  %10.3g %10.3g ms  %s (%d)", p50, p95, k, d.Count)})
+		}
+	}
+	section("span latency (active this tick): p50 p95", spans)
 }

@@ -12,7 +12,7 @@
 //	aimd -demo                                # built-in fixture, :4440
 //	aimd -addr :4440 -init schema.sql         # load a SQL script, serve
 //	aimd -demo -window 200                    # tune every 200 statements
-//	aimd -demo -telemetry-addr :8080          # /metricsz /statusz /slowz /timeseriesz ...
+//	aimd -demo -telemetry-addr :8080          # /metricsz (what `aimctl top` reads) /statusz /slowz ...
 //	aimd -demo -audit-out aimd.jsonl          # decision journal for `aimctl explain`
 //	aimd -demo -slow-threshold 50ms -trace-sample 100   # slow-query capture + 1-in-100 sample
 //	aimd -demo -failpoints "server.read_frame=err(0.01)"
@@ -63,12 +63,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	readTimeout := fs.Duration("read-timeout", 2*time.Minute, "per-frame read deadline")
 	writeTimeout := fs.Duration("write-timeout", 2*time.Minute, "per-frame write deadline")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful drain bound on SIGTERM")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve /metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof on this address")
+	telemetryAddr := fs.String("telemetry-addr", "", "serve /metricsz /statusz /slowz /healthz /debug/pprof on this address")
 	slowThreshold := fs.Duration("slow-threshold", 250*time.Millisecond, "slow-query log latency threshold (0 = no over-threshold capture)")
 	traceSample := fs.Int("trace-sample", 0, "also capture every Nth statement in the slow-query log (0 = off)")
 	slowCap := fs.Int("slow-log", 256, "slow-query log ring capacity (0 = disable the log entirely)")
-	tsInterval := fs.Duration("timeseries-interval", 5*time.Second, "registry sampling period for /timeseriesz (0 = off)")
-	tsCap := fs.Int("timeseries-window", 360, "samples kept in the /timeseriesz ring")
 	auditOut := fs.String("audit-out", "", "write the decision journal (JSON lines) to this file")
 	failpoints := fs.String("failpoints", "", `fault spec, e.g. "server.read_frame=err(0.01)" (or env `+failpoint.EnvVar+")")
 	fpSeed := fs.Int64("failpoint-seed", 1, "seed for failpoint firing schedules")
@@ -130,26 +128,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	det := regression.NewDetector(0.5)
 
 	// The query flight recorder: a slow-query ring fed by the statement path
-	// (over-threshold capture plus deterministic 1-in-N sampling) and a
-	// periodic registry sampler behind /timeseriesz. Both are nil when off —
-	// the statement path then pays a single nil check.
+	// (over-threshold capture plus deterministic 1-in-N sampling). Nil when
+	// off — the statement path then pays a single nil check.
 	var slow *obs.SlowLog
 	if *slowCap > 0 && (*slowThreshold > 0 || *traceSample > 0) {
 		slow = obs.NewSlowLog(*slowCap, *slowThreshold, *traceSample)
 		slow.Instrument(reg)
 	}
-	var series *obs.TimeSeries
-	if *telemetryAddr != "" && *tsInterval > 0 {
-		series = obs.NewTimeSeries(reg, *tsCap)
-		stop := series.Start(*tsInterval)
-		defer stop()
-	}
 
 	var tel *telemetry.Server
 	var onCycle func(server.Outcome)
 	if *telemetryAddr != "" {
-		tel = telemetry.New(telemetry.Options{Registry: reg, DB: db, Detector: det, Audit: jrn,
-			Slow: slow, TimeSeries: series})
+		tel = telemetry.New(telemetry.Options{Registry: reg, DB: db, Detector: det, Audit: jrn, Slow: slow})
 		taddr, err := tel.Start(*telemetryAddr)
 		if err != nil {
 			return fail(err)
@@ -160,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				tel.SetShadowReport(o.Report)
 			}
 		}
-		fmt.Fprintf(stdout, "aimd: telemetry on http://%s (/metricsz /statusz /slowz /timeseriesz /healthz /debug/pprof)\n", taddr)
+		fmt.Fprintf(stdout, "aimd: telemetry on http://%s (/metricsz /statusz /slowz /healthz /debug/pprof)\n", taddr)
 	}
 
 	srv := server.New(server.Options{

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"aim/internal/regression"
 	"aim/internal/server"
 	"aim/internal/shadow"
+	"aim/internal/telemetry"
 )
 
 // Loop is the one driver behind the fault, scenario and serve suites. Each
@@ -62,12 +64,13 @@ type Loop struct {
 
 	// The live transport: the server, one client per session with the
 	// control connection last, and the recorder (reg is the server's
-	// registry: the database's own when it has one).
+	// registry: the database's own when it has one; metrics holds a
+	// "# round N" line and the registry's exposition after each cycle).
 	srv     *server.Server
 	clients []*server.Client
 	reg     *obs.Registry
 	slow    *obs.SlowLog
-	series  *obs.TimeSeries
+	metrics bytes.Buffer
 }
 
 // NewLoop returns an offline loop over db with one session.
@@ -79,9 +82,9 @@ func NewLoop(db *engine.DB, cfg core.Config, det *regression.Detector, r *rand.R
 // NewLiveLoop boots a server for db on an ephemeral loopback port and
 // connects the sessions and the control connection. The recorder is fully on
 // — slow-query capture with a threshold no loopback statement crosses (so
-// the ring is pure deterministic 1-in-100 sampling) and a time-series tick
-// per cycle — so every live run also certifies that the recorder never
-// perturbs tuning. The caller must Close the loop.
+// the ring is pure deterministic 1-in-100 sampling) and the registry's
+// exposition recorded after every cycle — so every live run also certifies
+// that the recorder never perturbs tuning. The caller must Close the loop.
 func NewLiveLoop(db *engine.DB, cfg core.Config, det *regression.Detector, r *rand.Rand, clients int) (*Loop, error) {
 	reg := db.ObsRegistry()
 	if reg == nil { // Close reads the server's gauges
@@ -89,7 +92,6 @@ func NewLiveLoop(db *engine.DB, cfg core.Config, det *regression.Detector, r *ra
 	}
 	l := &Loop{R: r, Clients: max(clients, 1), reg: reg, slow: obs.NewSlowLog(256, time.Hour, 100)}
 	l.slow.Instrument(reg)
-	l.series = obs.NewTimeSeries(reg, 0)
 	// Every session plus the control connection must be admitted at once — a
 	// bounded accept that parks one of them would deadlock the barrier.
 	// WindowStatements stays 0: the barriers own the cycle boundaries, which
@@ -225,7 +227,8 @@ func (l *Loop) runLive(cycle int, stmts []string, per int) (string, error) {
 	}
 	wg.Wait()
 	line, err := l.clients[l.Clients].Tune()
-	l.series.Tick(time.Now())
+	fmt.Fprintf(&l.metrics, "# round %d\n", cycle)
+	telemetry.WritePrometheus(&l.metrics, l.reg.Snapshot())
 	return line, err
 }
 

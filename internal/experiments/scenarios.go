@@ -71,11 +71,11 @@ type ScenarioResult struct {
 	// Accepted is the shadow report of each cycle whose gate accepted (nil
 	// elsewhere) and WindowCPU each cycle's modelled window CPU (offline only:
 	// the wire carries no execution statistics); both are indexed by cycle.
-	// TimeSeries is a live run's per-cycle sample ring in the /timeseriesz
-	// payload shape. None is rendered.
-	Accepted   []*shadow.Report
-	WindowCPU  []float64
-	TimeSeries []byte
+	// Metrics is a live run's registry after each cycle: a "# round N" line
+	// and the /metricsz exposition per cycle. None is rendered.
+	Accepted  []*shadow.Report
+	WindowCPU []float64
+	Metrics   []byte
 }
 
 // Render writes the result as a stable, worker-count-independent summary.
@@ -215,13 +215,9 @@ func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*Scena
 		Statements:          loop.Statements,
 		Rows:                loop.Rows,
 		WindowCPU:           loop.WindowCPU,
+		Metrics:             loop.metrics.Bytes(),
 	}
 	res.account(outs, p.TrapCycle)
-	if live {
-		if res.TimeSeries, err = loop.series.MarshalJSON(); err != nil {
-			return nil, fmt.Errorf("scenario %s: timeseries: %v", sc.Name(), err)
-		}
-	}
 	return res, nil
 }
 

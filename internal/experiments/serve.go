@@ -29,9 +29,10 @@ type ServeSuiteOptions struct {
 	// JournalPath, when set, receives the last run's normalized decision
 	// journal (one JSON line per record) — the soak artifact.
 	JournalPath string
-	// TimeSeriesPath, when set, receives the last run's /timeseriesz-shaped
-	// sample ring (one tick per round) — the flight-recorder soak artifact.
-	TimeSeriesPath string
+	// MetricsPath, when set, receives the last run's per-round /metricsz
+	// expositions (ScenarioResult.Metrics) — the flight-recorder soak
+	// artifact.
+	MetricsPath string
 }
 
 // DefaultServeSuiteOptions is the CI "servesuite" configuration: the fleet
@@ -118,9 +119,9 @@ func RunServeSuite(opts ServeSuiteOptions) (*ServeSuiteResult, error) {
 			return nil, fmt.Errorf("serve: journal artifact: %v", err)
 		}
 	}
-	if opts.TimeSeriesPath != "" {
-		if err := os.WriteFile(opts.TimeSeriesPath, last.TimeSeries, 0o644); err != nil {
-			return nil, fmt.Errorf("serve: timeseries artifact: %v", err)
+	if opts.MetricsPath != "" {
+		if err := os.WriteFile(opts.MetricsPath, last.Metrics, 0o644); err != nil {
+			return nil, fmt.Errorf("serve: metrics artifact: %v", err)
 		}
 	}
 	return out, nil

@@ -1,20 +1,22 @@
 package experiments
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"aim/internal/scenarios"
+	"aim/internal/telemetry"
 )
 
 // serveSuiteOptions picks the run size: the fleet profile's reduced length
 // across workers {1,2,4} when AIM_SERVE_SUITE=1 (the CI "servesuite" job via
 // `make servesuite`), a shorter run and sweep otherwise so the tier-1 `go
 // test` stays fast. AIM_SERVE_SOAK=1 grows the run into the nightly soak (the
-// profile's full length), and AIM_SERVE_JOURNAL names the decision-journal
-// artifact it leaves behind.
+// profile's full length), and AIM_SERVE_JOURNAL and AIM_SERVE_METRICS name
+// the decision-journal and per-round metrics artifacts it leaves behind.
 func serveSuiteOptions(t *testing.T) ServeSuiteOptions {
 	opts := DefaultServeSuiteOptions()
 	switch {
@@ -29,7 +31,7 @@ func serveSuiteOptions(t *testing.T) ServeSuiteOptions {
 		}
 	}
 	opts.JournalPath = os.Getenv("AIM_SERVE_JOURNAL")
-	opts.TimeSeriesPath = os.Getenv("AIM_SERVE_TIMESERIES")
+	opts.MetricsPath = os.Getenv("AIM_SERVE_METRICS")
 	return opts
 }
 
@@ -46,7 +48,9 @@ func serveSuiteOptions(t *testing.T) ServeSuiteOptions {
 //     scenario and seed through the same loop and tuner;
 //   - the normalized decision journals are identical across worker counts;
 //   - every adoption closes a complete audit lineage (candidate → selected
-//     rank → accepting shadow verdict → adopt): zero ungated adoptions.
+//     rank → accepting shadow verdict → adopt): zero ungated adoptions;
+//   - the metrics artifact holds one "# round N" exposition per round, each
+//     parseable, with server_frames non-decreasing and positive at the end.
 func TestServeSuite(t *testing.T) {
 	opts := serveSuiteOptions(t)
 	res, err := RunServeSuite(opts)
@@ -66,20 +70,7 @@ func TestServeSuite(t *testing.T) {
 		if run.TracedAdoptions == 0 {
 			t.Errorf("workers=%d: no adoption lineage resolved to traced statement IDs", run.Workers)
 		}
-		var ts struct {
-			Samples []struct {
-				Rates map[string]float64 `json:"rates,omitempty"`
-			} `json:"samples"`
-		}
-		if err := json.Unmarshal(run.TimeSeries, &ts); err != nil {
-			t.Fatalf("workers=%d: timeseries not JSON: %v", run.Workers, err)
-		}
-		if rounds := res.Reference.Cycles; len(ts.Samples) != rounds {
-			t.Errorf("workers=%d: %d timeseries samples, want one per round (%d)", run.Workers, len(ts.Samples), rounds)
-		}
-		if len(ts.Samples) > 1 && ts.Samples[1].Rates["server.frames"] <= 0 {
-			t.Errorf("workers=%d: timeseries has no server.frames rate: %+v", run.Workers, ts.Samples[1])
-		}
+		checkRoundMetrics(t, run.Workers, string(run.Metrics), res.Reference.Cycles)
 	}
 	// RunServeSuite already failed hard on any divergence; spot-check the
 	// cross-run verdict equality here too so a future refactor of the
@@ -88,5 +79,34 @@ func TestServeSuite(t *testing.T) {
 		if !slices.Equal(res.Runs[i].Verdicts, res.Runs[0].Verdicts) {
 			t.Errorf("verdicts diverge between workers=%d and workers=%d", res.Runs[0].Workers, res.Runs[i].Workers)
 		}
+	}
+}
+
+// checkRoundMetrics checks a live run's metrics artifact: one "# round N"
+// block per round in order, each a valid exposition, and a server_frames
+// counter that never falls between blocks and ends positive.
+func checkRoundMetrics(t *testing.T, workers int, metrics string, rounds int) {
+	t.Helper()
+	blocks := strings.Split(metrics, "# round ")[1:]
+	if len(blocks) != rounds || !strings.HasPrefix(metrics, "# round 0\n") {
+		t.Errorf("workers=%d: %d round blocks, want %d", workers, len(blocks), rounds)
+		return
+	}
+	var frames int64
+	for i, b := range blocks {
+		body, ok := strings.CutPrefix(b, fmt.Sprintf("%d\n", i))
+		snap, err := telemetry.ParsePrometheus(strings.NewReader(body))
+		if !ok || err != nil {
+			t.Errorf("workers=%d: round block %d: header %q, parse error %v", workers, i, strings.SplitN(b, "\n", 2)[0], err)
+			return
+		}
+		if got := snap.Counters["server_frames"]; got < frames {
+			t.Errorf("workers=%d: server_frames fell from %d to %d at round %d", workers, frames, got, i)
+		} else {
+			frames = got
+		}
+	}
+	if frames <= 0 {
+		t.Errorf("workers=%d: server_frames = %d after the last round", workers, frames)
 	}
 }

@@ -97,9 +97,11 @@ const (
 // Histogram is a bounded, lock-free histogram over float64 observations.
 // Memory is fixed (histBuckets atomic slots); percentiles are approximate
 // (bucket-resolution, ~±41% worst case at base-2 buckets) which is plenty
-// for latency-distribution shape and p50/p95/p99 reporting.
+// for latency-distribution shape and p50/p95/p99 reporting. There is no
+// separate count: the count is the sum of the buckets, so a snapshot taken
+// under concurrent observation can never report fewer observations than its
+// buckets hold.
 type Histogram struct {
-	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
 	buckets [histBuckets]atomic.Int64
 }
@@ -135,7 +137,6 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.buckets[bucketFor(v)].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		s := math.Float64frombits(old) + v
@@ -150,7 +151,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Sum returns the total of all observations (0 on nil).
@@ -178,14 +183,16 @@ type HistogramSnapshot struct {
 	Buckets []BucketCount // non-empty buckets only, ascending bound
 }
 
-// Snapshot copies the histogram's current state. Zero-value on nil.
+// Snapshot copies the histogram's current state; Count is the sum of the
+// buckets it copied. Zero-value on nil.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	out := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
+	out := HistogramSnapshot{Sum: h.Sum()}
 	for i := 0; i < histBuckets; i++ {
 		if n := h.buckets[i].Load(); n > 0 {
+			out.Count += n
 			out.Buckets = append(out.Buckets, BucketCount{
 				UpperBound: math.Exp2(float64(i - histBias)),
 				Count:      n,

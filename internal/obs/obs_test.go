@@ -144,6 +144,46 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotConsistentUnderObserve takes snapshots while four
+// goroutines observe: every snapshot's Count must equal the sum of the
+// buckets it holds, or the exposition's le="+Inf" bucket (written from
+// Count) would fall below its last finite cumulative bucket.
+func TestHistogramSnapshotConsistentUnderObserve(t *testing.T) {
+	h := NewRegistry().Histogram("conc")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(float64(i%64) + 0.5)
+				}
+			}
+		}()
+	}
+	bad := 0
+	for i := 0; i < 20000; i++ {
+		s := h.Snapshot()
+		var held int64
+		for _, b := range s.Buckets {
+			held += b.Count
+		}
+		if held != s.Count {
+			bad++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if bad > 0 {
+		t.Errorf("%d of 20000 snapshots report a Count other than their bucket sum", bad)
+	}
+}
+
 func TestWriteToSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.hits").Add(7)
@@ -277,7 +317,7 @@ func TestSpanAnnotate(t *testing.T) {
 }
 
 // TestHistogramEdgeBucketQuantiles pins quantile semantics at the bucket
-// extremes before /timeseriesz starts publishing them: the zero bucket
+// extremes, where `aimctl top` reads them from scraped buckets: the zero bucket
 // reports 0, the overflow (96th) bucket reports its geometric midpoint, and
 // a single observation pins every percentile to its bucket representative.
 func TestHistogramEdgeBucketQuantiles(t *testing.T) {

@@ -1,7 +1,7 @@
 package obs
 
-// ring is a count-bounded drop-oldest buffer: the storage behind SlowLog
-// and TimeSeries. Not safe for concurrent use; the owner locks.
+// ring is a count-bounded drop-oldest buffer: the storage behind SlowLog.
+// Not safe for concurrent use; the owner locks.
 type ring[T any] struct {
 	buf  []T
 	next int // write cursor

@@ -2,20 +2,24 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"aim/internal/obs"
+	"aim/internal/telemetry"
 )
 
 // TestRecorderOverheadSmoke checks that the full query flight recorder —
 // registry spans, slow-query capture with sampling, trace IDs on every
-// statement and a live time-series ticker — stays within 5% of a bare
-// server on the statement round-trip path, plus absolute slack for timer
-// noise. This is the serving-path analogue of the advisor-side
-// TestMetricsOverheadSmoke; env-gated like its siblings because wall-clock
-// comparisons are machine-sensitive (invoked by `make metricssmoke`).
+// statement and a concurrent reader rendering the registry's /metricsz
+// exposition every 5ms — stays within 5% of a bare server on the statement
+// round-trip path, plus absolute slack for timer noise. This is the
+// serving-path analogue of the advisor-side TestMetricsOverheadSmoke;
+// env-gated like its siblings because wall-clock comparisons are
+// machine-sensitive (invoked by `make metricssmoke`).
 func TestRecorderOverheadSmoke(t *testing.T) {
 	if os.Getenv("AIM_METRICS_SMOKE") == "" {
 		t.Skip("set AIM_METRICS_SMOKE=1 to run (invoked by make metricssmoke)")
@@ -41,9 +45,23 @@ func TestRecorderOverheadSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowLog(256, time.Hour, 10)
 	slow.Instrument(reg)
-	series := obs.NewTimeSeries(reg, 64)
-	stop := series.Start(5 * time.Millisecond)
-	defer stop()
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	defer func() { close(done); reader.Wait() }()
+	go func() {
+		defer reader.Done()
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				telemetry.WritePrometheus(io.Discard, reg.Snapshot())
+			case <-done:
+				return
+			}
+		}
+	}()
 	_, fullAddr := startTestServer(t, Options{Obs: reg, SlowLog: slow})
 	full := dial(fullAddr)
 

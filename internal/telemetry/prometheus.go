@@ -3,10 +3,13 @@
 // _sum and _count) built from an obs.Snapshot, with no dependency on any
 // Prometheus library. Families and series are emitted in sorted order and
 // floats are formatted deterministically, so for a deterministic workload
-// the exposition bytes are pinnable by golden tests.
+// the exposition bytes are pinnable by golden tests. It is the one rendering
+// of the registry: ParsePrometheus reads it back for `aimctl top` and the
+// serve suite's soak artifact.
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -90,4 +93,76 @@ func WritePrometheus(w io.Writer, snap *obs.Snapshot) {
 			fmt.Fprintf(w, "%s_count %d\n", f.name, f.hist.Count)
 		}
 	}
+}
+
+// ParsePrometheus reads an exposition written by WritePrometheus back into a
+// snapshot: families named span_<name>_seconds become Spans[<name>], and
+// cumulative buckets become per-bucket counts again. Names stay sanitized,
+// so writing the result reproduces the input byte for byte. Comment lines
+// other than # TYPE are skipped. An exposition whose cumulative buckets
+// decrease, or whose le="+Inf" bucket differs from _count, is an error.
+func ParsePrometheus(r io.Reader) (*obs.Snapshot, error) {
+	snap := &obs.Snapshot{
+		Counters:   map[string]int64{},
+		Gauges:     map[string]int64{},
+		Histograms: map[string]obs.HistogramSnapshot{},
+		Spans:      map[string]obs.HistogramSnapshot{},
+	}
+	var name, kind string
+	var h obs.HistogramSnapshot
+	var cum, inf int64
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ = strings.Cut(fam, " ")
+			h, cum, inf = obs.HistogramSnapshot{}, 0, -1
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		series, val, _ := strings.Cut(line, " ")
+		var err error
+		switch {
+		case kind == "counter" && series == name:
+			snap.Counters[name], err = strconv.ParseInt(val, 10, 64)
+		case kind == "gauge" && series == name:
+			snap.Gauges[name], err = strconv.ParseInt(val, 10, 64)
+		case kind == "histogram" && series == name+`_bucket{le="+Inf"}`:
+			inf, err = strconv.ParseInt(val, 10, 64)
+		case kind == "histogram" && strings.HasPrefix(series, name+`_bucket{le="`):
+			var bound float64
+			var c int64
+			le := strings.TrimSuffix(strings.TrimPrefix(series, name+`_bucket{le="`), `"}`)
+			if bound, err = strconv.ParseFloat(le, 64); err == nil {
+				c, err = strconv.ParseInt(val, 10, 64)
+			}
+			switch {
+			case err != nil:
+			case c < cum:
+				err = fmt.Errorf("cumulative bucket %d below the previous %d", c, cum)
+			case c > cum:
+				h.Buckets = append(h.Buckets, obs.BucketCount{UpperBound: bound, Count: c - cum})
+				cum = c
+			}
+		case kind == "histogram" && series == name+"_sum":
+			h.Sum, err = strconv.ParseFloat(val, 64)
+		case kind == "histogram" && series == name+"_count":
+			if h.Count, err = strconv.ParseInt(val, 10, 64); err == nil && (inf != h.Count || cum > h.Count) {
+				err = fmt.Errorf(`le="+Inf" bucket %d, last bucket %d, _count %d`, inf, cum, h.Count)
+			}
+			if span, ok := strings.CutPrefix(name, "span_"); ok && strings.HasSuffix(span, "_seconds") {
+				snap.Spans[strings.TrimSuffix(span, "_seconds")] = h
+			} else {
+				snap.Histograms[name] = h
+			}
+		default:
+			err = fmt.Errorf("series %q outside a %s family %q", series, kind, name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("exposition line %d: %v", n, err)
+		}
+	}
+	return snap, sc.Err()
 }

@@ -24,7 +24,10 @@ import (
 // hammers /metricsz and /statusz from concurrent scrapers for the whole run.
 // Under -race this proves reading telemetry never races with the loop
 // mutating the schema, the registry, the detector baselines or the journal.
-// A minimum number of scrapes must succeed while the loop is live.
+// A minimum number of scrapes must succeed while the loop is live, and every
+// /metricsz body must be a valid exposition: ParsePrometheus rejects
+// cumulative buckets that decrease or a le="+Inf" bucket other than _count,
+// which a histogram snapshot torn by concurrent observation would produce.
 func TestScrapeDuringTuningLoop(t *testing.T) {
 	var jb strings.Builder
 	reg, jrn := obs.NewRegistry(), audit.New(&jb)
@@ -80,7 +83,13 @@ func TestScrapeDuringTuningLoop(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		scrapers.Add(2)
-		go scrape("/metricsz", &metricsOK, func(b string) bool { return strings.Contains(b, "# TYPE") })
+		go scrape("/metricsz", &metricsOK, func(b string) bool {
+			if _, err := telemetry.ParsePrometheus(strings.NewReader(b)); err != nil {
+				t.Errorf("invalid /metricsz exposition: %v", err)
+				return false
+			}
+			return strings.Contains(b, "# TYPE")
+		})
 		go scrape("/statusz", &statusOK, func(b string) bool { return strings.Contains(b, `"indexes"`) })
 	}
 

@@ -8,8 +8,6 @@
 //	               occupancy, audit journal position, sealed-window
 //	               high-water marks
 //	/slowz         JSON dump of the slow-query log ring (oldest first)
-//	/timeseriesz   JSON ring of periodic registry samples (rates, gauges,
-//	               histogram quantiles) for dashboards and soak artifacts
 //	/healthz       liveness probe
 //	/debug/pprof/  the standard Go profiling endpoints
 //
@@ -19,6 +17,11 @@
 // never mutates tuning state, and the server holds no locks across request
 // handling beyond the sources' own short critical sections, so scraping is
 // safe during a live tuning loop.
+//
+// /metricsz is the registry's only rendering. The server keeps no history:
+// whoever scrapes keeps it, and rates or interval quantiles come from
+// differencing two scrapes (ParsePrometheus reads one back), as `aimctl top`
+// does.
 package telemetry
 
 import (
@@ -53,8 +56,6 @@ type Options struct {
 	Audit *audit.Journal
 	// Slow backs /slowz. Nil serves an empty list.
 	Slow *obs.SlowLog
-	// TimeSeries backs /timeseriesz. Nil serves an empty payload.
-	TimeSeries *obs.TimeSeries
 }
 
 // Server is the telemetry endpoint. Construct with New, then either mount
@@ -84,14 +85,13 @@ func (s *Server) SetShadowReport(rep *shadow.Report) {
 	s.mu.Unlock()
 }
 
-// Handler returns the telemetry mux: /metricsz, /statusz, /healthz and
-// /debug/pprof/*.
+// Handler returns the telemetry mux: /metricsz, /statusz, /slowz, /healthz
+// and /debug/pprof/*.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metricsz", s.handleMetrics)
 	mux.HandleFunc("/statusz", s.handleStatus)
 	mux.HandleFunc("/slowz", s.handleSlow)
-	mux.HandleFunc("/timeseriesz", s.handleTimeSeries)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -161,19 +161,6 @@ func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(&payload) //nolint:errcheck // best-effort response write
-}
-
-// handleTimeSeries writes the sample ring. MarshalJSON is called explicitly so
-// a nil recorder still yields the empty {capacity:0, samples:[]} payload
-// instead of JSON null.
-func (s *Server) handleTimeSeries(w http.ResponseWriter, _ *http.Request) {
-	b, err := s.opts.TimeSeries.MarshalJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(b) //nolint:errcheck // best-effort response write
 }
 
 // The /statusz JSON shape. Field order is fixed by the struct; slices are

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -70,6 +71,76 @@ whatif_cost_micros_count 3
 `
 	if sb.String() != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
+	}
+}
+
+// roundTrip writes snap, parses the exposition back and writes it again: the
+// two expositions must be byte-identical.
+func roundTrip(t *testing.T, snap *obs.Snapshot) string {
+	t.Helper()
+	var first, second strings.Builder
+	telemetry.WritePrometheus(&first, snap)
+	back, err := telemetry.ParsePrometheus(strings.NewReader(first.String()))
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, first.String())
+	}
+	telemetry.WritePrometheus(&second, back)
+	if first.String() != second.String() {
+		t.Errorf("round trip changed the exposition:\n--- written ---\n%s--- rewritten ---\n%s", first.String(), second.String())
+	}
+	return first.String()
+}
+
+// TestPrometheusRoundTrip parses expositions back: the golden test's
+// registry, and a seeded random registry with counters, gauges, histograms
+// and spans, names that need sanitizing and an empty histogram.
+func TestPrometheusRoundTrip(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("exec.rows_read").Add(5)
+	reg.Counter("core.selected").Add(2)
+	reg.Gauge("regression.baselines").Set(3)
+	h := reg.Histogram("whatif.cost-micros")
+	h.Observe(0.75)
+	h.Observe(0.75)
+	h.Observe(3)
+	roundTrip(t, reg.Snapshot())
+
+	r := rand.New(rand.NewSource(7))
+	reg = obs.NewRegistry()
+	for i := 0; i < 20; i++ {
+		reg.Counter(fmt.Sprintf("pkg%d.count-%d", i%3, i)).Add(r.Int63n(1 << 40))
+		reg.Gauge(fmt.Sprintf("%dgauge.v %d", i, i)).Set(r.Int63n(2000) - 1000)
+		h := reg.Histogram(fmt.Sprintf("hist.h%d", i))
+		for n := r.Intn(50); n > 0; n-- {
+			h.Observe(r.ExpFloat64() * math.Pow(10, float64(r.Intn(12)-6)))
+		}
+		sp := reg.StartSpan(fmt.Sprintf("phase/step-%d", i%4))
+		sp.End()
+	}
+	reg.Histogram("hist.empty")
+	out := roundTrip(t, reg.Snapshot())
+	for _, want := range []string{"hist_empty_count 0", "# TYPE span_phase_step_0_seconds histogram", "# TYPE _0gauge_v_0 gauge"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("random exposition lacks %q", want)
+		}
+	}
+	back, _ := telemetry.ParsePrometheus(strings.NewReader(out))
+	if got := back.Spans["phase_step_0"].Count; got != 5 {
+		t.Errorf("span phase_step_0 parsed back with count %d, want 5", got)
+	}
+}
+
+// TestParsePrometheusRejectsInvalidBuckets: decreasing cumulative buckets
+// and a le="+Inf" bucket other than _count are not a valid exposition.
+func TestParsePrometheusRejectsInvalidBuckets(t *testing.T) {
+	for _, body := range []string{
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n",
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n",
+	} {
+		if _, err := telemetry.ParsePrometheus(strings.NewReader(body)); err == nil {
+			t.Errorf("parsed an invalid exposition without error:\n%s", body)
+		}
 	}
 }
 
@@ -270,22 +341,15 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderEndpoints covers /slowz and /timeseriesz: populated
-// sources render their rings, nil sources render empty-but-valid payloads so
-// dashboards never see JSON null.
+// TestFlightRecorderEndpoints covers /slowz: a populated source renders its
+// ring, a nil source renders an empty-but-valid payload so dashboards never
+// see JSON null.
 func TestFlightRecorderEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("server.frames").Add(10)
 	slow := obs.NewSlowLog(8, 5*time.Millisecond, 100)
 	slow.Observe(obs.SlowEntry{Session: "lg-0001", Seq: 3, Trace: "t-0001-0-3",
 		SQL: "SELECT 1", Plan: []string{"Project", "Scan kv"}}, 7*time.Millisecond)
-	ts0 := time.Unix(1000, 0)
-	series := obs.NewTimeSeries(reg, 16)
-	series.Tick(ts0)
-	reg.Counter("server.frames").Add(40)
-	series.Tick(ts0.Add(2 * time.Second))
 
-	srv := telemetry.New(telemetry.Options{Registry: reg, Slow: slow, TimeSeries: series})
+	srv := telemetry.New(telemetry.Options{Registry: obs.NewRegistry(), Slow: slow})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -321,39 +385,18 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		t.Errorf("/slowz entries = %+v", slowPayload.Entries)
 	}
 
-	var tsPayload struct {
-		Capacity int `json:"capacity"`
-		Samples  []struct {
-			Rates map[string]float64 `json:"rates,omitempty"`
-		} `json:"samples"`
-	}
-	if err := json.Unmarshal([]byte(get("/timeseriesz")), &tsPayload); err != nil {
-		t.Fatalf("/timeseriesz not JSON: %v", err)
-	}
-	if tsPayload.Capacity != 16 || len(tsPayload.Samples) != 2 {
-		t.Fatalf("/timeseriesz shape = %+v", tsPayload)
-	}
-	if got := tsPayload.Samples[1].Rates["server.frames"]; got != 20 {
-		t.Errorf("/timeseriesz frame rate = %v, want 20", got)
-	}
-
-	// Recorder off: both endpoints stay valid JSON with empty collections.
+	// Recorder off: the endpoint stays valid JSON with an empty list.
 	off := telemetry.New(telemetry.Options{})
 	hsOff := httptest.NewServer(off.Handler())
 	defer hsOff.Close()
-	for path, needle := range map[string]string{
-		"/slowz":       `"entries": []`,
-		"/timeseriesz": `"samples":[]`,
-	} {
-		resp, err := http.Get(hsOff.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 || !strings.Contains(string(body), needle) {
-			t.Errorf("disabled %s = %d %q", path, resp.StatusCode, body)
-		}
+	resp, err := http.Get(hsOff.URL + "/slowz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"entries": []`) {
+		t.Errorf("disabled /slowz = %d %q", resp.StatusCode, body)
 	}
 }
 
