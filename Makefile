@@ -14,7 +14,7 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 23818
+LOC_CEILING ?= 23775
 
 .PHONY: check vet build test race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
@@ -82,8 +82,9 @@ telemetrysmoke:
 # Short budgeted runs of every native fuzz target: the bulk-load/merge/DNF
 # equivalence properties, the failpoint spec parser, the index handoff's
 # catch-up against a fresh build, the memoised planner against the one-shot
-# one, the key walk's skip against encode and decode. Go allows one -fuzz
-# pattern per invocation, hence one line per target.
+# one, the key walk's skip against encode and decode, the tagged Value against
+# its field-per-payload oracle. Go allows one -fuzz pattern per invocation,
+# hence one line per target.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBulkLoadEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -run '^$$' -fuzz 'FuzzCOWSnapshotEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
@@ -96,6 +97,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzAdoptCatchUp$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzPreparedEqualsOneShot$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzSkipKey$$' -fuzztime $(FUZZTIME) ./internal/sqltypes/
+	$(GO) test -run '^$$' -fuzz 'FuzzValueSemantics$$' -fuzztime $(FUZZTIME) ./internal/sqltypes/
 
 # The fault-injection acceptance sweep: 1000 tuning cycles at fault rates
 # {1%, 5%, 20%} with a fixed seed, asserting no ungated adoptions, no

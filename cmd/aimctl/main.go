@@ -22,10 +22,9 @@
 //	    reconstruct why an index was created (or a candidate rejected) from
 //	    the decision journal; -trace annotates each step with its span name.
 //
-//	aimctl remote -addr 127.0.0.1:4440 "SELECT ..." | -tune | -ping | -slow
+//	aimctl remote -addr 127.0.0.1:4440 "SELECT ..." | -tune | -ping
 //	    talk to a running aimd over the wire protocol (see cmd/aimd);
-//	    -trace stamps statements with a trace ID, -slow dumps the server's
-//	    slow-query log.
+//	    -trace stamps statements with a trace ID.
 //
 //	aimctl top -url http://127.0.0.1:8080
 //	    live terminal dashboard: rates and interval latencies from

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -15,14 +14,12 @@ import (
 // runRemote is the `aimctl remote` subcommand: a thin wire-protocol client
 // for a running aimd. Statements come from the command line or, with none
 // given, from stdin one per line; -tune triggers one tuning cycle and
-// prints the verdict; -slow dumps the server's slow-query log as JSON lines;
-// -trace stamps each statement with a client-supplied trace ID (suffixed
-// with the statement ordinal when several are sent).
+// prints the verdict; -trace stamps each statement with a client-supplied
+// trace ID (suffixed with the statement ordinal when several are sent).
 //
 //	aimctl remote -addr 127.0.0.1:4440 "SELECT id FROM events WHERE user_id = 7"
 //	aimctl remote -addr 127.0.0.1:4440 -trace deploy-42 "SELECT ..."
 //	aimctl remote -addr 127.0.0.1:4440 -tune
-//	aimctl remote -addr 127.0.0.1:4440 -slow
 //	cat stmts.sql | aimctl remote -addr 127.0.0.1:4440
 func (a *app) runRemote(args []string) int {
 	fs := flag.NewFlagSet("aimctl remote", flag.ContinueOnError)
@@ -30,7 +27,6 @@ func (a *app) runRemote(args []string) int {
 	label := fs.String("label", "aimctl", "session label (window attribution)")
 	tune := fs.Bool("tune", false, "trigger one tuning cycle and print the verdict")
 	ping := fs.Bool("ping", false, "liveness round-trip only")
-	slow := fs.Bool("slow", false, "dump the server's slow-query log (JSON lines, oldest first)")
 	traceID := fs.String("trace", "", "trace ID to stamp on statements (needs a v2 server; audit windows then name it)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-frame round-trip bound")
 	if status, done := a.parse(fs, args); done {
@@ -95,7 +91,7 @@ func (a *app) runRemote(args []string) int {
 				return a.fail(err)
 			}
 		}
-	} else if !*tune && !*slow {
+	} else if !*tune {
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 0, 64*1024), server.MaxFrame)
 		for sc.Scan() {
@@ -118,19 +114,6 @@ func (a *app) runRemote(args []string) int {
 			return a.fail(err)
 		}
 		fmt.Fprintln(a.out, line)
-	}
-	if *slow {
-		entries, err := c.Slow()
-		if err != nil {
-			return a.fail(err)
-		}
-		enc := json.NewEncoder(a.out)
-		for i := range entries {
-			if err := enc.Encode(&entries[i]); err != nil {
-				return a.fail(err)
-			}
-		}
-		fmt.Fprintf(a.errw, "(%d slow-log entries)\n", len(entries))
 	}
 	return 0
 }

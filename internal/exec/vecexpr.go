@@ -217,7 +217,7 @@ func vecCmp(op string, left, right valSrc) vecPred {
 	}
 	// Column vs constant, the dominant filter shape (a literal, or the outer
 	// row's join column): read the constant once, index the batch row by
-	// pointer (no 40-byte Value copies) and, for a numeric constant, inline
+	// pointer (no 24-byte Value copies) and, for a numeric constant, inline
 	// the comparison so the loop has no function call at all. The kind
 	// switches reproduce Compare's rank ordering (numbers < strings) exactly.
 	off := left.off

@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"aim/internal/obs"
 	"aim/internal/sqltypes"
 )
 
@@ -121,22 +120,6 @@ func (c *Client) query(req Request) (*Result, error) {
 	default:
 		return nil, resp.Err()
 	}
-}
-
-// Slow retrieves the server's slow-query log (v2; errors against a v1
-// server, which cannot answer the opcode).
-func (c *Client) Slow() ([]obs.SlowEntry, error) {
-	if c.version < 2 {
-		return nil, fmt.Errorf("server: peer speaks protocol v%d; slow log needs v2", c.version)
-	}
-	resp, err := c.roundTrip(Request{Op: OpSlow})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != TagSlow {
-		return nil, resp.Err()
-	}
-	return resp.Slow, nil
 }
 
 // Tune seals the server's current window and runs one tuning cycle,

@@ -136,8 +136,7 @@ func startV1Server(t *testing.T) string {
 
 // TestProtocolNewClientOldServer: a v2 client against a v1 server reads
 // version 0 from hello and silently falls back to v1 frames — traced
-// queries go out as plain Q frames, and the slow-log request fails locally
-// instead of confusing the old peer.
+// queries go out as plain Q frames.
 func TestProtocolNewClientOldServer(t *testing.T) {
 	addr := startV1Server(t)
 	c, err := Dial(addr, 5*time.Second)
@@ -160,9 +159,6 @@ func TestProtocolNewClientOldServer(t *testing.T) {
 	if res.Affected != 1 {
 		t.Fatalf("fallback query result = %+v", res)
 	}
-	if _, err := c.Slow(); err == nil || !strings.Contains(err.Error(), "v2") {
-		t.Fatalf("Slow against v1 server: %v", err)
-	}
 	// A forced v2 frame is rejected by the old server with its ordinary
 	// unknown-opcode error — decoder totality across generations.
 	if _, err := c.query(Request{Op: OpQueryTraced, Trace: "t", SQL: "SELECT 1"}); err == nil {
@@ -171,8 +167,8 @@ func TestProtocolNewClientOldServer(t *testing.T) {
 }
 
 // TestServerSlowLogCapture wires a SlowLog into the server and checks
-// capture plus OpSlow retrieval end-to-end: plan shape, operator stats,
-// trace IDs and the slow/sampled split all arrive at the client.
+// capture end-to-end: plan shape, operator stats, trace IDs and the
+// slow/sampled split of a statement sent over the wire all reach the log.
 func TestServerSlowLogCapture(t *testing.T) {
 	slow := obs.NewSlowLog(32, time.Nanosecond, 0) // everything is "slow"
 	reg := obs.NewRegistry()
@@ -193,10 +189,7 @@ func TestServerSlowLogCapture(t *testing.T) {
 	if _, err := c.Query("SELEKT nope"); err == nil {
 		t.Fatal("parse error expected")
 	}
-	entries, err := c.Slow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := slow.Snapshot()
 	if len(entries) != 1 {
 		t.Fatalf("slow entries = %+v", entries)
 	}

@@ -56,8 +56,8 @@ type Options struct {
 	// OnCycle receives every tuning cycle's outcome (Tuner.OnCycle).
 	OnCycle func(Outcome)
 	// SlowLog, when set, captures executed statements (over-threshold plus
-	// 1-in-N samples) with plan shape and operator stats. Served by OpSlow
-	// and /slowz. Nil = capture off, zero per-statement cost.
+	// 1-in-N samples) with plan shape and operator stats. Served on
+	// /slowz. Nil = capture off, zero per-statement cost.
 	SlowLog *obs.SlowLog
 }
 
@@ -275,7 +275,7 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			// Affected advertises the server's protocol version (see
 			// ProtoVersion). v1 clients never read it; v2 clients use it to
-			// decide whether OpQueryTraced/OpSlow are safe to send.
+			// decide whether OpQueryTraced is safe to send.
 			resp = &Response{Tag: TagOK, Affected: ProtoVersion}
 		case OpPing:
 			resp = &Response{Tag: TagPong}
@@ -286,8 +286,6 @@ func (s *Server) serve(conn net.Conn) {
 			} else {
 				resp = &Response{Tag: TagVerdict, Verdict: line}
 			}
-		case OpSlow:
-			resp = &Response{Tag: TagSlow, Slow: s.opts.SlowLog.Snapshot()}
 		case OpQuery, OpQueryTraced:
 			if s.draining.Load() {
 				resp = &Response{Tag: TagError, Code: CodeDraining, Msg: "server draining"}

@@ -19,13 +19,11 @@ package server
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"aim/internal/obs"
 	"aim/internal/sqltypes"
 )
 
@@ -37,8 +35,9 @@ const MaxFrame = 1 << 20
 // ProtoVersion is the protocol this build speaks. Version history:
 //
 //	1 — the original frame set (H/Q/T/P).
-//	2 — adds OpQueryTraced ('q', a Q frame carrying a client trace ID) and
-//	    OpSlow/TagSlow (slow-query log retrieval).
+//	2 — adds OpQueryTraced ('q', a Q frame carrying a client trace ID).
+//	    Early v2 builds also answered 'S' with the slow-query log; the log is
+//	    served on /slowz now, and 'S' is an unknown opcode.
 //
 // Negotiation is server-advertised: the OpHello response's Affected field
 // carries the server's ProtoVersion. A v1 server never sets Affected (the
@@ -73,9 +72,6 @@ const (
 	// to OpQuery in every other respect; a client that negotiated v1 must
 	// send OpQuery instead.
 	OpQueryTraced = byte('q')
-	// OpSlow (v2) requests the server's slow-query log (empty body). The
-	// response is TagSlow.
-	OpSlow = byte('S')
 )
 
 // Response tags.
@@ -90,9 +86,6 @@ const (
 	TagVerdict = byte('V')
 	// TagPong answers OpPing.
 	TagPong = byte('O')
-	// TagSlow (v2) answers OpSlow with the slow-query log as a JSON array
-	// of obs.SlowEntry.
-	TagSlow = byte('L')
 )
 
 // Wire error codes carried by TagError responses.
@@ -211,11 +204,6 @@ func DecodeRequest(p []byte) (Request, error) {
 			return Request{}, fmt.Errorf("server: trace ID length %d exceeds payload", n)
 		}
 		return Request{Op: OpQueryTraced, Trace: string(rest[:n]), SQL: string(rest[n:])}, nil
-	case OpSlow:
-		if len(p) != 1 {
-			return Request{}, fmt.Errorf("server: slow request carries no body")
-		}
-		return Request{Op: OpSlow}, nil
 	default:
 		return Request{}, fmt.Errorf("server: unknown opcode 0x%02x", p[0])
 	}
@@ -232,8 +220,6 @@ type Response struct {
 	Code    uint16
 	Msg     string
 	Verdict string
-	// Slow carries the slow-query log (TagSlow).
-	Slow []obs.SlowEntry
 }
 
 // Err converts a TagError response into a Go error (nil for other tags).
@@ -274,19 +260,6 @@ func EncodeResponse(resp *Response) []byte {
 		return append([]byte{TagVerdict}, resp.Verdict...)
 	case TagPong:
 		return []byte{TagPong}
-	case TagSlow:
-		// Slow-log entries are an ops payload, not a hot path: JSON keeps the
-		// frame self-describing and lets aimctl render it without a second
-		// schema. A nil log encodes as an empty array.
-		entries := resp.Slow
-		if entries == nil {
-			entries = []obs.SlowEntry{}
-		}
-		body, err := json.Marshal(entries)
-		if err != nil {
-			return append([]byte{TagError}, fmt.Sprintf("\x00\x02slow encode: %v", err)...)
-		}
-		return append([]byte{TagSlow}, body...)
 	default:
 		return append([]byte{TagError}, fmt.Sprintf("\x00\x00bad tag %d", resp.Tag)...)
 	}
@@ -372,13 +345,6 @@ func DecodeResponse(p []byte) (*Response, error) {
 			return nil, fmt.Errorf("server: pong carries no body")
 		}
 		return resp, nil
-	case TagSlow:
-		entries := []obs.SlowEntry{}
-		if err := json.Unmarshal(body, &entries); err != nil {
-			return nil, fmt.Errorf("server: slow body: %v", err)
-		}
-		resp.Slow = entries
-		return resp, nil
 	default:
 		return nil, fmt.Errorf("server: unknown response tag 0x%02x", resp.Tag)
 	}
@@ -429,18 +395,17 @@ func takeValue(p []byte) (sqltypes.Value, []byte, error) {
 			return sqltypes.Null, nil, ErrTruncatedFrame
 		}
 		return sqltypes.NewBool(rest[0] != 0), rest[1:], nil
-	case sqltypes.KindString:
-		s, rest, err := takeString(rest)
+	case sqltypes.KindString, sqltypes.KindBytes:
+		// The constructors copy the payload out of the frame, tag and bytes
+		// in one allocation.
+		b, rest, err := takeBytes(rest)
 		if err != nil {
 			return sqltypes.Null, nil, err
 		}
-		return sqltypes.NewString(s), rest, nil
-	case sqltypes.KindBytes:
-		s, rest, err := takeString(rest)
-		if err != nil {
-			return sqltypes.Null, nil, err
+		if kind == sqltypes.KindBytes {
+			return sqltypes.NewBytes(b), rest, nil
 		}
-		return sqltypes.NewBytes([]byte(s)), rest, nil
+		return sqltypes.NewStringBytes(b), rest, nil
 	default:
 		return sqltypes.Null, nil, fmt.Errorf("server: unknown value kind %d", kind)
 	}
@@ -452,14 +417,20 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func takeString(p []byte) (string, []byte, error) {
+	b, rest, err := takeBytes(p)
+	return string(b), rest, err
+}
+
+// takeBytes reads a u32-length-prefixed byte string, aliasing p.
+func takeBytes(p []byte) ([]byte, []byte, error) {
 	n, rest, err := takeUint32(p)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if uint64(n) > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("server: string length %d exceeds payload", n)
+		return nil, nil, fmt.Errorf("server: string length %d exceeds payload", n)
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }
 
 func takeUint16(p []byte) (uint16, []byte, error) {

@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
-	"aim/internal/obs"
 	"aim/internal/sqltypes"
 )
 
@@ -96,7 +97,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpQueryTraced, Trace: "t-0001-2-7", SQL: "SELECT id FROM events WHERE user_id = 7"},
 		{Op: OpQueryTraced, Trace: "", SQL: "SELECT 1"}, // trace field present but empty
 		{Op: OpQueryTraced, Trace: strings.Repeat("x", MaxTraceID), SQL: "SELECT 1"},
-		{Op: OpSlow},
 	} {
 		got, err := DecodeRequest(EncodeRequest(req))
 		if err != nil {
@@ -126,7 +126,6 @@ func TestDecodeRequestTracedCorrupt(t *testing.T) {
 		"no length":      {OpQueryTraced},
 		"trace overrun":  append(binary.BigEndian.AppendUint16([]byte{OpQueryTraced}, 40), 't', 'r'),
 		"trace over cap": over,
-		"slow with body": {OpSlow, 'x'},
 	}
 	for name, p := range cases {
 		if _, err := DecodeRequest(p); err == nil {
@@ -199,41 +198,64 @@ func TestResponseRoundTripScalars(t *testing.T) {
 	}
 }
 
-// TestResponseRoundTripSlow pins the TagSlow carrier: entries survive the
-// JSON body, an empty log round-trips as an empty (non-nil) slice, and a
-// corrupt body errors.
-func TestResponseRoundTripSlow(t *testing.T) {
-	want := &Response{Tag: TagSlow, Slow: []obs.SlowEntry{
-		{Session: "lg-0001", Seq: 3, Trace: "t-0001-0-3", SQL: "SELECT 1",
-			Plan: []string{"Scan(kv)"}, RowsRead: 200, LatencySeconds: 0.012, Slow: true},
-		{Session: "lg-0002", Seq: 9, SQL: "UPDATE kv SET v = 1 WHERE id = 2", LatencySeconds: 0.0001},
-	}}
-	got, err := DecodeResponse(EncodeResponse(want))
+// TestRetiredSlowOpcodeIsBadFrame: the slow-query log left the wire for
+// /slowz, so a peer that still sends 'S' gets the bad-frame error and the
+// connection closes, like any unknown opcode; its old 'L' answer no longer
+// decodes either.
+func TestRetiredSlowOpcodeIsBadFrame(t *testing.T) {
+	if _, err := DecodeRequest([]byte{'S'}); err == nil {
+		t.Fatal("'S' decoded as a request")
+	}
+	if _, err := DecodeResponse([]byte("L[]")); err == nil {
+		t.Fatal("'L' decoded as a response")
+	}
+	_, addr := startTestServer(t, Options{})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Slow) != 2 {
-		t.Fatalf("slow round trip changed %+v into %+v", want.Slow, got.Slow)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if err := WriteFrame(conn, []byte{'S'}); err != nil {
+		t.Fatal(err)
 	}
-	e := got.Slow[0]
-	if e.Session != "lg-0001" || e.Seq != 3 || e.Trace != "t-0001-0-3" || e.SQL != "SELECT 1" ||
-		len(e.Plan) != 1 || e.Plan[0] != "Scan(kv)" || e.RowsRead != 200 ||
-		e.LatencySeconds != 0.012 || !e.Slow {
-		t.Fatalf("slow fields lost: %+v", e)
+	payload, err := ReadFrame(conn, MaxFrame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Slow[1].Trace != "" || got.Slow[1].Slow {
-		t.Fatalf("slow fields invented: %+v", got.Slow[1])
+	resp, err := DecodeResponse(payload)
+	if err != nil || resp.Tag != TagError || resp.Code != CodeBadFrame {
+		t.Fatalf("answer to 'S' = %+v, %v; want the bad-frame error", resp, err)
 	}
+	if _, err := ReadFrame(conn, MaxFrame); err != io.EOF {
+		t.Fatalf("after the bad frame: %v, want the server to close (EOF)", err)
+	}
+}
 
-	empty, err := DecodeResponse(EncodeResponse(&Response{Tag: TagSlow}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Slow == nil || len(empty.Slow) != 0 {
-		t.Fatalf("empty slow log = %+v", empty.Slow)
-	}
-	if _, err := DecodeResponse([]byte{TagSlow, '{', 'x'}); err == nil {
-		t.Fatal("corrupt slow body decoded without error")
+// TestTakeValueAllocatesOncePerString: a decoded STRING or BYTES column is
+// one allocation, the value's tag and payload together, copied straight out
+// of the frame; a numeric column allocates nothing.
+func TestTakeValueAllocatesOncePerString(t *testing.T) {
+	for _, v := range []sqltypes.Value{
+		sqltypes.NewString("a short note"),
+		sqltypes.NewBytes([]byte{0, 1, 2, 0xFF}),
+		sqltypes.NewInt(-7),
+		sqltypes.NewFloat(2.5),
+	} {
+		enc := appendValue(nil, v)
+		want := 0.0
+		if v.Kind() == sqltypes.KindString || v.Kind() == sqltypes.KindBytes {
+			want = 1
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			got, rest, err := takeValue(enc)
+			if err != nil || len(rest) != 0 || got != v {
+				t.Fatalf("takeValue(%x) = %v, %x, %v; want %v", enc, got, rest, err, v)
+			}
+		})
+		if allocs != want {
+			t.Errorf("decoding %v made %.1f allocations, want %.0f", v, allocs, want)
+		}
 	}
 }
 
@@ -289,13 +311,13 @@ func FuzzWireFrame(f *testing.F) {
 	var cut bytes.Buffer
 	WriteFrame(&cut, append(binary.BigEndian.AppendUint16([]byte{OpQueryTraced}, 200), 'x')) //nolint:errcheck
 	f.Add(cut.Bytes())
+	// The retired slow-log request and its JSON answer: both now decode as
+	// unknown.
 	var slowReq bytes.Buffer
-	WriteFrame(&slowReq, EncodeRequest(Request{Op: OpSlow})) //nolint:errcheck
+	WriteFrame(&slowReq, []byte{'S'}) //nolint:errcheck
 	f.Add(slowReq.Bytes())
 	var slowResp bytes.Buffer
-	WriteFrame(&slowResp, EncodeResponse(&Response{Tag: TagSlow, Slow: []obs.SlowEntry{ //nolint:errcheck
-		{Session: "s", Seq: 1, Trace: "t", SQL: "SELECT 1", Slow: true},
-	}}))
+	WriteFrame(&slowResp, []byte(`L[{"session":"s","seq":1,"trace":"t","sql":"SELECT 1","slow":true}]`)) //nolint:errcheck
 	f.Add(slowResp.Bytes())
 	var rows bytes.Buffer
 	WriteFrame(&rows, EncodeResponse(&Response{ //nolint:errcheck

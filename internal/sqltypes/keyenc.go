@@ -41,18 +41,18 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 
 // EncodedLen is len(EncodeKey(nil, v)), computed without encoding.
 func EncodedLen(v Value) int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return 1
 	case KindInt, KindFloat, KindBool:
 		return 9
 	default:
-		return 3 + len(v.s) + strings.Count(v.s, "\x00")
+		return 3 + len(v.Str()) + strings.Count(v.Str(), "\x00")
 	}
 }
 
 func encodeOne(dst []byte, v Value) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return append(dst, tagNull)
 	case KindInt, KindFloat, KindBool:
@@ -60,7 +60,7 @@ func encodeOne(dst []byte, v Value) []byte {
 		return encodeFloatOrdered(dst, v.Float())
 	default:
 		dst = append(dst, tagString)
-		return encodeStringOrdered(dst, v.s)
+		return encodeStringOrdered(dst, v.Str())
 	}
 }
 
@@ -146,7 +146,7 @@ func walkKey(dst []Value, src []byte, n int) ([]byte, error) {
 			v = Float64ToValue(math.Float64frombits(bits))
 		case tagString:
 			// Only a 0x00 0xFF escape or the 0x00 0x01 terminator holds 0x00.
-			payload := src
+			payload, escapes := src, 0
 			for {
 				j := bytes.IndexByte(src, 0x00)
 				if j < 0 || j+1 >= len(src) {
@@ -159,10 +159,10 @@ func walkKey(dst []Value, src []byte, n int) ([]byte, error) {
 				if next != 0xFF {
 					return nil, fmt.Errorf("sqltypes: bad string escape 0x00 0x%02x", next)
 				}
+				escapes++
 			}
 			if dst != nil { // decode; a skip copies nothing
-				payload = payload[:len(payload)-len(src)-2]
-				v = NewString(strings.ReplaceAll(string(payload), "\x00\xff", "\x00"))
+				v = unescape(payload[:len(payload)-len(src)-2], escapes)
 			}
 		default:
 			return nil, fmt.Errorf("sqltypes: unknown key tag 0x%02x", tag)
@@ -172,4 +172,16 @@ func walkKey(dst []Value, src []byte, n int) ([]byte, error) {
 		}
 	}
 	return src, nil
+}
+
+// unescape decodes a string payload holding the given number of 0x00 0xFF
+// escapes into a STRING value, tag and payload in one allocation.
+func unescape(p []byte, escapes int) Value {
+	b := make([]byte, 1, 1+len(p)-escapes)
+	b[0] = byte(KindString)
+	for j := bytes.IndexByte(p, 0x00); j >= 0; j = bytes.IndexByte(p, 0x00) {
+		b = append(b, p[:j+1]...)
+		p = p[j+2:]
+	}
+	return fromTagged(append(b, p...))
 }

@@ -1,6 +1,13 @@
 // Package sqltypes defines the dynamically typed values that flow through
 // the storage engine, executor and optimizer, together with total ordering
 // and an order-preserving binary key encoding used by B+tree indexes.
+//
+// A Value is 24 bytes: a tagged string and one word. The string is empty
+// for NULL; otherwise its first byte is the Kind, followed for STRING and
+// BYTES by the payload. The word holds an INT or BOOL payload or a FLOAT's
+// bits. A numeric value's tag is a one-byte constant, so building one
+// allocates nothing; a string value is one allocation, tag and payload
+// together.
 package sqltypes
 
 import (
@@ -8,6 +15,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime type of a Value.
@@ -45,69 +53,108 @@ func (k Kind) String() string {
 
 // Value is a single SQL value. The zero Value is NULL.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
-	s    string
+	t string // "" for NULL, else the Kind byte, then a STRING/BYTES payload
+	n int64  // INT or BOOL payload, or a FLOAT's math.Float64bits
 }
+
+// The tags of the kinds without a string payload: constants, so a numeric
+// Value points at static data.
+const (
+	intTag   = string(rune(KindInt))
+	floatTag = string(rune(KindFloat))
+	boolTag  = string(rune(KindBool))
+)
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{t: intTag, n: v} }
 
 // NewFloat returns a floating point value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{t: floatTag, n: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
+func NewString(v string) Value { return tagged(KindString, v) }
+
+// NewStringBytes returns a string value holding a copy of v: what
+// NewString(string(v)) returns, in one allocation instead of two.
+func NewStringBytes(v []byte) Value { return tagged(KindString, v) }
 
 // NewBytes returns a binary string value.
-func NewBytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
+func NewBytes(v []byte) Value { return tagged(KindBytes, v) }
+
+// tagged builds a STRING or BYTES value: the kind byte and a copy of p in
+// one allocation.
+func tagged[T string | []byte](k Kind, p T) Value {
+	b := make([]byte, 1+len(p))
+	b[0] = byte(k)
+	copy(b[1:], p)
+	return fromTagged(b)
+}
+
+// fromTagged makes b, a kind byte and its payload, a Value's tagged string
+// without copying it; b must not be written afterwards.
+func fromTagged(b []byte) Value { return Value{t: unsafe.String(&b[0], len(b))} }
 
 // NewBool returns a boolean value.
 func NewBool(v bool) Value {
 	if v {
-		return Value{kind: KindBool, i: 1}
+		return Value{t: boolTag, n: 1}
 	}
-	return Value{kind: KindBool, i: 0}
+	return Value{t: boolTag}
 }
 
 // Kind reports the runtime kind of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if v.t == "" {
+		return KindNull
+	}
+	return Kind(v.t[0])
+}
 
 // IsNull reports whether v is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.t == "" }
 
 // Int returns the integer payload. It is only meaningful for KindInt and
-// KindBool values.
-func (v Value) Int() int64 { return v.i }
+// KindBool values; it is 0 for every other kind.
+func (v Value) Int() int64 {
+	if v.Kind() == KindFloat {
+		return 0
+	}
+	return v.n
+}
 
 // Float returns the value as a float64, converting integers and booleans.
 func (v Value) Float() float64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(uint64(v.n))
 	case KindInt, KindBool:
-		return float64(v.i)
+		return float64(v.n)
 	default:
 		return 0
 	}
 }
 
-// Str returns the string payload for KindString and KindBytes values.
-func (v Value) Str() string { return v.s }
+// Str returns the string payload for KindString and KindBytes values, and
+// "" for every other kind.
+func (v Value) Str() string {
+	if v.t == "" {
+		return ""
+	}
+	return v.t[1:]
+}
 
 // Bool returns the value interpreted as a boolean.
 func (v Value) Bool() bool {
-	switch v.kind {
+	switch v.Kind() {
 	case KindBool, KindInt:
-		return v.i != 0
+		return v.n != 0
 	case KindFloat:
-		return v.f != 0
+		return v.Float() != 0
 	case KindString, KindBytes:
-		return v.s != ""
+		return len(v.t) > 1
 	default:
 		return false
 	}
@@ -115,24 +162,25 @@ func (v Value) Bool() bool {
 
 // IsNumeric reports whether v is an INT, FLOAT or BOOL value.
 func (v Value) IsNumeric() bool {
-	return v.kind == KindInt || v.kind == KindFloat || v.kind == KindBool
+	k := v.Kind()
+	return k == KindInt || k == KindFloat || k == KindBool
 }
 
 // String renders the value for display and query normalization.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	case KindBytes:
-		return fmt.Sprintf("x'%x'", v.s)
+		return fmt.Sprintf("x'%x'", v.Str())
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -142,25 +190,9 @@ func (v Value) String() string {
 }
 
 // Compare totally orders two values: NULL < numbers < strings/bytes.
-// Numeric kinds compare by numeric value; INT/FLOAT cross-compare exactly.
-// It returns -1, 0 or +1.
-func Compare(a, b Value) int {
-	ar, br := rank(a.kind), rank(b.kind)
-	if ar != br {
-		if ar < br {
-			return -1
-		}
-		return 1
-	}
-	switch ar {
-	case 0: // both NULL
-		return 0
-	case 1: // numeric
-		return compareNumeric(a, b)
-	default: // string-ish
-		return strings.Compare(a.s, b.s)
-	}
-}
+// Numeric kinds compare by numeric value; INT/FLOAT cross-compare exactly;
+// STRING and BYTES compare by payload alone. It returns -1, 0 or +1.
+func Compare(a, b Value) int { return ComparePtr(&a, &b) }
 
 // rank groups kinds into comparison families.
 func rank(k Kind) int {
@@ -174,33 +206,12 @@ func rank(k Kind) int {
 	}
 }
 
-func compareNumeric(a, b Value) int {
-	if a.kind == KindFloat || b.kind == KindFloat {
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	switch {
-	case a.i < b.i:
-		return -1
-	case a.i > b.i:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // ComparePtr is Compare for hot loops: identical ordering, but operands are
 // passed by pointer so tight per-row kernels avoid copying two Value structs
 // per comparison. Neither operand is mutated.
 func ComparePtr(a, b *Value) int {
-	ar, br := rank(a.kind), rank(b.kind)
+	ak, bk := a.Kind(), b.Kind()
+	ar, br := rank(ak), rank(bk)
 	if ar != br {
 		if ar < br {
 			return -1
@@ -211,7 +222,7 @@ func ComparePtr(a, b *Value) int {
 	case 0: // both NULL
 		return 0
 	case 1: // numeric
-		if a.kind == KindFloat || b.kind == KindFloat {
+		if ak == KindFloat || bk == KindFloat {
 			af, bf := a.Float(), b.Float()
 			switch {
 			case af < bf:
@@ -223,15 +234,15 @@ func ComparePtr(a, b *Value) int {
 			}
 		}
 		switch {
-		case a.i < b.i:
+		case a.n < b.n:
 			return -1
-		case a.i > b.i:
+		case a.n > b.n:
 			return 1
 		default:
 			return 0
 		}
 	default: // string-ish
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.t[1:], b.t[1:])
 	}
 }
 
@@ -260,7 +271,7 @@ func (r Row) Size() int {
 
 // StorageSize approximates the stored footprint of a single value in bytes.
 func (v Value) StorageSize() int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return 1
 	case KindInt, KindFloat:
@@ -268,7 +279,7 @@ func (v Value) StorageSize() int {
 	case KindBool:
 		return 1
 	default:
-		return 2 + len(v.s)
+		return 2 + len(v.Str())
 	}
 }
 

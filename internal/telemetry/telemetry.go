@@ -140,9 +140,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	WritePrometheus(w, s.opts.Registry.Snapshot())
 }
 
-// handleSlow dumps the slow-query ring oldest-first. The shape mirrors the
-// OpSlow wire response, so `aimctl remote -slow` and /slowz render the same
-// bytes for the same ring state.
+// handleSlow dumps the slow-query ring oldest-first, with the capture
+// settings beside it. It is the ring's only reader: the wire protocol does
+// not carry the log.
 func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
 	entries := s.opts.Slow.Snapshot()
 	if entries == nil {
