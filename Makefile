@@ -14,7 +14,7 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 23775
+LOC_CEILING ?= 23842
 
 .PHONY: check vet build test race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
@@ -83,7 +83,8 @@ telemetrysmoke:
 # equivalence properties, the failpoint spec parser, the index handoff's
 # catch-up against a fresh build, the memoised planner against the one-shot
 # one, the key walk's skip against encode and decode, the tagged Value against
-# its field-per-payload oracle. Go allows one -fuzz pattern per invocation,
+# its field-per-payload oracle, the buffered frame stream against
+# one-at-a-time reads. Go allows one -fuzz pattern per invocation,
 # hence one line per target.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBulkLoadEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
@@ -94,6 +95,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioDeterminism$$' -fuzztime $(FUZZTIME) ./internal/scenarios/
 	$(GO) test -run '^$$' -fuzz 'FuzzExecScanOracle$$' -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz 'FuzzFrameStream$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz 'FuzzAdoptCatchUp$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzPreparedEqualsOneShot$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzSkipKey$$' -fuzztime $(FUZZTIME) ./internal/sqltypes/

@@ -28,6 +28,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 )
@@ -284,7 +285,9 @@ func (t *Tree[V]) put(key []byte, val V, copyKey bool) bool {
 }
 
 // splitLeaf splits an owned, overfull leaf. The right half is a fresh node
-// at the writer's epoch; no shared node is touched.
+// at the writer's epoch; no shared node is touched. The left half is copied
+// out too: a reslice would keep the whole pre-split array alive, and in a
+// tree that only appends (ascending keys) the left leaf never grows again.
 func (t *Tree[V]) splitLeaf(l *leaf[V], path []pathEntry[V]) {
 	mid := len(l.keys) / 2
 	right := &leaf[V]{
@@ -292,8 +295,8 @@ func (t *Tree[V]) splitLeaf(l *leaf[V], path []pathEntry[V]) {
 		keys:  append([][]byte(nil), l.keys[mid:]...),
 		vals:  append([]V(nil), l.vals[mid:]...),
 	}
-	l.keys = l.keys[:mid:mid]
-	l.vals = l.vals[:mid:mid]
+	l.keys = append([][]byte(nil), l.keys[:mid]...)
+	l.vals = append([]V(nil), l.vals[:mid]...)
 	t.leaves++
 	t.insertIntoParent(path, l, right.keys[0], right)
 }
@@ -319,6 +322,8 @@ func (t *Tree[V]) insertIntoParent(path []pathEntry[V], left node, sep []byte, r
 	}
 }
 
+// splitInner splits an owned, overfull inner node, copying both halves out
+// as splitLeaf does.
 func (t *Tree[V]) splitInner(in *inner[V], path []pathEntry[V]) {
 	mid := len(in.keys) / 2
 	sep := in.keys[mid]
@@ -327,8 +332,8 @@ func (t *Tree[V]) splitInner(in *inner[V], path []pathEntry[V]) {
 		keys:     append([][]byte(nil), in.keys[mid+1:]...),
 		children: append([]node(nil), in.children[mid+1:]...),
 	}
-	in.keys = in.keys[:mid:mid]
-	in.children = in.children[: mid+1 : mid+1]
+	in.keys = append([][]byte(nil), in.keys[:mid]...)
+	in.children = append([]node(nil), in.children[:mid+1]...)
 	t.insertIntoParent(path, in, sep, right)
 }
 
@@ -344,8 +349,10 @@ func (t *Tree[V]) Delete(key []byte) bool {
 		return false
 	}
 	l = t.ownPath(l, path)
-	l.keys = append(l.keys[:i], l.keys[i+1:]...)
-	l.vals = append(l.vals[:i], l.vals[i+1:]...)
+	// slices.Delete zeroes the vacated tail slot, so the array holds no
+	// reference to the deleted key and value.
+	l.keys = slices.Delete(l.keys, i, i+1)
+	l.vals = slices.Delete(l.vals, i, i+1)
 	t.size--
 	if len(l.keys) == 0 {
 		t.pruneLeaf(path)
@@ -382,8 +389,8 @@ func (t *Tree[V]) pruneLeaf(path []pathEntry[V]) {
 	if ki < 0 {
 		ki = 0
 	}
-	p.keys = append(p.keys[:ki], p.keys[ki+1:]...)
-	p.children = append(p.children[:ci], p.children[ci+1:]...)
+	p.keys = slices.Delete(p.keys, ki, ki+1)
+	p.children = slices.Delete(p.children, ci, ci+1)
 	t.leaves--
 }
 

@@ -13,6 +13,7 @@ import (
 // reference implementation of the client side of the framing.
 type Client struct {
 	conn    net.Conn
+	f       *framer
 	timeout time.Duration
 	// version is the server's advertised protocol version, learned from the
 	// Hello response (0 until Hello succeeds — v1 framing assumed).
@@ -29,16 +30,17 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %v", addr, err)
 	}
-	return &Client{conn: conn, timeout: timeout}, nil
+	return &Client{conn: conn, f: newFramer(conn), timeout: timeout}, nil
 }
 
-// roundTrip sends one request frame and reads one response frame.
+// roundTrip sends one request frame and reads one response frame, each
+// through the connection's reused buffers.
 func (c *Client) roundTrip(req Request) (*Response, error) {
 	c.conn.SetDeadline(time.Now().Add(c.timeout)) //nolint:errcheck
-	if err := WriteFrame(c.conn, EncodeRequest(req)); err != nil {
+	if err := c.f.send(AppendRequest(c.f.frame(), req)); err != nil {
 		return nil, err
 	}
-	payload, err := ReadFrame(c.conn, MaxFrame)
+	payload, err := c.f.read()
 	if err != nil {
 		return nil, err
 	}

@@ -231,6 +231,7 @@ func (s *Server) serve(conn net.Conn) {
 		s.sessions.Done()
 	}()
 	session := fmt.Sprintf("conn-%04d", s.seq.Add(1))
+	f := newFramer(conn)
 	var stmtSeq uint64
 	readTO := s.opts.ReadTimeout
 	if readTO <= 0 {
@@ -251,12 +252,12 @@ func (s *Server) serve(conn net.Conn) {
 			s.readErr.Inc()
 			return
 		}
-		payload, err := ReadFrame(conn, MaxFrame)
+		payload, err := f.read()
 		if err != nil {
 			// Oversized and zero-length frames get a best-effort typed error
 			// before the cut; EOF and deadlines close silently.
 			if err == ErrFrameTooLarge || err == ErrZeroFrame {
-				s.respond(conn, writeTO, &Response{Tag: TagError, Code: CodeBadFrame, Msg: err.Error()})
+				s.respond(conn, f, writeTO, &Response{Tag: TagError, Code: CodeBadFrame, Msg: err.Error()})
 			}
 			s.readErr.Inc()
 			return
@@ -264,7 +265,7 @@ func (s *Server) serve(conn net.Conn) {
 		s.frames.Inc()
 		req, err := DecodeRequest(payload)
 		if err != nil {
-			s.respond(conn, writeTO, &Response{Tag: TagError, Code: CodeBadFrame, Msg: err.Error()})
+			s.respond(conn, f, writeTO, &Response{Tag: TagError, Code: CodeBadFrame, Msg: err.Error()})
 			return
 		}
 		var resp *Response
@@ -294,19 +295,21 @@ func (s *Server) serve(conn net.Conn) {
 				resp = s.execStatement(session, stmtSeq, req.Trace, req.SQL)
 			}
 		}
-		if !s.respond(conn, writeTO, resp) {
+		if !s.respond(conn, f, writeTO, resp) {
 			return
 		}
 	}
 }
 
-func (s *Server) respond(conn net.Conn, writeTO time.Duration, resp *Response) bool {
-	payload := EncodeResponse(resp)
-	if len(payload) > MaxFrame {
-		payload = EncodeResponse(&Response{Tag: TagError, Code: CodeExec, Msg: "result exceeds max frame"})
+// respond encodes resp straight into the session's frame buffer and writes
+// it with one Write.
+func (s *Server) respond(conn net.Conn, f *framer, writeTO time.Duration, resp *Response) bool {
+	frame := AppendResponse(f.frame(), resp)
+	if len(frame)-4 > MaxFrame {
+		frame = AppendResponse(f.frame(), &Response{Tag: TagError, Code: CodeExec, Msg: "result exceeds max frame"})
 	}
 	conn.SetWriteDeadline(time.Now().Add(writeTO)) //nolint:errcheck
-	return WriteFrame(conn, payload) == nil
+	return f.send(frame) == nil
 }
 
 // execStatement parses, classifies and executes one statement under the
@@ -411,7 +414,7 @@ func (s *Server) Shutdown() error {
 	}
 	s.ln.Close()
 	<-s.closed
-	// Wake sessions parked in ReadFrame: the expired deadline errors the
+	// Wake sessions parked in a frame read: the expired deadline errors the
 	// read, and the drain flag stops the loop before the next one.
 	s.mu.Lock()
 	for conn := range s.conns {

@@ -18,18 +18,23 @@ import (
 	"aim/internal/shadow"
 )
 
+// kvDB is the server tests' fixture: kv(id, v) with v = 3*id for ids 0..199.
+func kvDB() *engine.DB {
+	db := engine.New("servertest")
+	db.MustExec(`CREATE TABLE kv (id INT, v INT, PRIMARY KEY (id))`)
+	for i := 0; i < 200; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i*3))
+	}
+	db.Analyze()
+	return db
+}
+
 // startTestServer boots a server on an ephemeral loopback port around a
 // small fixture and returns it with its address. Cleanup drains it.
 func startTestServer(t *testing.T, opts Options) (*Server, string) {
 	t.Helper()
 	if opts.DB == nil {
-		db := engine.New("servertest")
-		db.MustExec(`CREATE TABLE kv (id INT, v INT, PRIMARY KEY (id))`)
-		for i := 0; i < 200; i++ {
-			db.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i*3))
-		}
-		db.Analyze()
-		opts.DB = db
+		opts.DB = kvDB()
 	}
 	s := New(opts)
 	addr, err := s.Start("127.0.0.1:0")

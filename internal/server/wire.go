@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,36 +107,87 @@ var (
 	ErrTruncatedFrame = errors.New("server: truncated frame")
 )
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
+// maxRetained bounds the buffers a connection keeps between frames. A frame
+// larger than this is read into, or encoded in, a buffer of its own that the
+// connection drops after the frame, so one large result cannot pin memory for
+// the rest of the session.
+const maxRetained = 64 << 10
+
+// framer is one connection end's framed stream. Reads go through one
+// bufio.Reader: one 4-byte header read, then the payload into a buffer reused
+// across frames. Writes encode a frame behind a 4-byte length hole in a
+// buffer reused across frames, patch the length in, and make one Write. The
+// server session and Client each own one; neither is safe for concurrent use.
+type framer struct {
+	r    *bufio.Reader
+	w    io.Writer
+	hdr  [4]byte
+	rbuf []byte // the last payload read
+	wbuf []byte // the last frame written
+}
+
+func newFramer(rw io.ReadWriter) *framer {
+	return &framer{r: bufio.NewReader(rw), w: rw}
+}
+
+// read returns the next payload. It aliases the framer's buffer and is valid
+// only until the next read: DecodeRequest and DecodeResponse copy every
+// string and value out of it.
+func (f *framer) read() ([]byte, error) {
+	p, err := readFrame(f.r, &f.hdr, f.rbuf, MaxFrame)
+	if err == nil && cap(p) <= maxRetained {
+		f.rbuf = p
+	}
+	return p, err
+}
+
+// frame starts a frame in the write buffer: the 4-byte hole send patches
+// with the payload length. Append the payload to it, then send it.
+func (f *framer) frame() []byte { return append(f.wbuf[:0], 0, 0, 0, 0) }
+
+// send fills in the length hole of a frame begun by frame and writes the
+// frame with one Write, so the header and the payload leave together.
+func (f *framer) send(frame []byte) error {
+	if cap(frame) <= maxRetained {
+		f.wbuf = frame[:0]
+	}
+	n := len(frame) - 4
+	if n == 0 {
 		return ErrZeroFrame
 	}
-	if len(payload) > MaxFrame {
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := f.w.Write(frame)
 	return err
+}
+
+// WriteFrame writes one length-prefixed frame with one Write.
+func WriteFrame(w io.Writer, payload []byte) error {
+	f := framer{w: w}
+	return f.send(append(f.frame(), payload...))
 }
 
 // ReadFrame reads one length-prefixed frame, rejecting zero-length frames
 // and frames larger than max (max <= 0 means MaxFrame). A clean EOF before
 // the first header byte returns io.EOF; EOF mid-frame returns
-// ErrTruncatedFrame.
+// ErrTruncatedFrame. It reads no further than the frame, so a caller may
+// interleave it with other reads of r.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err // io.EOF between frames is a clean close
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+	return readFrame(r, new([4]byte), nil, max)
+}
+
+// readFrame reads one frame's header into hdr and its payload into buf,
+// growing buf when the payload does not fit.
+func readFrame(r io.Reader, hdr *[4]byte, buf []byte, max int) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, err // no byte of a header: a clean close between frames
+		}
 		return nil, truncated(err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -145,7 +197,10 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if n > uint32(max) {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, truncated(err)
 	}
@@ -170,19 +225,18 @@ type Request struct {
 	Trace string
 }
 
-// EncodeRequest renders a request payload (opcode + body).
-func EncodeRequest(req Request) []byte {
+// AppendRequest appends a request payload (opcode + body) to dst.
+func AppendRequest(dst []byte, req Request) []byte {
+	dst = append(dst, req.Op)
 	if req.Op == OpQueryTraced {
-		out := make([]byte, 0, 3+len(req.Trace)+len(req.SQL))
-		out = append(out, OpQueryTraced)
-		out = binary.BigEndian.AppendUint16(out, uint16(len(req.Trace)))
-		out = append(out, req.Trace...)
-		return append(out, req.SQL...)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Trace)))
+		dst = append(dst, req.Trace...)
 	}
-	out := make([]byte, 0, 1+len(req.SQL))
-	out = append(out, req.Op)
-	return append(out, req.SQL...)
+	return append(dst, req.SQL...)
 }
+
+// EncodeRequest renders a request payload in a slice of its own.
+func EncodeRequest(req Request) []byte { return AppendRequest(nil, req) }
 
 // DecodeRequest parses a request payload.
 func DecodeRequest(p []byte) (Request, error) {
@@ -230,40 +284,41 @@ func (r *Response) Err() error {
 	return fmt.Errorf("server: remote error %d: %s", r.Code, r.Msg)
 }
 
-// EncodeResponse renders a response payload (tag + body).
-func EncodeResponse(resp *Response) []byte {
+// AppendResponse appends a response payload (tag + body) to dst.
+func AppendResponse(dst []byte, resp *Response) []byte {
 	switch resp.Tag {
 	case TagRows:
 		// u16 ncols | cols | u32 nrows | rows, values fully typed so the
 		// client round-trips exactly what the engine produced.
-		out := []byte{TagRows}
-		out = binary.BigEndian.AppendUint16(out, uint16(len(resp.Columns)))
+		dst = append(dst, TagRows)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(resp.Columns)))
 		for _, c := range resp.Columns {
-			out = appendString(out, c)
+			dst = appendString(dst, c)
 		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(resp.Rows)))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Rows)))
 		for _, row := range resp.Rows {
-			out = binary.BigEndian.AppendUint16(out, uint16(len(row)))
+			dst = binary.BigEndian.AppendUint16(dst, uint16(len(row)))
 			for _, v := range row {
-				out = appendValue(out, v)
+				dst = appendValue(dst, v)
 			}
 		}
-		return out
+		return dst
 	case TagOK:
-		out := []byte{TagOK}
-		return binary.BigEndian.AppendUint64(out, uint64(resp.Affected))
+		return binary.BigEndian.AppendUint64(append(dst, TagOK), uint64(resp.Affected))
 	case TagError:
-		out := []byte{TagError}
-		out = binary.BigEndian.AppendUint16(out, resp.Code)
-		return append(out, resp.Msg...)
+		dst = binary.BigEndian.AppendUint16(append(dst, TagError), resp.Code)
+		return append(dst, resp.Msg...)
 	case TagVerdict:
-		return append([]byte{TagVerdict}, resp.Verdict...)
+		return append(append(dst, TagVerdict), resp.Verdict...)
 	case TagPong:
-		return []byte{TagPong}
+		return append(dst, TagPong)
 	default:
-		return append([]byte{TagError}, fmt.Sprintf("\x00\x00bad tag %d", resp.Tag)...)
+		return AppendResponse(dst, &Response{Tag: TagError, Msg: fmt.Sprintf("bad tag %d", resp.Tag)})
 	}
 }
+
+// EncodeResponse renders a response payload in a slice of its own.
+func EncodeResponse(resp *Response) []byte { return AppendResponse(nil, resp) }
 
 // DecodeResponse parses a response payload. Every length and count is
 // validated against the remaining payload, so a corrupt or adversarial

@@ -7,10 +7,20 @@ import (
 	"testing"
 )
 
-// tupleOf reads a value tuple from fuzz bytes: each value is a selector byte
-// (NULL, int, float or string) followed by its payload, where a string is a
-// length byte and up to 15 raw bytes, so 0x00 and 0xFF land inside payloads.
+// maxFuzzSpec bounds the bytes a fuzz input contributes. FuzzSkipKey's
+// prefix loop is quadratic in the key, and the fuzzer's minimizer re-runs the
+// target once per candidate, about n² candidates for an n-byte input: one
+// long input found new coverage and kept a worker minimizing past the whole
+// fuzz budget at 0 execs/s. Past the bound the minimizer's first cuts keep the
+// coverage and shrink the input at once.
+const maxFuzzSpec = 96
+
+// tupleOf reads a value tuple from up to maxFuzzSpec fuzz bytes: each value is
+// a selector byte (NULL, int, float or string) followed by its payload, where
+// a string is a length byte and up to 15 raw bytes, so 0x00 and 0xFF land
+// inside payloads.
 func tupleOf(spec []byte) []Value {
+	spec = spec[:min(len(spec), maxFuzzSpec)]
 	var vals []Value
 	take := func(n int) []byte {
 		n = min(n, len(spec))
@@ -68,6 +78,7 @@ func FuzzSkipKey(f *testing.F) {
 				t.Fatalf("SkipKey accepted the %d-byte prefix of %x as %d values", cut, enc, len(vals))
 			}
 		}
+		corrupt = corrupt[:min(len(corrupt), maxFuzzSpec)]
 		for n := 0; n <= 3; n++ {
 			skipped, skipErr := SkipKey(corrupt, n)
 			decoded, decErr := DecodeKeyInto(make([]Value, n), corrupt, n)
