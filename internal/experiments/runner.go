@@ -17,16 +17,16 @@ import (
 	"aim/internal/telemetry"
 )
 
-// Loop is the one driver behind the fault, scenario and serve suites. Each
-// cycle of Run advances the scenario, draws one window of statements, deals
-// it to Clients sessions and runs one tuning cycle over what executed — through
-// the daemon's own server.Tuner, on one of two transports. Offline (NewLoop)
-// the loop executes the statements itself, builds the window records a
-// session would have observed and calls CycleWindow on a bare tuner (no
-// statement gate: nothing else touches the database). Live (NewLiveLoop) a
-// real server listens on loopback, each session is a TCP connection sending
-// its share concurrently, and OpTune on a control connection follows the
-// barrier.
+// Loop is the one driver behind the scenario suite, its fault axis and the
+// serve suite. Each cycle of Run advances the scenario, draws one window of
+// statements, deals it to Clients sessions and runs one tuning cycle over
+// what executed — through the daemon's own server.Tuner, on one of two
+// transports. Offline (NewLoop) the loop executes the statements itself,
+// builds the window records a session would have observed and calls
+// CycleWindow on a bare tuner (no statement gate: nothing else touches the
+// database). Live (NewLiveLoop) a real server listens on loopback, each
+// session is a TCP connection sending its share concurrently, and OpTune on
+// a control connection follows the barrier.
 //
 // Dealing is client-major: statement k of a window goes to session
 // k / perSession, so draw order is the canonical (session, seq) order the
@@ -164,6 +164,50 @@ func (l *Loop) runCycle(cycle, windowStatements int) error {
 	}
 	l.Verdicts = append(l.Verdicts, line)
 	return checkLoopInvariants(l.Tuner.DB)
+}
+
+// checkLoopInvariants cross-checks catalog against store and validates
+// every index tree: a partially built or half-dropped index must never be
+// visible, no matter which phase a fault interrupted. Tree.Validate also
+// enforces the copy-on-write epoch invariants (node epoch <= parent epoch <=
+// handle epoch <= family clock), so every per-cycle audit here doubles as a
+// cross-snapshot mutation check on the stores the shadow clones came from.
+func checkLoopInvariants(db *engine.DB) error {
+	for _, ix := range db.Schema.Indexes() {
+		if ix.Hypothetical {
+			return fmt.Errorf("hypothetical index %q leaked into the schema", ix.Name)
+		}
+		tbl := db.Store.Table(ix.Table)
+		if tbl == nil {
+			return fmt.Errorf("index %q references missing table %q", ix.Name, ix.Table)
+		}
+		mat := tbl.Index(ix.Name)
+		if mat == nil {
+			return fmt.Errorf("index %q registered but not materialized", ix.Name)
+		}
+		if err := mat.Tree().Validate(); err != nil {
+			return fmt.Errorf("index %q tree invalid: %v", ix.Name, err)
+		}
+		if got, want := mat.Len(), tbl.RowCount(); got != want {
+			return fmt.Errorf("index %q has %d entries for %d rows (partial build leaked)", ix.Name, got, want)
+		}
+	}
+	// No orphans: every materialized index must be in the catalog.
+	for _, t := range db.Schema.Tables() {
+		tbl := db.Store.Table(t.Name)
+		if tbl == nil {
+			continue
+		}
+		for name := range tbl.Indexes() {
+			if db.Schema.Index(name) == nil {
+				return fmt.Errorf("materialized index %q missing from catalog (partial drop leaked)", name)
+			}
+		}
+		if err := tbl.Data().Validate(); err != nil {
+			return fmt.Errorf("table %q clustered tree invalid: %v", t.Name, err)
+		}
+	}
+	return nil
 }
 
 func (l *Loop) advance(cycle int) error {

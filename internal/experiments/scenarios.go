@@ -8,6 +8,7 @@ import (
 
 	"aim/internal/audit"
 	"aim/internal/core"
+	"aim/internal/engine"
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
@@ -139,10 +140,10 @@ func (res *ScenarioResult) Violations(p scenarios.Profile) []string {
 	return out
 }
 
-// RunScenario drives one scenario offline under the profile's loop policy,
-// with the same per-cycle invariants as the fault suite: an
-// accepted-but-degraded shadow verdict is fatal (it would be an ungated
-// adoption), and the catalog/store cross-check runs after every cycle.
+// RunScenario drives one scenario offline under the profile's loop policy.
+// Every cycle holds the loop's invariants, with or without faults armed: the
+// tuner latches on an accepted-but-degraded shadow verdict (it would be an
+// ungated adoption), and the catalog/store cross-check runs after the cycle.
 func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 	return runScenario(sc, opts, false)
 }
@@ -219,6 +220,20 @@ func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*Scena
 	}
 	res.account(outs, p.TrapCycle)
 	return res, nil
+}
+
+// automationIndexKeys returns the sorted catalog keys of non-DBA,
+// non-hypothetical indexes — the set the loop has adopted.
+func automationIndexKeys(db *engine.DB) []string {
+	var keys []string
+	for _, ix := range db.Schema.Indexes() {
+		if ix.Hypothetical || ix.CreatedBy == "dba" {
+			continue
+		}
+		keys = append(keys, ix.Key())
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // transition is one adopt or revert of an index key in a 1-based window.
