@@ -15,7 +15,7 @@
 //	db.MustExec(`CREATE TABLE t (id INT, a INT, PRIMARY KEY (id))`)
 //	mon := aim.NewMonitor()
 //	res, _ := db.Exec("SELECT a FROM t WHERE a = 1")
-//	mon.Record("SELECT a FROM t WHERE a = 1", res.Stats)
+//	mon.Ingest(res.Template, res.Params, res.Stats)
 //	adv := aim.NewAdvisor(db, aim.DefaultConfig())
 //	rec, _ := adv.Recommend(mon)
 package aim

@@ -38,7 +38,7 @@ func analyticsDB(t testing.TB) (*engine.DB, []*workload.QueryStats) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Record(q, res.Stats)
+			mon.Ingest(res.Template, res.Params, res.Stats)
 		}
 	}
 	return db, mon.Representative(workload.SelectionConfig{MinExecutions: 1})

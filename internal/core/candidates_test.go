@@ -48,7 +48,7 @@ func monitorWith(t testing.TB, db *engine.DB, queries ...string) *workload.Monit
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 5; i++ {
-			if err := mon.Record(q, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -358,7 +358,7 @@ func TestGenerateFromExecutedWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Record(sql, res.Stats)
+		mon.Ingest(res.Template, res.Params, res.Stats)
 	}
 	rep := mon.Representative(workload.DefaultSelection())
 	if len(rep) != 1 {

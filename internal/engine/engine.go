@@ -59,6 +59,9 @@ type DB struct {
 	// replay against the frozen snapshot while live DML proceeds. Clones do
 	// not inherit the gate — they are private to their creator.
 	cloneGate sync.Locker
+	// shapes is the digest-keyed template cache in front of the parser,
+	// shared with every clone: a shape does not depend on the catalog.
+	shapes *shapeCache
 }
 
 // SetObs attaches a metrics registry to this database and its components
@@ -100,6 +103,7 @@ func New(name string) *DB {
 		Store:       storage.NewStore(),
 		statsCache:  map[string]*stats.TableStats{},
 		writesSince: map[string]int{},
+		shapes:      &shapeCache{},
 	}
 	db.Optimizer = optimizer.New(db.Schema, db)
 	db.WhatIf = optimizer.NewCoster(db.Optimizer, costcache.DefaultCapacity)
@@ -172,11 +176,11 @@ type Result struct {
 
 // Exec parses and executes one SQL statement.
 func (db *DB) Exec(sql string) (*Result, error) {
-	stmt, err := sqlparser.Parse(sql)
+	p, err := db.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(stmt)
+	return db.ExecPrepared(p)
 }
 
 // MustExec executes and panics on error — for fixtures and generators.
@@ -194,26 +198,78 @@ func (db *DB) MustExec(sql string) *Result {
 // redone. A statement its template cannot stand in for (Template.Bypass) is
 // planned as written, and counted.
 func (db *DB) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
-	t := sqlparser.NewTemplate(stmt)
-	key, run, params := t.Text, t.Stmt, t.Params
-	if t.Bypass != "" {
-		db.Optimizer.CountBypass(t.Bypass)
-		key, run, params = "", stmt, nil
+	return db.ExecPrepared(Prepared{t: sqlparser.NewTemplate(stmt), stmt: stmt})
+}
+
+// Prepared is one statement ready to run: its template with the statement's
+// parameters and, when the template cannot stand in for it, the statement as
+// parsed.
+type Prepared struct {
+	t    sqlparser.Template
+	stmt sqlparser.Statement // planned as written when t.Bypass is set
+	cols []string            // a cached SELECT shape's output column names
+}
+
+// IsSelect reports whether the statement is a SELECT.
+func (p Prepared) IsSelect() bool {
+	_, ok := p.t.Stmt.(*sqlparser.Select)
+	return ok
+}
+
+// Prepare turns sql into a Prepared, parsing it only when its digest is not
+// in the template cache: a statement whose shape was seen before takes its
+// template, output column names and parameter recipe from the cache. A
+// statement the cache cannot hold (a Bypass, DDL, one that does not lex)
+// parses every time. The error is the parser's.
+func (db *DB) Prepare(sql string) (Prepared, error) {
+	d := digests.Get().(*sqlparser.Digest)
+	defer digests.Put(d)
+	scanned := d.Scan(sql)
+	if scanned {
+		if sh := db.shapes.get(d.Key); sh != nil {
+			return Prepared{t: sqlparser.Template{Text: sh.Text, Stmt: sh.Stmt, Params: sh.Params(d.Lits)}, cols: sh.cols}, nil
+		}
 	}
-	res, err := db.exec(key, run, params)
+	stmt, t, shape, err := sqlparser.ParseShape(sql, len(d.Lits))
+	if err != nil {
+		return Prepared{}, err
+	}
+	if !scanned || shape == nil {
+		return Prepared{t: t, stmt: stmt}, nil
+	}
+	sh := &cachedShape{Shape: shape}
+	if sel, ok := shape.Stmt.(*sqlparser.Select); ok {
+		sh.cols = selectColumns(sel)
+	}
+	db.shapes.put(d.Key, sh)
+	return Prepared{t: t, cols: sh.cols}, nil
+}
+
+// ExecPrepared executes a prepared statement; see ExecStmt.
+func (db *DB) ExecPrepared(p Prepared) (*Result, error) {
+	key, run, params, cols := p.t.Text, p.t.Stmt, p.t.Params, p.cols
+	if p.t.Bypass != "" {
+		db.Optimizer.CountBypass(p.t.Bypass)
+		key, run, params, cols = "", p.stmt, nil, nil
+	}
+	res, err := db.exec(key, run, params, cols)
 	if err != nil {
 		return nil, err
 	}
-	res.Template, res.Params = t.Text, t.Params
+	res.Template, res.Params = p.t.Text, p.t.Params
 	return res, nil
 }
 
 // exec runs stmt with its placeholders bound to params; key, when not empty,
-// is the template text the plan's prepared half is memoised under.
-func (db *DB) exec(key string, stmt sqlparser.Statement, params []sqltypes.Value) (*Result, error) {
+// is the template text the plan's prepared half is memoised under, and cols,
+// when not nil, a SELECT's output column names.
+func (db *DB) exec(key string, stmt sqlparser.Statement, params []sqltypes.Value, cols []string) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.Select:
-		return db.execSelect(key, s, params)
+		if cols == nil {
+			cols = selectColumns(s)
+		}
+		return db.execSelect(key, s, params, cols)
 	case *sqlparser.Insert:
 		return db.execInsert(s, params)
 	case *sqlparser.Update, *sqlparser.Delete:
@@ -229,13 +285,10 @@ func (db *DB) exec(key string, stmt sqlparser.Statement, params []sqltypes.Value
 	}
 }
 
-func (db *DB) execSelect(key string, s *sqlparser.Select, params []sqltypes.Value) (*Result, error) {
-	plan, desc, err := db.Optimizer.PlanSelect(key, s, params)
-	if err != nil {
-		return nil, err
-	}
-	// A template renders its column names as the statement would: one with a
-	// literal in its select list is not run as a template.
+// selectColumns renders a SELECT's output column names. A template renders
+// them as the statement would: one with a literal in its select list is not
+// run as a template.
+func selectColumns(s *sqlparser.Select) []string {
 	cols := make([]string, len(s.Exprs))
 	for i, se := range s.Exprs {
 		switch {
@@ -246,6 +299,14 @@ func (db *DB) execSelect(key string, s *sqlparser.Select, params []sqltypes.Valu
 		default:
 			cols[i] = se.Expr.SQL()
 		}
+	}
+	return cols
+}
+
+func (db *DB) execSelect(key string, s *sqlparser.Select, params []sqltypes.Value, cols []string) (*Result, error) {
+	plan, desc, err := db.Optimizer.PlanSelect(key, s, params)
+	if err != nil {
+		return nil, err
 	}
 	res, err := db.executor.Run(plan, cols)
 	if err != nil {
@@ -637,6 +698,7 @@ func (db *DB) cloneFrom(name string, store *storage.Store) *DB {
 		Store:       store,
 		statsCache:  map[string]*stats.TableStats{},
 		writesSince: map[string]int{},
+		shapes:      db.shapes,
 	}
 	db.mu.RLock()
 	for k, v := range db.statsCache {

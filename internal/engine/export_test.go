@@ -6,5 +6,5 @@ import "aim/internal/sqlparser"
 // with nothing kept — and runs it: the reference FuzzPreparedEqualsOneShot
 // holds ExecStmt to.
 func (db *DB) ExecOneShot(stmt sqlparser.Statement) (*Result, error) {
-	return db.exec("", stmt, nil)
+	return db.exec("", stmt, nil, nil)
 }

@@ -73,9 +73,82 @@ func TestPreparedHitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("ExecStmt on a warm WHERE id = ?: %.0f allocs", allocs)
-	if allocs > 60 {
-		t.Fatalf("ExecStmt on a warm point read allocates %.0f times, want <= 60", allocs)
+	if want := maxAllocs(45); allocs > want {
+		t.Fatalf("ExecStmt on a warm point read allocates %.0f times, want <= %.0f", allocs, want)
 	}
+}
+
+// maxAllocs is an allocation pin's bound: want, except under the race
+// detector, whose runtime allocates for its own bookkeeping and drops a
+// quarter of sync.Pool puts at random, so there the pins keep the bound of
+// 60 that TestPreparedHitAllocs held before the template cache.
+func maxAllocs(want float64) float64 {
+	if raceEnabled {
+		return 60
+	}
+	return want
+}
+
+// TestDigestHitAllocs pins what the template cache leaves of Exec's
+// allocations on the benchmark's point read: 68 per statement when every
+// execution parsed and normalized, 45 of them with a parsed statement in hand
+// (TestPreparedHitAllocs).
+func TestDigestHitAllocs(t *testing.T) {
+	db := newEventsDB(t, 20000)
+	const sql = "SELECT score, day FROM events WHERE id = 4711"
+	want := db.MustExec(sql)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Exec on a warm WHERE id = ?: %.0f allocs", allocs)
+	if want := maxAllocs(32); allocs > want {
+		t.Fatalf("Exec on a warm point read allocates %.0f times, want <= %.0f", allocs, want)
+	}
+	got := db.MustExec(sql)
+	if got.Template != want.Template || !reflect.DeepEqual(got.Params, want.Params) || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("a cache hit returns %q %v %v, the miss %q %v %v", got.Template, got.Params, got.Rows, want.Template, want.Params, want.Rows)
+	}
+}
+
+// TestTemplateCacheUnderConcurrentReads runs point reads from four goroutines
+// at once, as the server's read gate lets sessions do, over more shapes (an
+// alias each) than the template cache holds, so that lookups, inserts and
+// the cache starting over race with executions of a shared template. Every
+// statement must return the rows it returns alone.
+func TestTemplateCacheUnderConcurrentReads(t *testing.T) {
+	db := newEventsDB(t, 2000)
+	ref := db.Clone("reference")
+	defer ref.Release()
+	const shapes = 1200
+	sql := func(i int) string {
+		return fmt.Sprintf("SELECT score AS s%d FROM events WHERE id = %d", i%shapes, i%2000)
+	}
+	want := make([]sqltypes.Row, 2*shapes)
+	for i := range want {
+		want[i] = ref.MustExec(sql(i)).Rows[0]
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < len(want); n++ {
+				i := (n*7 + g*shapes/4) % len(want)
+				res, err := db.Exec(sql(i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Rows) != 1 || !reflect.DeepEqual(res.Rows[0], want[i]) || res.Columns[0] != fmt.Sprintf("s%d", i%shapes) {
+					t.Errorf("%s: %v %v, want %v", sql(i), res.Columns, res.Rows, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestPreparedSurvivesAdoptAndRevert pins stale-plan safety: a memoised
@@ -268,11 +341,12 @@ func fuzzProductStatement(r *rand.Rand, p *products.Product, nextID *int) string
 // FuzzPreparedEqualsOneShot is the identity pin of the planner split. One
 // seeded stream — statements of every shape with random parameters, index
 // DDL, bulk writes past the statistics churn rule, ANALYZE — is fed to three
-// handles on the same rows: ExecStmt (the memoised door), ExecOneShot (the
-// planner with nothing kept) and ExecStmt again on a handle whose memo is
-// pushed past its capacity every few steps (the eviction path). Every
-// statement must return the same rows, Stats, plan, indexes and error on all
-// three.
+// handles on the same rows: Exec (the memoised door behind the template
+// cache), ExecOneShot (the planner with nothing kept) and ExecStmt on a handle
+// whose memo is pushed past its capacity every few steps (the eviction path).
+// Every statement must return the same rows, Stats, plan, indexes and error
+// on all three, and the same template and parameters from both memoised
+// doors.
 func FuzzPreparedEqualsOneShot(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed, uint8(120))
@@ -357,11 +431,14 @@ func FuzzPreparedEqualsOneShot(f *testing.F) {
 					t.Fatalf("%s: %v", sql, err)
 				}
 				want, wantErr := oneShot.ExecOneShot(stmt)
-				got, gotErr := memo.ExecStmt(stmt)
-				sameOutcome(t, "ExecStmt", sql, got, gotErr, want, wantErr)
+				got, gotErr := memo.Exec(sql)
+				sameOutcome(t, "Exec", sql, got, gotErr, want, wantErr)
 
-				got, gotErr = evicted.ExecStmt(stmt)
-				sameOutcome(t, "ExecStmt after evictions", sql, got, gotErr, want, wantErr)
+				parsed, parsedErr := evicted.ExecStmt(stmt)
+				sameOutcome(t, "ExecStmt after evictions", sql, parsed, parsedErr, want, wantErr)
+				if gotErr == nil && (got.Template != parsed.Template || !reflect.DeepEqual(got.Params, parsed.Params)) {
+					t.Fatalf("%s: Exec normalizes to %q %v, ExecStmt to %q %v", sql, got.Template, got.Params, parsed.Template, parsed.Params)
+				}
 			}
 		}
 		if st := evicted.Optimizer.PreparedStats(); steps >= 16 && st.Evictions == 0 {

@@ -10,8 +10,19 @@ import (
 	"aim/internal/exec"
 	"aim/internal/regression"
 	"aim/internal/server"
+	"aim/internal/sqlparser"
 	"aim/internal/workload"
 )
+
+// mustParse parses a statement the test records with synthesized statistics.
+func mustParse(t testing.TB, sql string) sqlparser.Statement {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
 
 // step is one adopt or revert of key in a 1-based window.
 type step struct {
@@ -114,7 +125,7 @@ func TestOscillationGuardBoundsFlips(t *testing.T) {
 			mon := workload.NewMonitor()
 			for i := 0; i < 10; i++ {
 				st := exec.Stats{PageReads: int64(cpu / exec.CostPageRead), RowsRead: 10, RowsSent: 1}
-				if err := mon.Record("SELECT b FROM t WHERE a = 5", st); err != nil {
+				if err := mon.RecordStmt(mustParse(t, "SELECT b FROM t WHERE a = 5"), st); err != nil {
 					t.Fatal(err)
 				}
 			}

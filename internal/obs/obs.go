@@ -122,15 +122,6 @@ func bucketFor(v float64) int {
 	return i
 }
 
-// bucketRep is the representative value reported for a bucket: the
-// geometric midpoint of its bounds.
-func bucketRep(i int) float64 {
-	if i == 0 {
-		return 0
-	}
-	return math.Exp2(float64(i-histBias)) * math.Sqrt2 / 2
-}
-
 // Observe records one value. No-op on a nil histogram; never allocates.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {

@@ -25,7 +25,7 @@ func maintenanceFixture(t *testing.T) *engine.DB {
 func record(t *testing.T, mon *workload.Monitor, sql string, execs int) {
 	t.Helper()
 	for i := 0; i < execs; i++ {
-		if err := mon.Record(sql, exec.Stats{PageReads: 5, RowsRead: 10}); err != nil {
+		if err := mon.RecordStmt(mustParse(t, sql), exec.Stats{PageReads: 5, RowsRead: 10}); err != nil {
 			t.Fatal(err)
 		}
 	}

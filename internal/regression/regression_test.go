@@ -8,8 +8,19 @@ import (
 	"aim/internal/catalog"
 	"aim/internal/engine"
 	"aim/internal/exec"
+	"aim/internal/sqlparser"
 	"aim/internal/workload"
 )
+
+// mustParse parses a statement the test records with synthesized statistics.
+func mustParse(t testing.TB, sql string) sqlparser.Statement {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
 
 func fixture(t testing.TB) *engine.DB {
 	t.Helper()
@@ -29,7 +40,7 @@ func window(t testing.TB, cpuPerExec float64, execs int) *workload.Monitor {
 	for i := 0; i < execs; i++ {
 		// Synthesize stats with the desired CPU: page reads dominate.
 		pages := int64(cpuPerExec / exec.CostPageRead)
-		if err := mon.Record("SELECT b FROM t WHERE a = 5", exec.Stats{PageReads: pages, RowsRead: 10, RowsSent: 1}); err != nil {
+		if err := mon.RecordStmt(mustParse(t, "SELECT b FROM t WHERE a = 5"), exec.Stats{PageReads: pages, RowsRead: 10, RowsSent: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"aim/internal/pool"
 	"aim/internal/regression"
 	"aim/internal/shadow"
-	"aim/internal/sqlparser"
 )
 
 // Options configures a Server. DB is the one required field; everything
@@ -312,14 +311,15 @@ func (s *Server) respond(conn net.Conn, f *framer, writeTO time.Duration, resp *
 	return f.send(frame) == nil
 }
 
-// execStatement parses, classifies and executes one statement under the
-// statement gate (SELECTs share the read side; DML and DDL serialize on the
-// write side), then feeds the collector, the per-statement span, and the
-// slow-query log. Failed statements produce a typed error and are not
+// execStatement prepares one statement (engine.DB.Prepare, which parses only
+// a shape its template cache has not seen), classifies it and executes it
+// under the statement gate (SELECTs share the read side; DML and DDL
+// serialize on the write side), then feeds the collector, the per-statement
+// span, and the slow-query log. Failed statements produce a typed error and are not
 // observed — the monitor sees only executions that contributed load,
 // matching the batch loop's semantics.
 func (s *Server) execStatement(session string, seq uint64, trace, sql string) *Response {
-	stmt, err := sqlparser.Parse(sql)
+	p, err := s.db.Prepare(sql)
 	if err != nil {
 		return &Response{Tag: TagError, Code: CodeParse, Msg: err.Error()}
 	}
@@ -338,13 +338,13 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 			sp.Annotate("trace", trace)
 		}
 	}
-	_, isSelect := stmt.(*sqlparser.Select)
+	isSelect := p.IsSelect()
 	if isSelect {
 		s.exec.RLock()
 	} else {
 		s.exec.Lock()
 	}
-	res, err := s.db.ExecStmt(stmt)
+	res, err := s.db.ExecPrepared(p)
 	if isSelect {
 		s.exec.RUnlock()
 	} else {

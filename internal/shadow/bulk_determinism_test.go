@@ -44,7 +44,7 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Record(sql, res.Stats)
+			mon.Ingest(res.Template, res.Params, res.Stats)
 		}
 		db.Store.Workers = workers
 		if withObs {
@@ -105,7 +105,7 @@ func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 		// an aborted replay leaves behind. Its replay then fails on the
 		// baseline and succeeds on the test clone.
 		baseline.MustExec(write)
-		if err := mon.Record(write, exec.Stats{RowsWritten: 1}); err != nil {
+		if err := mon.RecordStmt(mustParse(t, write), exec.Stats{RowsWritten: 1}); err != nil {
 			t.Fatal(err)
 		}
 		var dml *workload.QueryStats

@@ -145,7 +145,7 @@ func TestValidateCountsSkippedSamples(t *testing.T) {
 	var trace bytes.Buffer
 	reg.SetTraceWriter(&trace)
 	for _, id := range []int{5, 99998} { // 5 is taken: a duplicate key on both sides
-		if err := mon.Record(fmt.Sprintf("INSERT INTO t VALUES (%d, 1, 1, 'x')", id), exec.Stats{RowsWritten: 1}); err != nil {
+		if err := mon.RecordStmt(mustParse(t, fmt.Sprintf("INSERT INTO t VALUES (%d, 1, 1, 'x')", id)), exec.Stats{RowsWritten: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

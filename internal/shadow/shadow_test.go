@@ -12,9 +12,20 @@ import (
 	"aim/internal/exec"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
+	"aim/internal/sqlparser"
 	"aim/internal/sqltypes"
 	"aim/internal/workload"
 )
+
+// mustParse parses a statement the test records with synthesized statistics.
+func mustParse(t testing.TB, sql string) sqlparser.Statement {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
 
 func fixture(t testing.TB) (*engine.DB, *workload.Monitor) {
 	t.Helper()
@@ -33,7 +44,7 @@ func fixture(t testing.TB) (*engine.DB, *workload.Monitor) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Record(sql, res.Stats)
+		mon.Ingest(res.Template, res.Params, res.Stats)
 	}
 	return db, mon
 }
@@ -97,7 +108,7 @@ func TestValidateGateRegressionBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Record(sql, res.Stats)
+		mon.Ingest(res.Template, res.Params, res.Stats)
 	}
 	gate := DefaultGate()
 	gate.Lambda3 = 0.0001
@@ -142,7 +153,7 @@ func TestReplayQueryDivergesOnOneSidedDMLError(t *testing.T) {
 		return db
 	}
 	mon := workload.NewMonitor()
-	if err := mon.Record("INSERT INTO t VALUES (42, 1)", exec.Stats{RowsWritten: 1}); err != nil {
+	if err := mon.RecordStmt(mustParse(t, "INSERT INTO t VALUES (42, 1)"), exec.Stats{RowsWritten: 1}); err != nil {
 		t.Fatal(err)
 	}
 	q := mon.Queries()[0]
@@ -155,7 +166,7 @@ func TestReplayQueryDivergesOnOneSidedDMLError(t *testing.T) {
 
 	// The gate records the query as unreplayable and degrades the verdict,
 	// without retrying the write on the diverged pair.
-	if err := mon.Record("SELECT a FROM t WHERE id = 3", exec.Stats{RowsRead: 10, RowsSent: 1}); err != nil {
+	if err := mon.RecordStmt(mustParse(t, "SELECT a FROM t WHERE id = 3"), exec.Stats{RowsRead: 10, RowsSent: 1}); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -190,7 +201,7 @@ func TestReplayQuerySkipsBothSidedErrors(t *testing.T) {
 	baseline, test := mk(), mk()
 	mon := workload.NewMonitor()
 	// id 5 exists on both sides: both inserts fail identically.
-	if err := mon.Record("INSERT INTO t VALUES (5, 1)", exec.Stats{RowsWritten: 1}); err != nil {
+	if err := mon.RecordStmt(mustParse(t, "INSERT INTO t VALUES (5, 1)"), exec.Stats{RowsWritten: 1}); err != nil {
 		t.Fatal(err)
 	}
 	q := mon.Queries()[0]

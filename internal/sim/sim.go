@@ -69,7 +69,7 @@ func (m *Machine) RunTick(tickIndex int) Tick {
 			continue
 		}
 		cpu += res.Stats.CPUSeconds()
-		m.Monitor.Record(sql, res.Stats)
+		m.Monitor.Ingest(res.Template, res.Params, res.Stats) //nolint:errcheck // the engine just parsed the template
 	}
 	t := Tick{Index: tickIndex, Errors: errs}
 	util := cpu / m.CapacitySeconds

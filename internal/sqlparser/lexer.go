@@ -10,8 +10,10 @@ package sqlparser
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"unicode"
+
+	"aim/internal/sqltypes"
 )
 
 // tokenKind classifies lexical tokens.
@@ -30,21 +32,43 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string // keywords upper-cased; identifiers as written
+	text string // keywords upper-cased; identifiers, numbers and string bodies as written
 	pos  int
 }
 
-// keywords recognized by the lexer. Identifiers matching these (case
-// insensitive) are produced as tokKeyword with upper-cased text.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "ASC": true, "DESC": true, "AND": true,
-	"OR": true, "NOT": true, "IN": true, "BETWEEN": true, "LIKE": true,
-	"IS": true, "NULL": true, "TRUE": true, "FALSE": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "ON": true, "DISTINCT": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true, "DROP": true,
-	"PRIMARY": true, "KEY": true, "OFFSET": true, "STRAIGHT_JOIN": true,
+// keywords recognized by the lexer, each under its upper-cased spelling.
+// Identifiers matching these (case insensitive) are produced as tokKeyword
+// with upper-cased text.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "ASC", "DESC", "AND",
+		"OR", "NOT", "IN", "BETWEEN", "LIKE", "IS", "NULL", "TRUE", "FALSE", "AS",
+		"JOIN", "INNER", "LEFT", "ON", "DISTINCT", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
+		"DELETE", "CREATE", "TABLE", "INDEX", "DROP", "PRIMARY", "KEY", "OFFSET", "STRAIGHT_JOIN",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keyword returns the keyword text spells in any case, upper-cased, without
+// allocating. Only ASCII letters fold: no other byte of an identifier
+// upper-cases to one.
+func keyword(text string) (string, bool) {
+	var b [len("STRAIGHT_JOIN")]byte // the longest keyword
+	if len(text) > len(b) {
+		return "", false
+	}
+	for i := range len(text) {
+		c := text[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b[i] = c
+	}
+	kw, ok := keywords[string(b[:len(text)])]
+	return kw, ok
 }
 
 type lexer struct {
@@ -80,25 +104,42 @@ func (l *lexer) next() (token, error) {
 	}
 }
 
+// lexString reads a quoted string literal. Its token's text is the body
+// as written, every quote still doubled; value builds the string from it.
 func (l *lexer) lexString() (token, error) {
 	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return token{kind: tokString, text: b.String(), pos: start}, nil
+	for l.pos++; l.pos < len(l.src); l.pos++ {
+		if l.src[l.pos] != '\'' {
+			continue
 		}
-		b.WriteByte(c)
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			l.pos++
+			continue
+		}
 		l.pos++
+		return token{kind: tokString, text: l.src[start+1 : l.pos-1], pos: start}, nil
 	}
 	return token{}, l.errf(start, "unterminated string literal")
+}
+
+// value is the value of a literal token: tokInt, tokFloat or tokString.
+func (t token) value() (sqltypes.Value, error) {
+	switch t.kind {
+	case tokInt:
+		v, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
+			return sqltypes.Null, fmt.Errorf("sql: bad integer %q: %v", t.text, err)
+		}
+		return sqltypes.NewInt(v), nil
+	case tokFloat:
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return sqltypes.Null, fmt.Errorf("sql: bad float %q: %v", t.text, err)
+		}
+		return sqltypes.NewFloat(v), nil
+	default:
+		return sqltypes.NewStringUnquoted(t.text), nil
+	}
 }
 
 func (l *lexer) lexNumber() (token, error) {
@@ -136,8 +177,8 @@ func (l *lexer) lexIdent() (token, error) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	if keywords[strings.ToUpper(text)] {
-		return token{kind: tokKeyword, text: strings.ToUpper(text), pos: start}, nil
+	if kw, ok := keyword(text); ok {
+		return token{kind: tokKeyword, text: kw, pos: start}, nil
 	}
 	return token{kind: tokIdent, text: text, pos: start}, nil
 }
@@ -147,9 +188,6 @@ func (l *lexer) lexOp() (token, error) {
 	two := ""
 	if l.pos+2 <= len(l.src) {
 		two = l.src[l.pos : l.pos+2]
-	}
-	switch two {
-	case "<=", ">=", "!=", "<>", "<=>":
 	}
 	if l.pos+3 <= len(l.src) && l.src[l.pos:l.pos+3] == "<=>" {
 		l.pos += 3
@@ -168,7 +206,7 @@ func (l *lexer) lexOp() (token, error) {
 	switch c {
 	case '=', '<', '>', '(', ')', ',', '*', '+', '-', '/', '.', ';', '%':
 		l.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
 	}
 	return token{}, l.errf(start, "unexpected character %q", rune(c))
 }

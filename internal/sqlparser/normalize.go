@@ -74,6 +74,10 @@ type rewriter struct {
 	// WHERE / SET / VALUES.
 	bypass  string
 	outside bool
+	// from, when not nil, is the parser's record of where each literal comes
+	// from; sources then follows params with each parameter's source.
+	from    map[*Literal]source
+	sources []source
 }
 
 func (r *rewriter) note(reason string) {
@@ -167,6 +171,13 @@ func (r *rewriter) expr(e Expr) Expr {
 	case *Literal:
 		if r.bind {
 			return e
+		}
+		if r.from != nil {
+			src, ok := r.from[v]
+			if !ok {
+				src = source{lit: -1, val: v.Val}
+			}
+			r.sources = append(r.sources, src)
 		}
 		return r.extract(v.Val)
 	case *Placeholder:

@@ -14,7 +14,21 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return (&parser{toks: toks}).statement()
+}
+
+type parser struct {
+	toks         []token
+	i            int
+	placeholders int
+	lits         int // expression literal tokens consumed
+	// from, when not nil, records where each literal's value comes from:
+	// what ParseShape learns about every statement sharing a digest.
+	from map[*Literal]source
+}
+
+// statement parses the whole token stream as one statement.
+func (p *parser) statement() (Statement, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -27,12 +41,6 @@ func Parse(src string) (Statement, error) {
 		return nil, fmt.Errorf("sql: trailing input %q at offset %d", p.peek().text, p.peek().pos)
 	}
 	return stmt, nil
-}
-
-type parser struct {
-	toks         []token
-	i            int
-	placeholders int
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -486,23 +494,18 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokInt:
+	case tokInt, tokFloat, tokString:
 		p.advance()
-		v, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := t.value()
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad integer %q: %v", t.text, err)
+			return nil, err
 		}
-		return &Literal{Val: sqltypes.NewInt(v)}, nil
-	case tokFloat:
-		p.advance()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad float %q: %v", t.text, err)
+		lit := &Literal{Val: v}
+		if p.from != nil {
+			p.from[lit] = source{lit: p.lits}
 		}
-		return &Literal{Val: sqltypes.NewFloat(v)}, nil
-	case tokString:
-		p.advance()
-		return &Literal{Val: sqltypes.NewString(t.text)}, nil
+		p.lits++
+		return lit, nil
 	case tokPlaceholder:
 		p.advance()
 		ph := &Placeholder{Ordinal: p.placeholders}
@@ -540,10 +543,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return nil, err
 			}
 			if lit, ok := inner.(*Literal); ok && lit.Val.IsNumeric() {
-				if lit.Val.Kind() == sqltypes.KindInt {
-					return &Literal{Val: sqltypes.NewInt(-lit.Val.Int())}, nil
+				out := &Literal{Val: negate(lit.Val)}
+				if src, ok := p.from[lit]; ok {
+					p.from[out] = source{lit: src.lit, neg: !src.neg}
 				}
-				return &Literal{Val: sqltypes.NewFloat(-lit.Val.Float())}, nil
+				return out, nil
 			}
 			return &BinaryExpr{Op: "-", Left: &Literal{Val: sqltypes.NewInt(0)}, Right: inner}, nil
 		}
@@ -846,4 +850,12 @@ func (p *parser) parseDropIndex() (*DropIndex, error) {
 		}
 	}
 	return &DropIndex{Name: name}, nil
+}
+
+// negate is a unary minus folded into a numeric literal.
+func negate(v sqltypes.Value) sqltypes.Value {
+	if v.Kind() == sqltypes.KindInt {
+		return sqltypes.NewInt(-v.Int())
+	}
+	return sqltypes.NewFloat(-v.Float())
 }

@@ -81,6 +81,19 @@ func NewString(v string) Value { return tagged(KindString, v) }
 // NewString(string(v)) returns, in one allocation instead of two.
 func NewStringBytes(v []byte) Value { return tagged(KindString, v) }
 
+// NewStringUnquoted returns the string value of body, the text between a SQL
+// string literal's quotes, in which every quote is doubled: tag and payload
+// in one allocation, sharing no memory with body.
+func NewStringUnquoted(body string) Value {
+	b := make([]byte, 1, 1+len(body)-strings.Count(body, "'")/2)
+	b[0] = byte(KindString)
+	for j := strings.IndexByte(body, '\''); j >= 0; j = strings.IndexByte(body, '\'') {
+		b = append(b, body[:j+1]...)
+		body = body[j+2:]
+	}
+	return fromTagged(append(b, body...))
+}
+
 // NewBytes returns a binary string value.
 func NewBytes(v []byte) Value { return tagged(KindBytes, v) }
 

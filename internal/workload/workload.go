@@ -78,15 +78,6 @@ type Monitor struct {
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor { return &Monitor{queries: map[string]*QueryStats{}} }
 
-// Record ingests one execution of sql with its observed statistics.
-func (m *Monitor) Record(sql string, st exec.Stats) error {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return err
-	}
-	return m.RecordStmt(stmt, st)
-}
-
 // RecordStmt ingests one execution of a parsed statement.
 func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
 	norm, params := sqlparser.Normalize(stmt)

@@ -6,12 +6,23 @@ import (
 	"testing"
 
 	"aim/internal/exec"
+	"aim/internal/sqlparser"
 )
+
+// record ingests one execution of sql with the given statistics, as a
+// caller holding the parsed statement does.
+func record(m *Monitor, sql string, st exec.Stats) error {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return err
+	}
+	return m.RecordStmt(stmt, st)
+}
 
 func TestRecordGroupsByNormalizedForm(t *testing.T) {
 	m := NewMonitor()
 	for i := 0; i < 10; i++ {
-		err := m.Record(fmt.Sprintf("SELECT id FROM t WHERE a = %d", i),
+		err := record(m, fmt.Sprintf("SELECT id FROM t WHERE a = %d", i),
 			exec.Stats{RowsRead: 100, RowsSent: 1, PageReads: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -34,8 +45,8 @@ func TestRecordGroupsByNormalizedForm(t *testing.T) {
 
 func TestRecordParseError(t *testing.T) {
 	m := NewMonitor()
-	if err := m.Record("NOT SQL AT ALL", exec.Stats{}); err == nil {
-		t.Fatal("bad sql accepted")
+	if _, err := m.Ingest("NOT SQL AT ALL", nil, exec.Stats{}); err == nil || m.Len() != 0 {
+		t.Fatalf("a template that does not parse is accepted: %v, %d queries", err, m.Len())
 	}
 }
 
@@ -43,7 +54,7 @@ func TestDDRAndBenefit(t *testing.T) {
 	m := NewMonitor()
 	// Query reads 1000 rows, returns 10: ddr = 0.01, benefit ≈ 0.99 × cpu.
 	st := exec.Stats{RowsRead: 1000, RowsSent: 10, PageReads: 100}
-	if err := m.Record("SELECT id FROM t WHERE a = 5", st); err != nil {
+	if err := record(m, "SELECT id FROM t WHERE a = 5", st); err != nil {
 		t.Fatal(err)
 	}
 	q := m.Queries()[0]
@@ -56,7 +67,7 @@ func TestDDRAndBenefit(t *testing.T) {
 	}
 	// An efficient query (reads ≈ sends) has near-zero benefit.
 	m2 := NewMonitor()
-	m2.Record("SELECT id FROM t WHERE a = 5", exec.Stats{RowsRead: 10, RowsSent: 10, PageReads: 2})
+	record(m2, "SELECT id FROM t WHERE a = 5", exec.Stats{RowsRead: 10, RowsSent: 10, PageReads: 2})
 	if b := m2.Queries()[0].Benefit(); b != 0 {
 		t.Fatalf("efficient query benefit = %v", b)
 	}
@@ -77,17 +88,17 @@ func TestRepresentativeSelection(t *testing.T) {
 	m := NewMonitor()
 	// Hot inefficient query.
 	for i := 0; i < 100; i++ {
-		m.Record("SELECT id FROM t WHERE hot = 1", exec.Stats{RowsRead: 1000, RowsSent: 1, PageReads: 200})
+		record(m, "SELECT id FROM t WHERE hot = 1", exec.Stats{RowsRead: 1000, RowsSent: 1, PageReads: 200})
 	}
 	// Rare query (below MinExecutions).
-	m.Record("SELECT id FROM t WHERE rare = 1", exec.Stats{RowsRead: 1000, RowsSent: 1, PageReads: 200})
+	record(m, "SELECT id FROM t WHERE rare = 1", exec.Stats{RowsRead: 1000, RowsSent: 1, PageReads: 200})
 	// Efficient query (no benefit).
 	for i := 0; i < 100; i++ {
-		m.Record("SELECT id FROM t WHERE efficient = 1", exec.Stats{RowsRead: 1, RowsSent: 1, PageReads: 1})
+		record(m, "SELECT id FROM t WHERE efficient = 1", exec.Stats{RowsRead: 1, RowsSent: 1, PageReads: 1})
 	}
 	// DML.
 	for i := 0; i < 50; i++ {
-		m.Record("INSERT INTO t (a) VALUES (1)", exec.Stats{RowsWritten: 1, IndexWrites: 2})
+		record(m, "INSERT INTO t (a) VALUES (1)", exec.Stats{RowsWritten: 1, IndexWrites: 2})
 	}
 	cfg := SelectionConfig{MinExecutions: 3, MinBenefit: 1e-6, TopK: 10, IncludeDML: true}
 	rep := m.Representative(cfg)
@@ -113,7 +124,7 @@ func TestTopKCapsSelection(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sql := fmt.Sprintf("SELECT id FROM t WHERE col%d = 1", i)
 		for j := 0; j <= i; j++ {
-			m.Record(sql, exec.Stats{RowsRead: 100, RowsSent: 1, PageReads: 10})
+			record(m, sql, exec.Stats{RowsRead: 100, RowsSent: 1, PageReads: 10})
 		}
 	}
 	rep := m.Representative(SelectionConfig{MinExecutions: 1, TopK: 5})
@@ -128,7 +139,7 @@ func TestTopKCapsSelection(t *testing.T) {
 
 func TestResetClears(t *testing.T) {
 	m := NewMonitor()
-	m.Record("SELECT id FROM t WHERE a = 1", exec.Stats{RowsRead: 10})
+	record(m, "SELECT id FROM t WHERE a = 1", exec.Stats{RowsRead: 10})
 	m.Reset()
 	if m.Len() != 0 {
 		t.Fatal("reset failed")
@@ -137,9 +148,9 @@ func TestResetClears(t *testing.T) {
 
 func TestQueriesOrderedByBenefit(t *testing.T) {
 	m := NewMonitor()
-	m.Record("SELECT id FROM t WHERE small = 1", exec.Stats{RowsRead: 10, RowsSent: 1, PageReads: 1})
+	record(m, "SELECT id FROM t WHERE small = 1", exec.Stats{RowsRead: 10, RowsSent: 1, PageReads: 1})
 	for i := 0; i < 10; i++ {
-		m.Record("SELECT id FROM t WHERE big = 1", exec.Stats{RowsRead: 10000, RowsSent: 1, PageReads: 500})
+		record(m, "SELECT id FROM t WHERE big = 1", exec.Stats{RowsRead: 10000, RowsSent: 1, PageReads: 500})
 	}
 	qs := m.Queries()
 	if qs[0].Normalized != "SELECT id FROM t WHERE big = ?" {
