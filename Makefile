@@ -14,7 +14,7 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 23954
+LOC_CEILING ?= 24192
 
 .PHONY: check vet build test race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
@@ -84,7 +84,8 @@ telemetrysmoke:
 # catch-up against a fresh build, the memoised planner against the one-shot
 # one, the key walk's skip against encode and decode, the tagged Value against
 # its field-per-payload oracle, the buffered frame stream against
-# one-at-a-time reads, the statement digest's template against the parser's.
+# one-at-a-time reads, the statement digest's template against the parser's,
+# a recorded baseline against its replay at the same stamp.
 # Go allows one -fuzz pattern per invocation, hence one line per target.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBulkLoadEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
@@ -101,6 +102,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSkipKey$$' -fuzztime $(FUZZTIME) ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz 'FuzzValueSemantics$$' -fuzztime $(FUZZTIME) ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz 'FuzzDigestEqualsParse$$' -fuzztime $(FUZZTIME) ./internal/sqlparser/
+	$(GO) test -run '^$$' -fuzz 'FuzzRecordedBaseline$$' -fuzztime $(FUZZTIME) ./internal/engine/
 
 # The fault matrix: the seven scenarios at full length with every loop
 # failpoint armed at 1%, 5% and 20% (fixed seeds) and then drained, asserting

@@ -117,9 +117,6 @@ func (t *Tree[V]) Leaves() int { return t.leaves }
 // created (counters are not inherited by clones).
 func (t *Tree[V]) COWCopies() int64 { return t.copies }
 
-// Epoch returns the handle's current write epoch, for invariant checks.
-func (t *Tree[V]) Epoch() uint64 { return t.epoch }
-
 // Get returns the value stored under key, if any. It descends without
 // recording a path, so a lookup allocates nothing.
 func (t *Tree[V]) Get(key []byte) (val V, ok bool) {

@@ -164,14 +164,26 @@ type Schema struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
 	indexes map[string]*Index // by lower-cased index name
-	// version counts the changes to tables and indexes. What is derived from
-	// the schema (a prepared plan) records the version it read before reading
-	// anything else and is stale once Version has moved on.
+	// version is the Tick of the last change to tables and indexes. What is
+	// derived from the schema (a prepared plan) records the version it read
+	// before reading anything else and is stale once Version has moved on.
 	version atomic.Uint64
 }
 
-// Version returns the schema's change counter.
+// Version returns the Tick of the schema's last change; a Clone starts with
+// its source's.
 func (s *Schema) Version() uint64 { return s.version.Load() }
+
+// clock is the process-wide change clock behind Tick.
+var clock atomic.Uint64
+
+// Tick returns a change stamp greater than every one returned before, in any
+// goroutine. Every counter an execution's engine stamp reads — a schema's
+// version, a database's statistics epoch, a stored table's shape and column
+// counters — is the Tick of its last change, so a value names one change to
+// one copy, and the largest of a set of such counters moves past any value
+// read earlier whenever one of them changes.
+func Tick() uint64 { return clock.Add(1) }
 
 // NewSchema returns an empty schema.
 func NewSchema() *Schema {
@@ -187,7 +199,7 @@ func (s *Schema) AddTable(t *Table) error {
 		return fmt.Errorf("catalog: table %q already exists", t.Name)
 	}
 	s.tables[key] = t
-	s.version.Add(1)
+	s.version.Store(Tick())
 	return nil
 }
 
@@ -237,7 +249,7 @@ func (s *Schema) AddIndex(ix *Index) error {
 		return fmt.Errorf("catalog: index %q already exists", ix.Name)
 	}
 	s.indexes[key] = ix
-	s.version.Add(1)
+	s.version.Store(Tick())
 	return nil
 }
 
@@ -250,7 +262,7 @@ func (s *Schema) DropIndex(name string) bool {
 		return false
 	}
 	delete(s.indexes, key)
-	s.version.Add(1)
+	s.version.Store(Tick())
 	return true
 }
 
@@ -288,11 +300,12 @@ func (s *Schema) FindIndexByColumns(table string, cols []string) *Index {
 }
 
 // Clone returns a deep copy of the schema (tables are shared, as they are
-// immutable; index definitions are copied).
+// immutable; index definitions are copied) at the source's version.
 func (s *Schema) Clone() *Schema {
 	out := NewSchema()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	out.version.Store(s.version.Load())
 	for k, t := range s.tables {
 		out.tables[k] = t
 	}

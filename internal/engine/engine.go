@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aim/internal/audit"
@@ -39,6 +40,9 @@ type DB struct {
 	executor   *exec.Executor
 	mu         sync.RWMutex // guards statsCache and writesSince
 	statsCache map[string]*stats.TableStats
+	// statsEpoch is the catalog.Tick of statsCache's last change, an entry
+	// collected or dropped; a clone starts with its source's.
+	statsEpoch atomic.Uint64
 	// writesSince counts rows written per table since its statistics were
 	// last collected (collectLocked restarts it, noteWrites applies the rule).
 	writesSince map[string]int
@@ -142,6 +146,7 @@ func (db *DB) TableStats(table string) *stats.TableStats {
 func (db *DB) collectLocked(key string, tbl *storage.Table) *stats.TableStats {
 	ts := stats.Collect(tbl, DefaultSampleLimit)
 	db.statsCache[key] = ts
+	db.statsEpoch.Store(catalog.Tick())
 	db.writesSince[key] = 0
 	db.obs.Counter("engine.stats_collections").Inc()
 	return ts
@@ -172,6 +177,9 @@ type Result struct {
 	// feeders need not normalize again.
 	Template string
 	Params   []sqltypes.Value
+	// Stamp is, for a SELECT run from a cached shape (Prepare), what its
+	// execution depended on (see Stamp); 0 for anything else.
+	Stamp uint64
 }
 
 // Exec parses and executes one SQL statement.
@@ -205,9 +213,10 @@ func (db *DB) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
 // parameters and, when the template cannot stand in for it, the statement as
 // parsed.
 type Prepared struct {
-	t    sqlparser.Template
-	stmt sqlparser.Statement // planned as written when t.Bypass is set
-	cols []string            // a cached SELECT shape's output column names
+	t     sqlparser.Template
+	stmt  sqlparser.Statement // planned as written when t.Bypass is set
+	cols  []string            // a cached SELECT shape's output column names
+	reads []tableReads        // a cached SELECT shape's reads, which its Stamp covers
 }
 
 // IsSelect reports whether the statement is a SELECT.
@@ -218,16 +227,24 @@ func (p Prepared) IsSelect() bool {
 
 // Prepare turns sql into a Prepared, parsing it only when its digest is not
 // in the template cache: a statement whose shape was seen before takes its
-// template, output column names and parameter recipe from the cache. A
-// statement the cache cannot hold (a Bypass, DDL, one that does not lex)
-// parses every time. The error is the parser's.
+// template, output column names, reads and parameter recipe from the cache.
+// A Bypass shape is cached as such, so a repeat parses straight to its
+// template; a statement the cache cannot hold (DDL, one that does not lex)
+// goes through ParseShape every time. The error is the parser's.
 func (db *DB) Prepare(sql string) (Prepared, error) {
 	d := digests.Get().(*sqlparser.Digest)
 	defer digests.Put(d)
 	scanned := d.Scan(sql)
 	if scanned {
-		if sh := db.shapes.get(d.Key); sh != nil {
-			return Prepared{t: sqlparser.Template{Text: sh.Text, Stmt: sh.Stmt, Params: sh.Params(d.Lits)}, cols: sh.cols}, nil
+		switch sh := db.shapes.get(d.Key); {
+		case sh != nil && sh.Shape != nil:
+			return Prepared{t: sqlparser.Template{Text: sh.Text, Stmt: sh.Stmt, Params: sh.Params(d.Lits)}, cols: sh.cols, reads: sh.reads}, nil
+		case sh != nil:
+			stmt, err := sqlparser.Parse(sql)
+			if err != nil {
+				return Prepared{}, err
+			}
+			return Prepared{t: sqlparser.NewTemplate(stmt), stmt: stmt}, nil
 		}
 	}
 	stmt, t, shape, err := sqlparser.ParseShape(sql, len(d.Lits))
@@ -235,14 +252,25 @@ func (db *DB) Prepare(sql string) (Prepared, error) {
 		return Prepared{}, err
 	}
 	if !scanned || shape == nil {
+		if scanned && t.Bypass != "" {
+			// The reasons are structural: every statement with the digest bypasses.
+			db.shapes.put(d.Key, &cachedShape{})
+		}
 		return Prepared{t: t, stmt: stmt}, nil
 	}
 	sh := &cachedShape{Shape: shape}
 	if sel, ok := shape.Stmt.(*sqlparser.Select); ok {
-		sh.cols = selectColumns(sel)
+		sh.cols, sh.reads = selectColumns(sel), readsOf(db.Schema, sel)
 	}
 	db.shapes.put(d.Key, sh)
-	return Prepared{t: t, cols: sh.cols}, nil
+	return Prepared{t: t, cols: sh.cols, reads: sh.reads}, nil
+}
+
+// ExecTemplate runs t.Stmt with t.Params as a cache hit of its shape runs: t
+// is a template (sqlparser.NewTemplate) whose Bypass is empty, and the result
+// is ExecStmt's on the statement t was made from.
+func (db *DB) ExecTemplate(t sqlparser.Template) (*Result, error) {
+	return db.ExecPrepared(Prepared{t: t})
 }
 
 // ExecPrepared executes a prepared statement; see ExecStmt.
@@ -256,8 +284,83 @@ func (db *DB) ExecPrepared(p Prepared) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Template, res.Params = p.t.Text, p.t.Params
+	res.Template, res.Params, res.Stamp = p.t.Text, p.t.Params, db.stamp(p.reads)
 	return res, nil
+}
+
+// tableReads is one table a SELECT shape reads and the ordinals of its
+// columns the shape names.
+type tableReads struct {
+	name string // lower-cased
+	ords []int
+}
+
+// readsOf lists the tables sel reads, each with every column whose name the
+// statement mentions anywhere (all of them under a *), or nil when a table is
+// unknown. Matching names without resolving qualifiers takes a superset of
+// the columns sel reads, which only makes a stamp move more often.
+func readsOf(schema *catalog.Schema, sel *sqlparser.Select) []tableReads {
+	exprs, star := append([]sqlparser.Expr{sel.Where}, sel.GroupBy...), false
+	for _, se := range sel.Exprs {
+		exprs, star = append(exprs, se.Expr), star || se.Star
+	}
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	named := map[string]bool{}
+	for _, e := range exprs {
+		for _, c := range sqlparser.ColumnsIn(e) {
+			named[strings.ToLower(c.Column)] = true
+		}
+	}
+	out := make([]tableReads, 0, len(sel.Tables))
+	for _, ref := range sel.Tables {
+		def := schema.Table(ref.Name)
+		if def == nil {
+			return nil
+		}
+		r := tableReads{name: strings.ToLower(ref.Name)}
+		for i, c := range def.Columns {
+			if star || named[strings.ToLower(c.Name)] {
+				r.ords = append(r.ords, i)
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// stamp is the largest of the schema's version, the statistics epoch and, for
+// each table in rs, its Stamp of the columns rs names; 0 when rs is nil or a
+// table is missing. Every part is a catalog.Tick, so two executions of one
+// shape with equal stamps ran on the same catalog, statistics and data as far
+// as the shape can see — the same plan over the same rows — and report equal
+// Stats. That holds across clones too: a change made on any copy after the
+// stamp was read moves the copy's stamp past it.
+func (db *DB) stamp(rs []tableReads) uint64 {
+	if rs == nil {
+		return 0
+	}
+	m := max(db.Schema.Version(), db.statsEpoch.Load())
+	for _, r := range rs {
+		t := db.Store.Table(r.name)
+		if t == nil {
+			return 0
+		}
+		m = max(m, t.Stamp(r.ords))
+	}
+	return m
+}
+
+// Stamp returns what executing stmt, a SELECT template, would depend on here
+// right now: equal to a Result.Stamp of the same shape exactly when nothing
+// that execution depended on has changed since. 0 when stmt is not a SELECT
+// or reads an unknown table.
+func (db *DB) Stamp(stmt sqlparser.Statement) uint64 {
+	if sel, ok := stmt.(*sqlparser.Select); ok {
+		return db.stamp(readsOf(db.Schema, sel))
+	}
+	return 0
 }
 
 // exec runs stmt with its placeholders bound to params; key, when not empty,
@@ -413,6 +516,7 @@ func (db *DB) noteWrites(table string, n int) {
 		threshold := int(ts.RowCount/5) + 100
 		if db.writesSince[key] >= threshold {
 			delete(db.statsCache, key)
+			db.statsEpoch.Store(catalog.Tick())
 			invalidated = true
 		}
 	}
@@ -704,6 +808,7 @@ func (db *DB) cloneFrom(name string, store *storage.Store) *DB {
 	for k, v := range db.statsCache {
 		out.statsCache[k] = v
 	}
+	out.statsEpoch.Store(db.statsEpoch.Load())
 	db.mu.RUnlock()
 	out.Optimizer = optimizer.New(out.Schema, out)
 	out.WhatIf = optimizer.NewCoster(out.Optimizer, costcache.DefaultCapacity)

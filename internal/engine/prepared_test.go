@@ -518,3 +518,42 @@ func sameOutcome(t *testing.T, door, sql string, got *engine.Result, gotErr erro
 		t.Fatalf("%s: %s returns %d rows %+v, the one-shot planner %d rows %+v", sql, door, len(got.Rows), got.Stats, len(want.Rows), want.Stats)
 	}
 }
+
+// TestBypassRepeatAllocs pins the template cache's Bypass marker: a repeated
+// statement whose shape must be planned as written (an IN list, a LIKE) pays
+// the digest pass plus Parse and NewTemplate, and not ParseShape's record of
+// where each literal came from on top, which its first execution paid.
+func TestBypassRepeatAllocs(t *testing.T) {
+	db := newEventsDB(t, 2000)
+	for _, sql := range []string{
+		"SELECT score, day FROM events WHERE kind IN (1, 2, 3) AND day = 7",
+		"SELECT id FROM users WHERE name LIKE 'u1%'",
+	} {
+		if _, err := db.Prepare(sql); err != nil {
+			t.Fatal(err)
+		}
+		prepare := testing.AllocsPerRun(200, func() {
+			if _, err := db.Prepare(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var d sqlparser.Digest
+		scan := testing.AllocsPerRun(200, func() { d.Scan(sql) })
+		parse := testing.AllocsPerRun(200, func() {
+			stmt, err := sqlparser.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sqlparser.NewTemplate(stmt)
+		})
+		shape := testing.AllocsPerRun(200, func() {
+			if _, _, _, err := sqlparser.ParseShape(sql, len(d.Lits)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: Prepare %.0f allocs; Scan %.0f, Parse + NewTemplate %.0f, ParseShape %.0f", sql, prepare, scan, parse, shape)
+		if want := maxAllocs(scan + parse); prepare > want || (!raceEnabled && prepare >= scan+shape) {
+			t.Fatalf("%s: a repeated Bypass Prepare allocates %.0f times, want <= Scan + Parse + NewTemplate = %.0f", sql, prepare, want)
+		}
+	}
+}

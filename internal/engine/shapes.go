@@ -13,16 +13,19 @@ import (
 const shapeCapacity = 1024
 
 // cachedShape is one entry of the template cache: a shape and, for a SELECT,
-// its output column names, rendered once.
+// its output column names, rendered once, and its reads (nil when it read an
+// unknown table when first parsed). A nil Shape marks a Bypass digest.
 type cachedShape struct {
 	*sqlparser.Shape
-	cols []string
+	cols  []string
+	reads []tableReads
 }
 
 // shapeCache maps a statement digest (sqlparser.Digest.Key) to the shape the
 // first parse of a statement with that digest produced. A shape depends on
-// the statement's text alone, never on the catalog, so nothing invalidates
-// it and a database shares its cache with its clones.
+// the statement's text alone, and its reads on the definitions of the tables
+// it names, which never change once created, so nothing invalidates it and a
+// database shares its cache with its clones.
 type shapeCache struct {
 	mu sync.RWMutex
 	m  map[string]*cachedShape

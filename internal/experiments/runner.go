@@ -237,7 +237,7 @@ func (l *Loop) runOffline(cycle int, stmts []string, per int) (string, error) {
 		l.Statements++
 		l.Rows += int64(len(res.Rows))
 		cpu += res.Stats.CPUSeconds()
-		w = append(w, server.Record{Session: sessionLabel(c), Seq: l.seq[c], Trace: trace, SQL: sql, Stats: res.Stats})
+		w = append(w, server.RecordOf(sessionLabel(c), l.seq[c], trace, res))
 	}
 	l.WindowCPU = append(l.WindowCPU, cpu)
 	server.SortWindow(w)

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"aim/internal/engine"
 	"aim/internal/exec"
 	"aim/internal/obs"
 	"aim/internal/sqltypes"
@@ -11,9 +12,9 @@ import (
 
 // Record is one observed statement: which session executed it, its
 // per-session sequence number, the execution statistics the engine reported,
-// and the statement — as the template and bindings sqlparser.Normalize gave
-// the session for the statement it had parsed, or, built outside a server,
-// as SQL the tuner resolves the same way at ingest. Sessions observe
+// and the statement — as the template, bindings and stamp the engine returned
+// with its result (RecordOf), or, built from SQL alone, as SQL the tuner
+// resolves to its template at ingest, without a stamp. Sessions observe
 // concurrently, so arrival order in the buffer is nondeterministic; sealing
 // orders by (session, seq) to give every window one canonical order
 // regardless of goroutine interleaving — that is what makes a live window
@@ -31,6 +32,12 @@ type Record struct {
 
 	template string // normalized text ("" = not resolved yet)
 	params   []sqltypes.Value
+	stamp    uint64
+}
+
+// RecordOf is the record of a statement a session executed with result res.
+func RecordOf(session string, seq uint64, trace string, res *engine.Result) Record {
+	return Record{Session: session, Seq: seq, Trace: trace, Stats: res.Stats, template: res.Template, params: res.Params, stamp: res.Stamp}
 }
 
 // Collector buffers the live statement stream into sliding windows for the

@@ -375,7 +375,7 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 	// to plan, not its text, so the cycle folds windows without parsing.
 	// Observed before the response, so an OpTune finds every acknowledged
 	// statement.
-	rec := Record{Session: session, Seq: seq, Trace: trace, Stats: res.Stats, template: res.Template, params: res.Params}
+	rec := RecordOf(session, seq, trace, res)
 	if w := s.collector.Observe(rec); w != nil {
 		select {
 		case s.windows <- w:

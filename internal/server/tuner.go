@@ -347,7 +347,7 @@ func ingestWindow(w []Record) (*workload.Monitor, []audit.WindowQuery, error) {
 			}
 			norm, params = sqlparser.Normalize(stmt)
 		}
-		q, err := mon.Ingest(norm, params, rec.Stats)
+		q, err := mon.IngestStamped(norm, params, rec.Stats, rec.stamp)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: window record: %v", err)
 		}

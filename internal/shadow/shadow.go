@@ -22,6 +22,7 @@ import (
 	"aim/internal/audit"
 	"aim/internal/catalog"
 	"aim/internal/engine"
+	"aim/internal/exec"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
 	"aim/internal/sqlparser"
@@ -219,6 +220,8 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 			span.Annotate("skipped_unbindable", strconv.Itoa(sk.unbindable))
 			span.Annotate("skipped_failed_on_both_sides", strconv.Itoa(sk.failedBoth))
 		}
+		reg.Counter("shadow.baseline_recorded").Add(int64(sk.recorded))
+		reg.Counter("shadow.baseline_replayed").Add(int64(sk.replayed))
 		journalVerdict(db, span, candidates, mon, rep)
 		return rep, nil
 	}
@@ -375,8 +378,15 @@ func journalVerdict(db *engine.DB, span *obs.Span, candidates []*catalog.Index, 
 }
 
 // skips counts the samples replayQuery dropped from the comparison, by
-// reason (shadow.replay_samples_skipped; the validate span carries the split).
-type skips struct{ unbindable, failedBoth int }
+// reason (shadow.replay_samples_skipped; the validate span carries the split),
+// and splits the compared ones by where their baseline came from
+// (shadow.baseline_recorded, shadow.baseline_replayed).
+type skips struct{ unbindable, failedBoth, recorded, replayed int }
+
+// VerifyRecorded, when set, is handed every recorded baseline replayQuery
+// takes along with the baseline replay it stands for, to run and compare.
+// Nothing the gate decides reads that replay. Set it before validations run.
+var VerifyRecorded func(q *workload.QueryStats, recorded exec.Stats, replay func() (*engine.Result, error))
 
 // replayQuery executes the query's sampled parameterizations on both clones
 // and returns average CPU seconds per execution for each, plus the number of
@@ -386,6 +396,12 @@ type skips struct{ unbindable, failedBoth int }
 // landed on one clone only, so the pair is no longer comparable. The
 // "replay.query" failpoint fires before any sample executes, so an injected
 // replay failure is retryable without re-applying DML.
+//
+// A sample runs as sampler routes it. A SELECT sample whose recorded stamp
+// equals the baseline's stamp for the template at the moment it would replay
+// takes its recorded Stats as the baseline instead: nothing its execution
+// depended on has changed on the way to the baseline clone, DML samples
+// replayed there included, so the replay would report those Stats again.
 func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays int, sk *skips) (before, after float64, replays int, err error) {
 	if err := failpoint.Inject("replay.query"); err != nil {
 		return 0, 0, 0, err
@@ -397,25 +413,41 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 	if maxReplays > 0 && len(params) > maxReplays {
 		params = params[:maxReplays]
 	}
-	for _, p := range params {
-		stmt, err := sqlparser.Bind(q.Stmt, p)
-		if err != nil {
+	_, isSelect := q.Stmt.(*sqlparser.Select)
+	smp := &sampler{q: q}
+	for i, p := range params {
+		run := smp.prepare(p)
+		if run == nil {
 			sk.unbindable++
 			continue
 		}
+		recorded := isSelect && smp.t.Bypass == "" && i < len(q.SampleStamps) && q.SampleStamps[i] != 0 &&
+			baseline.Stamp(smp.t.Stmt) == q.SampleStamps[i]
+		var resB *engine.Result
+		var errB error
+		if recorded {
+			resB = &engine.Result{Stats: q.SampleStats[i]}
+			if VerifyRecorded != nil {
+				VerifyRecorded(q, resB.Stats, func() (*engine.Result, error) { return run(baseline) })
+			}
+		} else {
+			resB, errB = run(baseline)
+		}
 		// DML must not change clone contents between replays in a way that
 		// breaks comparability; replay on both sides keeps them in step.
-		// ExecStmt normalizes stmt back to q's template, so a template's
-		// samples share one prepare per side.
-		resB, errB := baseline.ExecStmt(stmt)
-		resT, errT := test.ExecStmt(stmt)
+		resT, errT := run(test)
 		if errB != nil || errT != nil {
-			if _, isSelect := stmt.(*sqlparser.Select); !isSelect && (errB == nil) != (errT == nil) {
+			if !isSelect && (errB == nil) != (errT == nil) {
 				// The statement mutated exactly one clone.
 				return 0, 0, replays, failpoint.Abort(errDiverged)
 			}
 			sk.failedBoth++
 			continue
+		}
+		if recorded {
+			sk.recorded++
+		} else {
+			sk.replayed++
 		}
 		before += resB.Stats.CPUSeconds()
 		after += resT.Stats.CPUSeconds()
@@ -425,4 +457,38 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 		return 0, 0, 0, fmt.Errorf("shadow: no replayable samples for %s", q.Normalized)
 	}
 	return before / float64(replays), after / float64(replays), replays, nil
+}
+
+// sampler runs one query's samples: through the query's template, as a cache
+// hit of its shape runs (engine.ExecTemplate), or, when the template is a
+// Bypass, bound and planned as written (ExecStmt) — either way the result of
+// ExecStmt on the bound sample.
+type sampler struct {
+	q *workload.QueryStats
+	t *sqlparser.Template // q's template, from the first sample that binds
+}
+
+// prepare returns how to run sample p on a clone, or nil when p does not
+// bind: it has fewer values than q has placeholders.
+func (s *sampler) prepare(p []sqltypes.Value) func(*engine.DB) (*engine.Result, error) {
+	if s.t != nil && s.t.Bypass == "" {
+		n := len(s.t.Params)
+		if len(p) < n {
+			return nil
+		}
+		t := sqlparser.Template{Text: s.t.Text, Stmt: s.t.Stmt, Params: p[:n]}
+		return func(db *engine.DB) (*engine.Result, error) { return db.ExecTemplate(t) }
+	}
+	stmt, err := sqlparser.Bind(s.q.Stmt, p)
+	if err != nil {
+		return nil
+	}
+	if s.t == nil {
+		t := sqlparser.NewTemplate(stmt)
+		s.t = &t
+		if t.Bypass == "" {
+			return s.prepare(p)
+		}
+	}
+	return func(db *engine.DB) (*engine.Result, error) { return db.ExecStmt(stmt) }
 }

@@ -11,6 +11,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -145,11 +146,29 @@ type Table struct {
 	data    *btree.Tree[sqltypes.Row] // pk key -> row
 	indexes map[string]*Index
 	bytes   int64
+	// shape is the catalog.Tick of the last change to which rows exist, in
+	// which order, or to any index entry: an insert, a delete, an update of
+	// the primary key or of an indexed column, an index attached or dropped.
+	// cols holds, per column, the Tick of the last update that changed its
+	// value. Stamp reads them; a Clone starts with its source's.
+	shape uint64
+	cols  []uint64
 }
 
 // NewTable creates an empty table for the definition.
 func NewTable(def *catalog.Table) *Table {
-	return &Table{Def: def, data: btree.New[sqltypes.Row](), indexes: map[string]*Index{}}
+	return &Table{Def: def, data: btree.New[sqltypes.Row](), indexes: map[string]*Index{}, cols: make([]uint64, len(def.Columns))}
+}
+
+// Stamp is the largest of the table's shape counter and the value counters
+// of the columns at ords: it moves on exactly when the table changes in a way
+// a read of only those columns could see.
+func (t *Table) Stamp(ords []int) uint64 {
+	m := t.shape
+	for _, o := range ords {
+		m = max(m, t.cols[o])
+	}
+	return m
 }
 
 // Data exposes the clustered tree for scans.
@@ -188,6 +207,7 @@ func (t *Table) Insert(row sqltypes.Row, m *Metrics) error {
 		return fmt.Errorf("storage: duplicate primary key in table %s", t.Def.Name)
 	}
 	stored := row.Clone()
+	t.shape = catalog.Tick()
 	// PKKey and entryKey encode fresh buffers: hand ownership to the trees
 	// instead of paying Put's defensive copy.
 	t.data.PutOwned(key, stored)
@@ -223,6 +243,7 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 			return fmt.Errorf("storage: table %s expects %d columns, got %d", t.Def.Name, len(t.Def.Columns), len(row))
 		}
 	}
+	t.shape = catalog.Tick()
 	items := make([]btree.Item[sqltypes.Row], len(rows))
 	sorted := true
 	var batchBytes int64
@@ -357,6 +378,7 @@ func (t *Table) DeleteByPK(key []byte, m *Metrics) bool {
 		return false
 	}
 	t.data.Delete(key)
+	t.shape = catalog.Tick()
 	t.bytes -= int64(row.Size()) + 16
 	if m != nil {
 		m.RowWrites++
@@ -383,11 +405,18 @@ func (t *Table) Update(key []byte, newRow sqltypes.Row, m *Metrics) error {
 	}
 	newKey := t.PKKey(newRow)
 	stored := newRow.Clone()
+	tick := catalog.Tick()
 	if string(newKey) != string(key) {
 		if _, exists := t.data.Get(newKey); exists {
 			return fmt.Errorf("storage: duplicate primary key on update in table %s", t.Def.Name)
 		}
 		t.data.Delete(key)
+		t.shape = tick
+	}
+	for i := range stored {
+		if stored[i] != oldRow[i] {
+			t.cols[i] = tick
+		}
 	}
 	t.data.PutOwned(newKey, stored)
 	t.bytes += int64(stored.Size()) - int64(oldRow.Size())
@@ -401,6 +430,7 @@ func (t *Table) Update(key []byte, newRow sqltypes.Row, m *Metrics) error {
 		if string(oldEntry) == string(newEntry) {
 			continue
 		}
+		t.shape = tick
 		ix.tree.Delete(oldEntry)
 		ix.tree.PutOwned(newEntry, struct{}{})
 		ix.bytes += ix.entrySize(stored) - ix.entrySize(oldRow)
@@ -519,6 +549,7 @@ func (t *Table) AttachIndex(ix *Index) error {
 		return fmt.Errorf("storage: index %q already materialized", ix.Def.Name)
 	}
 	t.indexes[lower] = ix
+	t.shape = catalog.Tick()
 	return nil
 }
 
@@ -529,6 +560,7 @@ func (t *Table) DropIndex(name string) bool {
 		return false
 	}
 	delete(t.indexes, lower)
+	t.shape = catalog.Tick()
 	return true
 }
 
@@ -609,7 +641,8 @@ func (s *Store) Clone() *Store {
 	out := &Store{tables: make(map[string]*Table, len(s.tables)), Workers: s.Workers, snapshot: true}
 	var shared int64
 	for name, t := range s.tables {
-		nt := &Table{Def: t.Def, data: t.data.Clone(), indexes: make(map[string]*Index, len(t.indexes)), bytes: t.bytes}
+		nt := &Table{Def: t.Def, data: t.data.Clone(), indexes: make(map[string]*Index, len(t.indexes)), bytes: t.bytes,
+			shape: t.shape, cols: slices.Clone(t.cols)}
 		shared += t.bytes
 		for iname, ix := range t.indexes {
 			nt.indexes[iname] = &Index{

@@ -30,6 +30,12 @@ type QueryStats struct {
 	RowsSent   int64
 	// SampleParams holds recent parameter bindings for replay.
 	SampleParams [][]sqltypes.Value
+	// SampleStats and SampleStamps hold, slot for slot with SampleParams, the
+	// Stats each sample's execution reported and its engine.Result.Stamp
+	// (0 = none): a replay on a database whose stamp for the template is still
+	// that one would report those Stats again.
+	SampleStats  []exec.Stats
+	SampleStamps []uint64
 }
 
 // CPUAvg returns average CPU seconds per execution.
@@ -90,6 +96,11 @@ func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
 // template's entry. The template text is parsed once, when first seen;
 // params is retained, not copied.
 func (m *Monitor) Ingest(norm string, params []sqltypes.Value, st exec.Stats) (*QueryStats, error) {
+	return m.IngestStamped(norm, params, st, 0)
+}
+
+// IngestStamped is Ingest for an execution the engine stamped.
+func (m *Monitor) IngestStamped(norm string, params []sqltypes.Value, st exec.Stats, stamp uint64) (*QueryStats, error) {
 	q := m.queries[norm]
 	if q == nil {
 		normStmt, err := sqlparser.Parse(norm)
@@ -105,9 +116,12 @@ func (m *Monitor) Ingest(norm string, params []sqltypes.Value, st exec.Stats) (*
 	q.RowsSent += st.RowsSent
 	if len(q.SampleParams) < sampleParamsKeep {
 		q.SampleParams = append(q.SampleParams, params)
+		q.SampleStats = append(q.SampleStats, st)
+		q.SampleStamps = append(q.SampleStamps, stamp)
 	} else {
 		// Deterministic reservoir-ish rotation keeps recent variety.
-		q.SampleParams[int(q.Executions)%sampleParamsKeep] = params
+		i := int(q.Executions) % sampleParamsKeep
+		q.SampleParams[i], q.SampleStats[i], q.SampleStamps[i] = params, st, stamp
 	}
 	return q, nil
 }
