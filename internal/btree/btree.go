@@ -39,14 +39,14 @@ const degree = 64
 
 type leaf[V any] struct {
 	epoch uint64
-	keys  [][]byte
-	vals  []V
+	keyBlock
+	vals []V
 }
 
 type inner[V any] struct {
 	epoch uint64
-	// keys[i] is the smallest key reachable under children[i+1].
-	keys     [][]byte
+	// key i is the smallest key reachable under children[i+1].
+	keyBlock
 	children []node
 }
 
@@ -120,12 +120,13 @@ func (t *Tree[V]) COWCopies() int64 { return t.copies }
 // Get returns the value stored under key, if any. It descends without
 // recording a path, so a lookup allocates nothing.
 func (t *Tree[V]) Get(key []byte) (val V, ok bool) {
+	h := head(key)
 	n := t.root
 	for in, ok := n.(*inner[V]); ok; in, ok = n.(*inner[V]) {
-		n = in.children[in.childIndex(key)]
+		n = in.children[in.upper(key, h)]
 	}
 	l := n.(*leaf[V])
-	i, ok := l.search(key)
+	i, ok := l.search(key, h)
 	if !ok {
 		return val, false
 	}
@@ -140,71 +141,41 @@ type pathEntry[V any] struct {
 	idx int
 }
 
-// findLeaf descends to the leaf that owns key and returns it with the
-// descent path (root first) appended to path.
-func (t *Tree[V]) findLeaf(path []pathEntry[V], key []byte) (*leaf[V], []pathEntry[V]) {
+// findLeaf descends to the leaf that owns key (h = head(key)) and returns
+// it with the descent path (root first) appended to path.
+func (t *Tree[V]) findLeaf(path []pathEntry[V], key []byte, h uint64) (*leaf[V], []pathEntry[V]) {
 	n := t.root
 	for {
 		switch v := n.(type) {
 		case *leaf[V]:
 			return v, path
 		case *inner[V]:
-			i := v.childIndex(key)
+			i := v.upper(key, h)
 			path = append(path, pathEntry[V]{v, i})
 			n = v.children[i]
 		}
 	}
 }
 
-// childIndex returns the index of the child that may contain key.
-func (in *inner[V]) childIndex(key []byte) int {
-	lo, hi := 0, len(in.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(key, in.keys[mid]) < 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// search finds key within the leaf, returning its index and whether it was
-// found; when not found the index is the insertion point.
-func (l *leaf[V]) search(key []byte) (int, bool) {
-	lo, hi := 0, len(l.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(l.keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(l.keys) && bytes.Equal(l.keys[lo], key) {
-		return lo, true
-	}
-	return lo, false
-}
-
 // ownLeaf returns a leaf this handle may mutate, path-copying when the leaf
-// is shared with another handle. Key and value slices are shared with the
-// copy — both sides treat stored keys and rows as immutable.
-func (t *Tree[V]) ownLeaf(l *leaf[V]) *leaf[V] {
+// is shared with another handle; the copy has room for the extra entries,
+// of room key bytes in all, that the write adds. Values, and key bytes when
+// the write adds none, are shared with the copy — both sides treat stored
+// keys and rows as immutable.
+func (t *Tree[V]) ownLeaf(l *leaf[V], extra, room int) *leaf[V] {
 	if l.epoch == t.epoch {
 		return l
 	}
 	t.copies++
 	cowCopies.Add(1)
 	return &leaf[V]{
-		epoch: t.epoch,
-		keys:  append([][]byte(nil), l.keys...),
-		vals:  append([]V(nil), l.vals...),
+		epoch:    t.epoch,
+		keyBlock: l.clone(extra, room),
+		vals:     append(make([]V, 0, len(l.vals)+extra), l.vals...),
 	}
 }
 
-// ownInner is ownLeaf for inner nodes.
+// ownInner is ownLeaf for inner nodes, for a write that adds no separator.
 func (t *Tree[V]) ownInner(in *inner[V]) *inner[V] {
 	if in.epoch == t.epoch {
 		return in
@@ -213,17 +184,18 @@ func (t *Tree[V]) ownInner(in *inner[V]) *inner[V] {
 	cowCopies.Add(1)
 	return &inner[V]{
 		epoch:    t.epoch,
-		keys:     append([][]byte(nil), in.keys...),
+		keyBlock: in.clone(0, 0),
 		children: append([]node(nil), in.children...),
 	}
 }
 
 // ownPath makes every node on the descent writable by this handle — leaf
 // first, then each ancestor bottom-up, relinking child pointers and the root
-// as copies are made — and returns the owned leaf. path entries are updated
-// in place so callers keep working with owned nodes.
-func (t *Tree[V]) ownPath(l *leaf[V], path []pathEntry[V]) *leaf[V] {
-	nl := t.ownLeaf(l)
+// as copies are made — and returns the owned leaf, with room for the extra
+// entries (room key bytes) the write adds. path entries are updated in place
+// so callers keep working with owned nodes.
+func (t *Tree[V]) ownPath(l *leaf[V], path []pathEntry[V], extra, room int) *leaf[V] {
+	nl := t.ownLeaf(l, extra, room)
 	var child node = nl
 	for d := len(path) - 1; d >= 0; d-- {
 		in := t.ownInner(path[d].in)
@@ -240,42 +212,24 @@ func (t *Tree[V]) ownPath(l *leaf[V], path []pathEntry[V]) *leaf[V] {
 }
 
 // Put inserts or replaces the value under key and reports whether the key
-// was newly inserted. The key is copied on insert; the replacement path
-// copies only the shared portion of the descent.
+// was newly inserted. The key's bytes are copied into the leaf on insert, so
+// the caller may reuse key at once; the replacement path copies only the
+// shared portion of the descent.
 func (t *Tree[V]) Put(key []byte, val V) bool {
-	return t.put(key, val, true)
-}
-
-// PutOwned is Put without the defensive key copy: the caller hands over
-// ownership of a freshly-encoded buffer it will never modify. Builders that
-// encode keys per entry (index builds, batch loads) use it to skip one
-// allocation per insert.
-func (t *Tree[V]) PutOwned(key []byte, val V) bool {
-	return t.put(key, val, false)
-}
-
-func (t *Tree[V]) put(key []byte, val V, copyKey bool) bool {
 	var buf [pathDepth]pathEntry[V]
-	l, path := t.findLeaf(buf[:0], key)
-	i, found := l.search(key)
+	h := head(key)
+	l, path := t.findLeaf(buf[:0], key, h)
+	i, found := l.search(key, h)
 	if found {
-		l = t.ownPath(l, path)
+		l = t.ownPath(l, path, 0, 0)
 		l.vals[i] = val
 		return false
 	}
-	l = t.ownPath(l, path)
-	k := key
-	if copyKey {
-		k = append([]byte(nil), key...)
-	}
-	l.keys = append(l.keys, nil)
-	copy(l.keys[i+1:], l.keys[i:])
-	l.keys[i] = k
-	l.vals = append(l.vals, val)
-	copy(l.vals[i+1:], l.vals[i:])
-	l.vals[i] = val
+	l = t.ownPath(l, path, 1, len(key))
+	l.insert(i, key)
+	l.vals = slices.Insert(l.vals, i, val)
 	t.size++
-	if len(l.keys) > degree {
+	if l.len() > degree {
 		t.splitLeaf(l, path)
 	}
 	return true
@@ -283,54 +237,55 @@ func (t *Tree[V]) put(key []byte, val V, copyKey bool) bool {
 
 // splitLeaf splits an owned, overfull leaf. The right half is a fresh node
 // at the writer's epoch; no shared node is touched. The left half is copied
-// out too: a reslice would keep the whole pre-split array alive, and in a
-// tree that only appends (ascending keys) the left leaf never grows again.
+// out too, keys and all: a reslice would keep the whole pre-split arrays
+// alive, and in a tree that only appends (ascending keys) the left leaf never
+// grows again.
 func (t *Tree[V]) splitLeaf(l *leaf[V], path []pathEntry[V]) {
-	mid := len(l.keys) / 2
+	mid := l.len() / 2
 	right := &leaf[V]{
-		epoch: t.epoch,
-		keys:  append([][]byte(nil), l.keys[mid:]...),
-		vals:  append([]V(nil), l.vals[mid:]...),
+		epoch:    t.epoch,
+		keyBlock: l.part(mid, l.len()),
+		vals:     slices.Clone(l.vals[mid:]),
 	}
-	l.keys = append([][]byte(nil), l.keys[:mid]...)
-	l.vals = append([]V(nil), l.vals[:mid]...)
+	l.keyBlock = l.part(0, mid)
+	l.vals = slices.Clone(l.vals[:mid])
 	t.leaves++
-	t.insertIntoParent(path, l, right.keys[0], right)
+	t.insertIntoParent(path, l, right.key(0), right)
 }
 
 // insertIntoParent splices right under the lowest path entry (already owned
-// by this handle), growing a new root when the path is empty.
+// by this handle), growing a new root when the path is empty. The parent
+// copies sep's bytes.
 func (t *Tree[V]) insertIntoParent(path []pathEntry[V], left node, sep []byte, right node) {
 	if len(path) == 0 {
-		t.root = &inner[V]{epoch: t.epoch, keys: [][]byte{sep}, children: []node{left, right}}
+		root := &inner[V]{epoch: t.epoch, children: []node{left, right}}
+		root.insert(0, sep)
+		t.root = root
 		t.height++
 		return
 	}
 	parent := path[len(path)-1].in
-	i := parent.childIndex(sep)
-	parent.keys = append(parent.keys, nil)
-	copy(parent.keys[i+1:], parent.keys[i:])
-	parent.keys[i] = sep
-	parent.children = append(parent.children, nil)
-	copy(parent.children[i+2:], parent.children[i+1:])
-	parent.children[i+1] = right
-	if len(parent.keys) > degree {
+	i := parent.upper(sep, head(sep))
+	parent.insert(i, sep)
+	parent.children = slices.Insert(parent.children, i+1, right)
+	if parent.len() > degree {
 		t.splitInner(parent, path[:len(path)-1])
 	}
 }
 
 // splitInner splits an owned, overfull inner node, copying both halves out
-// as splitLeaf does.
+// as splitLeaf does. The separator it promotes stays readable in the old
+// key block, which nothing rewrites, until the parent has copied it.
 func (t *Tree[V]) splitInner(in *inner[V], path []pathEntry[V]) {
-	mid := len(in.keys) / 2
-	sep := in.keys[mid]
+	mid := in.len() / 2
+	sep := in.key(mid)
 	right := &inner[V]{
 		epoch:    t.epoch,
-		keys:     append([][]byte(nil), in.keys[mid+1:]...),
-		children: append([]node(nil), in.children[mid+1:]...),
+		keyBlock: in.part(mid+1, in.len()),
+		children: slices.Clone(in.children[mid+1:]),
 	}
-	in.keys = append([][]byte(nil), in.keys[:mid]...)
-	in.children = append([]node(nil), in.children[:mid+1]...)
+	in.keyBlock = in.part(0, mid)
+	in.children = slices.Clone(in.children[:mid+1])
 	t.insertIntoParent(path, in, sep, right)
 }
 
@@ -340,18 +295,19 @@ func (t *Tree[V]) splitInner(in *inner[V], path []pathEntry[V]) {
 // after delete-heavy workloads.
 func (t *Tree[V]) Delete(key []byte) bool {
 	var buf [pathDepth]pathEntry[V]
-	l, path := t.findLeaf(buf[:0], key)
-	i, found := l.search(key)
+	h := head(key)
+	l, path := t.findLeaf(buf[:0], key, h)
+	i, found := l.search(key, h)
 	if !found {
 		return false
 	}
-	l = t.ownPath(l, path)
+	l = t.ownPath(l, path, 0, 0)
 	// slices.Delete zeroes the vacated tail slot, so the array holds no
-	// reference to the deleted key and value.
-	l.keys = slices.Delete(l.keys, i, i+1)
+	// reference to the deleted value.
+	l.remove(i)
 	l.vals = slices.Delete(l.vals, i, i+1)
 	t.size--
-	if len(l.keys) == 0 {
+	if l.len() == 0 {
 		t.pruneLeaf(path)
 	}
 	return true
@@ -386,15 +342,9 @@ func (t *Tree[V]) pruneLeaf(path []pathEntry[V]) {
 	if ki < 0 {
 		ki = 0
 	}
-	p.keys = slices.Delete(p.keys, ki, ki+1)
+	p.remove(ki)
 	p.children = slices.Delete(p.children, ci, ci+1)
 	t.leaves--
-}
-
-// Item is one key/value pair handed to the bulk-construction paths.
-type Item[V any] struct {
-	Key []byte
-	Val V
 }
 
 // Bulk-construction fill factors. Leaves and inner nodes are packed to ~90%
@@ -408,67 +358,107 @@ const (
 	bulkNodeFill = degree*9/10 + 1 // children per packed inner node
 )
 
-// BulkLoad builds a tree from strictly-increasing sorted items in O(n):
-// items are packed directly into leaves and the inner levels are assembled
-// bottom-up — no descents, no binary searches, no key copies. Ownership of
-// the key slices transfers to the tree; callers must hand over
-// freshly-encoded buffers they will not modify. Panics if the input is not
-// strictly sorted (callers sort with bytes.Compare first).
-func BulkLoad[V any](items []Item[V]) *Tree[V] {
+// BulkLoad builds a tree from the keys of s in O(n). Entry j is key order[j]
+// (key j when order is nil) with value vals[j] (the zero V when vals is nil),
+// and the entries must be strictly increasing. They are packed directly
+// into leaves and the inner levels are assembled bottom-up — no descents, no
+// binary searches, no key copied per leaf: every leaf points into one buffer
+// holding the keys in entry order, s.Buf itself when order is nil, which the
+// tree keeps from then on. Panics if the entries are not strictly increasing
+// (Slab.Order sorts them).
+func BulkLoad[V any](s Slab, order []int32, vals []V) *Tree[V] {
+	run := inOrder(s, order)
+	if j := unsortedAt(run); j >= 0 {
+		panic(fmt.Sprintf("btree: BulkLoad input not strictly sorted at %d", j))
+	}
 	c := &epochClock{}
 	t := &Tree[V]{clock: c, epoch: c.next()}
-	bulkInto(t, items)
+	bulkInto(t, run, vals)
 	return t
 }
 
-// bulkInto (re)initializes t from sorted items. Every node is created fresh
-// at t's epoch; nodes of any previous contents are abandoned to snapshots
-// that still reference them.
-func bulkInto[V any](t *Tree[V], items []Item[V]) {
-	if len(items) == 0 {
+// unsortedAt returns the first key of s that is not above the one before
+// it, or -1 when the keys are strictly increasing.
+func unsortedAt(s Slab) int {
+	for j := 1; j < s.Len(); j++ {
+		if bytes.Compare(s.Key(j-1), s.Key(j)) >= 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// inOrder returns the keys of a bulk input as a slab holding them in entry
+// order, so that every leaf's keys are one contiguous run of it: s itself
+// when order is nil, else a copy made in one pass.
+func inOrder(s Slab, order []int32) Slab {
+	if order == nil {
+		return s
+	}
+	run := Slab{Buf: make([]byte, 0, len(s.Buf)), Offs: make([]int, 1, len(order)+1)}
+	for _, k := range order {
+		run.Buf = append(run.Buf, s.Key(int(k))...)
+		run.Offs = append(run.Offs, len(run.Buf))
+	}
+	return run
+}
+
+// bulkLeaf packs entries [pos, pos+cnt) of a bulk input into a fresh leaf
+// whose buf is their run of run.Buf, capped: run holds the keys in entry
+// order.
+func bulkLeaf[V any](t *Tree[V], run Slab, vals []V, pos, cnt int) *leaf[V] {
+	lo, hi := run.Offs[pos], run.Offs[pos+cnt]
+	l := &leaf[V]{
+		epoch:    t.epoch,
+		keyBlock: keyBlock{heads: make([]uint64, cnt), slots: make([]slot, cnt), buf: run.Buf[lo:hi:hi]},
+		vals:     make([]V, cnt),
+	}
+	for j := range cnt {
+		l.heads[j] = head(run.Key(pos + j))
+		l.slots[j] = slot{uint32(run.Offs[pos+j] - lo), uint32(run.Offs[pos+j+1] - run.Offs[pos+j])}
+	}
+	if vals != nil {
+		copy(l.vals, vals[pos:pos+cnt])
+	}
+	return l
+}
+
+// bulkInto (re)initializes t from a sorted bulk input whose keys run holds
+// in entry order. Every node is created fresh at t's epoch; nodes of any
+// previous contents are abandoned to snapshots that still reference them.
+func bulkInto[V any](t *Tree[V], run Slab, vals []V) {
+	n := run.Len()
+	if n == 0 {
 		t.root = &leaf[V]{epoch: t.epoch}
 		t.height, t.leaves, t.size = 1, 1, 0
 		return
 	}
-	nLeaves := (len(items) + bulkLeafFill - 1) / bulkLeafFill
+	nLeaves := (n + bulkLeafFill - 1) / bulkLeafFill
 	// Distribute entries evenly so the last leaf is never a near-empty runt.
-	base, extra := len(items)/nLeaves, len(items)%nLeaves
+	base, extra := n/nLeaves, n%nLeaves
 	nodes := make([]node, 0, nLeaves)
 	lows := make([][]byte, 0, nLeaves)
-	var prevKey []byte
 	pos := 0
 	for i := 0; i < nLeaves; i++ {
 		cnt := base
 		if i < extra {
 			cnt++
 		}
-		l := &leaf[V]{
-			epoch: t.epoch,
-			keys:  make([][]byte, cnt),
-			vals:  make([]V, cnt),
-		}
-		for j := 0; j < cnt; j++ {
-			it := items[pos]
-			if prevKey != nil && bytes.Compare(prevKey, it.Key) >= 0 {
-				panic(fmt.Sprintf("btree: BulkLoad input not strictly sorted at %d", pos))
-			}
-			prevKey = it.Key
-			l.keys[j] = it.Key
-			l.vals[j] = it.Val
-			pos++
-		}
+		l := bulkLeaf(t, run, vals, pos, cnt)
 		nodes = append(nodes, l)
-		lows = append(lows, l.keys[0])
+		lows = append(lows, l.key(0))
+		pos += cnt
 	}
 	t.leaves = nLeaves
-	t.size = len(items)
+	t.size = n
 	t.height = 1
 	t.root = t.buildInnerLevels(nodes, lows)
 }
 
 // buildInnerLevels assembles inner levels bottom-up over nodes whose
 // smallest reachable keys are lows, returning the root and bumping height
-// once per level built.
+// once per level built. Each inner node copies its separators into a key
+// block of its own.
 func (t *Tree[V]) buildInnerLevels(nodes []node, lows [][]byte) node {
 	for len(nodes) > 1 {
 		nGroups := (len(nodes) + bulkNodeFill - 1) / bulkNodeFill
@@ -481,14 +471,9 @@ func (t *Tree[V]) buildInnerLevels(nodes []node, lows [][]byte) node {
 			if g < extra {
 				cnt++
 			}
-			in := &inner[V]{
-				epoch:    t.epoch,
-				keys:     make([][]byte, cnt-1),
-				children: make([]node, cnt),
-			}
-			copy(in.children, nodes[pos:pos+cnt])
-			for j := 1; j < cnt; j++ {
-				in.keys[j-1] = lows[pos+j]
+			in := &inner[V]{epoch: t.epoch, children: slices.Clone(nodes[pos : pos+cnt])}
+			for _, low := range lows[pos+1 : pos+cnt] {
+				in.insert(in.len(), low)
 			}
 			next = append(next, in)
 			nextLows = append(nextLows, lows[pos])
@@ -500,62 +485,56 @@ func (t *Tree[V]) buildInnerLevels(nodes []node, lows [][]byte) node {
 	return nodes[0]
 }
 
-// AppendBulk appends strictly-increasing items, all greater than the
-// current maximum key, in O(n + n/degree·height): the rightmost leaf is
-// topped up, then whole packed leaves are spliced onto the rightmost spine.
-// It reports whether the fast path applied; on false the tree is unchanged
-// and the caller should fall back to Put. Ownership of the key slices
-// transfers to the tree, as with BulkLoad.
-func (t *Tree[V]) AppendBulk(items []Item[V]) bool {
-	if len(items) == 0 {
+// AppendBulk appends the entries of a bulk input (as BulkLoad takes them),
+// strictly increasing and all greater than the current maximum key, in
+// O(n + n/degree·height): the rightmost leaf is topped up with copies, then
+// whole packed leaves, pointing into the keys laid out in entry order as
+// BulkLoad lays them, are spliced onto the rightmost spine. It reports
+// whether the fast path applied; on false the tree is unchanged and the
+// caller should fall back to Put.
+func (t *Tree[V]) AppendBulk(s Slab, order []int32, vals []V) bool {
+	n := s.Len()
+	if n == 0 {
 		return true
 	}
-	for i := 1; i < len(items); i++ {
-		if bytes.Compare(items[i-1].Key, items[i].Key) >= 0 {
-			return false
-		}
+	run := inOrder(s, order)
+	if unsortedAt(run) >= 0 {
+		return false
 	}
 	if t.size == 0 {
-		bulkInto(t, items)
+		bulkInto(t, run, vals)
 		return true
 	}
 	last, path := t.rightmostLeaf()
-	if bytes.Compare(last.keys[len(last.keys)-1], items[0].Key) >= 0 {
+	if bytes.Compare(last.key(last.len()-1), run.Key(0)) >= 0 {
 		return false
 	}
 	// All preconditions hold: the append happens. Own the rightmost spine
 	// once; every node created from here on carries the writer's epoch, so
 	// later splice iterations descend through owned nodes only.
-	last = t.ownPath(last, path)
+	last = t.ownPath(last, path, 0, 0)
 	pos := 0
-	for pos < len(items) && len(last.keys) < bulkLeafFill {
-		last.keys = append(last.keys, items[pos].Key)
-		last.vals = append(last.vals, items[pos].Val)
+	for pos < n && last.len() < bulkLeafFill {
+		var v V
+		if vals != nil {
+			v = vals[pos]
+		}
+		last.insert(last.len(), run.Key(pos))
+		last.vals = append(last.vals, v)
 		t.size++
 		pos++
 	}
-	for pos < len(items) {
-		cnt := len(items) - pos
-		if cnt > bulkLeafFill {
-			cnt = bulkLeafFill
-		}
-		nl := &leaf[V]{
-			epoch: t.epoch,
-			keys:  make([][]byte, cnt),
-			vals:  make([]V, cnt),
-		}
-		for j := 0; j < cnt; j++ {
-			nl.keys[j] = items[pos].Key
-			nl.vals[j] = items[pos].Val
-			pos++
-		}
+	for pos < n {
+		cnt := min(n-pos, bulkLeafFill)
+		nl := bulkLeaf(t, run, vals, pos, cnt)
+		pos += cnt
 		t.leaves++
 		t.size += cnt
 		// Splice the new leaf onto the rightmost spine; splits propagate
 		// through insertIntoParent exactly as for incremental growth. The
 		// path must be recomputed per leaf because splits restructure it.
 		prev, spine := t.rightmostLeaf()
-		t.insertIntoParent(spine, prev, nl.keys[0], nl)
+		t.insertIntoParent(spine, prev, nl.key(0), nl)
 	}
 	return true
 }
@@ -612,25 +591,22 @@ type Footprint struct {
 }
 
 const (
-	nodeOverhead  = 48 // node header + slice headers
-	keyOverhead   = 24 // key slice header
-	childOverhead = 8  // child pointer
+	nodeOverhead  = 104 // epoch + four slice headers (heads, slots, buf, vals or children)
+	keyOverhead   = 16  // a key's head and slot
+	childOverhead = 16  // child interface value
 )
 
-// nodeBytes sizes one node. A leaf entry is its key plus the tree's inline
-// value slot (none for struct{}); an inner key carries no value.
+// nodeBytes sizes one node. A leaf entry is its key's bytes and overhead plus
+// the tree's inline value slot (none for struct{}); an inner key carries no
+// value. Key bytes are the live keys' own: a buf's spare capacity and the
+// bytes of deleted keys are not counted.
 func (t *Tree[V]) nodeBytes(n node) int64 {
 	b := int64(nodeOverhead)
 	switch v := n.(type) {
 	case *leaf[V]:
-		for _, k := range v.keys {
-			b += int64(len(k)) + keyOverhead + int64(unsafe.Sizeof(*new(V)))
-		}
+		b += int64(v.liveBytes()) + int64(v.len())*(keyOverhead+int64(unsafe.Sizeof(*new(V))))
 	case *inner[V]:
-		for _, k := range v.keys {
-			b += int64(len(k)) + keyOverhead
-		}
-		b += int64(len(v.children)) * childOverhead
+		b += int64(v.liveBytes()) + int64(v.len())*keyOverhead + int64(len(v.children))*childOverhead
 	}
 	return b
 }
@@ -756,6 +732,7 @@ func (t *Tree[V]) Seek(from []byte) *Iter[V] { return t.seek(&Iter[V]{}, from) }
 // seek repositions it, reusing its descent stack.
 func (t *Tree[V]) seek(it *Iter[V], from []byte) *Iter[V] {
 	*it = Iter[V]{stack: it.stack[:0]}
+	h := head(from)
 	n := t.root
 	for {
 		in, ok := n.(*inner[V])
@@ -764,7 +741,7 @@ func (t *Tree[V]) seek(it *Iter[V], from []byte) *Iter[V] {
 		}
 		i := 0
 		if from != nil {
-			i = in.childIndex(from)
+			i = in.upper(from, h)
 		}
 		it.stack = append(it.stack, pathEntry[V]{in, i})
 		n = in.children[i]
@@ -773,7 +750,7 @@ func (t *Tree[V]) seek(it *Iter[V], from []byte) *Iter[V] {
 	if from == nil {
 		it.i = -1
 	} else {
-		i, _ := it.l.search(from)
+		i, _ := it.l.search(from, h)
 		it.i = i - 1
 	}
 	it.leavesWalked = 1
@@ -830,7 +807,7 @@ func (it *Iter[V]) nextLeaf() bool {
 
 func (it *Iter[V]) advance() {
 	it.i++
-	for it.l != nil && it.i >= len(it.l.keys) {
+	for it.l != nil && it.i >= it.l.len() {
 		if it.nextLeaf() {
 			it.leavesWalked++
 		}
@@ -843,7 +820,7 @@ func (it *Iter[V]) checkBound() {
 	if !it.valid || it.hi == nil {
 		return
 	}
-	if !it.inBound(it.l.keys[it.i]) {
+	if !it.inBound(it.l.key(it.i)) {
 		it.valid = false
 	}
 }
@@ -863,8 +840,10 @@ func (it *Iter[V]) inBound(key []byte) bool {
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iter[V]) Valid() bool { return it.valid }
 
-// Key returns the current key. The slice must not be modified.
-func (it *Iter[V]) Key() []byte { return it.l.keys[it.i] }
+// Key returns the current key, a capped slice of the leaf's key block. The
+// slice must not be modified; its bytes stay as they are for as long as the
+// caller holds it, whatever is written to the tree later.
+func (it *Iter[V]) Key() []byte { return it.l.key(it.i) }
 
 // Value returns the current value.
 func (it *Iter[V]) Value() V { return it.l.vals[it.i] }
@@ -872,8 +851,9 @@ func (it *Iter[V]) Value() V { return it.l.vals[it.i] }
 // Next advances to the next entry.
 func (it *Iter[V]) Next() { it.advance() }
 
-// ReadBatch copies up to max entries into vals (and keys, when non-nil) and
-// advances past them, returning the number copied. It visits exactly the same
+// ReadBatch copies up to max entries into vals (and their keys, as Key hands
+// them out, into keys when non-nil) and advances past them, returning the
+// number copied. It visits exactly the same
 // entry sequence and walks exactly the same leaves as a Valid/Next loop —
 // including the eager step into the next leaf after consuming a leaf's last
 // entry — so LeavesWalked-based I/O accounting is identical either way. The
@@ -884,30 +864,30 @@ func (it *Iter[V]) ReadBatch(keys [][]byte, vals []V, max int) int {
 	n := 0
 	for it.valid && n < max {
 		l, i := it.l, it.i
-		take := len(l.keys) - i
+		take := l.len() - i
 		if take > max-n {
 			take = max - n
 		}
-		if it.hi != nil && !it.inBound(l.keys[i+take-1]) {
+		crossed := it.hi != nil && !it.inBound(l.key(i+take-1))
+		if crossed {
 			// The span crosses the bound: copy the in-bound head and stop on
 			// the first out-of-bound entry, like checkBound would.
 			cut := 0
-			for cut < take && it.inBound(l.keys[i+cut]) {
+			for cut < take && it.inBound(l.key(i+cut)) {
 				cut++
 			}
-			copy(vals[n:], l.vals[i:i+cut])
-			if keys != nil {
-				copy(keys[n:], l.keys[i:i+cut])
-			}
-			it.i = i + cut
-			it.valid = false
-			return n + cut
+			take = cut
 		}
 		copy(vals[n:], l.vals[i:i+take])
-		if keys != nil {
-			copy(keys[n:], l.keys[i:i+take])
+		for j := 0; keys != nil && j < take; j++ {
+			keys[n+j] = l.key(i + j)
 		}
 		n += take
+		if crossed {
+			it.i = i + take
+			it.valid = false
+			return n
+		}
 		// Reposition on the last consumed entry and advance off it, so leaf
 		// stepping and bound invalidation mirror per-entry iteration.
 		it.i = i + take - 1
@@ -927,7 +907,7 @@ func (it *Iter[V]) LeafLen() int {
 	if !it.valid {
 		return 0
 	}
-	return len(it.l.keys)
+	return it.l.len()
 }
 
 // SkipLeaf advances to the first entry of the next leaf page without
@@ -949,7 +929,8 @@ func (it *Iter[V]) SkipLeaf() {
 
 // Validate checks tree invariants and returns an error describing the first
 // violation. Beyond ordering, size and page accounting it verifies the
-// copy-on-write invariants of the handle:
+// key blocks (every head is its key's, every slot inside its buf, one value
+// per leaf key) and the copy-on-write invariants of the handle:
 //
 //   - no reachable node carries an epoch newer than the handle's write epoch
 //     (a violation means another handle mutated structure this one can see);
@@ -980,7 +961,7 @@ func (t *Tree[V]) Validate() error {
 	t.walk(func(n node) {
 		if l, ok := n.(*leaf[V]); ok {
 			reachable++
-			if len(l.keys) == 0 && t.size > 0 && err == nil {
+			if l.len() == 0 && t.size > 0 && err == nil {
 				err = fmt.Errorf("btree: empty leaf reachable at position %d", reachable-1)
 			}
 		}
@@ -1006,7 +987,14 @@ func (t *Tree[V]) validateNode(n node, lo, hi []byte, maxEpoch uint64) error {
 		if v.epoch > maxEpoch {
 			return fmt.Errorf("btree: leaf epoch %d above parent/handle epoch %d (cross-snapshot mutation)", v.epoch, maxEpoch)
 		}
-		for _, k := range v.keys {
+		if err := v.check(); err != nil {
+			return err
+		}
+		if len(v.vals) != v.len() {
+			return fmt.Errorf("btree: leaf has %d keys but %d values", v.len(), len(v.vals))
+		}
+		for i := range v.len() {
+			k := v.key(i)
 			if lo != nil && bytes.Compare(k, lo) < 0 {
 				return fmt.Errorf("btree: leaf key below lower bound")
 			}
@@ -1018,16 +1006,19 @@ func (t *Tree[V]) validateNode(n node, lo, hi []byte, maxEpoch uint64) error {
 		if v.epoch > maxEpoch {
 			return fmt.Errorf("btree: inner epoch %d above parent/handle epoch %d (cross-snapshot mutation)", v.epoch, maxEpoch)
 		}
-		if len(v.children) != len(v.keys)+1 {
+		if err := v.check(); err != nil {
+			return err
+		}
+		if len(v.children) != v.len()+1 {
 			return fmt.Errorf("btree: inner children/keys mismatch")
 		}
 		for i, c := range v.children {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = v.keys[i-1]
+				clo = v.key(i - 1)
 			}
-			if i < len(v.keys) {
-				chi = v.keys[i]
+			if i < v.len() {
+				chi = v.key(i)
 			}
 			if err := t.validateNode(c, clo, chi, v.epoch); err != nil {
 				return err

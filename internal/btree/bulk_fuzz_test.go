@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzBulkLoadEquivalence asserts that for any set of keys, SlabItems sorts
-// them and BulkLoad over its items produces a tree that is entry-for-entry and
+// FuzzBulkLoadEquivalence asserts that for any set of keys, Slab.Order sorts
+// them and BulkLoad in that order produces a tree that is entry-for-entry and
 // invariant-identical (via Validate) to one grown by incremental Put — and
 // that AppendBulk over a sorted suffix agrees with both.
 //
@@ -29,7 +29,7 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 	f.Add(big)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Keys go through SlabItems in first-appearance order, the way an index
+		// Keys go into the slab in first-appearance order, the way an index
 		// build hands over entries in clustered order; later values win, like
 		// repeated Put.
 		var keys [][]byte
@@ -49,8 +49,8 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 			uniq[string(data[:n])] = i
 			data = data[n:]
 		}
-		slab, offs := slabOf(keys)
-		items := SlabItems(slab, offs, func(_ int, key []byte) interface{} { return uniq[string(key)] })
+		s := slabOf(keys)
+		order := s.Order()
 		sorted := make([]string, 0, len(uniq))
 		for k := range uniq {
 			sorted = append(sorted, k)
@@ -58,20 +58,32 @@ func FuzzBulkLoadEquivalence(f *testing.F) {
 		sort.Strings(sorted)
 
 		inc := New[any]()
+		vals := make([]any, len(sorted))
 		for i, k := range sorted {
-			if string(items[i].Key) != k {
-				t.Fatalf("SlabItems position %d: %x, want %x", i, items[i].Key, k)
+			vals[i] = uniq[k]
+			j := i
+			if order != nil {
+				j = int(order[i])
+			}
+			if string(s.Key(j)) != k {
+				t.Fatalf("Order position %d: %x, want %x", i, s.Key(j), k)
 			}
 			inc.Put([]byte(k), uniq[k])
 		}
-		bulk := BulkLoad(items)
+		bulk := BulkLoad(s, order, vals)
 
+		// The first half goes in by Put, the rest as a slab of its own.
 		appended := New[any]()
-		split := len(items) / 2
-		for _, it := range items[:split] {
-			appended.Put(it.Key, it.Val)
+		split := len(sorted) / 2
+		for _, k := range sorted[:split] {
+			appended.Put([]byte(k), uniq[k])
 		}
-		if !appended.AppendBulk(items[split:]) {
+		var rest [][]byte
+		var restVals []any
+		for _, k := range sorted[split:] {
+			rest, restVals = append(rest, []byte(k)), append(restVals, uniq[k])
+		}
+		if !appended.AppendBulk(slabOf(rest), nil, restVals) {
 			t.Fatal("AppendBulk rejected a sorted suffix beyond the current max")
 		}
 

@@ -8,13 +8,27 @@ import (
 	"testing"
 )
 
-// sortedItems returns n strictly-increasing key/value items.
-func sortedItems(n int) []Item[any] {
-	items := make([]Item[any], n)
-	for i := range items {
-		items[i] = Item[any]{Key: key(i), Val: i}
+// sortedSlab returns the n strictly-increasing keys key(from), key(from+1),
+// ... as a slab, with their numbers as values.
+func sortedSlab(from, n int) (Slab, []any) {
+	keys := make([][]byte, n)
+	vals := make([]any, n)
+	for i := range keys {
+		keys[i], vals[i] = key(from+i), from+i
 	}
-	return items
+	return slabOf(keys), vals
+}
+
+// loadSorted bulk-loads the keys key(0) .. key(n-1).
+func loadSorted(n int) *Tree[any] {
+	s, vals := sortedSlab(0, n)
+	return BulkLoad(s, nil, vals)
+}
+
+// appendSorted bulk-appends the keys key(from) .. key(from+n-1).
+func appendSorted(tr *Tree[any], from, n int) bool {
+	s, vals := sortedSlab(from, n)
+	return tr.AppendBulk(s, nil, vals)
 }
 
 // assertEqualTrees checks both trees hold exactly the same entries in the
@@ -51,11 +65,10 @@ func assertEqualTrees(t *testing.T, got, want *Tree[any]) {
 
 func TestBulkLoadMatchesPut(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 57, 58, 100, 3650, 20000} {
-		items := sortedItems(n)
-		bulk := BulkLoad(items)
+		bulk := loadSorted(n)
 		inc := New[any]()
-		for _, it := range sortedItems(n) { // fresh keys: BulkLoad took ownership
-			inc.Put(it.Key, it.Val)
+		for i := 0; i < n; i++ {
+			inc.Put(key(i), i)
 		}
 		assertEqualTrees(t, bulk, inc)
 		if n > 0 {
@@ -73,7 +86,7 @@ func TestBulkLoadMatchesPut(t *testing.T) {
 }
 
 func TestBulkLoadFill(t *testing.T) {
-	tr := BulkLoad(sortedItems(100000))
+	tr := loadSorted(100000)
 	if fp := tr.FillPercent(); fp < 80 || fp > 95 {
 		t.Fatalf("FillPercent = %.1f, want ~90", fp)
 	}
@@ -85,11 +98,11 @@ func TestBulkLoadUnsortedPanics(t *testing.T) {
 			t.Fatal("BulkLoad accepted unsorted input")
 		}
 	}()
-	BulkLoad([]Item[any]{{Key: key(2), Val: 2}, {Key: key(1), Val: 1}})
+	BulkLoad[any](slabOf([][]byte{key(2), key(1)}), nil, nil)
 }
 
 func TestBulkLoadThenMutate(t *testing.T) {
-	tr := BulkLoad(sortedItems(5000))
+	tr := loadSorted(5000)
 	// A bulk-built tree must absorb regular Puts and Deletes.
 	for i := 0; i < 5000; i += 3 {
 		tr.Put([]byte(fmt.Sprintf("%08d-x", i)), -i)
@@ -107,15 +120,11 @@ func TestBulkLoadThenMutate(t *testing.T) {
 func TestAppendBulk(t *testing.T) {
 	// Onto an empty tree.
 	tr := New[any]()
-	if !tr.AppendBulk(sortedItems(500)) {
+	if !appendSorted(tr, 0, 500) {
 		t.Fatal("AppendBulk on empty tree rejected")
 	}
 	// Onto a populated tree, keys beyond the current max.
-	more := make([]Item[any], 500)
-	for i := range more {
-		more[i] = Item[any]{Key: key(500 + i), Val: 500 + i}
-	}
-	if !tr.AppendBulk(more) {
+	if !appendSorted(tr, 500, 500) {
 		t.Fatal("AppendBulk beyond max rejected")
 	}
 	want := New[any]()
@@ -126,10 +135,10 @@ func TestAppendBulk(t *testing.T) {
 
 	// Overlapping keys must be rejected without mutation.
 	before := tr.Len()
-	if tr.AppendBulk([]Item[any]{{Key: key(10), Val: 0}}) {
+	if tr.AppendBulk(slabOf([][]byte{key(10)}), nil, nil) {
 		t.Fatal("AppendBulk accepted overlapping key")
 	}
-	if tr.AppendBulk([]Item[any]{{Key: key(2000), Val: 0}, {Key: key(1500), Val: 0}}) {
+	if tr.AppendBulk(slabOf([][]byte{key(2000), key(1500)}), nil, nil) {
 		t.Fatal("AppendBulk accepted unsorted input")
 	}
 	if tr.Len() != before {
@@ -145,14 +154,10 @@ func TestAppendBulkRepeatedBatches(t *testing.T) {
 	pos := 0
 	for batch := 0; batch < 40; batch++ {
 		n := 1 + (batch*37)%200
-		items := make([]Item[any], n)
-		for i := range items {
-			items[i] = Item[any]{Key: key(pos), Val: pos}
-			pos++
-		}
-		if !tr.AppendBulk(items) {
+		if !appendSorted(tr, pos, n) {
 			t.Fatalf("batch %d rejected", batch)
 		}
+		pos += n
 	}
 	if tr.Len() != pos {
 		t.Fatalf("Len = %d, want %d", tr.Len(), pos)
@@ -288,27 +293,6 @@ func TestDeleteRandomLeafAccounting(t *testing.T) {
 	}
 }
 
-func TestPutOwned(t *testing.T) {
-	tr := New[any]()
-	for i := 0; i < 1000; i++ {
-		k := append([]byte(nil), key(i)...) // freshly allocated, handed over
-		tr.PutOwned(k, i)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := tr.Get(key(500)); !ok || v.(int) != 500 {
-		t.Fatalf("Get = %v, %v", v, ok)
-	}
-	// Replacement must not insert.
-	if tr.PutOwned(append([]byte(nil), key(1)...), -1) {
-		t.Fatal("replacement reported insert")
-	}
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
 func TestLeafStrideIteration(t *testing.T) {
 	tr := New[any]()
 	n := 20000
@@ -352,22 +336,21 @@ func TestBulkLoadAgainstSortedRandomKeys(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	items := make([]Item[any], len(keys))
+	bs := make([][]byte, len(keys))
+	vals := make([]any, len(keys))
 	inc := New[any]()
 	for i, k := range keys {
-		items[i] = Item[any]{Key: []byte(k), Val: i}
+		bs[i], vals[i] = []byte(k), i
 		inc.Put([]byte(k), i)
 	}
-	assertEqualTrees(t, BulkLoad(items), inc)
+	assertEqualTrees(t, BulkLoad(slabOf(bs), nil, vals), inc)
 }
 
 func BenchmarkBulkLoad(b *testing.B) {
-	base := sortedItems(100000)
+	s, vals := sortedSlab(0, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := make([]Item[any], len(base))
-		copy(items, base)
-		BulkLoad(items)
+		BulkLoad(s, nil, vals)
 	}
 }
 
@@ -375,13 +358,13 @@ func BenchmarkIncrementalLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := New[any]()
 		for j := 0; j < 100000; j++ {
-			tr.PutOwned(key(j), j)
+			tr.Put(key(j), j)
 		}
 	}
 }
 
 func BenchmarkTreeClone(b *testing.B) {
-	src := BulkLoad(sortedItems(100000))
+	src := loadSorted(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Clone()

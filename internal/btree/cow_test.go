@@ -252,11 +252,12 @@ func TestSnapshotChainsDeep(t *testing.T) {
 // keys among them, survives the live root splitting to a taller tree, and
 // walks a tree rebuilt from scratch, which shares nothing, in full.
 func TestDiffPrunesSharedSubtrees(t *testing.T) {
-	items := make([]Item[any], 50000)
-	for i := range items {
-		items[i] = Item[any]{Key: key(2 * i), Val: i}
+	keys := make([][]byte, 50000)
+	vals := make([]any, len(keys))
+	for i := range keys {
+		keys[i], vals[i] = key(2*i), i
 	}
-	live := BulkLoad(items)
+	live := BulkLoad(slabOf(keys), nil, vals)
 	snap := live.Clone()
 	Diff(snap, live, func([]byte, interface{}, interface{}) bool {
 		t.Fatal("identical handles reported an entry")
@@ -308,8 +309,8 @@ func TestDiffPrunesSharedSubtrees(t *testing.T) {
 		t.Fatalf("fn returning false was called %d times", n)
 	}
 	n = 0
-	Diff(snap, BulkLoad(items), func([]byte, interface{}, interface{}) bool { n++; return true })
-	if n != len(items) {
-		t.Fatalf("unrelated trees: %d entries reported, want all %d", n, len(items))
+	Diff(snap, BulkLoad(slabOf(keys), nil, vals), func([]byte, interface{}, interface{}) bool { n++; return true })
+	if n != len(keys) {
+		t.Fatalf("unrelated trees: %d entries reported, want all %d", n, len(keys))
 	}
 }

@@ -5,34 +5,41 @@ import (
 	"slices"
 )
 
-// SlabItems returns the keys held back to back in slab as Items in bytewise
-// key order, ready for BulkLoad or AppendBulk: key i is slab[offs[i]:offs[i+1]]
-// (offs has one entry more than there are keys) and its value is val(i, key).
-// Sorting is pointer-free until the Items are emitted — an MSD radix sort over
-// the key bytes permutes int32 key numbers, never the keys, so a GC mark
-// running beside it has nothing to scan or barrier — and skipped for keys
-// already in order (a primary-key-prefix index). Each key is a sub-slice of
-// slab with cap == len, so appending to one never writes into the next; the
-// slab stays reachable while any key or value cut from it is in any tree.
-// Keys must be unique, as BulkLoad requires.
-func SlabItems[V any](slab []byte, offs []int, val func(i int, key []byte) V) []Item[V] {
-	perm := make([]int32, len(offs)-1)
-	sorted := true
-	for i := range perm {
-		perm[i] = int32(i)
-		if sorted && i > 0 && bytes.Compare(slab[offs[i-1]:offs[i]], slab[offs[i]:offs[i+1]]) >= 0 {
-			sorted = false
+// Slab holds keys back to back in one buffer for BulkLoad and AppendBulk:
+// key i is Buf[Offs[i]:Offs[i+1]], so Offs has one entry more than there are
+// keys. A tree built from a slab whose keys are in order points its leaves
+// into Buf instead of copying the keys, so the slab stays reachable while any
+// leaf pointing into it is in any tree, and its bytes must not change once
+// handed over.
+type Slab struct {
+	Buf  []byte
+	Offs []int
+}
+
+// Len returns the number of keys.
+func (s Slab) Len() int { return max(len(s.Offs)-1, 0) }
+
+// Key returns key i, capped at its end.
+func (s Slab) Key(i int) []byte { return s.Buf[s.Offs[i]:s.Offs[i+1]:s.Offs[i+1]] }
+
+// Order returns the key numbers of s in bytewise key order, or nil when the
+// keys already are in order (a primary-key-prefix index). Sorting is
+// pointer-free — an MSD radix sort over the key bytes permutes int32 key
+// numbers, never the keys, so a GC mark running beside it has nothing to scan
+// or barrier. Keys must be unique, as BulkLoad requires.
+func (s Slab) Order() []int32 {
+	n := s.Len()
+	for i := 1; i < n; i++ {
+		if bytes.Compare(s.Key(i-1), s.Key(i)) >= 0 {
+			perm := make([]int32, n)
+			for k := range perm {
+				perm[k] = int32(k)
+			}
+			sortSlab(s.Buf, s.Offs, perm, make([]int32, n), 0)
+			return perm
 		}
 	}
-	if !sorted {
-		sortSlab(slab, offs, perm, make([]int32, len(perm)), 0)
-	}
-	items := make([]Item[V], len(perm))
-	for i, k := range perm {
-		key := slab[offs[k]:offs[k+1]:offs[k+1]]
-		items[i] = Item[V]{Key: key, Val: val(int(k), key)}
-	}
-	return items
+	return nil
 }
 
 // radixCutoff is the bucket size below which comparison sort beats another

@@ -7,15 +7,14 @@ import (
 	"testing"
 )
 
-// slabOf packs keys back to back the way SlabItems expects them.
-func slabOf(keys [][]byte) ([]byte, []int) {
-	var slab []byte
-	offs := []int{0}
+// slabOf packs keys back to back into a Slab.
+func slabOf(keys [][]byte) Slab {
+	s := Slab{Offs: []int{0}}
 	for _, k := range keys {
-		slab = append(slab, k...)
-		offs = append(offs, len(slab))
+		s.Buf = append(s.Buf, k...)
+		s.Offs = append(s.Offs, len(s.Buf))
 	}
-	return slab, offs
+	return s
 }
 
 // uniqueKeys drops repeats, keeping first appearances in input order.
@@ -31,34 +30,44 @@ func uniqueKeys(keys [][]byte) [][]byte {
 	return out
 }
 
-// checkSlabItems asserts that SlabItems orders keys as slices.SortFunc with
-// bytes.Compare does, hands every key out with cap == len, and pairs each
-// key with the value of its input position.
+// checkSlabItems asserts that Slab.Order orders a slab's keys as
+// slices.SortFunc with bytes.Compare does (nil only for keys already in
+// order), and that BulkLoad in that order hands every key out with cap == len
+// and pairs it with the value of its input position.
 func checkSlabItems(t *testing.T, keys [][]byte) {
 	t.Helper()
 	keys = uniqueKeys(keys)
-	slab, offs := slabOf(keys)
-	items := SlabItems(slab, offs, func(i int, key []byte) interface{} {
-		if !bytes.Equal(key, keys[i]) {
-			t.Fatalf("val called with key %q for input %d, want %q", key, i, keys[i])
-		}
-		return i
-	})
+	s := slabOf(keys)
+	order := s.Order()
 	want := slices.Clone(keys)
 	slices.SortFunc(want, bytes.Compare)
-	if len(items) != len(want) {
-		t.Fatalf("%d items, want %d", len(items), len(want))
+	if order == nil && !slices.EqualFunc(keys, want, bytes.Equal) {
+		t.Fatal("Order returned nil for keys out of order")
 	}
-	for i, it := range items {
-		if !bytes.Equal(it.Key, want[i]) {
-			t.Fatalf("position %d: %x, want %x", i, it.Key, want[i])
+	vals := make([]any, len(keys)) // entry j's value: its key's input position
+	for j := range vals {
+		vals[j] = j
+		if order != nil {
+			vals[j] = int(order[j])
 		}
-		if cap(it.Key) != len(it.Key) {
-			t.Fatalf("position %d: cap %d > len %d", i, cap(it.Key), len(it.Key))
+	}
+	tr := BulkLoad(s, order, vals)
+	if tr.Len() != len(want) {
+		t.Fatalf("%d entries, want %d", tr.Len(), len(want))
+	}
+	i := 0
+	for it := tr.Seek(nil); it.Valid(); it.Next() {
+		k := it.Key()
+		if !bytes.Equal(k, want[i]) {
+			t.Fatalf("position %d: %x, want %x", i, k, want[i])
 		}
-		if !bytes.Equal(keys[it.Val.(int)], it.Key) {
-			t.Fatalf("position %d: value %d names key %x", i, it.Val, keys[it.Val.(int)])
+		if cap(k) != len(k) {
+			t.Fatalf("position %d: cap %d > len %d", i, cap(k), len(k))
 		}
+		if !bytes.Equal(keys[it.Value().(int)], k) {
+			t.Fatalf("position %d: value %d names key %x", i, it.Value(), keys[it.Value().(int)])
+		}
+		i++
 	}
 }
 

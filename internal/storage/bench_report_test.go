@@ -251,6 +251,54 @@ func BenchmarkAdoptIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkClusteredGet measures one primary-key lookup at a random key of
+// the fixture: the root-to-leaf descent and leaf search a clustered fetch
+// pays per row.
+func BenchmarkClusteredGet(b *testing.B) {
+	tbl := benchFixture(b).Table("events")
+	r := rand.New(rand.NewSource(3))
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = tbl.PKKey(eventRow(int64(r.Intn(benchRows))))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tbl.GetByPK(keys[i%len(keys)], nil); !ok {
+			b.Fatal("fixture row missing")
+		}
+	}
+}
+
+// BenchmarkIndexFetch measures one equality range on ix_events_kind_day (a
+// kind and a day: about 68 entries of the fixture) plus the clustered fetch
+// of every row it names — an index lookup as the executor runs it.
+func BenchmarkIndexFetch(b *testing.B) {
+	tbl := benchFixture(b).Table("events")
+	ix := tbl.Index("ix_events_kind_day")
+	kinds := []string{"view", "click", "buy", "hide"}
+	prefixes := make([][]byte, 64)
+	for i := range prefixes {
+		prefixes[i] = sqltypes.EncodeKey(nil, sqltypes.NewString(kinds[i%len(kinds)]), sqltypes.NewInt(int64(i*37%365)))
+	}
+	var it btree.Iter[struct{}]
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := prefixes[i%len(prefixes)]
+		for ix.Tree().SeekRangeInto(&it, p, p, true); it.Valid(); it.Next() {
+			pk, err := ix.PK(it.Key())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, ok := tbl.GetByPK(pk, nil); !ok {
+				b.Fatal("index entry names no row")
+			}
+			rows++
+		}
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
 func BenchmarkBuildIndexIncremental(b *testing.B) {
 	tbl := benchFixture(b).Table("events")
 	b.ResetTimer()
@@ -297,7 +345,8 @@ func storeShared(live, snap *Store) btree.Footprint {
 // baselines and records the results in BENCH_storage.json at the repo root:
 // snapshot ns/op across 10k/100k/1M rows (gated row-count-independent),
 // COW clone vs the old deep-copy clone (gated >= 100x at 100k rows), index
-// build vs incremental (gated >= 3x), adopting a snapshot-built index vs
+// build vs incremental (gated >= 3x), a random clustered lookup and an
+// index equality range with its clustered fetches (recorded), adopting a snapshot-built index vs
 // building it (AdoptIndex at 0 / 100 / 10 000 changed rows; adopt_vs_build is
 // the 100-row case, gated >= 10x), the build's allocations per entry (gated
 // <= maxBuildAllocsPerEntry), and the memory amplification of a
@@ -324,6 +373,8 @@ func TestBenchStorageReport(t *testing.T) {
 		"CloneUnderDML":         run(BenchmarkCloneUnderDML),
 		"BuildIndex":            run(BenchmarkBuildIndex),
 		"BuildIndexIncremental": run(BenchmarkBuildIndexIncremental),
+		"ClusteredGet":          run(BenchmarkClusteredGet),
+		"IndexFetch":            run(BenchmarkIndexFetch),
 	}
 	for _, changed := range adoptChanged {
 		bench[fmt.Sprintf("AdoptIndex/changed=%d", changed)] = run(func(b *testing.B) { benchAdoptIndex(b, changed) })

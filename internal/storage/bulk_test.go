@@ -196,15 +196,20 @@ func regionRows(r *rand.Rand, n int, from string) []sqltypes.Row {
 	return rows
 }
 
-// sortedEntries encodes ix's entries for rows value by value (oracleEntry)
-// and comparison-sorts them.
-func sortedEntries(ix *Index, rows []sqltypes.Row) []btree.Item[struct{}] {
-	items := make([]btree.Item[struct{}], len(rows))
+// sortedEntries encodes ix's entries for rows value by value (oracleEntry),
+// comparison-sorts them and packs them into a slab in that order.
+func sortedEntries(ix *Index, rows []sqltypes.Row) btree.Slab {
+	keys := make([][]byte, len(rows))
 	for i, row := range rows {
-		items[i] = btree.Item[struct{}]{Key: oracleEntry(ix, row)}
+		keys[i] = oracleEntry(ix, row)
 	}
-	slices.SortFunc(items, func(a, b btree.Item[struct{}]) int { return bytes.Compare(a.Key, b.Key) })
-	return items
+	slices.SortFunc(keys, bytes.Compare)
+	s := btree.Slab{Offs: []int{0}}
+	for _, k := range keys {
+		s.Buf = append(s.Buf, k...)
+		s.Offs = append(s.Offs, len(s.Buf))
+	}
+	return s
 }
 
 // tableRows returns the table's rows in clustered order.
@@ -289,7 +294,7 @@ func TestBuildIndexBulkMatchesIncremental(t *testing.T) {
 				t.Fatalf("bytes = %d, incremental %d", ix.SizeBytes(), inc.SizeBytes())
 			}
 			// Node for node the bulk load of the comparison-sorted entries.
-			want := btree.BulkLoad(sortedEntries(ix, rows))
+			want := btree.BulkLoad[struct{}](sortedEntries(ix, rows), nil, nil)
 			sameTree(t, ix.Tree(), want)
 			n := int64(len(rows))
 			if wantM := (Metrics{RowsRead: n, IndexWrites: n, PageReads: int64(c.tbl.Data().Leaves() + want.Leaves())}); m != wantM {
@@ -332,9 +337,9 @@ func TestInsertBatchIntoIndexedTableMatchesReference(t *testing.T) {
 		ix := tbl.Index(def.Name)
 		want := before[def.Name]
 		entries := sortedEntries(ix, second)
-		if !want.AppendBulk(entries) {
-			for _, e := range entries {
-				want.PutOwned(e.Key, e.Val)
+		if !want.AppendBulk(entries, nil, nil) {
+			for i := range entries.Len() {
+				want.Put(entries.Key(i), struct{}{})
 			}
 		}
 		sameTree(t, ix.Tree(), want)
@@ -348,9 +353,9 @@ func TestInsertBatchIntoIndexedTableMatchesReference(t *testing.T) {
 }
 
 // TestBuiltKeysDoNotShareCapacity appends to every key taken from bulk-built
-// trees, and to the clustered key at its tail: each key is cut from one slab
-// with cap == len, so the append must reallocate and leave the neighbouring
-// entries unchanged.
+// trees, and to the clustered key at its tail: each key is cut from its
+// leaf's run of one key buffer with cap == len, so the append must
+// reallocate and leave the neighbouring entries unchanged.
 func TestBuiltKeysDoNotShareCapacity(t *testing.T) {
 	tbl := newRegionsTable(t)
 	if _, err := tbl.BuildIndex(&catalog.Index{Name: "r_city", Table: "regions", Columns: []string{"city"}}, nil); err != nil {

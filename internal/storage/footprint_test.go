@@ -55,10 +55,10 @@ func eventRows(n int) []sqltypes.Row {
 // TestStoredRowFootprint measures the live heap per stored row of an
 // events-shaped table bulk-loaded in key order: the clustered key, the row's
 // six Values, the string's tagged bytes and the row's share of the tree
-// nodes. The ceiling is the 225.9 B measured with 24-byte Values plus 5 %
-// headroom.
+// nodes, whose keys point into the batch's key slab. The ceiling is the
+// 211.8 B measured with 8-byte key heads plus 5 % headroom.
 func TestStoredRowFootprint(t *testing.T) {
-	const rows, ceiling = 20000, 237.0
+	const rows, ceiling = 20000, 223.0
 	before := heapAfterGC()
 	tbl := eventsTable(t)
 	if err := tbl.InsertBatch(eventRows(rows), nil); err != nil {
@@ -76,10 +76,11 @@ func TestStoredRowFootprint(t *testing.T) {
 // ascending key order, as INSERTs with fresh ids arrive: every split leaves a
 // left leaf that never takes another insert, so a split that kept the left
 // half as a reslice of the pre-split array would pin about twice its size.
-// The ceiling is the 219.6 B measured with exact-size halves plus 5 %
-// headroom; resliced halves measure 276.6 B.
+// The ceiling is the 202.0 B measured with exact-size halves, key bytes
+// included, plus 5 % headroom (resliced halves measured 276.6 B when every
+// key was an allocation of its own).
 func TestAppendedRowFootprint(t *testing.T) {
-	const rows, ceiling = 20000, 231.0
+	const rows, ceiling = 20000, 213.0
 	batch := eventRows(rows)
 	before := heapAfterGC()
 	tbl := eventsTable(t)
@@ -101,9 +102,10 @@ func TestAppendedRowFootprint(t *testing.T) {
 // last key down, and measures the live heap per row left: a delete that only
 // shortened the slice would leave every deleted row referenced from the
 // leaf's array beyond its length until the leaf emptied. The ceiling is the
-// 778.4 B measured with cleared slots plus 5 % headroom.
+// 740.3 B measured with cleared slots plus 5 % headroom; a deleted key's
+// bytes stay in its leaf's key block until the block next moves.
 func TestDeletedRowsAreReleased(t *testing.T) {
-	const rows, ceiling = 20000, 817.0
+	const rows, ceiling = 20000, 778.0
 	before := heapAfterGC()
 	tbl := eventsTable(t)
 	for _, row := range eventRows(rows) {

@@ -110,25 +110,24 @@ func (ix *Index) SizeBytes() int64 { return ix.bytes }
 // Len returns the number of entries.
 func (ix *Index) Len() int { return ix.tree.Len() }
 
-// entryKey builds, in one allocation, the index entry key for a row stored
-// under the clustered key pk (encoding is concatenative per value).
-func (ix *Index) entryKey(row sqltypes.Row, pk []byte) []byte {
-	n := len(pk)
+// keyBuf sizes the stack buffers the write paths encode keys into: the trees
+// copy what they keep, so a key that fits never reaches the heap.
+const keyBuf = 64
+
+// appendEntry appends to dst the index entry key for a row stored under the
+// clustered key pk (encoding is concatenative per value).
+func (ix *Index) appendEntry(dst []byte, row sqltypes.Row, pk []byte) []byte {
 	for _, o := range ix.ordinals {
-		n += sqltypes.EncodedLen(row[o])
+		dst = sqltypes.EncodeKey(dst, row[o])
 	}
-	key := make([]byte, 0, n)
-	for _, o := range ix.ordinals {
-		key = sqltypes.EncodeKey(key, row[o])
-	}
-	return append(key, pk...)
+	return append(dst, pk...)
 }
 
 // entrySize is the advisor's size model of an entry (SizeBytes,
 // storage.index_mb), not its heap: the entry stores no value, but the "value
 // payload" term stays so modelled sizes, and so recommendations, are
 // unchanged. Measured heap on the serving fixture: 89.6 B per entry with a
-// boxed pk value, 47.6 B without.
+// boxed pk value, 47.6 B without, 40.9 B in key blocks.
 func (ix *Index) entrySize(row sqltypes.Row) int64 {
 	n := 0
 	for _, o := range ix.ordinals {
@@ -188,12 +187,14 @@ func (t *Table) Indexes() map[string]*Index { return t.indexes }
 func (t *Table) Index(name string) *Index { return t.indexes[strings.ToLower(name)] }
 
 // PKKey builds the clustered key for a full row.
-func (t *Table) PKKey(row sqltypes.Row) []byte {
-	vals := make([]sqltypes.Value, len(t.Def.PrimaryKey))
-	for i, o := range t.Def.PrimaryKey {
-		vals[i] = row[o]
+func (t *Table) PKKey(row sqltypes.Row) []byte { return t.appendPK(nil, row) }
+
+// appendPK appends row's clustered key to dst.
+func (t *Table) appendPK(dst []byte, row sqltypes.Row) []byte {
+	for _, o := range t.Def.PrimaryKey {
+		dst = sqltypes.EncodeKey(dst, row[o])
 	}
-	return sqltypes.EncodeKey(nil, vals...)
+	return dst
 }
 
 // Insert adds a row, maintaining every secondary index. It fails on
@@ -202,22 +203,21 @@ func (t *Table) Insert(row sqltypes.Row, m *Metrics) error {
 	if len(row) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: table %s expects %d columns, got %d", t.Def.Name, len(t.Def.Columns), len(row))
 	}
-	key := t.PKKey(row)
+	var kb, eb [keyBuf]byte
+	key := t.appendPK(kb[:0], row)
 	if _, exists := t.data.Get(key); exists {
 		return fmt.Errorf("storage: duplicate primary key in table %s", t.Def.Name)
 	}
 	stored := row.Clone()
 	t.shape = catalog.Tick()
-	// PKKey and entryKey encode fresh buffers: hand ownership to the trees
-	// instead of paying Put's defensive copy.
-	t.data.PutOwned(key, stored)
+	t.data.Put(key, stored)
 	t.bytes += int64(stored.Size()) + 16
 	if m != nil {
 		m.RowWrites++
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		ix.tree.PutOwned(ix.entryKey(stored, key), struct{}{})
+		ix.tree.Put(ix.appendEntry(eb[:0], stored, key), struct{}{})
 		ix.bytes += ix.entrySize(stored)
 		if m != nil {
 			m.IndexWrites++
@@ -244,31 +244,27 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 		}
 	}
 	t.shape = catalog.Tick()
-	items := make([]btree.Item[sqltypes.Row], len(rows))
-	sorted := true
+	// The clustered keys go back to back into one slab the new leaves point
+	// into; AppendBulk rejects, without a change, a batch that is out of
+	// order or does not sort after every stored key.
+	stored := make([]sqltypes.Row, len(rows))
+	size := 0
+	for _, row := range rows {
+		for _, o := range t.Def.PrimaryKey {
+			size += sqltypes.EncodedLen(row[o])
+		}
+	}
+	keys := btree.Slab{Buf: make([]byte, 0, size), Offs: make([]int, 1, len(rows)+1)}
 	var batchBytes int64
 	for i, row := range rows {
-		stored := row.Clone()
-		items[i] = btree.Item[sqltypes.Row]{Key: t.PKKey(stored), Val: stored}
-		batchBytes += int64(stored.Size()) + 16
-		if i > 0 && bytes.Compare(items[i-1].Key, items[i].Key) >= 0 {
-			sorted = false
-		}
+		stored[i] = row.Clone()
+		keys.Buf = t.appendPK(keys.Buf, stored[i])
+		keys.Offs = append(keys.Offs, len(keys.Buf))
+		batchBytes += int64(stored[i].Size()) + 16
 	}
-	fastPath := sorted
-	if fastPath {
-		// AppendBulk itself rejects overlap with existing keys, but probe the
-		// first key up front so a mid-function failure cannot half-apply.
-		if _, exists := t.data.Get(items[0].Key); exists {
-			fastPath = false
-		}
-	}
-	if fastPath && !t.data.AppendBulk(items) {
-		fastPath = false
-	}
-	if !fastPath {
-		for _, it := range items {
-			if err := t.insertStored(it.Key, it.Val, m); err != nil {
+	if !t.data.AppendBulk(keys, nil, stored) {
+		for i, row := range stored {
+			if err := t.insertStored(keys.Key(i), row, m); err != nil {
 				return err
 			}
 		}
@@ -281,20 +277,25 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 		m.PageReads += int64(len(rows)+1)/int64(bulkPageEntries) + 1
 	}
 	batch := func(fn func(pk []byte, row sqltypes.Row)) {
-		for _, it := range items {
-			fn(it.Key, it.Val)
+		for i, row := range stored {
+			fn(keys.Key(i), row)
 		}
 	}
 	for _, ix := range t.indexes {
-		entries := ix.bulkEntries(batch)
-		if !ix.tree.AppendBulk(entries) {
-			for _, e := range entries {
-				ix.tree.PutOwned(e.Key, e.Val)
+		entries, order := ix.bulkEntries(batch)
+		if !ix.tree.AppendBulk(entries, order, nil) {
+			for j := range entries.Len() {
+				k := j
+				if order != nil {
+					k = int(order[j])
+				}
+				ix.tree.Put(entries.Key(k), struct{}{})
 			}
 		}
 		if m != nil {
-			m.IndexWrites += int64(len(entries))
-			m.PageReads += int64(len(entries)+1)/int64(bulkPageEntries) + 1
+			n := int64(entries.Len())
+			m.IndexWrites += n
+			m.PageReads += (n+1)/int64(bulkPageEntries) + 1
 		}
 	}
 	if ms := instr.Load(); ms != nil {
@@ -308,12 +309,13 @@ func (t *Table) InsertBatch(rows []sqltypes.Row, m *Metrics) error {
 // I/O accounting (≈90% of the btree degree).
 const bulkPageEntries = 57
 
-// bulkEntries returns, in key order for BulkLoad or AppendBulk, the entries
-// of the rows each hands over with their clustered keys. The entry keys are
-// encoded into one slab sized to the bytes it holds and sorted there
-// (btree.SlabItems), so a build allocates per slab, not per entry. Encoding
-// is concatenative per value, so the stored pk bytes append verbatim.
-func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) []btree.Item[struct{}] {
+// bulkEntries returns, with their key order (Slab.Order) for BulkLoad or
+// AppendBulk, the entries of the rows each hands over with their clustered
+// keys. The entry keys are encoded into one slab sized to the bytes it holds,
+// which the new leaves point into (through one copy in key order when Order
+// had to sort), so a build allocates per slab, not per entry. Encoding is
+// concatenative per value, so the stored pk bytes append verbatim.
+func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) (btree.Slab, []int32) {
 	size, n := 0, 0
 	each(func(pk []byte, row sqltypes.Row) {
 		for _, o := range ix.ordinals {
@@ -321,16 +323,13 @@ func (ix *Index) bulkEntries(each func(fn func(pk []byte, row sqltypes.Row))) []
 		}
 		size, n = size+len(pk), n+1
 	})
-	slab, offs := make([]byte, 0, size), make([]int, 1, n+1)
+	s := btree.Slab{Buf: make([]byte, 0, size), Offs: make([]int, 1, n+1)}
 	each(func(pk []byte, row sqltypes.Row) {
-		for _, o := range ix.ordinals {
-			slab = sqltypes.EncodeKey(slab, row[o])
-		}
-		slab = append(slab, pk...)
-		offs = append(offs, len(slab))
+		s.Buf = ix.appendEntry(s.Buf, row, pk)
+		s.Offs = append(s.Offs, len(s.Buf))
 		ix.bytes += ix.entrySize(row)
 	})
-	return btree.SlabItems(slab, offs, func(int, []byte) struct{} { return struct{}{} })
+	return s, s.Order()
 }
 
 // insertStored is Insert for a row whose clustered key is already encoded.
@@ -338,14 +337,15 @@ func (t *Table) insertStored(key []byte, stored sqltypes.Row, m *Metrics) error 
 	if _, exists := t.data.Get(key); exists {
 		return fmt.Errorf("storage: duplicate primary key in table %s", t.Def.Name)
 	}
-	t.data.PutOwned(key, stored)
+	var eb [keyBuf]byte
+	t.data.Put(key, stored)
 	t.bytes += int64(stored.Size()) + 16
 	if m != nil {
 		m.RowWrites++
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		ix.tree.PutOwned(ix.entryKey(stored, key), struct{}{})
+		ix.tree.Put(ix.appendEntry(eb[:0], stored, key), struct{}{})
 		ix.bytes += ix.entrySize(stored)
 		if m != nil {
 			m.IndexWrites++
@@ -384,8 +384,9 @@ func (t *Table) DeleteByPK(key []byte, m *Metrics) bool {
 		m.RowWrites++
 		m.PageReads += int64(t.data.Height())
 	}
+	var eb [keyBuf]byte
 	for _, ix := range t.indexes {
-		ix.tree.Delete(ix.entryKey(row, key))
+		ix.tree.Delete(ix.appendEntry(eb[:0], row, key))
 		ix.bytes -= ix.entrySize(row)
 		if m != nil {
 			m.IndexWrites++
@@ -403,7 +404,8 @@ func (t *Table) Update(key []byte, newRow sqltypes.Row, m *Metrics) error {
 	if !ok {
 		return fmt.Errorf("storage: update of missing row in table %s", t.Def.Name)
 	}
-	newKey := t.PKKey(newRow)
+	var nb, ob, eb [keyBuf]byte
+	newKey := t.appendPK(nb[:0], newRow)
 	stored := newRow.Clone()
 	tick := catalog.Tick()
 	if string(newKey) != string(key) {
@@ -418,21 +420,21 @@ func (t *Table) Update(key []byte, newRow sqltypes.Row, m *Metrics) error {
 			t.cols[i] = tick
 		}
 	}
-	t.data.PutOwned(newKey, stored)
+	t.data.Put(newKey, stored)
 	t.bytes += int64(stored.Size()) - int64(oldRow.Size())
 	if m != nil {
 		m.RowWrites++
 		m.PageReads += int64(t.data.Height())
 	}
 	for _, ix := range t.indexes {
-		oldEntry := ix.entryKey(oldRow, key)
-		newEntry := ix.entryKey(stored, newKey)
+		oldEntry := ix.appendEntry(ob[:0], oldRow, key)
+		newEntry := ix.appendEntry(eb[:0], stored, newKey)
 		if string(oldEntry) == string(newEntry) {
 			continue
 		}
 		t.shape = tick
 		ix.tree.Delete(oldEntry)
-		ix.tree.PutOwned(newEntry, struct{}{})
+		ix.tree.Put(newEntry, struct{}{})
 		ix.bytes += ix.entrySize(stored) - ix.entrySize(oldRow)
 		if m != nil {
 			m.IndexWrites++
@@ -475,21 +477,22 @@ func (t *Table) PrepareIndex(def *catalog.Index, m *Metrics) (*Index, error) {
 		}
 		ix.ordinals = append(ix.ordinals, o)
 	}
-	items := ix.bulkEntries(func(fn func(pk []byte, row sqltypes.Row)) {
+	entries, order := ix.bulkEntries(func(fn func(pk []byte, row sqltypes.Row)) {
 		for it := t.data.Seek(nil); it.Valid(); it.Next() {
 			fn(it.Key(), it.Value())
 		}
 	})
-	// Entry keys are unique (PK suffix) and freshly encoded: ownership
-	// transfers to the tree, no re-copy.
-	ix.tree = btree.BulkLoad(items)
+	// Entry keys are unique (PK suffix) and freshly encoded: the tree's
+	// leaves point into their slab, or its one in-order copy.
+	ix.tree = btree.BulkLoad[struct{}](entries, order, nil)
+	n := int64(entries.Len())
 	if m != nil {
-		m.RowsRead += int64(len(items))
-		m.IndexWrites += int64(len(items))
+		m.RowsRead += n
+		m.IndexWrites += n
 		m.PageReads += int64(t.data.Leaves() + ix.tree.Leaves())
 	}
 	if ms := instr.Load(); ms != nil {
-		ms.bulkRows.Add(int64(len(items)))
+		ms.bulkRows.Add(n)
 		ms.leafFill.Observe(ix.tree.FillPercent())
 		ms.buildSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -521,15 +524,24 @@ func (t *Table) AdoptIndex(def *catalog.Index, snap *Table) (*Index, int, error)
 		if old != nil && cur != nil && &old[0] == &cur[0] {
 			return true // the same stored row, in a leaf rewritten for a neighbour
 		}
-		if changed++; old != nil && cur != nil && bytes.Equal(ix.entryKey(old, pk), ix.entryKey(cur, pk)) {
+		changed++
+		var ob, cb [keyBuf]byte
+		var oldEntry, curEntry []byte
+		if old != nil {
+			oldEntry = ix.appendEntry(ob[:0], old, pk)
+		}
+		if cur != nil {
+			curEntry = ix.appendEntry(cb[:0], cur, pk)
+		}
+		if old != nil && cur != nil && bytes.Equal(oldEntry, curEntry) {
 			return true // an update that left the key columns alone
 		}
 		if old != nil {
-			ix.tree.Delete(ix.entryKey(old, pk))
+			ix.tree.Delete(oldEntry)
 			ix.bytes -= ix.entrySize(old)
 		}
 		if cur != nil {
-			ix.tree.PutOwned(ix.entryKey(cur, pk), struct{}{})
+			ix.tree.Put(curEntry, struct{}{})
 			ix.bytes += ix.entrySize(cur)
 		}
 		return true

@@ -345,11 +345,13 @@ func TestBuildIndexUnknownColumn(t *testing.T) {
 	}
 }
 
-// TestInsertAllocsPerIndexEntry pins what one index entry costs Insert: its
-// key, one allocation, plus a share of the leaf growth and splits the tree
-// amortizes over many inserts (1.09 in all). The entry stores no value, so a
-// boxed one would add a whole allocation per entry and fail it, as would a
-// descent path that left the stack.
+// TestInsertAllocsPerIndexEntry pins what one index entry costs Insert: the
+// key is encoded on the stack and copied into its leaf's key block, so only a
+// share of the key-block growth and splits the tree amortizes over many
+// inserts is left (0.32 in all; 1.12 when every key was an allocation of its
+// own). The entry stores no value, so a boxed one would add a whole
+// allocation per entry and fail it, as would a key buffer or a descent path
+// that left the stack.
 func TestInsertAllocsPerIndexEntry(t *testing.T) {
 	const batch = 100
 	insertAllocs := func(indexes ...[]string) float64 {
@@ -375,7 +377,9 @@ func TestInsertAllocsPerIndexEntry(t *testing.T) {
 	}
 	bare := insertAllocs()
 	indexed := insertAllocs([]string{"age"}, []string{"city"}, []string{"city", "age"})
-	if per := (indexed - bare) / 3; per > 1.25 {
-		t.Fatalf("Insert makes %.2f allocations per index entry (%.2f per row with three indexes, %.2f bare), want <= 1.25", per, indexed, bare)
+	per := (indexed - bare) / 3
+	t.Logf("%.2f allocations per index entry", per)
+	if per > 0.45 {
+		t.Fatalf("Insert makes %.2f allocations per index entry (%.2f per row with three indexes, %.2f bare), want <= 0.45", per, indexed, bare)
 	}
 }
