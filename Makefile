@@ -14,7 +14,7 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 24293
+LOC_CEILING ?= 24187
 
 .PHONY: check vet build test race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 

@@ -365,7 +365,7 @@ func runScript(db *engine.DB, mon *workload.Monitor, text string, demo bool) err
 			if err != nil {
 				return fmt.Errorf("workload: %v (sql: %s)", err, line)
 			}
-			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, line, res.Stats); err != nil {
 				return err
 			}
 		}

@@ -41,7 +41,7 @@ func main() {
 				log.Fatal(err)
 			}
 			beforeCPU += res.Stats.CPUSeconds()
-			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 				log.Fatal(err)
 			}
 		}

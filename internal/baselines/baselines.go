@@ -40,31 +40,6 @@ type Result struct {
 	EstimatedCost float64
 }
 
-// boundSelect reconstructs an executable SELECT for a workload query.
-func boundSelect(q *workload.QueryStats) *sqlparser.Select {
-	sel, ok := q.Stmt.(*sqlparser.Select)
-	if !ok {
-		return nil
-	}
-	if len(q.SampleParams) == 0 {
-		return sel
-	}
-	if b, err := sqlparser.Bind(sel, q.SampleParams[0]); err == nil {
-		return b.(*sqlparser.Select)
-	}
-	return sel
-}
-
-func boundStmt(q *workload.QueryStats) sqlparser.Statement {
-	if len(q.SampleParams) == 0 {
-		return q.Stmt
-	}
-	if b, err := sqlparser.Bind(q.Stmt, q.SampleParams[0]); err == nil {
-		return b
-	}
-	return q.Stmt
-}
-
 // WorkloadCost evaluates Σ_q w_q·cost(q, config) through the memoized
 // what-if API. Weights are execution counts. Per-query estimates are
 // computed on a bounded worker pool into per-query slots and folded
@@ -79,15 +54,15 @@ func WorkloadCost(db *engine.DB, queries []*workload.QueryStats, config []*catal
 			w = 1
 		}
 		if q.IsDML() {
-			est, err := db.WhatIf.EstimateDMLConfig(boundStmt(q), config)
+			est, err := db.WhatIf.EstimateDMLConfig(q.Sample(), config)
 			if err != nil {
 				return
 			}
 			costs[qi] = w * est.TotalCost()
 			return
 		}
-		sel := boundSelect(q)
-		if sel == nil {
+		sel, ok := q.Sample().(*sqlparser.Select)
+		if !ok {
 			return
 		}
 		est, err := db.WhatIf.EstimateSelectConfig(sel, config)
@@ -129,8 +104,8 @@ func relevantColumns(db *engine.DB, queries []*workload.QueryStats) []indexable 
 		}
 	}
 	for _, q := range queries {
-		sel := boundSelect(q)
-		if sel == nil {
+		sel, ok := q.Sample().(*sqlparser.Select)
+		if !ok {
 			continue
 		}
 		info, err := queryinfo.Analyze(sel, db.Schema)
@@ -235,8 +210,8 @@ type roleColumns struct {
 }
 
 func queryRoleColumns(db *engine.DB, q *workload.QueryStats) []roleColumns {
-	sel := boundSelect(q)
-	if sel == nil {
+	sel, ok := q.Sample().(*sqlparser.Select)
+	if !ok {
 		return nil
 	}
 	info, err := queryinfo.Analyze(sel, db.Schema)

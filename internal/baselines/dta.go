@@ -7,6 +7,7 @@ import (
 	"aim/internal/catalog"
 	"aim/internal/engine"
 	"aim/internal/pool"
+	"aim/internal/sqlparser"
 	"aim/internal/workload"
 )
 
@@ -53,8 +54,8 @@ func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 		if q.IsDML() {
 			return
 		}
-		sel := boundSelect(q)
-		if sel == nil {
+		sel, ok := q.Sample().(*sqlparser.Select)
+		if !ok {
 			return
 		}
 		var perQuery []scored

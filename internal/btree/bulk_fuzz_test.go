@@ -12,29 +12,39 @@ import (
 // invariant-identical (via Validate) to one grown by incremental Put — and
 // that AppendBulk over a sorted suffix agrees with both.
 //
-// The fuzz input is interpreted as a stream of length-prefixed keys:
-// byte n (1-17 bytes of key material) followed by that many bytes.
+// The fuzz input (at most 96 bytes: the body is quadratic in it, and the
+// minimizer reruns it ~n² times) is a first byte g and a stream of
+// length-prefixed keys: byte n (1-17 bytes of key material) followed by that
+// many bytes. g from 0xf8 up asks for (g-0xf7)*500 generated 8-byte keys
+// ahead of the stream, enough for multi-level trees.
 func FuzzBulkLoadEquivalence(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 'a', 1, 'b', 1, 'a'})
-	f.Add([]byte{3, 'a', 'b', 'c', 2, 'a', 'b', 1, 'z', 4, 0, 0, 0, 0})
-	// A seed large enough to force multi-level trees.
-	var big []byte
-	for i := 0; i < 4000; i++ {
-		var k [8]byte
-		binary.BigEndian.PutUint64(k[:], uint64(i*2654435761))
-		big = append(big, 8)
-		big = append(big, k[:]...)
-	}
-	f.Add(big)
+	f.Add([]byte{0})
+	f.Add([]byte{0, 1, 'a', 1, 'b', 1, 'a'})
+	f.Add([]byte{0, 3, 'a', 'b', 'c', 2, 'a', 'b', 1, 'z', 4, 0, 0, 0, 0})
+	f.Add([]byte{0xff, 2, 0, 0, 8, 0, 0, 0, 0, 0x9e, 0x37, 0x79, 0xb1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 96 {
+			return
+		}
 		// Keys go into the slab in first-appearance order, the way an index
 		// build hands over entries in clustered order; later values win, like
 		// repeated Put.
 		var keys [][]byte
 		uniq := map[string]int{}
-		for i := 0; len(data) > 0; i++ {
+		gen := 0
+		if data[0] >= 0xf8 {
+			gen = int(data[0]-0xf7) * 500
+		}
+		for i := 0; i < gen; i++ {
+			k := binary.BigEndian.AppendUint64(nil, uint64(i*2654435761))
+			if _, seen := uniq[string(k)]; !seen {
+				keys = append(keys, k)
+			}
+			uniq[string(k)] = i
+		}
+		data = data[1:]
+		for i := gen; len(data) > 0; i++ {
 			n := int(data[0])%17 + 1
 			data = data[1:]
 			if n > len(data) {

@@ -11,6 +11,7 @@ import (
 	"aim/internal/costcache"
 	"aim/internal/engine"
 	"aim/internal/pool"
+	"aim/internal/sqlparser"
 	"aim/internal/workload"
 )
 
@@ -312,8 +313,8 @@ func (a *Advisor) findUnusedIndexes(rep []*workload.QueryStats) ([]*catalog.Inde
 	perQ := make([]*usage, len(rep))
 	pool.ForEach(pool.Workers(a.Cfg.Parallelism), len(rep), func(qi int) {
 		q := rep[qi]
-		sel := boundSelect(q)
-		if sel == nil {
+		sel, ok := q.Sample().(*sqlparser.Select)
+		if !ok {
 			return // DML does not vote for keeping read indexes
 		}
 		u := &usage{}

@@ -34,7 +34,7 @@ func advisorFixture(t testing.TB) (*Advisor, *workload.Monitor) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,14 +161,14 @@ func TestMaintenanceDiscountsWriteHeavyIndexes(t *testing.T) {
 	mon := workload.NewMonitor()
 	// One rare read on col5 vs massive write traffic touching col5.
 	res, _ := db.Exec("SELECT col1 FROM t1 WHERE col5 = 3")
-	mon.Ingest(res.Template, res.Params, res.Stats)
+	mon.Ingest(res.Template, "SELECT col1 FROM t1 WHERE col5 = 3", res.Stats)
 	for i := 0; i < 400; i++ {
 		sql := fmt.Sprintf("UPDATE t1 SET col5 = %d WHERE id = %d", i, i)
 		r, err := db.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(r.Template, r.Params, r.Stats)
+		mon.Ingest(r.Template, sql, r.Stats)
 	}
 	rec, err := adv.Recommend(mon)
 	if err != nil {
@@ -296,7 +296,7 @@ func TestShrinkProposalForOverwideIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	rec, err := adv.Recommend(mon)
 	if err != nil {
@@ -338,7 +338,7 @@ func TestNoShrinkWhenCoveringReadsNeedWidth(t *testing.T) {
 		if i == 0 && (len(res.UsedIndexes) == 0 || res.UsedIndexes[0] != "wide") {
 			t.Skipf("plan does not use wide covering index: %v", res.PlanDesc)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	rec, err := adv.Recommend(mon)
 	if err != nil {
@@ -364,7 +364,7 @@ func TestNoShrinkToExistingIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	rec, err := adv.Recommend(mon)
 	if err != nil {
@@ -395,7 +395,7 @@ func TestShardingEconomicsPruneMarginalIndexes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Ingest(res.Template, res.Params, res.Stats)
+			mon.Ingest(res.Template, q, res.Stats)
 		}
 		for i := 0; i < 30; i++ {
 			record("SELECT col5 FROM t1 WHERE col1 = 5 AND col2 = 3") // hot, high gain
@@ -439,7 +439,7 @@ func TestFleetAggregatedRecommendation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range mons {
-				m.Ingest(res.Template, res.Params, res.Stats)
+				m.Ingest(res.Template, q, res.Stats)
 			}
 		}
 	}
@@ -521,7 +521,7 @@ func TestRandomizedAdvisorNeverChangesResults(t *testing.T) {
 				before[q] = canonRows(res)
 				beforeCPU += res.Stats.CPUSeconds()
 				for k := 0; k < 3; k++ {
-					mon.Ingest(res.Template, res.Params, res.Stats)
+					mon.Ingest(res.Template, q, res.Stats)
 				}
 			}
 

@@ -46,24 +46,6 @@ type Generator struct {
 	mCoveringProbes *obs.Counter
 }
 
-// boundSelect reconstructs an executable SELECT for a normalized query by
-// binding a sampled parameter set. It returns nil for non-SELECTs or when
-// binding fails.
-func boundSelect(q *workload.QueryStats) *sqlparser.Select {
-	sel, ok := q.Stmt.(*sqlparser.Select)
-	if !ok {
-		return nil
-	}
-	if len(q.SampleParams) == 0 {
-		return sel
-	}
-	bound, err := sqlparser.Bind(sel, q.SampleParams[0])
-	if err != nil {
-		return sel
-	}
-	return bound.(*sqlparser.Select)
-}
-
 // GenerateCandidates implements Algorithm 2: per query, decide the covering
 // mode, generate partial orders from the selection, group-by and order-by
 // structure, then merge them to a fixpoint.
@@ -82,8 +64,8 @@ func (g *Generator) GenerateCandidates(queries []*workload.QueryStats) []*Partia
 		if q.IsDML() {
 			return
 		}
-		sel := boundSelect(q)
-		if sel == nil {
+		sel, ok := q.Sample().(*sqlparser.Select)
+		if !ok {
 			return
 		}
 		info, err := queryinfo.Analyze(sel, g.DB.Schema)

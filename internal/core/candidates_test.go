@@ -48,7 +48,7 @@ func monitorWith(t testing.TB, db *engine.DB, queries ...string) *workload.Monit
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 5; i++ {
-			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -268,7 +268,7 @@ func TestTryCoveringIndexRequiresExistingPrefixIndex(t *testing.T) {
 	sql := "SELECT col3, col5 FROM t1 WHERE col1 = 5"
 	mon := monitorWith(t, db, sql)
 	q := mon.Representative(workload.SelectionConfig{MinExecutions: 1})[0]
-	sel := boundSelect(q)
+	sel := q.Sample().(*sqlparser.Select)
 	info, _ := queryinfo.Analyze(sel, db.Schema)
 	g := genFor(db, 2, true)
 	g.SeekThreshold = 20
@@ -358,7 +358,7 @@ func TestGenerateFromExecutedWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	rep := mon.Representative(workload.DefaultSelection())
 	if len(rep) != 1 {

@@ -140,7 +140,7 @@ func goldenRun(t *testing.T, build func(testing.TB) (*engine.DB, []string), para
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 				t.Fatal(err)
 			}
 		}

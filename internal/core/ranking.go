@@ -70,8 +70,8 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 		if q.IsDML() {
 			return
 		}
-		sel := boundSelect(q)
-		if sel == nil {
+		sel, ok := q.Sample().(*sqlparser.Select)
+		if !ok {
 			return
 		}
 		var forQ []*catalog.Index
@@ -160,7 +160,7 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 		if !q.IsDML() {
 			return
 		}
-		stmt := boundDML(q)
+		stmt := q.Sample()
 		baseEst, err := whatIf.EstimateDMLConfig(stmt, existing)
 		if err != nil {
 			return
@@ -202,17 +202,6 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 		}
 	}
 	return nil
-}
-
-// boundDML binds sampled parameters into a DML statement for costing.
-func boundDML(q *workload.QueryStats) sqlparser.Statement {
-	if len(q.SampleParams) == 0 {
-		return q.Stmt
-	}
-	if b, err := sqlparser.Bind(q.Stmt, q.SampleParams[0]); err == nil {
-		return b
-	}
-	return q.Stmt
 }
 
 // knapDecision is the audit-journal view of one knapsack verdict: why a

@@ -172,13 +172,13 @@ type Result struct {
 	// Plan annotations for SELECTs.
 	PlanDesc    []string
 	UsedIndexes []string
-	// Template and Params are what sqlparser.Normalize returns for the
-	// statement; ExecStmt computes them anyway, so the workload monitor's
-	// feeders need not normalize again.
+	// Template is the text sqlparser.Normalize returns for the statement;
+	// ExecStmt computes it anyway, so the workload monitor's feeders need not
+	// normalize again.
 	Template string
-	Params   []sqltypes.Value
-	// Stamp is, for a SELECT run from a cached shape (Prepare), what its
-	// execution depended on (see Stamp); 0 for anything else.
+	// Stamp is, for a SELECT run from a cached shape (Prepare) or planned as
+	// written (Template.Bypass), what its execution depended on (see Stamp);
+	// 0 for anything else.
 	Stamp uint64
 }
 
@@ -216,7 +216,7 @@ type Prepared struct {
 	t     sqlparser.Template
 	stmt  sqlparser.Statement // planned as written when t.Bypass is set
 	cols  []string            // a cached SELECT shape's output column names
-	reads []tableReads        // a cached SELECT shape's reads, which its Stamp covers
+	reads []tableReads        // a SELECT's reads from the template cache, which its Stamp covers
 }
 
 // IsSelect reports whether the statement is a SELECT.
@@ -244,7 +244,7 @@ func (db *DB) Prepare(sql string) (Prepared, error) {
 			if err != nil {
 				return Prepared{}, err
 			}
-			return Prepared{t: sqlparser.NewTemplate(stmt), stmt: stmt}, nil
+			return Prepared{t: sqlparser.NewTemplate(stmt), stmt: stmt, reads: sh.reads}, nil
 		}
 	}
 	stmt, t, shape, err := sqlparser.ParseShape(sql, len(d.Lits))
@@ -252,11 +252,16 @@ func (db *DB) Prepare(sql string) (Prepared, error) {
 		return Prepared{}, err
 	}
 	if !scanned || shape == nil {
+		p := Prepared{t: t, stmt: stmt}
 		if scanned && t.Bypass != "" {
-			// The reasons are structural: every statement with the digest bypasses.
-			db.shapes.put(d.Key, &cachedShape{})
+			// The reasons are structural: every statement with the digest
+			// bypasses, and reads what this one reads.
+			if sel, ok := stmt.(*sqlparser.Select); ok {
+				p.reads = readsOf(db.Schema, sel)
+			}
+			db.shapes.put(d.Key, &cachedShape{reads: p.reads})
 		}
-		return Prepared{t: t, stmt: stmt}, nil
+		return p, nil
 	}
 	sh := &cachedShape{Shape: shape}
 	if sel, ok := shape.Stmt.(*sqlparser.Select); ok {
@@ -266,25 +271,21 @@ func (db *DB) Prepare(sql string) (Prepared, error) {
 	return Prepared{t: t, cols: sh.cols, reads: sh.reads}, nil
 }
 
-// ExecTemplate runs t.Stmt with t.Params as a cache hit of its shape runs: t
-// is a template (sqlparser.NewTemplate) whose Bypass is empty, and the result
-// is ExecStmt's on the statement t was made from.
-func (db *DB) ExecTemplate(t sqlparser.Template) (*Result, error) {
-	return db.ExecPrepared(Prepared{t: t})
-}
-
 // ExecPrepared executes a prepared statement; see ExecStmt.
 func (db *DB) ExecPrepared(p Prepared) (*Result, error) {
-	key, run, params, cols := p.t.Text, p.t.Stmt, p.t.Params, p.cols
+	key, run, params, cols, reads := p.t.Text, p.t.Stmt, p.t.Params, p.cols, p.reads
 	if p.t.Bypass != "" {
 		db.Optimizer.CountBypass(p.t.Bypass)
 		key, run, params, cols = "", p.stmt, nil, nil
+		if sel, ok := run.(*sqlparser.Select); ok && reads == nil {
+			reads = readsOf(db.Schema, sel)
+		}
 	}
 	res, err := db.exec(key, run, params, cols)
 	if err != nil {
 		return nil, err
 	}
-	res.Template, res.Params, res.Stamp = p.t.Text, p.t.Params, db.stamp(p.reads)
+	res.Template, res.Stamp = p.t.Text, db.stamp(reads)
 	return res, nil
 }
 

@@ -14,7 +14,8 @@ const shapeCapacity = 1024
 
 // cachedShape is one entry of the template cache: a shape and, for a SELECT,
 // its output column names, rendered once, and its reads (nil when it read an
-// unknown table when first parsed). A nil Shape marks a Bypass digest.
+// unknown table when first parsed). A nil Shape marks a Bypass digest, which
+// keeps a SELECT's reads only.
 type cachedShape struct {
 	*sqlparser.Shape
 	cols  []string

@@ -100,6 +100,11 @@ func TestStampMovesWithWhatTheReadSees(t *testing.T) {
 	if r, _ := stampOf(t, db, "SELECT x FROM t2 WHERE y = 1"); r.Stamp == 0 {
 		t.Fatal("a read of t2 was not stamped")
 	}
+	for i := 0; i < 2; i++ { // parsed, then from the cache's Bypass marker
+		if r, in := stampOf(t, db, "SELECT id FROM t1 WHERE a IN (1, 2) AND b = 1"); r.Stamp == 0 || db.Stamp(in) != r.Stamp {
+			t.Fatalf("an IN-list read stamped %d, Stamp of its template %d", r.Stamp, db.Stamp(in))
+		}
+	}
 	stays("a read")
 	db.MustExec("UPDATE t1 SET c = 1000 WHERE id = 7")
 	moves("an update of an unnamed column that changes an ix_a_c entry")
@@ -145,6 +150,8 @@ func FuzzRecordedBaseline(f *testing.F) {
 	f.Add([]byte{0x1f, 3, 6, 14, 0, 22, 1, 30, 2, 38, 3, 46, 5, 54, 62, 7})
 	f.Add([]byte{0x05, 12, 6, 4, 12, 20, 6, 14, 22, 30, 38, 46, 7, 15, 6})
 	f.Add([]byte{0x18, 2, 7, 15, 23, 5, 13, 21, 29, 7, 15, 23, 31, 39})
+	f.Add([]byte{0x03, 4, 70, 78, 86, 11, 70, 78, 86, 16, 159, 167, 175, 13, 159, 167}) // IN lists and LIKE
+	f.Add([]byte{0x04, 2, 86, 175, 12, 86, 175, 27, 86, 175, 14, 70, 159})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 96 {
 			return
@@ -204,7 +211,8 @@ func FuzzRecordedBaseline(f *testing.F) {
 }
 
 // recordedBaselineOp decodes one operation: the low three bits pick its kind,
-// the rest its argument. "" is ANALYZE.
+// the rest its argument. "" is ANALYZE. A read's argument modulo 11 picks it,
+// so 8-10 (and 19-21) are the IN-list and LIKE reads.
 func recordedBaselineOp(b byte, nextID *int) string {
 	arg := int(b >> 3)
 	switch b & 7 {
@@ -235,5 +243,8 @@ func recordedBaselineOp(b byte, nextID *int) string {
 		fmt.Sprintf("SELECT x FROM t2 WHERE y = %d", arg%4),
 		fmt.Sprintf("SELECT * FROM t1 WHERE c < %d", arg),
 		fmt.Sprintf("SELECT id FROM t1 WHERE d = %d", arg%7),
-	}[arg%8]
+		fmt.Sprintf("SELECT id, c FROM t1 WHERE a IN (%d, %d) AND b = %d", arg%5, (arg+2)%5, arg%3),
+		fmt.Sprintf("SELECT t1.id, t2.y FROM t1, t2 WHERE t1.a = t2.x AND t2.y IN (%d, %d, %d)", arg%4, (arg+1)%4, (arg+3)%4),
+		fmt.Sprintf("SELECT id FROM t1 WHERE c LIKE '%d%%'", arg%3),
+	}[arg%11]
 }

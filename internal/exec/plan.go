@@ -163,16 +163,6 @@ type Stats struct {
 	IndexWrites int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.RowsRead += other.RowsRead
-	s.RowsSent += other.RowsSent
-	s.PageReads += other.PageReads
-	s.SortRows += other.SortRows
-	s.RowsWritten += other.RowsWritten
-	s.IndexWrites += other.IndexWrites
-}
-
 // CPU cost model coefficients (seconds per unit of work). Page reads
 // dominate, reflecting random I/O wait cycles that the paper's cpu_avg
 // metric includes via CPU_IOWAIT.

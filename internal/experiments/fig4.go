@@ -99,7 +99,7 @@ func buildBenchmark(name string, scale float64, seed int64, reg *obs.Registry) (
 		if execErr != nil {
 			return nil, nil, fmt.Errorf("experiments: %s: %v", name, execErr)
 		}
-		if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+		if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 			return nil, nil, err
 		}
 	}

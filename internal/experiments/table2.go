@@ -98,7 +98,7 @@ func replayProduct(p *products.Product, r *rand.Rand, n int) (*workload.Monitor,
 		if execErr != nil {
 			return nil, execErr
 		}
-		if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+		if _, err := mon.Ingest(res.Template, sql, res.Stats); err != nil {
 			return nil, err
 		}
 	}

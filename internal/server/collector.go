@@ -7,14 +7,13 @@ import (
 	"aim/internal/engine"
 	"aim/internal/exec"
 	"aim/internal/obs"
-	"aim/internal/sqltypes"
 )
 
 // Record is one observed statement: which session executed it, its
 // per-session sequence number, the execution statistics the engine reported,
-// and the statement — as the template, bindings and stamp the engine returned
-// with its result (RecordOf), or, built from SQL alone, as SQL the tuner
-// resolves to its template at ingest, without a stamp. Sessions observe
+// and the statement as sent, with the template and stamp the engine returned
+// with its result (RecordOf) — or, built from SQL alone, without them: the
+// tuner then resolves the template at ingest, without a stamp. Sessions observe
 // concurrently, so arrival order in the buffer is nondeterministic; sealing
 // orders by (session, seq) to give every window one canonical order
 // regardless of goroutine interleaving — that is what makes a live window
@@ -27,17 +26,17 @@ type Record struct {
 	// journal's window events can name the exact live statements that drove
 	// a decision.
 	Trace string
-	SQL   string // set only on a record built outside a server
+	SQL   string
 	Stats exec.Stats
 
 	template string // normalized text ("" = not resolved yet)
-	params   []sqltypes.Value
 	stamp    uint64
 }
 
-// RecordOf is the record of a statement a session executed with result res.
-func RecordOf(session string, seq uint64, trace string, res *engine.Result) Record {
-	return Record{Session: session, Seq: seq, Trace: trace, Stats: res.Stats, template: res.Template, params: res.Params, stamp: res.Stamp}
+// RecordOf is the record of statement sql, which a session executed with
+// result res.
+func RecordOf(session string, seq uint64, trace, sql string, res *engine.Result) Record {
+	return Record{Session: session, Seq: seq, Trace: trace, SQL: sql, Stats: res.Stats, template: res.Template, stamp: res.Stamp}
 }
 
 // Collector buffers the live statement stream into sliding windows for the

@@ -371,11 +371,11 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 			CPUSeconds:  res.Stats.CPUSeconds(),
 		}, time.Since(start))
 	}
-	// The record carries the statement's template as the engine normalized it
-	// to plan, not its text, so the cycle folds windows without parsing.
+	// The record carries the statement with its template as the engine
+	// normalized it to plan, so the cycle folds windows without parsing.
 	// Observed before the response, so an OpTune finds every acknowledged
 	// statement.
-	rec := RecordOf(session, seq, trace, res)
+	rec := RecordOf(session, seq, trace, sql, res)
 	if w := s.collector.Observe(rec); w != nil {
 		select {
 		case s.windows <- w:

@@ -327,17 +327,17 @@ func (t *Tuner) retirements(drop []*catalog.Index) []*regression.Regression {
 // ingestWindow folds a sealed window into the cycle's monitor and the
 // EventWindow record's queries (first-seen order, the first
 // audit.MaxWindowStatements statement IDs each): one pass over the records
-// in canonical order, which SampleParams rotation, the float CPUSeconds sum
+// in canonical order, which the sample rotation, the float CPUSeconds sum
 // and the statement IDs all depend on. What it allocates is per template: a
-// session's record arrives with its template and bindings, and only a record
-// that carries SQL alone is parsed here.
+// session's record arrives with its template, and only a record that
+// carries SQL alone is parsed here.
 func ingestWindow(w []Record) (*workload.Monitor, []audit.WindowQuery, error) {
 	mon := workload.NewMonitor()
 	var queries []audit.WindowQuery
 	index := map[*workload.QueryStats]int{} // template -> queries slot
 	for i := range w {
 		rec := &w[i]
-		norm, params := rec.template, rec.params
+		norm := rec.template
 		if norm == "" {
 			// A statement that executed successfully always re-parses; a
 			// failure here means the collector was fed garbage.
@@ -345,9 +345,9 @@ func ingestWindow(w []Record) (*workload.Monitor, []audit.WindowQuery, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("server: window record: %v", err)
 			}
-			norm, params = sqlparser.Normalize(stmt)
+			norm, _ = sqlparser.Normalize(stmt)
 		}
-		q, err := mon.IngestStamped(norm, params, rec.Stats, rec.stamp)
+		q, err := mon.IngestStamped(norm, rec.SQL, rec.Stats, rec.stamp)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: window record: %v", err)
 		}

@@ -75,7 +75,7 @@ func window(t *testing.T, db *engine.DB, n int, format string) *workload.Monitor
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	return mon
 }

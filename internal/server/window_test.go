@@ -18,7 +18,7 @@ import (
 )
 
 // testWindow returns n records over three templates from two sessions in
-// canonical order, twice: as sessions build them (template and bindings)
+// canonical order, twice: as sessions build them (statement and template)
 // and as a replay builds them (SQL alone).
 func testWindow(t testing.TB, n int) (live, replay []Record) {
 	t.Helper()
@@ -38,11 +38,9 @@ func testWindow(t testing.TB, n int) (live, replay []Record) {
 				t.Fatal(err)
 			}
 			rec := Record{Session: session, Seq: uint64(i + 1),
-				Stats: exec.Stats{RowsRead: int64(i%7 + 1), RowsSent: int64(i % 3), PageReads: int64(i%5 + 1)}}
-			sqlOnly := rec
-			sqlOnly.SQL = sql
-			replay = append(replay, sqlOnly)
-			rec.template, rec.params = sqlparser.Normalize(stmt)
+				SQL: sql, Stats: exec.Stats{RowsRead: int64(i%7 + 1), RowsSent: int64(i % 3), PageReads: int64(i%5 + 1)}}
+			replay = append(replay, rec)
+			rec.template, _ = sqlparser.Normalize(stmt)
 			live = append(live, rec)
 		}
 	}
@@ -96,7 +94,7 @@ func TestIngestWindowIsTemplateSized(t *testing.T) {
 		}
 		if q.Executions != r.Executions || q.RowsRead != r.RowsRead || q.RowsSent != r.RowsSent ||
 			math.Float64bits(q.CPUSeconds) != math.Float64bits(r.CPUSeconds) ||
-			!reflect.DeepEqual(q.SampleParams, r.SampleParams) || q.Stmt.SQL() != r.Stmt.SQL() {
+			!reflect.DeepEqual(q.SampleSQL, r.SampleSQL) || q.Stmt.SQL() != r.Stmt.SQL() {
 			t.Fatalf("%q folds differently:\n live   %+v\n replay %+v", q.Normalized, q, r)
 		}
 	}

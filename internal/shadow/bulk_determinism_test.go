@@ -44,7 +44,7 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Ingest(res.Template, res.Params, res.Stats)
+			mon.Ingest(res.Template, sql, res.Stats)
 		}
 		db.Store.Workers = workers
 		if withObs {

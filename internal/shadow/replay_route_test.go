@@ -1,111 +1,99 @@
 package shadow
 
 import (
-	"math/rand"
-	"reflect"
+	"fmt"
 	"testing"
 
+	"aim/internal/catalog"
 	"aim/internal/engine"
-	"aim/internal/scenarios"
-	"aim/internal/sqlparser"
+	"aim/internal/exec"
 	"aim/internal/workload"
-	"aim/internal/workloads/products"
-	"aim/internal/workloads/tpch"
 )
 
-// TestSamplerEqualsBindThenExec holds the replay's template route to the
-// route it replaced: over the statements of the workload generators (the
-// seven scenarios, a product's read/write mix with its IN lists, TPC-H's
-// joins and LIKEs), each sample of each template runs through sampler on one
-// clone and through Bind + ExecStmt on another clone of the same rows, in
-// lockstep, and both must fail alike or report the same Stats, Template and
-// Params.
-func TestSamplerEqualsBindThenExec(t *testing.T) {
-	type source struct {
-		name  string
-		db    *engine.DB
-		stmts []string
+// TestReplayIsTheStatementThatRan holds the gate's replay to the statements
+// the window ran, on the shapes the normalizer collapses: one IN template
+// executed with a 2- and a 5-member list, and a 3-row INSERT. Every sample's
+// baseline, whether taken from the record (the replay it stands for run too)
+// or replayed, must report what the execution reported: the rows of the
+// whole list, and all three rows written.
+func TestReplayIsTheStatementThatRan(t *testing.T) {
+	db := engine.New("prod")
+	db.MustExec("CREATE TABLE t (id INT, s INT, d INT, PRIMARY KEY (id))")
+	db.MustExec("CREATE TABLE log (id INT, v INT, PRIMARY KEY (id))")
+	for i := 0; i < 2000; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d)", i, i%250, i%7))
 	}
-	var sources []source
-	for _, sc := range scenarios.All() {
-		r := rand.New(rand.NewSource(1))
-		db, err := sc.Setup(r)
+	db.MustExec("CREATE INDEX ix_s ON t (s)")
+	db.Analyze()
+	snapshot := db.Clone("snapshot") // what the gate's clones hold: the rows before the window's INSERT
+	defer snapshot.Release()
+	window := []string{
+		"SELECT id, d FROM t WHERE s IN (1, 5)",
+		"SELECT id, d FROM t WHERE s IN (1, 5, 9, 14, 20)",
+		"INSERT INTO log VALUES (1, 10), (2, 20), (3, 30)",
+	}
+	mon := workload.NewMonitor()
+	for _, sql := range window {
+		res, err := db.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stmts []string
-		for cycle := 0; cycle < 40; cycle++ {
-			for i := 0; i < 10; i++ {
-				stmts = append(stmts, sc.Statement(cycle, r))
-			}
+		if _, err := mon.IngestStamped(res.Template, sql, res.Stats, res.Stamp); err != nil {
+			t.Fatal(err)
 		}
-		sources = append(sources, source{sc.Name(), db, stmts})
 	}
-	p, err := products.Build(products.Spec{Name: "Route", Tables: 4, JoinQueries: 8,
-		Type: products.Balanced, TargetDBA: 6, RowsPerTable: 200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	in, ins := mon.Get("SELECT id, d FROM t WHERE s IN (?)"), mon.Get("INSERT INTO log VALUES (?, ?)")
+	if in == nil || ins == nil || mon.Len() != 2 {
+		t.Fatalf("want one IN template and one INSERT template, got %d templates", mon.Len())
 	}
-	r := rand.New(rand.NewSource(2))
-	var stmts []string
-	for i := 0; i < 600; i++ {
-		stmts = append(stmts, p.SampleStatement(r))
+	if got := []int64{in.SampleStats[0].RowsSent, in.SampleStats[1].RowsSent, ins.SampleStats[0].RowsWritten}; got[0] != 16 || got[1] != 40 || got[2] != 3 {
+		t.Fatalf("recorded rows sent %d and %d, rows written %d; want 16, 40 and 3", got[0], got[1], got[2])
 	}
-	sources = append(sources, source{"product", p.DB, stmts})
-	tp, err := tpch.Build(0.02, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources = append(sources, source{"tpch", tp, append(tpch.Queries(1), tpch.Queries(2)...)})
 
-	bypassed, templated := 0, 0
-	for _, src := range sources {
-		mon := workload.NewMonitor()
-		for _, sql := range src.stmts {
-			res, err := src.db.Exec(sql)
-			if err != nil {
-				continue
-			}
-			if _, err := mon.IngestStamped(res.Template, res.Params, res.Stats, res.Stamp); err != nil {
-				t.Fatal(err)
-			}
+	var verified int
+	VerifyRecorded = func(q *workload.QueryStats, recorded exec.Stats, replay func() (*engine.Result, error)) {
+		res, err := replay()
+		if err != nil || res.Stats != recorded {
+			t.Errorf("%s: recorded %+v, replayed %+v (%v)", q.Normalized, recorded, res, err)
 		}
-		viaSampler, viaBind := src.db.Clone("sampler"), src.db.Clone("bind")
-		for _, q := range mon.Queries() {
-			smp := &sampler{q: q}
-			for _, params := range q.SampleParams {
-				run := smp.prepare(params)
-				stmt, bindErr := sqlparser.Bind(q.Stmt, params)
-				if (run == nil) != (bindErr != nil) {
-					t.Fatalf("%s: %s %v: sampler binds %v, Bind errs %v", src.name, q.Normalized, params, run != nil, bindErr)
-				}
-				if run == nil {
-					continue
-				}
-				got, gotErr := run(viaSampler)
-				want, wantErr := viaBind.ExecStmt(stmt)
-				if (gotErr != nil) != (wantErr != nil) {
-					t.Fatalf("%s: %s %v: sampler errs %v, Bind + ExecStmt %v", src.name, q.Normalized, params, gotErr, wantErr)
-				}
-				if gotErr != nil {
-					continue
-				}
-				if got.Stats != want.Stats || got.Template != want.Template || !reflect.DeepEqual(got.Params, want.Params) {
-					t.Fatalf("%s: %s %v:\n sampler %+v %q %v\n bind    %+v %q %v", src.name, q.Normalized, params,
-						got.Stats, got.Template, got.Params, want.Stats, want.Template, want.Params)
-				}
-			}
-			if smp.t != nil && smp.t.Bypass != "" {
-				bypassed++
-			} else if smp.t != nil {
-				templated++
-			}
-		}
-		viaSampler.Release()
-		viaBind.Release()
+		verified++
 	}
-	t.Logf("%d templates ran through the template route, %d bound (Bypass)", templated, bypassed)
-	if bypassed == 0 || templated == 0 {
-		t.Fatalf("both routes must be exercised: %d templated, %d bypassed", templated, bypassed)
+	t.Cleanup(func() { VerifyRecorded = nil })
+	candidate := &catalog.Index{Name: "ix_d", Table: "t", Columns: []string{"d"}}
+	for _, moved := range []bool{false, true} {
+		baseline, test := snapshot.Clone("baseline"), snapshot.Clone("test")
+		if moved {
+			baseline.Analyze() // a new statistics epoch: no stamp matches
+		}
+		if _, err := test.CreateIndex(candidate.Materialized()); err != nil {
+			t.Fatal(err)
+		}
+		var sk skips
+		for _, q := range []*workload.QueryStats{in, ins} {
+			before, _, n, err := replayQuery(baseline, test, q, 0, &sk)
+			if err != nil || n != len(q.SampleSQL) {
+				t.Fatalf("%s: %d of %d samples replayed (%v)", q.Normalized, n, len(q.SampleSQL), err)
+			}
+			want := 0.0
+			for _, st := range q.SampleStats {
+				want += st.CPUSeconds()
+			}
+			if want /= float64(n); before != want {
+				t.Errorf("%s (stamps moved %v): baseline %.9f s per execution, the window recorded %.9f", q.Normalized, moved, before, want)
+			}
+		}
+		if moved && (sk.recorded != 0 || sk.replayed != 3) || !moved && (sk.recorded != 2 || sk.replayed != 1) {
+			t.Errorf("stamps moved %v: %d baselines recorded, %d replayed", moved, sk.recorded, sk.replayed)
+		}
+		for _, side := range []*engine.DB{baseline, test} {
+			if res := side.MustExec("SELECT COUNT(*) FROM log"); res.Rows[0][0].Int() != 3 {
+				t.Errorf("the INSERT replay left %v rows in log", res.Rows[0][0])
+			}
+		}
+		baseline.Release()
+		test.Release()
+	}
+	if verified != 2 {
+		t.Fatalf("%d recorded baselines checked against their replay, want the 2 IN-list samples", verified)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"aim/internal/failpoint"
 	"aim/internal/obs"
 	"aim/internal/sqlparser"
-	"aim/internal/sqltypes"
 	"aim/internal/workload"
 )
 
@@ -108,10 +107,10 @@ type Report struct {
 	Outcomes  []QueryOutcome
 	TotalGain float64 // weighted CPU seconds saved per window
 	// ReplayErrors lists normalized queries that could not be replayed at
-	// all after retries (clone errors, unbindable samples, a DML statement
-	// that failed on one side of the pair only). Any entry here
-	// degrades the verdict: a gate decided on partial evidence could let a
-	// regression through on exactly the queries it failed to see.
+	// all after retries (clone errors, a DML statement that failed on one
+	// side of the pair only). Any entry here degrades the verdict: a gate
+	// decided on partial evidence could let a regression through on exactly
+	// the queries it failed to see.
 	ReplayErrors []string
 	// AcceptedIndexes are the indexes that survive validation (currently
 	// all-or-nothing, like the paper's per-database gate).
@@ -215,9 +214,8 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 			reg.Counter("shadow.degraded").Inc()
 			failpoint.CountDegraded()
 		}
-		if n := sk.unbindable + sk.failedBoth; n > 0 {
-			reg.Counter("shadow.replay_samples_skipped").Add(int64(n))
-			span.Annotate("skipped_unbindable", strconv.Itoa(sk.unbindable))
+		if sk.failedBoth > 0 {
+			reg.Counter("shadow.replay_samples_skipped").Add(int64(sk.failedBoth))
 			span.Annotate("skipped_failed_on_both_sides", strconv.Itoa(sk.failedBoth))
 		}
 		reg.Counter("shadow.baseline_recorded").Add(int64(sk.recorded))
@@ -377,65 +375,56 @@ func journalVerdict(db *engine.DB, span *obs.Span, candidates []*catalog.Index, 
 	}
 }
 
-// skips counts the samples replayQuery dropped from the comparison, by
-// reason (shadow.replay_samples_skipped; the validate span carries the split),
-// and splits the compared ones by where their baseline came from
-// (shadow.baseline_recorded, shadow.baseline_replayed).
-type skips struct{ unbindable, failedBoth, recorded, replayed int }
+// skips counts the samples replayQuery dropped from the comparison because
+// they failed on both sides (shadow.replay_samples_skipped; the validate span
+// carries the count), and splits the compared ones by where their baseline
+// came from (shadow.baseline_recorded, shadow.baseline_replayed).
+type skips struct{ failedBoth, recorded, replayed int }
 
 // VerifyRecorded, when set, is handed every recorded baseline replayQuery
 // takes along with the baseline replay it stands for, to run and compare.
 // Nothing the gate decides reads that replay. Set it before validations run.
 var VerifyRecorded func(q *workload.QueryStats, recorded exec.Stats, replay func() (*engine.Result, error))
 
-// replayQuery executes the query's sampled parameterizations on both clones
-// and returns average CPU seconds per execution for each, plus the number of
-// samples replayed. A sample that does not bind, or fails on both sides
-// alike, leaves the clones in step and is counted in sk, not compared. A
-// one-sided DML failure returns errDiverged, marked non-retryable: the write
-// landed on one clone only, so the pair is no longer comparable. The
-// "replay.query" failpoint fires before any sample executes, so an injected
-// replay failure is retryable without re-applying DML.
+// replayQuery executes the query's samples on both clones and returns average
+// CPU seconds per execution for each, plus the number of samples replayed. A
+// sample runs as the session ran it (DB.Exec: Prepare, which finds its shape
+// in the cache the clones share, then ExecPrepared). A sample that fails on
+// both sides alike leaves the clones in step and is counted in sk, not
+// compared. A one-sided DML failure returns errDiverged, marked
+// non-retryable: the write landed on one clone only, so the pair is no longer
+// comparable. The "replay.query" failpoint fires before any sample executes,
+// so an injected replay failure is retryable without re-applying DML.
 //
-// A sample runs as sampler routes it. A SELECT sample whose recorded stamp
-// equals the baseline's stamp for the template at the moment it would replay
-// takes its recorded Stats as the baseline instead: nothing its execution
-// depended on has changed on the way to the baseline clone, DML samples
-// replayed there included, so the replay would report those Stats again.
+// A SELECT sample whose recorded stamp equals the baseline's stamp for the
+// template at the moment it would replay takes its recorded Stats as the
+// baseline instead: nothing its execution depended on has changed on the way
+// to the baseline clone, DML samples replayed there included, so the replay
+// would report those Stats again.
 func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays int, sk *skips) (before, after float64, replays int, err error) {
 	if err := failpoint.Inject("replay.query"); err != nil {
 		return 0, 0, 0, err
 	}
-	params := q.SampleParams
-	if len(params) == 0 {
-		params = [][]sqltypes.Value{nil}
-	}
-	if maxReplays > 0 && len(params) > maxReplays {
-		params = params[:maxReplays]
+	samples := q.SampleSQL
+	if maxReplays > 0 && len(samples) > maxReplays {
+		samples = samples[:maxReplays]
 	}
 	_, isSelect := q.Stmt.(*sqlparser.Select)
-	smp := &sampler{q: q}
-	for i, p := range params {
-		run := smp.prepare(p)
-		if run == nil {
-			sk.unbindable++
-			continue
-		}
-		recorded := isSelect && smp.t.Bypass == "" && i < len(q.SampleStamps) && q.SampleStamps[i] != 0 &&
-			baseline.Stamp(smp.t.Stmt) == q.SampleStamps[i]
+	for i, sql := range samples {
+		recorded := isSelect && q.SampleStamps[i] != 0 && baseline.Stamp(q.Stmt) == q.SampleStamps[i]
 		var resB *engine.Result
 		var errB error
 		if recorded {
 			resB = &engine.Result{Stats: q.SampleStats[i]}
 			if VerifyRecorded != nil {
-				VerifyRecorded(q, resB.Stats, func() (*engine.Result, error) { return run(baseline) })
+				VerifyRecorded(q, resB.Stats, func() (*engine.Result, error) { return baseline.Exec(sql) })
 			}
 		} else {
-			resB, errB = run(baseline)
+			resB, errB = baseline.Exec(sql)
 		}
 		// DML must not change clone contents between replays in a way that
 		// breaks comparability; replay on both sides keeps them in step.
-		resT, errT := run(test)
+		resT, errT := test.Exec(sql)
 		if errB != nil || errT != nil {
 			if !isSelect && (errB == nil) != (errT == nil) {
 				// The statement mutated exactly one clone.
@@ -457,38 +446,4 @@ func replayQuery(baseline, test *engine.DB, q *workload.QueryStats, maxReplays i
 		return 0, 0, 0, fmt.Errorf("shadow: no replayable samples for %s", q.Normalized)
 	}
 	return before / float64(replays), after / float64(replays), replays, nil
-}
-
-// sampler runs one query's samples: through the query's template, as a cache
-// hit of its shape runs (engine.ExecTemplate), or, when the template is a
-// Bypass, bound and planned as written (ExecStmt) — either way the result of
-// ExecStmt on the bound sample.
-type sampler struct {
-	q *workload.QueryStats
-	t *sqlparser.Template // q's template, from the first sample that binds
-}
-
-// prepare returns how to run sample p on a clone, or nil when p does not
-// bind: it has fewer values than q has placeholders.
-func (s *sampler) prepare(p []sqltypes.Value) func(*engine.DB) (*engine.Result, error) {
-	if s.t != nil && s.t.Bypass == "" {
-		n := len(s.t.Params)
-		if len(p) < n {
-			return nil
-		}
-		t := sqlparser.Template{Text: s.t.Text, Stmt: s.t.Stmt, Params: p[:n]}
-		return func(db *engine.DB) (*engine.Result, error) { return db.ExecTemplate(t) }
-	}
-	stmt, err := sqlparser.Bind(s.q.Stmt, p)
-	if err != nil {
-		return nil
-	}
-	if s.t == nil {
-		t := sqlparser.NewTemplate(stmt)
-		s.t = &t
-		if t.Bypass == "" {
-			return s.prepare(p)
-		}
-	}
-	return func(db *engine.DB) (*engine.Result, error) { return db.ExecStmt(stmt) }
 }

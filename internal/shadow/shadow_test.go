@@ -44,7 +44,7 @@ func fixture(t testing.TB) (*engine.DB, *workload.Monitor) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	return db, mon
 }
@@ -108,7 +108,7 @@ func TestValidateGateRegressionBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats)
 	}
 	gate := DefaultGate()
 	gate.Lambda3 = 0.0001

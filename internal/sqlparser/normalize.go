@@ -1,15 +1,11 @@
 package sqlparser
 
-import (
-	"fmt"
-
-	"aim/internal/sqltypes"
-)
+import "aim/internal/sqltypes"
 
 // Template is the normalized (parameterized) form of a statement per §III-A1
 // of the AIM paper: every literal is replaced by `?` so queries with the same
-// structure share a normalized text. IN lists collapse to a single `?` so the
-// list length does not fragment the grouping.
+// structure share a normalized text. IN lists of literals collapse to a
+// single `?` so the list length does not fragment the grouping.
 type Template struct {
 	// Text is Stmt rendered: what the workload monitor groups by and the
 	// planner's memo is keyed on.
@@ -52,26 +48,12 @@ func Normalize(stmt Statement) (string, []sqltypes.Value) {
 	return t.Text, t.Params
 }
 
-// Bind substitutes placeholder markers in stmt with the given parameter
-// values, returning a deep copy. Placeholders are matched positionally in
-// syntax order.
-func Bind(stmt Statement, params []sqltypes.Value) (Statement, error) {
-	r := &rewriter{bind: true, params: params}
-	out := r.statement(stmt)
-	if r.next > len(params) {
-		return nil, fmt.Errorf("sql: not enough bind parameters (have %d)", len(params))
-	}
-	return out, nil
-}
-
-// rewriter deep-copies a statement, passing every literal and placeholder
-// through one of two leaf rules: extract (Normalize) or fill (Bind).
+// rewriter deep-copies a statement, moving every literal into params behind
+// a placeholder.
 type rewriter struct {
-	bind   bool
 	params []sqltypes.Value
-	next   int // bind: parameters consumed, counting past the end
-	// normalize: the first Bypass reason met, and whether the walk is outside
-	// WHERE / SET / VALUES.
+	// The first Bypass reason met, and whether the walk is outside WHERE /
+	// SET / VALUES.
 	bypass  string
 	outside bool
 	// from, when not nil, is the parser's record of where each literal comes
@@ -86,22 +68,13 @@ func (r *rewriter) note(reason string) {
 	}
 }
 
-// extract is Normalize's leaf rule: v moves into params, behind a placeholder.
+// extract is the leaf rule: v moves into params, behind a placeholder.
 func (r *rewriter) extract(v sqltypes.Value) Expr {
 	if r.outside {
 		r.note(BypassProjection)
 	}
 	r.params = append(r.params, v)
 	return &Placeholder{Ordinal: len(r.params) - 1}
-}
-
-// fill is Bind's leaf rule: a placeholder becomes the next parameter.
-func (r *rewriter) fill() Expr {
-	r.next++
-	if r.next > len(r.params) {
-		return &Literal{Val: sqltypes.Null}
-	}
-	return &Literal{Val: r.params[r.next-1]}
 }
 
 func (r *rewriter) statement(stmt Statement) Statement {
@@ -132,7 +105,7 @@ func (r *rewriter) statement(stmt Statement) Statement {
 		}
 		// Multi-row inserts normalize to a single parameterized row so that
 		// batch sizes do not fragment grouping.
-		if !r.bind && len(out.Rows) > 1 {
+		if len(out.Rows) > 1 {
 			out.Rows = out.Rows[:1]
 			r.note(BypassMultiRow)
 		}
@@ -169,9 +142,6 @@ func (r *rewriter) exprs(in []Expr) []Expr {
 func (r *rewriter) expr(e Expr) Expr {
 	switch v := e.(type) {
 	case *Literal:
-		if r.bind {
-			return e
-		}
 		if r.from != nil {
 			src, ok := r.from[v]
 			if !ok {
@@ -181,9 +151,6 @@ func (r *rewriter) expr(e Expr) Expr {
 		}
 		return r.extract(v.Val)
 	case *Placeholder:
-		if r.bind {
-			return r.fill()
-		}
 		r.note(BypassPlaceholder)
 		return r.extract(sqltypes.Null)
 	case *BinaryExpr:
@@ -191,15 +158,17 @@ func (r *rewriter) expr(e Expr) Expr {
 	case *NotExpr:
 		return &NotExpr{Inner: r.expr(v.Inner)}
 	case *InExpr:
-		if r.bind {
-			return &InExpr{Left: r.expr(v.Left), List: r.exprs(v.List), Not: v.Not}
-		}
-		// Collect every literal but render a single placeholder.
+		// Collect every literal but render a single placeholder. A list with
+		// any other member keeps its members, so that the template still
+		// names every column the statement reads.
 		r.note(BypassInList)
 		for _, item := range v.List {
-			if lit, ok := item.(*Literal); ok {
-				r.params = append(r.params, lit.Val)
+			if _, ok := item.(*Literal); !ok {
+				return &InExpr{Left: r.expr(v.Left), List: r.exprs(v.List), Not: v.Not}
 			}
+		}
+		for _, item := range v.List {
+			r.params = append(r.params, item.(*Literal).Val)
 		}
 		return &InExpr{Left: r.expr(v.Left), List: []Expr{&Placeholder{}}, Not: v.Not}
 	case *BetweenExpr:

@@ -172,7 +172,7 @@ func benchDB(t testing.TB) (*engine.DB, *workload.Monitor) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 				t.Fatal(err)
 			}
 		}

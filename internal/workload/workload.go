@@ -8,15 +8,15 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"aim/internal/exec"
 	"aim/internal/sqlparser"
-	"aim/internal/sqltypes"
 )
 
-// sampleParamsKeep bounds how many parameter sets are retained per
-// normalized query for replay.
-const sampleParamsKeep = 8
+// samplesKeep bounds how many executed statements are retained per
+// normalized query for costing and replay.
+const samplesKeep = 8
 
 // QueryStats accumulates execution statistics for one normalized query.
 type QueryStats struct {
@@ -28,14 +28,36 @@ type QueryStats struct {
 	CPUSeconds float64
 	RowsRead   int64
 	RowsSent   int64
-	// SampleParams holds recent parameter bindings for replay.
-	SampleParams [][]sqltypes.Value
-	// SampleStats and SampleStamps hold, slot for slot with SampleParams, the
+	// SampleSQL holds recent executions of the template as the statements
+	// that ran, for costing and replay.
+	SampleSQL []string
+	// SampleStats and SampleStamps hold, slot for slot with SampleSQL, the
 	// Stats each sample's execution reported and its engine.Result.Stamp
 	// (0 = none): a replay on a database whose stamp for the template is still
 	// that one would report those Stats again.
 	SampleStats  []exec.Stats
 	SampleStamps []uint64
+
+	mu     sync.Mutex
+	sample sqlparser.Statement // SampleSQL[0] parsed, nil until asked for
+}
+
+// Sample returns the first sample as parsed, or Stmt when there is none:
+// the statement the advisor costs for q. The parse is kept until that
+// sample rotates out.
+func (q *QueryStats) Sample() sqlparser.Statement {
+	if len(q.SampleSQL) == 0 {
+		return q.Stmt
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.sample == nil {
+		q.sample = q.Stmt
+		if stmt, err := sqlparser.Parse(q.SampleSQL[0]); err == nil {
+			q.sample = stmt
+		}
+	}
+	return q.sample
 }
 
 // CPUAvg returns average CPU seconds per execution.
@@ -86,21 +108,21 @@ func NewMonitor() *Monitor { return &Monitor{queries: map[string]*QueryStats{}} 
 
 // RecordStmt ingests one execution of a parsed statement.
 func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
-	norm, params := sqlparser.Normalize(stmt)
-	_, err := m.Ingest(norm, params, st)
+	norm, _ := sqlparser.Normalize(stmt)
+	_, err := m.Ingest(norm, stmt.SQL(), st)
 	return err
 }
 
-// Ingest folds one execution into its template's statistics, given what
-// sqlparser.Normalize returned for the executed statement, and returns the
-// template's entry. The template text is parsed once, when first seen;
-// params is retained, not copied.
-func (m *Monitor) Ingest(norm string, params []sqltypes.Value, st exec.Stats) (*QueryStats, error) {
-	return m.IngestStamped(norm, params, st, 0)
+// Ingest folds one execution of the statement sql into its template's
+// statistics, given the template text sqlparser.Normalize returns for it,
+// and returns the template's entry. The template text is parsed once, when
+// first seen.
+func (m *Monitor) Ingest(norm, sql string, st exec.Stats) (*QueryStats, error) {
+	return m.IngestStamped(norm, sql, st, 0)
 }
 
 // IngestStamped is Ingest for an execution the engine stamped.
-func (m *Monitor) IngestStamped(norm string, params []sqltypes.Value, st exec.Stats, stamp uint64) (*QueryStats, error) {
+func (m *Monitor) IngestStamped(norm, sql string, st exec.Stats, stamp uint64) (*QueryStats, error) {
 	q := m.queries[norm]
 	if q == nil {
 		normStmt, err := sqlparser.Parse(norm)
@@ -114,14 +136,17 @@ func (m *Monitor) IngestStamped(norm string, params []sqltypes.Value, st exec.St
 	q.CPUSeconds += st.CPUSeconds()
 	q.RowsRead += st.RowsRead
 	q.RowsSent += st.RowsSent
-	if len(q.SampleParams) < sampleParamsKeep {
-		q.SampleParams = append(q.SampleParams, params)
+	if len(q.SampleSQL) < samplesKeep {
+		q.SampleSQL = append(q.SampleSQL, sql)
 		q.SampleStats = append(q.SampleStats, st)
 		q.SampleStamps = append(q.SampleStamps, stamp)
 	} else {
 		// Deterministic reservoir-ish rotation keeps recent variety.
-		i := int(q.Executions) % sampleParamsKeep
-		q.SampleParams[i], q.SampleStats[i], q.SampleStamps[i] = params, st, stamp
+		i := int(q.Executions) % samplesKeep
+		q.SampleSQL[i], q.SampleStats[i], q.SampleStamps[i] = sql, st, stamp
+		if i == 0 {
+			q.sample = nil
+		}
 	}
 	return q, nil
 }

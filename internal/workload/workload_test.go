@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"aim/internal/exec"
@@ -38,14 +39,50 @@ func TestRecordGroupsByNormalizedForm(t *testing.T) {
 	if q.Executions != 10 || q.RowsRead != 1000 || q.RowsSent != 10 {
 		t.Fatalf("stats = %+v", q)
 	}
-	if len(q.SampleParams) != 8 {
-		t.Fatalf("sample params = %d", len(q.SampleParams))
+	if len(q.SampleSQL) != 8 {
+		t.Fatalf("samples = %d", len(q.SampleSQL))
+	}
+	if got := q.Sample().SQL(); got != "SELECT id FROM t WHERE a = 0" {
+		t.Fatalf("first sample parses to %q", got)
+	}
+	for i := 10; i < 16; i++ { // the 16th execution rotates into slot 0
+		if err := record(m, fmt.Sprintf("SELECT id FROM t WHERE a = %d", i), exec.Stats{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := q.Sample().SQL(); got != "SELECT id FROM t WHERE a = 15" {
+		t.Fatalf("after rotation the first sample parses to %q", got)
+	}
+}
+
+// TestSampleFromSeveralGoroutines: the advisor's workers may ask for a
+// template's parsed sample at once; they must all get the one parse.
+func TestSampleFromSeveralGoroutines(t *testing.T) {
+	m := NewMonitor()
+	q, err := m.Ingest("SELECT id FROM t WHERE a IN (?)", "SELECT id FROM t WHERE a IN (1, 2)", exec.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]sqlparser.Statement, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = q.Sample()
+		}(i)
+	}
+	wg.Wait()
+	for _, s := range got {
+		if s != got[0] || s.SQL() != "SELECT id FROM t WHERE a IN (1, 2)" {
+			t.Fatalf("samples %v", got)
+		}
 	}
 }
 
 func TestRecordParseError(t *testing.T) {
 	m := NewMonitor()
-	if _, err := m.Ingest("NOT SQL AT ALL", nil, exec.Stats{}); err == nil || m.Len() != 0 {
+	if _, err := m.Ingest("NOT SQL AT ALL", "NOT SQL AT ALL", exec.Stats{}); err == nil || m.Len() != 0 {
 		t.Fatalf("a template that does not parse is accepted: %v, %d queries", err, m.Len())
 	}
 }

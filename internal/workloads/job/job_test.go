@@ -24,7 +24,7 @@ func TestBuildAndRunAllQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("JOB q%d: %v\n%s", i+1, err, q)
 		}
-		mon.Ingest(res.Template, res.Params, res.Stats)
+		mon.Ingest(res.Template, q, res.Stats)
 	}
 	if mon.Len() != 12 {
 		t.Fatalf("normalized = %d", mon.Len())

@@ -54,7 +54,7 @@ func TestSampledWorkloadExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+		if _, err := mon.Ingest(res.Template, sql, res.Stats); err != nil {
 			t.Fatal(err)
 		}
 		if res.Columns == nil && res.Rows == nil {

@@ -27,7 +27,7 @@ func TestBuildAndRunAllQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: %v\n%s", i+1, err, q)
 		}
-		if _, err := mon.Ingest(res.Template, res.Params, res.Stats); err != nil {
+		if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
 			t.Fatalf("Q%d record: %v", i+1, err)
 		}
 	}
