@@ -86,7 +86,8 @@ telemetrysmoke:
 # its field-per-payload oracle, the buffered frame stream against
 # one-at-a-time reads, the statement digest's template against the parser's,
 # a recorded baseline against its replay at the same stamp, handed-out B-tree
-# keys against later writes and clones.
+# keys against later writes and clones, every batch predicate kernel's lanes
+# against the row closure.
 # Go allows one -fuzz pattern per invocation, hence one line per target.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBulkLoadEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
@@ -105,6 +106,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDigestEqualsParse$$' -fuzztime $(FUZZTIME) ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordedBaseline$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzKeyStability$$' -fuzztime $(FUZZTIME) ./internal/btree/
+	$(GO) test -run '^$$' -fuzz 'FuzzVecKernels$$' -fuzztime $(FUZZTIME) ./internal/exec/
 
 # The fault matrix: the seven scenarios at full length with every loop
 # failpoint armed at 1%, 5% and 20% (fixed seeds) and then drained, asserting
@@ -170,12 +172,14 @@ benchstoragesmoke:
 
 # Executor benchmark: the batch driver against the tuple-at-a-time reference
 # interpreter (internal/exec/reference_test.go) on a 100k-row products
-# workload, and its join templates on a 20k-row products database without
-# indexes (the shadow gate's baseline shape), with a statement-level parity
-# gate before any timing, and planning on a memo hit against one-shot planning
-# (plan.oneshot_ns / plan.prepared_ns over the two point_read templates).
-# Writes BENCH_exec.json at the repo root and fails under 2x on single-table
-# replay, under 1.2x on index joins, under 2.5x on unindexed joins or under 2x
+# workload, its join templates on a 20k-row products database without
+# indexes (the shadow gate's baseline shape) and tune_narrow's two filtered
+# full scans of a 50k-row events table without indexes, with a
+# statement-level parity gate before any timing, and planning on a memo hit
+# against one-shot planning (plan.oneshot_ns / plan.prepared_ns over the two
+# point_read templates). Writes BENCH_exec.json at the repo root and fails
+# under 2x on single-table replay, under 1.2x on index joins, under 2.5x on
+# unindexed joins, under 2.5x on unindexed filtered scans or under 2x
 # prepared vs one-shot. Wall-clock sensitive, so the report run is env-gated.
 benchexec:
 	AIM_BENCH_EXEC=1 $(GO) test -run TestBenchExecReport -v ./internal/exec/

@@ -707,3 +707,34 @@ func TestCollectionRestartsChurnCount(t *testing.T) {
 		t.Fatalf("Analyze did not re-collect both tables (collections=%d)", collections.Value())
 	}
 }
+
+// TestLikeMatchesANumbersText: LIKE matches a number as its decimal text, on
+// a full scan and with an index on the column, where the pattern's prefix
+// must not become a range over string keys (which the planner picks here
+// when it may).
+func TestLikeMatchesANumbersText(t *testing.T) {
+	db := New("like")
+	db.MustExec(`CREATE TABLE t1 (id INT, c INT, PRIMARY KEY (id))`)
+	for i := 1; i <= 3000; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t1 VALUES (%d, %d)", i, i))
+	}
+	db.Analyze()
+	for _, index := range []bool{false, true} {
+		if index {
+			db.MustExec("CREATE INDEX ix_c ON t1 (c)")
+		}
+		for q, want := range map[string]int{
+			"SELECT id FROM t1 WHERE c LIKE '12%'":     111, // 12, 120-129, 1200-1299
+			"SELECT id FROM t1 WHERE c NOT LIKE '12%'": 2889,
+			"SELECT id FROM t1 WHERE c LIKE '_4'":      9,
+		} {
+			res, err := db.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != want {
+				t.Errorf("index=%v: %s returned %d rows, want %d (plan %v)", index, q, len(res.Rows), want, res.PlanDesc)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"aim/internal/sqlparser"
@@ -320,8 +321,22 @@ func compileLike(v *sqlparser.LikeExpr, l *Layout, params []sqltypes.Value) (Com
 		if val.IsNull() || pv.IsNull() {
 			return sqltypes.Null, nil
 		}
-		return sqltypes.NewBool(likeMatch(val.Str(), pv.Str()) != not), nil
+		return sqltypes.NewBool(like(val, pv) != not), nil
 	}, nil
+}
+
+// like is val LIKE pat over two non-NULL values. A number matches as its
+// decimal text, as MySQL matches it: 12 LIKE '1%' holds and TRUE is 1.
+func like(val, pat sqltypes.Value) bool { return likeMatch(likeText(val), likeText(pat)) }
+
+func likeText(v sqltypes.Value) string {
+	switch v.Kind() {
+	case sqltypes.KindInt, sqltypes.KindBool:
+		return strconv.FormatInt(v.Int(), 10)
+	case sqltypes.KindFloat:
+		return v.String()
+	}
+	return v.Str()
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one byte).

@@ -243,6 +243,26 @@ func TestLikeMatch(t *testing.T) {
 	}
 }
 
+// TestLikeMatchesANumbersText: LIKE matches an INT as its decimal text on
+// every path: the row closure, the batch kernel and the reference
+// interpreter. customers.id is 0..39, so '1%' keeps 1 and 10..19.
+func TestLikeMatchesANumbersText(t *testing.T) {
+	store, schema := fixture(t)
+	l := singleLayout(schema, "customers")
+	for where, want := range map[string]int{"id LIKE '1%'": 11, "id NOT LIKE '1%'": 29, "id LIKE 1": 1, "id LIKE '_9'": 3} {
+		for _, kernel := range []bool{false, true} {
+			step := Step{Instance: 0, Filter: compileWhere(t, l, where)}
+			if kernel {
+				step.FilterSrc = whereExpr(t, where)
+			}
+			p := &Plan{Layout: l, Steps: []Step{step}, Output: vecOutputs(t, l, "id"), Limit: -1}
+			if got := len(runBothEngines(t, store, p).Rows); got != want {
+				t.Errorf("kernel=%v: %s kept %d rows, want %d", kernel, where, got, want)
+			}
+		}
+	}
+}
+
 func TestFullScanWithFilter(t *testing.T) {
 	store, schema := fixture(t)
 	ex := New(store)

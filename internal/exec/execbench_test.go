@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"aim/internal/engine"
 	"aim/internal/exec"
 	"aim/internal/sqlparser"
 	"aim/internal/workloads/products"
@@ -24,7 +25,9 @@ import (
 // nested-loop joins are where it must at least not cost. A third set replays
 // the same join templates on a products database without its indexes, where
 // every inner step scans its whole table once per outer row: the shape the
-// shadow gate's baseline side replays.
+// shadow gate's baseline side replays. A fourth replays filtered full scans
+// of an events table without indexes (tune_narrow's templates), where the
+// filter kernels are the work.
 
 type execBenchOptions struct {
 	Rows           int // total rows across all tables
@@ -32,6 +35,7 @@ type execBenchOptions struct {
 	Statements     int // single-table read statements in the replay set
 	JoinStatements int // join statements per join set
 	ScanRows       int // total rows of the unindexed database
+	FilterRows     int // events rows of the unindexed filter set
 	Seed           int64
 }
 
@@ -47,6 +51,7 @@ type execBenchResult struct {
 	Reference, Driver                 execBenchEntry // single-table replay
 	JoinReference, JoinDriver         execBenchEntry
 	JoinScanReference, JoinScanDriver execBenchEntry // joins without indexes
+	FilterReference, FilterDriver     execBenchEntry // filtered full scans
 }
 
 func speedup(reference, driver execBenchEntry) float64 {
@@ -63,7 +68,7 @@ type runFunc func(*exec.Plan, []string) (*exec.Result, error)
 
 // replaySet is one database and the statements replayed on it.
 type replaySet struct {
-	p            *products.Product
+	db           *engine.DB
 	reads, joins []*sqlparser.Select
 }
 
@@ -85,7 +90,7 @@ func buildReplaySet(opts execBenchOptions, rows int, indexed bool, nReads, nJoin
 			return nil, err
 		}
 	}
-	set := &replaySet{p: p}
+	set := &replaySet{db: p.DB}
 	r := rand.New(rand.NewSource(opts.Seed))
 	for attempts := 0; (len(set.reads) < nReads || len(set.joins) < nJoins) && attempts < 10_000; attempts++ {
 		sql := p.SampleRead(r)
@@ -114,8 +119,28 @@ func buildReplaySet(opts execBenchOptions, rows int, indexed bool, nReads, nJoin
 	return set, nil
 }
 
+// buildFilterSet builds fixture A's events table of rows rows without indexes
+// and n statements alternating tune_narrow's two filter templates, every one
+// a full scan.
+func buildFilterSet(tb testing.TB, rows, n int, seed int64) *replaySet {
+	set := &replaySet{db: buildEvents(tb, rows, false)}
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		sql := fmt.Sprintf("SELECT id, score FROM events WHERE user_id = %d", r.Intn(rows/10))
+		if i%2 == 1 {
+			sql = fmt.Sprintf("SELECT id, day FROM events WHERE kind = %d AND score > %d", r.Intn(8), 999-r.Intn(20))
+		}
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		set.reads = append(set.reads, stmt.(*sqlparser.Select))
+	}
+	return set
+}
+
 func (s *replaySet) run(sel *sqlparser.Select, f runFunc) (*exec.Result, error) {
-	plan, _, err := s.p.DB.Optimizer.BuildSelectPlan(sel)
+	plan, _, err := s.db.Optimizer.BuildSelectPlan(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +186,9 @@ func (s *replaySet) measure(ex *exec.Executor, stmts []*sqlparser.Select) (refer
 	return entries[0], entries[1], err
 }
 
-// runExecBench builds both databases, holds the driver to the reference on
-// every statement, then measures the three pairs.
-func runExecBench(opts execBenchOptions) (*execBenchResult, error) {
+// runExecBench builds the three databases, holds the driver to the reference
+// on every statement, then measures the four pairs.
+func runExecBench(tb testing.TB, opts execBenchOptions) (*execBenchResult, error) {
 	indexed, err := buildReplaySet(opts, opts.Rows, true, opts.Statements, opts.JoinStatements)
 	if err != nil {
 		return nil, err
@@ -172,12 +197,15 @@ func runExecBench(opts execBenchOptions) (*execBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, scanEx := exec.New(indexed.p.DB.Store), exec.New(scan.p.DB.Store)
-	if err := indexed.parity(ex); err != nil {
-		return nil, err
-	}
-	if err := scan.parity(scanEx); err != nil {
-		return nil, err
+	filter := buildFilterSet(tb, opts.FilterRows, opts.Statements, opts.Seed)
+	ex, scanEx, filterEx := exec.New(indexed.db.Store), exec.New(scan.db.Store), exec.New(filter.db.Store)
+	for _, p := range []struct {
+		set *replaySet
+		ex  *exec.Executor
+	}{{indexed, ex}, {scan, scanEx}, {filter, filterEx}} {
+		if err := p.set.parity(p.ex); err != nil {
+			return nil, err
+		}
 	}
 	res := &execBenchResult{Rows: opts.Rows / opts.Tables * opts.Tables,
 		Statements: len(indexed.reads), JoinStatements: len(indexed.joins)}
@@ -188,6 +216,9 @@ func runExecBench(opts execBenchOptions) (*execBenchResult, error) {
 		return nil, err
 	}
 	if res.JoinScanReference, res.JoinScanDriver, err = scan.measure(scanEx, scan.joins); err != nil {
+		return nil, err
+	}
+	if res.FilterReference, res.FilterDriver, err = filter.measure(filterEx, filter.reads); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -202,12 +233,13 @@ func TestBenchExecReport(t *testing.T) {
 	if os.Getenv("AIM_BENCH_EXEC") == "" {
 		t.Skip("set AIM_BENCH_EXEC=1 to run (invoked by make benchexec)")
 	}
-	res, err := runExecBench(execBenchOptions{Rows: 100_000, Tables: 2, Statements: 64, JoinStatements: 8, ScanRows: 20_000, Seed: 1})
+	res, err := runExecBench(t, execBenchOptions{Rows: 100_000, Tables: 2, Statements: 64, JoinStatements: 8, ScanRows: 20_000, FilterRows: 50_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay, join := speedup(res.Reference, res.Driver), speedup(res.JoinReference, res.JoinDriver)
 	joinScan := speedup(res.JoinScanReference, res.JoinScanDriver)
+	scanFilter := speedup(res.FilterReference, res.FilterDriver)
 
 	// The benchmark keys predate the single executor: "RowEngine" is the
 	// reference interpreter, "VecEngine" the driver.
@@ -235,12 +267,16 @@ func TestBenchExecReport(t *testing.T) {
 			// Joins on the products database without its indexes.
 			"ReplayJoinScanRowEngine": res.JoinScanReference,
 			"ReplayJoinScanVecEngine": res.JoinScanDriver,
+			// Filtered full scans of the events table without indexes.
+			"ReplayScanFilterRowEngine": res.FilterReference,
+			"ReplayScanFilterVecEngine": res.FilterDriver,
 		},
 		Plan:    map[string]map[string]int64{"oneshot_ns": oneShotNs, "prepared_ns": preparedNs},
-		Speedup: map[string]float64{"replay": replay, "join_replay": join, "join_scan_replay": joinScan, "prepared_vs_oneshot": prepared},
+		Speedup: map[string]float64{"replay": replay, "join_replay": join, "join_scan_replay": joinScan, "scan_filter_replay": scanFilter, "prepared_vs_oneshot": prepared},
 	}
-	t.Logf("replay: %.2fx the reference over %d statements (%d rows); joins: %.2fx over %d statements, %.2fx unindexed; planning a point read on a memo hit: %.2fx one-shot (%d -> %d ns)",
-		replay, res.Statements, res.Rows, join, res.JoinStatements, joinScan, prepared, oneShotNs["point"], preparedNs["point"])
+	t.Logf("replay: %.2fx the reference over %d statements (%d rows); joins: %.2fx over %d statements, %.2fx unindexed; unindexed filtered scans: %.2fx (%d -> %d ns); planning a point read on a memo hit: %.2fx one-shot (%d -> %d ns)",
+		replay, res.Statements, res.Rows, join, res.JoinStatements, joinScan, scanFilter, res.FilterReference.NsPerOp, res.FilterDriver.NsPerOp,
+		prepared, oneShotNs["point"], preparedNs["point"])
 	if prepared < 2 {
 		t.Errorf("planning a point_read template on a memo hit only %.2fx one-shot planning, want >= 2x", prepared)
 	}
@@ -253,6 +289,9 @@ func TestBenchExecReport(t *testing.T) {
 	if joinScan < 2.5 {
 		t.Errorf("unindexed join replay %.2fx the reference interpreter, want >= 2.5x", joinScan)
 	}
+	if scanFilter < 2.5 {
+		t.Errorf("unindexed filtered scans %.2fx the reference interpreter, want >= 2.5x", scanFilter)
+	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -260,21 +299,22 @@ func TestBenchExecReport(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_exec.json", append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join replay %.2fx, unindexed join replay %.2fx, prepared vs one-shot planning %.2fx\n", replay, join, joinScan, prepared)
+	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join replay %.2fx, unindexed join replay %.2fx, unindexed filtered scans %.2fx, prepared vs one-shot planning %.2fx\n", replay, join, joinScan, scanFilter, prepared)
 }
 
 // TestExecBenchSmoke runs a miniature configuration on every plain test run:
 // it exercises the workload build, the pre-timing parity gate, and both
 // measurement paths without wall-clock assertions.
 func TestExecBenchSmoke(t *testing.T) {
-	res, err := runExecBench(execBenchOptions{Rows: 2_000, Tables: 2, Statements: 8, JoinStatements: 2, ScanRows: 2_000, Seed: 1})
+	res, err := runExecBench(t, execBenchOptions{Rows: 2_000, Tables: 2, Statements: 8, JoinStatements: 2, ScanRows: 2_000, FilterRows: 2_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Statements != 8 {
 		t.Fatalf("replay set has %d statements, want 8", res.Statements)
 	}
-	if res.Driver.NsPerOp <= 0 || res.Reference.NsPerOp <= 0 || res.JoinScanDriver.NsPerOp <= 0 || res.JoinScanReference.NsPerOp <= 0 {
+	if res.Driver.NsPerOp <= 0 || res.Reference.NsPerOp <= 0 || res.JoinScanDriver.NsPerOp <= 0 || res.JoinScanReference.NsPerOp <= 0 ||
+		res.FilterDriver.NsPerOp <= 0 || res.FilterReference.NsPerOp <= 0 {
 		t.Fatalf("degenerate measurements: %+v", res)
 	}
 }

@@ -26,9 +26,9 @@ type planCase struct {
 	tmpl  sqlparser.Template
 }
 
-// newPlanCases builds the two databases (events rows in fixture A, rows per
-// products table) and parses and normalizes the four statements.
-func newPlanCases(tb testing.TB, events, rowsPerTable int) []planCase {
+// buildEvents builds fixture A's events and users tables (one user per ten
+// events), with its three events indexes when indexed.
+func buildEvents(tb testing.TB, events int, indexed bool) *engine.DB {
 	tb.Helper()
 	db := engine.New("events")
 	db.MustExec(`CREATE TABLE events (id INT, user_id INT, kind INT, day INT, score INT, note VARCHAR(16), PRIMARY KEY (id))`)
@@ -52,15 +52,24 @@ func newPlanCases(tb testing.TB, events, rowsPerTable int) []planCase {
 	if err := db.InsertRows("users", rows); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := db.CreateIndexes([]*catalog.Index{
-		{Name: "ix_events_user", Table: "events", Columns: []string{"user_id"}},
-		{Name: "ix_events_day", Table: "events", Columns: []string{"day"}},
-		{Name: "ix_events_kind_score", Table: "events", Columns: []string{"kind", "score"}},
-	}); err != nil {
-		tb.Fatal(err)
+	if indexed {
+		if _, err := db.CreateIndexes([]*catalog.Index{
+			{Name: "ix_events_user", Table: "events", Columns: []string{"user_id"}},
+			{Name: "ix_events_day", Table: "events", Columns: []string{"day"}},
+			{Name: "ix_events_kind_score", Table: "events", Columns: []string{"kind", "score"}},
+		}); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	db.Analyze()
+	return db
+}
 
+// newPlanCases builds the two databases (events rows in fixture A, rows per
+// products table) and parses and normalizes the four statements.
+func newPlanCases(tb testing.TB, events, rowsPerTable int) []planCase {
+	tb.Helper()
+	db := buildEvents(tb, events, true)
 	p, err := products.Build(products.Spec{Name: "PlanBench", Tables: 6, JoinQueries: 12,
 		Type: products.ReadHeavy, TargetDBA: 12, RowsPerTable: rowsPerTable, Seed: 101})
 	if err != nil {

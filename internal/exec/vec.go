@@ -421,20 +421,21 @@ func (r *pipeline) scanStep(depth int, env []sqltypes.Value) error {
 }
 
 // applyPred narrows sel to rows passing the predicate, compacting in place.
-// The vectorized kernel is preferred; a nil kernel falls back to the row
-// closure evaluated per selected row (same order, same first error).
+// The vectorized kernel is preferred: every row is written and the kept
+// count advances by its lane's truth, so no branch depends on the row. A nil
+// kernel falls back to the row closure evaluated per selected row (same
+// order, same first error).
 func applyPred(a *batchArena, env []sqltypes.Value, vp vecPred, closure CompiledExpr, rows []sqltypes.Row, sel []int32) ([]int32, error) {
 	if vp != nil {
 		out := a.getTri()
 		vp(a, env, rows, sel, out)
-		kept := sel[:0]
+		n := 0
 		for _, i := range sel {
-			if out[i] == triTrue {
-				kept = append(kept, i)
-			}
+			sel[n] = i
+			n += b2i(out[i] == triTrue)
 		}
 		a.putTri(out)
-		return kept, nil
+		return sel[:n], nil
 	}
 	if closure == nil {
 		return sel, nil

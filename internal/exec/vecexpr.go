@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"strings"
+
 	"aim/internal/sqlparser"
 	"aim/internal/sqltypes"
 )
@@ -79,12 +81,31 @@ func compileValSrc(e sqlparser.Expr, sc scope) (valSrc, bool) {
 	return valSrc{}, false
 }
 
-func boolTri(b bool) int8 {
+// b2i is 1 for true and 0 for false. The compiler emits a flag move, not a
+// branch, so a lane computed from it costs the same whatever the row holds.
+func b2i(b bool) int {
 	if b {
-		return triTrue
+		return 1
 	}
-	return triFalse
+	return 0
 }
+
+func boolTri(b bool) int8 { return int8(b2i(b)) }
+
+// The lane tables SQL's NOT, AND and OR read, indexed by operand lane.
+var (
+	notLanes = [3]int8{triFalse: triTrue, triTrue: triFalse, triNull: triNull}
+	andLanes = [3][3]int8{
+		triFalse: {triFalse, triFalse, triFalse},
+		triTrue:  {triFalse, triTrue, triNull},
+		triNull:  {triFalse, triNull, triNull},
+	}
+	orLanes = [3][3]int8{
+		triFalse: {triFalse, triTrue, triNull},
+		triTrue:  {triTrue, triTrue, triTrue},
+		triNull:  {triNull, triTrue, triNull},
+	}
+)
 
 // compileVec builds a batch predicate kernel for e, or returns nil when the
 // expression is not vectorizable — callers then evaluate the compiled row
@@ -122,12 +143,7 @@ func compileVec(e sqlparser.Expr, sc scope) vecPred {
 		return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
 			inner(a, env, rows, sel, out)
 			for _, i := range sel {
-				switch out[i] {
-				case triTrue:
-					out[i] = triFalse
-				case triFalse:
-					out[i] = triTrue
-				}
+				out[i] = notLanes[out[i]]
 			}
 		}
 	case *sqlparser.InExpr:
@@ -160,10 +176,34 @@ func compileVecBinary(v *sqlparser.BinaryExpr, sc scope) vecPred {
 		if left == nil || right == nil {
 			return nil
 		}
-		if v.Op == "AND" {
-			return vecAnd(left, right)
+		// The right operand runs only on the rows whose left lane is not
+		// skip (AND: false, OR: true), as the row closure's short-circuit
+		// does. The sub-selection is written unconditionally and advances by
+		// the predicate bit; the two lanes combine through the table. The
+		// kernel is built here: returned from a small helper that the
+		// compiler inlines, it was compiled with b2i as a call per row.
+		skip, table := triFalse, &andLanes
+		if v.Op == "OR" {
+			skip, table = triTrue, &orLanes
 		}
-		return vecOr(left, right)
+		return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
+			left(a, env, rows, sel, out)
+			sub := a.getSel()[:len(sel)]
+			n := 0
+			for _, i := range sel {
+				sub[n] = i
+				n += b2i(out[i] != skip)
+			}
+			if n > 0 {
+				rtri := a.getTri()
+				right(a, env, rows, sub[:n], rtri)
+				for _, i := range sub[:n] {
+					out[i] = table[out[i]][rtri[i]]
+				}
+				a.putTri(rtri)
+			}
+			a.putSel(sub)
+		}
 	case "=", "!=", "<", "<=", ">", ">=", "<=>":
 		ls, ok := compileValSrc(v.Left, sc)
 		if !ok {
@@ -178,173 +218,115 @@ func compileVecBinary(v *sqlparser.BinaryExpr, sc scope) vecPred {
 	return nil
 }
 
+// vecCmp compiles a comparison to one lane table, built once: a row's
+// outcome indexes it, 0 less, 1 equal, 2 greater and 3 a NULL operand, so the
+// lane costs a subtraction and a load where a branch on the values would be
+// mispredicted about half the time on a random filter value.
 func vecCmp(op string, left, right valSrc) vecPred {
-	// Encode the operator as the set of accepted Compare signs; the kernel
-	// loop then has no per-row indirect call.
-	var accNeg, accZero, accPos bool
+	var lanes [4]int8
 	switch op {
 	case "=", "<=>":
-		accZero = true
+		lanes[1] = triTrue
 	case "!=":
-		accNeg, accPos = true, true
+		lanes[0], lanes[2] = triTrue, triTrue
 	case "<":
-		accNeg = true
+		lanes[0] = triTrue
 	case "<=":
-		accNeg, accZero = true, true
+		lanes[0], lanes[1] = triTrue, triTrue
 	case ">":
-		accPos = true
+		lanes[2] = triTrue
 	case ">=":
-		accZero, accPos = true, true
+		lanes[1], lanes[2] = triTrue, triTrue
+	}
+	// A NULL operand makes every operator NULL but <=>, which is false when
+	// one side alone is NULL.
+	nullSafe := op == "<=>"
+	lanes[3] = triNull
+	if nullSafe {
+		lanes[3] = triFalse
 	}
 	if left.off < 0 && right.off >= 0 {
 		// Constant on the left: compare the other way round (c < x is x > c).
-		left, right, accNeg, accPos = right, left, accPos, accNeg
+		left, right = right, left
+		lanes[0], lanes[2] = lanes[2], lanes[0]
 	}
-	if op == "<=>" || right.off >= 0 || left.off < 0 {
-		nullSafe := op == "<=>"
+	if right.off >= 0 || left.off < 0 {
 		return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
 			l, r := left.bind(env), right.bind(env)
 			for _, i := range sel {
 				av, bv := l.get(rows[i]), r.get(rows[i])
+				k := 1 + sqltypes.ComparePtr(&av, &bv)
 				if !nullSafe && (av.IsNull() || bv.IsNull()) {
-					out[i] = triNull
-					continue
+					k = 3
 				}
-				c := sqltypes.ComparePtr(&av, &bv)
-				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+				out[i] = lanes[k]
 			}
 		}
 	}
 	// Column vs constant, the dominant filter shape (a literal, or the outer
-	// row's join column): read the constant once, index the batch row by
-	// pointer (no 24-byte Value copies) and, for a numeric constant, inline
-	// the comparison so the loop has no function call at all. The kind
-	// switches reproduce Compare's rank ordering (numbers < strings) exactly.
+	// row's join column): read the constant once, switch once per call on its
+	// kind and once per row on the row value's kind (a column keeps one kind,
+	// so that branch is predicted), and compute the outcome inline. The kind
+	// cases reproduce Compare's rank order (numbers < strings) exactly.
 	off := left.off
 	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
 		lit := right.bind(env).lit
 		switch lit.Kind() {
 		case sqltypes.KindNull:
+			// Indexed by the row's NULLness: every operator but <=> is NULL.
+			byNull := [2]int8{triNull, triNull}
+			if nullSafe {
+				byNull = [2]int8{triFalse, triTrue}
+			}
 			for _, i := range sel {
-				out[i] = triNull
+				out[i] = byNull[b2i(rows[i][off].IsNull())]
 			}
 		case sqltypes.KindInt, sqltypes.KindBool:
 			litI := lit.Int()
 			litF := float64(litI)
 			for _, i := range sel {
 				av := &rows[i][off]
-				var c int
+				k := 3
 				switch av.Kind() {
-				case sqltypes.KindNull:
-					out[i] = triNull
-					continue
 				case sqltypes.KindInt, sqltypes.KindBool:
-					if ai := av.Int(); ai < litI {
-						c = -1
-					} else if ai > litI {
-						c = 1
-					}
+					ai := av.Int()
+					k = 1 + b2i(ai > litI) - b2i(ai < litI)
 				case sqltypes.KindFloat:
-					if af := av.Float(); af < litF {
-						c = -1
-					} else if af > litF {
-						c = 1
-					}
-				default: // string-ish outranks numeric
-					c = 1
+					af := av.Float()
+					k = 1 + b2i(af > litF) - b2i(af < litF)
+				case sqltypes.KindString, sqltypes.KindBytes:
+					k = 2
 				}
-				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+				out[i] = lanes[k]
 			}
 		case sqltypes.KindFloat:
 			litF := lit.Float()
 			for _, i := range sel {
 				av := &rows[i][off]
-				var c int
+				k := 3
 				switch av.Kind() {
-				case sqltypes.KindNull:
-					out[i] = triNull
-					continue
 				case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindFloat:
-					if af := av.Float(); af < litF {
-						c = -1
-					} else if af > litF {
-						c = 1
-					}
-				default:
-					c = 1
+					af := av.Float()
+					k = 1 + b2i(af > litF) - b2i(af < litF)
+				case sqltypes.KindString, sqltypes.KindBytes:
+					k = 2
 				}
-				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+				out[i] = lanes[k]
 			}
 		default:
+			litS := lit.Str()
 			for _, i := range sel {
 				av := &rows[i][off]
-				if av.IsNull() {
-					out[i] = triNull
-					continue
+				k := 3
+				switch av.Kind() {
+				case sqltypes.KindString, sqltypes.KindBytes:
+					k = 1 + strings.Compare(av.Str(), litS)
+				case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindFloat:
+					k = 0
 				}
-				c := sqltypes.ComparePtr(av, &lit)
-				out[i] = boolTri(c < 0 && accNeg || c == 0 && accZero || c > 0 && accPos)
+				out[i] = lanes[k]
 			}
 		}
-	}
-}
-
-// vecAnd evaluates the right operand only where the left is not false,
-// mirroring the row closure's short-circuit; for surviving rows the combine
-// is false-dominant, then null-dominant, like SQL three-valued AND.
-func vecAnd(left, right vecPred) vecPred {
-	return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
-		left(a, env, rows, sel, out)
-		sub := a.getSel()
-		for _, i := range sel {
-			if out[i] != triFalse {
-				sub = append(sub, i)
-			}
-		}
-		if len(sub) > 0 {
-			rtri := a.getTri()
-			right(a, env, rows, sub, rtri)
-			for _, i := range sub {
-				switch {
-				case rtri[i] == triFalse:
-					out[i] = triFalse
-				case rtri[i] == triNull || out[i] == triNull:
-					out[i] = triNull
-				default:
-					out[i] = triTrue
-				}
-			}
-			a.putTri(rtri)
-		}
-		a.putSel(sub)
-	}
-}
-
-func vecOr(left, right vecPred) vecPred {
-	return func(a *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
-		left(a, env, rows, sel, out)
-		sub := a.getSel()
-		for _, i := range sel {
-			if out[i] != triTrue {
-				sub = append(sub, i)
-			}
-		}
-		if len(sub) > 0 {
-			rtri := a.getTri()
-			right(a, env, rows, sub, rtri)
-			for _, i := range sub {
-				switch {
-				case rtri[i] == triTrue:
-					out[i] = triTrue
-				case rtri[i] == triNull || out[i] == triNull:
-					out[i] = triNull
-				default:
-					out[i] = triFalse
-				}
-			}
-			a.putTri(rtri)
-		}
-		a.putSel(sub)
 	}
 }
 
@@ -353,49 +335,46 @@ func compileVecIn(v *sqlparser.InExpr, sc scope) vecPred {
 	if !ok {
 		return nil
 	}
+	// lanes is indexed 0 no item equal, 1 an item equal, 2 a NULL value.
+	lanes := [3]int8{boolTri(v.Not), boolTri(!v.Not), triNull}
 	items := make([]sqltypes.Value, 0, len(v.List))
-	hasNull := false
 	for _, item := range v.List {
 		lit, ok := item.(*sqlparser.Literal)
 		if !ok {
 			return nil
 		}
 		if lit.Val.IsNull() {
-			hasNull = true
+			lanes[0] = triNull
 			continue
 		}
 		items = append(items, lit.Val)
 	}
-	not := v.Not
 	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
 		if s := src.bind(env); s.off < 0 {
 			// Constant LHS: one result for every row.
-			res := inTri(&s.lit, items, hasNull, not)
+			res := lanes[inIndex(&s.lit, items)]
 			for _, i := range sel {
 				out[i] = res
 			}
 			return
 		}
 		for _, i := range sel {
-			out[i] = inTri(&rows[i][src.off], items, hasNull, not)
+			out[i] = lanes[inIndex(&rows[i][src.off], items)]
 		}
 	}
 }
 
-// inTri is [NOT] IN over non-NULL literal items, hasNull marking a NULL item.
-func inTri(val *sqltypes.Value, items []sqltypes.Value, hasNull, not bool) int8 {
+// inIndex is 2 for a NULL value, else 1 if some non-NULL item equals it and
+// 0 if none does. It compares with every item: no branch on a match.
+func inIndex(val *sqltypes.Value, items []sqltypes.Value) int {
 	if val.IsNull() {
-		return triNull
+		return 2
 	}
+	hit := 0
 	for j := range items {
-		if sqltypes.ComparePtr(val, &items[j]) == 0 {
-			return boolTri(!not)
-		}
+		hit |= b2i(sqltypes.ComparePtr(val, &items[j]) == 0)
 	}
-	if hasNull {
-		return triNull
-	}
-	return boolTri(not)
+	return hit
 }
 
 func compileVecBetween(v *sqlparser.BetweenExpr, sc scope) vecPred {
@@ -411,18 +390,18 @@ func compileVecBetween(v *sqlparser.BetweenExpr, sc scope) vecPred {
 	if !ok {
 		return nil
 	}
-	not := v.Not
+	// lanes is indexed 0 outside, 1 inside, 2 a NULL operand.
+	lanes := [3]int8{boolTri(v.Not), boolTri(!v.Not), triNull}
 	return func(_ *batchArena, env []sqltypes.Value, rows []sqltypes.Row, sel []int32, out []int8) {
 		s, l, h := src.bind(env), lo.bind(env), hi.bind(env)
 		for _, i := range sel {
 			row := rows[i]
 			val, lv, hv := s.get(row), l.get(row), h.get(row)
-			if val.IsNull() || lv.IsNull() || hv.IsNull() {
-				out[i] = triNull
-				continue
+			k := 2
+			if !val.IsNull() && !lv.IsNull() && !hv.IsNull() {
+				k = b2i(sqltypes.ComparePtr(&val, &lv) >= 0) & b2i(sqltypes.ComparePtr(&val, &hv) <= 0)
 			}
-			in := sqltypes.ComparePtr(&val, &lv) >= 0 && sqltypes.ComparePtr(&val, &hv) <= 0
-			out[i] = boolTri(in != not)
+			out[i] = lanes[k]
 		}
 	}
 }
@@ -446,7 +425,7 @@ func compileVecLike(v *sqlparser.LikeExpr, sc scope) vecPred {
 				out[i] = triNull
 				continue
 			}
-			out[i] = boolTri(likeMatch(val.Str(), pv.Str()) != not)
+			out[i] = boolTri(like(val, pv) != not)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"aim/internal/baselines"
@@ -202,7 +203,9 @@ func TestRunFig5PerQueryCosts(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	affected := 0
+	labels := map[string]bool{}
 	for _, r := range rows {
+		labels[r.Query] = true
 		if r.Unindexed <= 0 {
 			t.Errorf("%s: no unindexed cost", r.Query)
 		}
@@ -215,6 +218,12 @@ func TestRunFig5PerQueryCosts(t *testing.T) {
 	}
 	if affected == 0 {
 		t.Error("no queries affected by indexes")
+	}
+	// Each row carries its TPC-H number, not its position.
+	for k := 1; k <= 22; k++ {
+		if !labels[fmt.Sprintf("Q%d", k)] {
+			t.Errorf("no row labelled Q%d: %v", k, labels)
+		}
 	}
 }
 

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"strconv"
+
 	"aim/internal/baselines"
 	"aim/internal/obs"
+	"aim/internal/sqlparser"
+	"aim/internal/workloads/tpch"
 )
 
 // Fig5Row is one query's estimated processing cost under each algorithm's
 // configuration at the fixed budget (Fig. 5a/5b).
 type Fig5Row struct {
-	Query     string // "Q1".."Q22"
+	Query     string // the TPC-H number, "Q1".."Q22"
 	Unindexed float64
 	// Costs maps algorithm name -> estimated cost with its configuration.
 	Costs map[string]float64
@@ -60,15 +64,23 @@ func RunFig5(opts Fig5Options) ([]*Fig5Row, error) {
 	}
 	budget := int64(float64(fullBytes) * opts.BudgetFraction)
 
+	// The rows follow the monitor's benefit order; each is labelled with
+	// the TPC-H query whose normalized text it is.
+	labels := map[string]string{}
+	for k, q := range tpch.Queries(opts.Seed) {
+		stmt, err := sqlparser.Parse(q)
+		if err != nil {
+			return nil, err
+		}
+		labels[sqlparser.NewTemplate(stmt).Text] = "Q" + strconv.Itoa(k+1)
+	}
 	rows := make([]*Fig5Row, 0, len(queries))
-	for i := range queries {
-		rows = append(rows, &Fig5Row{Query: queryLabel(i), Costs: map[string]float64{}})
+	for _, q := range queries {
+		rows = append(rows, &Fig5Row{Query: labels[q.Normalized], Costs: map[string]float64{}})
 	}
 	// Unindexed per-query costs.
-	for i, q := range queries {
-		c := baselines.WorkloadCost(db, queries[i:i+1], nil)
-		rows[i].Unindexed = c
-		_ = q
+	for i := range queries {
+		rows[i].Unindexed = baselines.WorkloadCost(db, queries[i:i+1], nil)
 	}
 	for _, algo := range opts.Algorithms {
 		r, err := algo.Recommend(db, queries, budget)
@@ -84,22 +96,4 @@ func RunFig5(opts Fig5Options) ([]*Fig5Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-func queryLabel(i int) string {
-	return "Q" + itoa(i+1)
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	pos := len(b)
-	for i > 0 {
-		pos--
-		b[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[pos:])
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aim/internal/catalog"
+	"aim/internal/exec"
 	"aim/internal/queryinfo"
 	"aim/internal/sqlparser"
 	"aim/internal/sqltypes"
@@ -459,5 +460,45 @@ func TestEmptyTableEstimates(t *testing.T) {
 	est = estimate(t, o, "SELECT b.id FROM big b JOIN small s ON b.fk = s.id")
 	if est.Cost < 0 {
 		t.Fatal("negative join cost")
+	}
+}
+
+// TestQualifiedStarInJoin: a.* expands to one instance's columns at their
+// layout offsets, and an unknown qualifier is an error in buildOutputs (a
+// statement queryinfo.Analyze already rejects reaches it only directly).
+func TestQualifiedStarInJoin(t *testing.T) {
+	schema, sp := testSetup(t)
+	o := New(schema, sp)
+	stmt, err := sqlparser.Parse("SELECT s.* FROM big b JOIN small s ON b.fk = s.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := stmt.(*sqlparser.Select)
+	plan, _, err := o.BuildSelectPlan(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Output) != 3 {
+		t.Fatalf("s.* has %d outputs, want small's 3 columns", len(plan.Output))
+	}
+	smallBase := plan.Layout.Instances[plan.Layout.InstanceOf("s")].Base
+	env := make([]sqltypes.Value, plan.Layout.Width)
+	for i := range env {
+		env[i] = sqltypes.NewInt(int64(i))
+	}
+	for j, out := range plan.Output {
+		if v, err := out.Expr(env); err != nil || v.Int() != int64(smallBase+j) {
+			t.Errorf("output %d reads env[%v], want env[%d] (err %v)", j, v, smallBase+j, err)
+		}
+	}
+
+	info, err := queryinfo.Analyze(sel, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *sel
+	bad.Exprs = []*sqlparser.SelectExpr{{Star: true, Table: "z"}}
+	if err := buildOutputs(&bad, info, &exec.Plan{Layout: info.Layout}); err == nil || !strings.Contains(err.Error(), `unknown table "z"`) {
+		t.Fatalf("z.* in buildOutputs: err = %v, want unknown table", err)
 	}
 }

@@ -482,8 +482,11 @@ func classifyAtom(e sqlparser.Expr, l *exec.Layout, inst int) *Atom {
 		if !ok {
 			return a
 		}
+		// A range over string keys misses a number, which LIKE matches as
+		// its decimal text: no range for a prefix such text can start.
 		prefix := exec.LikePrefix(pat.Val.Str())
-		if prefix == "" {
+		if prefix == "" || prefix[0] == '-' || prefix[0] >= '0' && prefix[0] <= '9' ||
+			strings.HasPrefix("+Inf", prefix) || strings.HasPrefix("NaN", prefix) {
 			return a
 		}
 		a.Column = c

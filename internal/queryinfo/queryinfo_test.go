@@ -1,6 +1,7 @@
 package queryinfo
 
 import (
+	"strings"
 	"testing"
 
 	"aim/internal/catalog"
@@ -276,5 +277,27 @@ func TestAnalyzeOrderByAlias(t *testing.T) {
 	}
 	if len(info.GroupBy) != 1 {
 		t.Fatalf("group by = %v", info.GroupBy)
+	}
+}
+
+// TestQualifiedStarInJoin: b.* references every column of b alone, and an
+// unknown qualifier is an error.
+func TestQualifiedStarInJoin(t *testing.T) {
+	info := analyze(t, "SELECT b.* FROM t1 a JOIN t2 b ON b.t1_id = a.id")
+	if !info.SelectsStar {
+		t.Error("SelectsStar = false")
+	}
+	if got := strings.Join(info.Referenced[0], ","); got != "id" {
+		t.Errorf("a references %s, want id (the join column)", got)
+	}
+	if got := strings.Join(info.Referenced[1], ","); got != "col2,col4,id,t1_id" {
+		t.Errorf("b references %s, want all four of its columns", got)
+	}
+	stmt, err := sqlparser.Parse("SELECT z.* FROM t1 a JOIN t2 b ON b.t1_id = a.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(stmt.(*sqlparser.Select), testSchema(t)); err == nil || !strings.Contains(err.Error(), `unknown table "z"`) {
+		t.Fatalf("z.*: err = %v, want unknown table", err)
 	}
 }

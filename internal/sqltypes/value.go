@@ -234,29 +234,23 @@ func ComparePtr(a, b *Value) int {
 	switch ar {
 	case 0: // both NULL
 		return 0
-	case 1: // numeric
+	case 1: // numeric: the sign as arithmetic, no branch on the values
 		if ak == KindFloat || bk == KindFloat {
 			af, bf := a.Float(), b.Float()
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
+			return b2i(af > bf) - b2i(af < bf)
 		}
-		switch {
-		case a.n < b.n:
-			return -1
-		case a.n > b.n:
-			return 1
-		default:
-			return 0
-		}
+		return b2i(a.n > b.n) - b2i(a.n < b.n)
 	default: // string-ish
 		return strings.Compare(a.t[1:], b.t[1:])
 	}
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag move.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Equal reports whether two values compare equal.
