@@ -1,18 +1,22 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
-// TestRun drives the command the way a shell would: two loop experiments at
-// their -fast sizes and an unknown experiment name.
+// TestRun drives the command the way a shell would: two loop experiments and
+// Fig. 4 at their -fast sizes, and an unknown experiment name.
 func TestRun(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
 		status int
 		stdout []string
 		stderr string
+		// stable runs the command twice and requires the same stdout but for
+		// the lines marked wall clock.
+		stable bool
 	}{
 		{
 			args: []string{"-exp", "continuous", "-fast"},
@@ -32,6 +36,14 @@ func TestRun(t *testing.T) {
 				"scenario flashcrowd: 80 cycles",
 				"adopted_then_reverted=posts(day,topic)",
 			},
+		},
+		{
+			args: []string{"-exp", "fig4", "-bench", "tpch", "-fast"},
+			stdout: []string{
+				"budget      algorithm  rel. cost  opt calls  indexes\n",
+				"runtime (wall clock) at ",
+			},
+			stable: true,
 		},
 		{
 			args:   []string{"-exp", "nope"},
@@ -54,5 +66,23 @@ func TestRun(t *testing.T) {
 		if !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("%v: stderr %q, want it to contain %q", c.args, stderr.String(), c.stderr)
 		}
+		if c.stable {
+			var again strings.Builder
+			run(c.args, &again, io.Discard)
+			if a, b := pinned(stdout.String()), pinned(again.String()); a != b {
+				t.Errorf("%v: two runs differ outside the wall-clock lines:\n%s\n---\n%s", c.args, a, b)
+			}
+		}
 	}
+}
+
+// pinned drops the lines of out marked wall clock.
+func pinned(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "(wall clock)") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }

@@ -56,16 +56,56 @@ func (b *keyBlock) key(i int) []byte {
 // search returns the index of the first key >= key (h = head(key)) and
 // whether that key equals key.
 func (b *keyBlock) search(key []byte, h uint64) (int, bool) {
-	lo, hi := 0, len(b.heads)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if m := b.heads[mid]; m < h || m == h && bytes.Compare(b.key(mid), key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+	lo, n := 0, len(b.heads)
+	for n > 1 {
+		lo, n = b.narrow(lo, n, h)
+	}
+	return b.settle(b.lowerHead(lo, n, h), key, h)
+}
+
+// narrow is one step of a branch-free lower bound over heads alone: of the n
+// > 1 heads from lo, it keeps the part that holds the first head >= h. The
+// next position is computed, not branched to, so a batch of searches can
+// step in lockstep with its loads in flight together (Tree.GetBatch).
+func (b *keyBlock) narrow(lo, n int, h uint64) (int, int) {
+	half := n >> 1
+	return lo + half&-b2i(b.heads[lo+half] < h), n - half
+}
+
+// lowerHead ends a lower bound narrowed to n <= 1 heads from lo: the index
+// of the first head >= h.
+func (b *keyBlock) lowerHead(lo, n int, h uint64) int {
+	return lo + b2i(n > 0 && b.heads[lo] < h)
+}
+
+// settle confirms or settles a lower bound taken over heads: i is the first
+// key whose head is >= h. It returns the first key >= key and whether that
+// key equals key, reading key bytes only where a head equals h — one key to
+// confirm a hit, a binary search over the run on the rare tie of heads.
+func (b *keyBlock) settle(i int, key []byte, h uint64) (int, bool) {
+	j := i
+	for j < len(b.heads) && b.heads[j] == h {
+		j++
+	}
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		switch c := bytes.Compare(b.key(mid), key); {
+		case c < 0:
+			i = mid + 1
+		case c > 0:
+			j = mid
+		default:
+			return mid, true
 		}
 	}
-	return lo, lo < len(b.heads) && b.heads[lo] == h && bytes.Equal(b.key(lo), key)
+	return i, false
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // upper returns the number of keys <= key (h = head(key)): in an inner node,

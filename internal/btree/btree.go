@@ -133,6 +133,66 @@ func (t *Tree[V]) Get(key []byte) (val V, ok bool) {
 	return l.vals[i], true
 }
 
+// getChunk is how many lookups GetBatch runs in lockstep: enough independent
+// loads to keep the memory system busy, few enough that the chunk's state
+// stays in stack arrays.
+const getChunk = 32
+
+// GetBatch looks every key up as Get does, storing the value under keys[i]
+// in vals[i] (the zero V when absent), and returns the index of the first
+// absent key, or -1. It allocates nothing. A lookup in a large tree waits on
+// a cache miss at each level and in the leaf; one lookup at a time queues
+// those misses one behind another, so GetBatch interleaves a chunk of
+// lookups instead (Kocberber et al., "Asynchronous Memory Access Chaining",
+// VLDB 2015): the chunk descends one inner level at a time, and its leaf
+// searches narrow over heads in lockstep. Each leaf then confirms its hit,
+// or settles a tie of heads, with the step Get uses.
+func (t *Tree[V]) GetBatch(keys [][]byte, vals []V) int {
+	var (
+		hs     [getChunk]uint64
+		ns     [getChunk]node
+		lfs    [getChunk]*leaf[V]
+		lo, nn [getChunk]int
+		zero   V
+	)
+	absent := -1
+	for base := 0; base < len(keys); base += getChunk {
+		ks := keys[base:min(base+getChunk, len(keys))]
+		for j, k := range ks {
+			hs[j], ns[j] = head(k), t.root
+		}
+		for level := t.height; level > 1; level-- {
+			for j, k := range ks {
+				in := ns[j].(*inner[V])
+				ns[j] = in.children[in.upper(k, hs[j])]
+			}
+		}
+		widest := 0
+		for j := range ks {
+			lfs[j] = ns[j].(*leaf[V])
+			lo[j], nn[j] = 0, lfs[j].len()
+			widest = max(widest, nn[j])
+		}
+		// A count n narrows to n - n/2, so the rounds that narrow the widest
+		// leaf to one head narrow every leaf to one; one stays one.
+		for n := widest; n > 1; n -= n >> 1 {
+			for j := range ks {
+				lo[j], nn[j] = lfs[j].narrow(lo[j], nn[j], hs[j])
+			}
+		}
+		for j, k := range ks {
+			l := lfs[j]
+			vals[base+j] = zero
+			if i, ok := l.settle(l.lowerHead(lo[j], nn[j], hs[j]), k, hs[j]); ok {
+				vals[base+j] = l.vals[i]
+			} else if absent < 0 {
+				absent = base + j
+			}
+		}
+	}
+	return absent
+}
+
 const pathDepth = 8 // the descent a writer keeps on the stack (64^8 entries)
 
 // pathEntry records one inner node on a descent plus the child index taken.

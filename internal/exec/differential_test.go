@@ -733,6 +733,98 @@ func TestDriverDifferentialOuterOperands(t *testing.T) {
 	}
 }
 
+// TestDriverDifferentialReadAhead holds outer steps that read ahead under a
+// row target to the reference interpreter: a three-step LIMIT join whose
+// outer step is a non-covering index scan with ICP and a filter, a middle
+// step of one row (a primary-key probe) or many (a clustered range of
+// customers 0..o.cust_id), and an inner fan-out of 0, 1 or many rows per
+// middle row, at several LIMIT and OFFSET values. The exec.readahead_uncharged
+// counter shows where each target completed: stop0 cases end mid-batch at
+// depth 0 (their middle step reads one entry per scan, the last step never
+// reads past its target), stop1 cases at depth 1 (inside the first outer row,
+// a batch of one), and exact cases read nothing past the stopping row — with
+// a fan-out of one, an outer step's read-ahead never exceeds the rows still
+// wanted.
+func TestDriverDifferentialReadAhead(t *testing.T) {
+	store, schema := fixtureN(t, 3000)
+	l := NewLayout([]Instance{
+		{Alias: "o", Table: schema.Table("orders")},
+		{Alias: "c", Table: schema.Table("customers")},
+		{Alias: "o2", Table: schema.Table("orders")},
+	})
+	pred := func(where string) (CompiledExpr, sqlparser.Expr) {
+		return compileWhere(t, l, where), whereExpr(t, where)
+	}
+	five, seven := Literal(sqltypes.NewInt(5)), Literal(sqltypes.NewInt(7))
+	outer := Step{Instance: 0, IndexName: "o_cust_status", Range: &RangeSpec{Lo: &five, Hi: &seven, LoInc: true, HiInc: true}}
+	outer.ICP, outer.ICPSrc = pred("o.status != 'new'")
+	outer.Filter, outer.FilterSrc = pred("o.amount > 3")
+	custID := SlotRef(refOff(t, l, "o.cust_id"))
+	middles := map[string]Step{
+		"pk":    {Instance: 1, EqKeys: []KeySource{custID}},
+		"range": {Instance: 1, Range: &RangeSpec{Hi: &custID, HiInc: true}},
+	}
+	fanouts := map[string]string{"none": "o2.id < 0", "one": "o2.id < 40", "many": "o2.id >= 0"}
+	for _, tc := range []struct {
+		middle, fanout string
+		limit, offset  int64
+		stop           string // "stop0", "stop1", "exact" (nothing read past) or "" (not asserted)
+	}{
+		{"pk", "none", 10, 0, "exact"},
+		{"pk", "one", 1, 0, "exact"},
+		{"pk", "one", 2, 0, "exact"},
+		{"pk", "one", 9, 3, "exact"},
+		{"pk", "one", 40, 25, "exact"},
+		{"pk", "many", 5, 0, "exact"},
+		{"pk", "many", 100, 0, "stop0"},
+		{"pk", "many", 90, 300, "stop0"},
+		{"range", "none", 10, 0, "exact"},
+		{"range", "one", 3, 0, "exact"},
+		{"range", "one", 7, 3, ""},
+		{"range", "one", 50, 40, ""},
+		{"range", "many", 100, 0, "stop1"},
+		{"range", "many", 60, 100, "stop1"},
+		{"range", "many", 2000, 1500, ""},
+	} {
+		name := fmt.Sprintf("%s-%s-limit%d-offset%d", tc.middle, tc.fanout, tc.limit, tc.offset)
+		t.Run(name, func(t *testing.T) {
+			inner := Step{Instance: 2, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, l, "c.id"))}}
+			inner.Filter, inner.FilterSrc = pred(fanouts[tc.fanout])
+			p := &Plan{Layout: l, Steps: []Step{outer, middles[tc.middle], inner},
+				Output: vecOutputs(t, l, "o.id", "c.id", "o2.id"), Limit: tc.limit, Offset: tc.offset}
+			res := runBothEngines(t, store, p)
+			if (len(res.Rows) == 0) != (tc.fanout == "none") {
+				t.Fatalf("%d rows: the case checks nothing", len(res.Rows))
+			}
+			reg := obs.NewRegistry()
+			ex := New(store)
+			ex.SetObs(reg)
+			if _, err := ex.Run(p, nil); err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.Counter("exec.readahead_uncharged").Value(); tc.stop != "" && (n == 0) != (tc.stop == "exact") {
+				t.Errorf("%d entries read ahead and left uncharged, want %s", n, tc.stop)
+			}
+		})
+	}
+
+	// A closure that fails on a row past the one completing the target: the
+	// loop never evaluates it, so neither may read-ahead.
+	join := NewLayout([]Instance{{Alias: "c", Table: schema.Table("customers")}, {Alias: "o", Table: schema.Table("orders")}})
+	failing := Step{Instance: 0, Filter: compileWhere(t, join, "c.id < 3 OR c.city + 1 > 0")} // fails from customer 3
+	probe := Step{Instance: 1, IndexName: "o_cust_status", EqKeys: []KeySource{SlotRef(refOff(t, join, "c.id"))}}
+	p := &Plan{Layout: join, Steps: []Step{failing, probe}, Output: vecOutputs(t, join, "c.id", "o.id"), Limit: 160}
+	if res := runBothEngines(t, store, p); len(res.Rows) != 160 {
+		t.Fatalf("rows = %d, want 160", len(res.Rows))
+	}
+	p.Limit = -1
+	for _, run := range []func(*Plan, []string) (*Result, error){New(store).Run, New(store).runReference} {
+		if _, err := run(p, nil); err == nil {
+			t.Fatal("a failing filter without a target ran to completion")
+		}
+	}
+}
+
 // TestJoinAllocsFlatInOuterRows pins that an inner step reopens its scans
 // from buffers in its arena: an index nested-loop join allocates no more
 // with 35 outer rows than with 5. The bound allows a few allocations of

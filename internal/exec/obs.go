@@ -10,6 +10,9 @@ type execMetrics struct {
 	statements *obs.Counter
 
 	batches *obs.Counter // row batches read by scans
+	// readaheadUncharged counts entries an outer step read ahead but never
+	// charged to Stats, because the row target completed first.
+	readaheadUncharged *obs.Counter
 
 	clusteredScans *obs.Counter // clustered (base-table) scan operators run
 	indexScans     *obs.Counter // secondary-index scan operators run
@@ -50,6 +53,8 @@ func (e *Executor) SetObs(r *obs.Registry) {
 		indexWrites:    r.Counter("exec.index_writes"),
 		cpuMicros:      r.Counter("exec.cpu_micros"),
 		stmtCPU:        r.Histogram("exec.stmt_cpu_seconds"),
+
+		readaheadUncharged: r.Counter("exec.readahead_uncharged"),
 	}
 }
 

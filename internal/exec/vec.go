@@ -26,12 +26,13 @@ var noVals [batchSize]struct{} // an index batch's values: no memory
 // takes one per step, so steady-state replay allocates only the output rows
 // that escape into Results.
 type batchArena struct {
-	keys []([]byte)
-	rows []sqltypes.Row
-	sel  []int32
-	slab []sqltypes.Value // batch rows built by the step (see scanRange)
-	wide []sqltypes.Value // survivors widened to env rows
-	dec  []sqltypes.Value // per-entry key decode scratch
+	keys   []([]byte)
+	rows   []sqltypes.Row
+	sel    []int32
+	looked []int32          // entries whose rows a batch fetched (see scanRange)
+	slab   []sqltypes.Value // batch rows built by the step (see scanRange)
+	wide   []sqltypes.Value // survivors widened to env rows
+	dec    []sqltypes.Value // per-entry key decode scratch
 
 	prefix, in []sqltypes.Value // equality prefix and IN values of a scan
 	bounds     keyBuf
@@ -47,9 +48,10 @@ func (e *Executor) getArena() *batchArena {
 		return a
 	}
 	return &batchArena{
-		keys: make([][]byte, batchSize),
-		rows: make([]sqltypes.Row, batchSize),
-		sel:  make([]int32, 0, batchSize),
+		keys:   make([][]byte, batchSize),
+		rows:   make([]sqltypes.Row, batchSize),
+		sel:    make([]int32, 0, batchSize),
+		looked: make([]int32, 0, batchSize),
 	}
 }
 
@@ -348,7 +350,7 @@ type level struct {
 // drive runs the plan's steps and feeds every fully joined, fully filtered
 // env row to sink. It produces the rows and the Stats the tuple-at-a-time
 // reference interpreter (reference_test.go) defines, byte for byte; the rule
-// that makes early stop exact is the read cap in scanRange.
+// that makes early stop exact is scanRange's charging.
 func (e *Executor) drive(p *Plan, sink batchSink, target int64, st *Stats) error {
 	r := &pipeline{e: e, p: p, st: st, sink: sink, target: target, levels: make([]level, len(p.Steps))}
 	for d := range r.levels {
@@ -424,7 +426,8 @@ func (r *pipeline) scanStep(depth int, env []sqltypes.Value) error {
 // The vectorized kernel is preferred: every row is written and the kept
 // count advances by its lane's truth, so no branch depends on the row. A nil
 // kernel falls back to the row closure evaluated per selected row (same
-// order, same first error).
+// order, same first error); on an error it returns the rows kept before the
+// failing one with it.
 func applyPred(a *batchArena, env []sqltypes.Value, vp vecPred, closure CompiledExpr, rows []sqltypes.Row, sel []int32) ([]int32, error) {
 	if vp != nil {
 		out := a.getTri()
@@ -444,7 +447,7 @@ func applyPred(a *batchArena, env []sqltypes.Value, vp vecPred, closure Compiled
 	for _, i := range sel {
 		ok, err := passes(closure, rows[i])
 		if err != nil {
-			return nil, err
+			return kept, err
 		}
 		if ok {
 			kept = append(kept, i)
@@ -454,9 +457,10 @@ func applyPred(a *batchArena, env []sqltypes.Value, vp vecPred, closure Compiled
 }
 
 // scanRange scans one key range of the step's clustered tree or secondary
-// index batch by batch: read, build batch rows, ICP, PK lookup for the ICP
-// survivors, residual filter, widen the survivors to env rows, then the sink
-// on the last step or one inner scanStep per surviving row.
+// index batch by batch: read, build batch rows, ICP, one interleaved PK
+// lookup (Table.GetBatchByPK) for the ICP survivors, residual filter, widen
+// the survivors to env rows, then the sink on the last step or one inner
+// scanStep per surviving row.
 //
 // A batch row is the step's own stored row, or its decoded index view of
 // the table's columns (index and PK columns, the rest NULL, until a PK
@@ -468,13 +472,18 @@ func applyPred(a *batchArena, env []sqltypes.Value, vp vecPred, closure Compiled
 // When a multi-instance step's predicate falls back to its closure, the
 // rows are widened before filtering instead (level.widenFirst).
 //
-// The read cap keeps Stats exact under early stop. Without a row target a
-// batch is batchSize entries. With one, the last step reads at most
-// target-produced entries — each yields at most one row, so the batch cannot
-// run past the entry that completes the target — and every outer step reads
-// one, because its inner scans may complete the target before a second outer
-// entry would be touched. No index entry, PK lookup or leaf is read that a
-// tuple-at-a-time loop stopping on the target row would not have read.
+// Stats are charged as the tuple-at-a-time loop would charge them, which
+// keeps them exact under early stop. Without a row target a batch is
+// batchSize entries. With one, the last step reads at most target-produced
+// entries — each yields at most one row, so the batch cannot run past the
+// entry that completes the target — and an outer step reads ahead,
+// min(target-produced, 2·previous+1, batchSize) entries, starting from one.
+// An outer batch is charged per entry as its survivors reach the inner step:
+// when an inner scan completes the target, the entries up to that one and
+// the PK lookups among them are charged, and the rest of the batch never is
+// (exec.readahead_uncharged counts it). The work read past the stopping row
+// is bounded by what was consumed before it; nothing is charged that a loop
+// stopping on the target row would not have charged.
 //
 // Accounting per scan: the tree-height probe up front; RowsRead per entry
 // read, before ICP; one RowsRead plus a clustered-height probe per PK lookup,
@@ -524,12 +533,13 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		st.PageReads += int64(ix.Tree().Height())
 		ix.Tree().SeekRangeInto(&a.keyIt, lo, hi, hiInc)
 	}
+	prev := 0 // entries the previous batch read
 	for {
 		max := batchSize
 		if r.target >= 0 {
-			max = 1
-			if last {
-				max = int(min(r.target-r.produced, batchSize))
+			max = int(min(r.target-r.produced, batchSize))
+			if !last {
+				max = min(max, 2*prev+1)
 			}
 		}
 		var n int
@@ -541,7 +551,7 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		if n == 0 {
 			break
 		}
-		st.RowsRead += int64(n) // entries examined
+		prev = n
 		scanned += int64(n)
 		if e.m != nil {
 			e.m.batches.Inc()
@@ -564,6 +574,10 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 				rows[i] = w
 			}
 		}
+		// A predicate that fails at an entry ends the batch before it, as the
+		// loop ends there: the survivors before it run first, so a row target
+		// they complete returns the loop's rows, not the error.
+		var failed error
 		if needDecode {
 			// Index-only view: the index and PK columns, the rest NULL.
 			dec := grow(&a.dec, len(ords)+len(pks))
@@ -583,35 +597,40 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 				}
 			}
 			if step.ICP != nil {
-				var err error
-				if sel, err = applyPred(a, env, lv.icpVec, step.ICP, rows, sel); err != nil {
-					return err
-				}
+				sel, failed = applyPred(a, env, lv.icpVec, step.ICP, rows, sel)
 			}
 		}
+		looked := a.looked[:0] // entries whose row was fetched, ascending
 		if ix != nil && !step.Covering {
-			for _, i := range sel {
+			// The ICP survivors' clustered keys overwrite the front of
+			// a.keys and their rows land at the front of rows, then move to
+			// their entries' places from the back: sel ascends, so nothing
+			// is overwritten before it is read.
+			looked = append(looked, sel...)
+			for k, i := range sel {
 				pk, err := ix.PK(a.keys[i])
 				if err != nil {
 					return fmt.Errorf("exec: corrupt index entry: %v", err)
 				}
-				row, ok := tbl.GetByPK(pk, nil)
-				if !ok {
-					return fmt.Errorf("exec: dangling index entry in %s", step.IndexName)
-				}
-				st.RowsRead++
-				st.PageReads += dataHeight
+				a.keys[k] = pk
+			}
+			if tbl.GetBatchByPK(a.keys[:len(sel)], rows[:len(sel)]) >= 0 {
+				return fmt.Errorf("exec: dangling index entry in %s", step.IndexName)
+			}
+			for k := len(sel) - 1; k >= 0; k-- {
 				// The base row replaces any decoded ICP view.
-				if widenFirst {
-					copy(rows[i][seg:], row)
+				if i := int(sel[k]); widenFirst {
+					w := a.slab[i*width : (i+1)*width : (i+1)*width]
+					copy(w[seg:], rows[k])
+					rows[i] = w
 				} else {
-					rows[i] = row
+					rows[i] = rows[k]
 				}
 			}
 		}
 		sel, err := applyPred(a, env, lv.filterVec, step.Filter, rows, sel)
 		if err != nil {
-			return err
+			failed = err // at an earlier entry than any ICP failure
 		}
 		if !widenFirst && ncols < envW {
 			// Widen only what survives.
@@ -626,16 +645,31 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		if !last {
 			for _, i := range sel {
 				if err := r.scanStep(depth+1, rows[i]); err != nil {
+					if err == errStop {
+						end := int(i) + 1
+						charge(st, looked, end, dataHeight)
+						if e.m != nil {
+							e.m.readaheadUncharged.Add(int64(n - end))
+						}
+					}
 					return err
 				}
 			}
+			if failed != nil {
+				return failed
+			}
+			charge(st, looked, n, dataHeight)
 			continue
 		}
+		charge(st, looked, n, dataHeight)
 		if err := r.sink.consume(rows, sel); err != nil {
 			return err
 		}
 		if r.produced += int64(len(sel)); r.target >= 0 && r.produced >= r.target {
 			return errStop
+		}
+		if failed != nil {
+			return failed
 		}
 	}
 	if ix == nil {
@@ -651,4 +685,13 @@ func (r *pipeline) scanRange(depth int, tbl *storage.Table, env []sqltypes.Value
 		}
 	}
 	return nil
+}
+
+// charge books a batch's first end entries as the tuple-at-a-time loop reads
+// them: one RowsRead per entry, and one RowsRead plus a clustered-height
+// probe per row fetched among them (looked: the fetched entries, ascending).
+func charge(st *Stats, looked []int32, end int, dataHeight int64) {
+	k, _ := slices.BinarySearch(looked, int32(end))
+	st.RowsRead += int64(end + k)
+	st.PageReads += int64(k) * dataHeight
 }

@@ -370,6 +370,13 @@ func (t *Table) GetByPK(key []byte, m *Metrics) (sqltypes.Row, bool) {
 	return row, true
 }
 
+// GetBatchByPK fetches the row under every encoded primary key into rows
+// (btree.Tree.GetBatch: the lookups interleave) and returns the index of the
+// first key that names no row, or -1.
+func (t *Table) GetBatchByPK(keys [][]byte, rows []sqltypes.Row) int {
+	return t.data.GetBatch(keys, rows)
+}
+
 // DeleteByPK removes the row with the given encoded primary key, updating
 // all secondary indexes. It reports whether a row was removed.
 func (t *Table) DeleteByPK(key []byte, m *Metrics) bool {
