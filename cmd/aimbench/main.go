@@ -12,7 +12,6 @@
 //	aimbench -exp continuous          # §VI-D: the codepush scenario + summary
 //	aimbench -exp scenario -scenario drift   # one adversarial scenario
 //	aimbench -exp scenario -scenario all     # the whole adversarial suite
-//	aimbench -exp serve               # live aimd fleet vs its offline run
 //	aimbench -exp all                 # everything (slow)
 //
 // -fast shrinks datasets (and scenario cycle counts) for quick smoke runs.
@@ -64,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	a := &app{out: stdout, errw: stderr}
 	fs := flag.NewFlagSet("aimbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: table2|fig3|fig4|fig5|fig6|continuous|scenario|serve|all")
+	exp := fs.String("exp", "all", "experiment: table2|fig3|fig4|fig5|fig6|continuous|scenario|all")
 	bench := fs.String("bench", "tpch", "benchmark for fig4: tpch|job")
 	scenario := fs.String("scenario", "all", "adversarial scenario for -exp scenario: "+strings.Join(scenarios.Names(), "|")+"|all")
 	product := fs.String("product", "C", "product for fig3: A..G")
@@ -139,8 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list = []experiment{continuous}
 	case "scenario":
 		list = []experiment{{"Adversarial scenarios", func() error { return a.runScenarios(*scenario, *fast) }}}
-	case "serve":
-		list = []experiment{{"Live serving (aimd fleet)", func() error { return a.runServe(*fast, *workers) }}}
 	case "all":
 		list = []experiment{table2, fig3, fig4("tpch"), fig4("job"), fig5, fig6, continuous}
 	default:

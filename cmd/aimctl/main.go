@@ -215,7 +215,6 @@ func (a *app) runAdvisor(args []string) int {
 	cfg := core.DefaultConfig()
 	cfg.J = *j
 	cfg.Parallelism = *workers
-	cfg.Selection.MinExecutions = 1
 	if *budget != "" {
 		n, err := parseSize(*budget)
 		if err != nil {

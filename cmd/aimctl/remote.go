@@ -27,7 +27,7 @@ func (a *app) runRemote(args []string) int {
 	label := fs.String("label", "aimctl", "session label (window attribution)")
 	tune := fs.Bool("tune", false, "trigger one tuning cycle and print the verdict")
 	ping := fs.Bool("ping", false, "liveness round-trip only")
-	traceID := fs.String("trace", "", "trace ID to stamp on statements (needs a v2 server; audit windows then name it)")
+	traceID := fs.String("trace", "", "trace ID to stamp on statements (audit windows then name it)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-frame round-trip bound")
 	if status, done := a.parse(fs, args); done {
 		return status
@@ -47,9 +47,6 @@ func (a *app) runRemote(args []string) int {
 	}
 	if err := c.Hello(*label); err != nil {
 		return a.fail(err)
-	}
-	if *traceID != "" && c.Version() < 2 {
-		fmt.Fprintln(a.errw, "aimctl: peer speaks protocol v1; -trace will be dropped")
 	}
 
 	nth := 0

@@ -123,7 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	db.Analyze()
 
 	cfg := icore.DefaultConfig()
-	cfg.Selection.MinExecutions = 1
 	cfg.Parallelism = *workers
 	det := regression.NewDetector(0.5)
 

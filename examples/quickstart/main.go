@@ -51,7 +51,6 @@ func main() {
 	// 3. One tuning cycle: AIM recommends, the shadow gate (the no-regression
 	// check) validates on a clone, and only what it accepts is adopted.
 	cfg := core.DefaultConfig()
-	cfg.Selection.MinExecutions = 1
 	tuner := &server.Tuner{DB: db, Adv: core.NewAdvisor(db, cfg), Detector: regression.NewDetector(0.5), Gate: shadow.DefaultGate()}
 	out, err := tuner.Run(mon)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"aim/internal/baselines"
@@ -238,12 +239,35 @@ func TestRunFig6JoinParameter(t *testing.T) {
 	}
 	// Shape assertions per §VI-C: AIM's final throughput beats the greedy
 	// baseline, and j=2 is at least as good as j=1.
-	if res.AIMFinalThroughput < res.GIAFinalThroughput {
+	if res.ThroughputGainOverGIA() < 0 {
 		t.Errorf("AIM throughput %.1f below GIA %.1f", res.AIMFinalThroughput, res.GIAFinalThroughput)
 	}
-	if res.J2Throughput+0.5 < res.J1Throughput {
+	if res.J2GainOverJ1()*res.J1Throughput < -0.5 {
 		t.Errorf("j=2 (%v) worse than j=1 (%v)", res.J2Throughput, res.J1Throughput)
 	}
+	// Each relative gain, applied to the figure it is relative to, gives
+	// back the figure it compares; with no base figure it is 0, not NaN.
+	for _, g := range []struct {
+		name           string
+		from, to, gain float64
+	}{
+		{"ThroughputGainOverGIA", res.GIAFinalThroughput, res.AIMFinalThroughput, res.ThroughputGainOverGIA()},
+		{"CPUReductionOverGIA", res.GIAFinalCPU, res.AIMFinalCPU, -res.CPUReductionOverGIA()},
+		{"J2GainOverJ1", res.J1Throughput, res.J2Throughput, res.J2GainOverJ1()},
+		{"J3GainOverJ2", res.J2Throughput, res.J3Throughput, res.J3GainOverJ2()},
+	} {
+		if g.from <= 0 {
+			t.Errorf("%s: base figure %v, want > 0", g.name, g.from)
+		} else if math.Abs(g.from*(1+g.gain)-g.to) > 1e-9*g.to {
+			t.Errorf("%s = %v: %v -> %v", g.name, g.gain, g.from, g.to)
+		}
+	}
+	var none Fig6Result
+	if g := [...]float64{none.ThroughputGainOverGIA(), none.CPUReductionOverGIA(), none.J2GainOverJ1(), none.J3GainOverJ2()}; g != [4]float64{} {
+		t.Errorf("gains of an empty result = %v, want 0", g)
+	}
+	t.Logf("gain over GIA %.4f, CPU reduction %.4f, j=2 over j=1 %.4f, j=3 over j=2 %.4f",
+		res.ThroughputGainOverGIA(), res.CPUReductionOverGIA(), res.J2GainOverJ1(), res.J3GainOverJ2())
 	if len(res.AIM.Ticks) != len(res.GIA.Ticks) {
 		t.Error("series mismatch")
 	}

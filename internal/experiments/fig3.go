@@ -104,7 +104,6 @@ func RunFig3(spec products.Spec, opts Fig3Options) (*Fig3Result, error) {
 	res.AIMStartTick = tick
 	cfg := core.DefaultConfig()
 	cfg.J = opts.J
-	cfg.Selection.MinExecutions = 1
 	cfg.Selection.TopK = 0
 	adv := core.NewAdvisor(test.DB, cfg)
 	rec, err := adv.Recommend(testM.Monitor)

@@ -197,7 +197,6 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 		res.JStartTicks[j] = tick
 		cfg := core.DefaultConfig()
 		cfg.J = j
-		cfg.Selection.MinExecutions = 1
 		cfg.Selection.TopK = 0
 		adv := core.NewAdvisor(aimDB, cfg)
 		rec, err := adv.Recommend(aimM.Monitor)

@@ -17,8 +17,8 @@ import (
 	"aim/internal/telemetry"
 )
 
-// Loop is the one driver behind the scenario suite, its fault axis and the
-// serve suite. Each cycle of Run advances the scenario, draws one window of
+// Loop is the one driver behind the scenario suite and its fault and worker
+// axes. Each cycle of Run advances the scenario, draws one window of
 // statements, deals it to Clients sessions and runs one tuning cycle over
 // what executed — through the daemon's own server.Tuner, on one of two
 // transports. Offline (NewLoop) the loop executes the statements itself,

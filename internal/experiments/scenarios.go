@@ -64,8 +64,9 @@ type ScenarioResult struct {
 	// Verdicts is each cycle's verdict line; Statements and Rows count the
 	// statements that executed and the rows they returned; Journal is the
 	// normalized decision journal (ts_us and span_id zeroed: both depend on
-	// wall clock or allocation order, not on decisions), set by runJournaled.
-	// Not rendered; a live run must reproduce the offline run's.
+	// wall clock or allocation order, not on decisions), set when a test runs
+	// the scenario with a journal. Not rendered; a live run must reproduce
+	// the offline run's.
 	Verdicts         []string
 	Statements, Rows int64
 	Journal          []string
@@ -178,7 +179,6 @@ func runScenario(sc scenarios.Scenario, opts ScenarioOptions, live bool) (*Scena
 		db.SetAudit(opts.Audit)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Selection.MinExecutions = 1
 	cfg.Parallelism = opts.Parallelism
 
 	det := regression.NewDetector(0.5)

@@ -65,7 +65,6 @@ func RunTable2Product(spec products.Spec, opts Table2Options) (*Table2Row, error
 
 	cfg := core.DefaultConfig()
 	cfg.J = opts.J
-	cfg.Selection.MinExecutions = 1
 	cfg.Selection.TopK = 0
 	adv := core.NewAdvisor(p.DB, cfg)
 	rec, err := adv.Recommend(mon)

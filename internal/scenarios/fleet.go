@@ -35,8 +35,8 @@ func (f *Fleet) Description() string {
 	return "read-only mix from 16 concurrent sessions; three indexes adopted in the first window, nothing reverted"
 }
 
-// Profile implements Scenario. The full length is the nightly soak, the
-// reduced one the serve suite's acceptance run.
+// Profile implements Scenario. The full length is the nightly soak (`make
+// servesoak`), the reduced one `make servesuite`'s acceptance run.
 func (f *Fleet) Profile() Profile {
 	return Profile{
 		Cycles:           40,

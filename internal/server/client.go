@@ -15,9 +15,6 @@ type Client struct {
 	conn    net.Conn
 	f       *framer
 	timeout time.Duration
-	// version is the server's advertised protocol version, learned from the
-	// Hello response (0 until Hello succeeds — v1 framing assumed).
-	version int64
 }
 
 // Dial connects to an aimd server. timeout bounds each frame round-trip
@@ -47,26 +44,14 @@ func (c *Client) roundTrip(req Request) (*Response, error) {
 	return DecodeResponse(payload)
 }
 
-// Hello declares the session label (deterministic window attribution) and
-// learns the server's protocol version from the response: a v2 server
-// advertises ProtoVersion in Affected, a v1 server leaves it 0. The hello
-// frame itself is unchanged from v1, so the exchange is safe against any
-// server generation.
+// Hello declares the session label (deterministic window attribution).
 func (c *Client) Hello(label string) error {
 	resp, err := c.roundTrip(Request{Op: OpHello, SQL: label})
 	if err != nil {
 		return err
 	}
-	if err := resp.Err(); err != nil {
-		return err
-	}
-	c.version = resp.Affected
-	return nil
+	return resp.Err()
 }
-
-// Version returns the server's advertised protocol version (0 before Hello,
-// or against a v1 server).
-func (c *Client) Version() int64 { return c.version }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
@@ -93,14 +78,12 @@ func (c *Client) Query(sql string) (*Result, error) {
 	return c.query(Request{Op: OpQuery, SQL: sql})
 }
 
-// QueryTraced executes one SQL statement carrying a client trace ID. When
-// the server negotiated v1 (or Hello was never sent) the trace is dropped
-// and the statement goes out as a plain v1 Query — old servers see exactly
-// the frames they always did. Trace IDs longer than MaxTraceID are
+// QueryTraced executes one SQL statement carrying a client trace ID (an
+// empty trace sends a plain Query). Trace IDs longer than MaxTraceID are
 // truncated rather than rejected: an oversized ID is an annotation problem,
 // not a reason to fail the statement.
 func (c *Client) QueryTraced(trace, sql string) (*Result, error) {
-	if c.version < 2 || trace == "" {
+	if trace == "" {
 		return c.Query(sql)
 	}
 	if len(trace) > MaxTraceID {

@@ -22,7 +22,7 @@ type Record struct {
 	Session string
 	Seq     uint64
 	// Trace is the client-supplied trace ID ("" when the statement arrived
-	// on a v1 frame). It rides the record into the tuning cycle so the audit
+	// as a plain OpQuery). It rides the record into the tuning cycle so the audit
 	// journal's window events can name the exact live statements that drove
 	// a decision.
 	Trace string

@@ -10,24 +10,18 @@ import (
 	"aim/internal/obs"
 )
 
-// TestProtocolV2Negotiation: a v2 client against a v2 server learns the
-// version from Hello, sends traced queries, and the trace IDs land on the
-// collector records.
-func TestProtocolV2Negotiation(t *testing.T) {
+// TestProtocolQueryTraced: traced queries from a labelled session land on
+// the collector records with their trace IDs, and an empty trace goes out as
+// a plain query.
+func TestProtocolQueryTraced(t *testing.T) {
 	s, addr := startTestServer(t, Options{})
 	c, err := Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Version(); got != 0 {
-		t.Fatalf("version before hello = %d", got)
-	}
 	if err := c.Hello("lg-0001"); err != nil {
 		t.Fatal(err)
-	}
-	if got := c.Version(); got != ProtoVersion {
-		t.Fatalf("negotiated version = %d, want %d", got, ProtoVersion)
 	}
 	if _, err := c.QueryTraced("t-0001-0-1", "SELECT v FROM kv WHERE id = 1"); err != nil {
 		t.Fatal(err)
@@ -47,10 +41,9 @@ func TestProtocolV2Negotiation(t *testing.T) {
 	}
 }
 
-// TestProtocolOldClientNewServer drives a new server with raw v1 frames —
-// exactly the bytes an old client emits — and checks every response is
-// what a v1 client expects. The only observable difference is the hello
-// Affected field, which v1 clients never read.
+// TestProtocolOldClientNewServer drives the server with raw frames of the
+// original frame set (H/Q/T/P), exactly the bytes an old client emits, and
+// checks every response is what such a client expects.
 func TestProtocolOldClientNewServer(t *testing.T) {
 	_, addr := startTestServer(t, Options{})
 	conn, err := net.Dial("tcp", addr)
@@ -86,83 +79,6 @@ func TestProtocolOldClientNewServer(t *testing.T) {
 	}
 	if resp := rt(Request{Op: OpQuery, SQL: "UPDATE kv SET v = 5 WHERE id = 3"}); resp.Tag != TagOK {
 		t.Fatalf("v1 DML response = %+v", resp)
-	}
-}
-
-// startV1Server is a faithful v1-only stub: it speaks the original frame
-// set and rejects v2 opcodes with the unknown-opcode error a v1 binary
-// produces, and never sets Affected on hello.
-func startV1Server(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					payload, err := ReadFrame(conn, MaxFrame)
-					if err != nil {
-						return
-					}
-					var resp *Response
-					switch payload[0] {
-					case OpHello:
-						resp = &Response{Tag: TagOK} // v1: Affected never set
-					case OpPing:
-						resp = &Response{Tag: TagPong}
-					case OpQuery:
-						resp = &Response{Tag: TagOK, Affected: 1}
-					default:
-						resp = &Response{Tag: TagError, Code: CodeBadFrame,
-							Msg: "server: unknown opcode"}
-					}
-					if WriteFrame(conn, EncodeResponse(resp)) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestProtocolNewClientOldServer: a v2 client against a v1 server reads
-// version 0 from hello and silently falls back to v1 frames — traced
-// queries go out as plain Q frames.
-func TestProtocolNewClientOldServer(t *testing.T) {
-	addr := startV1Server(t)
-	c, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Hello("lg-0001"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Version(); got != 0 {
-		t.Fatalf("version against v1 server = %d, want 0", got)
-	}
-	// The trace is dropped, not sent: the v1 stub answers plain Q with
-	// TagOK, and would have answered 'q' with an error.
-	res, err := c.QueryTraced("t-0001-0-1", "SELECT 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Affected != 1 {
-		t.Fatalf("fallback query result = %+v", res)
-	}
-	// A forced v2 frame is rejected by the old server with its ordinary
-	// unknown-opcode error — decoder totality across generations.
-	if _, err := c.query(Request{Op: OpQueryTraced, Trace: "t", SQL: "SELECT 1"}); err == nil {
-		t.Fatal("v1 server accepted a v2 frame")
 	}
 }
 

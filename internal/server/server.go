@@ -22,9 +22,7 @@ import (
 type Options struct {
 	// DB is the serving database (schema and data already loaded).
 	DB *engine.DB
-	// AdvisorCfg configures the in-process advisor. The zero value selects
-	// core.DefaultConfig with MinExecutions=1 — live windows are short, and
-	// a statement seen once in a window is real traffic, not noise.
+	// AdvisorCfg configures the in-process advisor (nil = core.DefaultConfig).
 	AdvisorCfg *core.Config
 	// Gate is the shadow no-regression gate (nil = shadow.DefaultGate).
 	Gate *shadow.Gate
@@ -105,7 +103,6 @@ func New(opts Options) *Server {
 		panic("server: Options.DB is required")
 	}
 	cfg := core.DefaultConfig()
-	cfg.Selection.MinExecutions = 1
 	if opts.AdvisorCfg != nil {
 		cfg = *opts.AdvisorCfg
 	}
@@ -155,7 +152,7 @@ func New(opts Options) *Server {
 }
 
 // Tuner exposes the live tuner (counters and verdicts) for telemetry and
-// the serve suite.
+// the live scenario loop.
 func (s *Server) Tuner() *Tuner { return s.tuner }
 
 // Collector exposes the window collector.
@@ -273,10 +270,7 @@ func (s *Server) serve(conn net.Conn) {
 			if req.SQL != "" {
 				session = req.SQL
 			}
-			// Affected advertises the server's protocol version (see
-			// ProtoVersion). v1 clients never read it; v2 clients use it to
-			// decide whether OpQueryTraced is safe to send.
-			resp = &Response{Tag: TagOK, Affected: ProtoVersion}
+			resp = &Response{Tag: TagOK}
 		case OpPing:
 			resp = &Response{Tag: TagPong}
 		case OpTune:

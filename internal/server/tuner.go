@@ -18,8 +18,8 @@ import (
 )
 
 // Tuner is the one tuning cycle every driver runs: the live daemon (sealed
-// collector windows through CycleWindow), the offline loop behind the fault,
-// scenario and serve suites (experiments.Loop, the same CycleWindow), and
+// collector windows through CycleWindow), the loop behind the scenario suite
+// and its fault and worker axes (experiments.Loop, the same CycleWindow), and
 // in-process callers with a monitor of their own (Run). It is the only place
 // that knows the order of the no-regression contract (§VII-B/C): nothing
 // changes the physical design without a shadow-gate verdict or a journaled

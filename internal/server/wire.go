@@ -33,22 +33,6 @@ import (
 // prefix cannot make the reader allocate gigabytes.
 const MaxFrame = 1 << 20
 
-// ProtoVersion is the protocol this build speaks. Version history:
-//
-//	1 — the original frame set (H/Q/T/P).
-//	2 — adds OpQueryTraced ('q', a Q frame carrying a client trace ID).
-//	    Early v2 builds also answered 'S' with the slow-query log; the log is
-//	    served on /slowz now, and 'S' is an unknown opcode.
-//
-// Negotiation is server-advertised: the OpHello response's Affected field
-// carries the server's ProtoVersion. A v1 server never sets Affected (the
-// field decodes as 0), so a new client talking to an old server reads 0 and
-// stays on the v1 frame set; an old client never reads Affected at all, so
-// a new server's advertisement is invisible to it. Frames themselves are
-// unversioned — a v2 frame is just a new opcode a v1 peer would reject with
-// its ordinary unknown-opcode error.
-const ProtoVersion = 2
-
 // MaxTraceID caps the client-supplied trace ID carried by OpQueryTraced.
 // Trace IDs are identifiers, not payloads; the cap keeps a hostile client
 // from using the trace field as a memory amplifier in the slow log and the
@@ -68,10 +52,9 @@ const (
 	OpTune = byte('T')
 	// OpPing is a liveness round-trip (empty body).
 	OpPing = byte('P')
-	// OpQueryTraced (v2) executes one SQL statement with a client-supplied
-	// trace ID (body: u16 trace length | trace bytes | SQL text). Identical
-	// to OpQuery in every other respect; a client that negotiated v1 must
-	// send OpQuery instead.
+	// OpQueryTraced executes one SQL statement with a client-supplied trace
+	// ID (body: u16 trace length | trace bytes | SQL text). Identical to
+	// OpQuery in every other respect.
 	OpQueryTraced = byte('q')
 )
 
@@ -221,7 +204,7 @@ type Request struct {
 	// label (OpHello).
 	SQL string
 	// Trace is the client-supplied trace ID (OpQueryTraced only; "" on every
-	// v1 opcode).
+	// other opcode).
 	Trace string
 }
 

@@ -77,8 +77,8 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 }
 
 // TestDivergenceRebuildByteIdenticalVerdicts forces the one-sided DML
-// divergence path on a pair cloned from the frozen snapshots exactly as
-// Validate clones it, and asserts the validation fails closed — a degraded
+// divergence path on the frozen snapshots exactly as Validate replays on
+// them, and asserts the validation fails closed — a degraded
 // [unreplayable_queries] verdict naming the diverging write, with the read
 // evidence beside it — byte-identical at any worker count and with
 // instrumentation on or off.
@@ -98,8 +98,8 @@ func TestDivergenceRebuildByteIdenticalVerdicts(t *testing.T) {
 		if err := f.take(db, []*catalog.Index{cand}); err != nil {
 			t.Fatal(err)
 		}
-		baseline, test := f.pair()
-		defer release(f.base, f.built, baseline, test)
+		baseline, test := f.base, f.testSide()
+		defer release(f.base, f.built, test)
 
 		// Half-apply a write: land it on the baseline only, exactly the state
 		// an aborted replay leaves behind. Its replay then fails on the

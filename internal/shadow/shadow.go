@@ -150,10 +150,11 @@ func release(dbs ...*engine.DB) {
 
 // frozen is production frozen for one validation: base, the one gated O(1)
 // copy-on-write snapshot, and built, a second handle over the same rows and
-// statistics with the candidates materialized in one batch. No replay writes
-// either — replays run on a pair cloned from them — so both sides of every
-// comparison hold the rows of one instant, and an accepted verdict hands
-// built's trees over.
+// statistics with the candidates materialized in one batch. The baseline side
+// replays on base itself, which nothing reads once built is cloned from it;
+// the test side replays on a clone of built, so no replay writes built and an
+// accepted verdict hands its trees over. Both sides of every comparison hold
+// the rows of one instant.
 type frozen struct{ base, built *engine.DB }
 
 // take fills f from db, retrying a failed attempt from scratch under
@@ -185,12 +186,13 @@ func (f *frozen) take(db *engine.DB, candidates []*catalog.Index) error {
 	return err
 }
 
-// pair clones a baseline/test pair for replay: two O(1) clones that differ
-// in the candidate indexes and nothing else. shadow.clone_pairs counts pairs
-// handed to replay — one per validation — not snapshots of production.
-func (f *frozen) pair() (baseline, test *engine.DB) {
+// testSide clones built for the test side's replays, an O(1) clone that
+// differs from base in the candidate indexes and nothing else.
+// shadow.clone_pairs counts baseline/test pairs handed to replay — one per
+// validation — not snapshots of production.
+func (f *frozen) testSide() *engine.DB {
 	f.base.ObsRegistry().Counter("shadow.clone_pairs").Inc()
-	return f.base.Clone("shadow-baseline"), f.built.Clone("shadow-test")
+	return f.built.Clone("shadow-test")
 }
 
 // Validate clones the database, materializes the candidate indexes on the
@@ -229,7 +231,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 	// to "no change" instead of taking the tuning loop down. Every handle is
 	// retired here, on every path, but built's when the report carries it out.
 	var f frozen
-	var baseline, test *engine.DB
+	var test *engine.DB
 	defer func() {
 		if p := recover(); p != nil {
 			rep, err = verdict(&Report{
@@ -238,7 +240,7 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 				Reason:   fmt.Sprintf("validation panicked: %v", p),
 			})
 		}
-		release(f.base, baseline, test)
+		release(f.base, test)
 		if rep.built == nil {
 			release(f.built)
 		}
@@ -254,8 +256,8 @@ func Validate(db *engine.DB, candidates []*catalog.Index, mon *workload.Monitor,
 			Reason:   fmt.Sprintf("clone environment unavailable: %v", err),
 		})
 	}
-	baseline, test = f.pair()
-	if rep = judge(baseline, test, mon, gate, &sk); rep.Accepted {
+	test = f.testSide()
+	if rep = judge(f.base, test, mon, gate, &sk); rep.Accepted {
 		rep.AcceptedIndexes = candidates
 		rep.built = f.built
 	}

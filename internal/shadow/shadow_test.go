@@ -239,23 +239,24 @@ func TestReplayCountRecordedInOutcome(t *testing.T) {
 
 // TestClonePairSharesStatistics: the before/after comparison is like for
 // like only if both sides plan from the same statistics. Materializing the
-// candidates on the built snapshot must not re-collect them — the pair
-// differs in the candidate indexes and nothing else.
+// candidates on the built snapshot must not re-collect them — the baseline
+// snapshot and the test clone differ in the candidate indexes and nothing
+// else.
 func TestClonePairSharesStatistics(t *testing.T) {
 	db, _ := fixture(t)
 	var f frozen
 	if err := f.take(db, []*catalog.Index{goodIndex()}); err != nil {
 		t.Fatal(err)
 	}
-	baseline, test := f.pair()
-	defer release(f.base, f.built, baseline, test)
+	test := f.testSide()
+	defer release(f.base, f.built, test)
 	for _, tbl := range db.Schema.Tables() {
 		ts := db.TableStats(tbl.Name)
-		if baseline.TableStats(tbl.Name) != ts || test.TableStats(tbl.Name) != ts {
-			t.Errorf("%s: baseline and test clone do not share production's statistics", tbl.Name)
+		if f.base.TableStats(tbl.Name) != ts || test.TableStats(tbl.Name) != ts {
+			t.Errorf("%s: baseline snapshot and test clone do not share production's statistics", tbl.Name)
 		}
 	}
-	if baseline.Schema.Index("aim_t_a") != nil || test.Store.Table("t").Index("aim_t_a") == nil {
+	if f.base.Schema.Index("aim_t_a") != nil || test.Store.Table("t").Index("aim_t_a") == nil {
 		t.Fatal("candidate must be materialized on the test side only")
 	}
 }
@@ -277,10 +278,10 @@ func (g *writingGate) Unlock() {
 
 // TestValidateComparesOneSnapshot: the two sides of the gate's comparison
 // must hold the rows of one instant. A validation takes the clone gate
-// exactly once; the pairs cloned from its snapshot take no gate at all and
-// share one clustered tree, so a write landing right behind the snapshot is
-// on neither side. (Two gated clones, as before, put that write on the test
-// side only.)
+// exactly once; the test clone taken from its snapshot takes no gate at all
+// and shares one clustered tree with the baseline snapshot, so a write
+// landing right behind the snapshot is on neither side. (Two gated clones,
+// as before, put that write on the test side only.)
 func TestValidateComparesOneSnapshot(t *testing.T) {
 	db, mon := fixture(t)
 	gate := &writingGate{db: db}
@@ -301,19 +302,17 @@ func TestValidateComparesOneSnapshot(t *testing.T) {
 	}
 	defer release(f.base, f.built)
 	rows := db.Store.Table("t").RowCount() - 1 // the write behind this snapshot
-	for i := 0; i < 2; i++ {
-		baseline, test := f.pair()
-		b, s := baseline.Store.Table("t"), test.Store.Table("t")
-		btree.Diff(b.Data(), s.Data(), func(key []byte, _, _ sqltypes.Row) bool {
-			t.Fatalf("pair %d: the sides differ at key %x", i, key)
-			return false
-		})
-		if b.RowCount() != rows || s.RowCount() != rows {
-			t.Fatalf("pair %d: %d and %d rows, want the snapshot's %d", i, b.RowCount(), s.RowCount(), rows)
-		}
-		release(baseline, test)
+	test := f.testSide()
+	defer release(test)
+	b, s := f.base.Store.Table("t"), test.Store.Table("t")
+	btree.Diff(b.Data(), s.Data(), func(key []byte, _, _ sqltypes.Row) bool {
+		t.Fatalf("the sides differ at key %x", key)
+		return false
+	})
+	if b.RowCount() != rows || s.RowCount() != rows {
+		t.Fatalf("%d and %d rows, want the snapshot's %d", b.RowCount(), s.RowCount(), rows)
 	}
 	if gate.locks != 2 {
-		t.Fatalf("a snapshot and two pairs took the clone gate %d times, want once", gate.locks-1)
+		t.Fatalf("a snapshot and its test clone took the clone gate %d times, want once", gate.locks-1)
 	}
 }

@@ -5,7 +5,7 @@
 // floats are formatted deterministically, so for a deterministic workload
 // the exposition bytes are pinnable by golden tests. It is the one rendering
 // of the registry: ParsePrometheus reads it back for `aimctl top` and the
-// serve suite's soak artifact.
+// live scenario suite's per-round metrics.
 package telemetry
 
 import (

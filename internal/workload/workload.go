@@ -202,9 +202,11 @@ type SelectionConfig struct {
 	IncludeDML bool
 }
 
-// DefaultSelection mirrors the paper's deployment defaults.
+// DefaultSelection is the selection every tuning path runs. MinExecutions is
+// 1: a tuning window is short, and a statement seen once in it is real
+// traffic, not noise.
 func DefaultSelection() SelectionConfig {
-	return SelectionConfig{MinExecutions: 3, MinBenefit: 0, TopK: 50, IncludeDML: true}
+	return SelectionConfig{MinExecutions: 1, MinBenefit: 0, TopK: 50, IncludeDML: true}
 }
 
 // Representative selects the queries worth optimizing, ordered by expected
