@@ -246,7 +246,7 @@ func (a *app) runAdvisor(args []string) int {
 		fmt.Fprintf(a.out, "  CREATE %s\n    %s\n", e.Index, e.String())
 	}
 	for _, d := range rec.Drop {
-		fmt.Fprintf(a.out, "  DROP %s (unused by observed workload)\n", d)
+		fmt.Fprintf(a.out, "  DROP %s (no executed plan in the window read it)\n", d)
 	}
 	if len(rec.Create) == 0 {
 		return 0
@@ -364,7 +364,7 @@ func runScript(db *engine.DB, mon *workload.Monitor, text string, demo bool) err
 			if err != nil {
 				return fmt.Errorf("workload: %v (sql: %s)", err, line)
 			}
-			if _, err := mon.Ingest(res.Template, line, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, line, res.Stats, 0, res.UsedIndexes); err != nil {
 				return err
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"aim/internal/catalog"
 	"aim/internal/costcache"
 	"aim/internal/engine"
-	"aim/internal/pool"
 	"aim/internal/sqlparser"
 	"aim/internal/workload"
 )
@@ -86,24 +85,13 @@ func (e *Explanation) String() string {
 		e.Index, e.GainCPU, e.MaintenanceCPU, e.SizeBytes, len(e.Queries), e.PartialOrder)
 }
 
-// ShrinkProposal narrows an existing index to the prefix the workload
-// actually uses — the "drop (parts of) unused indexes" capability of §I.
-type ShrinkProposal struct {
-	From *catalog.Index
-	To   *catalog.Index
-	// UsedWidth is the widest key prefix any observed plan exploited.
-	UsedWidth int
-}
-
 // Recommendation is the advisor output.
 type Recommendation struct {
 	// Create lists the selected indexes in descending utility-per-byte.
 	Create []*catalog.Index
-	// Drop lists existing secondary indexes unused by the workload.
+	// Drop lists existing secondary indexes no executed plan of the
+	// workload read.
 	Drop []*catalog.Index
-	// Shrink lists existing indexes whose trailing columns no observed
-	// plan uses; Apply replaces them with their used prefix.
-	Shrink []*ShrinkProposal
 	// Explanations parallel Create.
 	Explanations []*Explanation
 	// Candidates is the full ranked candidate list (selected or not).
@@ -262,9 +250,7 @@ func (a *Advisor) RecommendQueries(rep []*workload.QueryStats) (*Recommendation,
 			Queries:        queries,
 		})
 	}
-	unusedSpan := root.Child("unused")
-	rec.Drop, rec.Shrink = a.findUnusedIndexes(rep)
-	unusedSpan.End()
+	rec.Drop = a.unusedIndexes(rep)
 	rec.OptimizerCalls = a.DB.Optimizer.Calls() - calls0
 	rec.Cache = a.DB.WhatIf.CacheStats().Delta(cache0)
 	rec.Elapsed = time.Since(start)
@@ -289,110 +275,42 @@ func sourceQueries(po *PartialOrder) []string {
 	return out
 }
 
-// findUnusedIndexes returns existing secondary indexes that no workload
-// query's best plan reads, plus shrink proposals for indexes whose trailing
-// key columns no plan exploits (§I: "detect and drop (parts of) unused
-// indexes"). Only tables actually touched by the workload are considered,
-// so an empty or partial observation window never flags unrelated indexes.
-func (a *Advisor) findUnusedIndexes(rep []*workload.QueryStats) ([]*catalog.Index, []*ShrinkProposal) {
-	if len(rep) == 0 {
-		return nil, nil
-	}
-	// usedWidth tracks, per index key, the widest key prefix any plan
-	// bound (equality prefix plus one range/IN column). A covering or
-	// order-providing read may rely on trailing columns without binding
-	// them, so those accesses pin the full width. Each query's plan is
-	// costed on a worker; the max-fold over widths runs afterwards in
-	// workload order (max is order-insensitive, but the deterministic
-	// merge keeps the structure uniform with the ranking loops).
-	type usage struct {
-		tables []string
-		keys   []string
-		widths []int
-	}
-	perQ := make([]*usage, len(rep))
-	pool.ForEach(pool.Workers(a.Cfg.Parallelism), len(rep), func(qi int) {
-		q := rep[qi]
-		sel, ok := q.Sample().(*sqlparser.Select)
+// unusedIndexes returns the existing secondary indexes that no
+// representative SELECT's executed plan read (§I: "detect and drop unused
+// indexes"). Only tables a representative SELECT touches are considered, so
+// an empty or partial observation window never flags unrelated indexes; DML
+// does not vote for keeping read indexes.
+func (a *Advisor) unusedIndexes(rep []*workload.QueryStats) []*catalog.Index {
+	touched := map[string]bool{}
+	read := map[string]bool{}
+	for _, q := range rep {
+		sel, ok := q.Stmt.(*sqlparser.Select)
 		if !ok {
-			return // DML does not vote for keeping read indexes
-		}
-		u := &usage{}
-		for _, tr := range sel.Tables {
-			u.tables = append(u.tables, strings.ToLower(tr.Name))
-		}
-		est, err := a.DB.WhatIf.EstimateSelect(sel, nil)
-		if err != nil {
-			perQ[qi] = u
-			return
-		}
-		for _, used := range est.Used {
-			if used.Index == nil {
-				continue
-			}
-			w := used.EqLen
-			if used.HasRange {
-				w++
-			}
-			if used.Covering || len(sel.OrderBy) > 0 || len(sel.GroupBy) > 0 {
-				// Conservative: covering and ordered/grouped reads may
-				// depend on every key column.
-				w = len(used.Index.Columns)
-			}
-			u.keys = append(u.keys, used.Index.Key())
-			u.widths = append(u.widths, w)
-		}
-		perQ[qi] = u
-	})
-	usedWidth := map[string]int{}
-	touchedTables := map[string]bool{}
-	for _, u := range perQ {
-		if u == nil {
 			continue
 		}
-		for _, t := range u.tables {
-			touchedTables[t] = true
+		for _, tr := range sel.Tables {
+			touched[strings.ToLower(tr.Name)] = true
 		}
-		for i, k := range u.keys {
-			if u.widths[i] > usedWidth[k] {
-				usedWidth[k] = u.widths[i]
-			}
+		for _, name := range q.UsedIndexes {
+			read[name] = true
 		}
 	}
 	var drop []*catalog.Index
-	var shrink []*ShrinkProposal
 	for _, ix := range a.materializedIndexes() {
-		if !touchedTables[strings.ToLower(ix.Table)] {
-			continue
-		}
-		w, used := usedWidth[ix.Key()]
-		switch {
-		case !used:
+		if touched[strings.ToLower(ix.Table)] && !read[ix.Name] {
 			drop = append(drop, ix)
-		case w > 0 && w < len(ix.Columns):
-			to := &catalog.Index{
-				Name:      ix.Name + "_shrunk",
-				Table:     ix.Table,
-				Columns:   append([]string(nil), ix.Columns[:w]...),
-				CreatedBy: ix.CreatedBy,
-			}
-			// Never shrink onto an index that already exists.
-			if a.DB.Schema.FindIndexByColumns(to.Table, to.Columns) == nil {
-				shrink = append(shrink, &ShrinkProposal{From: ix, To: to, UsedWidth: w})
-			}
 		}
 	}
-	return drop, shrink
+	return drop
 }
 
 // Apply materializes a recommendation on the database: builds the created
-// indexes (from materialized copies of their defs), drops the flagged ones
-// and swaps each shrink's index for its prefix. It returns the names of
-// created indexes. The creates go through one CreateIndexes batch, so a
-// build failure rolls the whole set back — a faulting Apply leaves the
-// catalog exactly as it found it rather than adopting a prefix of the
-// recommendation. It collects no statistics: they describe table data,
-// which index DDL does not change.
+// indexes (from materialized copies of their defs) and drops the flagged
+// ones. It returns the names of created indexes. The creates go through one
+// CreateIndexes batch, so a build failure rolls the whole set back — a
+// faulting Apply leaves the catalog exactly as it found it rather than
+// adopting a prefix of the recommendation. It collects no statistics: they
+// describe table data, which index DDL does not change.
 //
 // Apply has no shadow verdict, so the tuning cycle adopts through Adopt;
 // its one non-test caller is bench/trace.go's phase replica.
@@ -439,15 +357,6 @@ func (a *Advisor) apply(rec *Recommendation, createIndexes func([]*catalog.Index
 		if _, err := a.DB.DropIndex(ix.Name); err != nil {
 			return created, err
 		}
-	}
-	for _, sp := range rec.Shrink {
-		if _, err := a.DB.DropIndex(sp.From.Name); err != nil {
-			return created, err
-		}
-		if _, err := a.DB.CreateIndex(sp.To); err != nil {
-			return created, err
-		}
-		created = append(created, sp.To.Name)
 	}
 	return created, nil
 }

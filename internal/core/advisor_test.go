@@ -12,9 +12,15 @@ import (
 	"aim/internal/workload"
 )
 
-func advisorFixture(t testing.TB) (*Advisor, *workload.Monitor) {
+// advisorFixture runs a mixed workload on the paper's database after the
+// statements in ddl and returns an advisor over it with the monitor that
+// observed the workload.
+func advisorFixture(t testing.TB, ddl ...string) (*Advisor, *workload.Monitor) {
 	t.Helper()
 	db := paperDB(t)
+	for _, stmt := range ddl {
+		db.MustExec(stmt)
+	}
 	cfg := DefaultConfig()
 	cfg.Selection.MinExecutions = 1
 	cfg.Selection.MinBenefit = 0
@@ -34,7 +40,7 @@ func advisorFixture(t testing.TB) (*Advisor, *workload.Monitor) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,14 +167,14 @@ func TestMaintenanceDiscountsWriteHeavyIndexes(t *testing.T) {
 	mon := workload.NewMonitor()
 	// One rare read on col5 vs massive write traffic touching col5.
 	res, _ := db.Exec("SELECT col1 FROM t1 WHERE col5 = 3")
-	mon.Ingest(res.Template, "SELECT col1 FROM t1 WHERE col5 = 3", res.Stats)
+	mon.Ingest(res.Template, "SELECT col1 FROM t1 WHERE col5 = 3", res.Stats, 0, res.UsedIndexes)
 	for i := 0; i < 400; i++ {
 		sql := fmt.Sprintf("UPDATE t1 SET col5 = %d WHERE id = %d", i, i)
 		r, err := db.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(r.Template, sql, r.Stats)
+		mon.Ingest(r.Template, sql, r.Stats, 0, r.UsedIndexes)
 	}
 	rec, err := adv.Recommend(mon)
 	if err != nil {
@@ -220,8 +226,8 @@ func TestUnusedIndexDetection(t *testing.T) {
 }
 
 func TestUsedIndexNotDropped(t *testing.T) {
-	adv, mon := advisorFixture(t)
-	adv.DB.MustExec("CREATE INDEX hot ON t1 (col1, col2)")
+	// The index exists while the workload runs, so its executed plans read it.
+	adv, mon := advisorFixture(t, "CREATE INDEX hot ON t1 (col1, col2)")
 	rec, err := adv.Recommend(mon)
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +241,38 @@ func TestUsedIndexNotDropped(t *testing.T) {
 	for _, c := range rec.Create {
 		if c.Key() == "t1(col1,col2)" {
 			t.Fatal("existing index re-recommended")
+		}
+	}
+}
+
+// TestIndexReadAfterTheFirstSampleNotDropped: a template's first sample
+// scans the table while its later executions read ix. The window read ix,
+// so ix is not unused, whatever a re-plan of the first sample would pick.
+func TestIndexReadAfterTheFirstSampleNotDropped(t *testing.T) {
+	db := paperDB(t)
+	db.MustExec("CREATE INDEX ix ON t1 (col13)")
+	adv := NewAdvisor(db, DefaultConfig())
+	mon := workload.NewMonitor()
+	for i, lo := range []int{0, 4990, 4991, 4992, 4993, 4994} {
+		sql := fmt.Sprintf("SELECT col1 FROM t1 WHERE col13 > %d", lo)
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read := len(res.UsedIndexes) > 0; read != (i > 0) {
+			t.Fatalf("%s read %v; the fixture wants a wide first sample that scans and narrow ones that read ix", sql, res.UsedIndexes)
+		}
+		if _, err := mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := adv.Recommend(mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range rec.Drop {
+		if d.Name == "ix" {
+			t.Fatalf("ix, which the window's plans read, is listed in Drop %v", rec.Drop)
 		}
 	}
 }
@@ -281,104 +319,6 @@ func TestJoinParameterZeroStillRecommendsFilters(t *testing.T) {
 	}
 }
 
-func TestShrinkProposalForOverwideIndex(t *testing.T) {
-	db := paperDB(t)
-	// A 4-wide index of which the workload only ever binds (col1, col2).
-	db.MustExec("CREATE INDEX wide ON t1 (col1, col2, col4, col5)")
-	db.Analyze()
-	cfg := DefaultConfig()
-	cfg.Selection.MinExecutions = 1
-	adv := NewAdvisor(db, cfg)
-	mon := workload.NewMonitor()
-	for i := 0; i < 10; i++ {
-		sql := fmt.Sprintf("SELECT col3 FROM t1 WHERE col1 = %d AND col2 = %d", i%100, i%50)
-		res, err := db.Exec(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon.Ingest(res.Template, sql, res.Stats)
-	}
-	rec, err := adv.Recommend(mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Shrink) != 1 {
-		t.Fatalf("shrink proposals = %d (drop=%v)", len(rec.Shrink), rec.Drop)
-	}
-	sp := rec.Shrink[0]
-	if sp.From.Name != "wide" || sp.UsedWidth != 2 || len(sp.To.Columns) != 2 {
-		t.Fatalf("proposal = %+v", sp)
-	}
-	if _, err := adv.Apply(rec); err != nil {
-		t.Fatal(err)
-	}
-	if db.Schema.Index("wide") != nil {
-		t.Fatal("wide index survived")
-	}
-	if db.Schema.FindIndexByColumns("t1", []string{"col1", "col2"}) == nil {
-		t.Fatal("shrunk index missing")
-	}
-}
-
-func TestNoShrinkWhenCoveringReadsNeedWidth(t *testing.T) {
-	db := paperDB(t)
-	db.MustExec("CREATE INDEX wide ON t1 (col1, col2, col5)")
-	db.Analyze()
-	cfg := DefaultConfig()
-	cfg.Selection.MinExecutions = 1
-	adv := NewAdvisor(db, cfg)
-	mon := workload.NewMonitor()
-	for i := 0; i < 10; i++ {
-		// Covering read: col5 comes from the index's trailing column.
-		sql := fmt.Sprintf("SELECT col5 FROM t1 WHERE col1 = %d", i%100)
-		res, err := db.Exec(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 && (len(res.UsedIndexes) == 0 || res.UsedIndexes[0] != "wide") {
-			t.Skipf("plan does not use wide covering index: %v", res.PlanDesc)
-		}
-		mon.Ingest(res.Template, sql, res.Stats)
-	}
-	rec, err := adv.Recommend(mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Shrink) != 0 {
-		t.Fatalf("covering index wrongly shrunk: %+v", rec.Shrink[0])
-	}
-}
-
-func TestNoShrinkToExistingIndex(t *testing.T) {
-	db := paperDB(t)
-	db.MustExec("CREATE INDEX wide ON t1 (col1, col2, col4)")
-	db.MustExec("CREATE INDEX narrow ON t1 (col1, col2)")
-	db.Analyze()
-	cfg := DefaultConfig()
-	cfg.Selection.MinExecutions = 1
-	adv := NewAdvisor(db, cfg)
-	mon := workload.NewMonitor()
-	for i := 0; i < 10; i++ {
-		sql := fmt.Sprintf("SELECT col3 FROM t1 WHERE col1 = %d AND col2 = %d", i%100, i%50)
-		res, err := db.Exec(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon.Ingest(res.Template, sql, res.Stats)
-	}
-	rec, err := adv.Recommend(mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The wide index's prefix already exists as "narrow": the wide one is
-	// either unused (dropped) or at least never shrunk onto a duplicate.
-	for _, sp := range rec.Shrink {
-		if sp.From.Name == "wide" {
-			t.Fatalf("shrunk onto existing index: %+v", sp)
-		}
-	}
-}
-
 func TestShardingEconomicsPruneMarginalIndexes(t *testing.T) {
 	// The same workload tuned for an unsharded vs a heavily sharded
 	// deployment: per §VIII(b), shards multiply maintenance and storage, so
@@ -395,7 +335,7 @@ func TestShardingEconomicsPruneMarginalIndexes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Ingest(res.Template, q, res.Stats)
+			mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
 		}
 		for i := 0; i < 30; i++ {
 			record("SELECT col5 FROM t1 WHERE col1 = 5 AND col2 = 3") // hot, high gain
@@ -439,7 +379,7 @@ func TestFleetAggregatedRecommendation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range mons {
-				m.Ingest(res.Template, q, res.Stats)
+				m.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
 			}
 		}
 	}
@@ -521,7 +461,7 @@ func TestRandomizedAdvisorNeverChangesResults(t *testing.T) {
 				before[q] = canonRows(res)
 				beforeCPU += res.Stats.CPUSeconds()
 				for k := 0; k < 3; k++ {
-					mon.Ingest(res.Template, q, res.Stats)
+					mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
 				}
 			}
 

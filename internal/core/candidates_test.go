@@ -48,7 +48,7 @@ func monitorWith(t testing.TB, db *engine.DB, queries ...string) *workload.Monit
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 5; i++ {
-			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -358,7 +358,7 @@ func TestGenerateFromExecutedWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, sql, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes)
 	}
 	rep := mon.Representative(workload.DefaultSelection())
 	if len(rep) != 1 {

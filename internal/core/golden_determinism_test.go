@@ -101,9 +101,6 @@ func renderRecommendation(rec *Recommendation) string {
 	for _, ix := range rec.Drop {
 		fmt.Fprintf(&b, "drop %s\n", ix)
 	}
-	for _, sp := range rec.Shrink {
-		fmt.Fprintf(&b, "shrink %s -> %s width=%d\n", sp.From, sp.To, sp.UsedWidth)
-	}
 	for _, e := range rec.Explanations {
 		fmt.Fprintf(&b, "explain %s po=%s gain=%s maint=%s size=%d queries=%s\n",
 			e.Index.Key(), e.PartialOrder, hex(e.GainCPU), hex(e.MaintenanceCPU),
@@ -140,7 +137,7 @@ func goldenRun(t *testing.T, build func(testing.TB) (*engine.DB, []string), para
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := mon.Ingest(res.Template, q, res.Stats); err != nil {
+			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
 				t.Fatal(err)
 			}
 		}

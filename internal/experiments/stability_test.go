@@ -120,12 +120,18 @@ func TestOscillationGuardBoundsFlips(t *testing.T) {
 			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d)", i, r.Intn(50), r.Intn(50)))
 		}
 		db.Analyze()
-		// window synthesizes ten executions at the given CPU: page reads dominate.
+		// window runs the query on the current configuration and records ten
+		// executions of its plan at the given CPU: page reads dominate.
 		window := func(cpu float64) *workload.Monitor {
+			const sql = "SELECT b FROM t WHERE a = 5"
+			res, err := db.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
 			mon := workload.NewMonitor()
 			for i := 0; i < 10; i++ {
 				st := exec.Stats{PageReads: int64(cpu / exec.CostPageRead), RowsRead: 10, RowsSent: 1}
-				if err := mon.RecordStmt(mustParse(t, "SELECT b FROM t WHERE a = 5"), st); err != nil {
+				if _, err := mon.Ingest(res.Template, sql, st, 0, res.UsedIndexes); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -146,6 +152,7 @@ func TestOscillationGuardBoundsFlips(t *testing.T) {
 			if adopted {
 				cpu = 0.003
 			}
+			mon := window(cpu)
 			// Mid-cycle the advisor re-adopts whenever the index is absent
 			// and not cooling down (its estimated gain never goes away); the
 			// adoption affects the next window's stream, not this one's.
@@ -158,7 +165,7 @@ func TestOscillationGuardBoundsFlips(t *testing.T) {
 				adopted = true
 				outs[i].Adopted = []string{key}
 			}
-			if regs := d.Observe(db, window(cpu)); len(regs) > 0 {
+			if regs := d.Observe(db, mon); len(regs) > 0 {
 				if keys := d.Revert(db, regs); len(keys) > 0 {
 					adopted = false
 					outs[i].Reverted = keys

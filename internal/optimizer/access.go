@@ -43,6 +43,9 @@ type pathSkel struct {
 	sorted, gOrder bool
 	// desc renders the path for EXPLAIN-style output.
 	desc string
+	// used is {index.Name}, nil for clustered access: a one-step plan's
+	// UsedIndexes, which every execution shares.
+	used []string
 }
 
 // accessPath is a path skeleton priced under one execution's statistics and
@@ -226,6 +229,7 @@ func (c *instanceContext) finish(sk *pathSkel, placed instSet) *pathSkel {
 	sk.ctx = c
 	sk.covering = sk.index == nil || sk.index.Covers(c.table, c.referenced)
 	if sk.index != nil {
+		sk.used = []string{sk.index.Name}
 		// ICP: atoms over index key + PK columns reduce PK lookups.
 		for _, a := range c.allAtoms {
 			if (sk.index.HasColumn(a.Column) || c.table.IsPrimaryKey(a.Column)) && !usedInBinding(sk, a) {

@@ -78,9 +78,14 @@ func buildExecPlan(p *planned, params []sqltypes.Value) (*exec.Plan, error) {
 		if err := buildStep(&plan.Steps[pos], layout, inst, ap, stepFilters[pos], params); err != nil {
 			return nil, err
 		}
-		if ap.index != nil {
+		if ap.index != nil && len(p.join.paths) > 1 {
 			plan.UsedIndexes = append(plan.UsedIndexes, ap.index.Name)
 		}
+	}
+	if len(p.join.paths) == 1 {
+		// Not a copy per execution: the workload monitor reads this slice
+		// from every recorded statement of a window.
+		plan.UsedIndexes = p.join.paths[0].used
 	}
 	return plan, nil
 }

@@ -16,7 +16,7 @@ func TestConfirmWindowsSuppressesAlternation(t *testing.T) {
 		if i%2 == 1 {
 			cpu = 0.0016 // +60%, above the 30% threshold
 		}
-		flagged += len(d.Observe(db, window(t, cpu, 10)))
+		flagged += len(d.Observe(db, window(t, db, cpu, 10)))
 	}
 	if flagged != 0 {
 		t.Fatalf("alternating workload flagged %d regressions with ConfirmWindows=2, want 0", flagged)
@@ -29,7 +29,7 @@ func TestConfirmWindowsSuppressesAlternation(t *testing.T) {
 		if i%2 == 1 {
 			cpu = 0.0016
 		}
-		flagged += len(d1.Observe(db, window(t, cpu, 10)))
+		flagged += len(d1.Observe(db, window(t, db, cpu, 10)))
 	}
 	if flagged < 10 {
 		t.Fatalf("control without hysteresis flagged %d, want the alternation to thrash", flagged)
@@ -43,11 +43,11 @@ func TestConfirmWindowsStillCatchesStepChange(t *testing.T) {
 	db := fixture(t)
 	d := NewDetector(0.3)
 	d.ConfirmWindows = 2
-	d.Observe(db, window(t, 0.001, 10))
-	if regs := d.Observe(db, window(t, 0.0016, 10)); len(regs) != 0 {
+	d.Observe(db, window(t, db, 0.001, 10))
+	if regs := d.Observe(db, window(t, db, 0.0016, 10)); len(regs) != 0 {
 		t.Fatalf("first exceeding window flagged before confirmation: %v", regs)
 	}
-	regs := d.Observe(db, window(t, 0.0016, 10))
+	regs := d.Observe(db, window(t, db, 0.0016, 10))
 	if len(regs) != 1 {
 		t.Fatalf("persistent step not confirmed: %d regressions", len(regs))
 	}
@@ -66,7 +66,7 @@ func TestAnchorWindowsCatchesSlowDrift(t *testing.T) {
 	cpu := 0.001
 	flagged := 0
 	for i := 0; i < 12; i++ {
-		flagged += len(d.Observe(db, window(t, cpu, 10)))
+		flagged += len(d.Observe(db, window(t, db, cpu, 10)))
 		cpu *= 1.12
 	}
 	if flagged == 0 {
@@ -77,7 +77,7 @@ func TestAnchorWindowsCatchesSlowDrift(t *testing.T) {
 	cpu = 0.001
 	flagged = 0
 	for i := 0; i < 12; i++ {
-		flagged += len(d1.Observe(db, window(t, cpu, 10)))
+		flagged += len(d1.Observe(db, window(t, db, cpu, 10)))
 		cpu *= 1.12
 	}
 	if flagged != 0 {
@@ -98,7 +98,7 @@ func TestRevertCooldownEscalates(t *testing.T) {
 		if !d.InCooldown(key) {
 			t.Fatalf("window %d: cooldown expired early", i)
 		}
-		d.Observe(db, window(t, 0.001, 10))
+		d.Observe(db, window(t, db, 0.001, 10))
 	}
 	if d.InCooldown(key) {
 		t.Fatal("cooldown did not expire after 3 windows")
@@ -108,7 +108,7 @@ func TestRevertCooldownEscalates(t *testing.T) {
 		if !d.InCooldown(key) {
 			t.Fatalf("escalated window %d: cooldown expired early (no doubling)", i)
 		}
-		d.Observe(db, window(t, 0.001, 10))
+		d.Observe(db, window(t, db, 0.001, 10))
 	}
 	if d.InCooldown(key) {
 		t.Fatal("escalated cooldown did not expire after 6 windows")

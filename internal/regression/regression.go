@@ -14,7 +14,6 @@ import (
 	"aim/internal/catalog"
 	"aim/internal/engine"
 	"aim/internal/failpoint"
-	"aim/internal/sqlparser"
 	"aim/internal/workload"
 )
 
@@ -150,8 +149,9 @@ type Regression struct {
 	// BaselineAge is how many windows ago the baseline was last refreshed
 	// (0 = the immediately preceding window).
 	BaselineAge int
-	// SuspectIndexes are automation-created indexes used by the query's
-	// current plan — the candidates to revert.
+	// SuspectIndexes are the automation-created indexes the query's executed
+	// plans read in the window (workload.QueryStats.UsedIndexes), in plan
+	// order — the candidates to revert.
 	SuspectIndexes []*catalog.Index
 	// ReasonCode classifies the revert motive for the audit journal:
 	// "query_regressed" (the default when empty), "maintenance_regression"
@@ -174,8 +174,8 @@ func (r *Regression) String() string {
 }
 
 // Observe ingests a finished window and returns regressions relative to the
-// previous window. db is used to attribute suspects (automation-created
-// indexes in the query's current plan).
+// previous window. db resolves the suspects: the automation-created indexes
+// among those the query's executed plans read, still in the catalog.
 //
 // Baselines of queries that do not qualify in the current window (absent, or
 // below MinExecutions) are carried forward unchanged for up to
@@ -269,18 +269,15 @@ func (d *Detector) Observe(db *engine.DB, mon *workload.Monitor) []*Regression {
 			AfterCPU:    cpu,
 			BaselineAge: baseAge,
 		}
-		if sel, ok := q.Stmt.(*sqlparser.Select); ok {
-			if est, err := db.Optimizer.EstimateSelect(sel, nil); err == nil {
-				for _, u := range est.Used {
-					if u.Index == nil || u.Index.CreatedBy == "" || u.Index.CreatedBy == "dba" {
-						continue
-					}
-					if d.cooldown[u.Index.Key()] > 0 {
-						continue // just reverted; do not thrash it again
-					}
-					r.SuspectIndexes = append(r.SuspectIndexes, u.Index)
-				}
+		for _, name := range q.UsedIndexes {
+			ix := db.Schema.Index(name)
+			if ix == nil || ix.CreatedBy == "" || ix.CreatedBy == "dba" {
+				continue // gone since, or not the automation's to revert
 			}
+			if d.cooldown[ix.Key()] > 0 {
+				continue // just reverted; do not thrash it again
+			}
+			r.SuspectIndexes = append(r.SuspectIndexes, ix)
 		}
 		found = append(found, r)
 	}

@@ -119,10 +119,10 @@ func TestObserveDroppedWindowKeepsBaselines(t *testing.T) {
 	reg := obs.NewRegistry()
 	db.SetObs(reg)
 	d := NewDetector(0.5)
-	d.Observe(db, window(t, 0.001, 10))
+	d.Observe(db, window(t, db, 0.001, 10))
 
 	arm(t, "regression.observe=err(1)")
-	if regs := d.Observe(db, window(t, 0.01, 10)); regs != nil {
+	if regs := d.Observe(db, window(t, db, 0.01, 10)); regs != nil {
 		t.Fatalf("dropped window produced regressions: %v", regs)
 	}
 	if got := reg.Counter("regression.dropped_windows").Value(); got != 1 {
@@ -130,7 +130,7 @@ func TestObserveDroppedWindowKeepsBaselines(t *testing.T) {
 	}
 
 	failpoint.Activate(nil)
-	regs := d.Observe(db, window(t, 0.01, 10))
+	regs := d.Observe(db, window(t, db, 0.01, 10))
 	if len(regs) != 1 {
 		t.Fatalf("regression lost across dropped window: %v", regs)
 	}

@@ -11,13 +11,13 @@ import (
 
 // Record is one observed statement: which session executed it, its
 // per-session sequence number, the execution statistics the engine reported,
-// and the statement as sent, with the template and stamp the engine returned
-// with its result (RecordOf) — or, built from SQL alone, without them: the
-// tuner then resolves the template at ingest, without a stamp. Sessions observe
-// concurrently, so arrival order in the buffer is nondeterministic; sealing
-// orders by (session, seq) to give every window one canonical order
-// regardless of goroutine interleaving — that is what makes a live window
-// replayable bit-for-bit offline.
+// and the statement as sent, with the template, stamp and read indexes the
+// engine returned with its result (RecordOf) — or, built from SQL alone,
+// without them: the tuner then resolves the template at ingest, without a
+// stamp or a plan. Sessions observe concurrently, so arrival order in the
+// buffer is nondeterministic; sealing orders by (session, seq) to give every
+// window one canonical order regardless of goroutine interleaving — that is
+// what makes a live window replayable bit-for-bit offline.
 type Record struct {
 	Session string
 	Seq     uint64
@@ -31,12 +31,13 @@ type Record struct {
 
 	template string // normalized text ("" = not resolved yet)
 	stamp    uint64
+	used     []string // index names the executed plan read
 }
 
 // RecordOf is the record of statement sql, which a session executed with
 // result res.
 func RecordOf(session string, seq uint64, trace, sql string, res *engine.Result) Record {
-	return Record{Session: session, Seq: seq, Trace: trace, SQL: sql, Stats: res.Stats, template: res.Template, stamp: res.Stamp}
+	return Record{Session: session, Seq: seq, Trace: trace, SQL: sql, Stats: res.Stats, template: res.Template, stamp: res.Stamp, used: res.UsedIndexes}
 }
 
 // Collector buffers the live statement stream into sliding windows for the

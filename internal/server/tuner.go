@@ -347,7 +347,7 @@ func ingestWindow(w []Record) (*workload.Monitor, []audit.WindowQuery, error) {
 			}
 			norm, _ = sqlparser.Normalize(stmt)
 		}
-		q, err := mon.IngestStamped(norm, rec.SQL, rec.Stats, rec.stamp)
+		q, err := mon.Ingest(norm, rec.SQL, rec.Stats, rec.stamp, rec.used)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: window record: %v", err)
 		}

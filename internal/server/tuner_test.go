@@ -75,7 +75,7 @@ func window(t *testing.T, db *engine.DB, n int, format string) *workload.Monitor
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, sql, res.Stats)
+		mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes)
 	}
 	return mon
 }
@@ -446,10 +446,41 @@ func records(t *testing.T, db *engine.DB, n int, format string, inflate int64) [
 		if err != nil {
 			t.Fatal(err)
 		}
-		w[i] = Record{Session: "s", Seq: uint64(i + 1), SQL: sql, Stats: res.Stats}
+		w[i] = RecordOf("s", uint64(i+1), "", sql, res)
 		w[i].Stats.PageReads *= inflate
 	}
 	return w
+}
+
+// TestReadIndexNotRetired: a template whose first sample scans kv while its
+// later executions read the automation index kv(v) keeps kv(v) through more
+// than DropAfterUnused windows, because the windows' plans read it.
+func TestReadIndexNotRetired(t *testing.T) {
+	tu, _ := newTuner(t)
+	if _, err := tu.DB.CreateIndex(&catalog.Index{Name: "aim_kv_v", Table: "kv", Columns: []string{"v"}, CreatedBy: "aim"}); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle <= tu.DropAfterUnused; cycle++ {
+		var w []Record
+		for i, lo := range []int{0, 1790, 1791, 1792, 1793} {
+			sql := fmt.Sprintf("SELECT id FROM kv WHERE v > %d", lo)
+			res, err := tu.DB.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if read := len(res.UsedIndexes) > 0; read != (i > 0) {
+				t.Fatalf("%s read %v; the fixture wants a wide first sample that scans and narrow ones that read kv(v)", sql, res.UsedIndexes)
+			}
+			w = append(w, RecordOf("s", uint64(i+1), "", sql, res))
+		}
+		line, err := tu.CycleWindow(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tu.DB.Schema.Index("aim_kv_v") == nil {
+			t.Fatalf("cycle %d retired kv(v), which its window read: %s", cycle, line)
+		}
+	}
 }
 
 // verdictKeys returns the comma-separated keys of the verdict line's field

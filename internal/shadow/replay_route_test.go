@@ -38,7 +38,7 @@ func TestReplayIsTheStatementThatRan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mon.IngestStamped(res.Template, sql, res.Stats, res.Stamp); err != nil {
+		if _, err := mon.Ingest(res.Template, sql, res.Stats, res.Stamp, res.UsedIndexes); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,7 +69,7 @@ func (m *Machine) RunTick(tickIndex int) Tick {
 			continue
 		}
 		cpu += res.Stats.CPUSeconds()
-		m.Monitor.Ingest(res.Template, sql, res.Stats) //nolint:errcheck // the engine just parsed the template
+		m.Monitor.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes) //nolint:errcheck // the engine just parsed the template
 	}
 	t := Tick{Index: tickIndex, Errors: errs}
 	util := cpu / m.CapacitySeconds

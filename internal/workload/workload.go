@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,6 +38,10 @@ type QueryStats struct {
 	// that one would report those Stats again.
 	SampleStats  []exec.Stats
 	SampleStamps []uint64
+	// UsedIndexes is the union of the index names the template's executed
+	// plans read, each name once, in first-seen order; empty when no
+	// execution was ingested with its plan (RecordStmt).
+	UsedIndexes []string
 
 	mu     sync.Mutex
 	sample sqlparser.Statement // SampleSQL[0] parsed, nil until asked for
@@ -106,23 +111,19 @@ type Monitor struct {
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor { return &Monitor{queries: map[string]*QueryStats{}} }
 
-// RecordStmt ingests one execution of a parsed statement.
+// RecordStmt ingests one execution of a parsed statement, without a plan.
 func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
 	norm, _ := sqlparser.Normalize(stmt)
-	_, err := m.Ingest(norm, stmt.SQL(), st)
+	_, err := m.Ingest(norm, stmt.SQL(), st, 0, nil)
 	return err
 }
 
 // Ingest folds one execution of the statement sql into its template's
-// statistics, given the template text sqlparser.Normalize returns for it,
-// and returns the template's entry. The template text is parsed once, when
-// first seen.
-func (m *Monitor) Ingest(norm, sql string, st exec.Stats) (*QueryStats, error) {
-	return m.IngestStamped(norm, sql, st, 0)
-}
-
-// IngestStamped is Ingest for an execution the engine stamped.
-func (m *Monitor) IngestStamped(norm, sql string, st exec.Stats, stamp uint64) (*QueryStats, error) {
+// statistics, given the template text sqlparser.Normalize returns for it, the
+// engine's stamp for the execution (0 = none) and the names of the indexes
+// its plan read (engine.Result carries all three), and returns the template's
+// entry. The template text is parsed once, when first seen.
+func (m *Monitor) Ingest(norm, sql string, st exec.Stats, stamp uint64, used []string) (*QueryStats, error) {
 	q := m.queries[norm]
 	if q == nil {
 		normStmt, err := sqlparser.Parse(norm)
@@ -136,6 +137,11 @@ func (m *Monitor) IngestStamped(norm, sql string, st exec.Stats, stamp uint64) (
 	q.CPUSeconds += st.CPUSeconds()
 	q.RowsRead += st.RowsRead
 	q.RowsSent += st.RowsSent
+	for _, name := range used {
+		if !slices.Contains(q.UsedIndexes, name) {
+			q.UsedIndexes = append(q.UsedIndexes, name)
+		}
+	}
 	if len(q.SampleSQL) < samplesKeep {
 		q.SampleSQL = append(q.SampleSQL, sql)
 		q.SampleStats = append(q.SampleStats, st)
