@@ -186,7 +186,7 @@ func BenchmarkAblationPartialOrderMerging(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+		mon.Observe(q, res)
 	}
 	queries := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
 
@@ -226,7 +226,7 @@ func BenchmarkAblationDatalessRangeColumn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+		mon.Observe(q, res)
 	}
 	queries := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
 	run := func(arbitrary bool) float64 {
@@ -267,7 +267,7 @@ func BenchmarkAblationCoveringMode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes)
+			mon.Observe(sql, res)
 		}
 		cfg := core.DefaultConfig()
 		cfg.EnableCovering = covering
@@ -301,7 +301,7 @@ func BenchmarkAblationJoinPowerset(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+		mon.Observe(q, res)
 	}
 	queries := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
 	counts := map[int]int{}
@@ -336,7 +336,7 @@ func BenchmarkAblationKnapsackCriterion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+		mon.Observe(q, res)
 	}
 	queries := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
 	// Budget = half of the unconstrained recommendation.
@@ -385,7 +385,7 @@ func BenchmarkAdvisorRuntimeScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+				mon.Observe(q, res)
 			}
 			queries := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
 			cfg := core.DefaultConfig()
@@ -419,7 +419,7 @@ func BenchmarkAdvisorParallelism(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+		mon.Observe(q, res)
 	}
 	queries := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {

@@ -364,7 +364,7 @@ func runScript(db *engine.DB, mon *workload.Monitor, text string, demo bool) err
 			if err != nil {
 				return fmt.Errorf("workload: %v (sql: %s)", err, line)
 			}
-			if _, err := mon.Ingest(res.Template, line, res.Stats, 0, res.UsedIndexes); err != nil {
+			if err := mon.Observe(line, res); err != nil {
 				return err
 			}
 		}

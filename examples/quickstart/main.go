@@ -41,7 +41,7 @@ func main() {
 				log.Fatal(err)
 			}
 			beforeCPU += res.Stats.CPUSeconds()
-			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+			if err := mon.Observe(q, res); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -38,7 +38,7 @@ func analyticsDB(t testing.TB) (*engine.DB, []*workload.QueryStats) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+			mon.Observe(q, res)
 		}
 	}
 	return db, mon.Representative(workload.SelectionConfig{MinExecutions: 1})

@@ -40,7 +40,7 @@ func advisorFixture(t testing.TB, ddl ...string) (*Advisor, *workload.Monitor) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+			if err := mon.Observe(q, res); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -167,14 +167,14 @@ func TestMaintenanceDiscountsWriteHeavyIndexes(t *testing.T) {
 	mon := workload.NewMonitor()
 	// One rare read on col5 vs massive write traffic touching col5.
 	res, _ := db.Exec("SELECT col1 FROM t1 WHERE col5 = 3")
-	mon.Ingest(res.Template, "SELECT col1 FROM t1 WHERE col5 = 3", res.Stats, 0, res.UsedIndexes)
+	mon.Observe("SELECT col1 FROM t1 WHERE col5 = 3", res)
 	for i := 0; i < 400; i++ {
 		sql := fmt.Sprintf("UPDATE t1 SET col5 = %d WHERE id = %d", i, i)
 		r, err := db.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(r.Template, sql, r.Stats, 0, r.UsedIndexes)
+		mon.Observe(sql, r)
 	}
 	rec, err := adv.Recommend(mon)
 	if err != nil {
@@ -262,7 +262,7 @@ func TestIndexReadAfterTheFirstSampleNotDropped(t *testing.T) {
 		if read := len(res.UsedIndexes) > 0; read != (i > 0) {
 			t.Fatalf("%s read %v; the fixture wants a wide first sample that scans and narrow ones that read ix", sql, res.UsedIndexes)
 		}
-		if _, err := mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes); err != nil {
+		if err := mon.Observe(sql, res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,7 +335,7 @@ func TestShardingEconomicsPruneMarginalIndexes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+			mon.Observe(q, res)
 		}
 		for i := 0; i < 30; i++ {
 			record("SELECT col5 FROM t1 WHERE col1 = 5 AND col2 = 3") // hot, high gain
@@ -379,7 +379,7 @@ func TestFleetAggregatedRecommendation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range mons {
-				m.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+				m.Observe(q, res)
 			}
 		}
 	}
@@ -461,7 +461,7 @@ func TestRandomizedAdvisorNeverChangesResults(t *testing.T) {
 				before[q] = canonRows(res)
 				beforeCPU += res.Stats.CPUSeconds()
 				for k := 0; k < 3; k++ {
-					mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes)
+					mon.Observe(q, res)
 				}
 			}
 

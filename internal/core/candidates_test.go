@@ -48,7 +48,7 @@ func monitorWith(t testing.TB, db *engine.DB, queries ...string) *workload.Monit
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 5; i++ {
-			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+			if err := mon.Observe(q, res); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,6 +142,41 @@ func TestComplexAndOrDNFCandidates(t *testing.T) {
 	}
 	if !keys["t1|col2|col4"] {
 		t.Errorf("missing second DNF factor; have %v", keys)
+	}
+}
+
+// TestDisableMergingOnlyDedupes generates with the §III-E merge off: two
+// templates whose selection orders are identical yield one partial order
+// that serves both, and orders the merge would combine stay apart.
+func TestDisableMergingOnlyDedupes(t *testing.T) {
+	db := paperDB(t)
+	mon := monitorWith(t, db,
+		"SELECT col4 FROM t1 WHERE col1 = 5 AND col2 = 3",
+		"SELECT col5 FROM t1 WHERE col2 = 4 AND col1 = 7",
+		"SELECT col4 FROM t1 WHERE col1 = 5")
+	rep := mon.Representative(workload.SelectionConfig{MinExecutions: 1})
+	g := genFor(db, 2, false)
+	g.DisableMerging = true
+	pos := g.GenerateCandidates(rep)
+	var shared *PartialOrder
+	for _, po := range pos {
+		if po.Key() == "t1|col1,col2" {
+			if shared != nil {
+				t.Fatalf("<{col1, col2}> generated twice: %v", keysOf(pos))
+			}
+			shared = po
+		}
+	}
+	if shared == nil || len(shared.Sources) != 2 || shared.Sources[0].Normalized == shared.Sources[1].Normalized {
+		t.Fatalf("want one <{col1, col2}> serving both templates, got %+v among %v", shared, keysOf(pos))
+	}
+	unmerged := keysOf(pos)
+	if len(pos) != 2 || !unmerged["t1|col1"] {
+		t.Fatalf("want <{col1, col2}> and <{col1}> alone, got %v", unmerged)
+	}
+	merged := keysOf(genFor(db, 2, false).GenerateCandidates(rep))
+	if len(merged) <= len(unmerged) {
+		t.Fatalf("the merge added nothing to %v: %v", unmerged, merged)
 	}
 }
 
@@ -358,7 +393,7 @@ func TestGenerateFromExecutedWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes)
+		mon.Observe(sql, res)
 	}
 	rep := mon.Representative(workload.DefaultSelection())
 	if len(rep) != 1 {

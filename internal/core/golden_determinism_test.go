@@ -137,7 +137,7 @@ func goldenRun(t *testing.T, build func(testing.TB) (*engine.DB, []string), para
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+			if err := mon.Observe(q, res); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -44,7 +44,7 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 				t.Fatalf("%s: %v", q, err)
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+				if err := mon.Observe(q, res); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -120,7 +120,7 @@ func TestFailpointOverheadSmoke(t *testing.T) {
 				t.Fatalf("%s: %v", q, err)
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+				if err := mon.Observe(q, res); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -201,7 +201,7 @@ func TestAuditOverheadSmoke(t *testing.T) {
 				t.Fatalf("%s: %v", q, err)
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+				if err := mon.Observe(q, res); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -12,40 +12,51 @@ import (
 // widest workload in the repo has about 230 shapes.
 const shapeCapacity = 1024
 
-// cachedShape is one entry of the template cache: a shape and, for a SELECT,
-// its output column names, rendered once, and its reads (nil when it read an
+// Entry is one entry of the template cache: a shape and, for a SELECT, its
+// output column names, rendered once, and its reads (nil when it read an
 // unknown table when first parsed). A nil Shape marks a Bypass digest, which
 // keeps a SELECT's reads only.
-type cachedShape struct {
+type Entry struct {
 	*sqlparser.Shape
+	// ID is below shapeCapacity and unique among the entries the cache holds
+	// at once, so a consumer can index what it keeps per template by it.
+	ID    int
 	cols  []string
 	reads []tableReads
 }
 
-// shapeCache maps a statement digest (sqlparser.Digest.Key) to the shape the
+// shapeCache maps a statement digest (sqlparser.Digest.Key) to the entry the
 // first parse of a statement with that digest produced. A shape depends on
 // the statement's text alone, and its reads on the definitions of the tables
 // it names, which never change once created, so nothing invalidates it and a
 // database shares its cache with its clones.
 type shapeCache struct {
 	mu sync.RWMutex
-	m  map[string]*cachedShape
+	m  map[string]*Entry
 }
 
-func (c *shapeCache) get(key []byte) *cachedShape {
+func (c *shapeCache) get(key []byte) *Entry {
 	c.mu.RLock()
-	sh := c.m[string(key)]
+	e := c.m[string(key)]
 	c.mu.RUnlock()
-	return sh
+	return e
 }
 
-func (c *shapeCache) put(key []byte, sh *cachedShape) {
+// put caches e under key unless an entry is already there, and returns the
+// cached one: of two sessions that parsed one digest at once, the first to
+// put wins, so an ID names one entry.
+func (c *shapeCache) put(key []byte, e *Entry) *Entry {
 	c.mu.Lock()
-	if c.m == nil || len(c.m) >= shapeCapacity {
-		c.m = make(map[string]*cachedShape)
+	defer c.mu.Unlock()
+	if old := c.m[string(key)]; old != nil {
+		return old
 	}
-	c.m[string(key)] = sh
-	c.mu.Unlock()
+	if c.m == nil || len(c.m) >= shapeCapacity {
+		c.m = make(map[string]*Entry)
+	}
+	e.ID = len(c.m)
+	c.m[string(key)] = e
+	return e
 }
 
 // digests recycles the digest pass's buffers across statements.

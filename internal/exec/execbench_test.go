@@ -226,9 +226,10 @@ func runExecBench(tb testing.TB, opts execBenchOptions) (*execBenchResult, error
 
 // TestBenchExecReport measures replay throughput of the batch driver against
 // the reference interpreter on the products workload and records the results
-// in BENCH_exec.json at the repo root. Wall-clock sensitive, so it is
-// env-gated out of plain `go test ./...`; `make benchexec` invokes it. A
-// passing report also certifies parity on every replayed statement.
+// in BENCH_exec.json at the repo root, only when every floor held.
+// Wall-clock sensitive, so it is env-gated out of plain `go test ./...`;
+// `make benchexec` invokes it. A passing report also certifies parity on
+// every replayed statement.
 func TestBenchExecReport(t *testing.T) {
 	if os.Getenv("AIM_BENCH_EXEC") == "" {
 		t.Skip("set AIM_BENCH_EXEC=1 to run (invoked by make benchexec)")
@@ -291,6 +292,12 @@ func TestBenchExecReport(t *testing.T) {
 	}
 	if scanFilter < 2.5 {
 		t.Errorf("unindexed filtered scans %.2fx the reference interpreter, want >= 2.5x", scanFilter)
+	}
+	if t.Failed() {
+		// A run below a floor is not a measurement of the committed tree:
+		// leave the recorded one as it is.
+		t.Log("a floor failed: BENCH_exec.json left unchanged")
+		return
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -99,7 +99,7 @@ func buildBenchmark(name string, scale float64, seed int64, reg *obs.Registry) (
 		if execErr != nil {
 			return nil, nil, fmt.Errorf("experiments: %s: %v", name, execErr)
 		}
-		if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+		if err := mon.Observe(q, res); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -131,7 +131,7 @@ func TestOscillationGuardBoundsFlips(t *testing.T) {
 			mon := workload.NewMonitor()
 			for i := 0; i < 10; i++ {
 				st := exec.Stats{PageReads: int64(cpu / exec.CostPageRead), RowsRead: 10, RowsSent: 1}
-				if _, err := mon.Ingest(res.Template, sql, st, 0, res.UsedIndexes); err != nil {
+				if _, err := mon.Ingest(res.Entry, res.Template, sql, &st, 0, res.UsedIndexes); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -97,7 +97,7 @@ func replayProduct(p *products.Product, r *rand.Rand, n int) (*workload.Monitor,
 		if execErr != nil {
 			return nil, execErr
 		}
-		if _, err := mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes); err != nil {
+		if err := mon.Observe(sql, res); err != nil {
 			return nil, err
 		}
 	}

@@ -48,7 +48,7 @@ func window(t testing.TB, db *engine.DB, cpuPerExec float64, execs int) *workloa
 	for i := 0; i < execs; i++ {
 		// Synthesize stats with the desired CPU: page reads dominate.
 		pages := int64(cpuPerExec / exec.CostPageRead)
-		if _, err := mon.Ingest(res.Template, sql, exec.Stats{PageReads: pages, RowsRead: 10, RowsSent: 1}, 0, res.UsedIndexes); err != nil {
+		if _, err := mon.Ingest(res.Entry, res.Template, sql, &exec.Stats{PageReads: pages, RowsRead: 10, RowsSent: 1}, 0, res.UsedIndexes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func flagged(t *testing.T, db *engine.DB, sql string) *Regression {
 	for _, pages := range []int64{10, 100} {
 		mon := workload.NewMonitor()
 		for i := 0; i < 5; i++ {
-			if _, err := mon.Ingest(res.Template, sql, exec.Stats{PageReads: pages}, 0, res.UsedIndexes); err != nil {
+			if _, err := mon.Ingest(res.Entry, res.Template, sql, &exec.Stats{PageReads: pages}, 0, res.UsedIndexes); err != nil {
 				t.Fatal(err)
 			}
 		}

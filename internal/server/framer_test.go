@@ -42,9 +42,8 @@ func TestOneWriteAndOneReadPerFrame(t *testing.T) {
 	s := New(Options{DB: kvDB()})
 	srvEnd, cliEnd := net.Pipe()
 	sc, cc := &countingConn{Conn: srvEnd}, &countingConn{Conn: cliEnd}
-	s.sem <- struct{}{}
 	s.sessions.Add(1)
-	go s.serve(sc)
+	go s.serve(sc, <-s.sem)
 	defer s.sessions.Wait()
 	c := &Client{conn: cc, f: newFramer(cc), timeout: 5 * time.Second}
 	defer c.Close()

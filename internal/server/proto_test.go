@@ -33,11 +33,11 @@ func TestProtocolQueryTraced(t *testing.T) {
 	if len(w) != 2 {
 		t.Fatalf("window = %d records", len(w))
 	}
-	if w[0].Trace != "t-0001-0-1" || w[0].Session != "lg-0001" || w[0].Seq != 1 {
-		t.Fatalf("traced record = %+v", w[0])
+	if r := w[0]; r.Trace != "t-0001-0-1" || r.Session != "lg-0001" || r.Seq != 1 {
+		t.Fatalf("traced record = %+v", r)
 	}
-	if w[1].Trace != "" {
-		t.Fatalf("untraced record carries trace: %+v", w[1])
+	if r := w[1]; r.Trace != "" {
+		t.Fatalf("untraced record carries trace: %+v", r)
 	}
 }
 

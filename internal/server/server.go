@@ -80,10 +80,10 @@ type Server struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	sessions sync.WaitGroup
-	sem      chan struct{} // bounds concurrent sessions
-	seq      atomic.Int64  // accept-order session labels
+	sem      chan int32   // bounds concurrent sessions; a token is a session's ordinal
+	seq      atomic.Int64 // accept-order session labels
 
-	windows chan []Record // auto-sealed windows to the tuner goroutine
+	windows chan []*Record // auto-sealed windows to the tuner goroutine
 	tunerWG sync.WaitGroup
 
 	connsOpen *obs.Gauge
@@ -123,9 +123,12 @@ func New(opts Options) *Server {
 		db:        opts.DB,
 		collector: NewCollector(opts.WindowStatements, opts.Obs),
 		conns:     map[net.Conn]struct{}{},
-		sem:       make(chan struct{}, maxConns),
+		sem:       make(chan int32, maxConns),
 		closed:    make(chan struct{}),
-		windows:   make(chan []Record, 1),
+		windows:   make(chan []*Record, 1),
+	}
+	for ord := range int32(maxConns) {
+		s.sem <- ord + 1
 	}
 	s.tuner = &Tuner{
 		DB:       opts.DB,
@@ -194,13 +197,13 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		s.sem <- struct{}{} // bounded worker model: blocks when MaxConns busy
+		ord := <-s.sem // bounded worker model: blocks when MaxConns busy
 		s.mu.Lock()
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.sessions.Add(1)
 		s.connsOpen.Add(1)
-		go s.serve(conn)
+		go s.serve(conn, ord)
 	}
 }
 
@@ -210,19 +213,19 @@ func (s *Server) runTuner() {
 		// A cycle error is an invariant violation latched inside the tuner:
 		// tuning stops (every later window returns the same error untouched)
 		// while serving continues. The suite asserts this never fires.
-		s.tuner.CycleWindow(w) //nolint:errcheck
+		s.tuner.cycle(w) //nolint:errcheck
 	}
 }
 
 // serve runs one session: read frame, execute, respond, until the peer
 // closes, a deadline cuts a stalled frame, or drain begins.
-func (s *Server) serve(conn net.Conn) {
+func (s *Server) serve(conn net.Conn, ord int32) {
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		<-s.sem
+		s.sem <- ord
 		s.connsOpen.Add(-1)
 		s.sessions.Done()
 	}()
@@ -285,7 +288,7 @@ func (s *Server) serve(conn net.Conn) {
 				resp = &Response{Tag: TagError, Code: CodeDraining, Msg: "server draining"}
 			} else {
 				stmtSeq++
-				resp = s.execStatement(session, stmtSeq, req.Trace, req.SQL)
+				resp = s.execStatement(session, ord, stmtSeq, req.Trace, req.SQL)
 			}
 		}
 		if !s.respond(conn, f, writeTO, resp) {
@@ -312,7 +315,7 @@ func (s *Server) respond(conn net.Conn, f *framer, writeTO time.Duration, resp *
 // span, and the slow-query log. Failed statements produce a typed error and are not
 // observed — the monitor sees only executions that contributed load,
 // matching the batch loop's semantics.
-func (s *Server) execStatement(session string, seq uint64, trace, sql string) *Response {
+func (s *Server) execStatement(session string, ord int32, seq uint64, trace, sql string) *Response {
 	p, err := s.db.Prepare(sql)
 	if err != nil {
 		return &Response{Tag: TagError, Code: CodeParse, Msg: err.Error()}
@@ -370,6 +373,7 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 	// Observed before the response, so an OpTune finds every acknowledged
 	// statement.
 	rec := RecordOf(session, seq, trace, sql, res)
+	rec.sess = ord
 	if w := s.collector.Observe(rec); w != nil {
 		select {
 		case s.windows <- w:
@@ -391,8 +395,7 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 // synchronously, returning the rendered verdict line. Serialized against
 // the background tuner by the tuner's own cycle lock.
 func (s *Server) TuneNow() (string, error) {
-	w := s.collector.Flush()
-	return s.tuner.CycleWindow(w)
+	return s.tuner.cycle(s.collector.Flush())
 }
 
 // Shutdown drains the server: stop accepting, let every session finish its
@@ -446,7 +449,7 @@ func (s *Server) Shutdown() error {
 	s.tunerWG.Wait()
 	if s.opts.WindowStatements > 0 {
 		if w := s.collector.Flush(); w != nil {
-			if _, err := s.tuner.CycleWindow(w); err != nil && forced == nil {
+			if _, err := s.tuner.cycle(w); err != nil && forced == nil {
 				forced = err
 			}
 		}

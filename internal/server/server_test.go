@@ -391,7 +391,7 @@ func TestServerCountsWindowDroppedBusy(t *testing.T) {
 	defer unlock()
 	seal := func() {
 		for i := 0; i < window; i++ {
-			if resp := s.execStatement("busy", uint64(i+1), "", "SELECT v FROM kv WHERE id = 1"); resp.Tag != TagRows {
+			if resp := s.execStatement("busy", 0, uint64(i+1), "", "SELECT v FROM kv WHERE id = 1"); resp.Tag != TagRows {
 				t.Fatalf("statement failed: %+v", resp)
 			}
 		}

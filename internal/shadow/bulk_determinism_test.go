@@ -44,7 +44,7 @@ func TestValidateDeterministicAcrossWorkersAndObs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes)
+			mon.Observe(sql, res)
 		}
 		db.Store.Workers = workers
 		if withObs {

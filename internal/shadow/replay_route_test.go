@@ -38,7 +38,7 @@ func TestReplayIsTheStatementThatRan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mon.Ingest(res.Template, sql, res.Stats, res.Stamp, res.UsedIndexes); err != nil {
+		if err := mon.Observe(sql, res); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -172,7 +172,7 @@ func benchDB(t testing.TB) (*engine.DB, *workload.Monitor) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+			if err := mon.Observe(q, res); err != nil {
 				t.Fatal(err)
 			}
 		}

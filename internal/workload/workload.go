@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"aim/internal/engine"
 	"aim/internal/exec"
 	"aim/internal/sqlparser"
 )
@@ -22,7 +23,9 @@ const samplesKeep = 8
 // QueryStats accumulates execution statistics for one normalized query.
 type QueryStats struct {
 	Normalized string
-	// Stmt is the parsed normalized statement (contains placeholders).
+	// Stmt is the normalized statement (contains placeholders): the
+	// template-cache entry's, or Normalized parsed, which agree up to the
+	// association of AND / OR chains.
 	Stmt sqlparser.Statement
 
 	Executions int64
@@ -42,6 +45,9 @@ type QueryStats struct {
 	// plans read, each name once, in first-seen order; empty when no
 	// execution was ingested with its plan (RecordStmt).
 	UsedIndexes []string
+	// FirstSeen is the query's position among its monitor's queries in the
+	// order their first executions were ingested.
+	FirstSeen int
 
 	mu     sync.Mutex
 	sample sqlparser.Statement // SampleSQL[0] parsed, nil until asked for
@@ -106,32 +112,57 @@ func (q *QueryStats) IsDML() bool {
 // Monitor aggregates execution statistics per normalized query.
 type Monitor struct {
 	queries map[string]*QueryStats
+	// byEntry is the query each template-cache entry folded into, by its ID:
+	// a repeat costs a load and a compare, not a hash of the text. Two
+	// entries may share a text, and a cache that starts over reuses an ID.
+	byEntry []entryQuery
+}
+
+type entryQuery struct {
+	e *engine.Entry
+	q *QueryStats
 }
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor { return &Monitor{queries: map[string]*QueryStats{}} }
 
-// RecordStmt ingests one execution of a parsed statement, without a plan.
-func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
-	norm, _ := sqlparser.Normalize(stmt)
-	_, err := m.Ingest(norm, stmt.SQL(), st, 0, nil)
+// Observe ingests one execution of sql with what the engine returned for it.
+func (m *Monitor) Observe(sql string, res *engine.Result) error {
+	_, err := m.Ingest(res.Entry, res.Template, sql, &res.Stats, res.Stamp, res.UsedIndexes)
 	return err
 }
 
-// Ingest folds one execution of the statement sql into its template's
-// statistics, given the template text sqlparser.Normalize returns for it, the
-// engine's stamp for the execution (0 = none) and the names of the indexes
-// its plan read (engine.Result carries all three), and returns the template's
-// entry. The template text is parsed once, when first seen.
-func (m *Monitor) Ingest(norm, sql string, st exec.Stats, stamp uint64, used []string) (*QueryStats, error) {
-	q := m.queries[norm]
-	if q == nil {
-		normStmt, err := sqlparser.Parse(norm)
-		if err != nil {
-			return nil, fmt.Errorf("workload: re-parse of normalized query failed: %v", err)
+// RecordStmt ingests one execution of a parsed statement, without a plan.
+func (m *Monitor) RecordStmt(stmt sqlparser.Statement, st exec.Stats) error {
+	norm, _ := sqlparser.Normalize(stmt)
+	_, err := m.Ingest(nil, norm, stmt.SQL(), &st, 0, nil)
+	return err
+}
+
+// Ingest folds one execution of the statement sql into the statistics of its
+// template norm (the text sqlparser.Normalize returns for it), given the
+// template-cache entry it ran from (nil: none, and norm is parsed once, when
+// first seen), the engine's stamp (0 = none) and the names of the indexes its
+// plan read, and returns the template's statistics.
+func (m *Monitor) Ingest(e *engine.Entry, norm, sql string, st *exec.Stats, stamp uint64, used []string) (q *QueryStats, err error) {
+	if e != nil && e.ID < len(m.byEntry) && m.byEntry[e.ID].e == e {
+		q = m.byEntry[e.ID].q
+	} else {
+		if q = m.queries[norm]; q == nil {
+			q = &QueryStats{Normalized: norm, FirstSeen: len(m.queries)}
+			if e != nil {
+				q.Stmt = e.Stmt
+			} else if q.Stmt, err = sqlparser.Parse(norm); err != nil {
+				return nil, fmt.Errorf("workload: re-parse of normalized query failed: %v", err)
+			}
+			m.queries[norm] = q
 		}
-		q = &QueryStats{Normalized: norm, Stmt: normStmt}
-		m.queries[norm] = q
+		if e != nil {
+			for len(m.byEntry) <= e.ID {
+				m.byEntry = append(m.byEntry, entryQuery{})
+			}
+			m.byEntry[e.ID] = entryQuery{e, q}
+		}
 	}
 	q.Executions++
 	q.CPUSeconds += st.CPUSeconds()
@@ -144,12 +175,12 @@ func (m *Monitor) Ingest(norm, sql string, st exec.Stats, stamp uint64, used []s
 	}
 	if len(q.SampleSQL) < samplesKeep {
 		q.SampleSQL = append(q.SampleSQL, sql)
-		q.SampleStats = append(q.SampleStats, st)
+		q.SampleStats = append(q.SampleStats, *st)
 		q.SampleStamps = append(q.SampleStamps, stamp)
 	} else {
 		// Deterministic reservoir-ish rotation keeps recent variety.
 		i := int(q.Executions) % samplesKeep
-		q.SampleSQL[i], q.SampleStats[i], q.SampleStamps[i] = sql, st, stamp
+		q.SampleSQL[i], q.SampleStats[i], q.SampleStamps[i] = sql, *st, stamp
 		if i == 0 {
 			q.sample = nil
 		}
@@ -181,7 +212,7 @@ func (m *Monitor) Get(normalized string) *QueryStats { return m.queries[normaliz
 func (m *Monitor) Len() int { return len(m.queries) }
 
 // Reset clears all accumulated statistics (start of a new interval).
-func (m *Monitor) Reset() { m.queries = map[string]*QueryStats{} }
+func (m *Monitor) Reset() { m.queries, m.byEntry = map[string]*QueryStats{}, nil }
 
 // TotalCPUSeconds sums CPU across all queries — the denominator for
 // fleet-level savings accounting.

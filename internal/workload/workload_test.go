@@ -59,7 +59,7 @@ func TestRecordGroupsByNormalizedForm(t *testing.T) {
 // template's parsed sample at once; they must all get the one parse.
 func TestSampleFromSeveralGoroutines(t *testing.T) {
 	m := NewMonitor()
-	q, err := m.Ingest("SELECT id FROM t WHERE a IN (?)", "SELECT id FROM t WHERE a IN (1, 2)", exec.Stats{}, 0, nil)
+	q, err := m.Ingest(nil, "SELECT id FROM t WHERE a IN (?)", "SELECT id FROM t WHERE a IN (1, 2)", &exec.Stats{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSampleFromSeveralGoroutines(t *testing.T) {
 
 func TestRecordParseError(t *testing.T) {
 	m := NewMonitor()
-	if _, err := m.Ingest("NOT SQL AT ALL", "NOT SQL AT ALL", exec.Stats{}, 0, nil); err == nil || m.Len() != 0 {
+	if _, err := m.Ingest(nil, "NOT SQL AT ALL", "NOT SQL AT ALL", &exec.Stats{}, 0, nil); err == nil || m.Len() != 0 {
 		t.Fatalf("a template that does not parse is accepted: %v, %d queries", err, m.Len())
 	}
 }

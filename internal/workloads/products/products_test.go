@@ -54,7 +54,7 @@ func TestSampledWorkloadExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if _, err := mon.Ingest(res.Template, sql, res.Stats, 0, res.UsedIndexes); err != nil {
+		if err := mon.Observe(sql, res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Columns == nil && res.Rows == nil {

@@ -27,7 +27,7 @@ func TestBuildAndRunAllQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: %v\n%s", i+1, err, q)
 		}
-		if _, err := mon.Ingest(res.Template, q, res.Stats, 0, res.UsedIndexes); err != nil {
+		if err := mon.Observe(q, res); err != nil {
 			t.Fatalf("Q%d record: %v", i+1, err)
 		}
 	}
