@@ -123,7 +123,7 @@ func runFaulted(t *testing.T, run func(scenarios.Scenario, ScenarioOptions) (*Sc
 	if !slices.Equal(res.FinalIndexKeys, ref) {
 		t.Errorf("rate %g: final index set %v diverged from the fault-free run's %v", rate, res.FinalIndexKeys, ref)
 	}
-	if got, want := reg.Counter("faults.injected").Value(), fp.InjectedTotal(); got != want {
+	if got, want := reg.Counter("faults.injected").Value(), injectedTotal(fp); got != want {
 		t.Errorf("rate %g: faults.injected = %d, the registry fired %d", rate, got, want)
 	}
 	return res, fp
@@ -166,7 +166,7 @@ func TestScenariosUnderFaults(t *testing.T) {
 					seed := 23 + int64(i)
 					res, fp := runFaulted(t, RunScenario, name, cycles, rate, seed, ref.FinalIndexKeys)
 					t.Logf("%s cycles=%d rate=%.2f faults=%d adoptions=%d degraded=%d reverted=%d",
-						name, cycles, rate, fp.InjectedTotal(), res.Adoptions, res.DegradedValidations, res.Reverted)
+						name, cycles, rate, injectedTotal(fp), res.Adoptions, res.DegradedValidations, res.Reverted)
 					for _, s := range fp.Sites() {
 						injected[i][s.Name] += s.Injected
 					}
@@ -197,4 +197,12 @@ func TestScenariosUnderFaults(t *testing.T) {
 			}
 		}
 	}
+}
+
+// injectedTotal sums the faults fp's sites fired.
+func injectedTotal(fp *failpoint.Registry) (n int64) {
+	for _, s := range fp.Sites() {
+		n += s.Injected
+	}
+	return n
 }

@@ -109,48 +109,6 @@ func (r *Registry) Set(name, spec string) error {
 	return nil
 }
 
-// Hits returns how many times the named site has been evaluated.
-func (r *Registry) Hits(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	s := r.sites[name]
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
-
-// Injected returns how many faults the named site has fired.
-func (r *Registry) Injected(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	s := r.sites[name]
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.injected
-}
-
-// InjectedTotal sums fired faults across all sites.
-func (r *Registry) InjectedTotal() int64 {
-	if r == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range r.sites {
-		s.mu.Lock()
-		n += s.injected
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // SiteStatus is one armed site's state, exported for the /statusz telemetry
 // endpoint.
 type SiteStatus struct {
@@ -186,13 +144,7 @@ var active atomic.Pointer[Registry]
 // Activate installs r as the process-wide registry (nil disables injection).
 // Like pool.Instrument, this is process-global: arm before the run under
 // test and disarm after.
-func Activate(r *Registry) {
-	if r == nil {
-		active.Store(nil)
-		return
-	}
-	active.Store(r)
-}
+func Activate(r *Registry) { active.Store(r) }
 
 // Enabled reports whether any registry is armed.
 func Enabled() bool { return active.Load() != nil }

@@ -55,9 +55,8 @@ func TestErrAlwaysFires(t *testing.T) {
 	if err := Inject("unarmed.site"); err != nil {
 		t.Fatalf("unarmed site returned %v", err)
 	}
-	if r.Hits("engine.create_index") != 1 || r.Injected("engine.create_index") != 1 {
-		t.Errorf("hits=%d injected=%d, want 1/1",
-			r.Hits("engine.create_index"), r.Injected("engine.create_index"))
+	if s := siteStatus(r, "engine.create_index"); s.Hits != 1 || s.Injected != 1 {
+		t.Errorf("hits=%d injected=%d, want 1/1", s.Hits, s.Injected)
 	}
 }
 
@@ -181,7 +180,7 @@ func TestMultipleActionsPerSite(t *testing.T) {
 	if err := Inject("replay.query"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("hit 2 returned %v, want injected error", err)
 	}
-	if got := r.Injected("replay.query"); got != 3 { // 2 delays + 1 err
+	if got := siteStatus(r, "replay.query").Injected; got != 3 { // 2 delays + 1 err
 		t.Errorf("injected = %d, want 3", got)
 	}
 }
@@ -306,4 +305,14 @@ func TestPolicyZeroValueSingleAttempt(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("zero-value policy made %d attempts, want 1", calls)
 	}
+}
+
+// siteStatus is the named site's entry in r.Sites() (zero when unarmed).
+func siteStatus(r *Registry, name string) SiteStatus {
+	for _, s := range r.Sites() {
+		if s.Name == name {
+			return s
+		}
+	}
+	return SiteStatus{}
 }

@@ -90,7 +90,6 @@ func SpecByName(name string) (Spec, bool) {
 // template is one generated query shape with the metadata needed to derive
 // the DBA's "obvious" index for it.
 type template struct {
-	text     string // with %d / %s markers replaced per sample
 	kind     tmplKind
 	table    string
 	eqCols   []string
@@ -123,9 +122,6 @@ type Product struct {
 	rows       map[string]int // live row count per table for DML sampling
 	nextID     map[string]int64
 }
-
-// numCols is the number of non-id columns per table.
-const numCols = 6
 
 func tableName(i int) string { return fmt.Sprintf("t%03d", i) }
 func colName(i int) string   { return fmt.Sprintf("c%d", i) }
