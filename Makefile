@@ -14,7 +14,7 @@ COVER_BASELINE ?= 75.2
 # ROADMAP's tracked number (aim 2: it should go down). Set to the tree's
 # measured count; a PR that grows past it must delete something or argue
 # the new ceiling in review.
-LOC_CEILING ?= 23947
+LOC_CEILING ?= 23830
 
 .PHONY: check vet build test race benchmodule examplesmoke loc benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
@@ -56,7 +56,7 @@ loc:
 	[ "$$n" -le "$(LOC_CEILING)" ] || { echo "non-test Go lines $$n exceed the $(LOC_CEILING) ceiling"; exit 1; }
 
 # One iteration of each advisor benchmark as a smoke test — exercises the
-# full pipeline (candidates, cache, parallel costing) without the cost of a
+# full pipeline (candidates, parallel costing) without the cost of a
 # real benchmarking run — and of BenchmarkNormalize, which every served
 # statement pays once. '^$$' skips unit tests; only benchmarks execute.
 benchsmoke:

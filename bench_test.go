@@ -200,7 +200,7 @@ func BenchmarkAblationPartialOrderMerging(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return rec, baselines.WorkloadCost(db, queries, rec.Create)
+		return rec, baselines.WorkloadCost(db.Optimizer, queries, rec.Create)
 	}
 	var onRec, offRec *core.Recommendation
 	var onCost, offCost float64
@@ -239,7 +239,7 @@ func BenchmarkAblationDatalessRangeColumn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return baselines.WorkloadCost(db, queries, rec.Create)
+		return baselines.WorkloadCost(db.Optimizer, queries, rec.Create)
 	}
 	var probed, arbitrary float64
 	for i := 0; i < b.N; i++ {
@@ -278,7 +278,7 @@ func BenchmarkAblationCoveringMode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return baselines.WorkloadCost(p.DB, mon.Representative(workload.SelectionConfig{MinExecutions: 1}), rec.Create)
+		return baselines.WorkloadCost(p.DB.Optimizer, mon.Representative(workload.SelectionConfig{MinExecutions: 1}), rec.Create)
 	}
 	var on, off float64
 	for i := 0; i < b.N; i++ {
@@ -360,7 +360,7 @@ func BenchmarkAblationKnapsackCriterion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return baselines.WorkloadCost(db, queries, rec.Create)
+		return baselines.WorkloadCost(db.Optimizer, queries, rec.Create)
 	}
 	var perByte, raw float64
 	for i := 0; i < b.N; i++ {
@@ -391,23 +391,20 @@ func BenchmarkAdvisorRuntimeScaling(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Selection.MinExecutions = 1
 			adv := core.NewAdvisor(db, cfg)
-			var rec *core.Recommendation
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rec, err = adv.RecommendQueries(queries); err != nil {
+				if _, err = adv.RecommendQueries(queries); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(rec.Cache.HitRate()*100, "cache_hit_%")
 		})
 	}
 }
 
 // BenchmarkAdvisorParallelism measures the parallel what-if fan-out at
-// pool sizes 1 and GOMAXPROCS. The cost cache is dropped before every run,
-// so the time measured is genuine plan computation, not memo replay; the
-// recommendation is bit-identical across pool sizes (see the golden
-// determinism tests).
+// pool sizes 1 and GOMAXPROCS. Every what-if call plans, so the time
+// measured is genuine plan computation; the recommendation is bit-identical
+// across pool sizes (see the golden determinism tests).
 func BenchmarkAdvisorParallelism(b *testing.B) {
 	db, err := tpch.Build(0.05, 11)
 	if err != nil {
@@ -428,16 +425,12 @@ func BenchmarkAdvisorParallelism(b *testing.B) {
 			cfg.Selection.MinExecutions = 1
 			cfg.Parallelism = workers
 			adv := core.NewAdvisor(db, cfg)
-			var rec *core.Recommendation
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				db.WhatIf.Invalidate()
-				var err error
-				if rec, err = adv.RecommendQueries(queries); err != nil {
+				if _, err := adv.RecommendQueries(queries); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(rec.Cache.HitRate()*100, "cache_hit_%")
 		})
 	}
 }

@@ -240,8 +240,6 @@ func (a *app) runAdvisor(args []string) int {
 
 	fmt.Fprintf(a.out, "\nAIM: %d partial orders -> %d candidates -> %d selected (%d optimizer calls, %s)\n",
 		rec.PartialOrders, rec.CandidateCount, len(rec.Create), rec.OptimizerCalls, rec.Elapsed.Round(1000000))
-	fmt.Fprintf(a.out, "cost cache: %d hits / %d misses (%.1f%% hit rate), %d evictions, %d entries\n",
-		rec.Cache.Hits, rec.Cache.Misses, rec.Cache.HitRate()*100, rec.Cache.Evictions, rec.Cache.Entries)
 	for _, e := range rec.Explanations {
 		fmt.Fprintf(a.out, "  CREATE %s\n    %s\n", e.Index, e.String())
 	}

@@ -40,6 +40,6 @@ func (a *AIM) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 		OptimizerCalls: rec.OptimizerCalls,
 		Elapsed:        rec.Elapsed,
 	}
-	res.EstimatedCost = WorkloadCost(db, queries, rec.Create)
+	res.EstimatedCost = WorkloadCost(db.Optimizer, queries, rec.Create)
 	return res, nil
 }

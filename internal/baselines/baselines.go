@@ -16,6 +16,7 @@ import (
 
 	"aim/internal/catalog"
 	"aim/internal/engine"
+	"aim/internal/optimizer"
 	"aim/internal/pool"
 	"aim/internal/queryinfo"
 	"aim/internal/sqlparser"
@@ -40,36 +41,43 @@ type Result struct {
 	EstimatedCost float64
 }
 
-// WorkloadCost evaluates Σ_q w_q·cost(q, config) through the memoized
-// what-if API. Weights are execution counts. Per-query estimates are
-// computed on a bounded worker pool into per-query slots and folded
-// sequentially in workload order, so the sum is bit-identical to a
-// sequential evaluation.
-func WorkloadCost(db *engine.DB, queries []*workload.QueryStats, config []*catalog.Index) float64 {
+// WhatIf costs a statement under exactly a given index configuration: an
+// *optimizer.Optimizer plans every call, and the *optimizer.Coster that DTA
+// and Extend build per run memoizes them.
+type WhatIf interface {
+	EstimateSelectConfig(sel *sqlparser.Select, config []*catalog.Index) (*optimizer.Estimate, error)
+	EstimateDMLConfig(stmt sqlparser.Statement, config []*catalog.Index) (*optimizer.DMLEstimate, error)
+}
+
+// WorkloadCost evaluates Σ_q w_q·cost(q, config) through w. Weights are
+// execution counts. Per-query estimates are computed on a bounded worker
+// pool into per-query slots and folded sequentially in workload order, so
+// the sum is bit-identical to a sequential evaluation.
+func WorkloadCost(w WhatIf, queries []*workload.QueryStats, config []*catalog.Index) float64 {
 	costs := make([]float64, len(queries))
 	pool.ForEach(pool.Workers(0), len(queries), func(qi int) {
 		q := queries[qi]
-		w := float64(q.Executions)
-		if w == 0 {
-			w = 1
+		weight := float64(q.Executions)
+		if weight == 0 {
+			weight = 1
 		}
 		if q.IsDML() {
-			est, err := db.WhatIf.EstimateDMLConfig(q.Sample(), config)
+			est, err := w.EstimateDMLConfig(q.Sample(), config)
 			if err != nil {
 				return
 			}
-			costs[qi] = w * est.TotalCost()
+			costs[qi] = weight * est.TotalCost()
 			return
 		}
 		sel, ok := q.Sample().(*sqlparser.Select)
 		if !ok {
 			return
 		}
-		est, err := db.WhatIf.EstimateSelectConfig(sel, config)
+		est, err := w.EstimateSelectConfig(sel, config)
 		if err != nil {
 			return
 		}
-		costs[qi] = w * est.Cost
+		costs[qi] = weight * est.Cost
 	})
 	total := 0.0
 	for _, c := range costs {

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"aim/internal/catalog"
 	"aim/internal/engine"
+	"aim/internal/obs"
+	"aim/internal/optimizer"
 	"aim/internal/workload"
 )
 
@@ -57,7 +60,7 @@ func TestAllAdvisorsImproveWorkload(t *testing.T) {
 		adv := adv
 		t.Run(adv.Name(), func(t *testing.T) {
 			db, queries := analyticsDB(t)
-			base := WorkloadCost(db, queries, nil)
+			base := WorkloadCost(db.Optimizer, queries, nil)
 			res, err := adv.Recommend(db, queries, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -65,7 +68,7 @@ func TestAllAdvisorsImproveWorkload(t *testing.T) {
 			if len(res.Indexes) == 0 {
 				t.Fatal("no indexes recommended")
 			}
-			after := WorkloadCost(db, queries, res.Indexes)
+			after := WorkloadCost(db.Optimizer, queries, res.Indexes)
 			if after >= base {
 				t.Fatalf("workload cost did not improve: %v -> %v", base, after)
 			}
@@ -196,12 +199,41 @@ func TestEnumerateCandidatesShape(t *testing.T) {
 
 func TestWorkloadCostWeightsByExecutions(t *testing.T) {
 	db, queries := analyticsDB(t)
-	base := WorkloadCost(db, queries, nil)
+	base := WorkloadCost(db.Optimizer, queries, nil)
 	// Doubling execution counts must double the cost.
 	for _, q := range queries {
 		q.Executions *= 2
 	}
-	if got := WorkloadCost(db, queries, nil); got < base*1.9 || got > base*2.1 {
+	if got := WorkloadCost(db.Optimizer, queries, nil); got < base*1.9 || got > base*2.1 {
 		t.Fatalf("weighting broken: %v vs %v", got, base)
+	}
+}
+
+// TestCosterReplaysCallsOnHits pins the per-run memo's accounting: a
+// workload costed twice through one Coster plans once, yet the optimizer's
+// call counter advances by the same amount both times, so DTA's and
+// Extend's call counts are what a memo-less run would report.
+func TestCosterReplaysCallsOnHits(t *testing.T) {
+	db, queries := analyticsDB(t)
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	plans := reg.Histogram("optimizer.whatif_seconds")
+	cs := optimizer.NewCoster(db.Optimizer)
+	config := []*catalog.Index{{Name: "h", Table: "facts", Columns: []string{"dim1"}, Hypothetical: true}}
+
+	calls0, plans0 := db.Optimizer.Calls(), plans.Count()
+	cold := WorkloadCost(cs, queries, config)
+	calls1, plans1 := db.Optimizer.Calls(), plans.Count()
+	warm := WorkloadCost(cs, queries, config)
+	calls2, plans2 := db.Optimizer.Calls(), plans.Count()
+
+	if cold != warm || cold != WorkloadCost(db.Optimizer, queries, config) {
+		t.Fatalf("memoized cost %v / %v differs from planned cost", cold, warm)
+	}
+	if plans1-plans0 != int64(len(queries)) || plans2 != plans1 {
+		t.Errorf("plans: cold run %d, warm run %d; want %d and 0", plans1-plans0, plans2-plans1, len(queries))
+	}
+	if calls1-calls0 != calls2-calls1 {
+		t.Errorf("calls: cold run %d, warm run %d; hits must replay their calls", calls1-calls0, calls2-calls1)
 	}
 }

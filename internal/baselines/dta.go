@@ -6,6 +6,7 @@ import (
 
 	"aim/internal/catalog"
 	"aim/internal/engine"
+	"aim/internal/optimizer"
 	"aim/internal/pool"
 	"aim/internal/sqlparser"
 	"aim/internal/workload"
@@ -36,6 +37,7 @@ func (d *DTA) Name() string { return "DTA" }
 func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetBytes int64) (*Result, error) {
 	start := time.Now()
 	calls0 := db.Optimizer.Calls()
+	cs := optimizer.NewCoster(db.Optimizer)
 	maxWidth := d.MaxWidth
 	if maxWidth <= 0 {
 		maxWidth = 3
@@ -62,7 +64,7 @@ func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 		for _, rc := range queryRoleColumns(db, q) {
 			for _, cols := range enumerateCandidates(rc, maxWidth) {
 				ix := mkIndex("dta", rc.table, cols)
-				est, err := db.WhatIf.EstimateSelectConfig(sel, []*catalog.Index{ix})
+				est, err := cs.EstimateSelectConfig(sel, []*catalog.Index{ix})
 				if err != nil {
 					continue
 				}
@@ -93,7 +95,7 @@ func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 
 	// Phase 2: greedy configuration composition.
 	var config []*catalog.Index
-	cost := WorkloadCost(db, queries, config)
+	cost := WorkloadCost(cs, queries, config)
 	size := int64(0)
 	used := map[string]bool{}
 	for {
@@ -109,7 +111,7 @@ func (d *DTA) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetByt
 			if budgetBytes > 0 && size+db.EstimateIndexSize(ix) > budgetBytes {
 				continue
 			}
-			c := WorkloadCost(db, queries, withIndex(config, ix))
+			c := WorkloadCost(cs, queries, withIndex(config, ix))
 			if c < bestCost {
 				bestCost = c
 				bestIdx = i

@@ -5,6 +5,7 @@ import (
 
 	"aim/internal/catalog"
 	"aim/internal/engine"
+	"aim/internal/optimizer"
 	"aim/internal/workload"
 )
 
@@ -27,6 +28,7 @@ func (e *Extend) Name() string { return "Extend" }
 func (e *Extend) Recommend(db *engine.DB, queries []*workload.QueryStats, budgetBytes int64) (*Result, error) {
 	start := time.Now()
 	calls0 := db.Optimizer.Calls()
+	cs := optimizer.NewCoster(db.Optimizer)
 	maxWidth := e.MaxWidth
 	if maxWidth <= 0 {
 		maxWidth = 4
@@ -34,7 +36,7 @@ func (e *Extend) Recommend(db *engine.DB, queries []*workload.QueryStats, budget
 
 	tables := relevantColumns(db, queries)
 	var config []*catalog.Index
-	cost := WorkloadCost(db, queries, config)
+	cost := WorkloadCost(cs, queries, config)
 	size := int64(0)
 
 	for {
@@ -50,7 +52,7 @@ func (e *Extend) Recommend(db *engine.DB, queries []*workload.QueryStats, budget
 			if budgetBytes > 0 && newSize > budgetBytes {
 				return
 			}
-			c := WorkloadCost(db, queries, cfg)
+			c := WorkloadCost(cs, queries, cfg)
 			if c >= cost {
 				return
 			}
@@ -101,7 +103,7 @@ func (e *Extend) Recommend(db *engine.DB, queries []*workload.QueryStats, budget
 					if budgetBytes > 0 && newSize > budgetBytes {
 						continue
 					}
-					c := WorkloadCost(db, queries, cfg)
+					c := WorkloadCost(cs, queries, cfg)
 					if c >= cost {
 						continue
 					}

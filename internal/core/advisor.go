@@ -103,8 +103,9 @@ type Recommendation struct {
 	// OptimizerCalls incurred by this run, and wall-clock Elapsed.
 	OptimizerCalls int64
 	Elapsed        time.Duration
-	// Cache reports the what-if cost-cache activity during this run
-	// (hits/misses/evictions delta, absolute entry count).
+	// Cache is always zero: AIM costs through the optimizer, with no
+	// what-if memo in between. It stays only because the benchmark
+	// module's trace reads Cache.HitRate(); both go together.
 	Cache costcache.Stats
 }
 
@@ -141,7 +142,6 @@ func (a *Advisor) Recommend(mon *workload.Monitor) (*Recommendation, error) {
 func (a *Advisor) RecommendQueries(rep []*workload.QueryStats) (*Recommendation, error) {
 	start := time.Now()
 	calls0 := a.DB.Optimizer.Calls()
-	cache0 := a.DB.WhatIf.CacheStats()
 
 	// Spans and counters are nil-safe no-ops when no registry is attached;
 	// metrics record the run, they never influence it.
@@ -252,7 +252,6 @@ func (a *Advisor) RecommendQueries(rep []*workload.QueryStats) (*Recommendation,
 	}
 	rec.Drop = a.unusedIndexes(rep)
 	rec.OptimizerCalls = a.DB.Optimizer.Calls() - calls0
-	rec.Cache = a.DB.WhatIf.CacheStats().Delta(cache0)
 	rec.Elapsed = time.Since(start)
 	reg.Counter("core.partial_orders").Add(int64(rec.PartialOrders))
 	reg.Counter("core.candidates").Add(int64(rec.CandidateCount))

@@ -118,7 +118,7 @@ func (g *Generator) TryCoveringIndex(sel *sqlparser.Select, info *queryinfo.Info
 		return false
 	}
 	g.mCoveringProbes.Inc()
-	est, err := g.DB.WhatIf.EstimateSelect(sel, nil)
+	est, err := g.DB.Optimizer.EstimateSelect(sel, nil)
 	if err != nil {
 		return false
 	}
@@ -253,7 +253,7 @@ func (g *Generator) selectRangeColumn(sel *sqlparser.Select, table string, ipp [
 			Name: "dataless_probe", Table: table, Columns: cols, Hypothetical: true,
 		}
 		g.mIPPProbes.Inc()
-		est, err := g.DB.WhatIf.EstimateSelectConfig(sel, []*catalog.Index{hypo})
+		est, err := g.DB.Optimizer.EstimateSelectConfig(sel, []*catalog.Index{hypo})
 		if err != nil {
 			continue
 		}

@@ -88,8 +88,8 @@ func joinheavyGoldenDB(t testing.TB) (*engine.DB, []string) {
 }
 
 // renderRecommendation serializes everything the advisor decided, at full
-// float precision, excluding only wall-clock time and cache telemetry
-// (which legitimately differ between runs).
+// float precision, excluding only wall-clock time (which legitimately
+// differs between runs).
 func renderRecommendation(rec *Recommendation) string {
 	hex := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 	var b strings.Builder
@@ -146,8 +146,8 @@ func goldenRun(t *testing.T, build func(testing.TB) (*engine.DB, []string), para
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parallelism != 1 && rec.Cache.Hits+rec.Cache.Misses == 0 {
-		t.Error("parallel run recorded no cost-cache activity")
+	if parallelism != 1 && rec.OptimizerCalls == 0 {
+		t.Error("parallel run made no optimizer calls")
 	}
 	return renderRecommendation(rec)
 }
@@ -182,4 +182,44 @@ func TestGoldenDeterminismEcommerce(t *testing.T) {
 
 func TestGoldenDeterminismJoinHeavy(t *testing.T) {
 	testGoldenDeterminism(t, joinheavyGoldenDB)
+}
+
+// TestEveryAdvisorCallPlans: AIM costs through the optimizer with no memo in
+// between, so every optimizer call a Recommend reports is a plan the
+// optimizer made (one optimizer.whatif_seconds observation) — also on a
+// second run over the same database, which a memo would answer by replaying
+// calls. The workload is its SELECTs: a DML estimate counts its own call
+// besides the plan that locates its rows.
+func TestEveryAdvisorCallPlans(t *testing.T) {
+	db, all := joinheavyGoldenDB(t)
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	plans := reg.Histogram("optimizer.whatif_seconds")
+	mon := workload.NewMonitor()
+	for _, q := range all {
+		if !strings.HasPrefix(q, "SELECT") {
+			continue
+		}
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if err := mon.Observe(q, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Selection.MinExecutions = 1
+	cfg.Selection.MinBenefit = 0
+	adv := NewAdvisor(db, cfg)
+	for run := 1; run <= 2; run++ {
+		before := plans.Count()
+		rec, err := adv.Recommend(mon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := plans.Count() - before; rec.OptimizerCalls != n || n == 0 {
+			t.Errorf("run %d: %d optimizer calls, %d plans", run, rec.OptimizerCalls, n)
+		}
+	}
 }

@@ -63,7 +63,7 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 		return time.Since(start)
 	}
 
-	// Warm both advisors (stats caches, cost caches) before timing.
+	// Warm both advisors (stats caches, template memos) before timing.
 	timeRun(advPlain, monPlain)
 	pool.Instrument(reg)
 	timeRun(advMetrics, monMetrics)

@@ -55,7 +55,7 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 		allIdx = append(allIdx, c.Index)
 	}
 	workers := pool.Workers(a.Cfg.Parallelism)
-	whatIf := a.DB.WhatIf
+	opt := a.DB.Optimizer
 
 	// Gains: per query, cost with vs without the candidates generated for
 	// it; the gain is shared among the candidates the optimizer would use.
@@ -88,11 +88,11 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 		if len(forQ) == 0 {
 			return
 		}
-		base, err := whatIf.EstimateSelectConfig(sel, existing)
+		base, err := opt.EstimateSelectConfig(sel, existing)
 		if err != nil {
 			return
 		}
-		with, err := whatIf.EstimateSelectConfig(sel, append(append([]*catalog.Index(nil), existing...), forQ...))
+		with, err := opt.EstimateSelectConfig(sel, append(append([]*catalog.Index(nil), existing...), forQ...))
 		if err != nil {
 			return
 		}
@@ -161,7 +161,7 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 			return
 		}
 		stmt := q.Sample()
-		baseEst, err := whatIf.EstimateDMLConfig(stmt, existing)
+		baseEst, err := opt.EstimateDMLConfig(stmt, existing)
 		if err != nil {
 			return
 		}
@@ -169,7 +169,7 @@ func (a *Advisor) rankCandidates(cands []*Candidate, queries []*workload.QuerySt
 		if denom <= 0 {
 			return
 		}
-		withEst, err := whatIf.EstimateDMLConfig(stmt, append(append([]*catalog.Index(nil), existing...), allIdx...))
+		withEst, err := opt.EstimateDMLConfig(stmt, append(append([]*catalog.Index(nil), existing...), allIdx...))
 		if err != nil {
 			return
 		}

@@ -1,8 +1,8 @@
 // Package costcache is the sharded, bounded LRU behind the optimizer's two
-// memos: what-if estimates per (query, relevant index configuration)
-// (optimizer.Coster) and the parameter-independent half of planning per
-// normalized template (the optimizer's template memo). It is a leaf package so the
-// optimizer can hold both.
+// memos: the parameter-independent half of planning per normalized template
+// (the optimizer's template memo, one per DB) and what-if estimates per
+// (query, relevant index configuration) (optimizer.Coster, one per DTA or
+// Extend run). It is a leaf package so the optimizer can hold both.
 //
 // Cached values are immutable and shared between goroutines.
 package costcache
@@ -17,7 +17,7 @@ import (
 )
 
 const (
-	// DefaultCapacity bounds the total number of cached estimates per DB.
+	// DefaultCapacity bounds the number of estimates one Coster keeps.
 	DefaultCapacity = 32768
 	shardCount      = 16
 )
@@ -27,7 +27,7 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// Entries is the current number of cached estimates (absolute, not a
+	// Entries is the current number of cached entries (absolute, not a
 	// counter).
 	Entries int64
 }
@@ -61,12 +61,10 @@ type Cache struct {
 	shards    [shardCount]shard
 
 	// Live observability handles (nil when no registry is attached). The
-	// counters mirror the per-run Stats deltas continuously, and mEntries
-	// tracks the resident entry count as a gauge — operators watching the
-	// registry see cache behaviour between advisor runs, not just
-	// recommendations' per-run deltas. Several caches (production DB plus
-	// shadow clones) attached to one registry share the same handles, so
-	// the registry reports fleet-wide totals.
+	// counters mirror Stats continuously, and mEntries tracks the resident
+	// entry count as a gauge. Several caches (production DB plus shadow
+	// clones) attached to one registry share the same handles, so the
+	// registry reports fleet-wide totals.
 	mHits      *obs.Counter
 	mMisses    *obs.Counter
 	mEvictions *obs.Counter
@@ -75,7 +73,7 @@ type Cache struct {
 
 // SetObs attaches (or with a nil registry, detaches) live cache metrics:
 // <prefix>{hits,misses,evictions} counters and the <prefix>entries gauge
-// ("costcache.", "optimizer.prepared_"). Call before concurrent use; existing
+// ("optimizer.prepared_"). Call before concurrent use; existing
 // residency is folded into the entries gauge at attach time.
 func (c *Cache) SetObs(r *obs.Registry, prefix string) {
 	if r == nil {
@@ -187,21 +185,6 @@ func (c *Cache) Put(key string, val any) {
 		atomic.AddInt64(&c.evictions, evicted)
 		c.mEvictions.Add(evicted)
 	}
-}
-
-// Invalidate drops every entry (statistics or schema changed underneath the
-// estimates). Counters are preserved.
-func (c *Cache) Invalidate() {
-	var removed int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		removed += int64(s.lru.Len())
-		s.lru.Init()
-		s.byKey = map[string]*list.Element{}
-		s.mu.Unlock()
-	}
-	c.mEntries.Add(-removed)
 }
 
 // Stats snapshots the counters.

@@ -104,25 +104,6 @@ func TestGetPromotesRecency(t *testing.T) {
 	}
 }
 
-func TestInvalidateClearsEntriesKeepsCounters(t *testing.T) {
-	c := NewCache(64)
-	c.Put("k", 1)
-	c.Get("k")
-	c.Get("nope")
-	before := c.Stats()
-	c.Invalidate()
-	after := c.Stats()
-	if after.Entries != 0 {
-		t.Fatalf("entries after invalidate = %d", after.Entries)
-	}
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatal("invalidate reset counters")
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived invalidation")
-	}
-}
-
 func TestStatsDeltaAndHitRate(t *testing.T) {
 	a := Stats{Hits: 10, Misses: 10, Evictions: 1, Entries: 5}
 	b := Stats{Hits: 40, Misses: 20, Evictions: 3, Entries: 7}
@@ -158,9 +139,6 @@ func TestConcurrentAccessIsConsistent(t *testing.T) {
 					}
 				} else {
 					c.Put(k, "val-"+k)
-				}
-				if i%500 == 0 && g == 0 {
-					c.Invalidate()
 				}
 			}
 		}(g)

@@ -12,7 +12,6 @@ import (
 
 	"aim/internal/audit"
 	"aim/internal/catalog"
-	"aim/internal/costcache"
 	"aim/internal/exec"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
@@ -29,14 +28,10 @@ const DefaultSampleLimit = 5000
 
 // DB is one logical database.
 type DB struct {
-	Name      string
-	Schema    *catalog.Schema
-	Store     *storage.Store
-	Optimizer *optimizer.Optimizer
-	// WhatIf memoizes what-if estimates behind a sharded LRU; all advisor
-	// costing routes through it. The engine invalidates it whenever
-	// statistics or the materialized schema change.
-	WhatIf     *optimizer.Coster
+	Name       string
+	Schema     *catalog.Schema
+	Store      *storage.Store
+	Optimizer  *optimizer.Optimizer
 	executor   *exec.Executor
 	mu         sync.RWMutex // guards statsCache and writesSince
 	statsCache map[string]*stats.TableStats
@@ -47,8 +42,8 @@ type DB struct {
 	// last collected (collectLocked restarts it, noteWrites applies the rule).
 	writesSince map[string]int
 	// obs is the attached metrics registry (nil = observability off). The DB
-	// is the wiring hub: SetObs fans the registry out to the optimizer, the
-	// what-if cache and the executor, and Clone propagates it so shadow
+	// is the wiring hub: SetObs fans the registry out to the optimizer and
+	// the executor, and Clone propagates it so shadow
 	// clones aggregate into the same registry as production.
 	obs *obs.Registry
 	// audit is the attached decision journal (nil = journaling off). Unlike
@@ -69,12 +64,11 @@ type DB struct {
 }
 
 // SetObs attaches a metrics registry to this database and its components
-// (optimizer what-if latency, cost-cache gauges, executor operator
+// (optimizer what-if latency and template memo, executor operator
 // counters). Pass nil to detach. Call before concurrent use.
 func (db *DB) SetObs(r *obs.Registry) {
 	db.obs = r
 	db.Optimizer.SetObs(r)
-	db.WhatIf.SetObs(r)
 	db.executor.SetObs(r)
 }
 
@@ -110,7 +104,6 @@ func New(name string) *DB {
 		shapes:      &shapeCache{},
 	}
 	db.Optimizer = optimizer.New(db.Schema, db)
-	db.WhatIf = optimizer.NewCoster(db.Optimizer, costcache.DefaultCapacity)
 	db.executor = exec.New(db.Store)
 	return db
 }
@@ -161,7 +154,6 @@ func (db *DB) Analyze() {
 		}
 	}
 	db.mu.Unlock()
-	db.WhatIf.Invalidate()
 }
 
 // Result is the outcome of one statement execution.
@@ -516,7 +508,6 @@ func (db *DB) execUpdateDelete(key string, stmt sqlparser.Statement, params []sq
 // noteWrites invalidates cached statistics after enough churn.
 func (db *DB) noteWrites(table string, n int) {
 	key := strings.ToLower(table)
-	invalidated := false
 	db.mu.Lock()
 	db.writesSince[key] += n
 	if ts := db.statsCache[key]; ts != nil {
@@ -524,13 +515,9 @@ func (db *DB) noteWrites(table string, n int) {
 		if db.writesSince[key] >= threshold {
 			delete(db.statsCache, key)
 			db.statsEpoch.Store(catalog.Tick())
-			invalidated = true
 		}
 	}
 	db.mu.Unlock()
-	if invalidated {
-		db.WhatIf.Invalidate()
-	}
 }
 
 func (db *DB) execCreateTable(s *sqlparser.CreateTable) (*Result, error) {
@@ -654,7 +641,7 @@ func catchUpRound(snap, prev *DB, defs []*catalog.Index) (int, error) {
 
 // addIndexes is the batch both go through: register, prepare each tree
 // behind the "engine.create_index" failpoint and buildPolicy, attach in input
-// order, invalidate the what-if cache — or roll everything back.
+// order — or roll everything back.
 func (db *DB) addIndexes(defs []*catalog.Index, prepare func(*storage.Table, *catalog.Index, *storage.Metrics) (*storage.Index, error)) (*Result, error) {
 	if len(defs) == 0 {
 		return &Result{}, nil
@@ -713,7 +700,6 @@ func (db *DB) addIndexes(defs []*catalog.Index, prepare func(*storage.Table, *ca
 		}
 		m.Add(ms[i])
 	}
-	db.WhatIf.Invalidate()
 	return &Result{Stats: exec.Stats{RowsRead: m.RowsRead, PageReads: m.PageReads, IndexWrites: m.IndexWrites}}, nil
 }
 
@@ -732,7 +718,6 @@ func (db *DB) DropIndex(name string) (*Result, error) {
 	if tbl := db.Store.Table(ix.Table); tbl != nil {
 		tbl.DropIndex(name)
 	}
-	db.WhatIf.Invalidate()
 	return &Result{}, nil
 }
 
@@ -818,7 +803,6 @@ func (db *DB) cloneFrom(name string, store *storage.Store) *DB {
 	out.statsEpoch.Store(db.statsEpoch.Load())
 	db.mu.RUnlock()
 	out.Optimizer = optimizer.New(out.Schema, out)
-	out.WhatIf = optimizer.NewCoster(out.Optimizer, costcache.DefaultCapacity)
 	out.executor = exec.New(out.Store)
 	if db.obs != nil {
 		out.SetObs(db.obs)

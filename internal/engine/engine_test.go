@@ -284,6 +284,20 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestCloneAllocs pins what a snapshot handle costs to make: the schema and
+// store copies, the optimizer with its template memo and the executor. A
+// clone carries no what-if memo (only a DTA or Extend run builds one).
+func TestCloneAllocs(t *testing.T) {
+	db := New("clone_allocs")
+	db.MustExec("CREATE TABLE kv (id INT, v INT, w INT, PRIMARY KEY (id))")
+	for i := 0; i < 100; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%7, i%11))
+	}
+	if n := testing.AllocsPerRun(100, func() { db.Clone("c").Release() }); n > 49 {
+		t.Errorf("Clone+Release: %.0f allocations, want at most 49", n)
+	}
+}
+
 func TestEstimateDMLAttributesIndexMaintenance(t *testing.T) {
 	db := newSalesDB(t)
 	db.MustExec("CREATE INDEX o_cust ON orders (cust_id)")

@@ -7,6 +7,7 @@ import (
 
 	"aim/internal/baselines"
 	"aim/internal/engine"
+	"aim/internal/obs"
 	"aim/internal/scenarios"
 	"aim/internal/sim"
 	"aim/internal/workload"
@@ -126,43 +127,45 @@ func TestRunFig4TPCHShape(t *testing.T) {
 	}
 }
 
-// missProbe wraps an advisor and records the budget and the what-if cache
-// misses of its last Recommend call.
-type missProbe struct {
+// planProbe wraps an advisor and records the budget and the number of
+// plans (optimizer.whatif_seconds observations) of its last Recommend call.
+type planProbe struct {
 	baselines.Advisor
-	budget, misses int64
+	budget, plans int64
 }
 
-func (p *missProbe) Recommend(db *engine.DB, queries []*workload.QueryStats, budget int64) (*baselines.Result, error) {
-	before := db.WhatIf.CacheStats()
+func (p *planProbe) Recommend(db *engine.DB, queries []*workload.QueryStats, budget int64) (*baselines.Result, error) {
+	h := db.ObsRegistry().Histogram("optimizer.whatif_seconds")
+	before := h.Count()
 	res, err := p.Advisor.Recommend(db, queries, budget)
-	p.budget, p.misses = budget, db.WhatIf.CacheStats().Delta(before).Misses
+	p.budget, p.plans = budget, h.Count()-before
 	return res, err
 }
 
 // TestRunFig4PointsStartCold: a Fig. 4 point's runtime must not include memo
-// replay of estimates computed by the algorithms before it. DTA warms the
-// cache, then Extend — whose candidates overlap DTA's — must miss exactly as
-// often as on a database nobody has costed anything on.
+// replay of estimates computed by the algorithms before it. DTA runs first,
+// then Extend — whose candidates overlap DTA's — must plan exactly as often
+// as on a database nobody has costed anything on.
 func TestRunFig4PointsStartCold(t *testing.T) {
 	opts := DefaultFig4Options("tpch")
 	opts.Scale = 0.05
 	opts.BudgetFractions = []float64{0.5}
-	probe := &missProbe{Advisor: &baselines.Extend{MaxWidth: opts.MaxWidth}}
+	opts.Obs = obs.NewRegistry()
+	probe := &planProbe{Advisor: &baselines.Extend{MaxWidth: opts.MaxWidth}}
 	opts.Algorithms = []baselines.Advisor{&baselines.DTA{MaxWidth: opts.MaxWidth}, probe}
 	if _, err := RunFig4(opts); err != nil {
 		t.Fatal(err)
 	}
-	db, queries, err := buildBenchmark(opts.Benchmark, opts.Scale, opts.Seed, nil)
+	db, queries, err := buildBenchmark(opts.Benchmark, opts.Scale, opts.Seed, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := &missProbe{Advisor: probe.Advisor}
+	fresh := &planProbe{Advisor: probe.Advisor}
 	if _, err := fresh.Recommend(db, queries, probe.budget); err != nil {
 		t.Fatal(err)
 	}
-	if probe.misses != fresh.misses || fresh.misses == 0 {
-		t.Errorf("Extend after DTA missed the what-if cache %d times, on a fresh database %d times", probe.misses, fresh.misses)
+	if probe.plans != fresh.plans || fresh.plans == 0 {
+		t.Errorf("Extend after DTA planned %d times, on a fresh database %d times", probe.plans, fresh.plans)
 	}
 }
 

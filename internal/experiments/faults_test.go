@@ -42,7 +42,6 @@ func faultSpec(p float64) string {
 		fmt.Sprintf("engine.create_index=err(%g)|err()@2-4", p),
 		fmt.Sprintf("engine.drop_index=err(%g)|err()@1", p),
 		fmt.Sprintf("regression.observe=err(%g)", p),
-		fmt.Sprintf("costcache.lookup=err(%g)", p),
 		fmt.Sprintf("pool.task=delay(50us,%g)", p),
 	}
 	return strings.Join(entries, ";")

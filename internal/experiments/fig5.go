@@ -80,7 +80,7 @@ func RunFig5(opts Fig5Options) ([]*Fig5Row, error) {
 	}
 	// Unindexed per-query costs.
 	for i := range queries {
-		rows[i].Unindexed = baselines.WorkloadCost(db, queries[i:i+1], nil)
+		rows[i].Unindexed = baselines.WorkloadCost(db.Optimizer, queries[i:i+1], nil)
 	}
 	for _, algo := range opts.Algorithms {
 		r, err := algo.Recommend(db, queries, budget)
@@ -88,7 +88,7 @@ func RunFig5(opts Fig5Options) ([]*Fig5Row, error) {
 			return nil, err
 		}
 		for i := range queries {
-			c := baselines.WorkloadCost(db, queries[i:i+1], r.Indexes)
+			c := baselines.WorkloadCost(db.Optimizer, queries[i:i+1], r.Indexes)
 			rows[i].Costs[algo.Name()] = c
 			if c < rows[i].Unindexed*0.999 {
 				rows[i].Affected = true

@@ -17,7 +17,7 @@
 //     happened; the golden determinism tests assert recommendations are
 //     byte-identical with the registry attached and detached.
 //   - Naming convention: "<package>.<metric>" in snake case
-//     (optimizer.whatif_seconds, costcache.entries, pool.queue_depth);
+//     (optimizer.whatif_seconds, optimizer.prepared_entries, pool.queue_depth);
 //     span names are slash-separated phase paths (advisor/rank/gains).
 //     Cross-cutting families may use a domain prefix instead of a package
 //     name: the fault-injection counters are faults.{injected,retries,

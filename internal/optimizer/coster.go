@@ -6,61 +6,42 @@ import (
 
 	"aim/internal/catalog"
 	"aim/internal/costcache"
-	"aim/internal/failpoint"
-	"aim/internal/obs"
 	"aim/internal/sqlparser"
 )
 
-// Coster wraps an Optimizer's what-if entry points with a memo cache.
-// Every advisor (AIM and the baselines) costs through a Coster, so repeated
-// (query, relevant-configuration) pairs are planned once. Advisors re-cost
-// the same pairs constantly — AIM's ranking re-costs every query's base
-// configuration, DTA's greedy re-costs the whole workload per move — and
-// CoPhy identifies this call volume as the scalability limit of index
-// advisors. The key is a normalized query fingerprint plus the sorted
-// fingerprint of the configuration's *relevant* indexes (only indexes on
-// tables the statement touches can change its plan), so a candidate index on
-// another table never forces a re-plan. Callers must not mutate a returned
-// Estimate or DMLEstimate, and the Index pointers inside a cached plan may
-// come from an earlier, equivalent configuration (compare by Index.Key, not
-// pointer).
+// Coster memoizes what-if estimates under exact configurations for the
+// length of one advisor run. DTA and Extend re-cost the whole workload per
+// greedy move, so most of their (query, relevant-configuration) pairs repeat
+// within a run; each run builds its own Coster and drops it at the end, so
+// nothing has to invalidate it when statistics or the schema change. AIM
+// costs through the Optimizer directly: its pairs repeat too rarely to pay
+// for building a key per call (DESIGN.md). The key is the statement's rendered
+// SQL plus the sorted keys of the configuration's *relevant* indexes (only
+// indexes on tables the statement touches can change its plan), so a
+// candidate index on another table never forces a re-plan. Callers must not
+// mutate a returned Estimate or DMLEstimate, and the Index pointers inside a
+// memoized plan may come from an earlier, equivalent configuration (compare
+// by Index.Key, not pointer).
 //
 // Calls accounting: the optimizer's Calls() counter remains the *logical*
-// what-if invocation count of §VIII(a) — on a cache hit the Coster replays
-// the number of calls the memoized estimate originally consumed, so
-// algorithm comparisons by optimizer-call volume are unaffected by caching
-// while wall-clock time is not.
+// what-if invocation count of §VIII(a) — on a hit the Coster replays the
+// number of calls the memoized estimate originally consumed, so algorithm
+// comparisons by optimizer-call volume are unaffected by memoization while
+// wall-clock time is not.
 type Coster struct {
-	Opt   *Optimizer
+	opt   *Optimizer
 	cache *costcache.Cache
 }
 
-// NewCoster returns a Coster memoizing into a fresh cache of the given
-// capacity (<= 0 selects costcache.DefaultCapacity).
-func NewCoster(opt *Optimizer, capacity int) *Coster {
-	return &Coster{Opt: opt, cache: costcache.NewCache(capacity)}
+// NewCoster returns an empty memo over opt, bounded at
+// costcache.DefaultCapacity estimates. It is safe for concurrent use.
+func NewCoster(opt *Optimizer) *Coster {
+	return &Coster{opt: opt, cache: costcache.NewCache(costcache.DefaultCapacity)}
 }
 
-// CacheStats snapshots the underlying cache counters.
-func (cs *Coster) CacheStats() costcache.Stats { return cs.cache.Stats() }
-
-// SetObs attaches live cache metrics to the registry (nil detaches). See
-// Cache.SetObs.
-func (cs *Coster) SetObs(r *obs.Registry) { cs.cache.SetObs(r, "costcache.") }
-
-// Invalidate drops all memoized estimates; the engine calls it whenever
-// statistics or the materialized schema change.
-func (cs *Coster) Invalidate() { cs.cache.Invalidate() }
-
-// selResult memoizes one select estimate (or its error).
-type selResult struct {
-	est *Estimate
-	err error
-}
-
-// dmlResult memoizes one DML estimate (or its error).
-type dmlResult struct {
-	est *DMLEstimate
+// result memoizes one estimate (or its error).
+type result[E any] struct {
+	est E
 	err error
 }
 
@@ -95,10 +76,11 @@ func stmtTables(stmt sqlparser.Statement) map[string]bool {
 	return out
 }
 
-// key builds the memo key: mode tag, the statement's rendered SQL (bound
-// parameters render as literals, placeholders as '?'), and the sorted
-// catalog keys of the configuration's relevant indexes.
-func key(mode string, stmt sqlparser.Statement, config []*catalog.Index) string {
+// key builds the memo key: the statement's rendered SQL (bound parameters
+// render as literals, placeholders as '?') and the sorted catalog keys of
+// the configuration's relevant indexes. A SELECT and a DML statement never
+// render alike, so one cache holds both kinds of estimate.
+func key(stmt sqlparser.Statement, config []*catalog.Index) string {
 	tables := stmtTables(stmt)
 	keys := make([]string, 0, len(config))
 	seen := map[string]bool{}
@@ -113,82 +95,31 @@ func key(mode string, stmt sqlparser.Statement, config []*catalog.Index) string 
 		}
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(mode)
-	b.WriteByte('\x00')
-	b.WriteString(stmt.SQL())
-	b.WriteByte('\x00')
-	b.WriteString(strings.Join(keys, ";"))
-	return b.String()
+	return stmt.SQL() + "\x00" + strings.Join(keys, ";")
 }
 
-func (cs *Coster) selectVia(mode string, sel *sqlparser.Select, config []*catalog.Index,
-	compute func() (*Estimate, error)) (*Estimate, error) {
-	if cs == nil || cs.cache == nil {
-		return compute()
+// memo returns the estimate of stmt under config from the cache, replaying
+// its optimizer calls, or computes and keeps it.
+func memo[S sqlparser.Statement, E any](cs *Coster, stmt S, config []*catalog.Index,
+	compute func(S, []*catalog.Index) (E, error)) (E, error) {
+	k := key(stmt, config)
+	if v, ok := cs.cache.Get(k); ok {
+		r := v.(*result[E])
+		cs.opt.AddCalls(callsFor(stmt))
+		return r.est, r.err
 	}
-	k := key(mode, sel, config)
-	// The "costcache.lookup" failpoint degrades a lookup into a forced
-	// miss: the estimate is recomputed (identical result, so
-	// recommendations are unaffected) instead of served from memory —
-	// cache loss must never change what the advisor decides.
-	if failpoint.Inject("costcache.lookup") == nil {
-		if v, ok := cs.cache.Get(k); ok {
-			r := v.(*selResult)
-			cs.Opt.AddCalls(callsFor(sel))
-			return r.est, r.err
-		}
-	}
-	est, err := compute()
-	cs.cache.Put(k, &selResult{est: est, err: err})
-	return est, err
-}
-
-func (cs *Coster) dmlVia(mode string, stmt sqlparser.Statement, config []*catalog.Index,
-	compute func() (*DMLEstimate, error)) (*DMLEstimate, error) {
-	if cs == nil || cs.cache == nil {
-		return compute()
-	}
-	k := key(mode, stmt, config)
-	if failpoint.Inject("costcache.lookup") == nil {
-		if v, ok := cs.cache.Get(k); ok {
-			r := v.(*dmlResult)
-			cs.Opt.AddCalls(callsFor(stmt))
-			return r.est, r.err
-		}
-	}
-	est, err := compute()
-	cs.cache.Put(k, &dmlResult{est: est, err: err})
+	est, err := compute(stmt, config)
+	cs.cache.Put(k, &result[E]{est: est, err: err})
 	return est, err
 }
 
 // EstimateSelectConfig memoizes Optimizer.EstimateSelectConfig — cost(q, X)
-// under exactly configuration X, the advisors' hot path.
+// under exactly configuration X.
 func (cs *Coster) EstimateSelectConfig(sel *sqlparser.Select, config []*catalog.Index) (*Estimate, error) {
-	return cs.selectVia("sc", sel, config, func() (*Estimate, error) {
-		return cs.Opt.EstimateSelectConfig(sel, config)
-	})
-}
-
-// EstimateSelect memoizes Optimizer.EstimateSelect (materialized schema
-// indexes plus extras). The engine invalidates the cache on any schema or
-// statistics change, so the schema's index set needs no key component.
-func (cs *Coster) EstimateSelect(sel *sqlparser.Select, extra []*catalog.Index) (*Estimate, error) {
-	return cs.selectVia("ss", sel, extra, func() (*Estimate, error) {
-		return cs.Opt.EstimateSelect(sel, extra)
-	})
+	return memo(cs, sel, config, cs.opt.EstimateSelectConfig)
 }
 
 // EstimateDMLConfig memoizes Optimizer.EstimateDMLConfig.
 func (cs *Coster) EstimateDMLConfig(stmt sqlparser.Statement, config []*catalog.Index) (*DMLEstimate, error) {
-	return cs.dmlVia("dc", stmt, config, func() (*DMLEstimate, error) {
-		return cs.Opt.EstimateDMLConfig(stmt, config)
-	})
-}
-
-// EstimateDML memoizes Optimizer.EstimateDML.
-func (cs *Coster) EstimateDML(stmt sqlparser.Statement, extra []*catalog.Index) (*DMLEstimate, error) {
-	return cs.dmlVia("ds", stmt, extra, func() (*DMLEstimate, error) {
-		return cs.Opt.EstimateDML(stmt, extra)
-	})
+	return memo(cs, stmt, config, cs.opt.EstimateDMLConfig)
 }

@@ -72,10 +72,9 @@ func (o *Optimizer) PreparedStats() costcache.Stats { return o.memo.Stats() }
 // made so far. Index advisors are compared on this, per §VIII(a).
 func (o *Optimizer) Calls() int64 { return atomic.LoadInt64(&o.calls) }
 
-// AddCalls adds n logical invocations to the counter. The cost cache uses
-// it to replay the calls a memoized estimate originally consumed, so that
-// Calls() stays the §VIII(a) what-if invocation count independent of
-// caching.
+// AddCalls adds n logical invocations to the counter. A Coster uses it to
+// replay the calls a memoized estimate originally consumed, so that Calls()
+// stays the §VIII(a) what-if invocation count independent of memoization.
 func (o *Optimizer) AddCalls(n int64) { atomic.AddInt64(&o.calls, n) }
 
 func (o *Optimizer) countCall() { atomic.AddInt64(&o.calls, 1) }

@@ -68,7 +68,7 @@ func (d *Detector) ObserveMaintenance(db *engine.DB, mon *workload.Monitor) []*R
 			if q.Executions < d.MinExecutions {
 				continue
 			}
-			est, err := db.WhatIf.EstimateDML(q.Stmt, nil)
+			est, err := db.Optimizer.EstimateDML(q.Stmt, nil)
 			if err != nil {
 				continue
 			}
@@ -90,7 +90,7 @@ func (d *Detector) ObserveMaintenance(db *engine.DB, mon *workload.Monitor) []*R
 		if !ok {
 			continue
 		}
-		full, err := db.WhatIf.EstimateSelect(sel, nil)
+		full, err := db.Optimizer.EstimateSelect(sel, nil)
 		if err != nil {
 			continue
 		}
@@ -102,7 +102,7 @@ func (d *Detector) ObserveMaintenance(db *engine.DB, mon *workload.Monitor) []*R
 			if !ok {
 				continue
 			}
-			alt, err := db.WhatIf.EstimateSelectConfig(sel, configWithout(u.Index.Key()))
+			alt, err := db.Optimizer.EstimateSelectConfig(sel, configWithout(u.Index.Key()))
 			if err != nil {
 				continue
 			}

@@ -178,7 +178,7 @@ func TestCyclePolicyOffNeverRetires(t *testing.T) {
 // cycle that adopts and a cycle that reverts — shadow clones included, which
 // count into the same registry — collect nothing and leave every table's
 // statistics handle as it was, while the what-if estimate follows the
-// changed index set (index DDL invalidated the cost cache).
+// changed index set.
 func TestCycleLeavesStatisticsAlone(t *testing.T) {
 	c, _ := newTuner(t)
 	reg := obs.NewRegistry()
@@ -195,7 +195,7 @@ func TestCycleLeavesStatisticsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := func() float64 {
-		est, err := c.DB.WhatIf.EstimateSelect(stmt.(*sqlparser.Select), nil)
+		est, err := c.DB.Optimizer.EstimateSelect(stmt.(*sqlparser.Select), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

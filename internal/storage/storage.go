@@ -203,27 +203,11 @@ func (t *Table) Insert(row sqltypes.Row, m *Metrics) error {
 	if len(row) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: table %s expects %d columns, got %d", t.Def.Name, len(t.Def.Columns), len(row))
 	}
-	var kb, eb [keyBuf]byte
-	key := t.appendPK(kb[:0], row)
-	if _, exists := t.data.Get(key); exists {
-		return fmt.Errorf("storage: duplicate primary key in table %s", t.Def.Name)
+	var kb [keyBuf]byte
+	if err := t.insertStored(t.appendPK(kb[:0], row), row.Clone(), m); err != nil {
+		return err
 	}
-	stored := row.Clone()
 	t.shape = catalog.Tick()
-	t.data.Put(key, stored)
-	t.bytes += int64(stored.Size()) + 16
-	if m != nil {
-		m.RowWrites++
-		m.PageReads += int64(t.data.Height())
-	}
-	for _, ix := range t.indexes {
-		ix.tree.Put(ix.appendEntry(eb[:0], stored, key), struct{}{})
-		ix.bytes += ix.entrySize(stored)
-		if m != nil {
-			m.IndexWrites++
-			m.PageReads += int64(ix.tree.Height())
-		}
-	}
 	return nil
 }
 

@@ -118,7 +118,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/statusz")), &status); err != nil {
 		t.Fatalf("/statusz not valid JSON: %v", err)
 	}
-	for _, key := range []string{"uptime_seconds", "indexes", "regression_baselines", "failpoints", "costcache", "audit_records"} {
+	for _, key := range []string{"uptime_seconds", "indexes", "regression_baselines", "failpoints", "prepared", "audit_records"} {
 		if _, ok := status[key]; !ok {
 			t.Errorf("/statusz missing %q section", key)
 		}

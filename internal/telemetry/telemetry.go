@@ -4,7 +4,7 @@
 //	/metricsz      Prometheus text exposition of the obs registry
 //	/statusz       JSON snapshot of tuning state: current index set, last
 //	               shadow verdict with per-query outcomes, regression
-//	               baselines with age, armed failpoints, cost-cache
+//	               baselines with age, armed failpoints, template-memo
 //	               occupancy, audit journal position, sealed-window
 //	               high-water marks
 //	/slowz         JSON dump of the slow-query log ring (oldest first)
@@ -48,7 +48,7 @@ import (
 type Options struct {
 	// Registry backs /metricsz. A nil registry yields an empty exposition.
 	Registry *obs.Registry
-	// DB provides the current index set and cost-cache occupancy.
+	// DB provides the current index set and template-memo occupancy.
 	DB *engine.DB
 	// Detector provides regression baselines.
 	Detector *regression.Detector
@@ -189,7 +189,7 @@ type statusShadow struct {
 	ReplayErrors []string        `json:"replay_errors,omitempty"`
 }
 
-type statusCostCache struct {
+type statusMemo struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
@@ -213,8 +213,7 @@ type statusPayload struct {
 	Shadow       *statusShadow          `json:"shadow"`
 	Baselines    []regression.Baseline  `json:"regression_baselines"`
 	Failpoints   []failpoint.SiteStatus `json:"failpoints"`
-	CostCache    *statusCostCache       `json:"costcache"`
-	Prepared     *statusCostCache       `json:"prepared"` // the planner's per-template memo
+	Prepared     *statusMemo            `json:"prepared"` // the planner's per-template memo
 	AuditRecords int64                  `json:"audit_records"`
 }
 
@@ -245,10 +244,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 				Hypothetical: ix.Hypothetical,
 			})
 		}
-		cs := db.WhatIf.CacheStats()
-		p.CostCache = &statusCostCache{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Entries: cs.Entries}
 		ps := db.Optimizer.PreparedStats()
-		p.Prepared = &statusCostCache{Hits: ps.Hits, Misses: ps.Misses, Evictions: ps.Evictions, Entries: ps.Entries}
+		p.Prepared = &statusMemo{Hits: ps.Hits, Misses: ps.Misses, Evictions: ps.Evictions, Entries: ps.Entries}
 	}
 	if d := s.opts.Detector; d != nil {
 		p.Baselines = d.Baselines()
